@@ -9,10 +9,14 @@
 GO ?= go
 
 # The race-enabled stress subset, shared by `race` and `verify` so the
-# two gates cannot drift apart.
-RACE_TEST = $(GO) test -race -run 'TestChaos|TestCancel|TestPanic|TestGovern|TestOverload|TestPromote|TestReplay|TestService|TestSubmit|TestStall|TestHedge|TestResilience|TestCQS|TestFuture|TestChannel|TestBarrier|TestBlock|TestWait|TestAbort|TestPipeline|TestBFS|TestKernel' ./...
+# two gates cannot drift apart: the name-selected stress tests of every
+# package, then the whole benchmark harness (its test names match none
+# of the patterns, and its workloads drive the serving and resilience
+# layers from many goroutines at once).
+RACE_TEST = $(GO) test -race -run 'TestChaos|TestCancel|TestPanic|TestGovern|TestOverload|TestPromote|TestReplay|TestService|TestSubmit|TestStall|TestHedge|TestResilience|TestCQS|TestFuture|TestChannel|TestBarrier|TestBlock|TestWait|TestAbort|TestPipeline|TestBFS|TestKernel' ./... \
+	&& $(GO) test -race ./benchmark
 
-.PHONY: verify fmt build vet lint test race bench bench-all torture serve-smoke fault-smoke block-smoke
+.PHONY: verify fmt build vet lint loc test race bench bench-all torture serve-smoke fault-smoke block-smoke
 
 verify:
 	@unformatted=$$(gofmt -l .); \
@@ -45,6 +49,15 @@ vet:
 # `nowa-vet -json` as an artifact.
 lint:
 	$(GO) run ./cmd/nowa-vet ./...
+
+# loc prints the number ROADMAP aim 2 is judged by: non-test Go lines
+# outside benchmark/, in total and per package directory. Informational.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' \
+		-not -path './.git/*' | xargs wc -l | awk '$$2 != "total" { \
+		d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; \
+		close("sort -k2"); printf "%7d  total\n", t }'
 
 test:
 	$(GO) test ./...

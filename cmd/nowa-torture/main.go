@@ -274,10 +274,8 @@ func runTrial(m replay.Meta, rec *replay.Recorder, log *replay.Log) (failure str
 	// DESIGN.md §14) produce neither. (Skipped under a deadline:
 	// cancellation legitimately redirects spawns inline mid-flight.)
 	if m.TimeoutMS == 0 {
-		c := rt.Counters()
-		if c.LocalResumes+c.Steals != c.Spawns-c.InlineRuns {
-			return fmt.Sprintf("counters: LocalResumes(%d)+Steals(%d) != Spawns(%d)-InlineRuns(%d)",
-				c.LocalResumes, c.Steals, c.Spawns, c.InlineRuns)
+		if err := rt.Counters().CheckQuiescent(); err != nil {
+			return "counters: " + err.Error()
 		}
 	}
 	return ""

@@ -11,9 +11,14 @@ import (
 	"os"
 
 	"nowa/internal/apps"
+	"nowa/internal/replay"
 	"nowa/internal/sched"
 	"nowa/internal/tracelog"
 )
+
+// ringCap is the per-worker event capacity: large enough that a
+// test-scale kernel never wraps; a longer run keeps its newest events.
+const ringCap = 1 << 20
 
 func main() {
 	benchName := flag.String("bench", "fib", "benchmark to trace")
@@ -38,11 +43,11 @@ func main() {
 		fatal(err)
 	}
 
-	log := sched.NewEventLog(*workers)
+	rec := replay.NewTimedRecorder(*workers, ringCap)
 	rt := sched.MustNew(sched.Config{
 		Name:    "nowa",
 		Workers: *workers,
-		Events:  log,
+		Record:  rec,
 	})
 	defer rt.Close()
 
@@ -51,19 +56,32 @@ func main() {
 	if err := b.Verify(); err != nil {
 		fatal(err)
 	}
-	events := log.Drain()
+	log := rec.Snapshot()
 
 	f, err := os.Create(*out)
 	if err != nil {
 		fatal(err)
 	}
 	defer f.Close()
-	if err := tracelog.WriteChromeTrace(f, events); err != nil {
+	if err := tracelog.WriteChromeTrace(f, log); err != nil {
 		fatal(err)
 	}
 
-	fmt.Printf("traced %s on %d workers: %d events -> %s\n\n", b.Name(), *workers, len(events), *out)
-	fmt.Print(tracelog.FormatSummary(events))
+	fmt.Printf("traced %s on %d workers: %d events -> %s\n\n", b.Name(), *workers, log.Total(), *out)
+	fmt.Print(tracelog.FormatSummary(log))
+	if log.Truncated() {
+		fmt.Printf("\nrings wrapped (dropped %v): the trace and the summary cover the newest events only\n", log.Dropped)
+		return
+	}
+	// The event stream and the counters are written side by side in the
+	// scheduler; a disagreement means one of them lost an update.
+	sum, cnt := tracelog.Summary(log), rt.Counters()
+	for _, id := range tracelog.Derived() {
+		if sum.Get(id) != cnt.Get(id) {
+			fatal(fmt.Errorf("summary disagrees with the run's counters: %v events %d, counter %d", id, sum.Get(id), cnt.Get(id)))
+		}
+	}
+	fmt.Println("\nsummary equals the run's counters")
 }
 
 func fatal(err error) {

@@ -71,6 +71,8 @@ func TestPadguardCorpus(t *testing.T) {
 		"struct naked has atomic field n but no compile-time guard",
 		"struct raw has atomic field word but no 128-byte padding",
 		"struct raw has atomic field word but no compile-time guard",
+		"struct bareBlock has atomic field cells but no 128-byte padding",
+		"struct bareBlock has atomic field cells but no compile-time guard",
 	})
 }
 

@@ -9,10 +9,13 @@ import (
 )
 
 // Padguard enforces the false-sharing discipline on the scheduler's hot
-// structs: every struct containing atomic fields in internal/sched and
-// internal/deque must carry the 128-byte padding pattern (a blank `_`
-// array field separating or trailing the contended words — 128 bytes
-// covers adjacent-cache-line prefetching) AND a compile-time guard that
+// structs: every struct containing atomic fields — directly, embedded,
+// or as an array of atomic cells — in internal/sched, internal/deque and
+// the two packages holding its per-worker blocks (internal/trace's
+// counter cells, internal/replay's event rings) must carry the 128-byte
+// padding pattern (a blank `_` array field separating or trailing the
+// contended words — 128 bytes covers adjacent-cache-line prefetching)
+// AND a compile-time guard that
 // keeps the arithmetic honest: a constant expression applying
 // unsafe.Sizeof (exact-size guards, as on vesselFreeList/rngState) or
 // unsafe.Offsetof (end-separation guards, as on the deque headers) to
@@ -25,13 +28,13 @@ import (
 func Padguard() *Analyzer {
 	return &Analyzer{
 		Name: "padguard",
-		Doc:  "require 128-byte padding and a compile-time size/offset guard on atomic-bearing structs in internal/sched and internal/deque",
+		Doc:  "require 128-byte padding and a compile-time size/offset guard on atomic-bearing structs in internal/sched, internal/deque, internal/trace and internal/replay",
 		Run:  runPadguard,
 	}
 }
 
 // padguardScope lists the import-path suffixes the analyzer applies to.
-var padguardScope = []string{"internal/sched", "internal/deque"}
+var padguardScope = []string{"internal/sched", "internal/deque", "internal/trace", "internal/replay"}
 
 func inPadguardScope(importPath string) bool {
 	for _, s := range padguardScope {
@@ -72,7 +75,11 @@ func runPadguard(m *Module) []Finding {
 					if p.Notes.declNote(m, doc, ts.Pos(), "nopad") {
 						continue
 					}
-					atomicField := firstAtomicField(p.Info, st, rawFields)
+					obj := p.Info.Defs[ts.Name]
+					if obj == nil {
+						continue
+					}
+					atomicField := firstAtomicField(obj.Type(), rawFields)
 					if atomicField == "" {
 						continue
 					}
@@ -86,8 +93,7 @@ func runPadguard(m *Module) []Finding {
 								ts.Name.Name, atomicField),
 						})
 					}
-					obj := p.Info.Defs[ts.Name]
-					if obj == nil || !guarded[originNamed(obj.Type())] {
+					if !guarded[originNamed(obj.Type())] {
 						out = append(out, Finding{
 							Analyzer: "padguard",
 							Pos:      pos,
@@ -103,25 +109,31 @@ func runPadguard(m *Module) []Finding {
 	return out
 }
 
-// firstAtomicField names the first direct field of st that is either of
-// a sync/atomic wrapper type or a raw word accessed via sync/atomic
-// functions somewhere in the module; empty if none.
-func firstAtomicField(info *types.Info, st *ast.StructType, raw map[*types.Var][]token.Position) string {
-	for _, f := range st.Fields.List {
-		for _, name := range f.Names {
-			obj, ok := info.Defs[name].(*types.Var)
-			if !ok {
-				continue
-			}
-			if isAtomicType(obj.Type()) {
-				return name.Name
-			}
-			if _, isRaw := raw[obj]; isRaw {
-				return name.Name
-			}
+// firstAtomicField names the first field of struct type t — named or
+// embedded — that is of a sync/atomic wrapper type, an array of such
+// cells (a per-worker counter block), or a raw word accessed via
+// sync/atomic functions somewhere in the module; empty if none.
+func firstAtomicField(t types.Type, raw map[*types.Var][]token.Position) string {
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return ""
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if _, isRaw := raw[f]; isRaw || holdsAtomic(f.Type()) {
+			return f.Name()
 		}
 	}
 	return ""
+}
+
+// holdsAtomic reports whether t is a sync/atomic wrapper type or an
+// array (possibly behind a named type) of them.
+func holdsAtomic(t types.Type) bool {
+	if a, ok := t.Underlying().(*types.Array); ok {
+		return holdsAtomic(a.Elem())
+	}
+	return isAtomicType(t)
 }
 
 // hasPadField reports whether st contains a blank array field — the

@@ -44,3 +44,21 @@ type raw struct {
 func (r *raw) hit() {
 	atomic.AddUint32(&r.word, 1)
 }
+
+// cells is a per-worker block of atomic cells behind a named array type,
+// the shape of the trace counters.
+type cells [4]atomic.Int64
+
+// bareBlock embeds the cells with neither pad nor guard: two findings.
+type bareBlock struct {
+	cells
+}
+
+// paddedBlock rounds the embedded cells up to the 128-byte unit and
+// guards the arithmetic; it must pass.
+type paddedBlock struct {
+	cells
+	_ [128 - unsafe.Sizeof(cells{})%128]byte
+}
+
+const _ uintptr = -(unsafe.Sizeof(paddedBlock{}) % 128)

@@ -232,7 +232,7 @@ func (rt *Runtime) stealOnce(w int) (*task, bool) {
 	rec := rt.rec.Worker(w)
 	if ch := rt.cfg.Chaos; ch != nil {
 		if rt.chaosRoll(w, ch.StealFail) {
-			rec.FailedSteals.Add(1)
+			rec[trace.FailedSteals].Add(1)
 			return nil, false
 		}
 		if rt.chaosRoll(w, ch.StealDelay) {
@@ -244,9 +244,9 @@ func (rt *Runtime) stealOnce(w int) (*task, bool) {
 	victim := int(rt.nextRand(w) % uint64(rt.cfg.Workers))
 	t, ok := rt.deques[victim].PopTop()
 	if ok {
-		rec.Steals.Add(1)
+		rec[trace.Steals].Add(1)
 	} else {
-		rec.FailedSteals.Add(1)
+		rec[trace.FailedSteals].Add(1)
 	}
 	return t, ok
 }
@@ -325,7 +325,7 @@ type scope struct {
 func (s *scope) Spawn(fn func(api.Ctx)) {
 	rt := s.c.rt
 	if rt.cancel.Cancelled() {
-		rt.rec.Worker(s.c.worker).InlineSpawns.Add(1)
+		rt.rec.Worker(s.c.worker)[trace.InlineSpawns].Add(1)
 		func() {
 			defer rt.containPanic()
 			fn(s.c)
@@ -333,7 +333,7 @@ func (s *scope) Spawn(fn func(api.Ctx)) {
 		return
 	}
 	s.pending.Add(1)
-	rt.rec.Worker(s.c.worker).Spawns.Add(1)
+	rt.rec.Worker(s.c.worker)[trace.Spawns].Add(1)
 	rt.deques[s.c.worker].PushBottom(&task{fn: fn, sc: s})
 }
 
@@ -343,11 +343,11 @@ func (s *scope) Sync() {
 	rt := s.c.rt
 	w := s.c.worker
 	rec := rt.rec.Worker(w)
-	rec.ExplicitSyncs.Add(1)
+	rec[trace.ExplicitSyncs].Add(1)
 	fails := 0
 	for s.pending.Load() != 0 {
 		if t, ok := rt.deques[w].PopBottom(); ok {
-			rec.LocalResumes.Add(1)
+			rec[trace.LocalResumes].Add(1)
 			rt.execute(t, w)
 			fails = 0
 			continue

@@ -106,6 +106,12 @@ func (j *WaitFreeJoin) Rearm() {
 // Forked reports α for the current round.
 func (j *WaitFreeJoin) Forked() int64 { return j.alpha }
 
+// Outstanding reports α − ω, the stolen continuations whose child has not
+// joined yet. Main path only, during phase 1 (before SyncBegin restores
+// the counter); concurrent joins can only lower the true value, so the
+// result is an upper bound.
+func (j *WaitFreeJoin) Outstanding() int64 { return j.alpha - (IMax - j.counter.Load()) }
+
 // Quiescent reports whether no strand will touch this join again: every
 // stolen continuation's child has joined (counter == I_max − ω with
 // ω == α during phase 1, or I_max after a completed sync round rearmed

@@ -289,3 +289,32 @@ var (
 	_ Join = (*WaitFreeJoin)(nil)
 	_ Join = (*LockedJoin)(nil)
 )
+
+// TestOutstandingTracksLiveStolenChildren: during phase 1 both protocols
+// report steals minus joins, the bound the scheduler holds stacks by.
+func TestOutstandingTracksLiveStolenChildren(t *testing.T) {
+	wf, lj := NewWaitFreeJoin(), NewLockedJoin()
+	check := func(want int64) {
+		t.Helper()
+		if got := wf.Outstanding(); got != want {
+			t.Errorf("wait-free Outstanding = %d, want %d", got, want)
+		}
+		if got := lj.Outstanding(); got != want {
+			t.Errorf("locked Outstanding = %d, want %d", got, want)
+		}
+	}
+	check(0)
+	for i := 0; i < 3; i++ {
+		wf.OnSteal()
+		lj.OnSteal()
+	}
+	check(3)
+	wf.OnChildJoin()
+	lj.OnChildJoin()
+	wf.OnChildJoin()
+	lj.OnChildJoin()
+	check(1)
+	wf.OnSteal()
+	lj.OnSteal()
+	check(2)
+}

@@ -94,6 +94,14 @@ func (j *LockedJoin) Quiescent() bool {
 	return q
 }
 
+// Outstanding reports N_r, the stolen children that have not joined yet.
+func (j *LockedJoin) Outstanding() int64 {
+	j.mu.Lock()
+	n := j.count
+	j.mu.Unlock()
+	return n
+}
+
 // Forked reports the number of steals this round.
 func (j *LockedJoin) Forked() int64 {
 	j.mu.Lock()

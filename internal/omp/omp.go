@@ -73,7 +73,7 @@ func (s *scope) Spawn(fn func(api.Ctx)) {
 	if rt.cancelState().Cancelled() {
 		// Cancelled run: degrade to inline execution with the usual
 		// strand-panic containment; no task is allocated or queued.
-		rt.recorder().Worker(s.c.worker).InlineSpawns.Add(1)
+		rt.recorder().Worker(s.c.worker)[trace.InlineSpawns].Add(1)
 		func() {
 			defer rt.panicBox().contain()
 			fn(s.c)
@@ -189,7 +189,7 @@ func (rt *GOMP) cancelState() *api.CancelState { return &rt.cancel }
 func (rt *GOMP) recorder() *trace.Recorder     { return rt.rec }
 
 func (rt *GOMP) spawn(t *task, worker int) {
-	rt.rec.Worker(worker).Spawns.Add(1)
+	rt.rec.Worker(worker)[trace.Spawns].Add(1)
 	rt.mu.Lock()
 	rt.queue = append(rt.queue, t)
 	rt.mu.Unlock()
@@ -200,20 +200,20 @@ func (rt *GOMP) take(worker int) (*task, bool) {
 	n := len(rt.queue)
 	if n == 0 {
 		rt.mu.Unlock()
-		rt.rec.Worker(worker).FailedSteals.Add(1)
+		rt.rec.Worker(worker)[trace.FailedSteals].Add(1)
 		return nil, false
 	}
 	t := rt.queue[n-1]
 	rt.queue[n-1] = nil
 	rt.queue = rt.queue[:n-1]
 	rt.mu.Unlock()
-	rt.rec.Worker(worker).Steals.Add(1)
+	rt.rec.Worker(worker)[trace.Steals].Add(1)
 	return t, true
 }
 
 func (rt *GOMP) taskwait(s *scope) {
 	w := s.c.worker
-	rt.rec.Worker(w).ExplicitSyncs.Add(1)
+	rt.rec.Worker(w)[trace.ExplicitSyncs].Add(1)
 	fails := 0
 	for s.pending.Load() != 0 {
 		if t, ok := rt.take(w); ok {
@@ -339,7 +339,7 @@ func (rt *OMP) cancelState() *api.CancelState { return &rt.cancel }
 func (rt *OMP) recorder() *trace.Recorder     { return rt.rec }
 
 func (rt *OMP) spawn(t *task, worker int) {
-	rt.rec.Worker(worker).Spawns.Add(1)
+	rt.rec.Worker(worker)[trace.Spawns].Add(1)
 	rt.deques[worker].PushBottom(t)
 }
 
@@ -356,9 +356,9 @@ func (rt *OMP) stealOnce(w int) (*task, bool) {
 	victim := int(rt.nextRand(w) % uint64(rt.nworkers))
 	t, ok := rt.deques[victim].PopTop()
 	if ok {
-		rt.rec.Worker(w).Steals.Add(1)
+		rt.rec.Worker(w)[trace.Steals].Add(1)
 	} else {
-		rt.rec.Worker(w).FailedSteals.Add(1)
+		rt.rec.Worker(w)[trace.FailedSteals].Add(1)
 	}
 	return t, ok
 }
@@ -369,11 +369,11 @@ func (rt *OMP) stealOnce(w int) (*task, bool) {
 func (rt *OMP) taskwait(s *scope) {
 	w := s.c.worker
 	rec := rt.rec.Worker(w)
-	rec.ExplicitSyncs.Add(1)
+	rec[trace.ExplicitSyncs].Add(1)
 	fails := 0
 	for s.pending.Load() != 0 {
 		if t, ok := rt.deques[w].PopBottom(); ok {
-			rec.LocalResumes.Add(1)
+			rec[trace.LocalResumes].Add(1)
 			execute(rt, t, rt.ctxs, w)
 			fails = 0
 			continue
@@ -425,7 +425,7 @@ func (rt *OMP) runInternal(ctx context.Context, root func(api.Ctx)) error {
 				// Idle workers steal in both modes; tied-ness only
 				// restricts threads waiting inside a taskwait.
 				if t, ok := rt.deques[w].PopBottom(); ok {
-					rt.rec.Worker(w).LocalResumes.Add(1)
+					rt.rec.Worker(w)[trace.LocalResumes].Add(1)
 					execute(rt, t, rt.ctxs, w)
 					fails = 0
 					continue

@@ -15,6 +15,14 @@
 // rings are sized at construction and overwrite their oldest events when
 // full (the drop count is kept, so a truncated log is detectable).
 //
+// The rings are the scheduler's only event stream: besides the replay
+// decisions they carry the diagnostic kinds — strand boundaries, eager
+// publications, suspensions — from which DumpState's last-events lines
+// and the Chrome trace (internal/tracelog) are derived. A recorder built
+// with NewTimedRecorder keeps a nanosecond lane beside each worker ring
+// for the trace's time axis; the lane is wall-clock and therefore never
+// part of a bundle, so captures stay byte-identical with it on or off.
+//
 // A captured Log can drive a later run through sched.Config.Replay: per
 // worker, a Cursor feeds the recorded victim draws and chaos-roll
 // outcomes back into the scheduler in place of the live RNG streams.
@@ -29,6 +37,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
+	"unsafe"
 )
 
 // Kind labels one recorded decision point or outcome.
@@ -152,67 +162,59 @@ const (
 	// KWaitAbort is that wait ending in a cancellation.
 	//nowa:replay-diagnostic wait-boundary trace; block/wake/abort arbitration is determined by the replayed decisions and chaos rolls
 	KWaitAbort
+	// KSpawn is an eager spawn publishing the parent's continuation to
+	// the deque (the lazy path records KInlineRun instead, so the two
+	// together count every Spawn).
+	//nowa:replay-diagnostic spawn publication trace; which spawns go eager is determined by the replayed decisions and chaos rolls
+	KSpawn
+	// KStrandStart is a vessel beginning to execute a dispatched strand.
+	//nowa:replay-diagnostic strand boundary for the Chrome trace; dispatch follows from the recorded spawns
+	KStrandStart
+	// KStrandEnd is that strand's function returning, recorded on the
+	// token the strand then holds (not recorded when it panicked).
+	//nowa:replay-diagnostic strand boundary for the Chrome trace; dispatch follows from the recorded spawns
+	KStrandEnd
 )
+
+// kindNames names every kind for dumps and traces.
+var kindNames = [...]string{
+	KRunStart:    "run-start",
+	KRunEnd:      "run-end",
+	KVictim:      "victim",
+	KStealHit:    "steal-hit",
+	KStealEmpty:  "steal-empty",
+	KStealLost:   "steal-lost",
+	KPopHit:      "pop-hit",
+	KPopMiss:     "pop-miss",
+	KPark:        "park",
+	KWake:        "wake",
+	KSuspend:     "suspend",
+	KResume:      "resume",
+	KBlocked:     "blocked",
+	KChaos:       "chaos",
+	KGov:         "gov-kick",
+	KPanic:       "panic",
+	KSubmit:      "submit",
+	KSubReject:   "submit-reject",
+	KSubShed:     "submit-shed",
+	KSubStart:    "submit-start",
+	KSubDone:     "submit-done",
+	KInlineRun:   "inline-run",
+	KPromote:     "promote",
+	KSeized:      "seized",
+	KSupplement:  "supplement",
+	KWaitBlock:   "wait-block",
+	KWaitWake:    "wait-wake",
+	KWaitAbort:   "wait-abort",
+	KSpawn:       "spawn",
+	KStrandStart: "strand-start",
+	KStrandEnd:   "strand-end",
+}
 
 // String names the kind.
 func (k Kind) String() string {
-	switch k {
-	case KRunStart:
-		return "run-start"
-	case KRunEnd:
-		return "run-end"
-	case KVictim:
-		return "victim"
-	case KStealHit:
-		return "steal-hit"
-	case KStealEmpty:
-		return "steal-empty"
-	case KStealLost:
-		return "steal-lost"
-	case KPopHit:
-		return "pop-hit"
-	case KPopMiss:
-		return "pop-miss"
-	case KPark:
-		return "park"
-	case KWake:
-		return "wake"
-	case KSuspend:
-		return "suspend"
-	case KResume:
-		return "resume"
-	case KBlocked:
-		return "blocked"
-	case KChaos:
-		return "chaos"
-	case KGov:
-		return "gov-kick"
-	case KPanic:
-		return "panic"
-	case KSubmit:
-		return "submit"
-	case KSubReject:
-		return "submit-reject"
-	case KSubShed:
-		return "submit-shed"
-	case KSubStart:
-		return "submit-start"
-	case KSubDone:
-		return "submit-done"
-	case KInlineRun:
-		return "inline-run"
-	case KPromote:
-		return "promote"
-	case KSeized:
-		return "seized"
-	case KSupplement:
-		return "supplement"
-	case KWaitBlock:
-		return "wait-block"
-	case KWaitWake:
-		return "wait-wake"
-	case KWaitAbort:
-		return "wait-abort"
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return "unknown"
 }
@@ -416,12 +418,22 @@ func unpack(u uint32) Event {
 // atomics only for race-free diagnostic sampling — each ring has exactly
 // one writer (the strand holding the worker's token, or the external
 // mutex holder) — and the struct is padded to two cache lines so
-// adjacent workers' rings never false-share.
+// adjacent workers' rings never false-share. ts is the time lane: slot
+// i holds the nanoseconds since Recorder.start at which ev[i] was
+// recorded; nil unless the recorder is timed.
 type ring struct {
 	ev  []atomic.Uint32
+	ts  []atomic.Int64
 	pos atomic.Uint64
-	_   [128 - 32]byte
+	_   [128 - 56]byte
 }
+
+// The pad arithmetic above is checked at build time: both constants
+// underflow unless a ring is exactly one 128-byte unit.
+const (
+	_ uintptr = unsafe.Sizeof(ring{}) - 128
+	_ uintptr = 128 - unsafe.Sizeof(ring{})
+)
 
 // Recorder is a per-worker schedule log: workers+1 rings, the last being
 // the external stream for events raised off any worker token (governor
@@ -431,6 +443,7 @@ type Recorder struct {
 	rings   []ring
 	workers int
 	mask    uint64
+	start   time.Time // time-lane origin; see NewTimedRecorder
 	extMu   sync.Mutex
 }
 
@@ -469,6 +482,20 @@ func NewRecorder(workers, perWorkerCap int) *Recorder {
 	return r
 }
 
+// NewTimedRecorder is NewRecorder plus the time lane: every worker-ring
+// event is stamped with the nanoseconds elapsed since construction (or
+// the last Reset), which Snapshot reports as Log.Times. It costs one
+// clock read per event, so it is for tracing, not for torture capture.
+// The external stream stays untimed — it has no worker row to draw on.
+func NewTimedRecorder(workers, perWorkerCap int) *Recorder {
+	r := NewRecorder(workers, perWorkerCap)
+	for w := 0; w < r.workers; w++ {
+		r.rings[w].ts = make([]atomic.Int64, len(r.rings[w].ev))
+	}
+	r.start = time.Now()
+	return r
+}
+
 // Workers reports the worker count the recorder was built for.
 func (r *Recorder) Workers() int { return r.workers }
 
@@ -488,6 +515,9 @@ func (r *Recorder) Record(w int, k Kind, site uint8, arg uint16) {
 	rg := &r.rings[w]
 	p := rg.pos.Load()
 	rg.ev[p&r.mask].Store(pack(k, site, arg))
+	if rg.ts != nil {
+		rg.ts[p&r.mask].Store(int64(time.Since(r.start)))
+	}
 	rg.pos.Store(p + 1)
 }
 
@@ -515,28 +545,31 @@ func (r *Recorder) Total() uint64 {
 	return n
 }
 
-// Reset discards all recorded events. The caller must guarantee no
-// recording is in flight (runtime idle).
+// Reset discards all recorded events and restarts the time lane's
+// clock. The caller must guarantee no recording is in flight (runtime
+// idle).
 func (r *Recorder) Reset() {
 	for i := range r.rings {
 		r.rings[i].pos.Store(0)
 	}
+	if !r.start.IsZero() {
+		r.start = time.Now()
+	}
+}
+
+// window bounds the newest n positions still held by the ring: [lo, hi).
+func (rg *ring) window(n int) (lo, hi uint64) {
+	hi = rg.pos.Load()
+	return hi - min(hi, uint64(len(rg.ev)), uint64(n)), hi
 }
 
 // lastRing decodes the newest n events of one ring, oldest first.
 func (r *Recorder) lastRing(rg *ring, n int) []Event {
-	pos := rg.pos.Load()
-	cap := uint64(len(rg.ev))
-	avail := pos
-	if avail > cap {
-		avail = cap
-	}
-	if uint64(n) < avail {
-		avail = uint64(n)
-	}
-	out := make([]Event, 0, avail)
-	for i := pos - avail; i < pos; i++ {
-		out = append(out, unpack(rg.ev[i&(cap-1)].Load()))
+	lo, hi := rg.window(n)
+	mask := uint64(len(rg.ev) - 1)
+	out := make([]Event, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, unpack(rg.ev[i&mask].Load()))
 	}
 	return out
 }
@@ -574,13 +607,20 @@ func (r *Recorder) Snapshot() *Log {
 		PerWorker: make([][]Event, r.workers),
 		Dropped:   make([]uint64, r.workers),
 	}
+	if !r.start.IsZero() {
+		l.Times = make([][]time.Duration, r.workers)
+	}
 	for w := 0; w < r.workers; w++ {
 		rg := &r.rings[w]
-		pos := rg.pos.Load()
-		if cap := uint64(len(rg.ev)); pos > cap {
-			l.Dropped[w] = pos - cap
-		}
+		lo, hi := rg.window(len(rg.ev))
+		l.Dropped[w] = lo
 		l.PerWorker[w] = r.lastRing(rg, len(rg.ev))
+		if l.Times != nil {
+			l.Times[w] = make([]time.Duration, 0, hi-lo)
+			for i := lo; i < hi; i++ {
+				l.Times[w] = append(l.Times[w], time.Duration(rg.ts[i&r.mask].Load()))
+			}
+		}
 	}
 	l.External = r.lastRing(&r.rings[r.workers], externalRingCap)
 	return l
@@ -590,11 +630,15 @@ func (r *Recorder) Snapshot() *Log {
 // recording order (oldest first), the external stream, and the number of
 // events each worker's ring overwrote before the snapshot. A log with a
 // nonzero Dropped entry has lost its prefix and cannot drive an aligned
-// replay from the start of the run.
+// replay from the start of the run. Times, present only on a snapshot
+// of a timed recorder, parallels PerWorker: Times[w][i] is when
+// PerWorker[w][i] was recorded, as an offset from the recorder's clock
+// origin. It is not part of the bundle format.
 type Log struct {
 	PerWorker [][]Event
 	External  []Event
 	Dropped   []uint64
+	Times     [][]time.Duration
 }
 
 // Workers reports the worker count the log was captured from.

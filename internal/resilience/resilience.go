@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"nowa/internal/api"
@@ -132,7 +133,7 @@ type Resilient struct {
 	pol Policy
 	brk *breaker
 	hdg *hedgeWindow
-	rng xorshift
+	rng jitterRNG
 }
 
 // New builds a Resilient wrapper over sub. The Policy is copied and
@@ -141,7 +142,7 @@ type Resilient struct {
 func New(sub Submitter, pol Policy) *Resilient {
 	pol.fill()
 	r := &Resilient{sub: sub, pol: pol}
-	r.rng.seed(pol.Seed)
+	r.rng.s.Store(pol.Seed)
 	if pol.Breaker != nil {
 		r.brk = newBreaker(*pol.Breaker)
 	}
@@ -306,38 +307,17 @@ func (r *Resilient) backoff(ctx context.Context, attempt int, hint time.Duration
 	}
 }
 
-// xorshift is a tiny splitmix-seeded xorshift64* generator for jitter:
-// no locking (each Resilient method call mutates it under the caller's
-// natural serialisation — see note), no global rand state.
-//
-// Note on sharing: Do is safe for concurrent use, and two goroutines
-// racing rng updates can at worst produce correlated jitter, never
-// corruption beyond a duplicated draw — the state is a single word and
-// jitter is advisory. We accept that instead of a mutex on the backoff
-// path.
-type xorshift struct{ s uint64 }
-
-func (x *xorshift) seed(s uint64) {
-	// splitmix64 scramble so adjacent seeds diverge immediately.
-	s += 0x9e3779b97f4a7c15
-	s = (s ^ (s >> 30)) * 0xbf58476d1ce4e5b9
-	s = (s ^ (s >> 27)) * 0x94d049bb133111eb
-	x.s = s ^ (s >> 31)
-}
-
-func (x *xorshift) next() uint64 {
-	s := x.s
-	if s == 0 {
-		s = 0x9e3779b97f4a7c15
-	}
-	s ^= s << 13
-	s ^= s >> 7
-	s ^= s << 17
-	x.s = s
-	return s
-}
+// jitterRNG is splitmix64 as a wait-free shared generator: each draw
+// advances the state by one atomic add of the golden-ratio increment and
+// mixes the value that add returned, so concurrent Do calls each get a
+// distinct, well-scrambled word without a lock on the backoff path.
+type jitterRNG struct{ s atomic.Uint64 }
 
 // float64 draws from [0, 1).
-func (x *xorshift) float64() float64 {
-	return float64(x.next()>>11) / float64(1<<53)
+func (j *jitterRNG) float64() float64 {
+	z := j.s.Add(0x9e3779b97f4a7c15)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return float64(z>>11) / float64(1<<53)
 }

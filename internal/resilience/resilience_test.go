@@ -230,3 +230,45 @@ func TestResilienceBreakerSheds(t *testing.T) {
 		t.Fatal("ErrBreakerOpen must classify as an overload for existing callers")
 	}
 }
+
+// TestResilienceConcurrentDoJitter: Do is documented safe for concurrent
+// use, and every retrying call draws backoff jitter from the wrapper's
+// one generator — under -race this fails unless the draw is atomic. The
+// draws must also differ, or concurrent retriers would stay correlated.
+func TestResilienceConcurrentDoJitter(t *testing.T) {
+	rt := serveRT(t, 2)
+	defer rt.Close()
+	const callers = 8
+	f := &flaky{rt: rt, refusals: 4 * callers}
+	r := New(f, Policy{MaxAttempts: 16, BaseBackoff: 50 * time.Microsecond, MaxBackoff: time.Millisecond})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := r.Do(context.Background(), func(api.Ctx) {}, sched.SubmitOpts{}); err != nil {
+				t.Errorf("Do: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+
+	seen := make(map[float64]bool)
+	var mu sync.Mutex
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 1000; j++ {
+				x := r.rng.float64()
+				mu.Lock()
+				if x < 0 || x >= 1 || seen[x] {
+					t.Errorf("draw %v out of [0,1) or repeated", x)
+				}
+				seen[x] = true
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -7,31 +7,6 @@ import (
 	"nowa/internal/deque"
 )
 
-func TestRoundRobinVictimPolicy(t *testing.T) {
-	rt, err := New(Config{
-		Name:    "nowa-rr",
-		Workers: 4,
-		Deque:   deque.CL,
-		Join:    WaitFree,
-		Victim:  VictimRoundRobin,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	var got int
-	rt.Run(func(c api.Ctx) { got = fib(c, 15) })
-	if want := fibSerial(15); got != want {
-		t.Fatalf("fib(15) = %d, want %d", got, want)
-	}
-}
-
-func TestVictimPolicyStrings(t *testing.T) {
-	if VictimRandom.String() != "random" || VictimRoundRobin.String() != "round-robin" {
-		t.Error("victim policy names")
-	}
-}
-
 // TestABPDequeVariant runs the wait-free protocol on the bounded ABP
 // deque: legal as long as the spawn depth stays under the fixed capacity
 // (the §II-D limitation).
@@ -53,8 +28,8 @@ func TestABPDequeVariant(t *testing.T) {
 		t.Fatalf("fib(16) = %d, want %d", got, want)
 	}
 	cnt := rt.Counters()
-	if cnt.LocalResumes+cnt.Steals != cnt.Spawns-cnt.InlineRuns {
-		t.Errorf("spawn conservation violated on ABP: %+v", cnt)
+	if err := cnt.CheckQuiescent(); err != nil {
+		t.Errorf("conservation violated on ABP: %v", err)
 	}
 }
 

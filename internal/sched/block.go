@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"nowa/internal/replay"
+	"nowa/internal/trace"
 )
 
 // External blocking waits (DESIGN.md §16). A strand that must wait on
@@ -87,17 +88,12 @@ func (p *Proc) CommitWait(bw *Waiter) bool {
 	rt := p.rt
 	v := p.v
 	w := p.worker
-	if rt.countersOn {
-		v.pend.BlockedWaits++
-		// Flush before the token leaves: the aggregate stays monotonic
-		// for the watchdog, and the block itself is progress.
-		v.flushCounters(w)
-	}
+	v.pend[trace.BlockedWaits]++
+	// Flush before the token leaves: the aggregate stays monotonic for
+	// the watchdog, and the block itself is progress.
+	v.flushCounters(w)
 	if rt.recordOn {
 		rt.rep.Record(w, replay.KWaitBlock, 0, 0)
-	}
-	if rt.eventsOn {
-		rt.cfg.Events.record(w, EvSuspend, 0)
 	}
 	if rt.adaptOn {
 		// A blocking strand is a promotion signal like a suspension:
@@ -129,17 +125,12 @@ func (p *Proc) CommitWait(bw *Waiter) bool {
 			} else {
 				pc.scope.lj.OnSteal()
 			}
-			if rt.countersOn {
-				// The claim consumes a published continuation like a
-				// finish-path pop hit, so it counts as a LocalResume —
-				// keeping the LocalResumes+Steals == Spawns-InlineRuns
-				// conservation honest for blocking kernels.
-				v.pend.LocalResumes++
-				v.flushCounters(w)
-			}
-			if rt.eventsOn {
-				rt.cfg.Events.record(w, EvLocalResume, 0)
-			}
+			// The claim consumes a published continuation like a
+			// finish-path pop hit, so it counts as a LocalResume —
+			// keeping the LocalResumes+Steals == Spawns-InlineRuns
+			// conservation honest for blocking kernels.
+			v.pend[trace.LocalResumes]++
+			v.flushCounters(w)
 			if rt.recordOn {
 				rt.rep.Record(w, replay.KPopHit, 0, 0)
 			}
@@ -166,12 +157,10 @@ func (p *Proc) CommitWait(bw *Waiter) bool {
 		// lost.
 		rt.wakeThieves()
 	}
-	if rt.countersOn {
-		if bw.aborted {
-			p.v.pend.AbortedWaits++
-		} else {
-			p.v.pend.ResumedWaits++
-		}
+	if bw.aborted {
+		p.v.pend[trace.AbortedWaits]++
+	} else {
+		p.v.pend[trace.ResumedWaits]++
 	}
 	if rt.recordOn {
 		if bw.aborted {
@@ -179,9 +168,6 @@ func (p *Proc) CommitWait(bw *Waiter) bool {
 		} else {
 			rt.rep.Record(p.worker, replay.KWaitWake, 0, 0)
 		}
-	}
-	if rt.eventsOn {
-		rt.cfg.Events.record(p.worker, EvSyncResume, 0)
 	}
 	return bw.aborted
 }

@@ -56,9 +56,8 @@ func TestChaosStressVariants(t *testing.T) {
 				c := rt.Counters()
 				// Invariant: every spawn is resolved exactly once — inline
 				// (lazy, never promoted), by a local resume, or by a steal.
-				if c.LocalResumes+c.Steals != c.Spawns-c.InlineRuns {
-					t.Fatalf("LocalResumes(%d)+Steals(%d) != Spawns(%d)-InlineRuns(%d)",
-						c.LocalResumes, c.Steals, c.Spawns, c.InlineRuns)
+				if err := c.CheckQuiescent(); err != nil {
+					t.Fatal(err)
 				}
 				// Invariant: a popBottom miss (implicit sync) happens for
 				// every steal, plus once per run for the root's final pop

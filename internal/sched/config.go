@@ -51,26 +51,6 @@ import (
 	"nowa/internal/replay"
 )
 
-// VictimPolicy selects how thieves pick victims.
-type VictimPolicy int
-
-const (
-	// VictimRandom is the paper's randomized work stealing.
-	VictimRandom VictimPolicy = iota
-	// VictimRoundRobin cycles deterministically through the workers — an
-	// ablation knob; randomized stealing's theoretical bounds (§II) do
-	// not apply to it.
-	VictimRoundRobin
-)
-
-// String returns the policy name.
-func (v VictimPolicy) String() string {
-	if v == VictimRoundRobin {
-		return "round-robin"
-	}
-	return "random"
-}
-
 // JoinKind selects the strand-coordination protocol.
 type JoinKind int
 
@@ -166,25 +146,22 @@ type Config struct {
 	// deepest spawn chain, or the runtime panics on overflow (the ABP
 	// drawback discussed in §II-D).
 	DequeCap int
-	// Victim selects the steal victim policy (default random).
-	Victim VictimPolicy
-	// Events, if non-nil, records scheduler events for tracing (see
-	// EventLog and cmd/nowa-trace). Create it with NewEventLog(Workers).
-	Events *EventLog
 	// ParkAfter is the failed-steal count after which an idle thief stops
 	// polling and parks until a Spawn publishes new work (or the run ends
-	// or is cancelled). 0 selects the default (512); negative disables
-	// parking entirely (pure spin-then-sleep, the pre-parking behaviour).
+	// or is cancelled). Non-positive selects the default (512).
 	ParkAfter int
 	// Chaos, if non-nil, enables seeded fault injection at the protocol's
 	// race windows (see Chaos). The only cost when nil is one pointer
 	// check per injection point.
 	Chaos *Chaos
-	// Record, if non-nil, logs every nondeterministic scheduling decision
-	// — victim draws, steal and popBottom outcomes, thief park/wake,
-	// chaos rolls — into the recorder's per-worker rings (see
-	// internal/replay). Create it with replay.NewRecorder(Workers, cap);
-	// a worker-count mismatch is a configuration error. When nil the hot
+	// Record, if non-nil, logs every scheduling event — victim draws,
+	// steal and popBottom outcomes, thief park/wake, chaos rolls, strand
+	// boundaries — into the recorder's per-worker rings (see
+	// internal/replay): the one event stream behind replay bundles, the
+	// Chrome trace (cmd/nowa-trace) and DumpState's last-events lines.
+	// Create it with replay.NewRecorder(Workers, cap), or
+	// replay.NewTimedRecorder for a trace that needs timestamps; a
+	// worker-count mismatch is a configuration error. When nil the hot
 	// paths pay one cached bool test and nothing else.
 	Record *replay.Recorder
 	// Replay, if non-nil, drives victim selection and chaos rolls from a
@@ -209,13 +186,6 @@ type Config struct {
 	// worker may be supplemented simultaneously); ignored when stall
 	// recovery is disabled.
 	MaxSupplements int
-	// DisableCounters turns off the per-worker trace counters, removing
-	// the last few atomic adds from the spawn/sync fast path. Intended
-	// for microbenchmarks that measure the substrate floor; Counters()
-	// then reports zeros and StartWatchdog refuses to arm (no progress
-	// signal to sample). The flag is cached on the Runtime at New, so
-	// the hot paths pay one predictable branch either way.
-	DisableCounters bool
 }
 
 func (c *Config) fill() error {
@@ -261,7 +231,7 @@ func (c *Config) fill() error {
 	if c.MaxVessels > 0 && c.SoftMaxVessels > c.MaxVessels {
 		c.SoftMaxVessels = c.MaxVessels
 	}
-	if c.ParkAfter == 0 {
+	if c.ParkAfter <= 0 {
 		c.ParkAfter = 512
 	}
 	if c.Chaos != nil {

@@ -273,3 +273,46 @@ func TestGovernDumpStateIncludesBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestStacksReturnAtSync: a strand that runs many spawn/sync rounds, each
+// stolen from, hands a round's charged stacks back when the round's Sync
+// completes instead of hoarding them until it ends — on every variant.
+func TestStacksReturnAtSync(t *testing.T) {
+	for _, cfg := range replayVariants(4) {
+		cfg := cfg
+		cfg.Spawn = SpawnEager
+		t.Run(cfg.Name, func(t *testing.T) {
+			rt := MustNew(cfg)
+			defer rt.Close()
+			const rounds = 2000
+			var live int64
+			rt.Run(func(c api.Ctx) {
+				for i := 0; i < rounds; i++ {
+					s := c.Scope()
+					s.Spawn(func(api.Ctx) { spinFor(20 * time.Microsecond) })
+					spinFor(20 * time.Microsecond)
+					s.Sync()
+				}
+				live = rt.StackStats().Allocated
+			})
+			steals := rt.Counters().Steals
+			if steals < 100 {
+				t.Skipf("only %d of %d rounds were stolen from; inconclusive on this host", steals, rounds)
+			}
+			// One stack for the root, one per round in flight, plus
+			// whatever the pool buffers keep warm.
+			if live > 32 {
+				t.Errorf("%d stacks live after %d stolen rounds", live, steals)
+			}
+			if st := rt.Stats(); st.StacksLeaked != 0 || st.VesselsLeaked != 0 {
+				t.Errorf("leaks: stacks %d, vessels %d", st.StacksLeaked, st.VesselsLeaked)
+			}
+		})
+	}
+}
+
+// spinFor burns CPU for about d without yielding the worker token.
+func spinFor(d time.Duration) {
+	for t0 := time.Now(); time.Since(t0) < d; {
+	}
+}

@@ -9,129 +9,63 @@ import (
 	"nowa/internal/replay"
 )
 
-// Stats is a snapshot of the runtime's resource accounting: vessel
-// population and budget-degradation tallies, plus the stack pool's own
-// statistics. Returned by Stats.
+// Stats is a snapshot of the runtime's resource accounting: the
+// runtime-agnostic api.ResourceStats (vessel and stack population,
+// budget-degradation, stall-recovery and wait tallies — see the field
+// docs there) plus the gauges only this runtime can report. The leak
+// reconciliations (VesselsLeaked, StacksLeaked) and VesselsPooled need
+// the owner-local caches, so they are computed only while the runtime
+// is idle; mid-run they read 0 and -1. When idle every dispatched
+// supplement has retired (WorkersSupplemented == SupplementsRetired)
+// and every wait has ended (BlockedLive == 0, BlockedWaits ==
+// ResumedWaits + AbortedWaits) — the same reconciliation that proves
+// VesselsLeaked == 0.
 type Stats struct {
-	// VesselsLive is the number of vessel goroutines in existence
-	// (created minus trimmed).
-	VesselsLive int64
-	// VesselHighWater is the maximum VesselsLive ever reached.
-	VesselHighWater int64
-	// VesselsPooled counts the vessels sitting in free lists. It is only
-	// measurable while the runtime is idle (the owner-local caches are
-	// owner-only mid-run); during a Run it reports -1.
+	api.ResourceStats
+	// VesselsPooled counts the vessels sitting in free lists.
 	VesselsPooled int64
-	// VesselsTrimmed counts vessels retired by governor trims.
-	VesselsTrimmed int64
-	// VesselsLeaked is the idle-time reconciliation VesselsLive −
-	// VesselsPooled: vessels that were created but never made it back to
-	// a free list. Zero on every healthy path; nonzero means a scheduler
-	// bug (a lost resume or an unaccounted exit). Only computed when
-	// idle (0 mid-run).
-	VesselsLeaked int64
-	// ScopesLeaked counts overflow scopes abandoned to the garbage
-	// collector because a panic unwound past them while stolen children
-	// could still touch their joins — bounded, panic-path-only.
-	ScopesLeaked int64
-	// DegradedSpawns and TokenKeepSyncs mirror the trace counters of the
-	// same names: spawns run inline under budget/pressure, and sync
-	// suspensions that parked holding their worker token.
-	DegradedSpawns int64
-	TokenKeepSyncs int64
-	// StacksLeaked is the idle-time reconciliation of the stack pool:
-	// live stacks not sitting in a pool buffer. Only computed when idle.
-	StacksLeaked int64
-	// Stall-recovery accounting (all zero unless Config.StallThreshold
-	// is set; see stall.go). WorkersSeized counts stall judgements,
-	// WorkersSupplemented the supplemental workers actually dispatched
-	// (a seizure with no free slot or a completing run stands down
-	// without one), SupplementsRetired the completed supplement
-	// lifecycles. When the runtime is idle every dispatched supplement
-	// has retired: WorkersSupplemented == SupplementsRetired, part of
-	// the same reconciliation that proves VesselsLeaked == 0.
-	WorkersSeized       int64
-	WorkersSupplemented int64
-	SupplementsRetired  int64
-	// External blocking-wait accounting (block.go). The conservation
-	// invariant at quiescence is BlockedWaits == ResumedWaits +
-	// AbortedWaits and BlockedLive == 0: every strand that ever parked
-	// on a future, channel or barrier was woken exactly once, by a
-	// resume or by its abort, and none is still asleep. WakeupsLost
-	// counts thief parks declined because a wakeup was pending — a
-	// near-miss tally, not a leak.
-	BlockedWaits     int64
-	BlockedLive      int64
-	BlockedHighWater int64
-	ResumedWaits     int64
-	AbortedWaits     int64
-	WakeupsLost      int64
+	// BlockedLive gauges the strands currently parked on an external
+	// wait (block.go).
+	BlockedLive int64
 	// Stacks is the cactus pool's own snapshot.
 	Stacks cactus.Stats
 }
 
 // Stats returns the runtime's resource accounting. Safe to call at any
-// time; the pooled and leak reconciliations require the runtime to be
-// idle and report -1 / 0 respectively mid-run.
+// time.
 func (rt *Runtime) Stats() Stats {
 	agg := rt.rec.Aggregate()
-	st := Stats{
+	st := Stats{VesselsPooled: -1, BlockedLive: rt.blockedLive.Load(), Stacks: rt.pool.Stats()}
+	st.ResourceStats = api.ResourceStats{
 		VesselHighWater:     rt.vHighWater.Load(),
-		VesselsPooled:       -1,
 		VesselsTrimmed:      rt.vTrimmed.Load(),
-		ScopesLeaked:        rt.scopesLeaked.Load(),
+		StacksLive:          st.Stacks.Allocated,
+		StacksTrimmed:       st.Stacks.Trimmed,
 		DegradedSpawns:      agg.DegradedSpawns,
 		TokenKeepSyncs:      agg.TokenKeepSyncs,
+		ScopesLeaked:        rt.scopesLeaked.Load(),
 		WorkersSeized:       rt.seized.Load(),
 		WorkersSupplemented: rt.supplemented.Load(),
 		SupplementsRetired:  rt.supRetired.Load(),
 		BlockedWaits:        agg.BlockedWaits,
-		BlockedLive:         rt.blockedLive.Load(),
 		BlockedHighWater:    rt.blockedHW.Load(),
 		ResumedWaits:        agg.ResumedWaits,
 		AbortedWaits:        agg.AbortedWaits,
 		WakeupsLost:         agg.WakeupsLost,
-		Stacks:              rt.pool.Stats(),
 	}
 	rt.govMu.Lock()
 	st.VesselsLive = rt.vLive.Load()
 	if !rt.running.Load() {
-		pooled := int64(rt.countPooledLocked())
-		st.VesselsPooled = pooled
-		st.VesselsLeaked = st.VesselsLive - pooled
-		st.StacksLeaked = st.Stacks.Allocated - int64(rt.pool.FreeCount())
+		st.VesselsPooled = int64(rt.countPooledLocked())
+		st.VesselsLeaked = st.VesselsLive - st.VesselsPooled
+		st.StacksLeaked = st.StacksLive - int64(rt.pool.FreeCount())
 	}
 	rt.govMu.Unlock()
 	return st
 }
 
-// ResourceStats implements api.ResourceReporter: the flattened,
-// runtime-agnostic view of Stats.
-func (rt *Runtime) ResourceStats() api.ResourceStats {
-	st := rt.Stats()
-	return api.ResourceStats{
-		VesselsLive:     st.VesselsLive,
-		VesselHighWater: st.VesselHighWater,
-		VesselsTrimmed:  st.VesselsTrimmed,
-		VesselsLeaked:   st.VesselsLeaked,
-		StacksLive:      st.Stacks.Allocated,
-		StacksTrimmed:   st.Stacks.Trimmed,
-		StacksLeaked:    st.StacksLeaked,
-		DegradedSpawns:  st.DegradedSpawns,
-		TokenKeepSyncs:  st.TokenKeepSyncs,
-		ScopesLeaked:    st.ScopesLeaked,
-
-		WorkersSeized:       st.WorkersSeized,
-		WorkersSupplemented: st.WorkersSupplemented,
-		SupplementsRetired:  st.SupplementsRetired,
-
-		BlockedWaits:     st.BlockedWaits,
-		BlockedHighWater: st.BlockedHighWater,
-		ResumedWaits:     st.ResumedWaits,
-		AbortedWaits:     st.AbortedWaits,
-		WakeupsLost:      st.WakeupsLost,
-	}
-}
+// ResourceStats implements api.ResourceReporter.
+func (rt *Runtime) ResourceStats() api.ResourceStats { return rt.Stats().ResourceStats }
 
 // countPooledLocked sums the vessel free lists. Caller holds govMu and
 // the runtime is idle, which is what makes reading the owner-local

@@ -131,9 +131,8 @@ func TestOverloadChaosAllocFail(t *testing.T) {
 				if c.DegradedSpawns == 0 {
 					t.Fatal("DegradedSpawns = 0, want > 0 under AllocFail chaos")
 				}
-				if c.LocalResumes+c.Steals != c.Spawns-c.InlineRuns {
-					t.Fatalf("LocalResumes(%d)+Steals(%d) != Spawns(%d)-InlineRuns(%d)",
-						c.LocalResumes, c.Steals, c.Spawns, c.InlineRuns)
+				if err := c.CheckQuiescent(); err != nil {
+					t.Fatal(err)
 				}
 				if left := rt.DebugTokensLeft(); left != 0 {
 					t.Fatalf("tokensLeft = %d, want 0", left)

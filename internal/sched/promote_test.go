@@ -8,6 +8,7 @@ import (
 	"nowa/internal/apps"
 	"nowa/internal/deque"
 	"nowa/internal/replay"
+	"nowa/internal/trace"
 )
 
 // TestPromoteRecordStateMachine drives the thief side of the promotion
@@ -49,7 +50,7 @@ func TestPromoteRecordStateMachine(t *testing.T) {
 		t.Fatalf("resolve swap observed phase %d, want interest", old&recPhaseMask)
 	}
 
-	if got := rt.rec.Worker(0).InterestSignals.Load(); got != 2 {
+	if got := rt.rec.Worker(0)[trace.InterestSignals].Load(); got != 2 {
 		t.Fatalf("InterestSignals = %d, want 2 (idle claim must not count)", got)
 	}
 }
@@ -124,9 +125,8 @@ func TestPromoteModesEquivalent(t *testing.T) {
 					}
 				}
 				c := rt.Counters()
-				if c.LocalResumes+c.Steals != c.Spawns-c.InlineRuns {
-					t.Fatalf("conservation: LocalResumes(%d)+Steals(%d) != Spawns(%d)-InlineRuns(%d)",
-						c.LocalResumes, c.Steals, c.Spawns, c.InlineRuns)
+				if err := c.CheckQuiescent(); err != nil {
+					t.Fatalf("conservation: %v", err)
 				}
 				if mode == SpawnEager && c.InlineRuns != 0 {
 					t.Fatalf("eager mode committed %d inline runs", c.InlineRuns)
@@ -166,9 +166,8 @@ func TestPromoteInterestUnderLoad(t *testing.T) {
 	}
 	c := rt.Counters()
 	rt.Close()
-	if c.LocalResumes+c.Steals != c.Spawns-c.InlineRuns {
-		t.Fatalf("conservation: LocalResumes(%d)+Steals(%d) != Spawns(%d)-InlineRuns(%d)",
-			c.LocalResumes, c.Steals, c.Spawns, c.InlineRuns)
+	if err := c.CheckQuiescent(); err != nil {
+		t.Fatalf("conservation: %v", err)
 	}
 	if c.InlineRuns == 0 {
 		t.Fatal("no inline runs under adaptive mode — the lazy path never engaged")

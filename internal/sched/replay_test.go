@@ -175,7 +175,9 @@ func TestReplayReproducesCapturedFailure(t *testing.T) {
 
 // TestReplayRecordedChaosDecisions: a single-worker capture with chaos
 // replays to a byte-identical schedule log when recording is attached to
-// the replaying run too — capture of a replay equals the capture.
+// the replaying run too — capture of a replay equals the capture. The
+// replaying run records with the time lane on, the capture with it off:
+// the lane is wall-clock and must stay out of the bundle.
 func TestReplayRecordedChaosDecisions(t *testing.T) {
 	cfg := replayVariants(1)[0]
 	cfg.Seed = 3
@@ -195,7 +197,7 @@ func TestReplayRecordedChaosDecisions(t *testing.T) {
 	// Different live chaos seed; rates must stay nonzero so the injection
 	// points still consult the (replayed) rolls.
 	recfg.Chaos = &Chaos{Seed: 777, AllocFail: 64, PopBottomDelay: 64, DelaySpins: 1}
-	rec2 := replay.NewRecorder(1, 1<<15)
+	rec2 := replay.NewTimedRecorder(1, 1<<15)
 	recfg.Record = rec2
 	recfg.Replay = log
 	rrt := MustNew(recfg)
@@ -205,8 +207,15 @@ func TestReplayRecordedChaosDecisions(t *testing.T) {
 	if err := app.Verify(); err != nil {
 		t.Fatalf("replay verify: %v", err)
 	}
-	if replayed := encodeLog(t, rec2.Snapshot()); !bytes.Equal(captured, replayed) {
+	if n, _ := rrt.ReplayDivergences(); n != 0 {
+		t.Fatalf("single-worker replay diverged %d times", n)
+	}
+	relog := rec2.Snapshot()
+	if replayed := encodeLog(t, relog); !bytes.Equal(captured, replayed) {
 		t.Fatal("recording a replayed run did not reproduce the captured schedule log")
+	}
+	if len(relog.Times) != 1 || len(relog.Times[0]) != len(relog.PerWorker[0]) {
+		t.Fatal("timed recorder produced no time lane")
 	}
 }
 
@@ -297,9 +306,8 @@ func TestReplayCountersStayCoherent(t *testing.T) {
 				t.Fatalf("verify: %v", err)
 			}
 			c := rt.Counters()
-			if c.LocalResumes+c.Steals != c.Spawns-c.InlineRuns {
-				t.Fatalf("LocalResumes(%d)+Steals(%d) != Spawns(%d)-InlineRuns(%d)",
-					c.LocalResumes, c.Steals, c.Spawns, c.InlineRuns)
+			if err := c.CheckQuiescent(); err != nil {
+				t.Fatal(err)
 			}
 			if left := rt.DebugTokensLeft(); left != 0 {
 				t.Fatalf("tokensLeft = %d, want 0", left)

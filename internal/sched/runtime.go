@@ -2,7 +2,6 @@ package sched
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"runtime/debug"
@@ -30,8 +29,6 @@ type Runtime struct {
 
 	// Cached fast-path flags, derived from cfg once in New so the hot
 	// paths test a packed bool instead of chasing config pointers.
-	countersOn bool // trace counters enabled (!cfg.DisableCounters)
-	eventsOn   bool // cfg.Events != nil
 	chaosOn    bool // cfg.Chaos != nil
 	waitFree   bool // cfg.Join == WaitFree
 	softStacks bool // stack pool in soft-cap mode: Spawn polls pool.Pressure
@@ -178,8 +175,6 @@ func New(cfg Config) (*Runtime, error) {
 	slots := cfg.totalSlots()
 	rt := &Runtime{
 		cfg:        cfg,
-		countersOn: !cfg.DisableCounters,
-		eventsOn:   cfg.Events != nil,
 		chaosOn:    cfg.Chaos != nil,
 		waitFree:   cfg.Join == WaitFree,
 		softStacks: cfg.Stacks.GlobalCap > 0 && cfg.Stacks.CapMode == cactus.CapSoft,
@@ -264,8 +259,7 @@ func (rt *Runtime) Workers() int { return rt.cfg.Workers }
 func (rt *Runtime) Config() Config { return rt.cfg }
 
 // Counters aggregates the scheduler event counters. Exact when no Run is
-// in progress; a race-free approximate snapshot otherwise. All zero when
-// the runtime was configured with DisableCounters.
+// in progress; a race-free approximate snapshot otherwise.
 func (rt *Runtime) Counters() trace.Counters { return rt.rec.Aggregate() }
 
 // StackStats returns the cactus stack pool accounting.
@@ -321,9 +315,6 @@ func (rt *Runtime) runInternal(ctx context.Context, root func(api.Ctx)) error {
 	rt.chaosStalled.Store(false)
 	rt.tokensLeft.Store(int64(rt.cfg.Workers))
 	rt.finished = make(chan struct{})
-	if rt.cfg.Events != nil {
-		rt.cfg.Events.reset()
-	}
 	if rt.replayOn {
 		// Fresh cursors per Run: the captured decision streams are
 		// consumed from their start each time. A base-width log driving
@@ -472,16 +463,12 @@ func (rt *Runtime) parkThief(w int) bool {
 		// not sleep on it. Checked under idle.mu, pairing with the
 		// waker's push-then-broadcast order, so the wakeup cannot be
 		// lost; the decline is tallied as the near-miss it is.
-		if rt.countersOn {
-			rt.rec.Worker(w).WakeupsLost.Add(1)
-		}
+		rt.rec.Worker(w)[trace.WakeupsLost].Add(1)
 		ip.waiters.Add(-1)
 		ip.mu.Unlock()
 		return false
 	}
-	if rt.countersOn {
-		rt.rec.Worker(w).ThiefParks.Add(1)
-	}
+	rt.rec.Worker(w)[trace.ThiefParks].Add(1)
 	if rt.recordOn {
 		// Owner-only: the parking strand still holds token w.
 		rt.rep.Record(w, replay.KPark, 0, 0)
@@ -500,9 +487,7 @@ func (rt *Runtime) parkThief(w int) bool {
 	if rt.stallOn {
 		rt.beat(w)
 	}
-	if rt.countersOn {
-		rt.rec.Worker(w).ThiefWakeups.Add(1)
-	}
+	rt.rec.Worker(w)[trace.ThiefWakeups].Add(1)
 	if rt.recordOn {
 		rt.rep.Record(w, replay.KWake, 0, 0)
 	}
@@ -650,13 +635,8 @@ func (rt *Runtime) ReplayDivergences() (int64, bool) {
 // without progress during a live Run it calls onStall (nil: log to
 // stderr) with a diagnostic report including DumpState. Stop the returned
 // watchdog when done; the runtime itself pays nothing for it beyond the
-// sampling reads. Requires the trace counters: a runtime built with
-// DisableCounters has no progress signal to sample, and StartWatchdog
-// refuses to arm a watchdog that could only report false stalls.
+// sampling reads.
 func (rt *Runtime) StartWatchdog(tick time.Duration, stallTicks int, onStall func(watchdog.Report)) (*watchdog.Watchdog, error) {
-	if !rt.countersOn {
-		return nil, errors.New("sched: StartWatchdog requires trace counters (runtime configured with DisableCounters)")
-	}
 	return watchdog.Start(watchdog.Config{
 		Name:       rt.cfg.Name,
 		Tick:       tick,

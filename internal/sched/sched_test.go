@@ -1,11 +1,14 @@
 package sched
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"nowa/internal/api"
 	"nowa/internal/cactus"
 	"nowa/internal/deque"
+	"nowa/internal/trace"
 )
 
 // variants returns fresh runtimes of every paper configuration.
@@ -255,9 +258,8 @@ func TestCountersConservation(t *testing.T) {
 			if cnt.Spawns == 0 {
 				t.Fatal("no spawns recorded")
 			}
-			if cnt.LocalResumes+cnt.Steals != cnt.Spawns-cnt.InlineRuns {
-				t.Errorf("LocalResumes(%d) + Steals(%d) != Spawns(%d) - InlineRuns(%d)",
-					cnt.LocalResumes, cnt.Steals, cnt.Spawns, cnt.InlineRuns)
+			if err := cnt.CheckQuiescent(); err != nil {
+				t.Error(err)
 			}
 			// Each stolen continuation leaves one strand to implicit-sync;
 			// the root adds exactly one more.
@@ -265,6 +267,36 @@ func TestCountersConservation(t *testing.T) {
 				t.Errorf("ImplicitSyncs(%d) != Steals(%d)+1", cnt.ImplicitSyncs, cnt.Steals)
 			}
 		})
+	}
+}
+
+// TestEveryCounterSurfaces drives the scheduler's counter plumbing from
+// the table: for every row, an increment batched on a vessel and flushed
+// reaches Counters() in its own field alone, appears by name in
+// DumpState, and moves the watchdog's progress signal iff the row counts
+// as progress.
+func TestEveryCounterSurfaces(t *testing.T) {
+	for id := trace.ID(0); id < trace.NumCounters; id++ {
+		rt := NewNowa(2)
+		before := rt.progressSum()
+		v := &vessel{rt: rt}
+		v.pend[id] = 3
+		v.flushCounters(1)
+		var p trace.Pending
+		p[id] = 3
+		want := p.Counters()
+		if got := rt.Counters(); got != want {
+			t.Errorf("%v: Counters() = %+v, want %+v", id, got, want)
+		}
+		var dump bytes.Buffer
+		rt.DumpState(&dump)
+		if line := fmt.Sprintf("%v:3", id); !bytes.Contains(dump.Bytes(), []byte(line)) {
+			t.Errorf("%v: DumpState lacks %q:\n%s", id, line, dump.String())
+		}
+		if moved := rt.progressSum() != before; moved != (want.ProgressSum() != 0) {
+			t.Errorf("%v: progress signal moved = %v", id, moved)
+		}
+		rt.Close()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"nowa/internal/api"
 	"nowa/internal/core"
 	"nowa/internal/replay"
+	"nowa/internal/trace"
 )
 
 // Proc is the execution context of a strand (api.Ctx). It is bound to the
@@ -130,10 +131,18 @@ type scope struct {
 	// with the frames that own them. Its round counter survives slot
 	// reuse and pool recycling by design (see cont.state).
 	rec cont
+	// charged counts the pool stacks on the owning vessel's list that
+	// steals of this scope's continuations put there (see stealLoop). It
+	// shares the list's access rule: the owning strand while it runs, the
+	// thief that holds its stolen continuation while it is parked.
+	charged int
 }
 
-// rearm readies the inline join for a fresh spawn/sync round.
+// rearm readies the scope for a fresh spawn/sync round: the inline join
+// armed, no stack charged (endRound returned them; at strand end
+// finishStrand returns the vessel's whole list).
 func (s *scope) rearm() {
+	s.charged = 0
 	if s.wfMode {
 		s.wf.Rearm()
 	} else {
@@ -155,6 +164,39 @@ func (s *scope) onChildJoin() bool {
 		return s.wf.OnChildJoin()
 	}
 	return s.lj.OnChildJoin()
+}
+
+// returnStacks hands back to worker w's pool buffer all but keep of the
+// stacks charged to this scope. A charged stack stands for the child that
+// ran beside the steal — the displaced party of Listing 2 line 13 — so
+// keep is the number of stolen children still running: the scope holds
+// stacks for its live children, not for its lifetime steals.
+func (s *scope) returnStacks(w, keep int) {
+	v := s.p.v
+	for ; s.charged > keep; s.charged-- {
+		n := len(v.stacks) - 1
+		v.rt.pool.Put(w, v.stacks[n])
+		v.stacks[n] = nil
+		v.stacks = v.stacks[:n]
+	}
+}
+
+// endRound completes a sync round that engaged the join: every child
+// has joined, so the round's stacks go back, the join is re-armed and
+// the slot released.
+func (s *scope) endRound() {
+	s.returnStacks(s.p.worker, 0)
+	s.rearm()
+	s.release()
+}
+
+// outstanding asks the live protocol for the stolen continuations of this
+// round whose child has not joined. Main path only.
+func (s *scope) outstanding() int64 {
+	if s.wfMode {
+		return s.wf.Outstanding()
+	}
+	return s.lj.Outstanding()
 }
 
 // quiescent reports whether no strand will touch this scope's join again;
@@ -239,17 +281,17 @@ func (s *scope) spawn(fn func(api.Ctx), forceEager bool) {
 	p := s.p
 	rt := p.rt
 	if rt.cancel.Cancelled() || (p.sub != nil && p.sub.cs.Cancelled()) {
-		rt.runInline(p, fn)
+		rt.runInline(p, fn, trace.InlineSpawns)
 		return
 	}
 	if rt.softStacks && rt.pool.Pressure() {
 		// The stack pool's soft cap latched: shed parallelism until Put
 		// or a governor trim clears the pressure.
-		rt.degradeInline(p, fn)
+		rt.runInline(p, fn, trace.DegradedSpawns)
 		return
 	}
 	if rt.chaosOn && rt.chaosAllocFail(p.worker) {
-		rt.degradeInline(p, fn)
+		rt.runInline(p, fn, trace.DegradedSpawns)
 		return
 	}
 	if rt.lazyOn && !forceEager {
@@ -291,22 +333,20 @@ func (s *scope) spawnEager(fn func(api.Ctx)) {
 	// check at all; only fresh vessel creation is gated (SoftMaxVessels).
 	cv := rt.getVesselBudget(w, rt.spawnLimit)
 	if cv == nil {
-		rt.degradeInline(p, fn)
+		rt.runInline(p, fn, trace.DegradedSpawns)
 		return
 	}
-	if rt.countersOn {
-		// Batched: folded into the worker blocks at strand end (see
-		// vessel.pend), keeping the per-spawn cost to plain increments.
-		v.pend.Spawns++
-		v.pend.VesselDispatch++
-	}
+	// Batched: folded into the worker blocks at strand end (see
+	// vessel.pend), keeping the per-spawn cost to plain increments.
+	v.pend[trace.Spawns]++
+	v.pend[trace.VesselDispatch]++
 
 	// Publish the continuation: this vessel, parked below, resumable by a
 	// thief (popTop) or by the child's return (popBottom hit).
 	v.cont.scope = s
 	rt.pushBottom(w, &v.cont)
-	if rt.eventsOn {
-		rt.cfg.Events.record(w, EvSpawn, 0)
+	if rt.recordOn {
+		rt.rep.Record(w, replay.KSpawn, 0, 0)
 	}
 	rt.wakeThieves()
 
@@ -364,18 +404,13 @@ func (s *scope) spawnLazy(fn func(api.Ctx)) {
 		// transition out of pending). The record is out of the deque on
 		// the thief's side; honour the claim by giving this child the
 		// full handoff, which publishes the real continuation the thief
-		// asked for. Counters and the EvSpawn event come from the eager
+		// asked for. Counters and the KSpawn event come from the eager
 		// path, so each logical spawn is counted exactly once.
 		s.promote(fn, replay.PromoteClaim)
 		return
 	}
-	if rt.countersOn {
-		v.pend.Spawns++
-		v.pend.InlineRuns++
-	}
-	if rt.eventsOn {
-		rt.cfg.Events.record(w, EvSpawn, 0)
-	}
+	v.pend[trace.Spawns]++
+	v.pend[trace.InlineRuns]++
 	if rt.recordOn {
 		rt.rep.Record(w, replay.KInlineRun, 0, 0)
 	}
@@ -388,9 +423,7 @@ func (s *scope) spawnLazy(fn func(api.Ctx)) {
 		if rt.adaptOn {
 			v.eagerBurst = eagerBurstLen
 		}
-		if rt.countersOn {
-			v.pend.PromotedSpawns++
-		}
+		v.pend[trace.PromotedSpawns]++
 		if rt.recordOn {
 			rt.rep.Record(p.worker, replay.KPromote, replay.PromoteInterest, 0)
 		}
@@ -423,9 +456,7 @@ func (s *scope) promote(fn func(api.Ctx), site uint8) {
 	if rt.adaptOn {
 		p.v.eagerBurst = eagerBurstLen
 	}
-	if rt.countersOn {
-		p.v.pend.PromotedSpawns++
-	}
+	p.v.pend[trace.PromotedSpawns]++
 	if rt.recordOn {
 		rt.rep.Record(p.worker, replay.KPromote, site, 0)
 	}
@@ -448,36 +479,20 @@ func (rt *Runtime) runPromotable(p *Proc, fn func(api.Ctx)) {
 	fn(p)
 }
 
-// runInline executes a spawned function on the caller's strand (the
-// cancelled-run degradation of Spawn). The child's panic is contained
-// exactly like a strand panic, so an inline child cannot unwind the
-// parent's frame past its un-synced scopes.
+// runInline executes a spawned function on the caller's strand instead
+// of publishing it, tallied under why: trace.InlineSpawns for the
+// cancelled-run degradation of Spawn, trace.DegradedSpawns when the
+// resource governor said no — the vessel budget is exhausted, the stack
+// pool is under soft-cap pressure, or chaos simulated either — which
+// keeps overload observable. Semantically this is the serial elision —
+// fully strict, no parallelism from this spawn — so it is always sound.
+// The child's panic is contained exactly like a strand panic, so an
+// inline child cannot unwind the parent's frame past its un-synced
+// scopes.
 //
-//nowa:coldpath cancelled-run degradation only; the defer/recover panic fence is the point, not an accident
-func (rt *Runtime) runInline(p *Proc, fn func(api.Ctx)) {
-	if rt.countersOn {
-		p.v.pend.InlineSpawns++
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			rt.recordPanic(p.sub, r)
-		}
-	}()
-	fn(p)
-}
-
-// degradeInline executes a spawned function on the caller's strand
-// because the resource governor said no: the vessel budget is exhausted,
-// the stack pool is under soft-cap pressure, or chaos simulated either.
-// Semantically this is the serial elision — fully strict, no parallelism
-// from this spawn — so degradation is always sound; only the counter
-// differs from runInline, keeping overload observable as DegradedSpawns.
-//
-//nowa:coldpath budget/pressure degradation only; mirrors runInline's panic fence
-func (rt *Runtime) degradeInline(p *Proc, fn func(api.Ctx)) {
-	if rt.countersOn {
-		p.v.pend.DegradedSpawns++
-	}
+//nowa:coldpath cancellation and budget/pressure degradation only; the defer/recover panic fence is the point, not an accident
+func (rt *Runtime) runInline(p *Proc, fn func(api.Ctx), why trace.ID) {
+	p.v.pend[why]++
 	defer func() {
 		if r := recover(); r != nil {
 			rt.recordPanic(p.sub, r)
@@ -497,9 +512,7 @@ func (s *scope) Sync() {
 	if rt.chaosOn {
 		rt.chaosPreSync(p.worker)
 	}
-	if rt.countersOn {
-		p.v.pend.ExplicitSyncs++
-	}
+	p.v.pend[trace.ExplicitSyncs]++
 	if s.wfMode && s.wf.Forked() == 0 {
 		// No continuation of this round was stolen, so no strand ever
 		// touched the counter (OnChildJoin runs only after a steal): the
@@ -518,19 +531,13 @@ func (s *scope) Sync() {
 		return
 	}
 	if s.syncBegin() {
-		s.rearm()
-		s.release()
+		s.endRound()
 		return
 	}
 	// The sync condition does not hold: suspend this frame. The worker
 	// itself must not idle with it — it "goes over to steal work"
 	// (Figure 5), so hand the token to a thief strand before parking.
-	if rt.countersOn {
-		p.v.pend.Suspensions++
-	}
-	if rt.eventsOn {
-		rt.cfg.Events.record(p.worker, EvSuspend, 0)
-	}
+	p.v.pend[trace.Suspensions]++
 	if rt.recordOn {
 		rt.rep.Record(p.worker, replay.KSuspend, 0, 0)
 	}
@@ -548,17 +555,13 @@ func (s *scope) Sync() {
 	tv.pk.deliver()
 	blocked := p.v.pk.await()
 	p.worker = p.v.resumeTok.worker
-	if rt.eventsOn {
-		rt.cfg.Events.record(p.worker, EvSyncResume, 0)
-	}
 	if rt.recordOn {
 		if rt.blockRecOn && blocked {
 			rt.rep.Record(p.worker, replay.KBlocked, replay.BlockSync, 0)
 		}
 		rt.rep.Record(p.worker, replay.KResume, 0, 0)
 	}
-	s.rearm()
-	s.release()
+	s.endRound()
 }
 
 // syncBudget is the budget-aware explicit sync. The thief vessel is
@@ -593,18 +596,12 @@ func (s *scope) syncBudget() {
 		if tv != nil {
 			rt.freeVessel(tv, w)
 		}
-		s.rearm()
-		s.release()
+		s.endRound()
 		return
 	}
-	if rt.countersOn {
-		p.v.pend.Suspensions++
-		if tv == nil {
-			p.v.pend.TokenKeepSyncs++
-		}
-	}
-	if rt.eventsOn {
-		rt.cfg.Events.record(w, EvSuspend, 0)
+	p.v.pend[trace.Suspensions]++
+	if tv == nil {
+		p.v.pend[trace.TokenKeepSyncs]++
 	}
 	if rt.recordOn {
 		rt.rep.Record(w, replay.KSuspend, 0, 0)
@@ -625,17 +622,13 @@ func (s *scope) syncBudget() {
 		p.worker = rw
 	}
 	s.keepToken = false
-	if rt.eventsOn {
-		rt.cfg.Events.record(p.worker, EvSyncResume, 0)
-	}
 	if rt.recordOn {
 		if rt.blockRecOn && blocked {
 			rt.rep.Record(p.worker, replay.KBlocked, replay.BlockSync, 0)
 		}
 		rt.rep.Record(p.worker, replay.KResume, 0, 0)
 	}
-	s.rearm()
-	s.release()
+	s.endRound()
 }
 
 var (

@@ -95,8 +95,8 @@ func TestStallSupplementBatch(t *testing.T) {
 		t.Fatalf("tokensLeft = %d, want 0", left)
 	}
 	cnt := rt.Counters()
-	if cnt.LocalResumes+cnt.Steals != cnt.Spawns-cnt.InlineRuns {
-		t.Fatalf("counter conservation violated with supplements: %+v", cnt)
+	if err := cnt.CheckQuiescent(); err != nil {
+		t.Fatalf("counter conservation violated with supplements: %v", err)
 	}
 	for w := 0; w < rt.DebugSlots(); w++ {
 		if n := rt.DebugDequeSize(w); n != 0 {
@@ -203,8 +203,8 @@ func TestStallChaosConservation(t *testing.T) {
 			t.Fatalf("round %d: VesselsLeaked = %d", round, st.VesselsLeaked)
 		}
 		cnt := rt.Counters()
-		if cnt.LocalResumes+cnt.Steals != cnt.Spawns-cnt.InlineRuns {
-			t.Fatalf("round %d: counter conservation violated: %+v", round, cnt)
+		if err := cnt.CheckQuiescent(); err != nil {
+			t.Fatalf("round %d: counter conservation violated: %v", round, err)
 		}
 	}
 }

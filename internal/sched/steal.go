@@ -7,6 +7,7 @@ import (
 	"nowa/internal/cactus"
 	"nowa/internal/deque"
 	"nowa/internal/replay"
+	"nowa/internal/trace"
 )
 
 // stealLoop is the quest for work: the strand holding token p.worker picks
@@ -22,7 +23,6 @@ func (rt *Runtime) stealLoop(p *Proc) {
 	rng := &rt.rngs[w]
 	bounded := rt.cfg.Stacks.GlobalCap > 0
 	fails := 0
-	rr := w // round-robin cursor
 	for {
 		if rt.wakeq.Pending() > 0 {
 			if bw, ok := rt.wakeq.Pop(); ok {
@@ -58,10 +58,6 @@ func (rt *Runtime) stealLoop(p *Proc) {
 				switch {
 				case fails < 64:
 					runtime.Gosched()
-				case rt.cfg.ParkAfter < 0:
-					// Parking disabled by config: the documented
-					// pre-parking poll behaviour.
-					time.Sleep(50 * time.Microsecond)
 				case rt.parkThief(w):
 					fails = 64
 				default:
@@ -87,9 +83,7 @@ func (rt *Runtime) stealLoop(p *Proc) {
 
 		if rt.chaosOn && rt.chaosPreSteal(w) {
 			// Forced failed steal: abandon the attempt outright.
-			if rt.countersOn {
-				rec.FailedSteals.Add(1)
-			}
+			rec[trace.FailedSteals].Add(1)
 			fails++
 			rt.stealBackoff(w, &fails)
 			continue
@@ -108,7 +102,7 @@ func (rt *Runtime) stealLoop(p *Proc) {
 			preStack = s
 		}
 
-		victim := rt.stealVictim(w, rng, &rr)
+		victim := rt.stealVictim(w, rng)
 		c, outcome := rt.popTopSteal(w, victim)
 		if rt.recordOn {
 			// One event per attempt: the outcome kind carries the victim,
@@ -121,23 +115,23 @@ func (rt *Runtime) stealLoop(p *Proc) {
 			if preStack != nil {
 				rt.pool.Put(w, preStack)
 			}
-			if rt.countersOn {
-				rec.FailedSteals.Add(1)
-			}
+			rec[trace.FailedSteals].Add(1)
 			fails++
 			rt.stealBackoff(w, &fails)
 			continue
 		}
-		if rt.countersOn {
-			rec.Steals.Add(1)
-		}
-		if rt.eventsOn {
-			rt.cfg.Events.record(w, EvSteal, int32(victim))
-		}
+		rec[trace.Steals].Add(1)
 
 		// The resumed frame chain is charged one stack: the victim's stack
 		// transferred with the frame (Listing 2 line 13) and the displaced
-		// party draws a replacement from the pool.
+		// party draws a replacement from the pool. The charge lasts while
+		// that party — the child that ran beside this steal — is live: the
+		// thief is the scope's main path and its vessel is parked, so it
+		// may read the outstanding count and hand back the stacks of
+		// children that have since joined (the paper returns an emptied
+		// stack at the implicit sync). A strand that is stolen from for
+		// as long as it lives — the service dispatcher — thus holds stacks
+		// for its live children only.
 		stack := preStack
 		if stack == nil {
 			if s, ok := rt.pool.Get(w); ok {
@@ -146,6 +140,8 @@ func (rt *Runtime) stealLoop(p *Proc) {
 		}
 		if stack != nil {
 			c.v.stacks = append(c.v.stacks, stack) //nowa:hotpath-ok stack charging happens only on successful steals, which the paper already prices at a pool interaction; not on the spawn ladder
+			c.scope.charged++
+			c.scope.returnStacks(w, int(c.scope.outstanding()))
 		}
 
 		// run(): the thief becomes the main path — increment α (already
@@ -161,9 +157,9 @@ func (rt *Runtime) stealLoop(p *Proc) {
 
 // stealVictim draws the next steal victim: from the replay cursor when a
 // captured schedule is driving the run (falling back to the live policy
-// on cursor exhaustion or divergence), otherwise from the configured
-// policy — the per-worker RNG or the round-robin cursor.
-func (rt *Runtime) stealVictim(w int, rng *rngState, rr *int) int {
+// on cursor exhaustion or divergence), otherwise from the per-worker RNG
+// — the paper's randomized work stealing.
+func (rt *Runtime) stealVictim(w int, rng *rngState) int {
 	if rt.replayOn && w < len(rt.repCur) {
 		if v, ok := rt.repCur[w].NextVictim(); ok && v >= 0 && v < rt.cfg.Workers {
 			return v
@@ -174,10 +170,6 @@ func (rt *Runtime) stealVictim(w int, rng *rngState, rr *int) int {
 	n := rt.cfg.Workers
 	if rt.stallOn {
 		n = int(rt.victimHi.Load())
-	}
-	if rt.cfg.Victim == VictimRoundRobin {
-		*rr++
-		return *rr % n
 	}
 	return int(rng.next() % uint64(n))
 }
@@ -268,9 +260,7 @@ func (rt *Runtime) claimRecord(w int, c *cont) {
 			return
 		}
 		if c.state.CompareAndSwap(st, st&^recPhaseMask|recInterest) { //nowa:fsm-ok the old word is a dynamically guarded load: the line above restricts its phase to pending or inline, and both pending>interest and inline>interest are declared transitions
-			if rt.countersOn {
-				rt.rec.Worker(w).InterestSignals.Add(1)
-			}
+			rt.rec.Worker(w)[trace.InterestSignals].Add(1)
 			return
 		}
 	}
@@ -289,7 +279,7 @@ func (rt *Runtime) stealBackoff(w int, fails *int) {
 		runtime.Gosched()
 	case f < 256:
 		time.Sleep(time.Microsecond)
-	case rt.cfg.ParkAfter < 0 || f < rt.cfg.ParkAfter:
+	case f < rt.cfg.ParkAfter:
 		time.Sleep(50 * time.Microsecond)
 	default:
 		if rt.parkThief(w) {

@@ -121,60 +121,17 @@ type vessel struct {
 	// the wait's duration — so the handle is embedded, not allocated.
 	wait Waiter
 	// pend batches this strand's trace-counter increments as plain adds;
-	// flushCounters folds the nonzero fields into the worker block with
-	// one atomic add each. Only the vessel's own goroutine touches pend —
-	// a strand runs nowhere else — so the batching is race-free, and
+	// flushCounters folds the nonzero cells into the worker block with one
+	// atomic add each. Only the vessel's own goroutine touches pend — a
+	// strand runs nowhere else — so the batching is race-free, and
 	// flushing before every token handoff or steal-loop entry keeps the
 	// aggregate monotonic for the watchdog's mid-run sampling.
-	pend trace.Counters
+	pend trace.Pending
 }
 
 // flushCounters folds the strand's batched tallies into worker w's block.
 func (v *vessel) flushCounters(w int) {
-	wc := v.rt.rec.Worker(w)
-	if v.pend.Spawns != 0 {
-		wc.Spawns.Add(v.pend.Spawns)
-	}
-	if v.pend.InlineSpawns != 0 {
-		wc.InlineSpawns.Add(v.pend.InlineSpawns)
-	}
-	if v.pend.InlineRuns != 0 {
-		wc.InlineRuns.Add(v.pend.InlineRuns)
-	}
-	if v.pend.PromotedSpawns != 0 {
-		wc.PromotedSpawns.Add(v.pend.PromotedSpawns)
-	}
-	if v.pend.DegradedSpawns != 0 {
-		wc.DegradedSpawns.Add(v.pend.DegradedSpawns)
-	}
-	if v.pend.TokenKeepSyncs != 0 {
-		wc.TokenKeepSyncs.Add(v.pend.TokenKeepSyncs)
-	}
-	if v.pend.LocalResumes != 0 {
-		wc.LocalResumes.Add(v.pend.LocalResumes)
-	}
-	if v.pend.ImplicitSyncs != 0 {
-		wc.ImplicitSyncs.Add(v.pend.ImplicitSyncs)
-	}
-	if v.pend.ExplicitSyncs != 0 {
-		wc.ExplicitSyncs.Add(v.pend.ExplicitSyncs)
-	}
-	if v.pend.Suspensions != 0 {
-		wc.Suspensions.Add(v.pend.Suspensions)
-	}
-	if v.pend.VesselDispatch != 0 {
-		wc.VesselDispatch.Add(v.pend.VesselDispatch)
-	}
-	if v.pend.BlockedWaits != 0 {
-		wc.BlockedWaits.Add(v.pend.BlockedWaits)
-	}
-	if v.pend.ResumedWaits != 0 {
-		wc.ResumedWaits.Add(v.pend.ResumedWaits)
-	}
-	if v.pend.AbortedWaits != 0 {
-		wc.AbortedWaits.Add(v.pend.AbortedWaits)
-	}
-	v.pend = trace.Counters{}
+	v.rt.rec.Worker(w).Flush(&v.pend)
 }
 
 // vesselFreeList is one worker's vessel cache. It is owner-local like the
@@ -398,8 +355,8 @@ func (v *vessel) loop() {
 // strand is treated as returned, so all joins still happen and Run can
 // re-raise it at the end.
 func (v *vessel) runStrand(d dispatch) {
-	if v.rt.eventsOn {
-		v.rt.cfg.Events.record(v.proc.worker, EvStrandStart, 0)
+	if v.rt.recordOn {
+		v.rt.rep.Record(v.proc.worker, replay.KStrandStart, 0, 0)
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -409,8 +366,8 @@ func (v *vessel) runStrand(d dispatch) {
 		}
 	}()
 	d.fn(&v.proc)
-	if v.rt.eventsOn {
-		v.rt.cfg.Events.record(v.proc.worker, EvStrandEnd, 0)
+	if v.rt.recordOn {
+		v.rt.rep.Record(v.proc.worker, replay.KStrandEnd, 0, 0)
 	}
 	v.resetScopes()
 	v.rt.finishStrand(v, d.parent)
@@ -497,13 +454,8 @@ func (rt *Runtime) finishStrand(v *vessel, parent *scope) {
 		ok = false
 	}
 	if ok {
-		if rt.countersOn {
-			v.pend.LocalResumes++
-			v.flushCounters(w)
-		}
-		if rt.eventsOn {
-			rt.cfg.Events.record(w, EvLocalResume, 0)
-		}
+		v.pend[trace.LocalResumes]++
+		v.flushCounters(w)
 		if rt.recordOn {
 			rt.rep.Record(w, replay.KPopHit, 0, 0)
 		}
@@ -512,13 +464,8 @@ func (rt *Runtime) finishStrand(v *vessel, parent *scope) {
 		c.v.pk.deliver()
 		return
 	}
-	if rt.countersOn {
-		v.pend.ImplicitSyncs++
-		v.flushCounters(w)
-	}
-	if rt.eventsOn {
-		rt.cfg.Events.record(w, EvImplicitSync, 0)
-	}
+	v.pend[trace.ImplicitSyncs]++
+	v.flushCounters(w)
 	if rt.recordOn {
 		rt.rep.Record(w, replay.KPopMiss, 0, 0)
 	}

@@ -1,16 +1,92 @@
 // Package trace provides low-overhead per-worker event counters for the
 // scheduler. Each worker mutates only its own padded counter block, so
 // counting adds no cache-line contention of its own; Aggregate folds the
-// blocks into a snapshot. The fields are atomics — still uncontended on
+// blocks into a snapshot. The cells are atomics — still uncontended on
 // the write side because each block has exactly one writer — so that
 // diagnostic readers (the stall watchdog) may snapshot mid-run without a
 // data race.
+//
+// Every counter is declared once: an ID constant and its row of table.
+// Blocks, pending batches, aggregation, the progress sum and the
+// Counters snapshot are all loops over that table, so adding a counter
+// is one ID, one row and one Counters field.
 package trace
 
 import (
+	"fmt"
 	"sync/atomic"
 	"unsafe"
 )
+
+// ID names one counter: the index of its cell in a WorkerCounters block
+// or a pending batch, and of its row in the table.
+type ID int
+
+const (
+	Spawns ID = iota
+	InlineSpawns
+	InlineRuns
+	PromotedSpawns
+	DegradedSpawns
+	TokenKeepSyncs
+	LocalResumes
+	Steals
+	FailedSteals
+	ImplicitSyncs
+	ExplicitSyncs
+	Suspensions
+	VesselDispatch
+	StackLocalGets
+	StackGlobalGets
+	ThiefParks
+	ThiefWakeups
+	InterestSignals
+	BlockedWaits
+	ResumedWaits
+	AbortedWaits
+	WakeupsLost
+	NumCounters
+)
+
+// table is the one declaration of the counter set. progress says whether
+// the counter advancing means the computation advanced (see ProgressSum).
+// Failed steals, interest signals and declined parks are symptoms of an
+// idle or stuck thief, which produces them forever without the
+// computation moving, and the watchdog must tell those apart; the
+// stack-pool tallies describe the pool, not the computation. The wait tallies do count: a strand blocking on or
+// returning from an external wait is the computation moving through a
+// protocol step. field is the row's offset in the Counters snapshot.
+var table = [NumCounters]struct {
+	name     string
+	progress bool
+	field    uintptr
+}{
+	Spawns:          {"Spawns", true, unsafe.Offsetof(Counters{}.Spawns)},
+	InlineSpawns:    {"InlineSpawns", true, unsafe.Offsetof(Counters{}.InlineSpawns)},
+	InlineRuns:      {"InlineRuns", true, unsafe.Offsetof(Counters{}.InlineRuns)},
+	PromotedSpawns:  {"PromotedSpawns", true, unsafe.Offsetof(Counters{}.PromotedSpawns)},
+	DegradedSpawns:  {"DegradedSpawns", true, unsafe.Offsetof(Counters{}.DegradedSpawns)},
+	TokenKeepSyncs:  {"TokenKeepSyncs", true, unsafe.Offsetof(Counters{}.TokenKeepSyncs)},
+	LocalResumes:    {"LocalResumes", true, unsafe.Offsetof(Counters{}.LocalResumes)},
+	Steals:          {"Steals", true, unsafe.Offsetof(Counters{}.Steals)},
+	FailedSteals:    {"FailedSteals", false, unsafe.Offsetof(Counters{}.FailedSteals)},
+	ImplicitSyncs:   {"ImplicitSyncs", true, unsafe.Offsetof(Counters{}.ImplicitSyncs)},
+	ExplicitSyncs:   {"ExplicitSyncs", true, unsafe.Offsetof(Counters{}.ExplicitSyncs)},
+	Suspensions:     {"Suspensions", true, unsafe.Offsetof(Counters{}.Suspensions)},
+	VesselDispatch:  {"VesselDispatch", true, unsafe.Offsetof(Counters{}.VesselDispatch)},
+	StackLocalGets:  {"StackLocalGets", false, unsafe.Offsetof(Counters{}.StackLocalGets)},
+	StackGlobalGets: {"StackGlobalGets", false, unsafe.Offsetof(Counters{}.StackGlobalGets)},
+	ThiefParks:      {"ThiefParks", true, unsafe.Offsetof(Counters{}.ThiefParks)},
+	ThiefWakeups:    {"ThiefWakeups", true, unsafe.Offsetof(Counters{}.ThiefWakeups)},
+	InterestSignals: {"InterestSignals", false, unsafe.Offsetof(Counters{}.InterestSignals)},
+	BlockedWaits:    {"BlockedWaits", true, unsafe.Offsetof(Counters{}.BlockedWaits)},
+	ResumedWaits:    {"ResumedWaits", true, unsafe.Offsetof(Counters{}.ResumedWaits)},
+	AbortedWaits:    {"AbortedWaits", true, unsafe.Offsetof(Counters{}.AbortedWaits)},
+	WakeupsLost:     {"WakeupsLost", false, unsafe.Offsetof(Counters{}.WakeupsLost)},
+}
+
+// String returns the counter's name, which is also its Counters field.
+func (id ID) String() string { return table[id].name }
 
 // Counters is a plain snapshot of event tallies, as returned by
 // Aggregate or WorkerCounters.Snapshot.
@@ -39,79 +115,70 @@ type Counters struct {
 	WakeupsLost     int64 // thief parks declined because an external wakeup was pending
 }
 
-// WorkerCounters is one worker's live tally block. Each field is mutated
-// only by the strand holding that worker's token, so the atomic adds are
-// uncontended; atomicity exists for concurrent diagnostic readers.
-type WorkerCounters struct {
-	Spawns          atomic.Int64
-	InlineSpawns    atomic.Int64
-	InlineRuns      atomic.Int64
-	PromotedSpawns  atomic.Int64
-	DegradedSpawns  atomic.Int64
-	TokenKeepSyncs  atomic.Int64
-	LocalResumes    atomic.Int64
-	Steals          atomic.Int64
-	FailedSteals    atomic.Int64
-	ImplicitSyncs   atomic.Int64
-	ExplicitSyncs   atomic.Int64
-	Suspensions     atomic.Int64
-	VesselDispatch  atomic.Int64
-	StackLocalGets  atomic.Int64
-	StackGlobalGets atomic.Int64
-	ThiefParks      atomic.Int64
-	ThiefWakeups    atomic.Int64
-	InterestSignals atomic.Int64
-	BlockedWaits    atomic.Int64
-	ResumedWaits    atomic.Int64
-	AbortedWaits    atomic.Int64
-	WakeupsLost     atomic.Int64
+// cell addresses the field of c that the counter's row names.
+func (c *Counters) cell(id ID) *int64 {
+	return (*int64)(unsafe.Add(unsafe.Pointer(c), table[id].field))
 }
 
-// Snapshot reads the block atomically field by field. The result is a
-// consistent tally only when the worker is quiescent; mid-run it is a
-// best-effort monotonic sample, which is all stall detection needs.
-func (w *WorkerCounters) Snapshot() Counters {
-	return Counters{
-		Spawns:          w.Spawns.Load(),
-		InlineSpawns:    w.InlineSpawns.Load(),
-		InlineRuns:      w.InlineRuns.Load(),
-		PromotedSpawns:  w.PromotedSpawns.Load(),
-		DegradedSpawns:  w.DegradedSpawns.Load(),
-		TokenKeepSyncs:  w.TokenKeepSyncs.Load(),
-		LocalResumes:    w.LocalResumes.Load(),
-		Steals:          w.Steals.Load(),
-		FailedSteals:    w.FailedSteals.Load(),
-		ImplicitSyncs:   w.ImplicitSyncs.Load(),
-		ExplicitSyncs:   w.ExplicitSyncs.Load(),
-		Suspensions:     w.Suspensions.Load(),
-		VesselDispatch:  w.VesselDispatch.Load(),
-		StackLocalGets:  w.StackLocalGets.Load(),
-		StackGlobalGets: w.StackGlobalGets.Load(),
-		ThiefParks:      w.ThiefParks.Load(),
-		ThiefWakeups:    w.ThiefWakeups.Load(),
-		InterestSignals: w.InterestSignals.Load(),
-		BlockedWaits:    w.BlockedWaits.Load(),
-		ResumedWaits:    w.ResumedWaits.Load(),
-		AbortedWaits:    w.AbortedWaits.Load(),
-		WakeupsLost:     w.WakeupsLost.Load(),
+// Pending is a strand's batch of not yet published increments, indexed
+// by ID. Plain adds: only the strand's own goroutine touches it.
+type Pending [NumCounters]int64
+
+// Counters is the one conversion from cells to the named-field struct.
+func (p *Pending) Counters() Counters {
+	var c Counters
+	for id := range table {
+		*c.cell(ID(id)) = p[id]
+	}
+	return c
+}
+
+// Get reads one counter of the snapshot by ID.
+func (c Counters) Get(id ID) int64 { return *c.cell(id) }
+
+// WorkerCounters is one worker's live tally block, indexed by ID. Each
+// cell is mutated only by the strand holding that worker's token, so the
+// atomic adds are uncontended; atomicity exists for concurrent
+// diagnostic readers.
+type WorkerCounters [NumCounters]atomic.Int64
+
+// Flush publishes a strand's pending batch into the block, one atomic
+// add per nonzero cell, and clears the batch.
+func (w *WorkerCounters) Flush(p *Pending) {
+	for id, n := range p {
+		if n != 0 {
+			w[id].Add(n)
+			p[id] = 0
+		}
 	}
 }
 
-// pad separates counter blocks by two cache lines to avoid false sharing,
-// including through the adjacent-line prefetcher (22 × 8 = 176 B of
-// counters, padded to 256 B — two 128-byte units). The compile-time guard
-// below keeps the pad honest when counters are added or removed.
+// addTo adds the block's cells into p, cell by atomic cell.
+func (w *WorkerCounters) addTo(p *Pending) {
+	for id := range w {
+		p[id] += w[id].Load()
+	}
+}
+
+// Snapshot reads the block atomically cell by cell. The result is a
+// consistent tally only when the worker is quiescent; mid-run it is a
+// best-effort monotonic sample, which is all stall detection needs.
+func (w *WorkerCounters) Snapshot() Counters {
+	var p Pending
+	w.addTo(&p)
+	return p.Counters()
+}
+
+// paddedCounters rounds a block up to the next multiple of 128 bytes —
+// two cache lines, covering the adjacent-line prefetcher — whatever
+// NumCounters is, so adjacent workers' blocks never share such a unit.
 type paddedCounters struct {
 	WorkerCounters
 	_ [128 - unsafe.Sizeof(WorkerCounters{})%128]byte
 }
 
-// Both constants underflow (a compile error) unless the block is exactly
-// two 128-byte units.
-const (
-	_ uintptr = unsafe.Sizeof(paddedCounters{}) - 256
-	_ uintptr = 256 - unsafe.Sizeof(paddedCounters{})
-)
+// The constant underflows (a compile error) unless that arithmetic holds.
+const _ uintptr = -(unsafe.Sizeof(paddedCounters{}) % 128)
 
 // Recorder holds one counter block per worker.
 type Recorder struct {
@@ -131,51 +198,39 @@ func (r *Recorder) Worker(w int) *WorkerCounters {
 // Aggregate sums all worker blocks. The sum is exact when workers are
 // quiescent and a race-free approximate snapshot otherwise.
 func (r *Recorder) Aggregate() Counters {
-	var c Counters
+	var p Pending
 	for i := range r.blocks {
-		b := r.blocks[i].Snapshot()
-		c.Spawns += b.Spawns
-		c.InlineSpawns += b.InlineSpawns
-		c.InlineRuns += b.InlineRuns
-		c.PromotedSpawns += b.PromotedSpawns
-		c.DegradedSpawns += b.DegradedSpawns
-		c.TokenKeepSyncs += b.TokenKeepSyncs
-		c.LocalResumes += b.LocalResumes
-		c.Steals += b.Steals
-		c.FailedSteals += b.FailedSteals
-		c.ImplicitSyncs += b.ImplicitSyncs
-		c.ExplicitSyncs += b.ExplicitSyncs
-		c.Suspensions += b.Suspensions
-		c.VesselDispatch += b.VesselDispatch
-		c.StackLocalGets += b.StackLocalGets
-		c.StackGlobalGets += b.StackGlobalGets
-		c.ThiefParks += b.ThiefParks
-		c.ThiefWakeups += b.ThiefWakeups
-		c.InterestSignals += b.InterestSignals
-		c.BlockedWaits += b.BlockedWaits
-		c.ResumedWaits += b.ResumedWaits
-		c.AbortedWaits += b.AbortedWaits
-		c.WakeupsLost += b.WakeupsLost
+		r.blocks[i].addTo(&p)
 	}
-	return c
+	return p.Counters()
 }
 
 // ProgressSum folds a snapshot into one scalar that advances whenever the
-// scheduler makes forward progress. FailedSteals is deliberately
-// excluded: an idle or stuck thief fails steals forever without the
-// computation advancing, and the watchdog must tell those apart.
-// InterestSignals is excluded for the same reason — a thief repeatedly
-// signalling interest on records is still a thief without work.
-// WakeupsLost is excluded likewise: it counts declined thief parks, an
-// idleness symptom rather than computation advancing. The wait tallies
-// (blocked/resumed/aborted) do count: a strand blocking on or returning
-// from an external wait is the computation moving through a protocol
-// step.
+// scheduler makes forward progress: the sum of the rows marked progress
+// in the table.
 func (c Counters) ProgressSum() int64 {
-	return c.Spawns + c.InlineSpawns + c.InlineRuns + c.PromotedSpawns +
-		c.DegradedSpawns + c.TokenKeepSyncs +
-		c.LocalResumes + c.Steals +
-		c.ImplicitSyncs + c.ExplicitSyncs + c.Suspensions +
-		c.VesselDispatch + c.ThiefParks + c.ThiefWakeups +
-		c.BlockedWaits + c.ResumedWaits + c.AbortedWaits
+	var s int64
+	for id := range table {
+		if table[id].progress {
+			s += *c.cell(ID(id))
+		}
+	}
+	return s
+}
+
+// CheckQuiescent states the conservation identities that hold whenever
+// no Run is in flight, and names the first one the snapshot violates.
+// Every eagerly published continuation was popped back or stolen (an
+// inline commit publishes none), and every external wait ended exactly
+// once.
+func (c Counters) CheckQuiescent() error {
+	if c.LocalResumes+c.Steals != c.Spawns-c.InlineRuns {
+		return fmt.Errorf("LocalResumes(%d)+Steals(%d) != Spawns(%d)-InlineRuns(%d)",
+			c.LocalResumes, c.Steals, c.Spawns, c.InlineRuns)
+	}
+	if c.BlockedWaits != c.ResumedWaits+c.AbortedWaits {
+		return fmt.Errorf("BlockedWaits(%d) != ResumedWaits(%d)+AbortedWaits(%d)",
+			c.BlockedWaits, c.ResumedWaits, c.AbortedWaits)
+	}
+	return nil
 }

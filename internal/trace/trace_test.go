@@ -1,84 +1,100 @@
 package trace
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"unsafe"
 )
 
-func TestAggregateSums(t *testing.T) {
-	r := NewRecorder(3)
-	r.Worker(0).Spawns.Store(5)
-	r.Worker(1).Spawns.Store(7)
-	r.Worker(2).Steals.Store(2)
-	r.Worker(0).FailedSteals.Store(1)
-	r.Worker(2).Suspensions.Store(4)
-	c := r.Aggregate()
-	if c.Spawns != 12 || c.Steals != 2 || c.FailedSteals != 1 || c.Suspensions != 4 {
-		t.Errorf("aggregate = %+v", c)
+// TestEveryCounterRow drives the package's invariants from the table: for
+// every row, an increment flushed into one worker's block shows up in
+// that block's Snapshot, in Aggregate, under the row's name in the
+// Counters struct (the one conversion) and through Get — and nowhere
+// else — and moves ProgressSum iff the row says so.
+func TestEveryCounterRow(t *testing.T) {
+	if n := reflect.TypeOf(Counters{}).NumField(); n != int(NumCounters) {
+		t.Fatalf("Counters has %d fields, the table %d rows", n, NumCounters)
+	}
+	for id := ID(0); id < NumCounters; id++ {
+		r := NewRecorder(3)
+		var p Pending
+		p[id] = 5
+		r.Worker(1).Flush(&p)
+		if p != (Pending{}) {
+			t.Errorf("%v: Flush left the batch dirty: %v", id, p)
+		}
+		p[id] = 2
+		r.Worker(2).Flush(&p)
+
+		var want Counters
+		f := reflect.ValueOf(&want).Elem().FieldByName(id.String())
+		if !f.IsValid() {
+			t.Fatalf("row %d is named %q, which is no Counters field", id, id)
+		}
+		f.SetInt(7)
+		got := r.Aggregate()
+		if got != want {
+			t.Errorf("%v: Aggregate = %+v, want %+v", id, got, want)
+		}
+		if got.Get(id) != 7 {
+			t.Errorf("%v: Get = %d, want 7", id, got.Get(id))
+		}
+		f.SetInt(5)
+		if snap := r.Worker(1).Snapshot(); snap != want {
+			t.Errorf("%v: Snapshot = %+v, want %+v", id, snap, want)
+		}
+		wantSum := int64(0)
+		if table[id].progress {
+			wantSum = 7
+		}
+		if s := got.ProgressSum(); s != wantSum {
+			t.Errorf("%v: ProgressSum = %d, want %d (progress=%v)", id, s, wantSum, table[id].progress)
+		}
 	}
 }
 
-func TestAggregateAllFields(t *testing.T) {
-	r := NewRecorder(1)
-	w := r.Worker(0)
-	w.Spawns.Store(1)
-	w.InlineSpawns.Store(2)
-	w.InlineRuns.Store(16)
-	w.PromotedSpawns.Store(17)
-	w.DegradedSpawns.Store(14)
-	w.TokenKeepSyncs.Store(15)
-	w.LocalResumes.Store(3)
-	w.Steals.Store(4)
-	w.FailedSteals.Store(5)
-	w.ImplicitSyncs.Store(6)
-	w.ExplicitSyncs.Store(7)
-	w.Suspensions.Store(8)
-	w.VesselDispatch.Store(9)
-	w.StackLocalGets.Store(10)
-	w.StackGlobalGets.Store(11)
-	w.ThiefParks.Store(12)
-	w.ThiefWakeups.Store(13)
-	w.InterestSignals.Store(18)
-	w.BlockedWaits.Store(19)
-	w.ResumedWaits.Store(20)
-	w.AbortedWaits.Store(21)
-	w.WakeupsLost.Store(22)
-	c := r.Aggregate()
-	want := Counters{1, 2, 16, 17, 14, 15, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 18, 19, 20, 21, 22}
-	if c != want {
-		t.Errorf("aggregate = %+v, want %+v", c, want)
-	}
-	if c != w.Snapshot() {
-		t.Errorf("snapshot = %+v, want %+v", w.Snapshot(), want)
+// TestProgressRows pins which rows are idleness symptoms rather than
+// progress: an idle or stuck thief bumps exactly these forever.
+func TestProgressRows(t *testing.T) {
+	idle := map[ID]bool{FailedSteals: true, InterestSignals: true, WakeupsLost: true,
+		StackLocalGets: true, StackGlobalGets: true}
+	for id := ID(0); id < NumCounters; id++ {
+		if table[id].progress == idle[id] {
+			t.Errorf("%v: progress = %v", id, table[id].progress)
+		}
 	}
 }
 
-func TestProgressSumExcludesFailedSteals(t *testing.T) {
-	a := Counters{Spawns: 3, Steals: 2, FailedSteals: 100}
-	b := Counters{Spawns: 3, Steals: 2, FailedSteals: 9999}
-	if a.ProgressSum() != b.ProgressSum() {
-		t.Errorf("FailedSteals leaked into ProgressSum: %d vs %d",
-			a.ProgressSum(), b.ProgressSum())
+func TestCheckQuiescent(t *testing.T) {
+	ok := Counters{Spawns: 10, InlineRuns: 4, LocalResumes: 5, Steals: 1,
+		BlockedWaits: 3, ResumedWaits: 2, AbortedWaits: 1}
+	if err := ok.CheckQuiescent(); err != nil {
+		t.Errorf("balanced snapshot rejected: %v", err)
 	}
-	if a.ProgressSum() != 5 {
-		t.Errorf("ProgressSum = %d, want 5", a.ProgressSum())
+	lostSpawn, lostWait := ok, ok
+	lostSpawn.Steals = 0
+	lostWait.ResumedWaits = 1
+	for _, c := range []Counters{lostSpawn, lostWait} {
+		if c.CheckQuiescent() == nil {
+			t.Errorf("unbalanced snapshot accepted: %+v", c)
+		}
 	}
 }
 
 func TestWorkerBlocksAreCacheLinePadded(t *testing.T) {
-	// Adjacent workers' counters must not share a 64-byte cache line.
+	// Adjacent workers' blocks must not share a 128-byte unit.
 	r := NewRecorder(2)
 	a := uintptr(unsafe.Pointer(r.Worker(0)))
 	b := uintptr(unsafe.Pointer(r.Worker(1)))
-	if b-a < 64 {
-		t.Errorf("counter blocks %d bytes apart, want >= 64", b-a)
+	if b-a <= unsafe.Sizeof(WorkerCounters{}) || (b-a)%128 != 0 {
+		t.Errorf("counter blocks %d bytes apart for a %d-byte block", b-a, unsafe.Sizeof(WorkerCounters{}))
 	}
 }
 
 func TestConcurrentDisjointWorkers(t *testing.T) {
 	// Each worker mutating its own block is race-free by design; a reader
-	// aggregating mid-run is race-free because the fields are atomic.
+	// aggregating mid-run is race-free because the cells are atomic.
 	r := NewRecorder(4)
 	stop := make(chan struct{})
 	var rd sync.WaitGroup
@@ -102,7 +118,7 @@ func TestConcurrentDisjointWorkers(t *testing.T) {
 			defer wg.Done()
 			c := r.Worker(w)
 			for i := 0; i < 10_000; i++ {
-				c.Spawns.Add(1)
+				c[Spawns].Add(1)
 			}
 		}()
 	}

@@ -1,15 +1,20 @@
-// Package tracelog converts scheduler event logs into the Chrome trace
-// event format (the JSON consumed by chrome://tracing and Perfetto), so a
-// real run's strand-to-worker mapping — the paper's Figure 4 pictures —
-// can be inspected visually.
+// Package tracelog converts a timed schedule log (replay.Log with its
+// time lane, see replay.NewTimedRecorder) into the Chrome trace event
+// format (the JSON consumed by chrome://tracing and Perfetto), so a real
+// run's strand-to-worker mapping — the paper's Figure 4 pictures — can
+// be inspected visually.
 package tracelog
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"sort"
+	"strings"
 
-	"nowa/internal/sched"
+	"nowa/internal/replay"
+	"nowa/internal/trace"
 )
 
 // chromeEvent is one entry of the Chrome trace "traceEvents" array.
@@ -27,80 +32,125 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace converts the events to Chrome trace JSON. Strand
-// executions appear as duration slices per worker row; steals,
-// suspensions and resumes appear as instant events.
-func WriteChromeTrace(w io.Writer, events []sched.Event) error {
-	var out chromeTrace
-	out.DisplayTimeUnit = "ns"
+// WriteChromeTrace converts the log's worker streams to Chrome trace
+// JSON. Strand executions appear as duration slices per worker row;
+// steals carry their victim; every other event is an instant named by
+// its kind. A log whose rings wrapped (Log.Truncated) still converts:
+// it simply starts mid-run.
+func WriteChromeTrace(w io.Writer, log *replay.Log) error {
+	if log.Times == nil {
+		return errors.New("tracelog: log has no time lane (record with replay.NewTimedRecorder)")
+	}
+	type stamped struct {
+		ts     float64
+		worker int
+		ev     replay.Event
+	}
+	var events []stamped
+	for wk, evs := range log.PerWorker {
+		for i, e := range evs {
+			events = append(events, stamped{float64(log.Times[wk][i].Nanoseconds()) / 1e3, wk, e})
+		}
+	}
+	// Each stream is already in time order; the stable sort interleaves them.
+	sort.SliceStable(events, func(i, j int) bool { return events[i].ts < events[j].ts })
+
+	out := chromeTrace{DisplayTimeUnit: "ns"}
+	add := func(name, phase string, e stamped, args map[string]any) {
+		out.TraceEvents = append(out.TraceEvents, chromeEvent{
+			Name: name, Phase: phase, TS: e.ts, PID: 1, TID: e.worker, Args: args,
+		})
+	}
 	// Strands may end on a different worker than they started on (worker
 	// tokens migrate with stolen continuations), so per-row B/E pairs are
 	// kept balanced with a depth counter: an end with no open slice on
 	// its row renders as an instant "strand-end (migrated)".
-	depth := map[int32]int{}
-	var last float64
+	depth := make([]int, len(log.PerWorker))
 	for _, e := range events {
-		ts := float64(e.T.Nanoseconds()) / 1e3
-		last = ts
-		switch e.Kind {
-		case sched.EvStrandStart:
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: "strand", Phase: "B", TS: ts, PID: 1, TID: int(e.Worker),
-			})
-			depth[e.Worker]++
-		case sched.EvStrandEnd:
-			if depth[e.Worker] > 0 {
-				out.TraceEvents = append(out.TraceEvents, chromeEvent{
-					Name: "strand", Phase: "E", TS: ts, PID: 1, TID: int(e.Worker),
-				})
-				depth[e.Worker]--
+		switch e.ev.Kind {
+		case replay.KStrandStart:
+			add("strand", "B", e, nil)
+			depth[e.worker]++
+		case replay.KStrandEnd:
+			if depth[e.worker] > 0 {
+				add("strand", "E", e, nil)
+				depth[e.worker]--
 			} else {
-				out.TraceEvents = append(out.TraceEvents, chromeEvent{
-					Name: "strand-end (migrated)", Phase: "i", TS: ts, PID: 1, TID: int(e.Worker),
-				})
+				add("strand-end (migrated)", "i", e, nil)
 			}
-		case sched.EvSteal:
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: "steal", Phase: "i", TS: ts, PID: 1, TID: int(e.Worker),
-				Args: map[string]any{"victim": e.Aux},
-			})
+		case replay.KStealHit:
+			add("steal", "i", e, map[string]any{"victim": e.ev.Arg})
 		default:
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: e.Kind.String(), Phase: "i", TS: ts, PID: 1, TID: int(e.Worker),
-			})
+			add(e.ev.String(), "i", e, nil)
 		}
 	}
 	// Close slices whose ends happened on other rows.
 	for wk, d := range depth {
 		for ; d > 0; d-- {
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: "strand", Phase: "E", TS: last, PID: 1, TID: int(wk),
-			})
+			add("strand", "E", stamped{ts: events[len(events)-1].ts, worker: wk}, nil)
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	return json.NewEncoder(w).Encode(out)
 }
 
-// Summary aggregates an event stream into per-kind counts.
-func Summary(events []sched.Event) map[string]int {
-	m := map[string]int{}
-	for _, e := range events {
-		m[e.Kind.String()]++
-	}
-	return m
+// counted maps an event kind onto the trace counters the scheduler bumps
+// at the very site that records it, one for one.
+var counted = map[replay.Kind][]trace.ID{
+	replay.KSpawn:      {trace.Spawns, trace.VesselDispatch},
+	replay.KInlineRun:  {trace.Spawns, trace.InlineRuns},
+	replay.KPopHit:     {trace.LocalResumes},
+	replay.KPopMiss:    {trace.ImplicitSyncs},
+	replay.KStealHit:   {trace.Steals},
+	replay.KStealEmpty: {trace.FailedSteals},
+	replay.KStealLost:  {trace.FailedSteals},
+	replay.KSuspend:    {trace.Suspensions},
+	replay.KPark:       {trace.ThiefParks},
+	replay.KWake:       {trace.ThiefWakeups},
+	replay.KWaitBlock:  {trace.BlockedWaits},
+	replay.KWaitWake:   {trace.ResumedWaits},
+	replay.KWaitAbort:  {trace.AbortedWaits},
 }
 
-// FormatSummary renders the summary deterministically.
-func FormatSummary(events []sched.Event) string {
-	m := Summary(events)
-	order := []string{
-		"spawn", "local-resume", "steal", "implicit-sync",
-		"suspend", "sync-resume", "strand-start", "strand-end",
+// Derived lists, in ID order, the counters Summary reconstructs.
+func Derived() []trace.ID {
+	var seen [trace.NumCounters]bool
+	for _, ids := range counted {
+		for _, id := range ids {
+			seen[id] = true
+		}
 	}
-	s := ""
-	for _, k := range order {
-		s += fmt.Sprintf("%-14s %8d\n", k, m[k])
+	var out []trace.ID
+	for id, ok := range seen {
+		if ok {
+			out = append(out, trace.ID(id))
+		}
 	}
-	return s
+	return out
+}
+
+// Summary recounts the Derived counters from the log's worker streams.
+// On an untruncated capture of a chaos-free runtime's whole life they
+// equal the runtime's own Counters (chaos fails steals without a steal
+// event); the other fields stay zero.
+func Summary(log *replay.Log) trace.Counters {
+	var p trace.Pending
+	for _, evs := range log.PerWorker {
+		for _, e := range evs {
+			for _, id := range counted[e.Kind] {
+				p[id]++
+			}
+		}
+	}
+	return p.Counters()
+}
+
+// FormatSummary renders the summary deterministically, one Derived
+// counter per line.
+func FormatSummary(log *replay.Log) string {
+	c := Summary(log)
+	var b strings.Builder
+	for _, id := range Derived() {
+		fmt.Fprintf(&b, "%-16s %8d\n", id, c.Get(id))
+	}
+	return b.String()
 }

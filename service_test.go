@@ -3,6 +3,7 @@ package nowa_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -735,5 +736,51 @@ func TestServiceAllVariants(t *testing.T) {
 				t.Fatalf("sum = %d, want 40", got)
 			}
 		})
+	}
+}
+
+// TestServiceHeldStacksBoundedByLiveSubmissions: the dispatcher strand
+// never ends while the service runs, so a stack charged to it at every
+// steal of its continuation must come back once the submission that ran
+// beside the steal has finished — not at strand end. A serving runtime
+// that completes submissions one at a time therefore holds a bounded
+// number of stacks, and its heap does not grow with the number served.
+func TestServiceHeldStacksBoundedByLiveSubmissions(t *testing.T) {
+	const n = 100_000
+	srt := sched.MustNew(sched.Config{Name: "serve-stacks", Workers: 2})
+	if err := srt.StartService(sched.ServiceConfig{}); err != nil {
+		t.Fatalf("StartService: %v", err)
+	}
+	serve := func(k int) {
+		for i := 0; i < k; i++ {
+			sub, err := srt.Submit(func(api.Ctx) {}, sched.SubmitOpts{})
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			if err := sub.Wait(); err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+		}
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapInuse)
+	}
+	serve(1000) // warm the vessel, stack and submission pools
+	before := heap()
+	serve(n)
+	perSub := float64(heap()-before) / n
+	live := srt.Stats().StacksLive
+	srt.Close()
+	if perSub >= 32 {
+		t.Errorf("heap grew %.1f B per completed submission over %d, want < 32", perSub, n)
+	}
+	if live > 64 {
+		t.Errorf("%d stacks live after %d one-at-a-time submissions", live, n)
+	}
+	if st := srt.Stats(); st.StacksLeaked != 0 || st.VesselsLeaked != 0 {
+		t.Errorf("leaks after Close: stacks %d, vessels %d", st.StacksLeaked, st.VesselsLeaked)
 	}
 }
