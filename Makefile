@@ -4,7 +4,9 @@
 # race-enabled chaos/cancellation/misuse stress subset, a smoke run
 # of the spawn-overhead benchmark (catches fast-path breakage that only
 # -bench exercises) and the TestSpawnFloor latency gate (catches a
-# goroutine switch sneaking back onto the lazy spawn path).
+# goroutine switch sneaking back onto the lazy spawn path). The
+# allocation bars (TestSpawnAllocs, TestBlockedWaitAllocs) run with the
+# rest of `go test ./...`.
 
 GO ?= go
 
@@ -116,12 +118,19 @@ fault-smoke:
 
 # block-smoke exercises the external blocking layer (DESIGN.md §16): the
 # race-enabled blocking primitive and kernel tests (CQS queue, futures,
-# channels, barriers, pipeline/BFS kernels, abort storms), one bench
+# channels, barriers, pipeline/BFS kernels, abort storms, and the
+# scheduler's whitebox token-handoff and parker tests), one iteration of
+# BenchmarkBlockingKernels (so the blocks/op and ns/block re-read cannot
+# rot; its output is kept in torture-out/ for CI to upload), one bench
 # pass over both blocking kernels, and an abort-classed torture soak —
 # blocking kernels under forced wait-aborts and delayed wakeups, with
 # the BlockedWaits == ResumedWaits + AbortedWaits conservation bar and
 # the leak bars checked every trial.
 block-smoke:
-	$(GO) test -race -run 'TestCQS|TestFuture|TestChannel|TestBarrier|TestBlock|TestWait|TestAbort|TestPipeline|TestBFS|TestKernel' . ./internal/cqs/ ./internal/blockapps/
+	$(GO) test -race -run 'TestCQS|TestFuture|TestChannel|TestBarrier|TestBlock|TestWait|TestAbort|TestPipeline|TestBFS|TestKernel' . ./internal/cqs/ ./internal/blockapps/ ./internal/sched/
+	@mkdir -p torture-out
+	$(GO) test -run '^$$' -bench BlockingKernels -benchtime 1x ./internal/blockapps > torture-out/blocking-kernels.bench.txt \
+		|| { cat torture-out/blocking-kernels.bench.txt; exit 1; }
+	@cat torture-out/blocking-kernels.bench.txt
 	$(GO) run ./cmd/nowa-bench -block -scale test -runs 3 -variants nowa,nowa-the,fibril,cilkplus
 	$(GO) run ./cmd/nowa-torture -duration 15s -chaos abort -out torture-out

@@ -111,3 +111,78 @@ func TestSpawnAllocsNested(t *testing.T) {
 		t.Errorf("nowa: %.2f allocs per nested round, want 0", avg)
 	}
 }
+
+// TestBlockedWaitAllocs asserts that a blocked external wait under a
+// plain Run — where no context can abort it, so no abort arm is built —
+// allocates nothing: the wait handle is embedded in the vessel, the
+// waiter cell was allocated with the primitive, and the token handoff
+// recycles vessels. One worker and eager spawns make every round block:
+// the strand that waits holds the only token, which its partner needs.
+func TestBlockedWaitAllocs(t *testing.T) {
+	const runs = 100
+	cases := []struct {
+		name string
+		// round returns one measured round for the strand c; the partner
+		// strand serves kick. Each round blocks both strands once.
+		round func(c nowa.Ctx, kick *nowa.Channel[int]) (round func(), serve func(nowa.Ctx, int))
+	}{
+		{"channel-pingpong", func(c nowa.Ctx, kick *nowa.Channel[int]) (func(), func(nowa.Ctx, int)) {
+			pong := nowa.NewChannel[int](1)
+			return func() {
+					kick.Send(c, 0)
+					pong.Recv(c)
+				}, func(pc nowa.Ctx, v int) {
+					pong.Send(pc, v)
+				}
+		}},
+		{"future-handoff", func(c nowa.Ctx, kick *nowa.Channel[int]) (func(), func(nowa.Ctx, int)) {
+			// The futures are the test's own allocations, not the
+			// wait's: make one per round up front (AllocsPerRun adds a
+			// warm-up call).
+			futs := make([]*nowa.Future[int], runs+1)
+			for i := range futs {
+				futs[i] = nowa.NewFuture[int]()
+			}
+			next := 0
+			return func() {
+					kick.Send(c, next)
+					futs[next].Await(c)
+					next++
+				}, func(_ nowa.Ctx, i int) {
+					futs[i].Complete(i)
+				}
+		}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			rt := nowa.NewLimited(nowa.VariantNowa, 1, nowa.Limits{Spawn: nowa.SpawnEager})
+			defer nowa.Close(rt)
+			var avg float64
+			rt.Run(func(c nowa.Ctx) {
+				kick := nowa.NewChannel[int](1)
+				round, serve := tc.round(c, kick)
+				s := c.Scope()
+				s.Spawn(func(pc nowa.Ctx) {
+					for {
+						v, err := kick.Recv(pc)
+						if err != nil {
+							return
+						}
+						serve(pc, v)
+					}
+				})
+				avg = testing.AllocsPerRun(runs, round)
+				kick.Close()
+				s.Sync()
+			})
+			st, _ := nowa.Resources(rt)
+			if st.BlockedWaits < 2*runs {
+				t.Fatalf("%d blocked waits over %d rounds: the rounds did not block", st.BlockedWaits, runs)
+			}
+			if avg > 0 {
+				t.Errorf("%.2f allocs per round of two blocked waits, want 0", avg)
+			}
+		})
+	}
+}

@@ -121,8 +121,18 @@ func (b *Barrier) await(p *sched.Proc, g *barrierGen) (rearrive bool, err error)
 		p.AbandonWait(bw)
 		return true, nil
 	}
-	return false, parkWait(p, bw, func() bool { return b.abortArrival(g, t) })
+	return false, parkWait(p, bw, arrival{b, g, t})
 }
+
+// arrival is one registered arrival's aborter: parkWait's cancellation
+// arm withdraws it through abortArrival.
+type arrival struct {
+	b *Barrier
+	g *barrierGen
+	t cqs.Ticket
+}
+
+func (a arrival) TryAbort() bool { return a.b.abortArrival(a.g, a.t) }
 
 // abortArrival withdraws one arrival from generation g: decrement the
 // count (so the barrier does not sit one short forever), then abort the

@@ -44,15 +44,21 @@ func procOf(c Ctx) *sched.Proc {
 // callbacks.
 func wakeHandle(h any) { h.(*sched.Waiter).Wake() }
 
+// aborter is a wait's cell-arbitration attempt: TryAbort returns true
+// only when it won the waiter's cell, in which case the waiter will never
+// be woken through it. A cqs.Ticket is one; the barrier wraps its ticket
+// to withdraw the arrival too.
+type aborter interface{ TryAbort() bool }
+
 // parkWait commits a prepared wait and, when the strand runs under a
 // cancellable context (RunCtx, or a submission's effective context in
-// service mode), arms the abort: a context.AfterFunc racing abort
-// against the wakeup. abort must be the primitive's cell-arbitration
-// attempt — it returns true only when it won the waiter's cell, in which
-// case the waiter will never be woken through it and the abort arm
-// delivers the cancellation wakeup itself. Returns the context's error
-// when the wait ended aborted, nil when it was resumed.
-func parkWait(p *sched.Proc, bw *sched.Waiter, abort func() bool) error {
+// service mode), arms the abort: a context.AfterFunc racing a.TryAbort
+// against the wakeup, delivering the cancellation wakeup itself when it
+// wins the cell. Returns the context's error when the wait ended aborted,
+// nil when it was resumed. Generic over the aborter so that a plain Run —
+// where nothing can abort — boxes no value and builds no closure: a
+// blocked wait allocates nothing (TestBlockedWaitAllocs).
+func parkWait[A aborter](p *sched.Proc, bw *sched.Waiter, a A) error {
 	ctx := p.WaitContext()
 	if ctx == nil {
 		// Plain Run: nothing can cancel the wait; only the primitive's
@@ -61,7 +67,7 @@ func parkWait(p *sched.Proc, bw *sched.Waiter, abort func() bool) error {
 		return nil
 	}
 	stop := context.AfterFunc(ctx, func() {
-		if abort() {
+		if a.TryAbort() {
 			bw.WakeAborted()
 		}
 	})

@@ -492,11 +492,16 @@ func TestBarrierAbortStorm(t *testing.T) {
 				b := NewBarrier(parties)
 				ctx, cancel := context.WithCancel(context.Background())
 				var finished atomic.Int64
+				// The canceller waits for the root: RunCtx does not run an
+				// already-cancelled context at all.
+				started := make(chan struct{})
 				go func() {
+					<-started
 					time.Sleep(time.Duration(round%4) * time.Millisecond)
 					cancel()
 				}()
 				err := rt.RunCtx(ctx, func(c Ctx) {
+					close(started)
 					s := c.Scope()
 					for i := 0; i < parties*2; i++ {
 						s.Spawn(func(c Ctx) {

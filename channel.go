@@ -195,6 +195,6 @@ func awaitSem(p *sched.Proc, sem *cqs.Semaphore, closed *atomic.Bool) error {
 			}
 			continue
 		}
-		return parkWait(p, bw, t.TryAbort)
+		return parkWait(p, bw, t)
 	}
 }

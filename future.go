@@ -170,7 +170,7 @@ func (f *Future[T]) Await(c Ctx) (T, error) {
 			p.AbandonWait(bw)
 			continue
 		}
-		if err := parkWait(p, bw, t.TryAbort); err != nil {
+		if err := parkWait(p, bw, t); err != nil {
 			var zero T
 			return zero, err
 		}

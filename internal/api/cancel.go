@@ -11,54 +11,63 @@ import (
 // function after the computation drained, and consults Cancelled on the
 // paths that degrade under cancellation (Spawn, steal loops).
 //
-// Off-path cost when no context is attached: Cancelled is one atomic bool
-// load plus one atomic pointer load; Done and Err return nil likewise.
+// Off-path cost when no context is attached: Cancelled is one atomic
+// pointer load; Done and Err return nil likewise.
 type CancelState struct {
-	ctx       atomic.Pointer[context.Context]
+	run atomic.Pointer[cancelRun]
+}
+
+// cancelRun is one run's context and cancelled latch. The latch lives
+// with the run, not with the CancelState: a watcher whose stop races its
+// context's cancellation can wake up after the next run began, and must
+// then latch its own dead run — never the live one, which would make an
+// uncancelled run degrade its spawns and retire its thieves.
+type cancelRun struct {
+	ctx       context.Context
 	cancelled atomic.Bool
 }
 
 // Begin installs ctx as the current run's context (nil for a plain,
-// non-cancellable run) and resets the cancelled latch. When wake is
+// non-cancellable run) with a fresh cancelled latch. When wake is
 // non-nil a watcher goroutine invokes it once on cancellation, so
 // runtimes can rouse parked workers; the watcher exits when the returned
 // stop function runs. stop also detaches the context, so Done/Err revert
 // to nil between runs. Begin/stop must bracket the run on the caller's
 // goroutine.
 func (cs *CancelState) Begin(ctx context.Context, wake func()) (stop func()) {
-	cs.cancelled.Store(false)
 	if ctx == nil {
-		cs.ctx.Store(nil)
+		cs.run.Store(nil)
 		return func() {}
 	}
-	cs.ctx.Store(&ctx)
+	r := &cancelRun{ctx: ctx}
+	cs.run.Store(r)
 	if wake == nil {
-		return func() { cs.ctx.Store(nil) }
+		return func() { cs.run.Store(nil) }
 	}
 	stopCh := make(chan struct{})
 	go func() {
 		select {
 		case <-ctx.Done():
-			cs.cancelled.Store(true)
+			r.cancelled.Store(true)
 			wake()
 		case <-stopCh:
 		}
 	}()
 	return func() {
 		close(stopCh)
-		cs.ctx.Store(nil)
+		cs.run.Store(nil)
 	}
 }
 
 // Cancelled reports whether the current run's context has been cancelled.
-// The first observation latches, so later calls are a single atomic load.
+// The first observation latches, so later calls are two atomic loads.
 func (cs *CancelState) Cancelled() bool {
-	if cs.cancelled.Load() {
-		return true
-	}
-	p := cs.ctx.Load()
-	if p == nil {
+	r := cs.run.Load()
+	if r == nil {
 		return false
+	}
+	if r.cancelled.Load() {
+		return true
 	}
 	// A non-blocking poll, not a wait: cancellation must be observable by
 	// the very next Spawn after the caller's cancel() returns (the inline
@@ -67,8 +76,8 @@ func (cs *CancelState) Cancelled() bool {
 	// chanrecv per call, only under RunCtx, and only until the first true
 	// latches into the atomic bool.
 	select { //nowa:hotpath-ok deliberate non-blocking Done poll; the latch above makes it transient and RunCtx-only
-	case <-(*p).Done():
-		cs.cancelled.Store(true)
+	case <-r.ctx.Done():
+		r.cancelled.Store(true)
 		return true
 	default:
 		return false
@@ -80,8 +89,8 @@ func (cs *CancelState) Cancelled() bool {
 // strand suspending mid-run inherits the RunCtx context as its wait
 // context.
 func (cs *CancelState) Context() context.Context {
-	if p := cs.ctx.Load(); p != nil {
-		return *p
+	if r := cs.run.Load(); r != nil {
+		return r.ctx
 	}
 	return nil
 }
@@ -89,8 +98,8 @@ func (cs *CancelState) Context() context.Context {
 // Done returns the current run context's Done channel, or nil when the
 // run is not cancellable.
 func (cs *CancelState) Done() <-chan struct{} {
-	if p := cs.ctx.Load(); p != nil {
-		return (*p).Done()
+	if r := cs.run.Load(); r != nil {
+		return r.ctx.Done()
 	}
 	return nil
 }
@@ -98,8 +107,8 @@ func (cs *CancelState) Done() <-chan struct{} {
 // Err returns the current run context's error, or nil when the run is
 // not cancellable.
 func (cs *CancelState) Err() error {
-	if p := cs.ctx.Load(); p != nil {
-		return (*p).Err()
+	if r := cs.run.Load(); r != nil {
+		return r.ctx.Err()
 	}
 	return nil
 }

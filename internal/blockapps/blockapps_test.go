@@ -135,3 +135,42 @@ func TestRegistry(t *testing.T) {
 		t.Fatal("ByName accepted an unknown kernel")
 	}
 }
+
+// BenchmarkBlockingKernels times both blocking kernels on the benchmark
+// ledger's block-pipeline configuration (nowa, eager spawns, 2 workers)
+// and prices the external wait: blocks/op is how many strands suspended
+// per kernel run, ns/block the run time divided among them — nearly all
+// a kernel here does is block. Re-read a suspension-path change with
+//
+//	go test -run '^$' -bench BlockingKernels -cpuprofile cpu.out ./internal/blockapps
+func BenchmarkBlockingKernels(b *testing.B) {
+	for _, name := range BlockingNames() {
+		name := name
+		b.Run(name, func(b *testing.B) {
+			k, err := ByName(name, apps.Bench)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rt := nowa.NewLimited(nowa.VariantNowa, 2, nowa.Limits{Spawn: nowa.SpawnEager})
+			defer nowa.Close(rt)
+			k.Prepare()
+			rt.Run(k.Run) // warm the vessel pool
+			before, _ := nowa.Resources(rt)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Prepare()
+				rt.Run(k.Run)
+			}
+			b.StopTimer()
+			if err := k.Verify(); err != nil {
+				b.Fatal(err)
+			}
+			after, _ := nowa.Resources(rt)
+			blocks := float64(after.BlockedWaits - before.BlockedWaits)
+			b.ReportMetric(blocks/float64(b.N), "blocks/op")
+			if blocks > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/blocks, "ns/block")
+			}
+		})
+	}
+}

@@ -154,7 +154,12 @@ const (
 	// channel, barrier); Arg is unused. The wait outcome is arbitrated
 	// by the waiter cell's CAS, whose winner is fully determined by the
 	// replayed thief interleaving and chaos rolls, so these are traces.
-	//nowa:replay-diagnostic wait-boundary trace; block/wake/abort arbitration is determined by the replayed decisions and chaos rolls
+	// The same holds for where the blocking strand's token goes next
+	// (its parent's continuation, a queued wakeup, a thief vessel — see
+	// sched's passToken) and for who pops a queued wakeup, a blocker or
+	// a thief: the wake queue is FIFO and filled by those same decisions,
+	// so neither pop site records an event of its own.
+	//nowa:replay-diagnostic wait-boundary trace; block/wake/abort arbitration and the token's route out of a block (wake-queue pops included) are determined by the replayed decisions and chaos rolls
 	KWaitBlock
 	// KWaitWake is that wait ending in a resume.
 	//nowa:replay-diagnostic wait-boundary trace; block/wake/abort arbitration is determined by the replayed decisions and chaos rolls

@@ -10,16 +10,19 @@ import (
 // External blocking waits (DESIGN.md §16). A strand that must wait on
 // something outside the fork/join tree — a future, a channel slot, a
 // barrier trip — suspends here. The protocol mirrors the suspension
-// half of scope.syncBudget: the strand acquires a thief vessel *before*
-// registering in the primitive's waiter queue (so the keep-token
-// decision is published to the waker by the queue's cell CAS), hands
-// its worker token to that thief, and parks on its vessel's parker. The
-// wakeup side is the new piece: a resume or abort may fire on any
-// goroutine — another strand, a context.AfterFunc timer, an external
-// completer — so the waker cannot always hand a token directly.
-// Instead it pushes the Waiter onto the runtime's wake queue and
-// rouses the thieves; the next idle thief pops it, hands over its
-// token, and the blocked strand continues where it left off.
+// half of scope.syncBudget: the strand decides whether it can give its
+// worker token away *before* registering in the primitive's waiter queue
+// (so the keep-token decision is published to the waker by the queue's
+// cell CAS), passes the token on (passToken: to its own un-stolen parent
+// continuation, else to the oldest queued wakeup, else to a thief
+// vessel), and parks on its vessel's parker — without the ladder's spin
+// phase, since nothing bounds the wait. The wakeup side is the new
+// piece: a resume or abort may fire on any goroutine — another strand, a
+// context.AfterFunc timer, an external completer — so the waker cannot
+// always hand a token directly. Instead it pushes the Waiter onto the
+// runtime's wake queue and rouses the thieves; the next token to come
+// free — a strand blocking in its turn, or an idle thief — pops it and
+// hands itself over, and the blocked strand continues where it left off.
 //
 // Leak-freedom is the sum of three guarantees: the primitive's cell CAS
 // arbitration means exactly one of Wake/WakeAborted fires per
@@ -44,16 +47,20 @@ type Waiter struct {
 	// aborted is set by WakeAborted before the parker delivery and read
 	// by the owner after its await returns.
 	aborted bool
-	// tv is the thief vessel acquired by PrepareWait, dispatched by
-	// CommitWait, released by AbandonWait.
+	// tv is the thief vessel PrepareWait drew to settle keep under a
+	// vessel budget (nil without one): dispatched or freed by CommitWait,
+	// released by AbandonWait.
 	tv *vessel
 }
 
-// PrepareWait readies the strand's wait handle: it draws the thief
-// vessel that will inherit this worker token while the strand is
-// parked. nil tv (budget exhausted) means the wait will keep its token
-// — pure utilisation loss, the wakeup path delivers directly. Must be
-// followed by exactly one of CommitWait or AbandonWait.
+// PrepareWait readies the strand's wait handle. Under a vessel budget it
+// draws the thief vessel that may inherit this worker token, because
+// whether one fits decides keep and keep must precede the registration:
+// nil tv (budget exhausted) means the wait will keep its token — pure
+// utilisation loss, the wakeup path delivers directly. Without a budget
+// a vessel can always be had, so none is drawn until passToken finds
+// nobody better to give the token to. Must be followed by exactly one of
+// CommitWait or AbandonWait.
 func (p *Proc) PrepareWait() *Waiter {
 	bw := &p.v.wait
 	bw.v = p.v
@@ -63,8 +70,6 @@ func (p *Proc) PrepareWait() *Waiter {
 	if p.rt.budgetOn {
 		bw.tv = p.rt.getVesselBudget(p.worker, p.rt.syncLimit)
 		bw.keep = bw.tv == nil
-	} else {
-		bw.tv = p.rt.getVessel(p.worker)
 	}
 	return bw
 }
@@ -107,43 +112,16 @@ func (p *Proc) CommitWait(bw *Waiter) bool {
 			break
 		}
 	}
-	if tv := bw.tv; tv != nil {
-		bw.tv = nil
-		if pc, ok := rt.blockClaimOwnCont(v, w); ok {
-			// Work-first handoff: this strand's own spawn-push — its
-			// parent's continuation — is still un-stolen at the bottom of
-			// the deque, so resume the parent with this token directly
-			// instead of dispatching a thief to go looking for work. The
-			// claim counts as a steal on the parent's join state (this
-			// strand's own finish is the pop-miss that joins), which keeps
-			// the deque discipline intact: a strand that migrates tokens
-			// across an external wait never leaves its un-consumed push
-			// behind for the token's next chain to pop as its own.
-			rt.freeVessel(tv, w)
-			if pc.scope.wfMode {
-				pc.scope.wf.OnSteal()
-			} else {
-				pc.scope.lj.OnSteal()
-			}
-			// The claim consumes a published continuation like a
-			// finish-path pop hit, so it counts as a LocalResume —
-			// keeping the LocalResumes+Steals == Spawns-InlineRuns
-			// conservation honest for blocking kernels.
-			v.pend[trace.LocalResumes]++
-			v.flushCounters(w)
-			if rt.recordOn {
-				rt.rep.Record(w, replay.KPopHit, 0, 0)
-			}
-			pc.v.resumeTok = token{worker: w}
-			pc.v.pk.deliver()
-		} else {
-			tv.disp = dispatch{worker: w}
-			tv.pk.deliver()
+	// A keep wait parks holding its token; any other gives it away first,
+	// and parks unless its own wakeup was what the token went to. Parking
+	// is immediate (spin budget 0): the wait is unbounded and the strand
+	// holds no token, so the ladder's yields would only contend with the
+	// token holders for Go's run queue (see parker).
+	if bw.keep || rt.passToken(v, w, bw) {
+		v.pk.await(0)
+		if rw := v.resumeTok.worker; rw >= 0 {
+			p.worker = rw
 		}
-	}
-	v.pk.await()
-	if rw := v.resumeTok.worker; rw >= 0 {
-		p.worker = rw
 	}
 	// The gauge drops only after the strand holds a token again, so the
 	// retirement gate covers the whole parked window.
@@ -194,6 +172,79 @@ func (bw *Waiter) Wake() { bw.deliver(false) }
 // by the abort arm (a context.AfterFunc, typically) after it won the
 // waiter's cell.
 func (bw *Waiter) WakeAborted() { bw.deliver(true) }
+
+// passToken gives the blocking strand's worker token w to whoever can use
+// it soonest, in this order, and reports whether the strand must park
+// (false: the token came straight back — see branch 2):
+//
+//  1. Its own un-stolen parent continuation (blockClaimOwnCont): the
+//     work-first handoff, and what keeps the deque discipline — it runs
+//     first, so whoever gets the token in the other branches never finds
+//     this strand's push at the bottom of deque[w].
+//  2. The oldest wakeup queued in rt.wakeq, directly. A thief vessel
+//     dispatched instead would do nothing but pop that same entry and
+//     pass the token on; skipping it saves a vessel dispatch and two
+//     goroutine switches per block. The popped waiter can be this very
+//     strand (its waker ran between the registration and here): then the
+//     wait is already over and the strand keeps the token without
+//     parking. The pop needs no more care than a thief's: the popped
+//     waiter stays counted in blockedLive until it runs on the token, so
+//     the retirement gate holds across the handoff, and a thief that
+//     declined to park for this entry merely finds the queue empty.
+//  3. A thief vessel, as the fallback.
+//
+// The route records no schedule event, like the thief-side pop in
+// stealLoop: the wake queue is FIFO and its order is set by the replayed
+// interleaving (see replay.KWaitBlock).
+func (rt *Runtime) passToken(v *vessel, w int, bw *Waiter) bool {
+	tv := bw.tv
+	bw.tv = nil
+	if pc, ok := rt.blockClaimOwnCont(v, w); ok {
+		// The claim counts as a steal on the parent's join state (this
+		// strand's own finish is the pop-miss that joins): a strand that
+		// migrates tokens across an external wait never leaves its
+		// un-consumed push behind for the token's next chain to pop as
+		// its own.
+		if tv != nil {
+			rt.freeVessel(tv, w)
+		}
+		if pc.scope.wfMode {
+			pc.scope.wf.OnSteal()
+		} else {
+			pc.scope.lj.OnSteal()
+		}
+		// The claim consumes a published continuation like a
+		// finish-path pop hit, so it counts as a LocalResume —
+		// keeping the LocalResumes+Steals == Spawns-InlineRuns
+		// conservation honest for blocking kernels.
+		v.pend[trace.LocalResumes]++
+		v.flushCounters(w)
+		if rt.recordOn {
+			rt.rep.Record(w, replay.KPopHit, 0, 0)
+		}
+		pc.v.resumeTok = token{worker: w}
+		pc.v.pk.deliver()
+		return true
+	}
+	if next, ok := rt.wakeq.Pop(); ok {
+		if tv != nil {
+			rt.freeVessel(tv, w)
+		}
+		rt.rec.Worker(w)[trace.DirectHandoffs].Add(1)
+		if next == bw {
+			return false
+		}
+		next.v.resumeTok = token{worker: w}
+		next.v.pk.deliver()
+		return true
+	}
+	if tv == nil {
+		tv = rt.getVessel(w)
+	}
+	tv.disp = dispatch{worker: w}
+	tv.pk.deliver()
+	return true
+}
 
 // blockClaimOwnCont pops the blocking strand's own spawn-push — its
 // parent's continuation, pushed by spawnEager when this strand was

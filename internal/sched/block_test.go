@@ -1,0 +1,246 @@
+package sched
+
+import (
+	"context"
+	"runtime"
+	"sync/atomic"
+	"testing"
+
+	"nowa/internal/api"
+	"nowa/internal/cqs"
+	"nowa/internal/deque"
+)
+
+// The suspension half of the external-wait protocol (block.go), driven
+// through the raw PrepareWait/CommitWait/Wake surface so the tests can
+// see what the public primitives hide: which way the token went, the
+// blockedLive gauge, the parker word.
+
+// blockRuntime is a one-worker eager-spawn runtime: with a single token
+// every handoff in these tests is forced, not a matter of timing.
+func blockRuntime(t *testing.T, maxVessels int) *Runtime {
+	t.Helper()
+	rt := MustNew(Config{
+		Name: "nowa", Workers: 1, Deque: deque.CL, Join: WaitFree,
+		Spawn: SpawnEager, MaxVessels: maxVessels,
+	})
+	t.Cleanup(rt.Close)
+	return rt
+}
+
+// assertWaitsSettled is the §16 bar on an idle runtime: every wait ended
+// exactly once, nothing parked or queued, nothing leaked.
+func assertWaitsSettled(t *testing.T, rt *Runtime) {
+	t.Helper()
+	if err := rt.Counters().CheckQuiescent(); err != nil {
+		t.Errorf("conservation: %v", err)
+	}
+	if live, pending := rt.blockedLive.Load(), rt.wakeq.Pending(); live != 0 || pending != 0 {
+		t.Errorf("blockedLive = %d, queued wakeups = %d; want 0, 0", live, pending)
+	}
+	if st := rt.Stats(); st.VesselsLeaked != 0 || st.StacksLeaked != 0 || st.ScopesLeaked != 0 {
+		t.Errorf("leaks: vessels=%d stacks=%d scopes=%d", st.VesselsLeaked, st.StacksLeaked, st.ScopesLeaked)
+	}
+}
+
+// semWait and semPost are a channel's slow path in miniature: take a
+// permit or park until one is released.
+func semWait(p *Proc, s *cqs.Semaphore) {
+	if s.Acquire() {
+		return
+	}
+	bw := p.PrepareWait()
+	if _, registered := s.Register(bw); !registered {
+		p.AbandonWait(bw)
+		return
+	}
+	p.CommitWait(bw)
+}
+
+func semPost(s *cqs.Semaphore) {
+	if h, ok := s.Release(); ok {
+		h.(*Waiter).Wake()
+	}
+}
+
+// TestBlockDirectHandoffPingPong: on one worker, two strands that block
+// on each other in turn pass the only token back and forth through the
+// wake queue — each block finds the other's wakeup already queued.
+func TestBlockDirectHandoffPingPong(t *testing.T) {
+	const rounds = 200
+	rt := blockRuntime(t, 0)
+	ping, pong := cqs.NewSemaphore(0), cqs.NewSemaphore(0)
+	rt.Run(func(c api.Ctx) {
+		s := c.Scope()
+		s.Spawn(func(c api.Ctx) {
+			for i := 0; i < rounds; i++ {
+				semWait(c.(*Proc), ping)
+				semPost(pong)
+			}
+		})
+		for i := 0; i < rounds; i++ {
+			semPost(ping)
+			semWait(c.(*Proc), pong)
+		}
+		s.Sync()
+	})
+	c := rt.Counters()
+	if c.BlockedWaits < rounds || c.DirectHandoffs < rounds {
+		t.Errorf("BlockedWaits = %d, DirectHandoffs = %d over %d rounds; want both >= rounds",
+			c.BlockedWaits, c.DirectHandoffs, rounds)
+	}
+	assertWaitsSettled(t, rt)
+}
+
+// TestBlockSelfWakeup: a waker that runs between the registration and
+// CommitWait queues the strand's own wakeup; the strand pops it, keeps
+// its token and returns without parking — no thief vessel, no parker
+// event, and the gauge back at zero.
+func TestBlockSelfWakeup(t *testing.T) {
+	rt := blockRuntime(t, 0)
+	var aborted [2]bool
+	rt.Run(func(c api.Ctx) {
+		p := c.(*Proc)
+		for i, wake := range []func(*Waiter){(*Waiter).Wake, (*Waiter).WakeAborted} {
+			bw := p.PrepareWait()
+			wake(bw)
+			aborted[i] = p.CommitWait(bw)
+			if p.worker != 0 {
+				t.Errorf("wait %d: strand now on worker %d", i, p.worker)
+			}
+			if st := atomic.LoadUint32(&p.v.pk.state); st != parkerIdle || len(p.v.pk.wake) != 0 {
+				t.Errorf("wait %d: parker state %d, %d wake tokens; the strand must not have parked", i, st, len(p.v.pk.wake))
+			}
+		}
+	})
+	if aborted != [2]bool{false, true} {
+		t.Errorf("CommitWait reported aborted = %v, want [false true]", aborted)
+	}
+	c := rt.Counters()
+	if c.BlockedWaits != 2 || c.ResumedWaits != 1 || c.AbortedWaits != 1 || c.DirectHandoffs != 2 {
+		t.Errorf("blocked=%d resumed=%d aborted=%d direct=%d, want 2 1 1 2",
+			c.BlockedWaits, c.ResumedWaits, c.AbortedWaits, c.DirectHandoffs)
+	}
+	if hw := rt.Stats().VesselHighWater; hw != 1 {
+		t.Errorf("vessel high water %d: a thief vessel was drawn for a wait that never parked", hw)
+	}
+	assertWaitsSettled(t, rt)
+}
+
+// TestBlockKeepTokenDirectDelivery: under a hard vessel budget with no
+// room for a thief vessel the wait keeps its token, parks on it, and is
+// resumed by direct parker delivery — the wake queue and passToken stay
+// out of it.
+func TestBlockKeepTokenDirectDelivery(t *testing.T) {
+	rt := blockRuntime(t, 1)
+	rt.Run(func(c api.Ctx) {
+		p := c.(*Proc)
+		bw := p.PrepareWait()
+		if !bw.keep {
+			t.Error("PrepareWait found a thief vessel inside a budget of one")
+			p.AbandonWait(bw)
+			return
+		}
+		go func() {
+			for rt.blockedLive.Load() == 0 {
+				runtime.Gosched()
+			}
+			bw.Wake()
+		}()
+		if p.CommitWait(bw) {
+			t.Error("resumed wait reported aborted")
+		}
+	})
+	c := rt.Counters()
+	if c.BlockedWaits != 1 || c.ResumedWaits != 1 || c.DirectHandoffs != 0 {
+		t.Errorf("blocked=%d resumed=%d direct=%d, want 1 1 0", c.BlockedWaits, c.ResumedWaits, c.DirectHandoffs)
+	}
+	assertWaitsSettled(t, rt)
+}
+
+// TestBlockAbortServedByNeighbour: an abort fired from a
+// context.AfterFunc goroutine queues the victim's cancellation wakeup
+// while no thief exists (one worker, and its token is busy); the next
+// strand to block hands the token straight to the victim.
+func TestBlockAbortServedByNeighbour(t *testing.T) {
+	rt := blockRuntime(t, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var victimAborted bool
+	var rootWait *Waiter
+	rt.Run(func(c api.Ctx) {
+		p := c.(*Proc)
+		s := c.Scope()
+		s.Spawn(func(c api.Ctx) {
+			vp := c.(*Proc)
+			bw := vp.PrepareWait()
+			stop := context.AfterFunc(ctx, bw.WakeAborted)
+			defer stop()
+			// Blocking claims the root's continuation: the root runs on.
+			victimAborted = vp.CommitWait(bw)
+			rootWait.Wake()
+		})
+		rootWait = p.PrepareWait()
+		cancel()
+		for rt.wakeq.Pending() == 0 {
+			runtime.Gosched()
+		}
+		if p.CommitWait(rootWait) {
+			t.Error("root's wait reported aborted")
+		}
+		s.Sync()
+	})
+	if !victimAborted {
+		t.Error("victim's wait did not report aborted")
+	}
+	c := rt.Counters()
+	if c.BlockedWaits != 2 || c.ResumedWaits != 1 || c.AbortedWaits != 1 || c.DirectHandoffs != 1 {
+		t.Errorf("blocked=%d resumed=%d aborted=%d direct=%d, want 2 1 1 1",
+			c.BlockedWaits, c.ResumedWaits, c.AbortedWaits, c.DirectHandoffs)
+	}
+	if hw := rt.Stats().VesselHighWater; hw != 2 {
+		t.Errorf("vessel high water %d, want 2 (root and victim): the handoffs needed no thief vessel", hw)
+	}
+	assertWaitsSettled(t, rt)
+}
+
+// TestWaitParkerRendezvous is the parker's table: with and without a
+// spin budget, a delivery that lands before the owner parks and one that
+// lands after it blocked are each consumed exactly once, and deliver
+// returns without blocking either way (it runs on the test goroutine: a
+// blocking send would hang the test).
+func TestWaitParkerRendezvous(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spins int
+	}{{"no-spin", 0}, {"ladder-spin", parkerSpins}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var pk parker
+			pk.init()
+			settled := func(when string) {
+				t.Helper()
+				if st := atomic.LoadUint32(&pk.state); st != parkerIdle || len(pk.wake) != 0 {
+					t.Fatalf("%s: state %d with %d wake tokens, want idle and none", when, st, len(pk.wake))
+				}
+			}
+			for round := 0; round < 3; round++ {
+				pk.deliver()
+				if exhausted := pk.await(tc.spins); exhausted != (tc.spins == 0) {
+					t.Errorf("deliver-before-park: await reported budget exhausted = %v", exhausted)
+				}
+				settled("deliver-before-park")
+
+				done := make(chan bool)
+				go func() { done <- pk.await(tc.spins) }()
+				for atomic.LoadUint32(&pk.state) != parkerWaiting {
+					runtime.Gosched()
+				}
+				pk.deliver()
+				if exhausted := <-done; !exhausted {
+					t.Error("deliver-after-park: await did not report the blocking path")
+				}
+				settled("deliver-after-park")
+			}
+		})
+	}
+}

@@ -21,19 +21,28 @@ import (
 //	ready    — an event was delivered and not yet consumed
 //
 // deliver is a single atomic swap to ready; only when it displaces
-// waiting does it touch the buffered wake channel. await spins briefly
-// (yielding to the Go scheduler, so on a loaded host the deliverer can
-// run), then falls back to blocking. In the steady-state spawn ladder —
-// dispatch a child to a just-freed vessel, resume a parent whose child
-// just returned — the counterpart is already spinning and the whole
-// rendezvous is one uncontended CAS with no channel operation and no
-// goroutine wakeup.
+// waiting does it touch the buffered wake channel. await takes its spin
+// budget from the caller, because the two kinds of wait the scheduler has
+// want opposite things from it:
+//
+//   - The spawn/sync ladder (dispatch a child to a just-freed vessel,
+//     resume a parent whose child just returned) passes parkerSpins: the
+//     counterpart is already running and about to deliver, so a few
+//     yields to the Go scheduler make the whole rendezvous one
+//     uncontended CAS with no channel operation and no goroutine wakeup.
+//   - An external wait (CommitWait) passes 0 and blocks on the wake
+//     channel at once. Such a wait has no bounded duration and its strand
+//     holds no worker token, so every yield is a trip through Go's global
+//     run queue taken in competition with the token holders the strand is
+//     waiting on: with the spin on, runtime.goschedImpl was half of the
+//     pipeline kernel's CPU samples (DESIGN.md §16.2).
 //
 // Safety of resume-before-park: a thief may steal a continuation and
 // deliver the resume before the spawning strand has reached its park
 // (the window the old buffered channel covered). deliver in that window
 // swaps idle→ready; the late await consumes the event on its first spin
-// iteration. The wake channel has capacity 1 for the same reason on the
+// iteration, or — with no spin budget — when its idle→waiting CAS fails.
+// The wake channel has capacity 1 for the same reason on the
 // blocking path: a deliver that displaces waiting finds the owner either
 // blocked on wake or committed to blocking, and the buffered send can
 // never be lost or block the deliverer.
@@ -66,11 +75,13 @@ const (
 	parkerReady
 )
 
-// parkerSpins bounds the await spin phase. Each failed iteration yields
-// the processor, so spinning never starves the deliverer; past the bound
-// the owner blocks on the wake channel. The bound trades a few
-// microseconds of yielding against the full cost of a channel sleep and
-// wakeup — right for the spawn ladder, harmless for long waits.
+// parkerSpins is the spawn/sync ladder's await spin budget. Each failed
+// iteration yields the processor, so spinning never starves the
+// deliverer; past the bound the owner blocks on the wake channel. The
+// bound trades a few microseconds of yielding against the full cost of a
+// channel sleep and wakeup, which pays only while the deliverer is
+// already on its way — the ladder's premise, and the reason external
+// waits pass 0 instead (see the type comment).
 const parkerSpins = 96
 
 func (p *parker) init() {
@@ -87,14 +98,16 @@ func (p *parker) deliver() {
 	}
 }
 
-// await returns once an event has been delivered, consuming it. It
-// reports whether the owner exhausted its spin budget before the event
-// arrived — the schedule recorder's KBlocked signal; the steady-state
-// ladder always returns false.
+// await returns once an event has been delivered, consuming it, after
+// at most spins yielding polls of the state word (parkerSpins on the
+// ladder, 0 for an external wait). It reports whether the owner
+// exhausted that budget before the event arrived — the schedule
+// recorder's KBlocked signal; the steady-state ladder always returns
+// false.
 //
 //nowa:hotpath
-func (p *parker) await() bool {
-	for i := 0; i < parkerSpins; i++ {
+func (p *parker) await(spins int) bool {
+	for i := 0; i < spins; i++ {
 		if atomic.LoadUint32(&p.state) == parkerReady {
 			p.state = parkerIdle //nowa:plain-ok consume-side reset: the deliverer is done with the word, and the next deliverer is ordered behind seq-cst atomics the owner performs after consuming (see type comment)
 			return false

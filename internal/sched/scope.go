@@ -355,7 +355,7 @@ func (s *scope) spawnEager(fn func(api.Ctx)) {
 	cv.pk.deliver()
 
 	// Park until the continuation is resumed.
-	blocked := v.pk.await()
+	blocked := v.pk.await(parkerSpins)
 	p.worker = v.resumeTok.worker
 	if rt.blockRecOn && blocked {
 		// Recorded on the resuming token (which this strand now holds).
@@ -553,7 +553,7 @@ func (s *scope) Sync() {
 	tv := rt.getVessel(p.worker)
 	tv.disp = dispatch{worker: p.worker}
 	tv.pk.deliver()
-	blocked := p.v.pk.await()
+	blocked := p.v.pk.await(parkerSpins)
 	p.worker = p.v.resumeTok.worker
 	if rt.recordOn {
 		if rt.blockRecOn && blocked {
@@ -617,7 +617,7 @@ func (s *scope) syncBudget() {
 		tv.disp = dispatch{worker: w}
 		tv.pk.deliver()
 	}
-	blocked := p.v.pk.await()
+	blocked := p.v.pk.await(parkerSpins)
 	if rw := p.v.resumeTok.worker; rw >= 0 {
 		p.worker = rw
 	}

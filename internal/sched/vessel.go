@@ -329,7 +329,7 @@ func (rt *Runtime) freeVesselGlobal(v *vessel) {
 // token away (see freeVessel).
 func (v *vessel) loop() {
 	for {
-		blocked := v.pk.await()
+		blocked := v.pk.await(parkerSpins)
 		d := v.disp
 		if d.stop {
 			return

@@ -45,6 +45,7 @@ const (
 	ResumedWaits
 	AbortedWaits
 	WakeupsLost
+	DirectHandoffs
 	NumCounters
 )
 
@@ -55,7 +56,9 @@ const (
 // computation moving, and the watchdog must tell those apart; the
 // stack-pool tallies describe the pool, not the computation. The wait tallies do count: a strand blocking on or
 // returning from an external wait is the computation moving through a
-// protocol step. field is the row's offset in the Counters snapshot.
+// protocol step — but a direct handoff is only the route one of those
+// blocks took, already counted as the block. field is the row's offset
+// in the Counters snapshot.
 var table = [NumCounters]struct {
 	name     string
 	progress bool
@@ -83,6 +86,7 @@ var table = [NumCounters]struct {
 	ResumedWaits:    {"ResumedWaits", true, unsafe.Offsetof(Counters{}.ResumedWaits)},
 	AbortedWaits:    {"AbortedWaits", true, unsafe.Offsetof(Counters{}.AbortedWaits)},
 	WakeupsLost:     {"WakeupsLost", false, unsafe.Offsetof(Counters{}.WakeupsLost)},
+	DirectHandoffs:  {"DirectHandoffs", false, unsafe.Offsetof(Counters{}.DirectHandoffs)},
 }
 
 // String returns the counter's name, which is also its Counters field.
@@ -113,6 +117,7 @@ type Counters struct {
 	ResumedWaits    int64 // external waits that ended in a resume
 	AbortedWaits    int64 // external waits that ended in a cancellation
 	WakeupsLost     int64 // thief parks declined because an external wakeup was pending
+	DirectHandoffs  int64 // blocking strands that passed their token straight to a queued wakeup (their own included), no thief vessel in between
 }
 
 // cell addresses the field of c that the counter's row names.

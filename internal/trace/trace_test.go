@@ -54,11 +54,13 @@ func TestEveryCounterRow(t *testing.T) {
 	}
 }
 
-// TestProgressRows pins which rows are idleness symptoms rather than
-// progress: an idle or stuck thief bumps exactly these forever.
+// TestProgressRows pins which rows stay out of the progress sum: the
+// idleness symptoms an idle or stuck thief bumps forever, and
+// DirectHandoffs, which only names the route of a block BlockedWaits
+// already counted.
 func TestProgressRows(t *testing.T) {
 	idle := map[ID]bool{FailedSteals: true, InterestSignals: true, WakeupsLost: true,
-		StackLocalGets: true, StackGlobalGets: true}
+		StackLocalGets: true, StackGlobalGets: true, DirectHandoffs: true}
 	for id := ID(0); id < NumCounters; id++ {
 		if table[id].progress == idle[id] {
 			t.Errorf("%v: progress = %v", id, table[id].progress)
