@@ -10,12 +10,18 @@
 
 GO ?= go
 
+# The blocking-layer tests by name (CQS queue, futures, channels,
+# barriers, pipeline/BFS kernels, abort storms, the scheduler's whitebox
+# token-handoff and parker tests): part of RACE_TEST, and what
+# `block-smoke` runs on its own.
+BLOCK_TESTS = TestCQS|TestFuture|TestChannel|TestBarrier|TestBlock|TestWait|TestAbort|TestPipeline|TestBFS|TestKernel
+
 # The race-enabled stress subset, shared by `race` and `verify` so the
 # two gates cannot drift apart: the name-selected stress tests of every
 # package, then the whole benchmark harness (its test names match none
 # of the patterns, and its workloads drive the serving and resilience
 # layers from many goroutines at once).
-RACE_TEST = $(GO) test -race -run 'TestChaos|TestCancel|TestPanic|TestGovern|TestOverload|TestPromote|TestReplay|TestService|TestSubmit|TestStall|TestHedge|TestResilience|TestCQS|TestFuture|TestChannel|TestBarrier|TestBlock|TestWait|TestAbort|TestPipeline|TestBFS|TestKernel' ./... \
+RACE_TEST = $(GO) test -race -run 'TestChaos|TestCancel|TestPanic|TestGovern|TestOverload|TestPromote|TestReplay|TestService|TestSubmit|TestStall|TestHedge|TestResilience|$(BLOCK_TESTS)' ./... \
 	&& $(GO) test -race ./benchmark
 
 .PHONY: verify fmt build vet lint loc test race bench bench-all torture serve-smoke fault-smoke block-smoke
@@ -67,15 +73,17 @@ test:
 race:
 	$(RACE_TEST)
 
-# bench regenerates the scheduler fast-path numbers: the spawn/sync
-# microbenchmarks, then nowa-bench's micro mode (spawn/sync per variant
-# plus the fib/nqueens/quicksort kernels), rewriting BENCH_sched.json.
-# -gate reads the committed report first and fails loud if any
-# vessel-model spawn median regressed more than 25% against it (the new
-# report is still written, so CI uploads the evidence either way).
+# bench re-measures the repository: the spawn/sync micro-benchmarks per
+# variant (with the recording-on rows), then the repo benchmark — every
+# workload of BENCHMARK.json in a process of its own, reports under
+# benchmark/out/ (see benchmark/README.md; `-workload layers` prints the
+# per-layer ledger). Nothing is compared against a committed snapshot:
+# numbers from different hosts do not compare. The guard against a
+# goroutine switch returning to the spawn path is TestSpawnFloor, in
+# `verify`.
 bench:
 	$(GO) test -run '^$$' -bench 'SpawnOverhead|SyncOverhead' -benchtime 100000x .
-	$(GO) run ./cmd/nowa-bench -micro -runs 3 -scale test -gate BENCH_sched.json -json BENCH_sched.json
+	bash benchmark/run.sh
 
 # bench-all runs the full paper benchmark suite once through.
 bench-all:
@@ -90,18 +98,17 @@ torture:
 	$(GO) run ./cmd/nowa-torture -selftest -out torture-out
 	$(GO) run ./cmd/nowa-torture -duration 30s -out torture-out
 
-# serve-smoke drives a short service-mode load sweep (~10s per variant):
-# open-loop arrival curves against the admission pipeline, checking the
-# overload-degradation and leak bars and writing BENCH_serve.json (see
-# DESIGN.md §13 and `go run ./cmd/nowa-serve -h` for the full harness).
-# The hard latency gate runs against the wait-free protagonist only:
-# the locked-join comparators can starve the dispatcher continuation
-# under sustained overload (DESIGN.md §13), so their curves are
-# measured via `nowa-bench -serve` (degradation reported, not fatal)
-# and their service correctness via the torture soak below.
+# serve-smoke drives the admission pipeline past its capacity for a few
+# seconds — the benchmark's serve-overload workload: Poisson arrivals at
+# 1.4x what a FailFast queue of 32 can serve, one client retry — and
+# exits non-zero unless every output, submission-conservation and leak
+# check of the harness holds (report in benchmark/out/serve-overload.json;
+# see DESIGN.md §13). Then a service-mode torture soak: concurrent
+# submissions with mixed deadlines across the vessel-model variants and
+# all three overload policies, drain quiescence and accounting checked
+# every trial.
 serve-smoke:
-	$(GO) run ./cmd/nowa-serve -variants nowa -policies failfast,shed \
-		-dur 300ms -points 6 -start-rate 1000 -json BENCH_serve.json
+	bash benchmark/run.sh --workload serve-overload --seconds 3
 	$(GO) run ./cmd/nowa-torture -service -duration 10s -out torture-out
 
 # fault-smoke exercises the fault-tolerance stack (DESIGN.md §15): a
@@ -110,27 +117,27 @@ serve-smoke:
 # nowa-serve fault campaign (baseline vs stall vs stall+supplement vs
 # stall+supplement+hedge), which fails on any leak, unretired
 # supplement, never-seized recovery run, or goodput dropping below 80%
-# of the clean baseline while supplemented.
+# of the clean baseline while supplemented. The campaign's report goes
+# to torture-out/serve-faults.json (git-ignored, like the repro bundles).
 fault-smoke:
 	$(GO) run ./cmd/nowa-torture -duration 15s -chaos stall -out torture-out
 	$(GO) run ./cmd/nowa-torture -service -duration 15s -chaos stall -out torture-out
-	$(GO) run ./cmd/nowa-serve -faults-only -workers 4 -dur 1s -json BENCH_serve_faults.json
+	$(GO) run ./cmd/nowa-serve -workers 4 -dur 1s
 
 # block-smoke exercises the external blocking layer (DESIGN.md §16): the
-# race-enabled blocking primitive and kernel tests (CQS queue, futures,
-# channels, barriers, pipeline/BFS kernels, abort storms, and the
-# scheduler's whitebox token-handoff and parker tests), one iteration of
+# race-enabled blocking primitive and kernel tests (BLOCK_TESTS above;
+# TestPipelineKernel and TestBFSKernel run both kernels on the four
+# vessel-model variants and check wait conservation), one iteration of
 # BenchmarkBlockingKernels (so the blocks/op and ns/block re-read cannot
-# rot; its output is kept in torture-out/ for CI to upload), one bench
-# pass over both blocking kernels, and an abort-classed torture soak —
-# blocking kernels under forced wait-aborts and delayed wakeups, with
-# the BlockedWaits == ResumedWaits + AbortedWaits conservation bar and
-# the leak bars checked every trial.
+# rot; its output is kept in torture-out/ for CI to upload), and an
+# abort-classed torture soak — blocking kernels under
+# forced wait-aborts and delayed wakeups, with the
+# BlockedWaits == ResumedWaits + AbortedWaits conservation bar and the
+# leak bars checked every trial.
 block-smoke:
-	$(GO) test -race -run 'TestCQS|TestFuture|TestChannel|TestBarrier|TestBlock|TestWait|TestAbort|TestPipeline|TestBFS|TestKernel' . ./internal/cqs/ ./internal/blockapps/ ./internal/sched/
+	$(GO) test -race -run '$(BLOCK_TESTS)' . ./internal/cqs/ ./internal/blockapps/ ./internal/sched/
 	@mkdir -p torture-out
 	$(GO) test -run '^$$' -bench BlockingKernels -benchtime 1x ./internal/blockapps > torture-out/blocking-kernels.bench.txt \
 		|| { cat torture-out/blocking-kernels.bench.txt; exit 1; }
 	@cat torture-out/blocking-kernels.bench.txt
-	$(GO) run ./cmd/nowa-bench -block -scale test -runs 3 -variants nowa,nowa-the,fibril,cilkplus
 	$(GO) run ./cmd/nowa-torture -duration 15s -chaos abort -out torture-out

@@ -31,32 +31,41 @@ var allocVariants = []struct {
 }
 
 // TestSpawnAllocs asserts the steady-state allocation bound of one
-// Spawn/Sync round trip on a single worker (the popBottom-hit path).
+// Spawn/Sync round trip on a single worker (the popBottom-hit path),
+// first on the plain runtime and then, as the "record" row, with a
+// schedule recorder attached: capture logs every popBottom outcome into
+// a preallocated ring, so turning it on must not cost an allocation.
 // The warm-up loop populates the vessel free list, the scope ring and
 // the deque ring so the measurement sees only the recycled state.
 func TestSpawnAllocs(t *testing.T) {
+	check := func(t *testing.T, rt nowa.Runtime, bound float64) {
+		defer nowa.Close(rt)
+		var avg float64
+		rt.Run(func(c nowa.Ctx) {
+			for i := 0; i < 64; i++ {
+				s := c.Scope()
+				s.Spawn(func(nowa.Ctx) {})
+				s.Sync()
+			}
+			avg = testing.AllocsPerRun(100, func() {
+				s := c.Scope()
+				s.Spawn(func(nowa.Ctx) {})
+				s.Sync()
+			})
+		})
+		if avg > bound {
+			t.Errorf("%s: %.2f allocs per spawn/sync round trip, want <= %.0f",
+				rt.Name(), avg, bound)
+		}
+	}
 	for _, tc := range allocVariants {
 		tc := tc
 		t.Run(tc.v.String(), func(t *testing.T) {
-			rt := nowa.New(tc.v, 1)
-			defer nowa.Close(rt)
-			var avg float64
-			rt.Run(func(c nowa.Ctx) {
-				for i := 0; i < 64; i++ {
-					s := c.Scope()
-					s.Spawn(func(nowa.Ctx) {})
-					s.Sync()
-				}
-				avg = testing.AllocsPerRun(100, func() {
-					s := c.Scope()
-					s.Spawn(func(nowa.Ctx) {})
-					s.Sync()
-				})
+			check(t, nowa.New(tc.v, 1), tc.bound)
+			t.Run("record", func(t *testing.T) {
+				rec := nowa.NewScheduleRecorder(1, 1<<12)
+				check(t, nowa.NewInstrumented(tc.v, 1, nowa.Instrument{Record: rec}), tc.bound)
 			})
-			if avg > tc.bound {
-				t.Errorf("%s: %.2f allocs per spawn/sync round trip, want <= %.0f",
-					tc.v, avg, tc.bound)
-			}
 		})
 	}
 }

@@ -331,22 +331,32 @@ func BenchmarkJoinCounter(b *testing.B) {
 }
 
 // BenchmarkSpawnOverhead measures the end-to-end cost of one spawn/sync
-// round trip per runtime variant (the vessel-model substrate cost).
+// round trip per runtime variant (the vessel-model substrate cost). The
+// vessel-model variants get a second row, <variant>/record, with a
+// schedule recorder attached: the difference between the two rows is
+// what turning capture on costs per round trip (a few packed atomic
+// stores into the replay ring).
 func BenchmarkSpawnOverhead(b *testing.B) {
-	for _, v := range realVariants {
-		v := v
-		b.Run(v.String(), func(b *testing.B) {
-			rt := nowa.New(v, 1)
-			defer nowa.Close(rt)
-			b.ResetTimer()
-			rt.Run(func(c nowa.Ctx) {
-				for i := 0; i < b.N; i++ {
-					s := c.Scope()
-					s.Spawn(func(nowa.Ctx) {})
-					s.Sync()
-				}
-			})
+	roundTrips := func(b *testing.B, rt nowa.Runtime) {
+		defer nowa.Close(rt)
+		b.ReportAllocs()
+		b.ResetTimer()
+		rt.Run(func(c nowa.Ctx) {
+			for i := 0; i < b.N; i++ {
+				s := c.Scope()
+				s.Spawn(func(nowa.Ctx) {})
+				s.Sync()
+			}
 		})
+	}
+	for _, v := range realVariants {
+		b.Run(v.String(), func(b *testing.B) { roundTrips(b, nowa.New(v, 1)) })
+		if nowa.HasVesselModel(v) {
+			b.Run(v.String()+"/record", func(b *testing.B) {
+				rec := nowa.NewScheduleRecorder(1, 1<<12)
+				roundTrips(b, nowa.NewInstrumented(v, 1, nowa.Instrument{Record: rec}))
+			})
+		}
 	}
 }
 

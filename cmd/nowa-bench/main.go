@@ -5,141 +5,115 @@
 // speedups with standard deviations.
 //
 // On hosts with few cores the speedups are naturally small; the
-// 256-thread figures come from nowa-sim instead. This harness validates
-// that the relative ordering holds on real hardware and measures absolute
-// per-spawn overheads.
+// 256-thread figures come from nowa-sim instead. This tool validates
+// that the relative ordering holds on real hardware. Per-layer costs
+// (spawn/sync, serving latency, blocking kernels) are measured by the
+// repo benchmark, `bash benchmark/run.sh`, not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
 	"strings"
-	"testing"
 	"time"
 
 	"nowa"
 	"nowa/internal/apps"
-	"nowa/internal/blockapps"
-	"nowa/internal/loadgen"
-	"nowa/internal/sched"
 	"nowa/internal/stats"
 )
 
 func main() {
-	benchFlag := flag.String("bench", "", "comma-separated benchmark names (default: all)")
-	variantsFlag := flag.String("variants", "nowa,nowa-the,fibril,cilkplus,tbb,libgomp,libomp-untied,libomp-tied", "comma-separated runtime variants")
-	workersFlag := flag.String("workers", "", "comma-separated worker counts (default: 1,2,4,NumCPU)")
-	runs := flag.Int("runs", 5, "measured runs per configuration (one extra warm-up run)")
-	scaleFlag := flag.String("scale", "bench", "input scale: test, bench or large")
-	micro := flag.Bool("micro", false, "measure scheduler micro-overheads (spawn/sync ns and allocs per op) plus the fib/nqueens/quicksort kernels instead of the speedup tables")
-	block := flag.Bool("block", false, "measure the blocking kernels (bounded-channel pipeline, channel-frontier BFS) with wait-protocol stats instead of the speedup tables; vessel-model variants only")
-	serve := flag.Bool("serve", false, "run the service-mode arrival-rate sweep (admission/backpressure curves) instead of the speedup tables; writes BENCH_serve.json unless -json overrides")
-	serveDur := flag.Duration("serve-dur", time.Second, "with -serve: generation time per rate point")
-	jsonFlag := flag.String("json", "", "with -micro or -serve: also write the results as JSON to this path")
-	gateFlag := flag.String("gate", "", "with -micro: baseline micro JSON report; exit nonzero if any vessel-model spawn median regresses more than 25% against it")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	scale, err := parseScale(*scaleFlag)
+// run is main with its inputs and outputs passed in, so the tests can
+// drive the command in-process. It returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nowa-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	benchFlag := fs.String("bench", "", "comma-separated benchmark names (default: all)")
+	variantsFlag := fs.String("variants", "nowa,nowa-the,fibril,cilkplus,tbb,libgomp,libomp-untied,libomp-tied", "comma-separated runtime variants")
+	workersFlag := fs.String("workers", "", "comma-separated worker counts (default: 1,2,4,NumCPU)")
+	runs := fs.Int("runs", 5, "measured runs per configuration (one extra warm-up run)")
+	scaleFlag := fs.String("scale", "bench", "input scale: test, bench or large")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if err := tables(stdout, *benchFlag, *variantsFlag, *workersFlag, *scaleFlag, *runs); err != nil {
+		fmt.Fprintln(stderr, "nowa-bench:", err)
+		return 1
+	}
+	return 0
+}
+
+// tables prints one §V speedup table per selected benchmark.
+func tables(w io.Writer, benchList, variantList, workerList, scaleName string, runs int) error {
+	scale, err := parseScale(scaleName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if *serve {
-		variants, err := parseVariants(*variantsFlag)
-		if err != nil {
-			fatal(err)
-		}
-		out := *jsonFlag
-		if out == "" {
-			out = "BENCH_serve.json"
-		}
-		runServe(variants, *serveDur, out)
-		return
+	variants, err := parseVariants(variantList)
+	if err != nil {
+		return err
 	}
-	if *micro {
-		variants, err := parseVariants(*variantsFlag)
-		if err != nil {
-			fatal(err)
-		}
-		runMicro(variants, *runs, scale, *jsonFlag, *gateFlag)
-		return
-	}
-	if *block {
-		variants, err := parseVariants(*variantsFlag)
-		if err != nil {
-			fatal(err)
-		}
-		runBlock(variants, *runs, scale, *jsonFlag)
-		return
-	}
-	if *jsonFlag != "" {
-		fatal(fmt.Errorf("-json requires -micro, -serve or -block"))
-	}
-	if *gateFlag != "" {
-		fatal(fmt.Errorf("-gate requires -micro"))
+	workers, err := parseWorkers(workerList)
+	if err != nil {
+		return err
 	}
 	benches := apps.Names()
-	if *benchFlag != "" {
-		benches = strings.Split(*benchFlag, ",")
-	}
-	variants, err := parseVariants(*variantsFlag)
-	if err != nil {
-		fatal(err)
-	}
-	workers := defaultWorkers()
-	if *workersFlag != "" {
-		workers = nil
-		for _, s := range strings.Split(*workersFlag, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 1 {
-				fatal(fmt.Errorf("bad -workers value %q", s))
-			}
-			workers = append(workers, n)
-		}
+	if benchList != "" {
+		benches = strings.Split(benchList, ",")
 	}
 
-	fmt.Printf("host: GOMAXPROCS=%d NumCPU=%d | runs=%d(+1 warm-up) scale=%s\n\n",
-		runtime.GOMAXPROCS(0), runtime.NumCPU(), *runs, scale)
+	fmt.Fprintf(w, "host: GOMAXPROCS=%d NumCPU=%d | runs=%d(+1 warm-up) scale=%s\n\n",
+		runtime.GOMAXPROCS(0), runtime.NumCPU(), runs, scale)
 
 	for _, name := range benches {
 		b, err := apps.ByName(strings.TrimSpace(name), scale)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		serial := measure(b, nowa.Serial(), *runs)
-		ts := stats.Mean(stats.DurationsToSeconds(serial))
-		fmt.Printf("%s (Ts = %.4f ± %.4f s)\n", b.Name(),
-			ts, stats.StdDev(stats.DurationsToSeconds(serial)))
-		fmt.Printf("  %-14s", "variant")
-		for _, w := range workers {
-			fmt.Printf("  %12s", fmt.Sprintf("S(%d)", w))
+		serialTimes, err := measure(b, nowa.Serial(), runs)
+		if err != nil {
+			return err
 		}
-		fmt.Println()
+		serial := stats.DurationsToSeconds(serialTimes)
+		fmt.Fprintf(w, "%s (Ts = %.4f ± %.4f s)\n", b.Name(), stats.Mean(serial), stats.StdDev(serial))
+		fmt.Fprintf(w, "  %-14s", "variant")
+		for _, n := range workers {
+			fmt.Fprintf(w, "  %12s", fmt.Sprintf("S(%d)", n))
+		}
+		fmt.Fprintln(w)
 		for _, v := range variants {
-			fmt.Printf("  %-14s", v.String())
-			for _, w := range workers {
-				rt := nowa.New(v, w)
-				times := measure(b, rt, *runs)
+			fmt.Fprintf(w, "  %-14s", v.String())
+			for _, n := range workers {
+				rt := nowa.New(v, n)
+				times, err := measure(b, rt, runs)
 				nowa.Close(rt)
-				sp, err := stats.Speedups(stats.DurationsToSeconds(serial), stats.DurationsToSeconds(times))
 				if err != nil {
-					fatal(err)
+					return err
+				}
+				sp, err := stats.Speedups(serial, stats.DurationsToSeconds(times))
+				if err != nil {
+					return err
 				}
 				sum := stats.Summarize(sp)
-				fmt.Printf("  %6.2f±%-5.2f", sum.GeoMean, sum.StdDev)
+				fmt.Fprintf(w, "  %6.2f±%-5.2f", sum.GeoMean, sum.StdDev)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
+	return nil
 }
 
 // measure runs b on rt runs+1 times (discarding the warm-up), verifying
 // every run.
-func measure(b apps.Benchmark, rt nowa.Runtime, runs int) []time.Duration {
+func measure(b apps.Benchmark, rt nowa.Runtime, runs int) ([]time.Duration, error) {
 	out := make([]time.Duration, 0, runs)
 	for i := 0; i <= runs; i++ {
 		b.Prepare()
@@ -147,13 +121,13 @@ func measure(b apps.Benchmark, rt nowa.Runtime, runs int) []time.Duration {
 		rt.Run(b.Run)
 		d := time.Since(start)
 		if err := b.Verify(); err != nil {
-			fatal(fmt.Errorf("%s on %s: %w", b.Name(), rt.Name(), err))
+			return nil, fmt.Errorf("%s on %s: %w", b.Name(), rt.Name(), err)
 		}
 		if i > 0 {
 			out = append(out, d)
 		}
 	}
-	return out
+	return out, nil
 }
 
 func parseScale(s string) (apps.Scale, error) {
@@ -184,649 +158,23 @@ func parseVariants(s string) ([]nowa.Variant, error) {
 	return out, nil
 }
 
-func defaultWorkers() []int {
-	ws := []int{1, 2, 4}
-	n := runtime.NumCPU()
-	if n > 4 {
+// parseWorkers reads the -workers list; empty selects 1, 2, 4 and, on
+// hosts with more than four CPUs, NumCPU.
+func parseWorkers(s string) ([]int, error) {
+	if s == "" {
+		ws := []int{1, 2, 4}
+		if n := runtime.NumCPU(); n > 4 {
+			ws = append(ws, n)
+		}
+		return ws, nil
+	}
+	var ws []int
+	for _, part := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad -workers value %q", part)
+		}
 		ws = append(ws, n)
 	}
-	return ws
-}
-
-// --- Micro mode (-micro) -------------------------------------------------
-//
-// Micro mode measures the scheduler substrate itself rather than the
-// paper's speedup tables: the single-worker Spawn/Sync round trip (the
-// popBottom-hit fast path engineered in DESIGN.md §9), the no-steal
-// explicit Sync, and the wall time of three Table I kernels per variant
-// as an end-to-end cross-check. With -json the results are written as a
-// machine-readable report (the committed BENCH_sched.json is one).
-
-// microResult is one variant's substrate overhead measurements.
-type microResult struct {
-	Variant string `json:"variant"`
-	// SpawnNsPerOp is the MEDIAN of the per-round samples below; the
-	// rounds interleave all variants (A/B/A/B...) so slow drift on a
-	// shared host biases every variant equally instead of whichever ran
-	// last.
-	SpawnNsPerOp   float64   `json:"spawn_ns_per_op"`
-	SpawnNsSamples []float64 `json:"spawn_ns_samples"`
-	SpawnBytes     int64     `json:"spawn_bytes_per_op"`
-	SpawnAllocs    int64     `json:"spawn_allocs_per_op"`
-	SyncNsPerOp    float64   `json:"sync_ns_per_op"`
-	SyncAllocs     int64     `json:"sync_allocs_per_op"`
-}
-
-// resourceSample is the subset of nowa.ResourceStats worth archiving per
-// benchmark run: pool size, degradation tallies and trim counts. Nil for
-// runtimes without a vessel model.
-type resourceSample struct {
-	VesselsLive     int64 `json:"vessels_live"`
-	VesselHighWater int64 `json:"vessel_high_water"`
-	VesselsTrimmed  int64 `json:"vessels_trimmed"`
-	StacksLive      int64 `json:"stacks_live"`
-	StacksTrimmed   int64 `json:"stacks_trimmed"`
-	DegradedSpawns  int64 `json:"degraded_spawns"`
-	TokenKeepSyncs  int64 `json:"token_keep_syncs"`
-}
-
-// sampleResources snapshots a runtime's resource accounting, or nil if
-// the runtime does not report any.
-func sampleResources(rt nowa.Runtime) *resourceSample {
-	rs, ok := nowa.Resources(rt)
-	if !ok {
-		return nil
-	}
-	return &resourceSample{
-		VesselsLive:     rs.VesselsLive,
-		VesselHighWater: rs.VesselHighWater,
-		VesselsTrimmed:  rs.VesselsTrimmed,
-		StacksLive:      rs.StacksLive,
-		StacksTrimmed:   rs.StacksTrimmed,
-		DegradedSpawns:  rs.DegradedSpawns,
-		TokenKeepSyncs:  rs.TokenKeepSyncs,
-	}
-}
-
-// kernelResult is one kernel's wall time on one variant.
-type kernelResult struct {
-	Benchmark string          `json:"benchmark"`
-	Variant   string          `json:"variant"`
-	Workers   int             `json:"workers"`
-	MeanSec   float64         `json:"mean_s"`
-	StdSec    float64         `json:"std_s"`
-	Resources *resourceSample `json:"resources,omitempty"`
-}
-
-// overloadResult is one variant's behaviour under a deliberately tight
-// vessel budget (MaxVessels = workers+2): the kernel must still produce
-// correct results while the high water stays at or below the budget and
-// the overflow runs inline.
-type overloadResult struct {
-	Variant    string         `json:"variant"`
-	Workers    int            `json:"workers"`
-	MaxVessels int            `json:"max_vessels"`
-	MeanSec    float64        `json:"mean_s"`
-	Resources  resourceSample `json:"resources"`
-}
-
-// replayOverheadResult is one variant's schedule-recording cost: the
-// single-worker Spawn/Sync round trip with the internal/replay recorder
-// attached versus detached. The delta is the per-decision logging cost
-// (a few packed atomic stores per spawn round trip).
-type replayOverheadResult struct {
-	Variant        string  `json:"variant"`
-	SpawnOffNsOp   float64 `json:"spawn_ns_per_op_record_off"`
-	SpawnOnNsOp    float64 `json:"spawn_ns_per_op_record_on"`
-	OverheadNsOp   float64 `json:"record_overhead_ns_per_op"`
-	SpawnAllocsOn  int64   `json:"spawn_allocs_per_op_record_on"`
-	SpawnAllocsOff int64   `json:"spawn_allocs_per_op_record_off"`
-}
-
-// microReport is the -json document.
-type microReport struct {
-	GeneratedBy string `json:"generated_by"`
-	GoVersion   string `json:"go_version"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-	NumCPU      int    `json:"num_cpu"`
-	Scale       string `json:"kernel_scale"`
-	Runs        int    `json:"kernel_runs"`
-	// GoschedFloorNsPerOp is the median cost of a bare two-goroutine
-	// ping-pong round on this host — the two scheduler switches an eager
-	// vessel handoff pays. It is re-measured once per sampling round
-	// (the per-round values are in the samples array), so every archived
-	// report carries its own floor instead of citing a stale constant.
-	GoschedFloorNsPerOp float64                `json:"gosched_floor_ns_per_op"`
-	GoschedFloorSamples []float64              `json:"gosched_floor_ns_samples"`
-	Notes               []string               `json:"notes"`
-	Micro               []microResult          `json:"micro"`
-	Kernels             []kernelResult         `json:"kernels"`
-	Overload            []overloadResult       `json:"overload,omitempty"`
-	ReplayOverhead      []replayOverheadResult `json:"replay_overhead,omitempty"`
-}
-
-// microNotes documents the methodology and the pre-change reference
-// numbers the fast-path work is measured against (see DESIGN.md §9).
-var microNotes = []string{
-	"spawn_ns_per_op is one Spawn+Sync round trip on one worker and is the MEDIAN of kernel_runs interleaved rounds (A/B/A/B across variants); the per-round samples are archived next to it.",
-	"gosched_floor_ns_per_op is the measured cost of a bare two-goroutine ping-pong round on this host: the two scheduler switches of the eager vessel handoff. Under lazy vessel promotion (the default) the no-steal spawn path switches no goroutines at all, so it is expected to land UNDER this floor; the eager comparators cannot.",
-	"Pre-promotion reference on the reference host (1-CPU VM): nowa spawn ~353 ns/op median against a ~288 ns/round Gosched floor, 0 B/op. Pre-fast-path-work: 768 ns/op first recorded, ~558 ns/op interleaved median, 48 B/op and 1 alloc/op.",
-	"Single-run samples on a shared 1-CPU VM are +/-15% noisy; compare medians of repeated runs, not single numbers.",
-}
-
-// goschedFloor measures one bare two-goroutine ping-pong round: a
-// handoff to a partner goroutine and back, i.e. the two scheduler
-// switches an eager vessel handoff pays per spawn. Archived with every
-// report so spawn numbers are always read against the floor measured on
-// the same host at the same moment.
-func goschedFloor() testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		ping, pong := make(chan struct{}), make(chan struct{})
-		go func() {
-			for range ping {
-				pong <- struct{}{}
-			}
-		}()
-		defer close(ping)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ping <- struct{}{}
-			<-pong
-		}
-	})
-}
-
-// microSpawn measures one Spawn/Sync round trip on one worker.
-func microSpawn(v nowa.Variant) testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		rt := nowa.New(v, 1)
-		defer nowa.Close(rt)
-		b.ReportAllocs()
-		b.ResetTimer()
-		rt.Run(func(c nowa.Ctx) {
-			for i := 0; i < b.N; i++ {
-				s := c.Scope()
-				s.Spawn(func(nowa.Ctx) {})
-				s.Sync()
-			}
-		})
-	})
-}
-
-// microSync measures an explicit Sync with no outstanding children.
-func microSync(v nowa.Variant) testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		rt := nowa.New(v, 1)
-		defer nowa.Close(rt)
-		b.ReportAllocs()
-		b.ResetTimer()
-		rt.Run(func(c nowa.Ctx) {
-			s := c.Scope()
-			for i := 0; i < b.N; i++ {
-				s.Sync()
-			}
-		})
-	})
-}
-
-// microSpawnRecording is microSpawn with a schedule recorder attached:
-// the same round trip, now logging popBottom outcomes into the replay
-// ring on every iteration.
-func microSpawnRecording(v nowa.Variant) testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		rec := nowa.NewScheduleRecorder(1, 1<<12)
-		rt := nowa.NewInstrumented(v, 1, nowa.Instrument{Record: rec})
-		defer nowa.Close(rt)
-		b.ReportAllocs()
-		b.ResetTimer()
-		rt.Run(func(c nowa.Ctx) {
-			for i := 0; i < b.N; i++ {
-				s := c.Scope()
-				s.Spawn(func(nowa.Ctx) {})
-				s.Sync()
-			}
-		})
-	})
-}
-
-// runServe is the -serve mode: the service-mode admission/backpressure
-// sweep, shared with cmd/nowa-serve (which exposes more knobs). Only
-// the vessel-model variants can serve; comparators are skipped.
-func runServe(variants []nowa.Variant, pointDur time.Duration, jsonPath string) {
-	workers := runtime.NumCPU()
-	if workers > 8 {
-		workers = 8
-	}
-	if workers < 2 {
-		workers = 2
-	}
-	const depth = 32
-	rep := loadgen.Report{
-		Workers:    workers,
-		Depth:      depth,
-		StartRate:  500,
-		PointDur:   pointDur.String(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	bad := 0
-	for _, v := range variants {
-		if !nowa.HasVesselModel(v) {
-			fmt.Printf("%s: no service mode (vessel model required), skipped\n", v)
-			continue
-		}
-		for _, pol := range []sched.OverloadPolicy{sched.OverloadFailFast, sched.OverloadShed} {
-			fmt.Printf("%s / %s:\n", v, pol)
-			curve, err := loadgen.Sweep(loadgen.SweepConfig{
-				MkRuntime: func() *sched.Runtime { return nowa.New(v, workers).(*sched.Runtime) },
-				Service:   sched.ServiceConfig{QueueDepth: depth, Policy: pol},
-				Variant:   v.String(),
-				Workers:   workers,
-				StartRate: rep.StartRate,
-				PointDur:  pointDur,
-				Retry:     true,
-				Logf: func(format string, args ...any) {
-					fmt.Printf(format+"\n", args...)
-				},
-			})
-			if err != nil {
-				fatal(err)
-			}
-			leaks, degraded := loadgen.CheckCurve(curve)
-			for _, msg := range leaks {
-				fmt.Fprintf(os.Stderr, "  FAIL %s\n", msg)
-				bad++
-			}
-			// Degradation on the comparator variants is reported, not
-			// fatal: locked-join variants can starve the dispatcher
-			// continuation under sustained overload (see DESIGN.md §13);
-			// the hard latency gate lives in cmd/nowa-serve.
-			for _, msg := range degraded {
-				fmt.Fprintf(os.Stderr, "  WARN %s\n", msg)
-			}
-			rep.Curves = append(rep.Curves, curve)
-		}
-	}
-
-	// The fault campaign: injected worker stalls measured bare, with
-	// stall recovery armed, and with a hedging client — the resilience
-	// counterpart of the overload curves above. Leaks are fatal; the
-	// throughput-recovery ratio is reported (the hard gate lives in
-	// cmd/nowa-serve -faults, like the latency gate).
-	fmt.Println("fault campaign:")
-	frep := loadgen.FaultSweep(loadgen.FaultSweepConfig{
-		Workers:  workers,
-		PointDur: pointDur,
-		Logf: func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		},
-	})
-	rep.Faults = &frep
-	leaks, degraded := loadgen.CheckFaultReport(frep)
-	for _, msg := range leaks {
-		fmt.Fprintf(os.Stderr, "  FAIL %s\n", msg)
-		bad++
-	}
-	for _, msg := range degraded {
-		fmt.Fprintf(os.Stderr, "  WARN %s\n", msg)
-	}
-
-	buf, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d curves)\n", jsonPath, len(rep.Curves))
-	if bad > 0 {
-		fatal(fmt.Errorf("%d degradation/leak check(s) failed", bad))
-	}
-}
-
-// microKernels are the end-to-end cross-check workloads.
-var microKernels = []string{"fib", "nqueens", "quicksort"}
-
-// gateTolerance is the regression budget for -gate: single-run spawn
-// samples on a shared host are +/-15% noisy, so the gate compares
-// medians and allows 25% before failing — wide enough that noise never
-// trips it, tight enough that a reintroduced goroutine switch (a 4-6x
-// regression on the lazy path) always does.
-const gateTolerance = 1.25
-
-// loadGateBaseline reads a previously archived -micro report and
-// returns its per-variant spawn medians. A missing file skips the gate
-// with a warning (first run on a fresh branch); a corrupt file is fatal
-// (the gate must never pass by accident).
-func loadGateBaseline(path string) map[string]float64 {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			fmt.Fprintf(os.Stderr, "gate: baseline %s not found; regression gate skipped\n", path)
-			return nil
-		}
-		fatal(err)
-	}
-	var base microReport
-	if err := json.Unmarshal(buf, &base); err != nil {
-		fatal(fmt.Errorf("gate: baseline %s is not a -micro report: %w", path, err))
-	}
-	medians := make(map[string]float64, len(base.Micro))
-	for _, m := range base.Micro {
-		medians[m.Variant] = m.SpawnNsPerOp
-	}
-	return medians
-}
-
-// checkGate compares the fresh vessel-model spawn medians against the
-// baseline and returns one message per regression beyond gateTolerance.
-// Comparator variants (goroutine-based spawn paths) are informational
-// only; the floor guarantee the gate protects is the vessel model's.
-func checkGate(baseline map[string]float64, fresh []microResult) []string {
-	byName := map[string]nowa.Variant{}
-	for _, v := range nowa.Variants() {
-		byName[v.String()] = v
-	}
-	var bad []string
-	for _, m := range fresh {
-		v, ok := byName[m.Variant]
-		if !ok || !nowa.HasVesselModel(v) {
-			continue
-		}
-		old, ok := baseline[m.Variant]
-		if !ok || old <= 0 {
-			continue
-		}
-		if m.SpawnNsPerOp > old*gateTolerance {
-			bad = append(bad, fmt.Sprintf(
-				"%s: spawn median %.1f ns/op vs baseline %.1f ns/op (+%.0f%%, budget +%.0f%%)",
-				m.Variant, m.SpawnNsPerOp, old,
-				(m.SpawnNsPerOp/old-1)*100, (gateTolerance-1)*100))
-		}
-	}
-	return bad
-}
-
-func runMicro(variants []nowa.Variant, runs int, scale apps.Scale, jsonPath, gatePath string) {
-	// Read the baseline before any chance of overwriting it: -gate and
-	// -json may (and in CI do) name the same committed file.
-	var baseline map[string]float64
-	if gatePath != "" {
-		baseline = loadGateBaseline(gatePath)
-	}
-	rep := microReport{
-		GeneratedBy: "cmd/nowa-bench -micro",
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		Scale:       scale.String(),
-		Runs:        runs,
-		Notes:       microNotes,
-	}
-	fmt.Printf("host: GOMAXPROCS=%d NumCPU=%d %s\n\n", rep.GOMAXPROCS, rep.NumCPU, rep.GoVersion)
-	rounds := runs
-	if rounds < 1 {
-		rounds = 1
-	}
-	fmt.Printf("scheduler substrate (1 worker, median of %d interleaved rounds):\n", rounds)
-	fmt.Printf("  %-14s %14s %10s %12s %14s\n", "variant", "spawn ns/op", "B/op", "allocs/op", "sync ns/op")
-	// Interleave: every round measures the Gosched floor once, then every
-	// variant once, so any drift on a shared host lands on all of them
-	// equally and the medians stay comparable A-to-B.
-	spawnSamples := make([][]float64, len(variants))
-	syncSamples := make([][]float64, len(variants))
-	last := make([]microResult, len(variants))
-	for r := 0; r < rounds; r++ {
-		fl := goschedFloor()
-		rep.GoschedFloorSamples = append(rep.GoschedFloorSamples,
-			float64(fl.T.Nanoseconds())/float64(fl.N))
-		for i, v := range variants {
-			sp := microSpawn(v)
-			sy := microSync(v)
-			spawnSamples[i] = append(spawnSamples[i], float64(sp.T.Nanoseconds())/float64(sp.N))
-			syncSamples[i] = append(syncSamples[i], float64(sy.T.Nanoseconds())/float64(sy.N))
-			last[i] = microResult{
-				Variant:     v.String(),
-				SpawnBytes:  sp.AllocedBytesPerOp(),
-				SpawnAllocs: sp.AllocsPerOp(),
-				SyncAllocs:  sy.AllocsPerOp(),
-			}
-		}
-	}
-	rep.GoschedFloorNsPerOp = stats.Median(rep.GoschedFloorSamples)
-	for i := range variants {
-		m := last[i]
-		m.SpawnNsPerOp = stats.Median(spawnSamples[i])
-		m.SpawnNsSamples = spawnSamples[i]
-		m.SyncNsPerOp = stats.Median(syncSamples[i])
-		rep.Micro = append(rep.Micro, m)
-		fmt.Printf("  %-14s %14.1f %10d %12d %14.1f\n",
-			m.Variant, m.SpawnNsPerOp, m.SpawnBytes, m.SpawnAllocs, m.SyncNsPerOp)
-	}
-	fmt.Printf("  %-14s %14.1f   (two-goroutine ping-pong round: the eager handoff's switch cost)\n",
-		"gosched-floor", rep.GoschedFloorNsPerOp)
-	workers := runtime.GOMAXPROCS(0)
-	fmt.Printf("\nkernels (%s scale, %d workers, mean of %d runs):\n", rep.Scale, workers, runs)
-	for _, name := range microKernels {
-		b, err := apps.ByName(name, scale)
-		if err != nil {
-			fatal(err)
-		}
-		for _, v := range variants {
-			rt := nowa.New(v, workers)
-			times := stats.DurationsToSeconds(measure(b, rt, runs))
-			k := kernelResult{
-				Benchmark: name,
-				Variant:   v.String(),
-				Workers:   workers,
-				MeanSec:   stats.Mean(times),
-				StdSec:    stats.StdDev(times),
-				Resources: sampleResources(rt),
-			}
-			nowa.Close(rt)
-			rep.Kernels = append(rep.Kernels, k)
-			if k.Resources != nil {
-				fmt.Printf("  %-10s %-14s %10.4f ± %.4f s  vessels hw=%d degraded=%d\n",
-					name, k.Variant, k.MeanSec, k.StdSec,
-					k.Resources.VesselHighWater, k.Resources.DegradedSpawns)
-			} else {
-				fmt.Printf("  %-10s %-14s %10.4f ± %.4f s\n", name, k.Variant, k.MeanSec, k.StdSec)
-			}
-		}
-	}
-	runOverload(&rep, variants, runs, scale, workers)
-	runReplayOverhead(&rep, variants)
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(jsonPath, buf, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nwrote %s\n", jsonPath)
-	}
-	// Gate last, after the fresh report is written: a failing run still
-	// leaves the new numbers on disk for the CI artifact upload.
-	if regressions := checkGate(baseline, rep.Micro); len(regressions) > 0 {
-		for _, msg := range regressions {
-			fmt.Fprintf(os.Stderr, "GATE FAIL %s\n", msg)
-		}
-		fatal(fmt.Errorf("%d spawn-median regression(s) beyond the %.0f%% gate", len(regressions), (gateTolerance-1)*100))
-	}
-}
-
-// --- Blocking mode (-block) ----------------------------------------------
-//
-// Blocking mode measures the external-wait layer end to end: the
-// bounded-channel pipeline (steady blocking churn) and the
-// channel-frontier BFS (bursty work-queue blocking) per vessel-model
-// variant, with the wait-protocol counters sampled after the runs. The
-// kernels require eager spawns (a parked stage's unblocker is a
-// later-spawned sibling) and the sched blocking layer, so serial elision
-// and the goroutine comparators are out of scope here by construction.
-
-// blockResult is one blocking kernel's wall time and cumulative wait
-// accounting on one variant.
-type blockResult struct {
-	Benchmark        string  `json:"benchmark"`
-	Variant          string  `json:"variant"`
-	Workers          int     `json:"workers"`
-	MeanSec          float64 `json:"mean_s"`
-	StdSec           float64 `json:"std_s"`
-	BlockedWaits     int64   `json:"blocked_waits"`
-	ResumedWaits     int64   `json:"resumed_waits"`
-	AbortedWaits     int64   `json:"aborted_waits"`
-	WakeupsLost      int64   `json:"wakeups_lost"`
-	BlockedHighWater int64   `json:"blocked_high_water"`
-}
-
-// blockReport is the -block -json document.
-type blockReport struct {
-	GeneratedBy string        `json:"generated_by"`
-	GoVersion   string        `json:"go_version"`
-	GOMAXPROCS  int           `json:"gomaxprocs"`
-	NumCPU      int           `json:"num_cpu"`
-	Scale       string        `json:"kernel_scale"`
-	Runs        int           `json:"kernel_runs"`
-	Kernels     []blockResult `json:"kernels"`
-}
-
-func runBlock(variants []nowa.Variant, runs int, scale apps.Scale, jsonPath string) {
-	workers := runtime.GOMAXPROCS(0)
-	rep := blockReport{
-		GeneratedBy: "cmd/nowa-bench -block",
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  workers,
-		NumCPU:      runtime.NumCPU(),
-		Scale:       scale.String(),
-		Runs:        runs,
-	}
-	fmt.Printf("host: GOMAXPROCS=%d NumCPU=%d %s\n", rep.GOMAXPROCS, rep.NumCPU, rep.GoVersion)
-	fmt.Printf("blocking kernels (%s scale, %d workers, eager spawns, mean of %d runs):\n", rep.Scale, workers, runs)
-	for _, name := range blockapps.BlockingNames() {
-		b, err := blockapps.ByName(name, scale)
-		if err != nil {
-			fatal(err)
-		}
-		for _, v := range variants {
-			if !nowa.HasVesselModel(v) {
-				continue
-			}
-			rt := nowa.NewLimited(v, workers, nowa.Limits{Spawn: nowa.SpawnEager})
-			times := stats.DurationsToSeconds(measure(b, rt, runs))
-			rs, ok := nowa.Resources(rt)
-			nowa.Close(rt)
-			if !ok {
-				fatal(fmt.Errorf("%s runtime reports no resources", v))
-			}
-			if rs.BlockedWaits != rs.ResumedWaits+rs.AbortedWaits {
-				fatal(fmt.Errorf("%s on %s: wait conservation violated: blocked=%d resumed=%d aborted=%d",
-					name, v, rs.BlockedWaits, rs.ResumedWaits, rs.AbortedWaits))
-			}
-			r := blockResult{
-				Benchmark:        name,
-				Variant:          v.String(),
-				Workers:          workers,
-				MeanSec:          stats.Mean(times),
-				StdSec:           stats.StdDev(times),
-				BlockedWaits:     rs.BlockedWaits,
-				ResumedWaits:     rs.ResumedWaits,
-				AbortedWaits:     rs.AbortedWaits,
-				WakeupsLost:      rs.WakeupsLost,
-				BlockedHighWater: rs.BlockedHighWater,
-			}
-			rep.Kernels = append(rep.Kernels, r)
-			fmt.Printf("  %-10s %-14s %10.4f ± %.4f s  blocked=%d resumed=%d aborted=%d lost-parks=%d hw=%d\n",
-				name, r.Variant, r.MeanSec, r.StdSec,
-				r.BlockedWaits, r.ResumedWaits, r.AbortedWaits, r.WakeupsLost, r.BlockedHighWater)
-		}
-	}
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-}
-
-// runOverload runs fib once per vessel-model variant under a tight
-// vessel budget (MaxVessels = workers+2) and records the degradation
-// tallies: the archived report then documents what graceful overload
-// looks like on this host — high water pinned at the budget, the
-// overflow spawns inlined, results still verified by measure.
-func runOverload(rep *microReport, variants []nowa.Variant, runs int, scale apps.Scale, workers int) {
-	b, err := apps.ByName("fib", scale)
-	if err != nil {
-		fatal(err)
-	}
-	maxVessels := workers + 2
-	var header bool
-	for _, v := range variants {
-		if !nowa.HasVesselModel(v) {
-			continue
-		}
-		if !header {
-			fmt.Printf("\noverload probe (fib, MaxVessels=%d):\n", maxVessels)
-			header = true
-		}
-		rt := nowa.NewLimited(v, workers, nowa.Limits{MaxVessels: maxVessels})
-		times := stats.DurationsToSeconds(measure(b, rt, runs))
-		sample := sampleResources(rt)
-		nowa.Close(rt)
-		if sample == nil {
-			fatal(fmt.Errorf("limited %s runtime reports no resources", v))
-		}
-		o := overloadResult{
-			Variant:    v.String(),
-			Workers:    workers,
-			MaxVessels: maxVessels,
-			MeanSec:    stats.Mean(times),
-			Resources:  *sample,
-		}
-		rep.Overload = append(rep.Overload, o)
-		fmt.Printf("  %-14s %10.4f s  hw=%d/%d degraded=%d keep-syncs=%d trimmed=%d\n",
-			o.Variant, o.MeanSec, sample.VesselHighWater, maxVessels,
-			sample.DegradedSpawns, sample.TokenKeepSyncs, sample.VesselsTrimmed)
-	}
-}
-
-// runReplayOverhead measures the spawn fast path with the schedule
-// recorder attached versus detached, per vessel-model variant: the
-// archived delta documents what turning on capture costs (and that it
-// stays allocation-free either way).
-func runReplayOverhead(rep *microReport, variants []nowa.Variant) {
-	var header bool
-	for _, v := range variants {
-		if !nowa.HasVesselModel(v) {
-			continue
-		}
-		if !header {
-			fmt.Printf("\nreplay recording overhead (1 worker):\n")
-			fmt.Printf("  %-14s %16s %16s %12s\n", "variant", "off ns/op", "on ns/op", "delta ns")
-			header = true
-		}
-		off := microSpawn(v)
-		on := microSpawnRecording(v)
-		r := replayOverheadResult{
-			Variant:        v.String(),
-			SpawnOffNsOp:   float64(off.T.Nanoseconds()) / float64(off.N),
-			SpawnOnNsOp:    float64(on.T.Nanoseconds()) / float64(on.N),
-			SpawnAllocsOn:  on.AllocsPerOp(),
-			SpawnAllocsOff: off.AllocsPerOp(),
-		}
-		r.OverheadNsOp = r.SpawnOnNsOp - r.SpawnOffNsOp
-		rep.ReplayOverhead = append(rep.ReplayOverhead, r)
-		fmt.Printf("  %-14s %16.1f %16.1f %12.1f\n",
-			r.Variant, r.SpawnOffNsOp, r.SpawnOnNsOp, r.OverheadNsOp)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nowa-bench:", err)
-	os.Exit(1)
+	return ws, nil
 }

@@ -1,211 +1,85 @@
-// Command nowa-serve is the service-mode load harness: it drives
-// open-loop arrival-rate curves against each continuation-stealing
-// variant's admission pipeline, locates the saturation knee, probes
-// overload at twice the knee, and writes the whole sweep to a JSON
-// report (BENCH_serve.json by default).
+// Command nowa-serve runs the fault campaign (DESIGN.md §15): the same
+// open-loop load against a serving runtime in four scenarios — clean
+// baseline, injected worker stalls, stalls with seize/supplement
+// recovery, and recovery plus a hedging client — and writes the report
+// as JSON.
 //
-//	nowa-serve -variants nowa,fibril -policies failfast,shed -dur 1s
+//	nowa-serve -workers 4 -dur 1s
 //
-// The report records per point: offered vs admitted vs shed/rejected
-// counts, retried sheds, goodput, and p50/p99/p999 latency of admitted
-// work measured from the scheduled arrival time (coordinated-omission
-// aware). Graceful degradation holds when the overload probe's p99
-// stays within 3× of the uncontended baseline for FailFast/Shed.
+// It exits non-zero on any leak, unretired supplement, recovery run
+// that never seized, supplemented goodput below 80% of the baseline, or
+// a hedged p99 above 1.5× the unhedged one. Serving latency and
+// overload behaviour are measured by the serve-* workloads of
+// `bash benchmark/run.sh`, not here.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"strings"
+	"path/filepath"
 	"time"
 
-	"nowa"
 	"nowa/internal/loadgen"
-	"nowa/internal/sched"
 )
 
 func main() {
-	variantsFlag := flag.String("variants", "nowa,nowa-the,fibril,cilkplus",
-		"comma-separated continuation-stealing variants to sweep")
-	policiesFlag := flag.String("policies", "block,failfast,shed",
-		"comma-separated overload policies to sweep")
-	workers := flag.Int("workers", defaultWorkers(), "worker count per runtime")
-	// The queue depth bounds worst-case queueing delay (≈ depth divided
-	// by the service rate); the default is sized for the latency bar
-	// rather than raw goodput.
-	depth := flag.Int("depth", 32, "admission queue depth")
-	dur := flag.Duration("dur", time.Second, "generation time per rate point")
-	startRate := flag.Float64("start-rate", 500, "lowest offered rate (submissions/s)")
-	points := flag.Int("points", 8, "max rate points per curve (each doubles the rate)")
-	iters := flag.Int("iters", 2000, "spin iterations per strand of the fork/join task")
-	submitters := flag.Int("submitters", 4, "producer goroutines")
-	retry := flag.Bool("retry", true, "retry refused/shed submissions once, honouring the hint")
-	faults := flag.Bool("faults", false,
-		"append the fault campaign: injected worker stalls measured bare, with stall recovery, and with a hedging client")
-	faultsOnly := flag.Bool("faults-only", false, "run only the fault campaign, skipping the rate sweep")
-	stallFor := flag.Duration("stall-for", 20*time.Millisecond, "with -faults: injected stall length")
-	stallEvery := flag.Int("stall-every", 300, "with -faults: one injected stall per N finish-window rolls")
-	stallThreshold := flag.Duration("stall-threshold", time.Millisecond, "with -faults: stall-recovery seizure threshold")
-	jsonPath := flag.String("json", "BENCH_serve.json", "report output path (empty to skip)")
-	flag.Parse()
-	if *faultsOnly {
-		*faults = true
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its inputs and outputs passed in, so the tests can
+// drive the command in-process. It returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nowa-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workers := fs.Int("workers", 4, "worker count per runtime")
+	dur := fs.Duration("dur", time.Second, "generation time per scenario")
+	jsonPath := fs.String("json", "torture-out/serve-faults.json", "report output path (empty to skip)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 || *workers < 1 || *dur <= 0 {
+		fmt.Fprintln(stderr, "nowa-serve: want -workers >= 1, -dur > 0 and no positional arguments")
+		return 2
 	}
 
-	variants, err := parseVariants(*variantsFlag)
-	if err != nil {
-		fatal(err)
-	}
-	policies, err := parsePolicies(*policiesFlag)
-	if err != nil {
-		fatal(err)
-	}
-
-	rep := loadgen.Report{
-		Workers:    *workers,
-		Depth:      *depth,
-		StartRate:  *startRate,
-		PointDur:   dur.String(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	bad := 0
-	if *faultsOnly {
-		variants = nil
-	}
-	for _, v := range variants {
-		for _, pol := range policies {
-			fmt.Printf("%s / %s:\n", v, pol)
-			curve, err := loadgen.Sweep(loadgen.SweepConfig{
-				MkRuntime:  func() *sched.Runtime { return nowa.New(v, *workers).(*sched.Runtime) },
-				Service:    sched.ServiceConfig{QueueDepth: *depth, Policy: pol},
-				Variant:    v.String(),
-				Workers:    *workers,
-				StartRate:  *startRate,
-				MaxPoints:  *points,
-				PointDur:   *dur,
-				Submitters: *submitters,
-				Retry:      *retry,
-				TaskIters:  *iters,
-				Logf: func(format string, args ...any) {
-					fmt.Printf(format+"\n", args...)
-				},
-			})
-			if err != nil {
-				fatal(err)
-			}
-			leaks, degraded := loadgen.CheckCurve(curve)
-			for _, msg := range append(leaks, degraded...) {
-				fmt.Fprintf(os.Stderr, "  FAIL %s\n", msg)
-				bad++
-			}
-			rep.Curves = append(rep.Curves, curve)
-		}
-	}
-
-	if *faults {
-		fmt.Println("fault campaign:")
-		frep := loadgen.FaultSweep(loadgen.FaultSweepConfig{
-			Workers:        *workers,
-			QueueDepth:     *depth,
-			PointDur:       *dur,
-			Submitters:     *submitters,
-			StallEvery:     *stallEvery,
-			StallFor:       *stallFor,
-			StallThreshold: *stallThreshold,
-			Logf: func(format string, args ...any) {
-				fmt.Printf(format+"\n", args...)
-			},
-		})
-		rep.Faults = &frep
-		leaks, degraded := loadgen.CheckFaultReport(frep)
-		for _, msg := range leaks {
-			fmt.Fprintf(os.Stderr, "  FAIL %s\n", msg)
-			bad++
-		}
-		for _, msg := range degraded {
-			fmt.Fprintf(os.Stderr, "  FAIL %s\n", msg)
-			bad++
-		}
+	fmt.Fprintln(stdout, "fault campaign:")
+	rep := loadgen.FaultSweep(loadgen.FaultSweepConfig{
+		Workers:  *workers,
+		PointDur: *dur,
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(stdout, format+"\n", args...)
+		},
+	})
+	leaks, degraded := loadgen.CheckFaultReport(rep)
+	bad := append(leaks, degraded...)
+	for _, msg := range bad {
+		fmt.Fprintf(stderr, "  FAIL %s\n", msg)
 	}
 
 	if *jsonPath != "" {
-		buf, err := json.MarshalIndent(&rep, "", "  ")
-		if err != nil {
-			fatal(err)
+		if err := writeReport(*jsonPath, rep); err != nil {
+			fmt.Fprintln(stderr, "nowa-serve:", err)
+			return 1
 		}
-		if err := os.WriteFile(*jsonPath, append(buf, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s (%d curves)\n", *jsonPath, len(rep.Curves))
+		fmt.Fprintf(stdout, "wrote %s\n", *jsonPath)
 	}
-	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "nowa-serve: %d degradation/leak check(s) failed\n", bad)
-		os.Exit(1)
+	if len(bad) > 0 {
+		fmt.Fprintf(stderr, "nowa-serve: %d degradation/leak check(s) failed\n", len(bad))
+		return 1
 	}
+	return 0
 }
 
-func parseVariants(s string) ([]nowa.Variant, error) {
-	byName := map[string]nowa.Variant{}
-	for _, v := range nowa.Variants() {
-		byName[v.String()] = v
+func writeReport(path string, rep loadgen.FaultReport) error {
+	buf, err := json.MarshalIndent(&rep, "", "  ")
+	if err != nil {
+		return err
 	}
-	var out []nowa.Variant
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		v, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown variant %q", name)
-		}
-		if !nowa.HasVesselModel(v) {
-			return nil, fmt.Errorf("variant %q has no service mode (vessel model required)", name)
-		}
-		out = append(out, v)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no variants selected")
-	}
-	return out, nil
-}
-
-func parsePolicies(s string) ([]sched.OverloadPolicy, error) {
-	var out []sched.OverloadPolicy
-	for _, name := range strings.Split(s, ",") {
-		switch strings.TrimSpace(name) {
-		case "":
-		case "block":
-			out = append(out, sched.OverloadBlock)
-		case "failfast":
-			out = append(out, sched.OverloadFailFast)
-		case "shed":
-			out = append(out, sched.OverloadShed)
-		default:
-			return nil, fmt.Errorf("unknown policy %q (want block, failfast, shed)", name)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no policies selected")
-	}
-	return out, nil
-}
-
-func defaultWorkers() int {
-	w := runtime.NumCPU()
-	if w > 8 {
-		w = 8
-	}
-	if w < 2 {
-		w = 2
-	}
-	return w
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nowa-serve:", err)
-	os.Exit(1)
+	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

@@ -18,37 +18,29 @@ import (
 type FaultSweepConfig struct {
 	// Workers per runtime (default 4).
 	Workers int
-	// QueueDepth of the admission queue (default 64).
-	QueueDepth int
-	// Rate is the offered load; zero self-calibrates to ~60% of the
-	// host's measured task throughput. The sweep needs real queue
-	// pressure — a stall only reads as a stall while runnable work
-	// exists — but must stay under the clean knee, because it measures
-	// fault damage, not saturation.
-	Rate float64
 	// PointDur is the generation time per scenario (default 1s).
 	PointDur time.Duration
-	// Submitters is the producer goroutine count (default 4).
-	Submitters int
-	// TaskIters sizes the fork/join spin task (default 2000).
+	// TaskIters sizes the fork/join spin task (default 100000).
 	TaskIters int
 	// StallEvery injects one chaos stall per N finish-window rolls
-	// (default 300); StallFor is the injected stall length (default
-	// 20ms) — far past StallThreshold (default 1ms), so every injected
-	// stall is seizable when recovery is armed.
-	StallEvery     int
-	StallFor       time.Duration
-	StallThreshold time.Duration
+	// (default 300).
+	StallEvery int
 	// Logf, if non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
 
+const (
+	// faultQueueDepth is the admission queue depth of every scenario.
+	faultQueueDepth = 32
+	// stallFor is the injected stall length — far past stallThreshold,
+	// so every injected stall is seizable when recovery is armed.
+	stallFor       = 20 * time.Millisecond
+	stallThreshold = time.Millisecond
+)
+
 func (c *FaultSweepConfig) fill() {
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
 	}
 	if c.PointDur <= 0 {
 		c.PointDur = time.Second
@@ -56,17 +48,8 @@ func (c *FaultSweepConfig) fill() {
 	if c.TaskIters <= 0 {
 		c.TaskIters = 100_000
 	}
-	if c.Rate <= 0 {
-		c.Rate = calibrateRate(c.Workers, c.TaskIters)
-	}
 	if c.StallEvery <= 0 {
 		c.StallEvery = 300
-	}
-	if c.StallFor <= 0 {
-		c.StallFor = 20 * time.Millisecond
-	}
-	if c.StallThreshold <= 0 {
-		c.StallThreshold = time.Millisecond
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -128,7 +111,7 @@ type FaultPoint struct {
 	ScopesLeaked  int64 `json:"scopes_leaked"`
 }
 
-// FaultReport is the fault-sweep section of BENCH_serve.json.
+// FaultReport is the campaign's result; cmd/nowa-serve writes it as JSON.
 type FaultReport struct {
 	Workers          int          `json:"workers"`
 	RateRPS          float64      `json:"rate_rps"`
@@ -143,29 +126,35 @@ type FaultReport struct {
 // the sweep isolates the fault knobs, not the variant space.
 func FaultSweep(cfg FaultSweepConfig) FaultReport {
 	cfg.fill()
+	// The offered load self-calibrates to ~60% of the host's measured
+	// task throughput. The sweep needs real queue pressure — a stall
+	// only reads as a stall while runnable work exists — but must stay
+	// under the clean knee, because it measures fault damage, not
+	// saturation.
+	rate := calibrateRate(cfg.Workers, cfg.TaskIters)
 	rep := FaultReport{
 		Workers:          cfg.Workers,
-		RateRPS:          cfg.Rate,
+		RateRPS:          rate,
 		StallEvery:       cfg.StallEvery,
-		StallForUS:       cfg.StallFor.Microseconds(),
-		StallThresholdUS: cfg.StallThreshold.Microseconds(),
+		StallForUS:       stallFor.Microseconds(),
+		StallThresholdUS: stallThreshold.Microseconds(),
 	}
 
-	retry := &resilience.Policy{MaxAttempts: 2}
-	hedge := &resilience.Policy{
+	retry := resilience.Policy{MaxAttempts: 2}
+	hedge := resilience.Policy{
 		MaxAttempts: 2,
 		Hedge: &resilience.HedgePolicy{
 			// The hedge exists to cut the stall-tail: fire well under
 			// the injected stall length but above healthy completion.
-			MinDelay: cfg.StallFor / 4,
-			MaxDelay: cfg.StallFor,
+			MinDelay: stallFor / 4,
+			MaxDelay: stallFor,
 		},
 	}
 	scenarios := []struct {
 		name     string
 		stalls   bool
 		recovery bool
-		policy   *resilience.Policy
+		policy   resilience.Policy
 	}{
 		{"baseline", false, false, retry},
 		{"stall", true, false, retry},
@@ -182,25 +171,24 @@ func FaultSweep(cfg FaultSweepConfig) FaultReport {
 			Join:    sched.WaitFree,
 		}
 		if sc.stalls {
-			rcfg.Chaos = &sched.Chaos{StallWorker: cfg.StallEvery, StallFor: cfg.StallFor}
+			rcfg.Chaos = &sched.Chaos{StallWorker: cfg.StallEvery, StallFor: stallFor}
 		}
 		if sc.recovery {
-			rcfg.StallThreshold = cfg.StallThreshold
+			rcfg.StallThreshold = stallThreshold
 		}
 		rt := sched.MustNew(rcfg)
 		if err := rt.StartService(sched.ServiceConfig{
-			QueueDepth: cfg.QueueDepth,
+			QueueDepth: faultQueueDepth,
 			Policy:     sched.OverloadFailFast,
 		}); err != nil {
 			panic(fmt.Sprintf("loadgen: FaultSweep StartService: %v", err))
 		}
 		res := Run(Config{
-			Runtime:    rt,
-			Rate:       cfg.Rate,
-			Duration:   cfg.PointDur,
-			Submitters: cfg.Submitters,
-			Policy:     sc.policy,
-			Task:       SpinTask(cfg.TaskIters),
+			Runtime:  rt,
+			Rate:     rate,
+			Duration: cfg.PointDur,
+			Policy:   sc.policy,
+			Task:     SpinTask(cfg.TaskIters),
 		})
 		pt := FaultPoint{
 			Scenario: sc.name,

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -14,13 +15,11 @@ func TestFaultSweepSmoke(t *testing.T) {
 		t.Skip("fault sweep generates hundreds of milliseconds of load per scenario")
 	}
 	rep := FaultSweep(FaultSweepConfig{
-		Workers:        4,
-		PointDur:       500 * time.Millisecond,
-		TaskIters:      50_000,
-		StallEvery:     30,
-		StallFor:       20 * time.Millisecond,
-		StallThreshold: time.Millisecond,
-		Logf:           t.Logf,
+		Workers:    4,
+		PointDur:   500 * time.Millisecond,
+		TaskIters:  50_000,
+		StallEvery: 30,
+		Logf:       t.Logf,
 	})
 	if len(rep.Points) != 4 {
 		t.Fatalf("got %d fault points, want 4", len(rep.Points))
@@ -41,5 +40,67 @@ func TestFaultSweepSmoke(t *testing.T) {
 		if !pt.Recovery && (pt.WorkersSeized != 0 || pt.WorkersSupplemented != 0) {
 			t.Fatalf("fault/%s: stall stats nonzero without recovery: %+v", pt.Scenario, pt)
 		}
+	}
+}
+
+// TestCheckFaultReportBars pins every bar of CheckFaultReport on
+// fabricated reports, each one step to either side of its threshold.
+func TestCheckFaultReportBars(t *testing.T) {
+	// clean passes every bar; each case breaks exactly one thing.
+	clean := func() FaultReport {
+		return FaultReport{Points: []FaultPoint{
+			{Scenario: "baseline", GoodputRatio: 1, Result: Result{P99us: 1000}},
+			{Scenario: "stall", Stalls: true, GoodputRatio: 0.5, Result: Result{P99us: 30000}},
+			{Scenario: "stall+supplement", Stalls: true, Recovery: true, GoodputRatio: 0.95,
+				WorkersSeized: 9, WorkersSupplemented: 9, SupplementsRetired: 9, Result: Result{P99us: 4000}},
+			{Scenario: "stall+supplement+hedge", Stalls: true, Recovery: true, Hedged: true, GoodputRatio: 0.9,
+				WorkersSeized: 7, WorkersSupplemented: 7, SupplementsRetired: 7, Result: Result{P99us: 4000}},
+		}}
+	}
+	const supplemented, hedged = 2, 3
+	for _, tc := range []struct {
+		name                string
+		edit                func(*FaultReport)
+		wantLeak, wantDegrd string // substring of the one expected message; "" = none
+	}{
+		{name: "clean", edit: func(*FaultReport) {}},
+		{name: "goodput 0.80 holds", edit: func(r *FaultReport) { r.Points[supplemented].GoodputRatio = 0.80 }},
+		{name: "goodput 0.79 fails", edit: func(r *FaultReport) { r.Points[supplemented].GoodputRatio = 0.79 },
+			wantDegrd: "goodput ratio 0.79 < 0.80"},
+		{name: "unsupplemented goodput is not barred", edit: func(r *FaultReport) { r.Points[1].GoodputRatio = 0.1 }},
+		{name: "hedged p99 at 1.5x holds", edit: func(r *FaultReport) { r.Points[hedged].Result.P99us = 6000 }},
+		{name: "hedged p99 past 1.5x fails", edit: func(r *FaultReport) { r.Points[hedged].Result.P99us = 6001 },
+			wantDegrd: "hedged p99 6001µs > 1.5× unhedged 4000µs"},
+		{name: "unretired supplement", edit: func(r *FaultReport) { r.Points[supplemented].SupplementsRetired = 8 },
+			wantLeak: "fault/stall+supplement: 9 supplements dispatched, 8 retired"},
+		{name: "recovery armed, never seized", edit: func(r *FaultReport) { r.Points[hedged].WorkersSeized = 0 },
+			wantLeak: "fault/stall+supplement+hedge: recovery armed but no worker was ever seized"},
+		{name: "unarmed run need not seize", edit: func(r *FaultReport) { r.Points[1].WorkersSeized = 0 }},
+		{name: "leaked vessel", edit: func(r *FaultReport) { r.Points[0].VesselsLeaked = 1 },
+			wantLeak: "fault/baseline: leaks vessels=1 stacks=0 scopes=0"},
+		{name: "leaked stack", edit: func(r *FaultReport) { r.Points[1].StacksLeaked = 2 },
+			wantLeak: "fault/stall: leaks vessels=0 stacks=2 scopes=0"},
+		{name: "leaked scope", edit: func(r *FaultReport) { r.Points[hedged].ScopesLeaked = 3 },
+			wantLeak: "leaks vessels=0 stacks=0 scopes=3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := clean()
+			tc.edit(&rep)
+			leaks, degraded := CheckFaultReport(rep)
+			checkMessages(t, "leaks", leaks, tc.wantLeak)
+			checkMessages(t, "degraded", degraded, tc.wantDegrd)
+		})
+	}
+}
+
+// checkMessages requires got to be empty when want is "", and otherwise
+// to be exactly one message containing want.
+func checkMessages(t *testing.T, kind string, got []string, want string) {
+	t.Helper()
+	switch {
+	case want == "" && len(got) != 0:
+		t.Errorf("%s = %q, want none", kind, got)
+	case want != "" && (len(got) != 1 || !strings.Contains(got[0], want)):
+		t.Errorf("%s = %q, want one message containing %q", kind, got, want)
 	}
 }

@@ -8,8 +8,14 @@
 //
 // Client behaviour at overload is delegated to internal/resilience: a
 // retrying client is a resilience.Policy with MaxAttempts > 1, and the
-// fault sweeps layer hedging on the same policy — loadgen itself no
-// longer hand-rolls hint-honouring retry loops.
+// fault campaign layers hedging on the same policy.
+//
+// Arrivals are paced with time.Sleep, which on hosts with 1 kHz timers
+// returns up to a millisecond late and bills that lag as latency. That
+// is harmless for the fault campaign (FaultSweep), whose bars are
+// ratios between scenarios paced the same way and whose stalls are tens
+// of milliseconds; absolute serving latency is measured by the
+// spin-polling generator in benchmark/, not here.
 package loadgen
 
 import (
@@ -35,17 +41,9 @@ type Config struct {
 	Rate float64
 	// Duration is how long arrivals are generated.
 	Duration time.Duration
-	// Submitters is the number of producer goroutines sharing the
-	// arrival schedule (default 4); arrivals are interleaved round-robin
-	// so no single goroutine's sleep precision bounds the rate.
-	Submitters int
-	// Retry, if true, gives each arrival the default retry policy (one
-	// hint-honouring retry) — modelling a well-behaved client honouring
-	// backpressure. Ignored when Policy is set.
-	Retry bool
-	// Policy, if non-nil, is the full client resilience policy each
-	// arrival is driven through — retry schedule, breaker, hedging.
-	Policy *resilience.Policy
+	// Policy is the client resilience policy each arrival is driven
+	// through — retry schedule, breaker, hedging.
+	Policy resilience.Policy
 	// Task is the work each submission performs.
 	Task func(api.Ctx)
 }
@@ -79,25 +77,14 @@ type submitterState struct {
 	mu      sync.Mutex
 }
 
-// clientPolicy resolves the effective resilience policy for a run.
-func clientPolicy(cfg *Config) resilience.Policy {
-	if cfg.Policy != nil {
-		return *cfg.Policy
-	}
-	if cfg.Retry {
-		// The historical well-behaved client: one retry, honouring the
-		// service's retry-after hint via the resilience backoff.
-		return resilience.Policy{MaxAttempts: 2}
-	}
-	return resilience.Policy{MaxAttempts: 1}
-}
+// submitters is the number of producer goroutines sharing the arrival
+// schedule; arrivals are interleaved round-robin so no single
+// goroutine's sleep precision bounds the rate.
+const submitters = 4
 
 // Run generates cfg.Duration of open-loop arrivals at cfg.Rate and
 // blocks until every in-flight future resolved.
 func Run(cfg Config) Result {
-	if cfg.Submitters <= 0 {
-		cfg.Submitters = 4
-	}
 	if cfg.Rate <= 0 {
 		cfg.Rate = 1
 	}
@@ -111,9 +98,9 @@ func Run(cfg Config) Result {
 	res.RateRPS = cfg.Rate
 	var admitted, rejected, shed, retried, retryOK, completed, failed, hedges, hedgeWins atomic.Int64
 
-	r := resilience.New(cfg.Runtime, clientPolicy(&cfg))
+	r := resilience.New(cfg.Runtime, cfg.Policy)
 
-	states := make([]submitterState, cfg.Submitters)
+	states := make([]submitterState, submitters)
 	var waiters sync.WaitGroup
 
 	// Each arrival runs its whole resilient call — submit, backoff,
@@ -168,12 +155,12 @@ func Run(cfg Config) Result {
 
 	start := time.Now()
 	var gen sync.WaitGroup
-	for s := 0; s < cfg.Submitters; s++ {
+	for s := 0; s < submitters; s++ {
 		gen.Add(1)
 		go func(id int) {
 			defer gen.Done()
 			st := &states[id]
-			for i := int64(id); i < total; i += int64(cfg.Submitters) {
+			for i := int64(id); i < total; i += submitters {
 				at := start.Add(time.Duration(i) * interval)
 				if d := time.Until(at); d > 0 {
 					time.Sleep(d)

@@ -1,14 +1,11 @@
 // Package stats implements the evaluation methodology of §V: arithmetic
 // means of serial times, per-run speedups against that mean, geometric
-// means and standard deviations of speedups, and geometric-mean speedup
-// ratios between runtimes (with the paper's knapsack exclusion handled by
-// the caller).
+// means and standard deviations of speedups.
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -53,20 +50,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(s / float64(len(xs)))
 }
 
-// Median returns the middle value (mean of the two middles for even n).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
-}
-
 // DurationsToSeconds converts measured run times to float seconds.
 func DurationsToSeconds(ds []time.Duration) []float64 {
 	out := make([]float64, len(ds))
@@ -107,38 +90,4 @@ type Summary struct {
 // Summarize computes the plotted statistic from per-run speedups.
 func Summarize(speedups []float64) Summary {
 	return Summary{GeoMean: GeoMean(speedups), StdDev: StdDev(speedups), N: len(speedups)}
-}
-
-// RatioGeoMean is how the paper reports "runtime A is r× faster than B on
-// average": the geometric mean over benchmarks of per-benchmark speedup
-// ratios S_A/S_B.
-func RatioGeoMean(sA, sB []float64) (float64, error) {
-	if len(sA) != len(sB) || len(sA) == 0 {
-		return 0, errors.New("stats: mismatched ratio inputs")
-	}
-	ratios := make([]float64, len(sA))
-	for i := range sA {
-		if sB[i] <= 0 || sA[i] <= 0 {
-			return 0, errors.New("stats: non-positive speedup in ratio")
-		}
-		ratios[i] = sA[i] / sB[i]
-	}
-	return GeoMean(ratios), nil
-}
-
-// MinMax returns the extrema.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
 }

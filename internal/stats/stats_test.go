@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -39,18 +40,6 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("Median odd = %g", got)
-	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Errorf("Median even = %g", got)
-	}
-	if !math.IsNaN(Median(nil)) {
-		t.Error("Median(nil) not NaN")
-	}
-}
-
 func TestSpeedups(t *testing.T) {
 	s, err := Speedups([]float64{10, 10}, []float64{2, 5})
 	if err != nil {
@@ -64,19 +53,6 @@ func TestSpeedups(t *testing.T) {
 	}
 	if _, err := Speedups([]float64{1}, []float64{0}); err == nil {
 		t.Error("zero parallel time accepted")
-	}
-}
-
-func TestRatioGeoMean(t *testing.T) {
-	r, err := RatioGeoMean([]float64{2, 8}, []float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(r, math.Sqrt(8), 1e-12) {
-		t.Errorf("ratio = %g", r)
-	}
-	if _, err := RatioGeoMean([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("mismatched lengths accepted")
 	}
 }
 
@@ -94,17 +70,6 @@ func TestDurationsToSeconds(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, 1, 2})
-	if min != 1 || max != 3 {
-		t.Errorf("minmax = %g %g", min, max)
-	}
-	min, max = MinMax(nil)
-	if !math.IsNaN(min) || !math.IsNaN(max) {
-		t.Error("MinMax(nil) not NaN")
-	}
-}
-
 // Property: GeoMean(xs) lies between min and max; scaling inputs by k
 // scales the geomean by k.
 func TestQuickGeoMeanProperties(t *testing.T) {
@@ -118,8 +83,7 @@ func TestQuickGeoMeanProperties(t *testing.T) {
 		}
 		k := float64(kRaw)/16 + 0.5
 		g := GeoMean(xs)
-		min, max := MinMax(xs)
-		if g < min-1e-9 || g > max+1e-9 {
+		if g < slices.Min(xs)-1e-9 || g > slices.Max(xs)+1e-9 {
 			return false
 		}
 		scaled := make([]float64, len(xs))
