@@ -128,8 +128,9 @@ fault-smoke:
 # race-enabled blocking primitive and kernel tests (BLOCK_TESTS above;
 # TestPipelineKernel and TestBFSKernel run both kernels on the four
 # vessel-model variants and check wait conservation), one iteration of
-# BenchmarkBlockingKernels (so the blocks/op and ns/block re-read cannot
-# rot; its output is kept in torture-out/ for CI to upload), and an
+# BenchmarkBlockingKernels and of BenchmarkChannel (so the blocks/op and
+# ns/block re-read and the four channel shapes cannot rot; their output
+# is kept in torture-out/ for CI to upload), and an
 # abort-classed torture soak — blocking kernels under
 # forced wait-aborts and delayed wakeups, with the
 # BlockedWaits == ResumedWaits + AbortedWaits conservation bar and the
@@ -137,7 +138,8 @@ fault-smoke:
 block-smoke:
 	$(GO) test -race -run '$(BLOCK_TESTS)' . ./internal/cqs/ ./internal/blockapps/ ./internal/sched/
 	@mkdir -p torture-out
-	$(GO) test -run '^$$' -bench BlockingKernels -benchtime 1x ./internal/blockapps > torture-out/blocking-kernels.bench.txt \
+	{ $(GO) test -run '^$$' -bench BlockingKernels -benchtime 1x ./internal/blockapps \
+		&& $(GO) test -run '^$$' -bench 'Channel$$' -benchtime 1x . ; } > torture-out/blocking-kernels.bench.txt \
 		|| { cat torture-out/blocking-kernels.bench.txt; exit 1; }
 	@cat torture-out/blocking-kernels.bench.txt
 	$(GO) run ./cmd/nowa-torture -duration 15s -chaos abort -out torture-out

@@ -121,6 +121,25 @@ func TestSpawnAllocsNested(t *testing.T) {
 	}
 }
 
+// TestChannelAllocs asserts that a Send and a Recv that do not block
+// allocate nothing: one ticket CAS, one cell, two looks at the waiter
+// queues.
+func TestChannelAllocs(t *testing.T) {
+	rt := nowa.New(nowa.VariantNowa, 1)
+	defer nowa.Close(rt)
+	ch := nowa.NewChannel[int](4)
+	var avg float64
+	rt.Run(func(c nowa.Ctx) {
+		avg = testing.AllocsPerRun(100, func() {
+			ch.Send(c, 1)
+			ch.Recv(c)
+		})
+	})
+	if avg > 0 {
+		t.Errorf("%.2f allocs per uncontended Send+Recv, want 0", avg)
+	}
+}
+
 // TestBlockedWaitAllocs asserts that a blocked external wait under a
 // plain Run — where no context can abort it, so no abort arm is built —
 // allocates nothing: the wait handle is embedded in the vessel, the

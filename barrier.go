@@ -17,6 +17,8 @@ import (
 // and returns the context's error; an abort that loses the race against
 // the trip relays the wakeup it can no longer use to the next waiter, so
 // no arrival is ever left asleep.
+//
+//nowa:nopad barriers are individually heap-allocated; gens and cur are written once per trip, not per arrival
 type Barrier struct {
 	parties int
 	gens    atomic.Uint64
@@ -26,6 +28,8 @@ type Barrier struct {
 // barrierGen is one generation's state: the arrival count and the waiter
 // queue. Trip installs a fresh generation before draining the old one,
 // so late arrivals and re-arrivals land on clean state.
+//
+//nowa:nopad one per trip, individually heap-allocated; every arrival writes count by design (it is the rendezvous)
 type barrierGen struct {
 	count atomic.Int64
 	q     *cqs.Queue

@@ -18,6 +18,7 @@ package nowa_test
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"nowa"
@@ -381,6 +382,87 @@ func BenchmarkSyncOverhead(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkChannel times one item through a Channel (ns/op is per item)
+// in the four shapes the blocking layer meets: a strand sending to
+// itself, where nothing ever waits; one producer and one consumer on two
+// workers; four of each on one ring of eight cells, where both tickets
+// are contended and strands sleep on both sides; and the BFS kernel's
+// shape — eight strands that both take from and add to a ring large
+// enough that no send waits.
+func BenchmarkChannel(b *testing.B) {
+	run := func(name string, workers int, body func(b *testing.B, c nowa.Ctx)) {
+		b.Run(name, func(b *testing.B) {
+			rt := nowa.NewLimited(nowa.VariantNowa, workers, nowa.Limits{Spawn: nowa.SpawnEager})
+			defer nowa.Close(rt)
+			b.ReportAllocs()
+			b.ResetTimer()
+			rt.Run(func(c nowa.Ctx) { body(b, c) })
+		})
+	}
+	// through moves b.N items from the senders to the receivers; the
+	// last sender to finish closes the channel.
+	through := func(capacity, senders, receivers int) func(*testing.B, nowa.Ctx) {
+		return func(b *testing.B, c nowa.Ctx) {
+			ch := nowa.NewChannel[int](capacity)
+			var sending atomic.Int32
+			sending.Store(int32(senders))
+			s := c.Scope()
+			for i := 0; i < senders; i++ {
+				n := b.N / senders
+				if i == 0 {
+					n += b.N % senders
+				}
+				s.Spawn(func(c nowa.Ctx) {
+					for ; n > 0; n-- {
+						ch.Send(c, n)
+					}
+					if sending.Add(-1) == 0 {
+						ch.Close()
+					}
+				})
+			}
+			for i := 0; i < receivers; i++ {
+				s.Spawn(func(c nowa.Ctx) {
+					for _, err := ch.Recv(c); err == nil; _, err = ch.Recv(c) {
+					}
+				})
+			}
+			s.Sync()
+		}
+	}
+	run("pair", 1, func(b *testing.B, c nowa.Ctx) {
+		ch := nowa.NewChannel[int](8)
+		for i := 0; i < b.N; i++ {
+			ch.Send(c, i)
+			ch.Recv(c)
+		}
+	})
+	run("spsc", 2, through(8, 1, 1))
+	run("mpmc4x4", benchWorkers(), through(8, 4, 4))
+	run("bfs", benchWorkers(), func(b *testing.B, c nowa.Ctx) {
+		// Nodes 0..b.N-1 of a binary tree: taking node v adds 2v+1 and
+		// 2v+2, and whoever retires the last node closes the frontier.
+		frontier := nowa.NewChannel[int](b.N + 1)
+		var pending atomic.Int64
+		pending.Store(int64(b.N))
+		frontier.Send(c, 0)
+		s := c.Scope()
+		for w := 0; w < 8; w++ {
+			s.Spawn(func(c nowa.Ctx) {
+				for v, err := frontier.Recv(c); err == nil; v, err = frontier.Recv(c) {
+					for child := 2*v + 1; child <= 2*v+2 && child < b.N; child++ {
+						frontier.Send(c, child)
+					}
+					if pending.Add(-1) == 0 {
+						frontier.Close()
+					}
+				}
+			})
+		}
+		s.Sync()
+	})
 }
 
 // BenchmarkParallelFor measures the combinator layer.

@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 
+	"nowa/internal/cqs"
 	"nowa/internal/sched"
 )
 
@@ -49,6 +50,46 @@ func wakeHandle(h any) { h.(*sched.Waiter).Wake() }
 // be woken through it. A cqs.Ticket is one; the barrier wraps its ticket
 // to withdraw the arrival too.
 type aborter interface{ TryAbort() bool }
+
+// blockOn is the one slow path of the primitives whose waiters retry
+// (Future.Await, Channel.Send/Recv), called once the caller found its
+// condition false: register in q, then re-check through ready — the
+// waker changes the condition and then looks for waiters, so one side
+// always sees the other. A nil return means "look again": the wake ran
+// ahead of the registration, the re-check passed (or a chaos abort was
+// planted) and the strand won its own cell back, or it parked and was
+// resumed. Losing that abort means a wakeup is in flight, which the
+// strand parks to consume. A woken strand owns nothing, so an abort
+// needs no compensation by the waker. ready is called, never kept: it
+// costs no allocation.
+func blockOn(p *sched.Proc, q *cqs.Queue, ready func() bool) error {
+	bw := p.PrepareWait()
+	t, registered := q.Enqueue(bw)
+	if !registered || ((ready() || p.ChaosAbortWait()) && t.TryAbort()) {
+		p.AbandonWait(bw)
+		return nil
+	}
+	return parkWait(p, bw, t)
+}
+
+// wakeOne is blockOn's other half where the condition changed for one
+// waiter only: it resumes the oldest waiter of q, stepping over aborted
+// cells. Of two wakers racing for one waiter the loser deposits its wake
+// in a cell yet to be taken, whose strand then looks again unparked.
+//
+//nowa:coldpath runs only when q.Waiting() said a strand is asleep
+func wakeOne(p *sched.Proc, q *cqs.Queue) {
+	for {
+		h, oc := q.Resume()
+		if oc == cqs.Woke {
+			p.ChaosWakeDelay()
+			wakeHandle(h)
+		}
+		if oc != cqs.Aborted || !q.Waiting() {
+			return
+		}
+	}
+}
 
 // parkWait commits a prepared wait and, when the strand runs under a
 // cancellable context (RunCtx, or a submission's effective context in

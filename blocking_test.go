@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -381,6 +382,198 @@ func TestChannelAbortStorm(t *testing.T) {
 			assertWaitConservation(t, rt)
 		})
 	}
+}
+
+// TestChannelMPMCStress: every mix of 1, 2 and 4 senders and receivers
+// over rings of 1, 2 and 8 cells. Each item arrives exactly once, and a
+// receiver sees any one sender's items in the order they were sent (the
+// ring hands items out in ticket order).
+func TestChannelMPMCStress(t *testing.T) {
+	const perSender = 150
+	for name, rt := range blockingRuntimes(t) {
+		t.Run(name, func(t *testing.T) {
+			defer Close(rt)
+			for _, senders := range []int{1, 2, 4} {
+				for _, receivers := range []int{1, 2, 4} {
+					for _, capacity := range []int{1, 2, 8} {
+						ch := NewChannel[int](capacity)
+						seen := make([]atomic.Int32, senders*perSender)
+						var sending atomic.Int32
+						sending.Store(int32(senders))
+						rt.Run(func(c Ctx) {
+							s := c.Scope()
+							for i := 0; i < senders; i++ {
+								i := i
+								s.Spawn(func(c Ctx) {
+									for n := 0; n < perSender; n++ {
+										if err := ch.Send(c, i*perSender+n); err != nil {
+											t.Errorf("send: %v", err)
+										}
+									}
+									if sending.Add(-1) == 0 {
+										ch.Close()
+									}
+								})
+							}
+							for i := 0; i < receivers; i++ {
+								s.Spawn(func(c Ctx) {
+									last := make([]int, senders)
+									for v, err := ch.Recv(c); err == nil; v, err = ch.Recv(c) {
+										seen[v].Add(1)
+										if from, n := v/perSender, v%perSender+1; n <= last[from] {
+											t.Errorf("sender %d: item %d received after item %d", from, n-1, last[from]-1)
+										} else {
+											last[from] = n
+										}
+									}
+								})
+							}
+							s.Sync()
+						})
+						for v := range seen {
+							if n := seen[v].Load(); n != 1 {
+								t.Fatalf("%dx%d cap %d: item %d received %d times", senders, receivers, capacity, v, n)
+							}
+						}
+					}
+				}
+			}
+			assertWaitConservation(t, rt)
+		})
+	}
+}
+
+// TestChannelCloseUnderTraffic has one sender close the channel while it,
+// three more senders and two receivers are busy on it. Every sender ends
+// with ErrClosed; an item whose Send returned before Close was called
+// reaches a receiver; one whose Send overlapped Close either does or
+// stays buffered (it may land behind the last receiver) but is never
+// lost or doubled; and no waiter is left behind, in the wait ledger or
+// in the queues' segment lists.
+func TestChannelCloseUnderTraffic(t *testing.T) {
+	const senders, receivers, limit = 4, 2, 1 << 14
+	for name, rt := range blockingRuntimes(t) {
+		t.Run(name, func(t *testing.T) {
+			defer Close(rt)
+			for round := 0; round < 20; round++ {
+				ch := NewChannel[int](2)
+				var acked [senders]atomic.Int32 // sends that returned nil, per sender
+				var before [senders]int32       // acked when Close was called
+				seen := make([]atomic.Int32, senders*limit)
+				rt.Run(func(c Ctx) {
+					s := c.Scope()
+					for i := 0; i < senders; i++ {
+						i := i
+						s.Spawn(func(c Ctx) {
+							for n := 0; n < limit; n++ { // limit only bounds seen
+								if i == 0 && n == 10*(round+1) {
+									for j := range before {
+										before[j] = acked[j].Load()
+									}
+									ch.Close()
+								}
+								if err := ch.Send(c, i*limit+n); err != nil {
+									if !errors.Is(err, ErrClosed) {
+										t.Errorf("send: %v, want ErrClosed", err)
+									}
+									return
+								}
+								acked[i].Add(1)
+							}
+						})
+					}
+					for i := 0; i < receivers; i++ {
+						s.Spawn(func(c Ctx) {
+							for v, err := ch.Recv(c); err == nil; v, err = ch.Recv(c) {
+								seen[v].Add(1)
+							}
+						})
+					}
+					s.Sync()
+				})
+				for i := range before {
+					for n := 0; n < int(before[i]); n++ {
+						if seen[i*limit+n].Load() != 1 {
+							t.Fatalf("round %d: sender %d item %d was sent before Close and not received", round, i, n)
+						}
+					}
+				}
+				rt.Run(func(c Ctx) { // what landed behind the last receiver
+					for v, err := ch.Recv(c); err == nil; v, err = ch.Recv(c) {
+						seen[v].Add(1)
+					}
+				})
+				for i := range acked {
+					for n := 0; n < limit; n++ {
+						want := int32(0)
+						if n < int(acked[i].Load()) {
+							want = 1
+						}
+						if got := seen[i*limit+n].Load(); got != want {
+							t.Fatalf("round %d: sender %d item %d (of %d acknowledged) received %d times", round, i, n, acked[i].Load(), got)
+						}
+					}
+				}
+				if a, b := ch.sendQ.Segments(), ch.recvQ.Segments(); a > 2 || b > 2 {
+					t.Fatalf("round %d: %d and %d waiter segments reachable after the close", round, a, b)
+				}
+			}
+			assertWaitConservation(t, rt)
+			if st, _ := Resources(rt); st.BlockedWaits == 0 {
+				t.Fatal("nothing blocked: the rounds did not exercise the close sweep")
+			}
+		})
+	}
+}
+
+// TestChannelHeadOfLine publishes send ticket 1 before ticket 0 while two
+// receivers sleep, by hand. The first publication wakes a receiver that
+// finds the head cell unpublished and goes back to sleep; the second
+// wakes one receiver, and it is that receiver's own-side wake that gets
+// the other one to the item published first.
+func TestChannelHeadOfLine(t *testing.T) {
+	rt := NewLimited(VariantNowa, 4, Limits{Spawn: SpawnEager})
+	defer Close(rt)
+	ch := NewChannel[int](2)
+	var sum atomic.Int64
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err := rt.RunCtx(ctx, func(c Ctx) {
+		s := c.Scope()
+		for i := 0; i < 2; i++ {
+			s.Spawn(func(c Ctx) {
+				v, err := ch.Recv(c)
+				if err != nil {
+					t.Errorf("recv: %v", err)
+				}
+				sum.Add(int64(v))
+			})
+		}
+		blocked := func() int64 { st, _ := Resources(rt); return st.BlockedWaits }
+		for blocked() < 2 {
+			runtime.Gosched()
+		}
+		if !ch.tail.CompareAndSwap(0, 2) {
+			t.Error("tail moved under a test that sends by hand")
+		}
+		for _, ticket := range []uint64{1, 0} {
+			cell := &ch.cells[ticket]
+			cell.v = 10 + int(ticket)
+			cell.seq.Store(2*ticket + 1)
+			ch.wake(procOf(c), ch.recvQ, ch.sendQ, &ch.tail, free)
+			for ticket == 1 && blocked() < 3 {
+				runtime.Gosched() // the receiver woken too early parks again
+			}
+		}
+		s.Sync()
+	})
+	if err != nil {
+		t.Fatalf("a receiver slept beside its item: %v", err)
+	}
+	if sum.Load() != 21 {
+		t.Fatalf("received sum %d, want 10+11", sum.Load())
+	}
+	assertWaitConservation(t, rt)
 }
 
 // TestBarrierGenerations: parties strands cross the barrier repeatedly;

@@ -23,6 +23,8 @@ const (
 // word, the waiter queue, and the error slot. Split out of the generic
 // struct so the fsm analyzer checks the state word's transitions once,
 // independent of instantiation.
+//
+//nowa:nopad futures are individually heap-allocated and the state word is written twice in a lifetime
 type futCore struct {
 	//nowa:fsm phases=futPending,futClaimed,futResolved,futPoisoned transitions=futPending>futClaimed,futClaimed>futResolved,futClaimed>futPoisoned
 	state atomic.Uint32
@@ -145,35 +147,11 @@ func (f *Future[T]) Await(c Ctx) (T, error) {
 		if v, err, ok := f.TryGet(); ok {
 			return v, err
 		}
-		bw := p.PrepareWait()
-		t, registered := f.core.q.Enqueue(bw)
-		if !registered {
-			// Eliminated: a resolver's drain deposited into our cell
-			// before the registration CAS — the future is resolved.
-			p.AbandonWait(bw)
-			return f.val, f.core.err
-		}
-		if s := f.core.state.Load(); s == futResolved || s == futPoisoned {
-			// Resolved between TryGet and the registration. Our ticket may
-			// lie past the drain's bound (the §16 ordering argument only
-			// covers registrations the bound snapshot saw), so waiting is
-			// not safe; abort the cell to find out which side we are on.
-			if t.TryAbort() {
-				p.AbandonWait(bw)
-				return f.val, f.core.err
-			}
-			// Lost the cell: the drain claimed it and a wakeup is in
-			// flight. Fall through and park to consume it.
-		} else if p.ChaosAbortWait() && t.TryAbort() {
-			// Planted self-abort (Chaos.AbortWait): retry from the top as
-			// if a caller-side cancellation had fired and been retried.
-			p.AbandonWait(bw)
-			continue
-		}
-		if err := parkWait(p, bw, t); err != nil {
+		// The re-check covers a ticket taken after the resolver's drain
+		// snapshotted its bound; terminal states never change.
+		if err := blockOn(p, f.core.q, f.Done); err != nil {
 			var zero T
 			return zero, err
 		}
-		return f.val, f.core.err
 	}
 }

@@ -169,6 +169,14 @@ func (q *Queue) Enqueue(h any) (Ticket, bool) {
 // drain began.
 func (q *Queue) Enqueued() uint64 { return q.enqIdx.Load() }
 
+// Waiting reports whether an enqueue ticket is still unclaimed by any
+// resumer — the read-only "is anyone asleep?" probe a primitive runs on
+// its fast path before paying for a Resume. deqIdx is loaded first, so
+// the answer is exact as of the enqIdx load: a waiter whose ticket FAA
+// precedes that load is seen, which is the waker's half of the
+// store-then-check / enqueue-then-recheck pairing (DESIGN.md §16.6).
+func (q *Queue) Waiting() bool { return q.deqIdx.Load() < q.enqIdx.Load() }
+
 // Resume claims the next dequeue ticket and resolves it: Woke with the
 // waiter's handle, Deposited, or Aborted (never Drained).
 func (q *Queue) Resume() (any, Outcome) {

@@ -252,6 +252,51 @@ func TestCQSExclusiveOutcome(t *testing.T) {
 	}
 }
 
+// TestCQSWaiting: Waiting is true exactly while an enqueue ticket is
+// unclaimed — whatever became of its cell — and false once resumes have
+// caught up with or run ahead of the enqueues.
+func TestCQSWaiting(t *testing.T) {
+	q := NewQueue()
+	check := func(step string, want bool) {
+		t.Helper()
+		if got := q.Waiting(); got != want {
+			t.Fatalf("%s: Waiting() = %v, want %v", step, got, want)
+		}
+	}
+	check("empty queue", false)
+	q.Enqueue(1)
+	check("one waiter", true)
+	if h, oc := q.Resume(); oc != Woke || h != 1 {
+		t.Fatalf("resume = (%v, %v), want (1, Woke)", h, oc)
+	}
+	check("waiter resumed", false)
+	if _, oc := q.Resume(); oc != Deposited {
+		t.Fatalf("resume ahead = %v, want Deposited", oc)
+	}
+	check("deposit ahead of the enqueues", false)
+	if _, registered := q.Enqueue(2); registered {
+		t.Fatal("enqueue registered on a deposited cell")
+	}
+	check("deposit consumed", false)
+	tk, _ := q.Enqueue(3)
+	if !tk.TryAbort() {
+		t.Fatal("abort of an unclaimed cell lost")
+	}
+	check("aborted ticket still unclaimed", true)
+	if _, oc := q.Resume(); oc != Aborted {
+		t.Fatalf("resume of aborted cell = %v, want Aborted", oc)
+	}
+	check("aborted ticket claimed", false)
+	q.Enqueue(4)
+	q.Enqueue(5)
+	woken := 0
+	q.Drain(func(any) { woken++ })
+	if woken != 2 {
+		t.Fatalf("drain woke %d, want 2", woken)
+	}
+	check("drained", false)
+}
+
 // TestCQSSemaphoreAccounting: the abort-compensation protocol — an
 // aborted acquirer's decrement is repaired by the next release's skip,
 // never by the aborter.
