@@ -38,17 +38,8 @@ func blockingRuntimes(t *testing.T) map[string]Runtime {
 // reconciliations hold.
 func assertWaitConservation(t *testing.T, rt Runtime) {
 	t.Helper()
-	st, ok := Resources(rt)
-	if !ok {
-		t.Fatal("runtime reports no resources")
-	}
-	if st.BlockedWaits != st.ResumedWaits+st.AbortedWaits {
-		t.Fatalf("wait conservation violated: blocked=%d resumed=%d aborted=%d",
-			st.BlockedWaits, st.ResumedWaits, st.AbortedWaits)
-	}
-	if st.VesselsLeaked != 0 || st.StacksLeaked != 0 || st.ScopesLeaked != 0 {
-		t.Fatalf("leaks after blocking run: vessels=%d stacks=%d scopes=%d",
-			st.VesselsLeaked, st.StacksLeaked, st.ScopesLeaked)
+	if err := rt.(*sched.Runtime).CheckIdle(); err != nil {
+		t.Fatalf("not idle after blocking run: %v", err)
 	}
 }
 
@@ -783,6 +774,7 @@ func TestSubmitCancelAbortsBlockedWait(t *testing.T) {
 	if !errors.Is(got, context.Canceled) {
 		t.Fatalf("blocked Recv under cancelled submission: %v, want context.Canceled", got)
 	}
+	Close(rt) // the idle invariants hold once the service has drained
 	assertWaitConservation(t, rt)
 }
 

@@ -1,112 +1,69 @@
 package main
 
 import (
+	"bytes"
+	"strings"
 	"testing"
-
-	"nowa/internal/replay"
 )
 
-// TestChaosClassValidation pins the -chaos vocabulary checks: soak must
-// refuse an unknown class loudly (exit 2) instead of silently drawing
-// from a truncated list, and every advertised class — including the
-// abort class added with the blocking layer — must be accepted and
-// resolvable by drawChaos.
-func TestChaosClassValidation(t *testing.T) {
-	base := soakConfig{
-		duration: 0, // validation runs before the trial loop; zero trials
-		seed:     1,
-		out:      t.TempDir(),
-		kernels:  []string{"fib"},
-		variants: []string{"nowa"},
-		chaos:    []string{"definitely-not-a-class"},
-		ringCap:  1 << 10, maxWorkers: 2,
-	}
-	if got := soak(base); got != 2 {
-		t.Fatalf("soak with unknown chaos class: exit %d, want 2", got)
-	}
-	base.chaos = []string{}
-	if got := soak(base); got != 2 {
-		t.Fatalf("soak with empty chaos list: exit %d, want 2", got)
-	}
-	base.chaos = chaosClasses
-	if got := soak(base); got != 0 {
-		t.Fatalf("soak with the full class list: exit %d, want 0", got)
-	}
-	rng := uint64(7)
-	for _, cl := range chaosClasses {
-		spec := drawChaos(cl, &rng)
-		if cl == "off" {
-			if spec != nil {
-				t.Fatalf("drawChaos(off) = %+v, want nil", spec)
+// TestExitCodes pins the command's contract with the Makefile and CI:
+// what each kind of invocation exits with, and where it says why.
+func TestExitCodes(t *testing.T) {
+	out := t.TempDir()
+	for _, tc := range []struct {
+		name, args string
+		exit       int
+		stdout     string // substring expected on stdout
+		stderr     string // substring expected on stderr
+	}{
+		{name: "help", args: "-h", exit: 0, stderr: "-chaos string"},
+		{name: "unknown flag", args: "-micro", exit: 2, stderr: "flag provided but not defined"},
+		{name: "malformed value", args: "-duration soon", exit: 2, stderr: "invalid value"},
+		{name: "unknown class", args: "-duration 0 -chaos light,havoc", exit: 2, stderr: `unknown chaos class "havoc" (want off, light, heavy, promote, stall, abort)`},
+		{name: "empty class list", args: "-duration 0 -chaos ,", exit: 2, stderr: "empty -chaos class list"},
+		{name: "unknown variant", args: "-duration 0 -variants nowa,tbb", exit: 2, stderr: `unknown variant "tbb"`},
+		{name: "unknown kernel", args: "-duration 0 -kernels fib,nosuch", exit: 2, stderr: "nosuch"},
+		{name: "missing bundle", args: "-replay " + out + "/absent.bundle", exit: 2, stderr: "absent.bundle"},
+		{name: "empty soak", args: "-duration 0 -out " + out, exit: 0, stdout: "nowa-torture: 0 trials, 0 failures in 0s"},
+		{name: "empty service soak", args: "-service -duration 0 -chaos stall -out " + out, exit: 0, stdout: "nowa-torture: 0 trials, 0 failures in 0s"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(strings.Fields(tc.args), &stdout, &stderr); code != tc.exit {
+				t.Errorf("exit %d, want %d (stderr: %s)", code, tc.exit, stderr.String())
 			}
-			continue
-		}
-		if spec == nil {
-			t.Fatalf("drawChaos(%q) = nil", cl)
-		}
-		if got := chaosLabel(spec); got != "chaos="+cl {
-			t.Fatalf("chaosLabel(drawChaos(%q)) = %q", cl, got)
-		}
-		if spec.LeakVessel != 0 {
-			t.Fatalf("drawChaos(%q) armed the planted LeakVessel bug", cl)
-		}
-	}
-	if drawChaos("abort", &rng).AbortWait == 0 {
-		t.Fatal("abort class draws no AbortWait injection")
+			if !strings.Contains(stdout.String(), tc.stdout) || (tc.stdout == "" && stdout.Len() != 0) {
+				t.Errorf("stdout = %q, want it to contain %q and nothing unasked for", stdout.String(), tc.stdout)
+			}
+			if !strings.Contains(stderr.String(), tc.stderr) || (tc.stderr == "" && stderr.Len() != 0) {
+				t.Errorf("stderr = %q, want it to contain %q and nothing unasked for", stderr.String(), tc.stderr)
+			}
+		})
 	}
 }
 
-// TestAbortTrialDraw pins the abort-class trial shape: a blocking
-// kernel, eager spawns, and no resource budgets (a vessel or stack
-// budget can lawfully deadlock a blocking kernel via keepToken).
-func TestAbortTrialDraw(t *testing.T) {
-	c := soakConfig{
-		kernels:    []string{"fib"},
-		variants:   []string{"nowa"},
-		chaos:      []string{"abort"},
-		maxWorkers: 4,
-	}
-	rng := uint64(42)
-	for n := 0; n < 32; n++ {
-		m := drawTrial(c, &rng, n)
-		if m.Chaos == nil || m.Chaos.AbortWait == 0 {
-			t.Fatalf("trial %d: no abort chaos drawn: %+v", n, m.Chaos)
-		}
-		if m.Kernel != "pipeline" && m.Kernel != "bfs" {
-			t.Fatalf("trial %d: abort class drew non-blocking kernel %q", n, m.Kernel)
-		}
-		if !m.SpawnEager {
-			t.Fatalf("trial %d: abort class without eager spawns", n)
-		}
-		if m.MaxVessels != 0 || m.SoftMaxVessels != 0 || m.MaxStacks != 0 {
-			t.Fatalf("trial %d: abort class kept budgets v=%d sv=%d st=%d",
-				n, m.MaxVessels, m.SoftMaxVessels, m.MaxStacks)
-		}
-	}
-}
-
-// TestAbortTrialRuns runs short abort-class trials end to end through
-// runTrial — the same invariant battery the soak applies, including the
-// wait-conservation bar — on both blocking kernels, with and without a
-// deadline.
-func TestAbortTrialRuns(t *testing.T) {
+// TestSelftestAndReplay drives the two other modes end to end: the
+// selftest must pass and leave bundles behind, and -replay of its bundle
+// must reproduce the planted failure.
+func TestSelftestAndReplay(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs full trials")
+		t.Skip("runs the capture, replay and shrink pipeline")
 	}
-	rng := uint64(3)
-	for _, kernel := range []string{"pipeline", "bfs"} {
-		for _, timeoutMS := range []int64{0, 1} {
-			m := replay.Meta{
-				Tool: "nowa-torture", Scale: "test",
-				Kernel: kernel, Variant: "nowa",
-				Workers: 2, Seed: 11,
-				SpawnEager: true,
-				TimeoutMS:  timeoutMS,
-				Chaos:      drawChaos("abort", &rng),
-			}
-			if f := runTrial(m, nil, nil); f != "" {
-				t.Fatalf("%s timeout=%dms: %s", kernel, timeoutMS, f)
-			}
+	out := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-selftest", "-out", out}, &stdout, &stderr); code != 0 {
+		t.Fatalf("selftest: exit %d\n%s%s", code, stdout.String(), stderr.String())
+	}
+	for _, want := range []string{"selftest trial: fib/nowa", "  trial fails as planted: vessel-leak:", "selftest passed"} {
+		if !strings.Contains(stdout.String(), "\n"+want) && !strings.HasPrefix(stdout.String(), want) {
+			t.Errorf("selftest output lacks a line starting %q:\n%s", want, stdout.String())
 		}
+	}
+	stdout.Reset()
+	if code := run([]string{"-replay", out + "/fib-nowa-w1-s7-selftest.bundle"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("replay: exit %d\n%s%s", code, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "\nreproduced: vessel-leak: ") {
+		t.Errorf("replay did not reproduce the planted leak:\n%s", stdout.String())
 	}
 }

@@ -21,16 +21,20 @@ func TestSuiteOnEveryRuntime(t *testing.T) {
 		name string
 		new  func() api.Runtime
 	}
-	makers := []mk{
-		{"nowa", func() api.Runtime { return sched.NewNowa(workers) }},
-		{"nowa-the", func() api.Runtime { return sched.NewNowaTHE(workers) }},
-		{"fibril", func() api.Runtime { return sched.NewFibril(workers) }},
-		{"cilkplus", func() api.Runtime { return sched.NewCilkPlus(workers) }},
+	var makers []mk
+	for _, name := range sched.Variants() {
+		cfg, err := sched.VariantConfig(name, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		makers = append(makers, mk{name, func() api.Runtime { return sched.MustNew(cfg) }})
+	}
+	makers = append(makers, []mk{
 		{"tbb", func() api.Runtime { return childsteal.NewTBB(workers) }},
 		{"libgomp", func() api.Runtime { return omp.NewGOMP(workers) }},
 		{"libomp-untied", func() api.Runtime { return omp.NewOMP(workers, omp.Untied) }},
 		{"libomp-tied", func() api.Runtime { return omp.NewOMP(workers, omp.Tied) }},
-	}
+	}...)
 	for _, m := range makers {
 		m := m
 		t.Run(m.name, func(t *testing.T) {

@@ -105,10 +105,10 @@ type FaultPoint struct {
 	WorkersSupplemented int64 `json:"workers_supplemented"`
 	SupplementsRetired  int64 `json:"supplements_retired"`
 
-	// Leak accounting after Close; all must be zero.
-	VesselsLeaked int64 `json:"vessels_leaked"`
-	StacksLeaked  int64 `json:"stacks_leaked"`
-	ScopesLeaked  int64 `json:"scopes_leaked"`
+	// NotIdle is the idle invariant the runtime violated after Close
+	// (sched.Runtime.CheckIdle: a leaked vessel, stack or scope, an
+	// unretired supplement, a stranded waiter); empty when all hold.
+	NotIdle string `json:"not_idle,omitempty"`
 }
 
 // FaultReport is the campaign's result; cmd/nowa-serve writes it as JSON.
@@ -171,7 +171,7 @@ func FaultSweep(cfg FaultSweepConfig) FaultReport {
 			Join:    sched.WaitFree,
 		}
 		if sc.stalls {
-			rcfg.Chaos = &sched.Chaos{StallWorker: cfg.StallEvery, StallFor: stallFor}
+			rcfg.Chaos = &sched.Chaos{StallWorker: cfg.StallEvery, StallForUS: stallFor.Microseconds()}
 		}
 		if sc.recovery {
 			rcfg.StallThreshold = stallThreshold
@@ -204,9 +204,9 @@ func FaultSweep(cfg FaultSweepConfig) FaultReport {
 		pt.WorkersSeized = final.WorkersSeized
 		pt.WorkersSupplemented = final.WorkersSupplemented
 		pt.SupplementsRetired = final.SupplementsRetired
-		pt.VesselsLeaked = final.VesselsLeaked
-		pt.StacksLeaked = final.StacksLeaked
-		pt.ScopesLeaked = final.ScopesLeaked
+		if err := rt.CheckIdle(); err != nil {
+			pt.NotIdle = err.Error()
+		}
 		if i == 0 {
 			base = res
 			pt.GoodputRatio = 1
@@ -228,9 +228,10 @@ func FaultSweep(cfg FaultSweepConfig) FaultReport {
 }
 
 // CheckFaultReport enforces the fault-campaign bars. leaks (always
-// fatal): no scenario may leak vessels, stacks, or scopes, every
-// supplement must retire, and the recovery scenarios must actually
-// seize (a sweep that never exercised the machinery proves nothing).
+// fatal): every scenario's runtime must be idle after Close — nothing
+// leaked, every supplement retired — and the recovery scenarios must
+// actually seize (a sweep that never exercised the machinery proves
+// nothing).
 // degraded (host-noise sensitive; callers decide severity): the
 // supplemented scenario must keep goodput within 80% of the clean
 // baseline, and hedging must not make the stall p99 worse than the
@@ -239,13 +240,8 @@ func CheckFaultReport(rep FaultReport) (leaks, degraded []string) {
 	var supplemented, hedged *FaultPoint
 	for i := range rep.Points {
 		pt := &rep.Points[i]
-		if pt.VesselsLeaked != 0 || pt.StacksLeaked != 0 || pt.ScopesLeaked != 0 {
-			leaks = append(leaks, fmt.Sprintf("fault/%s: leaks vessels=%d stacks=%d scopes=%d",
-				pt.Scenario, pt.VesselsLeaked, pt.StacksLeaked, pt.ScopesLeaked))
-		}
-		if pt.WorkersSupplemented != pt.SupplementsRetired {
-			leaks = append(leaks, fmt.Sprintf("fault/%s: %d supplements dispatched, %d retired",
-				pt.Scenario, pt.WorkersSupplemented, pt.SupplementsRetired))
+		if pt.NotIdle != "" {
+			leaks = append(leaks, fmt.Sprintf("fault/%s: %s", pt.Scenario, pt.NotIdle))
 		}
 		if pt.Recovery && pt.WorkersSeized == 0 {
 			leaks = append(leaks, fmt.Sprintf("fault/%s: recovery armed but no worker was ever seized",

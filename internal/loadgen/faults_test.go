@@ -71,17 +71,18 @@ func TestCheckFaultReportBars(t *testing.T) {
 		{name: "hedged p99 at 1.5x holds", edit: func(r *FaultReport) { r.Points[hedged].Result.P99us = 6000 }},
 		{name: "hedged p99 past 1.5x fails", edit: func(r *FaultReport) { r.Points[hedged].Result.P99us = 6001 },
 			wantDegrd: "hedged p99 6001µs > 1.5× unhedged 4000µs"},
-		{name: "unretired supplement", edit: func(r *FaultReport) { r.Points[supplemented].SupplementsRetired = 8 },
-			wantLeak: "fault/stall+supplement: 9 supplements dispatched, 8 retired"},
+		{name: "unretired supplement", edit: func(r *FaultReport) {
+			r.Points[supplemented].NotIdle = "supplement-leak: 9 supplements dispatched, 8 retired"
+		}, wantLeak: "fault/stall+supplement: supplement-leak: 9 supplements dispatched, 8 retired"},
 		{name: "recovery armed, never seized", edit: func(r *FaultReport) { r.Points[hedged].WorkersSeized = 0 },
 			wantLeak: "fault/stall+supplement+hedge: recovery armed but no worker was ever seized"},
 		{name: "unarmed run need not seize", edit: func(r *FaultReport) { r.Points[1].WorkersSeized = 0 }},
-		{name: "leaked vessel", edit: func(r *FaultReport) { r.Points[0].VesselsLeaked = 1 },
-			wantLeak: "fault/baseline: leaks vessels=1 stacks=0 scopes=0"},
-		{name: "leaked stack", edit: func(r *FaultReport) { r.Points[1].StacksLeaked = 2 },
-			wantLeak: "fault/stall: leaks vessels=0 stacks=2 scopes=0"},
-		{name: "leaked scope", edit: func(r *FaultReport) { r.Points[hedged].ScopesLeaked = 3 },
-			wantLeak: "leaks vessels=0 stacks=0 scopes=3"},
+		{name: "leaked vessel", edit: func(r *FaultReport) { r.Points[0].NotIdle = "vessel-leak: 1 vessels never returned to a free list" },
+			wantLeak: "fault/baseline: vessel-leak: 1 vessels"},
+		{name: "leaked stack", edit: func(r *FaultReport) { r.Points[1].NotIdle = "stack-leak: 2 stacks unaccounted" },
+			wantLeak: "fault/stall: stack-leak: 2 stacks"},
+		{name: "leaked scope", edit: func(r *FaultReport) { r.Points[hedged].NotIdle = "scope-leak: 3 scopes abandoned" },
+			wantLeak: "fault/stall+supplement+hedge: scope-leak: 3 scopes"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rep := clean()

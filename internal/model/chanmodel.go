@@ -145,84 +145,72 @@ type chstate struct {
 	cb, cd     int8
 }
 
+// chpath is a state as the exploration reached it: the state proper,
+// which alone keys the visited set, plus what belongs to the path — the
+// name the trace gives each strand slot (canon renames strands as it
+// goes), and the property a step found broken while it was being taken.
+type chpath struct {
+	chstate
+	perm [chMaxThreads]int8
+	bad  string
+}
+
+func (s *chpath) fail(format string, args ...any) {
+	if s.bad == "" {
+		s.bad = fmt.Sprintf(format, args...)
+	}
+}
+
 // CheckChannel exhaustively explores the scenario.
-func CheckChannel(cfg ChanConfig) DequeResult {
-	e := &chanExplorer{cfg: cfg, visited: map[chstate]bool{}, perm: [chMaxThreads]int8{0, 1, 2, 3}}
-	var s chstate
+func CheckChannel(cfg ChanConfig) Result {
+	s := chpath{perm: [chMaxThreads]int8{0, 1, 2, 3}}
 	for i := 0; i < cfg.Cap; i++ {
 		s.seq[i] = int8(2 * i)
 	}
 	for i := cfg.Senders + cfg.Receivers; i < chMaxThreads; i++ {
 		s.th[i].pc = pcDone
 	}
-	e.dfs(s)
-	return DequeResult{States: len(e.visited), Executions: e.executions, Violation: e.violation}
+	return explore(s, rules[chpath, chstate]{
+		key:   func(s chpath) chstate { return s.chstate },
+		steps: cfg.steps, inState: cfg.checkQuiescent, atEnd: cfg.checkTerminal,
+		maxStates: chMaxStates,
+	})
 }
 
-type chanExplorer struct {
-	cfg        ChanConfig
-	visited    map[chstate]bool
-	perm       [chMaxThreads]int8 // slot → the strand the trace calls it, along the current path
-	trace      []string
-	executions int
-	violation  *Violation
-}
-
-func (e *chanExplorer) fail(format string, args ...any) {
-	if e.violation == nil {
-		e.violation = &Violation{Kind: fmt.Sprintf(format, args...), Trace: copyTrace(e.trace)}
-	}
-}
-
-func (e *chanExplorer) dfs(s chstate) {
-	if e.violation != nil || e.visited[s] {
-		return
-	}
-	if len(e.visited) == chMaxStates {
-		e.fail("model bound: more than %d states", chMaxStates)
-		return
-	}
-	e.visited[s] = true
-	e.checkQuiescent(&s)
-	progressed := false
-	for id := 0; id <= chMaxThreads && e.violation == nil; id++ {
+// steps lists the successors of s, strands in slot order and the closer
+// last, each one retired and canonicalised.
+func (c ChanConfig) steps(s chpath) []step[chpath] {
+	var out []step[chpath]
+	for id := 0; id <= chMaxThreads; id++ {
 		ns := s
 		var name string
 		if id == chMaxThreads {
-			name = e.closerStep(&ns)
+			name = c.closerStep(&ns)
 		} else {
-			name = e.threadStep(&ns, id)
+			name = c.threadStep(&ns, id)
 		}
 		if name == "" {
 			continue
 		}
-		progressed = true
-		if id < chMaxThreads && e.cfg.Recvs > 0 {
+		if id < chMaxThreads && c.Recvs > 0 {
 			// No closer in this scenario: closed never changes, so a
 			// load of it commutes with every other step; take it now.
-			for pc := ns.th[id].pc; pc == pcClosedOp || pc == pcClosedRdy || pc == pcRetry && e.sender(id); pc = ns.th[id].pc {
-				e.threadStep(&ns, id)
+			for pc := ns.th[id].pc; pc == pcClosedOp || pc == pcClosedRdy || pc == pcRetry && c.sender(id); pc = ns.th[id].pc {
+				c.threadStep(&ns, id)
 			}
 		}
-		e.retire(&ns)
-		perm := e.perm
-		e.canon(&ns)
-		e.trace = append(e.trace, name)
-		e.dfs(ns)
-		e.trace = e.trace[:len(e.trace)-1]
-		e.perm = perm
+		c.retire(&ns.chstate)
+		c.canon(&ns)
+		out = append(out, step[chpath]{name: name, next: ns, bad: ns.bad})
 	}
-	if !progressed && e.violation == nil {
-		e.executions++
-		e.checkTerminal(&s)
-	}
+	return out
 }
 
 // retire drops the oldest waiter ticket of a queue once both sides are
 // through with it, renumbering the rest: what the protocol does next
 // depends on no ticket's number, and without this every spurious park in
 // a history would make a state of its own.
-func (e *chanExplorer) retire(s *chstate) {
+func (c ChanConfig) retire(s *chstate) {
 queues:
 	for qi := range s.q {
 		q := &s.q[qi]
@@ -234,7 +222,7 @@ queues:
 			refs := held[:0]
 			for id := range s.th {
 				t := &s.th[id]
-				onOwn := e.side(id) == qi
+				onOwn := c.side(id) == qi
 				if onOwn && (t.pc == pcRegister || t.pc == pcAbort || t.use == forReady && (t.pc == pcProbe || t.pc == pcClosedRdy)) {
 					refs = append(refs, &t.k)
 				}
@@ -263,24 +251,24 @@ queues:
 // them everywhere a strand is named (waiter cells, item numbers): the
 // strands of a role run the same program, so states that differ by such
 // a renaming have the same futures and only one of them is explored.
-func (e *chanExplorer) canon(s *chstate) {
-	for _, a := range []int{0, e.cfg.Senders} {
+func (c ChanConfig) canon(s *chpath) {
+	for _, a := range []int{0, c.Senders} {
 		b := a + 1
-		if e.sender(a) != e.sender(b) || b >= e.cfg.Senders+e.cfg.Receivers || !s.th[b].less(&s.th[a]) {
+		if c.sender(a) != c.sender(b) || b >= c.Senders+c.Receivers || !s.th[b].less(&s.th[a]) {
 			continue
 		}
 		s.th[a], s.th[b] = s.th[b], s.th[a]
-		e.perm[a], e.perm[b] = e.perm[b], e.perm[a]
-		q := &s.q[e.side(a)]
+		s.perm[a], s.perm[b] = s.perm[b], s.perm[a]
+		q := &s.q[c.side(a)]
 		for i, c := range q.cell {
 			if c == wcWaiter {
 				q.who[i] = int8(a+b) - q.who[i]
 			}
 		}
-		if !e.sender(a) {
+		if !c.sender(a) {
 			continue
 		}
-		n := e.cfg.Items
+		n := c.Items
 		for i := 0; i < n; i++ {
 			s.got[i], s.got[n+i] = s.got[n+i], s.got[i]
 		}
@@ -305,72 +293,72 @@ func (t *chThread) less(u *chThread) bool {
 	return !t.own && u.own || t.own == u.own && !t.woken && u.woken
 }
 
-func (e *chanExplorer) sender(id int) bool { return id < e.cfg.Senders }
+func (c ChanConfig) sender(id int) bool { return id < c.Senders }
 
 // side returns the index of the strand's own waiter queue.
-func (e *chanExplorer) side(id int) int {
-	if e.sender(id) {
+func (c ChanConfig) side(id int) int {
+	if c.sender(id) {
 		return 0
 	}
 	return 1
 }
 
-func (e *chanExplorer) name(id int) string {
-	if e.sender(id) {
-		return fmt.Sprintf("S%d", e.perm[id])
+func (c ChanConfig) name(s *chpath, id int) string {
+	if c.sender(id) {
+		return fmt.Sprintf("S%d", s.perm[id])
 	}
-	return fmt.Sprintf("R%d", int(e.perm[id])-e.cfg.Senders)
+	return fmt.Sprintf("R%d", int(s.perm[id])-c.Senders)
 }
 
 // admits is claim's cell test at ticket t.
-func (e *chanExplorer) admits(s *chstate, sender bool, t int8) bool {
+func (c ChanConfig) admits(s *chstate, sender bool, t int8) bool {
 	want := 2 * t
 	if !sender {
 		want++
 	}
-	return s.seq[int(t)%e.cfg.Cap] == want
+	return s.seq[int(t)%c.Cap] == want
 }
 
 // checkQuiescent is the sleeping-beside-a-usable-cell invariant, on
 // states where every strand is between operations, parked or returned
 // and the closer is not mid-drain.
-func (e *chanExplorer) checkQuiescent(s *chstate) {
+func (c ChanConfig) checkQuiescent(s chpath) string {
 	if s.cpc != clWait && s.cpc != clDone {
-		return
+		return ""
 	}
 	for id := range s.th {
 		if t := &s.th[id]; t.pc != pcIdle && t.pc != pcDone && !(t.pc == pcParked && !t.woken) {
-			return
+			return ""
 		}
 	}
 	for id := range s.th {
 		if s.th[id].pc != pcParked {
 			continue
 		}
-		if e.sender(id) && e.admits(s, true, s.tail) {
-			e.fail("lost wakeup: %s is parked while the ring has space and no operation is in progress", e.name(id))
-		} else if !e.sender(id) && e.admits(s, false, s.head) {
-			e.fail("lost wakeup: %s is parked while the ring has an item and no operation is in progress", e.name(id))
+		if c.sender(id) && c.admits(&s.chstate, true, s.tail) {
+			return fmt.Sprintf("lost wakeup: %s is parked while the ring has space and no operation is in progress", c.name(&s, id))
+		} else if !c.sender(id) && c.admits(&s.chstate, false, s.head) {
+			return fmt.Sprintf("lost wakeup: %s is parked while the ring has an item and no operation is in progress", c.name(&s, id))
 		}
 	}
+	return ""
 }
 
-func (e *chanExplorer) checkTerminal(s *chstate) {
+func (c ChanConfig) checkTerminal(s chpath) string {
 	for id := range s.th {
 		if s.th[id].pc != pcDone {
-			e.fail("lost wakeup: %s never returned (pc %d) and nothing is left to wake it", e.name(id), s.th[id].pc)
-			return
+			return fmt.Sprintf("lost wakeup: %s never returned (pc %d) and nothing is left to wake it", c.name(&s, id), s.th[id].pc)
 		}
 	}
-	if e.cfg.CloseEarly {
-		return
+	if c.CloseEarly {
+		return ""
 	}
-	for i := 0; i < e.cfg.Senders*e.cfg.Items; i++ {
+	for i := 0; i < c.Senders*c.Items; i++ {
 		if s.got[i] != 1 {
-			e.fail("item %d received %d times", i+1, s.got[i])
-			return
+			return fmt.Sprintf("item %d received %d times", i+1, s.got[i])
 		}
 	}
+	return ""
 }
 
 // to moves the strand to pc with its registers cleared, so that states
@@ -384,12 +372,12 @@ func (t *chThread) wakeOne(own bool) {
 }
 
 // opDone ends a successful operation.
-func (e *chanExplorer) opDone(t *chThread, id int) {
+func (c ChanConfig) opDone(t *chThread, id int) {
 	t.n++
 	t.to(pcIdle)
-	limit := e.cfg.Recvs
-	if e.sender(id) {
-		limit = e.cfg.Items
+	limit := c.Recvs
+	if c.sender(id) {
+		limit = c.Items
 	}
 	if int(t.n) == limit {
 		t.pc = pcDone
@@ -398,29 +386,29 @@ func (e *chanExplorer) opDone(t *chThread, id int) {
 
 // afterWake continues after one wakeOne (or the Waiting() that skipped
 // it): the other side's wake is followed by the own side's check.
-func (e *chanExplorer) afterWake(t *chThread, id int) {
-	if t.own || e.cfg.BuggyNoChainWake {
-		e.opDone(t, id)
+func (c ChanConfig) afterWake(t *chThread, id int) {
+	if t.own || c.BuggyNoChainWake {
+		c.opDone(t, id)
 	} else {
 		t.pc = pcOwnAsleep
 	}
 }
 
-func (e *chanExplorer) threadStep(s *chstate, id int) string {
+func (c ChanConfig) threadStep(s *chpath, id int) string {
 	t := &s.th[id]
-	sender := e.sender(id)
-	own := &s.q[e.side(id)]
-	wq := &s.q[1-e.side(id)] // the queue a wakeOne in progress works on
+	sender := c.sender(id)
+	own := &s.q[c.side(id)]
+	wq := &s.q[1-c.side(id)] // the queue a wakeOne in progress works on
 	if t.own {
 		wq = own
 	}
-	who := e.name(id)
+	who := c.name(s, id)
 	switch t.pc {
 	case pcIdle, pcRetry:
 		t.use = forOp
 		t.pc = pcProbe
 		if !sender {
-			return e.threadStep(s, id) // Recv starts at the ring
+			return c.threadStep(s, id) // Recv starts at the ring
 		}
 		if s.closed {
 			t.to(pcDone)
@@ -432,7 +420,7 @@ func (e *chanExplorer) threadStep(s *chstate, id int) string {
 		if sender {
 			word = &s.tail
 		}
-		ok := e.admits(s, sender, *word)
+		ok := c.admits(&s.chstate, sender, *word)
 		switch {
 		case t.use == forOp && ok:
 			t.t = *word
@@ -452,10 +440,10 @@ func (e *chanExplorer) threadStep(s *chstate, id int) string {
 		}
 		return fmt.Sprintf("%s: probe ticket %d: admits=%v", who, *word, ok)
 	case pcHandOver:
-		i := int(t.t) % e.cfg.Cap
+		i := int(t.t) % c.Cap
 		t.pc = pcOtherAsleep
 		if sender {
-			s.val[i] = int8(id*e.cfg.Items) + t.n + 1
+			s.val[i] = int8(id*c.Items) + t.n + 1
 			s.seq[i] = 2*t.t + 1
 			return fmt.Sprintf("%s: publish item %d in cell %d", who, s.val[i], i)
 		}
@@ -463,9 +451,9 @@ func (e *chanExplorer) threadStep(s *chstate, id int) string {
 		s.val[i] = 0
 		s.got[item-1]++
 		if s.got[item-1] > 1 {
-			e.fail("item %d received twice", item)
+			s.fail("item %d received twice", item)
 		}
-		s.seq[i] = 2 * (t.t + int8(e.cfg.Cap))
+		s.seq[i] = 2 * (t.t + int8(c.Cap))
 		return fmt.Sprintf("%s: take item %d, free cell %d", who, item, i)
 	case pcClosedOp:
 		if s.closed {
@@ -486,11 +474,11 @@ func (e *chanExplorer) threadStep(s *chstate, id int) string {
 		t.to(pcRetry)
 		return who + ": load head: a send is in flight, retry"
 	case pcOtherAsleep:
-		if q := &s.q[1-e.side(id)]; q.deq < q.enq {
+		if q := &s.q[1-c.side(id)]; q.deq < q.enq {
 			t.wakeOne(false)
 			return who + ": Waiting: other side asleep"
 		}
-		e.afterWake(t, id)
+		c.afterWake(t, id)
 		return who + ": Waiting: other side: nobody"
 	case pcOwnAsleep:
 		if own.deq < own.enq {
@@ -498,7 +486,7 @@ func (e *chanExplorer) threadStep(s *chstate, id int) string {
 			t.pc = pcProbe
 			return who + ": Waiting: own side asleep"
 		}
-		e.opDone(t, id)
+		c.opDone(t, id)
 		return who + ": Waiting: own side: nobody"
 	case pcClosedRdy:
 		switch {
@@ -509,12 +497,12 @@ func (e *chanExplorer) threadStep(s *chstate, id int) string {
 		case s.closed:
 			t.wakeOne(true)
 		default:
-			e.opDone(t, id)
+			c.opDone(t, id)
 		}
 		return fmt.Sprintf("%s: ready: load closed: %v", who, s.closed)
 	case pcWakeFAA:
 		if wq.deq == chMaxTickets {
-			e.fail("model bound: more than %d waiter tickets on one queue", chMaxTickets)
+			s.fail("model bound: more than %d waiter tickets on one queue", chMaxTickets)
 			return who + ": wakeOne"
 		}
 		t.d = wq.deq
@@ -526,7 +514,7 @@ func (e *chanExplorer) threadStep(s *chstate, id int) string {
 		if outcome == "cell aborted" {
 			t.pc = pcWakeAgain
 		} else {
-			e.afterWake(t, id)
+			c.afterWake(t, id)
 		}
 		return who + ": wakeOne: " + outcome
 	case pcWakeAgain:
@@ -534,11 +522,11 @@ func (e *chanExplorer) threadStep(s *chstate, id int) string {
 			t.pc = pcWakeFAA
 			return who + ": wakeOne: Waiting: next waiter"
 		}
-		e.afterWake(t, id)
+		c.afterWake(t, id)
 		return who + ": wakeOne: Waiting: nobody"
 	case pcEnq:
 		if own.enq == chMaxTickets {
-			e.fail("model bound: more than %d waiter tickets on one queue", chMaxTickets)
+			s.fail("model bound: more than %d waiter tickets on one queue", chMaxTickets)
 			return who + ": enqueue"
 		}
 		t.k = own.enq
@@ -554,7 +542,7 @@ func (e *chanExplorer) threadStep(s *chstate, id int) string {
 		own.who[t.k] = int8(id)
 		t.use = forReady
 		t.pc = pcProbe
-		if e.cfg.BuggyNoRecheck {
+		if c.BuggyNoRecheck {
 			t.to(pcParked)
 		}
 		return who + ": blockOn: registered"
@@ -594,15 +582,15 @@ func (s *chstate) resume(q *chQueue, d int8) string {
 }
 
 // closerStep is Close: store closed, then Drain(sendQ), Drain(recvQ).
-func (e *chanExplorer) closerStep(s *chstate) string {
+func (c ChanConfig) closerStep(s *chpath) string {
 	q := &s.q[s.cq]
 	switch s.cpc {
 	case clWait:
-		if e.cfg.Recvs > 0 {
+		if c.Recvs > 0 {
 			return ""
 		}
-		if !e.cfg.CloseEarly {
-			for id := 0; id < e.cfg.Senders; id++ {
+		if !c.CloseEarly {
+			for id := 0; id < c.Senders; id++ {
 				if s.th[id].pc != pcDone {
 					return ""
 				}

@@ -86,15 +86,8 @@ func (s *dstate) key() string {
 	return b.String()
 }
 
-// DequeResult reports a deque model check.
-type DequeResult struct {
-	States     int
-	Executions int
-	Violation  *Violation
-}
-
 // CheckDeque exhaustively explores the scenario.
-func CheckDeque(cfg DequeConfig) DequeResult {
+func CheckDeque(cfg DequeConfig) Result {
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 2
 	}
@@ -108,77 +101,40 @@ func CheckDeque(cfg DequeConfig) DequeResult {
 	for i := range s.thiefGot {
 		s.thiefGot[i] = -1
 	}
-	e := &dequeExplorer{cfg: cfg, visited: map[string]bool{}}
-	e.dfs(s, nil)
-	return DequeResult{States: len(e.visited), Executions: e.executions, Violation: e.violation}
+	return explore(s, rules[*dstate, string]{key: (*dstate).key, steps: cfg.enabled, atEnd: (*dstate).conserved})
 }
 
-type dequeExplorer struct {
-	cfg        DequeConfig
-	visited    map[string]bool
-	executions int
-	violation  *Violation
+// conserved verifies conservation at quiescence.
+func (s *dstate) conserved() string {
+	return conservation(int(s.pushedVal)-1, s.ownerGot, s.thiefGot, s.slots, s.top, s.bottom)
 }
 
-func (e *dequeExplorer) dfs(s *dstate, trace []string) {
-	if e.violation != nil {
-		return
-	}
-	k := s.key()
-	if e.visited[k] {
-		return
-	}
-	e.visited[k] = true
-
-	ts := e.enabled(s)
-	if len(ts) == 0 {
-		e.executions++
-		if v := e.checkTerminal(s, trace); v != nil {
-			e.violation = v
-		}
-		return
-	}
-	for _, t := range ts {
-		ns := s.clone()
-		t.apply(ns)
-		e.dfs(ns, append(trace, t.name))
-		if e.violation != nil {
-			return
-		}
-	}
-}
-
-// checkTerminal verifies conservation at quiescence.
-func (e *dequeExplorer) checkTerminal(s *dstate, trace []string) *Violation {
-	pushed := int(s.pushedVal) - 1
+// conservation checks that each of the values 1..pushed was consumed
+// exactly once — by the owner, by a thief — or still sits in the ring at
+// indices [lo, hi).
+func conservation(pushed int, ownerGot, thiefGot []int8, slots [dequeRingSize]int8, lo, hi int8) string {
 	seen := map[int8]int{}
-	for _, v := range s.ownerGot {
+	for _, v := range ownerGot {
 		seen[v]++
 	}
-	for _, v := range s.thiefGot {
+	for _, v := range thiefGot {
 		if v > 0 {
 			seen[v]++
 		}
 	}
-	// Remaining elements live at ring indices [top, bottom).
-	for i := s.top; i < s.bottom; i++ {
-		seen[s.slots[i%dequeRingSize]]++
+	for i := lo; i < hi; i++ {
+		seen[slots[i%dequeRingSize]]++
 	}
 	for v := int8(1); int(v) <= pushed; v++ {
 		switch seen[v] {
 		case 1:
 		case 0:
-			return &Violation{Kind: fmt.Sprintf("lost element %d", v), Trace: copyTrace(trace)}
+			return fmt.Sprintf("lost element %d", v)
 		default:
-			return &Violation{Kind: fmt.Sprintf("element %d consumed %d times", v, seen[v]), Trace: copyTrace(trace)}
+			return fmt.Sprintf("element %d consumed %d times", v, seen[v])
 		}
 	}
-	return nil
-}
-
-type dtrans struct {
-	name  string
-	apply func(*dstate)
+	return ""
 }
 
 // Owner micro-programs. pc encoding per op:
@@ -189,21 +145,21 @@ type dtrans struct {
 //	      3 empty path: store bottom=t → next op
 //	      4 single-element: CAS top (succeed or lose); 5 store bottom=t+1 → next
 //	      6 plain take slot[b] → next op
-func (e *dequeExplorer) enabled(s *dstate) []dtrans {
-	var out []dtrans
-	if int(s.ownerOp) < len(e.cfg.Owner) {
-		out = append(out, e.ownerStep(s))
+func (c DequeConfig) enabled(s *dstate) []step[*dstate] {
+	var out []step[*dstate]
+	if int(s.ownerOp) < len(c.Owner) {
+		out = append(out, c.ownerStep(s))
 	}
-	for i := 0; i < e.cfg.Thieves; i++ {
-		if t, ok := e.thiefStep(s, i); ok {
+	for i := 0; i < c.Thieves; i++ {
+		if t, ok := c.thiefStep(s, i); ok {
 			out = append(out, t)
 		}
 	}
 	return out
 }
 
-func (e *dequeExplorer) ownerStep(s *dstate) dtrans {
-	op := e.cfg.Owner[s.ownerOp]
+func (c DequeConfig) ownerStep(s *dstate) step[*dstate] {
+	op := c.Owner[s.ownerOp]
 	if op == DPush {
 		storeSlot := func(ns *dstate) {
 			ns.slots[ns.ownerB%dequeRingSize] = ns.pushedVal
@@ -212,43 +168,43 @@ func (e *dequeExplorer) ownerStep(s *dstate) dtrans {
 		publish := func(ns *dstate) { ns.bottom = ns.ownerB + 1 }
 		first, second := storeSlot, publish
 		names := [2]string{"owner: store slot[b]", "owner: publish bottom=b+1"}
-		if e.cfg.BuggyPublishFirst {
+		if c.BuggyPublishFirst {
 			first, second = publish, storeSlot
 			names = [2]string{"owner: publish bottom=b+1 (BUGGY ORDER)", "owner: store slot[b]"}
 		}
 		switch s.ownerPC {
 		case 0:
-			return dtrans{"owner: push loads b", func(ns *dstate) {
+			return after(s, "owner: push loads b", func(ns *dstate) {
 				ns.ownerB = ns.bottom
 				ns.ownerPC = 1
-			}}
+			})
 		case 1:
-			return dtrans{names[0], func(ns *dstate) {
+			return after(s, names[0], func(ns *dstate) {
 				first(ns)
 				ns.ownerPC = 2
-			}}
+			})
 		default:
-			return dtrans{names[1], func(ns *dstate) {
+			return after(s, names[1], func(ns *dstate) {
 				second(ns)
 				ns.ownerPC = 0
 				ns.ownerOp++
-			}}
+			})
 		}
 	}
 	// DPop
 	switch s.ownerPC {
 	case 0:
-		return dtrans{"owner: pop b = bottom-1", func(ns *dstate) {
+		return after(s, "owner: pop b = bottom-1", func(ns *dstate) {
 			ns.ownerB = ns.bottom - 1
 			ns.ownerPC = 1
-		}}
+		})
 	case 1:
-		return dtrans{"owner: store bottom=b", func(ns *dstate) {
+		return after(s, "owner: store bottom=b", func(ns *dstate) {
 			ns.bottom = ns.ownerB
 			ns.ownerPC = 2
-		}}
+		})
 	case 2:
-		return dtrans{"owner: t = top, branch", func(ns *dstate) {
+		return after(s, "owner: t = top, branch", func(ns *dstate) {
 			ns.ownerT = ns.top
 			switch {
 			case ns.ownerT > ns.ownerB:
@@ -258,76 +214,76 @@ func (e *dequeExplorer) ownerStep(s *dstate) dtrans {
 			default:
 				ns.ownerPC = 6 // plain take
 			}
-		}}
+		})
 	case 3:
-		return dtrans{"owner: empty, restore bottom=t", func(ns *dstate) {
+		return after(s, "owner: empty, restore bottom=t", func(ns *dstate) {
 			ns.bottom = ns.ownerT
 			ns.ownerPC = 0
 			ns.ownerOp++
-		}}
+		})
 	case 4:
-		return dtrans{"owner: CAS top (last element)", func(ns *dstate) {
+		return after(s, "owner: CAS top (last element)", func(ns *dstate) {
 			if ns.top == ns.ownerT {
 				ns.top = ns.ownerT + 1
 				ns.ownerGot = append(ns.ownerGot, ns.slots[ns.ownerB%dequeRingSize])
 			}
 			ns.ownerPC = 5
-		}}
+		})
 	case 5:
-		return dtrans{"owner: store bottom=t+1", func(ns *dstate) {
+		return after(s, "owner: store bottom=t+1", func(ns *dstate) {
 			ns.bottom = ns.ownerT + 1
 			ns.ownerPC = 0
 			ns.ownerOp++
-		}}
+		})
 	default: // 6
-		return dtrans{"owner: take slot[b]", func(ns *dstate) {
+		return after(s, "owner: take slot[b]", func(ns *dstate) {
 			ns.ownerGot = append(ns.ownerGot, ns.slots[ns.ownerB%dequeRingSize])
 			ns.ownerPC = 0
 			ns.ownerOp++
-		}}
+		})
 	}
 }
 
 // Thief micro-program: 0 t=load top; 1 b=load bottom, branch (empty →
 // done); 2 x=load slot[t]; 3 CAS top: success → got x, done; failure →
 // retry from 0 or give up.
-func (e *dequeExplorer) thiefStep(s *dstate, i int) (dtrans, bool) {
+func (c DequeConfig) thiefStep(s *dstate, i int) (step[*dstate], bool) {
 	if s.thiefGot[i] != -1 {
-		return dtrans{}, false // done
+		return step[*dstate]{}, false // done
 	}
 	switch s.thiefPC[i] {
 	case 0:
-		return dtrans{fmt.Sprintf("thief %d: t = top", i), func(ns *dstate) {
+		return after(s, fmt.Sprintf("thief %d: t = top", i), func(ns *dstate) {
 			ns.thiefT[i] = ns.top
 			ns.thiefPC[i] = 1
-		}}, true
+		}), true
 	case 1:
-		return dtrans{fmt.Sprintf("thief %d: b = bottom, branch", i), func(ns *dstate) {
+		return after(s, fmt.Sprintf("thief %d: b = bottom, branch", i), func(ns *dstate) {
 			ns.thiefB[i] = ns.bottom
 			if ns.thiefT[i] >= ns.thiefB[i] {
 				ns.thiefGot[i] = -2 // observed empty
 				return
 			}
 			ns.thiefPC[i] = 2
-		}}, true
+		}), true
 	case 2:
-		return dtrans{fmt.Sprintf("thief %d: x = slot[t]", i), func(ns *dstate) {
+		return after(s, fmt.Sprintf("thief %d: x = slot[t]", i), func(ns *dstate) {
 			ns.thiefX[i] = ns.slots[ns.thiefT[i]%dequeRingSize]
 			ns.thiefPC[i] = 3
-		}}, true
+		}), true
 	default: // 3
-		return dtrans{fmt.Sprintf("thief %d: CAS top", i), func(ns *dstate) {
+		return after(s, fmt.Sprintf("thief %d: CAS top", i), func(ns *dstate) {
 			if ns.top == ns.thiefT[i] {
 				ns.top = ns.thiefT[i] + 1
 				ns.thiefGot[i] = ns.thiefX[i]
 				return
 			}
 			ns.thiefTry[i]++
-			if int(ns.thiefTry[i]) >= e.cfg.MaxRetries {
+			if int(ns.thiefTry[i]) >= c.MaxRetries {
 				ns.thiefGot[i] = -2 // give up (lost race)
 				return
 			}
 			ns.thiefPC[i] = 0
-		}}, true
+		}), true
 	}
 }

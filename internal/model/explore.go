@@ -2,10 +2,101 @@ package model
 
 import "fmt"
 
-// transition is one enabled atomic step.
-type transition struct {
-	name  string
-	apply func(*state)
+// The exploration engine under every model of this package. A model is
+// its state type S, a key K under which two states count as the same,
+// and four rules; explore walks the reachable states depth first, each
+// distinct key once, and stops at the first property that breaks.
+
+// step is one enabled atomic step: its name in a counterexample, the
+// state it leads to and, if taking it breaks a property the step itself
+// watches, that property.
+type step[S any] struct {
+	name string
+	next S
+	bad  string
+}
+
+// rules is what explore needs of a model. steps lists the steps enabled
+// in a state, threads in index order, which makes the first violation
+// found deterministic; a state with none ends a maximal execution.
+// inState (optional) and atEnd name the property a reachable state, or
+// the last state of a maximal execution, violates — "" when it violates
+// none. maxStates, if positive, bounds the exploration: reaching it is
+// reported as a violation of the model's own bound.
+type rules[S any, K comparable] struct {
+	key       func(S) K
+	steps     func(S) []step[S]
+	inState   func(S) string
+	atEnd     func(S) string
+	maxStates int
+}
+
+// explore exhaustively interleaves the model from init.
+func explore[S any, K comparable](init S, m rules[S, K]) Result {
+	var (
+		res     Result
+		trace   []string
+		visited = map[K]bool{}
+	)
+	fail := func(kind string) {
+		res.Violation = &Violation{Kind: kind, Trace: append([]string(nil), trace...)}
+	}
+	var dfs func(S)
+	dfs = func(s S) {
+		k := m.key(s)
+		if visited[k] {
+			return
+		}
+		if m.maxStates > 0 && len(visited) == m.maxStates {
+			fail(fmt.Sprintf("model bound: more than %d states", m.maxStates))
+			return
+		}
+		visited[k] = true
+		if m.inState != nil {
+			if kind := m.inState(s); kind != "" {
+				fail(kind)
+				return
+			}
+		}
+		steps := m.steps(s)
+		if len(steps) == 0 {
+			res.Executions++
+			if kind := m.atEnd(s); kind != "" {
+				fail(kind)
+			}
+			return
+		}
+		for _, st := range steps {
+			trace = append(trace, st.name)
+			if st.bad != "" {
+				fail(st.bad)
+			} else {
+				dfs(st.next)
+			}
+			trace = trace[:len(trace)-1]
+			if res.Violation != nil {
+				return
+			}
+		}
+	}
+	dfs(init)
+	res.States = len(visited)
+	return res
+}
+
+// cloner is a state the step builders can copy before mutating.
+type cloner[S any] interface{ clone() S }
+
+// try builds the step that runs f on a copy of s; f returns the property
+// the step breaks, "" if none.
+func try[S cloner[S]](s S, name string, f func(S) string) step[S] {
+	ns := s.clone()
+	return step[S]{name: name, next: ns, bad: f(ns)}
+}
+
+// after is try for a step that cannot break a property by itself.
+func after[S cloner[S]](s S, name string, f func(S)) step[S] {
+	return try(s, name, func(ns S) string { f(ns); return "" })
 }
 
 // Check exhaustively explores all interleavings of the configured model
@@ -28,204 +119,126 @@ func Check(cfg Config) Result {
 		// active from the start (§III-A: N_c starts at one).
 		s.counter = 1
 	}
-	e := &explorer{cfg: cfg, visited: map[string]bool{}}
-	e.dfs(s, nil)
-	return Result{States: len(e.visited), Executions: e.executions, Violation: e.violation}
-}
-
-type explorer struct {
-	cfg        Config
-	visited    map[string]bool
-	executions int
-	violation  *Violation
-}
-
-func (e *explorer) dfs(s *state, trace []string) {
-	if e.violation != nil {
-		return
-	}
-	k := s.key()
-	if e.visited[k] {
-		return
-	}
-	e.visited[k] = true
-
-	if v := e.checkState(s, trace); v != nil {
-		e.violation = v
-		return
-	}
-
-	ts := e.enabled(s)
-	if len(ts) == 0 {
-		e.executions++
-		if v := e.checkTerminal(s, trace); v != nil {
-			e.violation = v
-		}
-		return
-	}
-	for _, t := range ts {
-		ns := s.clone()
-		t.apply(ns)
-		e.dfs(ns, append(trace, t.name))
-		if e.violation != nil {
-			return
-		}
-	}
+	return explore(s, rules[*state, string]{
+		key: (*state).key, steps: cfg.enabled, inState: cfg.checkState, atEnd: cfg.checkTerminal,
+	})
 }
 
 // checkState verifies the safety properties in every reachable state.
-func (e *explorer) checkState(s *state, trace []string) *Violation {
+func (c Config) checkState(s *state) string {
 	if s.released > 1 {
-		return &Violation{Kind: "double release: the sync point was released twice", Trace: copyTrace(trace)}
+		return "double release: the sync point was released twice"
 	}
-	if s.released > 0 && !s.syncing && s.pc[0] != e.cfg.pcMainDone() {
-		return &Violation{
-			Kind:  "premature release: sync released before the main path reached the explicit sync point",
-			Trace: copyTrace(trace),
-		}
+	if s.released > 0 && !s.syncing && s.pc[0] != c.pcMainDone() {
+		return "premature release: sync released before the main path reached the explicit sync point"
 	}
 	if s.released == 1 {
 		// A release is premature unless every child strand has finished.
-		for i := 0; i < e.cfg.Spawns; i++ {
-			if !e.childDone(s, i) {
-				return &Violation{
-					Kind:  fmt.Sprintf("premature release: sync released while child %d is still active", i),
-					Trace: copyTrace(trace),
-				}
+		for i := 0; i < c.Spawns; i++ {
+			if s.pc[1+i] != c.childDonePC() {
+				return fmt.Sprintf("premature release: sync released while child %d is still active", i)
 			}
 		}
 	}
-	return nil
+	return ""
 }
 
 // checkTerminal verifies liveness at maximal executions: the computation
 // must have completed the sync exactly once.
-func (e *explorer) checkTerminal(s *state, trace []string) *Violation {
-	if s.pc[0] != e.cfg.pcMainDone() {
-		return &Violation{
-			Kind:  fmt.Sprintf("lost release: execution deadlocked with the main path at pc %d", s.pc[0]),
-			Trace: copyTrace(trace),
-		}
+func (c Config) checkTerminal(s *state) string {
+	if s.pc[0] != c.pcMainDone() {
+		return fmt.Sprintf("lost release: execution deadlocked with the main path at pc %d", s.pc[0])
 	}
 	if s.released != 1 {
-		return &Violation{
-			Kind:  fmt.Sprintf("terminal state with %d releases, want 1", s.released),
-			Trace: copyTrace(trace),
-		}
+		return fmt.Sprintf("terminal state with %d releases, want 1", s.released)
 	}
-	return nil
+	return ""
 }
 
-func copyTrace(t []string) []string { return append([]string(nil), t...) }
-
-func (e *explorer) childDone(s *state, i int) bool {
-	return s.pc[1+i] == e.childDonePC()
-}
-
-func (e *explorer) childDonePC() int8 {
-	if e.cfg.Proto == ProtoNaive {
+func (c Config) childDonePC() int8 {
+	if c.Proto == ProtoNaive {
 		return 2
 	}
 	return 1
 }
 
 // enabled lists every enabled transition, threads in index order.
-func (e *explorer) enabled(s *state) []transition {
-	var out []transition
-	out = append(out, e.mainSteps(s)...)
-	for i := 0; i < e.cfg.Spawns; i++ {
-		out = append(out, e.childSteps(s, i)...)
-		out = append(out, e.thiefSteps(s, i)...)
+func (c Config) enabled(s *state) []step[*state] {
+	out := c.mainSteps(s)
+	for i := 0; i < c.Spawns; i++ {
+		out = append(out, c.childSteps(s, i)...)
+		out = append(out, c.thiefSteps(s, i)...)
 	}
 	return out
 }
 
 // --- main path ------------------------------------------------------------
 
-func (e *explorer) mainSteps(s *state) []transition {
-	cfg := e.cfg
+func (cfg Config) mainSteps(s *state) []step[*state] {
 	pc := s.pc[0]
 	if i, ok := cfg.mainPush(pc); ok {
-		return []transition{{
-			name: fmt.Sprintf("main: push continuation %d, call child %d", i, i),
-			apply: func(ns *state) {
-				ns.cont = int8(i)
-				ns.pc[0]++
-			},
-		}}
+		return []step[*state]{after(s, fmt.Sprintf("main: push continuation %d, call child %d", i, i), func(ns *state) {
+			ns.cont = int8(i)
+			ns.pc[0]++
+		})}
 	}
 	if i, ok := cfg.mainWait(pc); ok {
 		if !s.resume {
 			return nil
 		}
-		return []transition{{
-			name: fmt.Sprintf("main: resumed after spawn %d", i),
-			apply: func(ns *state) {
-				ns.resume = false
-				ns.pc[0]++
-			},
-		}}
+		return []step[*state]{after(s, fmt.Sprintf("main: resumed after spawn %d", i), func(ns *state) {
+			ns.resume = false
+			ns.pc[0]++
+		})}
 	}
 	switch pc {
 	case cfg.pcPublish():
 		// Publish the suspension handle before touching the counter, as
 		// the runtime does.
-		return []transition{{
-			name: "main: reach explicit sync, publish suspension",
-			apply: func(ns *state) {
-				ns.syncing = true
-				ns.pc[0]++
-			},
-		}}
+		return []step[*state]{after(s, "main: reach explicit sync, publish suspension", func(ns *state) {
+			ns.syncing = true
+			ns.pc[0]++
+		})}
 	case cfg.pcCheck():
 		switch cfg.Proto {
 		case ProtoWaitFree:
-			return []transition{{
-				name: "main: restore N_r = N_r' - (I_max - alpha) and test",
-				apply: func(ns *state) {
-					ns.counter -= iMax - ns.alpha
-					if ns.counter == 0 {
-						ns.released++
-						ns.pc[0] = cfg.pcMainDone()
-						return
-					}
-					ns.pc[0]++
-				},
-			}}
+			return []step[*state]{after(s, "main: restore N_r = N_r' - (I_max - alpha) and test", func(ns *state) {
+				ns.counter -= iMax - ns.alpha
+				if ns.counter == 0 {
+					ns.released++
+					ns.pc[0] = cfg.pcMainDone()
+					return
+				}
+				ns.pc[0]++
+			})}
 		default:
 			// Locked and naive: the main strand leaves the computation,
 			// decrementing the active count; zero means no outstanding
 			// children. Under ProtoLocked this whole step is atomic (frame
 			// lock); the naive variant is identical here — its race is on
 			// the queue/counter pairs of thieves and joiners.
-			return []transition{{
-				name: "main: sync decrement and test",
-				apply: func(ns *state) {
-					ns.counter--
-					if ns.counter == 0 {
-						ns.released++
-						ns.pc[0] = cfg.pcMainDone()
-						return
-					}
-					ns.pc[0]++
-				},
-			}}
+			return []step[*state]{after(s, "main: sync decrement and test", func(ns *state) {
+				ns.counter--
+				if ns.counter == 0 {
+					ns.released++
+					ns.pc[0] = cfg.pcMainDone()
+					return
+				}
+				ns.pc[0]++
+			})}
 		}
 	case cfg.pcWaitRel():
 		if s.released == 0 {
 			return nil
 		}
-		return []transition{{
-			name:  "main: woken past the sync point",
-			apply: func(ns *state) { ns.pc[0] = cfg.pcMainDone() },
-		}}
+		return []step[*state]{after(s, "main: woken past the sync point", func(ns *state) { ns.pc[0] = cfg.pcMainDone() })}
 	}
 	return nil
 }
 
 // --- children --------------------------------------------------------------
 
-func (e *explorer) childSteps(s *state, i int) []transition {
+func (c Config) childSteps(s *state, i int) []step[*state] {
 	tid := 1 + i
 	// A child exists once its spawn happened: main is past push i.
 	if int(s.pc[0]) < 2*i+1 {
@@ -236,15 +249,12 @@ func (e *explorer) childSteps(s *state, i int) []transition {
 		if s.cont == int8(i) {
 			// popBottom hit: discard the continuation and proceed — the
 			// resume of the parent without any counter operation.
-			return []transition{{
-				name: fmt.Sprintf("child %d: popBottom hit, resume parent", i),
-				apply: func(ns *state) {
-					ns.cont = -1
-					ns.consumedBy[i] = 1
-					ns.resume = true
-					ns.pc[tid] = e.childDonePC()
-				},
-			}}
+			return []step[*state]{after(s, fmt.Sprintf("child %d: popBottom hit, resume parent", i), func(ns *state) {
+				ns.cont = -1
+				ns.consumedBy[i] = 1
+				ns.resume = true
+				ns.pc[tid] = c.childDonePC()
+			})}
 		}
 		if s.consumedBy[i] != 2 {
 			// The continuation is still in flight (thief mid-steal is
@@ -254,123 +264,93 @@ func (e *explorer) childSteps(s *state, i int) []transition {
 			}
 		}
 		// popBottom miss: the continuation was stolen — implicit sync.
-		switch e.cfg.Proto {
+		switch c.Proto {
 		case ProtoWaitFree:
-			return []transition{{
-				name: fmt.Sprintf("child %d: popBottom miss; counter-- and test", i),
-				apply: func(ns *state) {
-					ns.counter--
-					if ns.counter == 0 {
-						ns.released++
-					}
-					ns.pc[tid] = 1
-				},
-			}}
-		case ProtoLocked:
-			// Deque lock + frame lock fuse the miss observation with the
-			// decrement and test.
-			return []transition{{
-				name: fmt.Sprintf("child %d: [locked] miss+decrement+test", i),
-				apply: func(ns *state) {
-					ns.counter--
-					if ns.syncing && ns.counter == 0 {
-						ns.released++
-					}
-					ns.pc[tid] = 1
-				},
-			}}
-		default: // ProtoNaive: miss observed; decrement is a separate step.
-			return []transition{{
-				name:  fmt.Sprintf("child %d: popBottom miss observed", i),
-				apply: func(ns *state) { ns.pc[tid] = 1 },
-			}}
-		}
-	case 1:
-		if e.cfg.Proto != ProtoNaive {
-			return nil // done
-		}
-		return []transition{{
-			name: fmt.Sprintf("child %d: counter-- and test", i),
-			apply: func(ns *state) {
+			return []step[*state]{after(s, fmt.Sprintf("child %d: popBottom miss; counter-- and test", i), func(ns *state) {
 				ns.counter--
 				if ns.counter == 0 {
 					ns.released++
 				}
-				ns.pc[tid] = 2
-			},
-		}}
+				ns.pc[tid] = 1
+			})}
+		case ProtoLocked:
+			// Deque lock + frame lock fuse the miss observation with the
+			// decrement and test.
+			return []step[*state]{after(s, fmt.Sprintf("child %d: [locked] miss+decrement+test", i), func(ns *state) {
+				ns.counter--
+				if ns.syncing && ns.counter == 0 {
+					ns.released++
+				}
+				ns.pc[tid] = 1
+			})}
+		default: // ProtoNaive: miss observed; decrement is a separate step.
+			return []step[*state]{after(s, fmt.Sprintf("child %d: popBottom miss observed", i), func(ns *state) { ns.pc[tid] = 1 })}
+		}
+	case 1:
+		if c.Proto != ProtoNaive {
+			return nil // done
+		}
+		return []step[*state]{after(s, fmt.Sprintf("child %d: counter-- and test", i), func(ns *state) {
+			ns.counter--
+			if ns.counter == 0 {
+				ns.released++
+			}
+			ns.pc[tid] = 2
+		})}
 	}
 	return nil
 }
 
 // --- thieves ---------------------------------------------------------------
 
-func (e *explorer) thiefSteps(s *state, i int) []transition {
-	tid := 1 + e.cfg.Spawns + i
+func (c Config) thiefSteps(s *state, i int) []step[*state] {
+	tid := 1 + c.Spawns + i
 	if int(s.pc[0]) < 2*i+1 {
 		return nil // nothing published yet
 	}
 	switch s.pc[tid] {
 	case 0:
 		if s.cont == int8(i) {
-			if e.cfg.Proto == ProtoLocked {
+			if c.Proto == ProtoLocked {
 				// Deque lock held across popTop and the count increment
 				// (Listing 2): one atomic step.
-				return []transition{{
-					name: fmt.Sprintf("thief %d: [locked] popTop+count++", i),
-					apply: func(ns *state) {
-						ns.cont = -1
-						ns.consumedBy[i] = 2
-						ns.counter++
-						ns.pc[tid] = 2
-					},
-				}}
-			}
-			return []transition{{
-				name: fmt.Sprintf("thief %d: popTop", i),
-				apply: func(ns *state) {
+				return []step[*state]{after(s, fmt.Sprintf("thief %d: [locked] popTop+count++", i), func(ns *state) {
 					ns.cont = -1
 					ns.consumedBy[i] = 2
-					ns.pc[tid] = 1
-				},
-			}}
+					ns.counter++
+					ns.pc[tid] = 2
+				})}
+			}
+			return []step[*state]{after(s, fmt.Sprintf("thief %d: popTop", i), func(ns *state) {
+				ns.cont = -1
+				ns.consumedBy[i] = 2
+				ns.pc[tid] = 1
+			})}
 		}
 		if s.consumedBy[i] == 1 {
 			// The child won the race; this thief gives up.
-			return []transition{{
-				name:  fmt.Sprintf("thief %d: continuation gone, abandon", i),
-				apply: func(ns *state) { ns.pc[tid] = 3 },
-			}}
+			return []step[*state]{after(s, fmt.Sprintf("thief %d: continuation gone, abandon", i), func(ns *state) { ns.pc[tid] = 3 })}
 		}
 		return nil
 	case 1:
 		// The separate count update after the steal — the §III-C window.
-		switch e.cfg.Proto {
+		switch c.Proto {
 		case ProtoWaitFree:
-			return []transition{{
-				name: fmt.Sprintf("thief %d: alpha++ (run())", i),
-				apply: func(ns *state) {
-					ns.alpha++
-					ns.pc[tid] = 2
-				},
-			}}
+			return []step[*state]{after(s, fmt.Sprintf("thief %d: alpha++ (run())", i), func(ns *state) {
+				ns.alpha++
+				ns.pc[tid] = 2
+			})}
 		default: // naive
-			return []transition{{
-				name: fmt.Sprintf("thief %d: count++ (run())", i),
-				apply: func(ns *state) {
-					ns.counter++
-					ns.pc[tid] = 2
-				},
-			}}
+			return []step[*state]{after(s, fmt.Sprintf("thief %d: count++ (run())", i), func(ns *state) {
+				ns.counter++
+				ns.pc[tid] = 2
+			})}
 		}
 	case 2:
-		return []transition{{
-			name: fmt.Sprintf("thief %d: resume stolen continuation", i),
-			apply: func(ns *state) {
-				ns.resume = true
-				ns.pc[tid] = 3
-			},
-		}}
+		return []step[*state]{after(s, fmt.Sprintf("thief %d: resume stolen continuation", i), func(ns *state) {
+			ns.resume = true
+			ns.pc[tid] = 3
+		})}
 	}
 	return nil
 }

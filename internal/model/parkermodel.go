@@ -62,8 +62,8 @@ const (
 	delDone
 )
 
-// pkstate is the full shared + per-thread state; comparable, so it keys
-// the visited set directly.
+// pkstate is the full shared + per-thread state; comparable, so it is
+// its own key in the visited set.
 type pkstate struct {
 	word  int8
 	ch    int8 // tokens in the wake channel (capacity 1)
@@ -73,73 +73,37 @@ type pkstate struct {
 	dpc   int8 // pc of the current round's deliverer
 }
 
-type pktrans struct {
-	name  string
-	apply func(*pkstate) *Violation
-}
+func (s *pkstate) clone() *pkstate { ns := *s; return &ns }
 
 // CheckParker exhaustively explores the scenario.
-func CheckParker(cfg ParkerConfig) DequeResult {
+func CheckParker(cfg ParkerConfig) Result {
 	if cfg.Rounds < 1 {
 		cfg.Rounds = 2
 	}
-	e := &parkerExplorer{cfg: cfg, visited: map[pkstate]bool{}}
-	e.dfs(pkstate{spins: int8(cfg.Spins)}, nil)
-	return DequeResult{States: len(e.visited), Executions: e.executions, Violation: e.violation}
+	return explore(&pkstate{spins: int8(cfg.Spins)}, rules[*pkstate, pkstate]{
+		key: func(s *pkstate) pkstate { return *s }, steps: cfg.enabled, atEnd: cfg.checkTerminal,
+	})
 }
 
-type parkerExplorer struct {
-	cfg        ParkerConfig
-	visited    map[pkstate]bool
-	executions int
-	violation  *Violation
-}
-
-func (e *parkerExplorer) dfs(s pkstate, trace []string) {
-	if e.violation != nil || e.visited[s] {
-		return
-	}
-	e.visited[s] = true
-	ts := e.enabled(s)
-	if len(ts) == 0 {
-		e.executions++
-		e.violation = e.checkTerminal(s, trace)
-		return
-	}
-	for _, t := range ts {
-		ns := s
-		step := append(trace, t.name)
-		if v := t.apply(&ns); v != nil {
-			v.Trace = copyTrace(step)
-			e.violation = v
-			return
-		}
-		e.dfs(ns, step)
-		if e.violation != nil {
-			return
-		}
-	}
-}
-
-func (e *parkerExplorer) checkTerminal(s pkstate, trace []string) *Violation {
+func (c ParkerConfig) checkTerminal(s *pkstate) string {
 	switch {
-	case int(s.round) < e.cfg.Rounds:
-		return &Violation{Kind: fmt.Sprintf("lost delivery: owner stuck in round %d at pc %d with nothing left to wake it", s.round, s.opc), Trace: copyTrace(trace)}
+	case int(s.round) < c.Rounds:
+		return fmt.Sprintf("lost delivery: owner stuck in round %d at pc %d with nothing left to wake it", s.round, s.opc)
 	case s.word != pkIdle || s.ch != 0:
-		return &Violation{Kind: fmt.Sprintf("leftover event at quiescence: word %d, %d wake tokens", s.word, s.ch), Trace: copyTrace(trace)}
+		return fmt.Sprintf("leftover event at quiescence: word %d, %d wake tokens", s.word, s.ch)
 	}
-	return nil
+	return ""
 }
 
-func (e *parkerExplorer) enabled(s pkstate) []pktrans {
-	if int(s.round) >= e.cfg.Rounds {
+func (c ParkerConfig) enabled(s *pkstate) []step[*pkstate] {
+	if int(s.round) >= c.Rounds {
 		return nil
 	}
-	var out []pktrans
-	if t, ok := e.ownerStep(s); ok {
+	var out []step[*pkstate]
+	if t, ok := c.ownerStep(s); ok {
 		out = append(out, t)
 	}
-	if t, ok := e.delivererStep(s); ok {
+	if t, ok := c.delivererStep(s); ok {
 		out = append(out, t)
 	}
 	return out
@@ -151,89 +115,89 @@ func (e *parkerExplorer) enabled(s pkstate) []pktrans {
 //	          spins = 0: CAS idle→waiting; ok → ownRecv, else → ownReset
 //	ownRecv   <-wake (enabled only when the channel holds a token)
 //	ownReset  plain store word = idle → next round
-func (e *parkerExplorer) ownerStep(s pkstate) (pktrans, bool) {
+func (c ParkerConfig) ownerStep(s *pkstate) (step[*pkstate], bool) {
 	switch s.opc {
 	case ownPoll:
 		if s.spins > 0 {
-			return pktrans{"owner: poll word", func(ns *pkstate) *Violation {
+			return try(s, "owner: poll word", func(ns *pkstate) string {
 				if ns.word == pkReady {
 					ns.opc = ownReset
 				} else {
 					ns.spins--
 				}
-				return nil
-			}}, true
+				return ""
+			}), true
 		}
-		if e.cfg.BuggyBlindWait {
-			return pktrans{"owner: store waiting (blind)", func(ns *pkstate) *Violation {
+		if c.BuggyBlindWait {
+			return try(s, "owner: store waiting (blind)", func(ns *pkstate) string {
 				ns.word = pkWaiting
 				ns.opc = ownRecv
-				return nil
-			}}, true
+				return ""
+			}), true
 		}
-		return pktrans{"owner: CAS idle→waiting", func(ns *pkstate) *Violation {
+		return try(s, "owner: CAS idle→waiting", func(ns *pkstate) string {
 			if ns.word == pkIdle {
 				ns.word = pkWaiting
 				ns.opc = ownRecv
 			} else {
 				ns.opc = ownReset
 			}
-			return nil
-		}}, true
+			return ""
+		}), true
 	case ownRecv:
 		if s.ch == 0 {
-			return pktrans{}, false
+			return step[*pkstate]{}, false
 		}
-		return pktrans{"owner: <-wake", func(ns *pkstate) *Violation {
+		return try(s, "owner: <-wake", func(ns *pkstate) string {
 			ns.ch = 0
 			ns.opc = ownReset
-			return nil
-		}}, true
+			return ""
+		}), true
 	default:
-		return pktrans{"owner: store idle (consume)", func(ns *pkstate) *Violation {
+		return try(s, "owner: store idle (consume)", func(ns *pkstate) string {
 			if ns.word != pkReady {
-				return &Violation{Kind: fmt.Sprintf("double consume: round %d reset a word holding %d, not ready", ns.round, ns.word)}
+				return fmt.Sprintf("double consume: round %d reset a word holding %d, not ready", ns.round, ns.word)
 			}
 			if ns.dpc != delDone {
-				return &Violation{Kind: fmt.Sprintf("plain reset raced: round %d's deliverer is still at pc %d", ns.round, ns.dpc)}
+				return fmt.Sprintf("plain reset raced: round %d's deliverer is still at pc %d", ns.round, ns.dpc)
 			}
 			ns.word = pkIdle
 			ns.round++
 			ns.opc = ownPoll
-			ns.spins = int8(e.cfg.Spins)
+			ns.spins = int8(c.Spins)
 			ns.dpc = delSwap // the owner's next actions create the next deliverer
-			return nil
-		}}, true
+			return ""
+		}), true
 	}
 }
 
 // Deliverer micro-program: swap the word to ready; only when that
 // displaced waiting, send on the wake channel.
-func (e *parkerExplorer) delivererStep(s pkstate) (pktrans, bool) {
+func (c ParkerConfig) delivererStep(s *pkstate) (step[*pkstate], bool) {
 	switch s.dpc {
 	case delSwap:
-		return pktrans{"deliverer: swap word to ready", func(ns *pkstate) *Violation {
+		return try(s, "deliverer: swap word to ready", func(ns *pkstate) string {
 			old := ns.word
 			ns.word = pkReady
 			switch old {
 			case pkReady:
-				return &Violation{Kind: fmt.Sprintf("two events in flight: round %d's swap found the word already ready", ns.round)}
+				return fmt.Sprintf("two events in flight: round %d's swap found the word already ready", ns.round)
 			case pkWaiting:
 				ns.dpc = delSend
 			default:
 				ns.dpc = delDone
 			}
-			return nil
-		}}, true
+			return ""
+		}), true
 	case delSend:
-		return pktrans{"deliverer: wake <- token", func(ns *pkstate) *Violation {
+		return try(s, "deliverer: wake <- token", func(ns *pkstate) string {
 			if ns.ch != 0 {
-				return &Violation{Kind: fmt.Sprintf("deliver would block: round %d's send found the wake channel full", ns.round)}
+				return fmt.Sprintf("deliver would block: round %d's send found the wake channel full", ns.round)
 			}
 			ns.ch = 1
 			ns.dpc = delDone
-			return nil
-		}}, true
+			return ""
+		}), true
 	}
-	return pktrans{}, false
+	return step[*pkstate]{}, false
 }

@@ -58,7 +58,7 @@ func (s *tstate) key() string {
 }
 
 // CheckTHE exhaustively explores the scenario.
-func CheckTHE(cfg THEConfig) DequeResult {
+func CheckTHE(cfg THEConfig) Result {
 	s := &tstate{lock: -1, pushed: 1}
 	s.thiefPC = make([]int8, cfg.Thieves)
 	s.thiefH = make([]int8, cfg.Thieves)
@@ -66,92 +66,31 @@ func CheckTHE(cfg THEConfig) DequeResult {
 	for i := range s.thiefGot {
 		s.thiefGot[i] = -1
 	}
-	e := &theExplorer{cfg: cfg, visited: map[string]bool{}}
-	e.dfs(s, nil)
-	return DequeResult{States: len(e.visited), Executions: e.executions, Violation: e.violation}
+	return explore(s, rules[*tstate, string]{key: (*tstate).key, steps: cfg.enabled, atEnd: (*tstate).conserved})
 }
 
-type theExplorer struct {
-	cfg        THEConfig
-	visited    map[string]bool
-	executions int
-	violation  *Violation
-}
-
-func (e *theExplorer) dfs(s *tstate, trace []string) {
-	if e.violation != nil {
-		return
-	}
-	k := s.key()
-	if e.visited[k] {
-		return
-	}
-	e.visited[k] = true
-	ts := e.enabled(s)
-	if len(ts) == 0 {
-		e.executions++
-		if v := e.checkTerminal(s, trace); v != nil {
-			e.violation = v
-		}
-		return
-	}
-	for _, t := range ts {
-		ns := s.clone()
-		t.apply(ns)
-		e.dfs(ns, append(trace, t.name))
-		if e.violation != nil {
-			return
-		}
-	}
-}
-
-func (e *theExplorer) checkTerminal(s *tstate, trace []string) *Violation {
+// conserved verifies, at quiescence, that the lock is free and every
+// element accounted for.
+func (s *tstate) conserved() string {
 	if s.lock != -1 {
-		return &Violation{Kind: fmt.Sprintf("terminal state with lock held by %d", s.lock), Trace: copyTrace(trace)}
+		return fmt.Sprintf("terminal state with lock held by %d", s.lock)
 	}
-	pushed := int(s.pushed) - 1
-	seen := map[int8]int{}
-	for _, v := range s.ownerGot {
-		seen[v]++
-	}
-	for _, v := range s.thiefGot {
-		if v > 0 {
-			seen[v]++
-		}
-	}
-	for i := s.head; i < s.tail; i++ {
-		seen[s.slots[i%dequeRingSize]]++
-	}
-	for v := int8(1); int(v) <= pushed; v++ {
-		switch seen[v] {
-		case 1:
-		case 0:
-			return &Violation{Kind: fmt.Sprintf("lost element %d", v), Trace: copyTrace(trace)}
-		default:
-			return &Violation{Kind: fmt.Sprintf("element %d consumed %d times", v, seen[v]), Trace: copyTrace(trace)}
-		}
-	}
-	return nil
+	return conservation(int(s.pushed)-1, s.ownerGot, s.thiefGot, s.slots, s.head, s.tail)
 }
 
-func (e *theExplorer) enabled(s *tstate) []dtrans2 {
-	var out []dtrans2
-	if int(s.ownerOp) < len(e.cfg.Owner) {
-		if t, ok := e.ownerStep(s); ok {
+func (c THEConfig) enabled(s *tstate) []step[*tstate] {
+	var out []step[*tstate]
+	if int(s.ownerOp) < len(c.Owner) {
+		if t, ok := c.ownerStep(s); ok {
 			out = append(out, t)
 		}
 	}
-	for i := 0; i < e.cfg.Thieves; i++ {
-		if t, ok := e.thiefStep(s, i); ok {
+	for i := 0; i < c.Thieves; i++ {
+		if t, ok := c.thiefStep(s, i); ok {
 			out = append(out, t)
 		}
 	}
 	return out
-}
-
-type dtrans2 struct {
-	name  string
-	apply func(*tstate)
 }
 
 // Owner micro-program.
@@ -168,64 +107,64 @@ type dtrans2 struct {
 //	5 h = load H; h > t → reset H=T=0, release → next (empty)
 //	             h ≤ t → store T = t, release → 7
 //	7 take slot[t] → next
-func (e *theExplorer) ownerStep(s *tstate) (dtrans2, bool) {
-	op := e.cfg.Owner[s.ownerOp]
+func (c THEConfig) ownerStep(s *tstate) (step[*tstate], bool) {
+	op := c.Owner[s.ownerOp]
 	if op == DPush {
 		switch s.ownerPC {
 		case 0:
-			return dtrans2{"owner: t = load T", func(ns *tstate) {
+			return after(s, "owner: t = load T", func(ns *tstate) {
 				ns.ownerT = ns.tail
 				ns.ownerPC = 1
-			}}, true
+			}), true
 		case 1:
-			return dtrans2{"owner: store slot[t]", func(ns *tstate) {
+			return after(s, "owner: store slot[t]", func(ns *tstate) {
 				ns.slots[ns.ownerT%dequeRingSize] = ns.pushed
 				ns.pushed++
 				ns.ownerPC = 2
-			}}, true
+			}), true
 		default:
-			return dtrans2{"owner: publish T=t+1", func(ns *tstate) {
+			return after(s, "owner: publish T=t+1", func(ns *tstate) {
 				ns.tail = ns.ownerT + 1
 				ns.ownerPC = 0
 				ns.ownerOp++
-			}}, true
+			}), true
 		}
 	}
 	switch s.ownerPC {
 	case 0:
-		return dtrans2{"owner: t = T-1", func(ns *tstate) {
+		return after(s, "owner: t = T-1", func(ns *tstate) {
 			ns.ownerT = ns.tail - 1
 			ns.ownerPC = 1
-		}}, true
+		}), true
 	case 1:
-		return dtrans2{"owner: store T = t", func(ns *tstate) {
+		return after(s, "owner: store T = t", func(ns *tstate) {
 			ns.tail = ns.ownerT
 			ns.ownerPC = 2
-		}}, true
+		}), true
 	case 2:
-		return dtrans2{"owner: h = H, Dekker check", func(ns *tstate) {
+		return after(s, "owner: h = H, Dekker check", func(ns *tstate) {
 			ns.ownerH = ns.head
 			if ns.ownerH > ns.ownerT {
 				ns.ownerPC = 3
 			} else {
 				ns.ownerPC = 7
 			}
-		}}, true
+		}), true
 	case 3:
-		return dtrans2{"owner: conflict, restore T = t+1", func(ns *tstate) {
+		return after(s, "owner: conflict, restore T = t+1", func(ns *tstate) {
 			ns.tail = ns.ownerT + 1
 			ns.ownerPC = 4
-		}}, true
+		}), true
 	case 4:
 		if s.lock != -1 {
-			return dtrans2{}, false // lock busy
+			return step[*tstate]{}, false // lock busy
 		}
-		return dtrans2{"owner: acquire lock", func(ns *tstate) {
+		return after(s, "owner: acquire lock", func(ns *tstate) {
 			ns.lock = 0
 			ns.ownerPC = 5
-		}}, true
+		}), true
 	case 5:
-		return dtrans2{"owner: locked recheck", func(ns *tstate) {
+		return after(s, "owner: locked recheck", func(ns *tstate) {
 			if ns.head > ns.ownerT {
 				// Genuinely empty: reset indices, fail the pop.
 				ns.head = 0
@@ -238,13 +177,13 @@ func (e *theExplorer) ownerStep(s *tstate) (dtrans2, bool) {
 			ns.tail = ns.ownerT
 			ns.lock = -1
 			ns.ownerPC = 7
-		}}, true
+		}), true
 	default: // 7
-		return dtrans2{"owner: take slot[t]", func(ns *tstate) {
+		return after(s, "owner: take slot[t]", func(ns *tstate) {
 			ns.ownerGot = append(ns.ownerGot, ns.slots[ns.ownerT%dequeRingSize])
 			ns.ownerPC = 0
 			ns.ownerOp++
-		}}, true
+		}), true
 	}
 }
 
@@ -254,28 +193,28 @@ func (e *theExplorer) ownerStep(s *tstate) (dtrans2, bool) {
 //	1 h = load H; store H = h+1
 //	2 load T; h+1 > T → undo (store H=h), release → done empty
 //	           else → take slot[h], release → done
-func (e *theExplorer) thiefStep(s *tstate, i int) (dtrans2, bool) {
+func (c THEConfig) thiefStep(s *tstate, i int) (step[*tstate], bool) {
 	if s.thiefGot[i] != -1 {
-		return dtrans2{}, false
+		return step[*tstate]{}, false
 	}
 	tid := int8(1 + i)
 	switch s.thiefPC[i] {
 	case 0:
 		if s.lock != -1 {
-			return dtrans2{}, false
+			return step[*tstate]{}, false
 		}
-		return dtrans2{fmt.Sprintf("thief %d: acquire lock", i), func(ns *tstate) {
+		return after(s, fmt.Sprintf("thief %d: acquire lock", i), func(ns *tstate) {
 			ns.lock = tid
 			ns.thiefPC[i] = 1
-		}}, true
+		}), true
 	case 1:
-		return dtrans2{fmt.Sprintf("thief %d: H++ (h saved)", i), func(ns *tstate) {
+		return after(s, fmt.Sprintf("thief %d: H++ (h saved)", i), func(ns *tstate) {
 			ns.thiefH[i] = ns.head
 			ns.head++
 			ns.thiefPC[i] = 2
-		}}, true
+		}), true
 	default: // 2
-		return dtrans2{fmt.Sprintf("thief %d: check T, take or undo", i), func(ns *tstate) {
+		return after(s, fmt.Sprintf("thief %d: check T, take or undo", i), func(ns *tstate) {
 			if ns.thiefH[i]+1 > ns.tail {
 				ns.head = ns.thiefH[i]
 				ns.thiefGot[i] = -2
@@ -283,6 +222,6 @@ func (e *theExplorer) thiefStep(s *tstate, i int) (dtrans2, bool) {
 				ns.thiefGot[i] = ns.slots[ns.thiefH[i]%dequeRingSize]
 			}
 			ns.lock = -1
-		}}, true
+		}), true
 	}
 }

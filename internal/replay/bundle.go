@@ -24,36 +24,6 @@ import (
 // bundleMagic identifies a repro bundle and its format version.
 const bundleMagic = "NOWAREPL1\n"
 
-// ChaosSpec mirrors sched.Chaos field-for-field without importing it
-// (sched imports replay; this package must not import sched back). The
-// torture harness converts in both directions.
-type ChaosSpec struct {
-	Seed           int64 `json:"seed"`
-	StealDelay     int   `json:"steal_delay,omitempty"`
-	StealFail      int   `json:"steal_fail,omitempty"`
-	PopBottomDelay int   `json:"pop_bottom_delay,omitempty"`
-	SyncDelay      int   `json:"sync_delay,omitempty"`
-	AllocFail      int   `json:"alloc_fail,omitempty"`
-	SyncVesselFail int   `json:"sync_vessel_fail,omitempty"`
-	LeakVessel     int   `json:"leak_vessel,omitempty"`
-	SubmitFail     int   `json:"submit_fail,omitempty"`
-	StealInterest  int   `json:"steal_interest,omitempty"`
-	DelaySpins     int   `json:"delay_spins,omitempty"`
-	SyncStall      bool  `json:"sync_stall,omitempty"`
-
-	// Worker-stall and admission-latency fault injections. Durations are
-	// serialised as microseconds so the JSON meta stays unit-explicit.
-	StallWorker        int   `json:"stall_worker,omitempty"`
-	StallForUS         int64 `json:"stall_for_us,omitempty"`
-	SubmitLatency      int   `json:"submit_latency,omitempty"`
-	SubmitLatencyForUS int64 `json:"submit_latency_for_us,omitempty"`
-
-	// Blocking-wait fault injections: planted mid-wait self-aborts and
-	// resumer-side wakeup delays.
-	AbortWait   int `json:"abort_wait,omitempty"`
-	WakeupDelay int `json:"wakeup_delay,omitempty"`
-}
-
 // Meta is the bundle's self-describing header: everything needed to
 // rebuild the failing configuration plus a human-readable account of the
 // failure the bundle reproduces.
@@ -65,14 +35,18 @@ type Meta struct {
 	Workers int    `json:"workers"`
 	Seed    int64  `json:"seed"`
 
-	DequeCap       int        `json:"deque_cap,omitempty"`
-	MaxVessels     int        `json:"max_vessels,omitempty"`
-	SoftMaxVessels int        `json:"soft_max_vessels,omitempty"`
-	MaxStacks      int        `json:"max_stacks,omitempty"`
-	ParkAfter      int        `json:"park_after,omitempty"`
-	TimeoutMS      int64      `json:"timeout_ms,omitempty"`
-	SpawnEager     bool       `json:"spawn_eager,omitempty"`
-	Chaos          *ChaosSpec `json:"chaos,omitempty"`
+	MaxVessels     int   `json:"max_vessels,omitempty"`
+	SoftMaxVessels int   `json:"soft_max_vessels,omitempty"`
+	MaxStacks      int   `json:"max_stacks,omitempty"`
+	ParkAfter      int   `json:"park_after,omitempty"`
+	TimeoutMS      int64 `json:"timeout_ms,omitempty"`
+	SpawnEager     bool  `json:"spawn_eager,omitempty"`
+
+	// Class names the torture chaos class the trial was drawn from. A
+	// label only: everything the class forces is spelled out in the
+	// fields around it, so a bundle without it rebuilds the same run.
+	Class string `json:"class,omitempty"`
+	Chaos *Chaos `json:"chaos,omitempty"`
 
 	// Stall-recovery arming (Config.StallThreshold / MaxSupplements);
 	// zero threshold means recovery is off and MaxSupplements is inert.

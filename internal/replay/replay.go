@@ -224,82 +224,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Chaos roll sites, carried in the Site byte of KChaos events so a log
-// names the injection window each roll guarded.
-const (
-	// SiteStealFail guards the forced-failed-steal injection.
-	SiteStealFail uint8 = iota + 1
-	// SiteStealDelay guards the pre-popTop thief delay.
-	SiteStealDelay
-	// SitePopBottom guards the pre-popBottom finish-path delay.
-	SitePopBottom
-	// SiteSyncDelay guards the explicit-sync counter-restore delay.
-	SiteSyncDelay
-	// SiteAllocFail guards the simulated vessel-budget exhaustion.
-	SiteAllocFail
-	// SiteSyncVessel guards the simulated thief-vessel acquisition failure.
-	SiteSyncVessel
-	// SiteLeakVessel guards the deliberately unsound vessel-leak
-	// injection (the torture harness's planted bug).
-	SiteLeakVessel
-	// SiteSubmitFail guards the admission-time failure injection in
-	// service mode. Its KChaos events live on the external stream (the
-	// admission path holds no worker token), so unlike the other sites
-	// it is never replayed.
-	SiteSubmitFail
-	// SiteStealInterest guards the forced-promotion injection: a lazy
-	// spawn behaves as if a thief had signalled steal interest and takes
-	// the full eager handoff instead.
-	SiteStealInterest
-	// SiteStallWorker guards the injected worker stall: the strand pins
-	// its token for Chaos.StallFor at the strand-finish window.
-	SiteStallWorker
-	// SiteSubmitLatency guards the injected admission delay in service
-	// mode. External-stream only, like SiteSubmitFail.
-	SiteSubmitLatency
-	// SiteAbortWait guards the planted mid-wait self-cancellation: a
-	// registering waiter aborts its own cell and transparently retries,
-	// exercising the abort-vs-resume arbitration.
-	SiteAbortWait
-	// SiteWakeDelay guards the injected delay between winning a waiter
-	// cell and delivering the wakeup, widening the window in which the
-	// waiter's aborter must lose the cell.
-	SiteWakeDelay
-)
-
-// siteName names a chaos site for dumps.
-func siteName(s uint8) string {
-	switch s {
-	case SiteStealFail:
-		return "steal-fail"
-	case SiteStealDelay:
-		return "steal-delay"
-	case SitePopBottom:
-		return "pop-delay"
-	case SiteSyncDelay:
-		return "sync-delay"
-	case SiteAllocFail:
-		return "alloc-fail"
-	case SiteSyncVessel:
-		return "sync-vessel"
-	case SiteLeakVessel:
-		return "leak-vessel"
-	case SiteSubmitFail:
-		return "submit-fail"
-	case SiteStealInterest:
-		return "steal-interest"
-	case SiteStallWorker:
-		return "stall-worker"
-	case SiteSubmitLatency:
-		return "submit-latency"
-	case SiteAbortWait:
-		return "abort-wait"
-	case SiteWakeDelay:
-		return "wake-delay"
-	}
-	return fmt.Sprintf("site%d", s)
-}
-
 // Parker rendezvous sites, carried in the Site byte of KBlocked events.
 const (
 	// BlockSpawn: the spawning strand blocked awaiting its resume.
@@ -364,7 +288,7 @@ func (e Event) String() string {
 		if e.Arg != 0 {
 			fired = "+"
 		}
-		return fmt.Sprintf("chaos[%s]%s", siteName(e.Site), fired)
+		return fmt.Sprintf("chaos[%s]%s", SiteName(e.Site), fired)
 	case KBlocked:
 		switch e.Site {
 		case BlockSpawn:

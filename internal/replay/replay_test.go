@@ -189,7 +189,7 @@ func TestBundleRoundTrip(t *testing.T) {
 	meta := Meta{
 		Tool: "test", Kernel: "fib", Scale: "test", Variant: "nowa",
 		Workers: 2, Seed: 42,
-		Chaos:   &ChaosSpec{Seed: 7, StealFail: 64, LeakVessel: 8},
+		Chaos:   &Chaos{Seed: 7, StealFail: 64, LeakVessel: 8, StallWorker: 3, StallForUS: 2000},
 		Failure: "synthetic",
 	}
 	var buf bytes.Buffer

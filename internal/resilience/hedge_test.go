@@ -2,26 +2,25 @@ package resilience
 
 import (
 	"context"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"nowa/internal/api"
-	"nowa/internal/cactus"
-	"nowa/internal/deque"
 	"nowa/internal/sched"
 )
 
 // hedgeVariants are the four runtime shapes of the paper's evaluation;
 // the hedge-loser cancellation contract must hold on all of them.
 func hedgeVariants() []sched.Config {
-	return []sched.Config{
-		{Name: "nowa", Workers: 2, Deque: deque.CL, Join: sched.WaitFree},
-		{Name: "nowa-the", Workers: 2, Deque: deque.THE, Join: sched.WaitFree},
-		{Name: "fibril", Workers: 2, Deque: deque.THE, Join: sched.LockedFibril},
-		{Name: "cilkplus", Workers: 2, Deque: deque.THE, Join: sched.LockedFibril,
-			Stacks: cactus.Config{GlobalCap: 16}},
+	var cfgs []sched.Config
+	for _, name := range sched.Variants() {
+		cfg, _ := sched.VariantConfig(name, 2)
+		cfgs = append(cfgs, cfg)
 	}
+	return cfgs
 }
 
 // tailTask builds a task whose first invocation is slow (a cooperative
@@ -159,15 +158,8 @@ func TestHedgeLoserCancel(t *testing.T) {
 				t.Fatalf("service conservation violated: %+v", ss)
 			}
 			rt.Close()
-			st := rt.Stats()
-			if st.VesselsLeaked != 0 {
-				t.Fatalf("VesselsLeaked = %d: a cancelled hedge loser leaked its vessel", st.VesselsLeaked)
-			}
-			if st.ScopesLeaked != 0 {
-				t.Fatalf("ScopesLeaked = %d", st.ScopesLeaked)
-			}
-			if st.StacksLeaked != 0 {
-				t.Fatalf("StacksLeaked = %d", st.StacksLeaked)
+			if err := rt.CheckIdle(); err != nil {
+				t.Fatalf("a cancelled hedge loser leaked: %v", err)
 			}
 		})
 	}
@@ -194,5 +186,83 @@ func TestHedgeWindowQuantile(t *testing.T) {
 	}
 	if d := clamped.delay(); d != 10*time.Millisecond {
 		t.Fatalf("clamped delay = %v, want MaxDelay", d)
+	}
+}
+
+// TestHedgeStormAccounting pins that service accounting is final the
+// moment the gauges say idle. Rounds of concurrent hedged calls each
+// leave a burst of cancelled losers winding down after the last Do has
+// returned; a side goroutine hammers ServiceStats throughout and checks
+// every snapshot taken while no Do (hence no Submit) was in progress:
+// one that shows nothing queued and nothing in flight must already
+// balance. It used not to — a finishing submission left the in-flight
+// gauge before its outcome was tallied, a dispatched one left the queue
+// gauge long before it entered the in-flight one, and the snapshot read
+// the tallies before the gauges — which is how TestHedgeWinsTail came to
+// read Cancelled = 0 right after InFlight hit 0.
+func TestHedgeStormAccounting(t *testing.T) {
+	rt := serveRT(t, 4)
+	defer rt.Close()
+	r := New(rt, Policy{
+		MaxAttempts: 1,
+		Hedge:       &HedgePolicy{MinDelay: 100 * time.Microsecond},
+	})
+
+	// A snapshot is quiet when every Do started before it had returned
+	// and none started while it was taken.
+	var started, finished, idleSeen atomic.Int64
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			runtime.Gosched() // GOMAXPROCS may be 1
+			fin := finished.Load()
+			begun := started.Load()
+			ss, _ := rt.ServiceStats()
+			if begun != fin || started.Load() != begun || ss.Queued != 0 || ss.InFlight != 0 {
+				continue
+			}
+			idleSeen.Add(1)
+			if got := ss.Completed + ss.Panicked + ss.Cancelled + ss.Shed; got != ss.Admitted {
+				t.Errorf("idle gauges over unsettled tallies: admitted %d, accounted %d: %+v", ss.Admitted, got, ss)
+				return
+			}
+		}
+	}()
+
+	const rounds, callers = 40, 6
+	for round := 0; round < rounds && !t.Failed(); round++ {
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			started.Add(1)
+			go func() {
+				defer wg.Done()
+				defer finished.Add(1)
+				if _, err := r.Do(context.Background(), tailTask(20*time.Millisecond), sched.SubmitOpts{}); err != nil {
+					t.Errorf("Do: %v", err)
+				}
+			}()
+		}
+		wg.Wait()
+		// The losers are still being cancelled: let the sampler watch
+		// them drain until it has seen this round's idle snapshot.
+		seen := idleSeen.Load()
+		for deadline := time.Now().Add(10 * time.Second); idleSeen.Load() == seen && !t.Failed(); {
+			if time.Now().After(deadline) {
+				t.Fatal("the sampler never saw the service idle")
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	close(stop)
+	<-sampled
+	if ss, _ := rt.ServiceStats(); ss.Cancelled == 0 {
+		t.Fatalf("no hedge loser was ever cancelled: the storm lost its premise: %+v", ss)
 	}
 }

@@ -100,7 +100,7 @@ func (p *Proc) CommitWait(bw *Waiter) bool {
 	if rt.recordOn {
 		rt.rep.Record(w, replay.KWaitBlock, 0, 0)
 	}
-	if rt.adaptOn {
+	if rt.lazyOn {
 		// A blocking strand is a promotion signal like a suspension:
 		// thieves are about to need real continuations.
 		v.eagerBurst = eagerBurstLen

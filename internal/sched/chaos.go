@@ -8,129 +8,18 @@ import (
 )
 
 // Chaos configures seeded, deterministic fault injection at the
-// protocol's race windows — the §III-C hazard analysis turned into a
-// stress harness. Every perturbation except LeakVessel is *sound*: it
-// only delays a strand or abandons a steal attempt, both of which the
-// protocol must tolerate anyway, so any invariant violation the chaos
-// suite surfaces is a real scheduler bug, not an artifact of the
-// injection. LeakVessel is the documented exception — a planted bug for
-// validating the failure-capture pipeline (see its comment).
-//
-// Rates are probabilities in units of 1/1024 per pass through the
-// corresponding window; the draws come from a dedicated per-worker
-// xorshift64 stream seeded from Seed, so chaos never perturbs victim
-// selection and a given (Seed, schedule) is reproducible modulo the OS
-// scheduler.
-type Chaos struct {
-	// Seed seeds the per-worker chaos RNG streams (0: inherit Config.Seed).
-	Seed int64
-	// StealDelay delays a thief between victim selection eligibility and
-	// its popTop attempt, stretching the steal/pop race window.
-	StealDelay int
-	// StealFail abandons a steal attempt outright (counted as a failed
-	// steal), modelling lost CAS races and empty-victim misses.
-	StealFail int
-	// PopBottomDelay delays a finishing strand just before its popBottom,
-	// widening the window in which a thief can turn the would-be hit into
-	// a genuine miss — the exact §III-C hazardous interleaving.
-	PopBottomDelay int
-	// SyncDelay delays a parent just before the explicit-sync counter
-	// restore, racing it against late-joining children (Eq. 5's window).
-	SyncDelay int
-	// AllocFail makes Spawn behave as if the vessel budget were exhausted:
-	// the child runs inline on the caller's strand (the governor's
-	// degradation path, counted as a DegradedSpawn). Sound because inline
-	// execution preserves the fully-strict semantics by construction.
-	AllocFail int
-	// SyncVesselFail makes a suspending Sync behave as if no thief vessel
-	// were available within budget: the parent parks holding its own
-	// worker token and the last-joining child keeps its token and goes
-	// stealing (the TokenKeepSyncs path). Sound for the same reason — the
-	// handoff to a thief is a utilisation optimisation, not a correctness
-	// requirement.
-	SyncVesselFail int
-	// LeakVessel is the one deliberately UNSOUND injection: with this
-	// probability a finishing vessel is dropped instead of returned to a
-	// free list, so the idle-time reconciliation reports VesselsLeaked >
-	// 0 — a real invariant violation, planted on purpose. It exists so
-	// the failure-capture pipeline (nowa-torture → repro bundle →
-	// Config.Replay) can be exercised end to end against a bug that is
-	// known to be there; it must stay zero in any suite that asserts the
-	// soundness property of the other injections.
-	LeakVessel int
-	// StealInterest makes a would-be lazy spawn behave as if a thief had
-	// already signalled steal interest on its record: the spawn takes
-	// the full eager vessel handoff instead of running the child inline.
-	// At 1024 every spawn is promoted, forcing the eager path under a
-	// lazy-mode configuration. Sound by construction — the eager handoff
-	// is the semantics lazy promotion must be equivalent to.
-	StealInterest int
-	// SubmitFail makes service-mode admission (Submit) behave as if the
-	// queue were overloaded: the submission is refused with an
-	// *OverloadedError before touching the queue. Sound — callers must
-	// already tolerate refusal under any policy (severe governor
-	// pressure sheds, FailFast rejects). The draws come from a dedicated
-	// mutex-guarded stream (admission runs off any worker token) and are
-	// logged on the external stream, never replayed.
-	SubmitFail int
-	// StallWorker pins the strand holding a worker token for StallFor at
-	// the strand-finish window, modelling a blocking syscall or a
-	// pathological user function seizing its OS thread mid-run — the
-	// fault Config.StallThreshold recovery exists to survive. Sound: the
-	// strand merely runs long, which the protocol must tolerate; with
-	// recovery armed the stalled token is seized and supplemented, and
-	// the injection lets the fault campaign measure throughput with and
-	// without supplementation under identical schedules.
-	StallWorker int
-	// StallFor is the injected stall duration (default 10ms when
-	// StallWorker is set).
-	StallFor time.Duration
-	// SubmitLatency delays an admission attempt by SubmitLatencyFor
-	// before it reaches the queue, modelling a slow client-to-service
-	// edge — the latency tail hedged submissions exist to cut. Sound:
-	// admission latency carries no protocol obligations. Like
-	// SubmitFail, the draws come from the mutex-guarded external stream
-	// and are logged external, never replayed.
-	SubmitLatency int
-	// SubmitLatencyFor is the injected admission delay (default 1ms when
-	// SubmitLatency is set).
-	SubmitLatencyFor time.Duration
-	// AbortWait makes a strand registering for an external blocking wait
-	// (future await, channel send/receive, barrier arrival) attempt to
-	// cancel its own waiter cell mid-registration and transparently
-	// retry the operation — the planted mid-wait abort that exercises
-	// the abort-vs-resume cell arbitration. Sound: a self-abort that
-	// wins the cell is indistinguishable from a caller-context
-	// cancellation followed by an immediate retry, which the primitives
-	// must tolerate; one that loses proves a wakeup was in flight and
-	// the strand simply takes it. No counter or semantic state changes
-	// hang off the injection itself.
-	AbortWait int
-	// WakeupDelay delays a resumer between winning a waiter's cell and
-	// delivering the wakeup, widening the window in which the waiter's
-	// abort arm must lose the cell CAS and wait for the in-flight
-	// resume. Sound: the delivery edge carries no deadline, only the
-	// exactly-once obligation, which the delay does not touch. Strand
-	// resumers only — AfterFunc abort arms hold no worker token and
-	// draw no chaos.
-	WakeupDelay int
-	// DelaySpins is the number of scheduler yields per injected delay
-	// (default 16).
-	DelaySpins int
-	// SyncStall, if positive, injects a one-shot sleep of this duration
-	// at the first explicit-sync window of a Run — the artificial stall
-	// the watchdog tests detect. It re-arms on the next Run.
-	SyncStall time.Duration
-}
+// protocol's race windows. The type, the injection sites and their table
+// live in internal/replay, where a repro bundle serialises the very same
+// struct; this file holds the scheduler side — the rolls and what fires
+// when one hits.
+type Chaos = replay.Chaos
 
-// enabled reports whether any perturbation is configured.
-func (ch *Chaos) enabled() bool { return ch != nil }
-
-// chaosRoll draws from worker w's chaos stream and reports whether an
-// injection with probability rate/1024 fires; site tags the injection
-// window for the schedule log. Only the strand holding token w calls
-// this, so the stream needs no synchronisation (the token handoff
-// provides the happens-before edge, as with the victim RNGs).
+// chaosRoll draws from worker w's chaos stream and reports whether the
+// injection at site fires, with the probability (in 1/1024) its row of
+// the chaos table configures; site also tags the roll in the schedule
+// log. Only the strand holding token w calls this, so the stream needs
+// no synchronisation (the token handoff provides the happens-before
+// edge, as with the victim RNGs).
 //
 // A zero rate consumes nothing — neither the live stream nor the replay
 // cursor — so unconfigured injection points never perturb the alignment
@@ -143,7 +32,8 @@ func (ch *Chaos) enabled() bool { return ch != nil }
 // divergence.
 //
 //nowa:hotpath
-func (rt *Runtime) chaosRoll(w, rate int, site uint8) bool {
+func (rt *Runtime) chaosRoll(w int, site uint8) bool {
+	rate := rt.cfg.Chaos.Rate(site)
 	if rate <= 0 {
 		return false
 	}
@@ -187,60 +77,27 @@ func (rt *Runtime) chaosDelay() {
 // chaosPreSteal runs the thief-side injections; it reports true when the
 // steal attempt must be abandoned as a forced failure.
 func (rt *Runtime) chaosPreSteal(w int) bool {
-	ch := rt.cfg.Chaos
-	if rt.chaosRoll(w, ch.StealFail, replay.SiteStealFail) {
+	if rt.chaosRoll(w, replay.SiteStealFail) {
 		return true
 	}
-	if rt.chaosRoll(w, ch.StealDelay, replay.SiteStealDelay) {
+	if rt.chaosRoll(w, replay.SiteStealDelay) {
 		rt.chaosDelay()
 	}
 	return false
 }
 
-// chaosPrePopBottom runs the finish-path injection before popBottom.
+// chaosPrePopBottom runs the finish-path injections before popBottom.
 //
 //nowa:hotpath
 func (rt *Runtime) chaosPrePopBottom(w int) {
-	ch := rt.cfg.Chaos
-	if ch.StallWorker > 0 && rt.chaosRoll(w, ch.StallWorker, replay.SiteStallWorker) {
+	if rt.chaosRoll(w, replay.SiteStallWorker) {
 		// The injected stall: this strand holds token w across the sleep,
 		// which is exactly the fault StallThreshold recovery supplements.
-		time.Sleep(ch.StallFor)
+		time.Sleep(time.Duration(rt.cfg.Chaos.StallForUS) * time.Microsecond)
 	}
-	if rt.chaosRoll(w, ch.PopBottomDelay, replay.SitePopBottom) {
+	if rt.chaosRoll(w, replay.SitePopBottom) {
 		rt.chaosDelay()
 	}
-}
-
-// chaosAllocFail reports whether Spawn must simulate vessel-budget
-// exhaustion and degrade inline.
-//
-//nowa:hotpath
-func (rt *Runtime) chaosAllocFail(w int) bool {
-	return rt.chaosRoll(w, rt.cfg.Chaos.AllocFail, replay.SiteAllocFail)
-}
-
-// chaosStealInterest reports whether a lazy spawn must behave as if a
-// thief had signalled steal interest and take the eager handoff.
-//
-//nowa:hotpath
-func (rt *Runtime) chaosStealInterest(w int) bool {
-	return rt.chaosRoll(w, rt.cfg.Chaos.StealInterest, replay.SiteStealInterest)
-}
-
-// chaosSyncVesselFail reports whether a suspending Sync must simulate a
-// failed thief-vessel acquisition and keep its token.
-func (rt *Runtime) chaosSyncVesselFail(w int) bool {
-	return rt.chaosRoll(w, rt.cfg.Chaos.SyncVesselFail, replay.SiteSyncVessel)
-}
-
-// chaosLeakVessel reports whether a finishing vessel must be dropped —
-// the planted leak (see Chaos.LeakVessel). Hot-path-gated like every
-// other injection: chaosOn is checked by the caller.
-//
-//nowa:hotpath
-func (rt *Runtime) chaosLeakVessel(w int) bool {
-	return rt.chaosRoll(w, rt.cfg.Chaos.LeakVessel, replay.SiteLeakVessel)
 }
 
 // ChaosAbortWait reports whether a registering external waiter must
@@ -248,10 +105,7 @@ func (rt *Runtime) chaosLeakVessel(w int) bool {
 // the blocking primitives, which live outside this package.
 func (p *Proc) ChaosAbortWait() bool {
 	rt := p.rt
-	if !rt.chaosOn {
-		return false
-	}
-	return rt.chaosRoll(p.worker, rt.cfg.Chaos.AbortWait, replay.SiteAbortWait)
+	return rt.chaosOn && rt.chaosRoll(p.worker, replay.SiteAbortWait)
 }
 
 // ChaosWakeDelay injects the resumer-side wakeup delay
@@ -259,10 +113,7 @@ func (p *Proc) ChaosAbortWait() bool {
 // Callers are strand resumers holding a worker token.
 func (p *Proc) ChaosWakeDelay() {
 	rt := p.rt
-	if !rt.chaosOn {
-		return
-	}
-	if rt.chaosRoll(p.worker, rt.cfg.Chaos.WakeupDelay, replay.SiteWakeDelay) {
+	if rt.chaosOn && rt.chaosRoll(p.worker, replay.SiteWakeDelay) {
 		rt.chaosDelay()
 	}
 }
@@ -270,11 +121,10 @@ func (p *Proc) ChaosWakeDelay() {
 // chaosPreSync runs the explicit-sync injections: the one-shot stall
 // (first sync window of the run only) and the counter-restore delay.
 func (rt *Runtime) chaosPreSync(w int) {
-	ch := rt.cfg.Chaos
-	if ch.SyncStall > 0 && rt.chaosStalled.CompareAndSwap(false, true) {
-		time.Sleep(ch.SyncStall)
+	if us := rt.cfg.Chaos.SyncStallUS; us > 0 && rt.chaosStalled.CompareAndSwap(false, true) {
+		time.Sleep(time.Duration(us) * time.Microsecond)
 	}
-	if rt.chaosRoll(w, ch.SyncDelay, replay.SiteSyncDelay) {
+	if rt.chaosRoll(w, replay.SiteSyncDelay) {
 		rt.chaosDelay()
 	}
 }

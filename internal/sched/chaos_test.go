@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nowa/internal/apps"
-	"nowa/internal/deque"
 )
 
 // chaosVariants are the configurations the chaos suite stresses: the
@@ -20,11 +19,11 @@ func chaosVariants(seed int64) []Config {
 		SyncDelay:      64,
 		DelaySpins:     8,
 	}
-	return []Config{
-		{Name: "nowa", Workers: 4, Deque: deque.CL, Join: WaitFree, Chaos: ch},
-		{Name: "nowa-the", Workers: 4, Deque: deque.THE, Join: WaitFree, Chaos: ch},
-		{Name: "fibril", Workers: 4, Deque: deque.THE, Join: LockedFibril, Chaos: ch},
+	cfgs := variantConfigs(4, "nowa", "nowa-the", "fibril")
+	for i := range cfgs {
+		cfgs[i].Chaos = ch
 	}
+	return cfgs
 }
 
 // TestChaosStressVariants runs real fork/join kernels under seeded fault
@@ -66,15 +65,10 @@ func TestChaosStressVariants(t *testing.T) {
 					t.Fatalf("ImplicitSyncs(%d) != Steals(%d)+runs(%d)",
 						c.ImplicitSyncs, c.Steals, runs)
 				}
-				// Invariant: token conservation — all worker tokens retired.
-				if left := rt.DebugTokensLeft(); left != 0 {
-					t.Fatalf("tokensLeft = %d, want 0", left)
-				}
-				// Invariant: no continuation left behind.
-				for w := 0; w < cfg.Workers; w++ {
-					if n := rt.DebugDequeSize(w); n != 0 {
-						t.Fatalf("deque[%d] size = %d after runs, want 0", w, n)
-					}
+				// Invariant: all worker tokens retired, no continuation
+				// left behind, nothing leaked.
+				if err := rt.CheckIdle(); err != nil {
+					t.Fatalf("not idle after the runs: %v", err)
 				}
 			})
 		}

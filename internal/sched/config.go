@@ -44,6 +44,7 @@ package sched
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"nowa/internal/cactus"
@@ -86,10 +87,6 @@ const (
 	// the parent's continuation can provide (see the deviation note on
 	// scope.Spawn).
 	SpawnEager
-	// SpawnLazy spawns lazily without the adaptive eager bursts; thief
-	// interest still promotes the in-flight spawn it lands on. An
-	// ablation knob for measuring promotion pressure.
-	SpawnLazy
 )
 
 // String names the spawn mode.
@@ -99,8 +96,6 @@ func (m SpawnMode) String() string {
 		return "adaptive"
 	case SpawnEager:
 		return "eager"
-	case SpawnLazy:
-		return "lazy"
 	}
 	return fmt.Sprintf("SpawnMode(%d)", int(m))
 }
@@ -201,7 +196,7 @@ func (c *Config) fill() error {
 	if c.Join == LockedFibril && c.Deque != deque.THE {
 		return fmt.Errorf("sched: the Fibril protocol requires the THE deque (its lock couples with the frame lock); got %v", c.Deque)
 	}
-	if c.Spawn < SpawnAdaptive || c.Spawn > SpawnLazy {
+	if c.Spawn != SpawnAdaptive && c.Spawn != SpawnEager {
 		return fmt.Errorf("sched: unknown spawn mode %v", c.Spawn)
 	}
 	if c.StallThreshold < 0 {
@@ -235,21 +230,8 @@ func (c *Config) fill() error {
 		c.ParkAfter = 512
 	}
 	if c.Chaos != nil {
-		// Copy so normalisation never mutates the caller's struct.
-		cc := *c.Chaos
-		if cc.Seed == 0 {
-			cc.Seed = c.Seed
-		}
-		if cc.DelaySpins <= 0 {
-			cc.DelaySpins = 16
-		}
-		if cc.StallWorker > 0 && cc.StallFor <= 0 {
-			cc.StallFor = 10 * time.Millisecond
-		}
-		if cc.SubmitLatency > 0 && cc.SubmitLatencyFor <= 0 {
-			cc.SubmitLatencyFor = time.Millisecond
-		}
-		c.Chaos = &cc
+		// A copy, so normalisation never mutates the caller's struct.
+		c.Chaos = c.Chaos.WithDefaults(c.Seed)
 	}
 	// A recorder (or a log) may be sized to the base worker count or to
 	// the full slot count: stall-recovery supplements record scheduling
@@ -278,49 +260,59 @@ func (c *Config) totalSlots() int {
 	return c.Workers + c.MaxSupplements
 }
 
-// NewNowa returns the flagship configuration: wait-free join protocol with
-// the lock-free CL deque (§IV-C's synergy).
+// Slots reports how many scheduling slots a runtime built from c has
+// once the defaults are filled in — the width of a recorder that is to
+// capture the supplements' streams as well as the base workers'.
+func (c Config) Slots() (int, error) {
+	if err := c.fill(); err != nil {
+		return 0, err
+	}
+	return c.totalSlots(), nil
+}
+
+// variants is the one table of the paper's four continuation-stealing
+// runtimes: the flagship (wait-free join on the lock-free CL deque,
+// §IV-C's synergy), the §V-C ablation (wait-free join on the partially
+// locked THE deque), the lock-based Fibril baseline (THE deque plus the
+// coupled deque/frame locking of Listing 2), and the Cilk Plus-like
+// variant (Fibril with a stack pool bounded at stackCap per worker —
+// workers stop stealing when the bound is reached, §II-C).
+var variants = []struct {
+	name     string
+	deque    deque.Algorithm
+	join     JoinKind
+	stackCap int
+}{
+	{"nowa", deque.CL, WaitFree, 0},
+	{"nowa-the", deque.THE, WaitFree, 0},
+	{"fibril", deque.THE, LockedFibril, 0},
+	{"cilkplus", deque.THE, LockedFibril, 8},
+}
+
+// Variants lists the names VariantConfig knows, in evaluation order.
+func Variants() []string {
+	names := make([]string, len(variants))
+	for i, v := range variants {
+		names[i] = v.name
+	}
+	return names
+}
+
+// VariantConfig maps a variant name onto its scheduler configuration:
+// the only place the four names are given a deque, a join protocol and
+// a stack bound.
+func VariantConfig(name string, workers int) (Config, error) {
+	for _, v := range variants {
+		if v.name == name {
+			return Config{Name: name, Workers: workers, Deque: v.deque, Join: v.join,
+				Stacks: cactus.Config{GlobalCap: v.stackCap * workers}}, nil
+		}
+	}
+	return Config{}, fmt.Errorf("unknown variant %q (want %s)", name, strings.Join(Variants(), ", "))
+}
+
+// NewNowa returns a runtime of the flagship variant.
 func NewNowa(workers int) *Runtime {
-	rt, err := New(Config{Name: "nowa", Workers: workers, Deque: deque.CL, Join: WaitFree})
-	if err != nil {
-		panic(err)
-	}
-	return rt
-}
-
-// NewNowaTHE returns the §V-C ablation: wait-free join protocol but with
-// the partially locked THE deque.
-func NewNowaTHE(workers int) *Runtime {
-	rt, err := New(Config{Name: "nowa-the", Workers: workers, Deque: deque.THE, Join: WaitFree})
-	if err != nil {
-		panic(err)
-	}
-	return rt
-}
-
-// NewFibril returns the lock-based baseline: THE deque plus the coupled
-// deque/frame locking of Listing 2.
-func NewFibril(workers int) *Runtime {
-	rt, err := New(Config{Name: "fibril", Workers: workers, Deque: deque.THE, Join: LockedFibril})
-	if err != nil {
-		panic(err)
-	}
-	return rt
-}
-
-// NewCilkPlus returns the Cilk Plus-like variant: lock-based like Fibril,
-// but with a bounded stack pool — workers stop stealing when the bound is
-// reached (§II-C).
-func NewCilkPlus(workers int) *Runtime {
-	rt, err := New(Config{
-		Name:    "cilkplus",
-		Workers: workers,
-		Deque:   deque.THE,
-		Join:    LockedFibril,
-		Stacks:  cactus.Config{GlobalCap: 8 * workers},
-	})
-	if err != nil {
-		panic(err)
-	}
-	return rt
+	cfg, _ := VariantConfig("nowa", workers)
+	return MustNew(cfg)
 }

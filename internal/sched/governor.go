@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"time"
 
 	"nowa/internal/api"
@@ -62,6 +63,46 @@ func (rt *Runtime) Stats() Stats {
 	}
 	rt.govMu.Unlock()
 	return st
+}
+
+// CheckIdle states the invariants that hold whenever no run is in flight
+// — after Run returns, after Close drains a service — and names the
+// first one the runtime violates as "class: detail", the class being
+// what the torture harness matches reruns on. Every worker token was
+// retired; no continuation survives in any deque, the supplements'
+// extended slots included; every supplement stall recovery dispatched
+// retired its token; no vessel, stack or scope leaked; every external
+// wait ended exactly once, by resume or by abort, and nothing is still
+// parked. The spawn-conservation law of trace.Counters.CheckQuiescent is
+// not restated here: cancellation lawfully redirects spawns inline
+// mid-flight, so callers check it where no deadline was involved.
+func (rt *Runtime) CheckIdle() error {
+	if left := rt.tokensLeft.Load(); left != 0 {
+		return fmt.Errorf("tokens: %d tokens unaccounted", left)
+	}
+	for w := range rt.deques {
+		if n := rt.deques[w].Size(); n != 0 {
+			return fmt.Errorf("quiescence: deque %d holds %d continuations", w, n)
+		}
+	}
+	st := rt.Stats()
+	switch {
+	case st.WorkersSupplemented != st.SupplementsRetired:
+		return fmt.Errorf("supplement-leak: %d supplements dispatched, %d retired",
+			st.WorkersSupplemented, st.SupplementsRetired)
+	case st.VesselsLeaked != 0:
+		return fmt.Errorf("vessel-leak: %d vessels never returned to a free list", st.VesselsLeaked)
+	case st.StacksLeaked != 0:
+		return fmt.Errorf("stack-leak: %d stacks unaccounted", st.StacksLeaked)
+	case st.ScopesLeaked != 0:
+		return fmt.Errorf("scope-leak: %d scopes abandoned", st.ScopesLeaked)
+	case st.BlockedWaits != st.ResumedWaits+st.AbortedWaits:
+		return fmt.Errorf("wait-leak: BlockedWaits(%d) != ResumedWaits(%d)+AbortedWaits(%d)",
+			st.BlockedWaits, st.ResumedWaits, st.AbortedWaits)
+	case st.BlockedLive != 0:
+		return fmt.Errorf("wait-leak: %d waiters still parked", st.BlockedLive)
+	}
+	return nil
 }
 
 // ResourceStats implements api.ResourceReporter.

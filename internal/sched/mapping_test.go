@@ -27,11 +27,8 @@ func workerOf(c api.Ctx) int { return c.(*Proc).worker }
 // note on scope.Spawn): under lazy spawning the child would run inline
 // before the continuation exists.
 func TestMappingContinuationStolen(t *testing.T) {
-	for _, cfg := range []Config{
-		{Name: "nowa", Workers: 2, Deque: deque.CL, Join: WaitFree, Spawn: SpawnEager},
-		{Name: "nowa-the", Workers: 2, Deque: deque.THE, Join: WaitFree, Spawn: SpawnEager},
-		{Name: "fibril", Workers: 2, Deque: deque.THE, Join: LockedFibril, Spawn: SpawnEager},
-	} {
+	for _, cfg := range variantConfigs(2, "nowa", "nowa-the", "fibril") {
+		cfg.Spawn = SpawnEager
 		rt := MustNew(cfg)
 		var rootWorker, childWorker, contWorker, afterSyncWorker int
 		release := make(chan struct{})

@@ -14,11 +14,7 @@ import (
 // suspension is covered under the wait-free counter and the Fibril
 // frame mutex alike.
 func overloadVariants(mutate func(*Config)) []Config {
-	cfgs := []Config{
-		{Name: "nowa", Workers: 4, Deque: deque.CL, Join: WaitFree},
-		{Name: "nowa-the", Workers: 4, Deque: deque.THE, Join: WaitFree},
-		{Name: "fibril", Workers: 4, Deque: deque.THE, Join: LockedFibril},
-	}
+	cfgs := variantConfigs(4, "nowa", "nowa-the", "fibril")
 	for i := range cfgs {
 		mutate(&cfgs[i])
 	}
@@ -56,8 +52,8 @@ func TestOverloadHighWater(t *testing.T) {
 				t.Fatalf("vessel high water %d below Workers %d (startup creates one per token)",
 					st.VesselHighWater, cfg.Workers)
 			}
-			if left := rt.DebugTokensLeft(); left != 0 {
-				t.Fatalf("tokensLeft = %d, want 0", left)
+			if err := rt.CheckIdle(); err != nil {
+				t.Fatalf("not idle after the runs: %v", err)
 			}
 		})
 	}
@@ -134,8 +130,8 @@ func TestOverloadChaosAllocFail(t *testing.T) {
 				if err := c.CheckQuiescent(); err != nil {
 					t.Fatal(err)
 				}
-				if left := rt.DebugTokensLeft(); left != 0 {
-					t.Fatalf("tokensLeft = %d, want 0", left)
+				if err := rt.CheckIdle(); err != nil {
+					t.Fatalf("not idle after the runs: %v", err)
 				}
 			})
 		}
@@ -163,8 +159,8 @@ func TestOverloadChaosSyncVesselFail(t *testing.T) {
 					t.Fatalf("TokenKeepSyncs(%d) != Suspensions(%d) at rate 1024",
 						c.TokenKeepSyncs, c.Suspensions)
 				}
-				if left := rt.DebugTokensLeft(); left != 0 {
-					t.Fatalf("tokensLeft = %d, want 0", left)
+				if err := rt.CheckIdle(); err != nil {
+					t.Fatalf("not idle after the runs: %v", err)
 				}
 			})
 		}
@@ -251,7 +247,7 @@ func TestOverloadBudgetReuse(t *testing.T) {
 	if st.VesselHighWater > 6 {
 		t.Fatalf("vessel high water %d exceeds MaxVessels 6 across reuse", st.VesselHighWater)
 	}
-	if st.VesselsLeaked != 0 {
-		t.Fatalf("VesselsLeaked = %d, want 0", st.VesselsLeaked)
+	if err := rt.CheckIdle(); err != nil {
+		t.Fatalf("not idle across reuse: %v", err)
 	}
 }

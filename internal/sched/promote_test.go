@@ -64,18 +64,13 @@ func promoteWorkloads() []apps.Benchmark {
 }
 
 // TestPromoteChaosEverySpawn forces promotion on every single spawn via
-// the StealInterest injection at rate 1024 under SpawnLazy (no adaptive
-// bursts, so every spawn rolls): the run must behave exactly like the
-// eager runtime — zero inline commits, every spawn promoted and
-// conserved — across both join protocols.
+// the StealInterest injection at rate 1024: a spawn either rolls and is
+// promoted or rides the eager burst a promotion armed, so the run must
+// behave exactly like the eager runtime — zero inline commits, every
+// spawn conserved — across both join protocols.
 func TestPromoteChaosEverySpawn(t *testing.T) {
-	cfgs := []Config{
-		{Name: "nowa", Workers: 4, Deque: deque.CL, Join: WaitFree},
-		{Name: "fibril", Workers: 4, Deque: deque.THE, Join: LockedFibril},
-	}
-	for _, cfg := range cfgs {
+	for _, cfg := range variantConfigs(4, "nowa", "fibril") {
 		cfg := cfg
-		cfg.Spawn = SpawnLazy
 		cfg.Chaos = &Chaos{StealInterest: 1024}
 		t.Run(cfg.Name, func(t *testing.T) {
 			rt := MustNew(cfg)
@@ -91,8 +86,8 @@ func TestPromoteChaosEverySpawn(t *testing.T) {
 			if c.InlineRuns != 0 {
 				t.Fatalf("InlineRuns = %d, want 0 with every spawn promoted", c.InlineRuns)
 			}
-			if c.Spawns == 0 || c.PromotedSpawns != c.Spawns {
-				t.Fatalf("PromotedSpawns(%d) != Spawns(%d)", c.PromotedSpawns, c.Spawns)
+			if c.Spawns == 0 || c.PromotedSpawns == 0 || c.PromotedSpawns > c.Spawns {
+				t.Fatalf("PromotedSpawns = %d of %d spawns, want some and no more than all", c.PromotedSpawns, c.Spawns)
 			}
 			if c.LocalResumes+c.Steals != c.Spawns {
 				t.Fatalf("LocalResumes(%d)+Steals(%d) != Spawns(%d)",
@@ -102,13 +97,13 @@ func TestPromoteChaosEverySpawn(t *testing.T) {
 	}
 }
 
-// TestPromoteModesEquivalent runs the same kernels under all three spawn
+// TestPromoteModesEquivalent runs the same kernels under both spawn
 // modes on one and four workers: identical results, the conservation
 // invariant, all tokens retired and every deque empty afterwards — the
 // serial-equivalence obligation of lazy promotion.
 func TestPromoteModesEquivalent(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		for _, mode := range []SpawnMode{SpawnEager, SpawnLazy, SpawnAdaptive} {
+		for _, mode := range []SpawnMode{SpawnEager, SpawnAdaptive} {
 			mode := mode
 			cfg := Config{
 				Name: "nowa", Workers: workers,
@@ -135,13 +130,8 @@ func TestPromoteModesEquivalent(t *testing.T) {
 					t.Fatalf("single-worker lazy: InlineRuns(%d) != Spawns(%d) — something promoted with no thief alive",
 						c.InlineRuns, c.Spawns)
 				}
-				if left := rt.DebugTokensLeft(); left != 0 {
-					t.Fatalf("tokensLeft = %d, want 0", left)
-				}
-				for w := 0; w < workers; w++ {
-					if n := rt.DebugDequeSize(w); n != 0 {
-						t.Fatalf("deque[%d] size = %d after runs, want 0 (stale records must drain)", w, n)
-					}
+				if err := rt.CheckIdle(); err != nil {
+					t.Fatalf("not idle after the runs (stale records must drain): %v", err)
 				}
 			})
 		}

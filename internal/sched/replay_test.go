@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"nowa/internal/apps"
-	"nowa/internal/cactus"
 	"nowa/internal/deque"
 	"nowa/internal/replay"
 )
@@ -24,15 +23,7 @@ func encodeLog(t *testing.T, l *replay.Log) []byte {
 
 // replayVariants are the four vessel-model configurations, at the given
 // worker count, with recording attached.
-func replayVariants(workers int) []Config {
-	return []Config{
-		{Name: "nowa", Workers: workers, Deque: deque.CL, Join: WaitFree},
-		{Name: "nowa-the", Workers: workers, Deque: deque.THE, Join: WaitFree},
-		{Name: "fibril", Workers: workers, Deque: deque.THE, Join: LockedFibril},
-		{Name: "cilkplus", Workers: workers, Deque: deque.THE, Join: LockedFibril,
-			Stacks: cactus.Config{GlobalCap: 8 * workers}},
-	}
-}
+func replayVariants(workers int) []Config { return variantConfigs(workers) }
 
 // captureRun executes one seeded chaos workload on a fresh runtime built
 // from cfg with a fresh recorder, returning the canonical bundle bytes.
@@ -248,8 +239,8 @@ func TestReplayMultiWorkerBestEffort(t *testing.T) {
 		t.Fatal("ReplayDivergences reports not replaying")
 	}
 	// Token conservation still holds under replay.
-	if left := rrt.DebugTokensLeft(); left != 0 {
-		t.Fatalf("tokensLeft = %d after replayed run, want 0", left)
+	if err := rrt.CheckIdle(); err != nil {
+		t.Fatalf("not idle after the runs: %v", err)
 	}
 }
 
@@ -309,8 +300,8 @@ func TestReplayCountersStayCoherent(t *testing.T) {
 			if err := c.CheckQuiescent(); err != nil {
 				t.Fatal(err)
 			}
-			if left := rt.DebugTokensLeft(); left != 0 {
-				t.Fatalf("tokensLeft = %d, want 0", left)
+			if err := rt.CheckIdle(); err != nil {
+				t.Fatalf("not idle after the runs: %v", err)
 			}
 			if rec.Total() == 0 {
 				t.Fatal("recorder captured nothing under chaos stress")

@@ -37,7 +37,6 @@ type Runtime struct {
 	replayOn   bool // cfg.Replay != nil: decisions driven from a captured log
 	blockRecOn bool // recordOn && Workers > 1: KBlocked diagnostics (see note)
 	lazyOn     bool // cfg.Spawn != SpawnEager: Spawn publishes promotable records
-	adaptOn    bool // cfg.Spawn == SpawnAdaptive: promotions arm eager bursts
 	stallOn    bool // cfg.StallThreshold > 0: heartbeats + stall supervisor armed
 
 	// Cached vessel budgets (0 = unbounded): spawnLimit gates vessel
@@ -183,7 +182,6 @@ func New(cfg Config) (*Runtime, error) {
 		replayOn:   cfg.Replay != nil,
 		blockRecOn: cfg.Record != nil && cfg.Workers > 1,
 		lazyOn:     cfg.Spawn != SpawnEager,
-		adaptOn:    cfg.Spawn == SpawnAdaptive,
 		stallOn:    cfg.StallThreshold > 0,
 		rep:        cfg.Record,
 		spawnLimit: int64(cfg.SoftMaxVessels),

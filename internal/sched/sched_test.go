@@ -11,14 +11,30 @@ import (
 	"nowa/internal/trace"
 )
 
-// variants returns fresh runtimes of every paper configuration.
-func variants(workers int) []*Runtime {
-	return []*Runtime{
-		NewNowa(workers),
-		NewNowaTHE(workers),
-		NewFibril(workers),
-		NewCilkPlus(workers),
+// variantConfigs returns the configurations of the named paper
+// variants, all four when none is named, through the one variant table.
+func variantConfigs(workers int, names ...string) []Config {
+	if len(names) == 0 {
+		names = Variants()
 	}
+	cfgs := make([]Config, len(names))
+	for i, name := range names {
+		cfg, err := VariantConfig(name, workers)
+		if err != nil {
+			panic(err)
+		}
+		cfgs[i] = cfg
+	}
+	return cfgs
+}
+
+// allVariants returns fresh runtimes of every paper configuration.
+func allVariants(workers int) []*Runtime {
+	var rts []*Runtime
+	for _, cfg := range variantConfigs(workers) {
+		rts = append(rts, MustNew(cfg))
+	}
+	return rts
 }
 
 func fib(c api.Ctx, n int) int {
@@ -43,7 +59,7 @@ func fibSerial(n int) int {
 func TestFibAllVariants(t *testing.T) {
 	want := fibSerial(16)
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, rt := range variants(workers) {
+		for _, rt := range allVariants(workers) {
 			rt := rt
 			t.Run(rt.Name()+"/w="+itoa(workers), func(t *testing.T) {
 				defer rt.Close()
@@ -85,7 +101,7 @@ func TestSerialElisionAgreement(t *testing.T) {
 }
 
 func TestMultipleSyncRoundsPerScope(t *testing.T) {
-	for _, rt := range variants(4) {
+	for _, rt := range allVariants(4) {
 		rt := rt
 		t.Run(rt.Name(), func(t *testing.T) {
 			defer rt.Close()
@@ -113,7 +129,7 @@ func TestMultipleSyncRoundsPerScope(t *testing.T) {
 }
 
 func TestSyncWithoutSpawn(t *testing.T) {
-	for _, rt := range variants(2) {
+	for _, rt := range allVariants(2) {
 		rt := rt
 		t.Run(rt.Name(), func(t *testing.T) {
 			defer rt.Close()
@@ -143,7 +159,7 @@ func TestRootWithoutScope(t *testing.T) {
 func TestDeepSpawnChain(t *testing.T) {
 	// A degenerate chain: each level spawns exactly one child doing all
 	// the work, so nearly every continuation is trivially resumable.
-	for _, rt := range variants(4) {
+	for _, rt := range allVariants(4) {
 		rt := rt
 		t.Run(rt.Name(), func(t *testing.T) {
 			defer rt.Close()
@@ -173,7 +189,7 @@ func chain(c api.Ctx, n int) int {
 func TestWideFlatSpawn(t *testing.T) {
 	// One scope, many children: exercises many concurrent joiners on a
 	// single hot join counter — the paper's contended case.
-	for _, rt := range variants(8) {
+	for _, rt := range allVariants(8) {
 		rt := rt
 		t.Run(rt.Name(), func(t *testing.T) {
 			defer rt.Close()
@@ -249,7 +265,7 @@ func TestCountersConservation(t *testing.T) {
 	// Every spawn is resolved exactly once: inline (a lazy spawn that was
 	// never promoted), by a local resume, or by a steal. Implicit syncs
 	// correspond to stolen continuations plus the root's final pop.
-	for _, rt := range variants(4) {
+	for _, rt := range allVariants(4) {
 		rt := rt
 		t.Run(rt.Name(), func(t *testing.T) {
 			defer rt.Close()
@@ -395,7 +411,7 @@ func TestStackPoolRecirculates(t *testing.T) {
 
 func TestVariantNames(t *testing.T) {
 	names := map[string]bool{}
-	for _, rt := range variants(2) {
+	for _, rt := range allVariants(2) {
 		names[rt.Name()] = true
 		rt.Close()
 	}

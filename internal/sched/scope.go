@@ -290,7 +290,7 @@ func (s *scope) spawn(fn func(api.Ctx), forceEager bool) {
 		rt.runInline(p, fn, trace.DegradedSpawns)
 		return
 	}
-	if rt.chaosOn && rt.chaosAllocFail(p.worker) {
+	if rt.chaosOn && rt.chaosRoll(p.worker, replay.SiteAllocFail) {
 		rt.runInline(p, fn, trace.DegradedSpawns)
 		return
 	}
@@ -300,7 +300,7 @@ func (s *scope) spawn(fn func(api.Ctx), forceEager bool) {
 			// handoff so thieves get real continuations while demand (or
 			// blocking) is evidently present.
 			p.v.eagerBurst--
-		} else if rt.chaosOn && rt.chaosStealInterest(p.worker) {
+		} else if rt.chaosOn && rt.chaosRoll(p.worker, replay.SiteStealInterest) {
 			// Injected thief interest: exactly a record claim, minus the
 			// thief.
 			s.promote(fn, replay.PromoteClaim)
@@ -420,9 +420,7 @@ func (s *scope) spawnLazy(fn func(api.Ctx)) {
 	// burst; interest that loses is a failed CAS on the thief's side,
 	// already counted as a failed steal there.
 	if rec.state.Swap(inline&^recPhaseMask|recIdle)&recPhaseMask == recInterest {
-		if rt.adaptOn {
-			v.eagerBurst = eagerBurstLen
-		}
+		v.eagerBurst = eagerBurstLen
 		v.pend[trace.PromotedSpawns]++
 		if rt.recordOn {
 			rt.rep.Record(p.worker, replay.KPromote, replay.PromoteInterest, 0)
@@ -446,16 +444,14 @@ func (s *scope) spawnLazy(fn func(api.Ctx)) {
 
 // promote pays the full eager handoff for a lazy spawn whose record was
 // claimed (by a thief's steal-interest CAS, or chaos impersonating one)
-// and, in adaptive mode, arms an eager burst so the vessel's next spawns
-// skip the record dance while thieves are evidently hungry.
+// and arms an eager burst so the vessel's next spawns skip the record
+// dance while thieves are evidently hungry.
 //
 //nowa:hotpath
 func (s *scope) promote(fn func(api.Ctx), site uint8) {
 	p := s.p
 	rt := p.rt
-	if rt.adaptOn {
-		p.v.eagerBurst = eagerBurstLen
-	}
+	p.v.eagerBurst = eagerBurstLen
 	p.v.pend[trace.PromotedSpawns]++
 	if rt.recordOn {
 		rt.rep.Record(p.worker, replay.KPromote, site, 0)
@@ -541,7 +537,7 @@ func (s *scope) Sync() {
 	if rt.recordOn {
 		rt.rep.Record(p.worker, replay.KSuspend, 0, 0)
 	}
-	if rt.adaptOn {
+	if rt.lazyOn {
 		// A suspension marks this vessel's workload as blocking-prone:
 		// arm an eager burst so its upcoming children get vessels of
 		// their own instead of serialising behind blocked inline runs.
@@ -581,7 +577,7 @@ func (s *scope) syncBudget() {
 	rt := p.rt
 	w := p.worker
 	var tv *vessel
-	if rt.chaosOn && rt.chaosSyncVesselFail(w) {
+	if rt.chaosOn && rt.chaosRoll(w, replay.SiteSyncVessel) {
 		// Simulated exhaustion: tv stays nil and the strand takes the
 		// token-keeping suspension below.
 	} else {
@@ -606,7 +602,7 @@ func (s *scope) syncBudget() {
 	if rt.recordOn {
 		rt.rep.Record(w, replay.KSuspend, 0, 0)
 	}
-	if rt.adaptOn {
+	if rt.lazyOn {
 		// Same blocking-prone signal as Sync's suspension path.
 		p.v.eagerBurst = eagerBurstLen
 		if rt.recordOn {

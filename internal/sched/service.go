@@ -441,10 +441,12 @@ func (rt *Runtime) submit(ctx context.Context, task func(api.Ctx), opts SubmitOp
 func (svc *service) admit(sub *Submission, waitCtx context.Context) error {
 	rt := svc.rt
 	q := &svc.adm
-	if rt.chaosOn {
-		svc.chaosSubmitLatency()
+	if rt.chaosOn && svc.chaosRoll(replay.SiteSubmitLatency) {
+		// A slow client-to-service edge: the latency tail hedging
+		// exists to cut.
+		time.Sleep(time.Duration(rt.cfg.Chaos.SubmitLatencyForUS) * time.Microsecond)
 	}
-	if rt.chaosOn && svc.chaosSubmitFail() {
+	if rt.chaosOn && svc.chaosRoll(replay.SiteSubmitFail) {
 		// Admission-time fault injection: behave exactly like a FailFast
 		// overload refusal. Sound — callers must tolerate ErrOverloaded
 		// under any policy (severe pressure sheds, chaos refuses).
@@ -503,12 +505,13 @@ func (svc *service) shedVictim(victim *Submission) {
 	}
 }
 
-// chaosSubmitFail rolls the admission-time injection. The admission path
-// has no worker token, so the draw comes from the service's dedicated
-// mutex-guarded stream, and the roll is recorded on the external stream
-// (replay never consumes it — service schedules are not replayable).
-func (svc *service) chaosSubmitFail() bool {
-	rate := svc.rt.cfg.Chaos.SubmitFail
+// chaosRoll rolls one of the admission-time injections (the external
+// sites of the chaos table). The admission path has no worker token, so
+// the draw comes from the service's dedicated mutex-guarded stream, and
+// the roll is recorded on the external stream (replay never consumes it
+// — service schedules are not replayable).
+func (svc *service) chaosRoll(site uint8) bool {
+	rate := svc.rt.cfg.Chaos.Rate(site)
 	if rate <= 0 {
 		return false
 	}
@@ -520,33 +523,9 @@ func (svc *service) chaosSubmitFail() bool {
 		if fired {
 			arg = 1
 		}
-		svc.rt.rep.RecordExternal(replay.KChaos, replay.SiteSubmitFail, arg)
+		svc.rt.rep.RecordExternal(replay.KChaos, site, arg)
 	}
 	return fired
-}
-
-// chaosSubmitLatency rolls the admission-delay injection and, when it
-// fires, sleeps the submitting goroutine for Chaos.SubmitLatencyFor —
-// a slow client-to-service edge, the latency tail hedging exists to
-// cut. Same stream and recording discipline as chaosSubmitFail.
-func (svc *service) chaosSubmitLatency() {
-	ch := svc.rt.cfg.Chaos
-	if ch.SubmitLatency <= 0 {
-		return
-	}
-	svc.chaosMu.Lock()
-	fired := int(svc.chaosRng.next()&1023) < ch.SubmitLatency
-	svc.chaosMu.Unlock()
-	if svc.rt.recordOn {
-		var arg uint16
-		if fired {
-			arg = 1
-		}
-		svc.rt.rep.RecordExternal(replay.KChaos, replay.SiteSubmitLatency, arg)
-	}
-	if fired {
-		time.Sleep(ch.SubmitLatencyFor)
-	}
 }
 
 // queuedLen reports the current admission-queue depth — the stall
@@ -578,12 +557,18 @@ func (svc *service) retryHint() time.Duration {
 }
 
 // nextSubmission blocks until a submission is available or the queue is
-// closed and fully drained (nil).
+// closed and fully drained (nil). A popped submission is counted in
+// flight before the queue lock is released, so it is never in neither
+// gauge; the caller gives the count back once the submission's outcome
+// is tallied.
 func (svc *service) nextSubmission() *Submission {
 	q := &svc.adm
 	for {
 		q.mu.Lock()
 		sub := q.popNextLocked()
+		if sub != nil {
+			svc.inflight.Add(1)
+		}
 		closed := q.closed
 		q.mu.Unlock()
 		if sub != nil {
@@ -626,7 +611,10 @@ func (rt *Runtime) serviceRoot(c api.Ctx) {
 			break
 		}
 		if !sub.state.CompareAndSwap(subQueued, subRunning) {
-			continue // shed while queued; its future is already resolved
+			// Shed while queued: its future is already resolved and its
+			// outcome tallied by whoever shed it.
+			svc.inflight.Add(-1)
+			continue
 		}
 		if sub.cs.Cancelled() {
 			// Expired (or force-cancelled) while queued: resolve without
@@ -635,10 +623,10 @@ func (rt *Runtime) serviceRoot(c api.Ctx) {
 			err := sub.outcomeErr()
 			sub.release()
 			svc.noteOutcome(err, false)
+			svc.inflight.Add(-1)
 			sub.resolve(subRunning, err)
 			continue
 		}
-		svc.inflight.Add(1)
 		if rt.recordOn {
 			// Owner-only: the dispatcher holds whatever token it last
 			// resumed with.
@@ -659,8 +647,10 @@ func (svc *service) complete(sub *Submission) {
 		err = sub.outcomeErr()
 	}
 	sub.release()
-	svc.inflight.Add(-1)
+	// Tally, then leave the gauge: whoever sees InFlight at zero must
+	// find this outcome already counted (see ServiceStats).
 	svc.noteOutcome(err, true)
+	svc.inflight.Add(-1)
 	sub.resolve(subRunning, err)
 }
 
@@ -748,12 +738,19 @@ type ServiceStats struct {
 
 // ServiceStats reports the service accounting; false when the runtime
 // is not (and was never) serving. Valid during and after Close.
+//
+// The gauges are read before the tallies, and a submission moves queue →
+// in flight → tallied with no gap in between, so once no Submit call is
+// in progress a snapshot showing Queued == 0 and InFlight == 0 is final:
+// Admitted == Completed + Panicked + Cancelled + Shed holds in that very
+// snapshot, with no settling delay.
 func (rt *Runtime) ServiceStats() (ServiceStats, bool) {
 	svc := rt.svc.Load()
 	if svc == nil {
 		return ServiceStats{}, false
 	}
 	q := &svc.adm
+	queued, inflight := q.queued(), int(svc.inflight.Load())
 	return ServiceStats{
 		Submitted:      q.submitted.Load(),
 		Admitted:       q.admitted.Load(),
@@ -763,8 +760,8 @@ func (rt *Runtime) ServiceStats() (ServiceStats, bool) {
 		Completed:      svc.completed.Load(),
 		Panicked:       svc.panicked.Load(),
 		Cancelled:      svc.cancelled.Load(),
-		Queued:         q.queued(),
-		InFlight:       int(svc.inflight.Load()),
+		Queued:         queued,
+		InFlight:       inflight,
 		PressureGrade:  int(q.pressure.Load()),
 		RetryHint:      svc.retryHint(),
 		CompletionEWMA: time.Duration(svc.ewmaNs.Load()),

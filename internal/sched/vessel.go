@@ -298,7 +298,7 @@ func (rt *Runtime) reserveVessel(limit int64) bool {
 //
 //nowa:hotpath
 func (rt *Runtime) freeVessel(v *vessel, w int) {
-	if rt.chaosOn && rt.chaosLeakVessel(w) {
+	if rt.chaosOn && rt.chaosRoll(w, replay.SiteLeakVessel) {
 		// Planted bug (Chaos.LeakVessel): drop the vessel instead of
 		// pooling it. It stays counted live and registered in allVessels
 		// — Close still stops its goroutine — but never returns to a free

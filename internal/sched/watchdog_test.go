@@ -19,7 +19,7 @@ import (
 func TestWatchdogDetectsInjectedStall(t *testing.T) {
 	rt := MustNew(Config{
 		Workers: 2,
-		Chaos:   &Chaos{Seed: 1, SyncStall: 500 * time.Millisecond},
+		Chaos:   &Chaos{Seed: 1, SyncStallUS: 500_000},
 	})
 	defer rt.Close()
 

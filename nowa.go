@@ -38,7 +38,6 @@ import (
 	"nowa/internal/api"
 	"nowa/internal/cactus"
 	"nowa/internal/childsteal"
-	"nowa/internal/deque"
 	"nowa/internal/omp"
 	"nowa/internal/replay"
 	"nowa/internal/resilience"
@@ -134,22 +133,13 @@ func New(v Variant, workers int) Runtime {
 	panic("nowa: unknown variant " + v.String())
 }
 
-// schedConfig is the single source of truth mapping the four
-// continuation-stealing variants onto scheduler configurations; the
-// second result is false for the non-vessel comparators.
+// schedConfig maps the four continuation-stealing variants onto
+// scheduler configurations through sched.VariantConfig, which knows them
+// by the names String prints; the second result is false for the
+// non-vessel comparators.
 func schedConfig(v Variant, workers int) (sched.Config, bool) {
-	switch v {
-	case VariantNowa:
-		return sched.Config{Name: "nowa", Workers: workers, Deque: deque.CL, Join: sched.WaitFree}, true
-	case VariantNowaTHE:
-		return sched.Config{Name: "nowa-the", Workers: workers, Deque: deque.THE, Join: sched.WaitFree}, true
-	case VariantFibril:
-		return sched.Config{Name: "fibril", Workers: workers, Deque: deque.THE, Join: sched.LockedFibril}, true
-	case VariantCilkPlus:
-		return sched.Config{Name: "cilkplus", Workers: workers, Deque: deque.THE, Join: sched.LockedFibril,
-			Stacks: cactus.Config{GlobalCap: 8 * workers}}, true
-	}
-	return sched.Config{}, false
+	cfg, err := sched.VariantConfig(v.String(), workers)
+	return cfg, err == nil
 }
 
 // SpawnPolicy selects how the continuation-stealing runtimes map
@@ -167,9 +157,6 @@ const (
 	// pre-promotion behaviour. Required when a child blocks on a signal
 	// that only the code after the Spawn call can provide.
 	SpawnEager = sched.SpawnEager
-	// SpawnLazy spawns lazily without the adaptive bursts (an ablation
-	// knob).
-	SpawnLazy = sched.SpawnLazy
 )
 
 // Limits bounds a runtime's resources. Exhaustion degrades gracefully —

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nowa/internal/api"
+	"nowa/internal/sched"
 )
 
 // recoverPanic runs f and returns the recovered StrandPanic, if any.
@@ -89,15 +90,13 @@ func TestRuntimeUsableAfterPanic(t *testing.T) {
 			if got != 377 {
 				t.Fatalf("post-panic fib(14) = %d, want 377", got)
 			}
-			// And it must not have leaked vessels or stacks on the
-			// panic path: everything created was recycled. (Scope
-			// leaks are legal on panic unwinds and not asserted.)
-			if rs, ok := Resources(rt); ok {
-				if rs.VesselsLeaked != 0 {
-					t.Errorf("VesselsLeaked = %d after panic, want 0", rs.VesselsLeaked)
-				}
-				if rs.StacksLeaked != 0 {
-					t.Errorf("StacksLeaked = %d after panic, want 0", rs.StacksLeaked)
+			// And it must be idle again, with no vessel or stack leaked
+			// on the panic path: everything created was recycled. (Scope
+			// leaks are legal on panic unwinds; CheckIdle tests for them
+			// after the vessel and stack bars.)
+			if srt, ok := rt.(*sched.Runtime); ok {
+				if err := srt.CheckIdle(); err != nil && !strings.HasPrefix(err.Error(), "scope-leak:") {
+					t.Errorf("not idle after panic: %v", err)
 				}
 			}
 		})
