@@ -4,9 +4,9 @@
 # race-enabled chaos/cancellation/misuse stress subset, a smoke run
 # of the spawn-overhead benchmark (catches fast-path breakage that only
 # -bench exercises) and the TestSpawnFloor latency gate (catches a
-# goroutine switch sneaking back onto the lazy spawn path). The
-# allocation bars (TestSpawnAllocs, TestBlockedWaitAllocs) run with the
-# rest of `go test ./...`.
+# goroutine switch or shared-memory traffic sneaking back onto the lazy
+# spawn path). The allocation bars (TestSpawnAllocs,
+# TestBlockedWaitAllocs) run with the rest of `go test ./...`.
 
 GO ?= go
 
@@ -78,9 +78,9 @@ race:
 # workload of BENCHMARK.json in a process of its own, reports under
 # benchmark/out/ (see benchmark/README.md; `-workload layers` prints the
 # per-layer ledger). Nothing is compared against a committed snapshot:
-# numbers from different hosts do not compare. The guard against a
-# goroutine switch returning to the spawn path is TestSpawnFloor, in
-# `verify`.
+# numbers from different hosts do not compare. The coarse guard against
+# a goroutine switch returning to the spawn path is TestSpawnFloor, in
+# `verify`; the fine one is the ledger's sched.spawn_sync_ns.
 bench:
 	$(GO) test -run '^$$' -bench 'SpawnOverhead|SyncOverhead' -benchtime 100000x .
 	bash benchmark/run.sh

@@ -119,6 +119,18 @@ func TestSpawnAllocsNested(t *testing.T) {
 	if avg > 0 {
 		t.Errorf("nowa: %.2f allocs per nested round, want 0", avg)
 	}
+
+	// 24 levels deep, past the scope stack's inline slots: once the
+	// warm-up has grown the stack, a level costs its child's closure
+	// (it captures the depth) and nothing else.
+	const depth = 24
+	rt.Run(func(c nowa.Ctx) {
+		nestedRounds(c, depth)
+		avg = testing.AllocsPerRun(100, func() { nestedRounds(c, depth) })
+	})
+	if perLevel := avg / depth; perLevel > 1 {
+		t.Errorf("nowa: %.2f allocs per level at depth %d, want <= 1 (the closure)", perLevel, depth)
+	}
 }
 
 // TestChannelAllocs asserts that a Send and a Recv that do not block

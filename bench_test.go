@@ -336,7 +336,10 @@ func BenchmarkJoinCounter(b *testing.B) {
 // vessel-model variants get a second row, <variant>/record, with a
 // schedule recorder attached: the difference between the two rows is
 // what turning capture on costs per round trip (a few packed atomic
-// stores into the replay ring).
+// stores into the replay ring). The nowa/depth24 row nests the round
+// trips 24 scopes deep per iteration — each level opens a scope, spawns
+// the next level and syncs, the shape of an inlined fib or nqueens spine
+// — and reports ns per level: the scope stack past its inline slots.
 func BenchmarkSpawnOverhead(b *testing.B) {
 	roundTrips := func(b *testing.B, rt nowa.Runtime) {
 		defer nowa.Close(rt)
@@ -359,6 +362,32 @@ func BenchmarkSpawnOverhead(b *testing.B) {
 			})
 		}
 	}
+	b.Run("nowa/depth24", func(b *testing.B) {
+		const depth = 24
+		rt := nowa.New(nowa.VariantNowa, 1)
+		defer nowa.Close(rt)
+		b.ReportAllocs()
+		rt.Run(func(c nowa.Ctx) {
+			nestedRounds(c, depth) // grow the scope stack before timing
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				nestedRounds(c, depth)
+			}
+		})
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/depth, "ns/level")
+	})
+}
+
+// nestedRounds runs depth nested scope/spawn/sync levels: every level
+// spawns the next one down as its child, so under lazy promotion they
+// all nest on one vessel's scope stack.
+func nestedRounds(c nowa.Ctx, depth int) {
+	if depth == 0 {
+		return
+	}
+	s := c.Scope()
+	s.Spawn(func(c nowa.Ctx) { nestedRounds(c, depth-1) })
+	s.Sync()
 }
 
 // BenchmarkSyncOverhead measures one explicit Sync on a scope with no

@@ -1,6 +1,7 @@
 // Command nowa-model runs the explicit-state model checker over the three
 // strand-coordination protocols of the paper and prints the verdicts —
-// including the concrete §III-C counterexample for the naive protocol.
+// including the concrete §III-C counterexample for the naive protocol —
+// then over the scheduler's steal-demand handshake (DESIGN.md §14).
 package main
 
 import (
@@ -36,5 +37,28 @@ func main() {
 	fmt.Println("\nProtoNaive models separate queue/counter steps; ProtoLocked fuses them")
 	fmt.Println("(Fibril's coupled locks, Listing 2); ProtoWaitFree keeps them separate")
 	fmt.Println("but runs phase 1 on N_r' = I_max - omega (the Nowa transformation, §IV).")
+
+	fmt.Println("\nSteal-demand handshake (thieves post, the owner polls; 2 thieves, 1 owner, 3 spawns):")
+	fmt.Println()
+	for _, late := range []bool{false, true} {
+		name := "demand"
+		if late {
+			name = "late-add"
+		}
+		r := model.CheckDemand(model.DemandConfig{Spawns: 3, BuggyLateAdd: late})
+		fmt.Printf("%-10s  %7d states, %5d maximal executions: ", name, r.States, r.Executions)
+		switch {
+		case r.Violation == nil && late:
+			fmt.Println("UNEXPECTEDLY SAFE (waiters++ after the park-time post must lose a wakeup)")
+			exit = 1
+		case r.Violation == nil:
+			fmt.Println("safe — no lost wakeup, no post honoured twice, no demand outlives a strand start")
+		case late:
+			fmt.Printf("LOST WAKEUP FOUND (planted: waiters++ moved after the park-time post)\n\n%s\n", r.Violation)
+		default:
+			fmt.Printf("UNEXPECTED VIOLATION\n\n%s\n\n", r.Violation)
+			exit = 1
+		}
+	}
 	os.Exit(exit)
 }

@@ -1,13 +1,14 @@
 // Spawn-floor regression gate for lazy vessel promotion.
 //
 // The eager vessel handoff pays two goroutine switches per spawn — the
-// "Gosched floor" of the vessel model, ~288 ns/round on the reference
-// host. Lazy vessel promotion (DESIGN.md §14) removes both switches
-// from the no-steal path, so the steady-state spawn must land well
-// under that floor. This test locks the property in as a CI gate: it is
-// deliberately generous (a slack multiplier over the acceptance target)
-// so shared-host noise cannot flake it, while a regression that
-// reintroduces a goroutine switch — 300 ns or more — fails loudly.
+// "Gosched floor" of the vessel model, 300-600 ns/round. Lazy vessel
+// promotion (DESIGN.md §14) takes the no-steal spawn off every shared
+// structure: one load of the token's steal-demand word, the child run
+// inline, a sync that finds nothing stolen. This test locks that in as
+// a CI gate: generous enough (a slack multiplier over the acceptance
+// target) that shared-host noise cannot flake it, tight enough that a
+// goroutine switch, a deque round trip or a locked instruction per
+// spawn coming back onto the path fails loudly.
 package nowa_test
 
 import (
@@ -18,10 +19,13 @@ import (
 )
 
 // spawnFloorBudget is the gate: the acceptance target for the no-steal
-// lazy spawn is 150 ns/op on the 1-CPU reference host (measured ~70);
-// the 4x slack absorbs slower or noisier CI hosts without ever letting
-// a reintroduced goroutine switch (two of them: ~300-600 ns) pass.
-const spawnFloorBudget = 4 * 150 * time.Nanosecond
+// lazy spawn is 40 ns/op (measured ~20 on the reference host); the 4x
+// slack absorbs slower or noisier CI hosts without ever letting a
+// reintroduced goroutine switch (two of them: 300-600 ns) pass. It is a
+// coarse tripwire — a publish-and-retire round trip through the deque
+// (~70 ns on the reference host only) may still slip under it elsewhere;
+// the fine-grained guard is the benchmark ledger's sched.spawn_sync_ns.
+const spawnFloorBudget = 4 * 40 * time.Nanosecond
 
 // measureSpawnNs times one steady-state Spawn/Sync round trip on one
 // worker, best of several samples (best-of is the right statistic for a
@@ -67,7 +71,7 @@ func TestSpawnFloor(t *testing.T) {
 			t.Logf("%s: no-steal spawn %.1f ns/op (budget %v)", v, got, spawnFloorBudget)
 			if got > float64(spawnFloorBudget.Nanoseconds()) {
 				t.Errorf("%s: no-steal spawn %.1f ns/op exceeds the %v gate — "+
-					"a goroutine switch is back on the lazy fast path", v, got, spawnFloorBudget)
+					"shared-memory traffic or a goroutine switch is back on the lazy fast path", v, got, spawnFloorBudget)
 			}
 		})
 	}

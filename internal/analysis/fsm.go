@@ -17,8 +17,8 @@ import (
 // where the phase names are constants of the field's package (or the
 // literals false,true for an atomic.Bool) and mask, when given, names the
 // constant whose bits carry the phase — the remaining bits are free
-// payload (the promotable record packs an ABA round counter above the
-// phase). The analyzer then requires:
+// payload (an ABA round counter packed above the phase, say). The
+// analyzer then requires:
 //
 //   - CompareAndSwap(old, new): the (old, new) phases infer statically
 //     and form a declared transition
@@ -36,11 +36,11 @@ import (
 // into local variables in source order. An operand it cannot resolve —
 // a CAS whose old value was loaded and dynamically range-checked — is a
 // finding, suppressed line-scoped with //nowa:fsm-ok <reason> where the
-// dynamic guard is the documented protocol (the thief's claimRecord).
+// dynamic guard is the documented protocol.
 //
 // Both sync/atomic wrapper methods (x.f.CompareAndSwap) and package
 // functions (atomic.CompareAndSwapUint32(&x.f, ...)) are recognised, so
-// the parker's raw word and the promotion word get the same gate.
+// the parker's raw word and the wrapped state words get the same gate.
 func Fsm() *Analyzer {
 	return &Analyzer{
 		Name: "fsm",

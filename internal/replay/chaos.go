@@ -76,8 +76,8 @@ type Chaos struct {
 	// logged on the external stream, never replayed.
 	SubmitFail int `json:"submit_fail,omitempty"`
 	// StealInterest makes a would-be lazy spawn behave as if a thief had
-	// already signalled steal interest on its record: the spawn takes
-	// the full eager vessel handoff instead of running the child inline.
+	// posted steal demand on its token: the spawn takes the full eager
+	// vessel handoff instead of running the child inline.
 	// At 1024 every spawn is promoted, forcing the eager path under a
 	// lazy-mode configuration. Sound by construction — the eager handoff
 	// is the semantics lazy promotion must be equivalent to.

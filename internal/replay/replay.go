@@ -126,12 +126,12 @@ const (
 	// strand's worker stream); Arg is the submission id.
 	//nowa:replay-diagnostic service boundary trace; service schedules are not replayable (see nextDecision)
 	KSubDone
-	// KInlineRun is a lazy spawn committing to inline execution: the
-	// owner won the commit CAS against thief interest and ran the child
-	// on its own vessel. Not a decision — the commit outcome is fully
+	// KInlineRun is a lazy spawn running its child inline: the owner
+	// found no steal demand posted on its token and published nothing.
+	// Not a decision — whether demand stands at a spawn is fully
 	// determined by the (recorded) thief interleaving and chaos rolls —
 	// so replay alignment is preserved (see nextDecision).
-	//nowa:replay-diagnostic commit outcome is fully determined by the recorded thief interleaving and chaos rolls
+	//nowa:replay-diagnostic whether demand stands at a spawn is fully determined by the recorded thief interleaving and chaos rolls
 	KInlineRun
 	// KPromote is a lazy spawn being promoted to the full eager vessel
 	// handoff; Site is a Promote* constant naming the trigger. Recorded
@@ -236,13 +236,14 @@ const (
 
 // Promotion triggers, carried in the Site byte of KPromote events.
 const (
-	// PromoteClaim: a thief's steal-interest CAS landed on the pending
-	// record before the owner's inline commit; the owner honoured the
-	// claim with a full eager handoff of this very spawn.
+	// PromoteClaim: the StealInterest chaos site fired at a lazy spawn,
+	// impersonating a thief; the spawn took the full eager handoff. (In
+	// bundles written before the steal-demand word: a thief's CAS on the
+	// spawn's deque record beat the owner's inline commit.)
 	PromoteClaim uint8 = iota + 1
-	// PromoteInterest: a thief signalled interest while the child was
-	// mid-inline-run; the owner folded it into an eager burst for the
-	// vessel's subsequent spawns.
+	// PromoteInterest: the owner found steal demand posted on its token
+	// at a lazy spawn, cleared it and gave this very spawn the full
+	// eager handoff, with an eager burst armed for the spawns after it.
 	PromoteInterest
 	// PromoteSuspend: a strand on the vessel suspended at a sync point,
 	// signalling a blocking-prone workload; subsequent spawns go eager.

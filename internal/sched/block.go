@@ -250,9 +250,7 @@ func (rt *Runtime) passToken(v *vessel, w int, bw *Waiter) bool {
 // parent's continuation, pushed by spawnEager when this strand was
 // dispatched — off the bottom of deque[w], if it is still there. While a
 // strand runs, the bottom of its token's deque is its most recent
-// un-consumed push: lazy records above it are disposable (the
-// steal-interest word, not deque membership, transfers a round — see
-// finishStrand), and anything else non-ours means our push was already
+// un-consumed push; anything else there means our push was already
 // consumed. Ancestor continuations deeper in the deque stay put: steals
 // take the top first, so they are exactly the stealable parallelism a
 // blocked strand is supposed to release, and each belongs to a deeper
@@ -260,21 +258,16 @@ func (rt *Runtime) passToken(v *vessel, w int, bw *Waiter) bool {
 // wake, mirroring Spawn's publish-then-wake order, so it cannot be lost
 // to a park race).
 func (rt *Runtime) blockClaimOwnCont(v *vessel, w int) (*cont, bool) {
-	for {
-		c, ok := rt.popBottom(w)
-		if !ok {
-			return nil, false
-		}
-		if c.lazy {
-			continue
-		}
-		if c.scope != v.disp.parent {
-			rt.pushBottom(w, c)
-			rt.wakeThieves()
-			return nil, false
-		}
-		return c, true
+	c, ok := rt.popBottom(w)
+	if !ok {
+		return nil, false
 	}
+	if c.scope != v.disp.parent {
+		rt.pushBottom(w, c)
+		rt.wakeThieves()
+		return nil, false
+	}
+	return c, true
 }
 
 func (bw *Waiter) deliver(aborted bool) {

@@ -2,7 +2,9 @@ package sched
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"nowa/internal/api"
 	"nowa/internal/apps"
@@ -11,47 +13,167 @@ import (
 	"nowa/internal/trace"
 )
 
-// TestPromoteRecordStateMachine drives the thief side of the promotion
-// protocol against a fabricated record, one phase at a time: interest
-// must land on pending and inline rounds, must leave idle (and
-// stale-round) records alone, and must preserve the round bits it read.
-func TestPromoteRecordStateMachine(t *testing.T) {
+// awaitCond yields until cond holds; after a generous deadline it marks
+// the test failed and reports false (it runs on strands, where Fatal
+// would strand the worker token), so a lost signal fails instead of
+// hanging.
+func awaitCond(t *testing.T, what string, cond func() bool) bool {
+	t.Helper()
+	for deadline := time.Now().Add(20 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Errorf("timed out waiting for %s", what)
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
+}
+
+// TestPromoteDemandPostRules watches a lone thief poll a spawn-free root:
+// on a lazy runtime it must post demand on the root's token and never on
+// the token it holds itself (it draws itself as victim every other
+// attempt); on an eager runtime it must post nothing at all.
+func TestPromoteDemandPostRules(t *testing.T) {
+	for _, mode := range []SpawnMode{SpawnAdaptive, SpawnEager} {
+		mode := mode
+		t.Run(mode.String(), func(t *testing.T) {
+			rt := MustNew(Config{Name: "nowa", Workers: 2, Deque: deque.CL, Join: WaitFree, Spawn: mode})
+			defer rt.Close()
+			lazy := mode != SpawnEager
+			rt.Run(func(api.Ctx) {
+				// 48 failed attempts all happen on the ladder's yield rung,
+				// and miss a self-draw with probability 2^-48.
+				awaitCond(t, "48 failed steals", func() bool {
+					return rt.rec.Worker(1)[trace.FailedSteals].Load() >= 48
+				})
+				if got := rt.demand[1].n.Load(); got != 0 {
+					t.Errorf("thief posted demand on its own token (word = %d)", got)
+				}
+				if got := rt.demand[0].n.Load() == 1; got != lazy {
+					t.Errorf("demand posted on the polled token: %v, want %v", got, lazy)
+				}
+			})
+			// The root's own strand start may drop the thief's first post,
+			// so a lazy run lands one or two; an eager one lands none.
+			if got := rt.Counters().InterestSignals; (got > 0) != lazy || got > 2 {
+				t.Errorf("InterestSignals = %d on a %v runtime", got, mode)
+			}
+		})
+	}
+}
+
+// TestPromoteDemandHonouredOnce posts demand by hand on a single-worker
+// runtime, where no thief exists to interfere: the token's very next lazy
+// spawn must answer it — promoted, burst armed, word cleared — a second
+// post on a set word must not land, and the spawns before it stay inline.
+func TestPromoteDemandHonouredOnce(t *testing.T) {
 	rt := NewNowa(1)
 	defer rt.Close()
-
-	var c cont
-	c.lazy = true
-
-	// Idle record: nothing to claim.
-	c.state.Store(5 << recRoundShift) // round 5, phase idle
-	rt.claimRecord(0, &c)
-	if st := c.state.Load(); st != 5<<recRoundShift {
-		t.Fatalf("claim on idle record changed state to %#x", st)
+	rt.Run(func(c api.Ctx) {
+		p := c.(*Proc)
+		s := c.Scope()
+		s.Spawn(func(api.Ctx) {})
+		s.Sync()
+		if p.v.pend[trace.InlineRuns] != 1 || p.v.pend[trace.PromotedSpawns] != 0 {
+			t.Fatalf("undemanded spawn: %d inline, %d promoted, want 1 and 0",
+				p.v.pend[trace.InlineRuns], p.v.pend[trace.PromotedSpawns])
+		}
+		rt.postDemand(0, 0)
+		rt.postDemand(0, 0)
+		s.Spawn(func(api.Ctx) {})
+		s.Sync()
+		if p.v.eagerBurst != eagerBurstLen {
+			t.Errorf("eagerBurst = %d after the answered demand, want %d", p.v.eagerBurst, eagerBurstLen)
+		}
+		if got := rt.demand[0].n.Load(); got != 0 {
+			t.Errorf("demand word = %d after it was answered, want 0", got)
+		}
+	})
+	c := rt.Counters()
+	if c.PromotedSpawns != 1 || c.InterestSignals != 1 || c.InlineRuns != 1 || c.Spawns != 2 {
+		t.Fatalf("promoted=%d interest=%d inline=%d spawns=%d, want 1 1 1 2",
+			c.PromotedSpawns, c.InterestSignals, c.InlineRuns, c.Spawns)
 	}
+	if err := c.CheckQuiescent(); err != nil {
+		t.Fatalf("conservation: %v", err)
+	}
+}
 
-	// Pending round: the CAS claims it — the owner's commit must fail.
-	pending := 6<<recRoundShift | recPending
-	c.state.Store(pending)
-	rt.claimRecord(0, &c)
-	if st := c.state.Load(); st != 6<<recRoundShift|recInterest {
-		t.Fatalf("claim on pending = %#x, want interest with round 6", st)
+// TestPromoteDemandDroppedAtStrandStart is the serve-high sentinel: the
+// thief of a two-worker service parks while the dispatcher sits blocked
+// on its empty queue, leaving demand posted on the dispatcher's token.
+// The next submission starts on that token, and its first spawn must run
+// inline — the demand was for a strand that is no longer there.
+func TestPromoteDemandDroppedAtStrandStart(t *testing.T) {
+	rt := MustNew(Config{Name: "nowa", Workers: 2, Deque: deque.CL, Join: WaitFree, ParkAfter: 1})
+	defer rt.Close()
+	if err := rt.StartService(ServiceConfig{}); err != nil {
+		t.Fatal(err)
 	}
-	if c.state.CompareAndSwap(pending, 6<<recRoundShift|recInline) {
-		t.Fatal("owner commit CAS succeeded after a thief claim")
+	awaitCond(t, "the thief to park with demand posted on the dispatcher's token", func() bool {
+		return rt.rec.Worker(1)[trace.ThiefParks].Load() == 1 && rt.demand[0].n.Load() == 1
+	})
+	sub, err := rt.Submit(func(c api.Ctx) {
+		s := c.Scope()
+		s.Spawn(func(api.Ctx) {})
+		s.Sync()
+	}, SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := sub.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if c := rt.Counters(); c.PromotedSpawns != 0 || c.InlineRuns != 1 {
+		t.Fatalf("promoted=%d inline=%d, want 0 and 1: a stale demand reached the submission",
+			c.PromotedSpawns, c.InlineRuns)
+	}
+}
 
-	// Inline round: interest folds into the owner's resolve swap.
-	c.state.Store(7<<recRoundShift | recInline)
-	rt.claimRecord(0, &c)
-	if st := c.state.Load(); st != 7<<recRoundShift|recInterest {
-		t.Fatalf("claim on inline = %#x, want interest with round 7", st)
+// TestPromoteParkedThievesWoken parks both thieves of a three-worker
+// runtime without either having polled anybody: a crafted replay log has
+// each draw itself as victim — where a thief posts nothing — until the
+// backoff ladder runs out. The demand they post as part of parking is
+// then the only signal the spawn-dense root can get: a lazy spawn
+// publishes nothing and wakes nobody, so without it the root runs inline
+// forever beside two sleeping tokens. Both must wake, and both steal.
+func TestPromoteParkedThievesWoken(t *testing.T) {
+	const workers = 3
+	log := &replay.Log{PerWorker: make([][]replay.Event, workers), Dropped: make([]uint64, workers)}
+	for w := 1; w < workers; w++ {
+		for i := 0; i < 300; i++ { // the ladder parks after 256 failed attempts
+			log.PerWorker[w] = append(log.PerWorker[w], replay.Event{Kind: replay.KStealEmpty, Arg: uint16(w)})
+		}
 	}
-	if old := c.state.Swap(7 << recRoundShift); old&recPhaseMask != recInterest {
-		t.Fatalf("resolve swap observed phase %d, want interest", old&recPhaseMask)
+	rt := MustNew(Config{Name: "nowa", Workers: workers, Deque: deque.CL, Join: WaitFree, ParkAfter: 1, Replay: log})
+	defer rt.Close()
+	tally := func(id trace.ID) (n1, n2 int64) {
+		return rt.rec.Worker(1)[id].Load(), rt.rec.Worker(2)[id].Load()
 	}
-
-	if got := rt.rec.Worker(0)[trace.InterestSignals].Load(); got != 2 {
-		t.Fatalf("InterestSignals = %d, want 2 (idle claim must not count)", got)
+	var sink int
+	rt.Run(func(c api.Ctx) {
+		ok := awaitCond(t, "both thieves to park", func() bool {
+			p1, p2 := tally(trace.ThiefParks)
+			return p1 == 1 && p2 == 1
+		})
+		if !ok {
+			return
+		}
+		awaitCond(t, "both parked thieves to wake and steal", func() bool {
+			s := c.Scope()
+			s.Spawn(func(api.Ctx) {
+				for i := 0; i < 2000; i++ {
+					sink += i
+				}
+			})
+			s.Sync()
+			w1, w2 := tally(trace.ThiefWakeups)
+			s1, s2 := tally(trace.Steals)
+			return w1 >= 1 && w2 >= 1 && s1 >= 1 && s2 >= 1
+		})
+	})
+	if err := rt.CheckIdle(); err != nil {
+		t.Fatal(err)
 	}
 }
 

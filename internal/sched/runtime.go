@@ -36,7 +36,7 @@ type Runtime struct {
 	recordOn   bool // cfg.Record != nil: schedule decisions logged
 	replayOn   bool // cfg.Replay != nil: decisions driven from a captured log
 	blockRecOn bool // recordOn && Workers > 1: KBlocked diagnostics (see note)
-	lazyOn     bool // cfg.Spawn != SpawnEager: Spawn publishes promotable records
+	lazyOn     bool // cfg.Spawn != SpawnEager: Spawn runs children inline until a thief posts demand
 	stallOn    bool // cfg.StallThreshold > 0: heartbeats + stall supervisor armed
 
 	// Cached vessel budgets (0 = unbounded): spawnLimit gates vessel
@@ -52,9 +52,12 @@ type Runtime struct {
 	rec       *trace.Recorder
 	rngs      []rngState
 
-	vlocal    []vesselFreeList
-	vglobal   vesselGlobalList
-	scopePool sync.Pool
+	// demand holds one steal-demand word per scheduling slot: thieves
+	// write, the slot's token holder reads (see demandWord).
+	demand []demandWord
+
+	vlocal  []vesselFreeList
+	vglobal vesselGlobalList
 
 	//nowa:lock level=2 name=allMu
 	allMu      sync.Mutex
@@ -63,8 +66,8 @@ type Runtime struct {
 
 	// Vessel accounting: live tracks goroutines in existence (created
 	// minus trimmed), highWater its maximum, trimmed the governor's
-	// reclamations, scopesLeaked the overflow scopes abandoned
-	// non-quiescent by panic unwinds (left to the garbage collector).
+	// reclamations, scopesLeaked the scope slots past the inline ones that
+	// panic unwinds left pinned non-quiescent (see resetScopes).
 	vLive        atomic.Int64
 	vHighWater   atomic.Int64
 	vTrimmed     atomic.Int64
@@ -190,17 +193,8 @@ func New(cfg Config) (*Runtime, error) {
 		pool:       cactus.NewPool(cfg.Stacks),
 		rec:        trace.NewRecorder(slots),
 		rngs:       make([]rngState, slots),
+		demand:     make([]demandWord, slots),
 		vlocal:     make([]vesselFreeList, slots),
-	}
-	rt.scopePool.New = func() any {
-		// Pooled scopes rest armed, like ring slots (see Proc.Scope). The
-		// locked join's zero value is already armed; the wait-free one
-		// needs its counter raised to I_max. The embedded promotable
-		// record is branded once here, like ring slots in newVessel.
-		s := &scope{}
-		s.wf.Rearm()
-		s.rec.lazy = true
-		return s
 	}
 	rt.idle.cond = sync.NewCond(&rt.idle.mu)
 	if cfg.Deque == deque.THE {
@@ -311,6 +305,11 @@ func (rt *Runtime) runInternal(ctx context.Context, root func(api.Ctx)) error {
 
 	rt.done.Store(false)
 	rt.chaosStalled.Store(false)
+	for w := range rt.demand {
+		// No token exists yet: whatever the last run's thieves left posted
+		// is nobody's demand.
+		rt.takeDemand(w)
+	}
 	rt.tokensLeft.Store(int64(rt.cfg.Workers))
 	rt.finished = make(chan struct{})
 	if rt.replayOn {
@@ -419,7 +418,7 @@ func (rt *Runtime) retireToken() {
 	}
 }
 
-// wakeThieves rouses every parked thief. Called after each Spawn
+// wakeThieves rouses every parked thief. Called after each eager Spawn
 // publication (cheap no-waiter fast path), when the root strand finishes,
 // and when the run's context is cancelled.
 func (rt *Runtime) wakeThieves() {
@@ -434,9 +433,9 @@ func (rt *Runtime) wakeThieves() {
 // parkThief blocks an idle thief until new work is published or the run
 // completes or cancels; it reports whether it actually parked. The
 // waiters increment happens before the re-check of the deques, pairing
-// with Spawn's publish-then-load-waiters order, so a wakeup cannot be
-// lost: either the spawner sees the waiter and broadcasts, or the thief
-// sees the published item and declines to park.
+// with the eager Spawn's publish-then-load-waiters order, so a wakeup
+// cannot be lost: either the spawner sees the waiter and broadcasts, or
+// the thief sees the published item and declines to park.
 func (rt *Runtime) parkThief(w int) bool {
 	ip := &rt.idle
 	ip.mu.Lock()
@@ -478,6 +477,19 @@ func (rt *Runtime) parkThief(w int) bool {
 		// so a stale-parked heartbeat never coincides with runnable work
 		// for long — the wake bump closes the remaining window).
 		rt.beat(w)
+	}
+	if rt.lazyOn {
+		// Ask every victim for its next spawn before sleeping: a lazy
+		// spawn publishes nothing and wakes nobody, so the demand is what
+		// turns some owner's next spawn into the eager one whose
+		// publish-then-wake ends this park. Posted after waiters.Add(1):
+		// an owner that sees the demand then sees the waiter too, and its
+		// broadcast queues behind idle.mu until Wait has released it.
+		for v, n := 0, rt.victimSlots(); v < n; v++ {
+			if v != w {
+				rt.postDemand(w, v)
+			}
+		}
 	}
 	ip.cond.Wait()
 	ip.waiters.Add(-1)

@@ -44,11 +44,12 @@ func (p *Proc) Err() error {
 	return p.rt.cancel.Err()
 }
 
-// Scope implements api.Ctx. It is allocation-free on the fast path: the
-// paper's "stack object for every called spawning function" lives in a
-// small LIFO ring embedded in the vessel — scopes on one strand nest
-// like the frames that own them — with overflow to a sync.Pool for
-// strands whose serial spine runs deeper than the ring.
+// Scope implements api.Ctx. It is allocation-free in the steady state:
+// the paper's "stack object for every called spawning function" lives in
+// a LIFO stack the vessel owns — scopes on one strand nest like the
+// frames that own them — whose first scopeInline slots are embedded in
+// the vessel and whose deeper levels sit in chunks the vessel allocates
+// the first time a strand nests that deep and then keeps.
 //
 // A slot is reclaimed when the scope completes a Sync while being the
 // innermost live scope of its strand (see release), or at strand end.
@@ -60,43 +61,71 @@ func (p *Proc) Err() error {
 // Scope relies on the armed-at-rest invariant: every slot not currently
 // hosting a spawn round holds an armed join (α == 0, counter == I_max),
 // so opening a scope is two plain stores — no atomic operation at all.
-// The invariant is established at vessel construction and in the pool's
-// New, and maintained by every path that retires a slot (Sync re-arms
-// before release when the round left the counter dirty; resetScopes
-// re-arms reclaimed slots on the panic path).
+// The invariant is established where slots are created (armScopes) and
+// maintained by every path that retires one (Sync re-arms before release
+// when the round left the counter dirty; resetScopes re-arms reclaimed
+// slots on the panic path).
 //
 //nowa:hotpath
 func (p *Proc) Scope() api.Scope {
 	v := p.v
-	if v.scopeTop < scopeRingCap {
-		s := &v.scopes[v.scopeTop]
-		v.scopeTop++
-		s.done = false
-		return s
-	}
-	return p.scopeSlow()
-}
-
-// scopeSlow is the ring-overflow path: draw a scope from the pool and
-// track it so release and strand end can hand it back. Pooled scopes are
-// armed at rest like ring slots.
-//
-//nowa:coldpath ring-overflow spill for serial spines deeper than scopeRingCap; the pool draw and overflow append are the price of unbounded nesting
-func (p *Proc) scopeSlow() api.Scope {
-	v := p.v
-	s := p.rt.scopePool.Get().(*scope)
-	s.p = p
-	s.wfMode = p.rt.waitFree
-	s.done = false
-	v.overflow = append(v.overflow, s)
+	s := v.scopeAt(v.scopeTop)
 	v.scopeTop++
+	s.done = false
 	return s
 }
 
-// scopeRingCap is the number of scope slots embedded in each vessel. It
+// scopeInline is the number of scope slots embedded in each vessel. It
 // covers the nesting depth of typical divide-and-conquer serial spines
-// between spawns; deeper strands spill to the pool.
-const scopeRingCap = 8
+// between spawns; scopeChunkLen (a power of two) is how many slots each
+// further chunk adds, sized so one chunk takes a lazily inlined
+// recursion some forty levels down.
+const (
+	scopeInline   = 8
+	scopeChunkLen = 32
+)
+
+// scopeAt returns slot i of the vessel's scope stack, growing the stack
+// by one chunk when i is the first level past its end. Slots never move:
+// a stolen child holds a pointer to its parent's scope. The inline-slot
+// case is small enough to be inlined into Scope and release.
+//
+//nowa:hotpath
+func (v *vessel) scopeAt(i int) *scope {
+	if i < scopeInline {
+		return &v.scopes[i]
+	}
+	return v.chunkScopeAt(i - scopeInline)
+}
+
+// chunkScopeAt is scopeAt for slot i past the inline ones.
+//
+//nowa:hotpath
+func (v *vessel) chunkScopeAt(i int) *scope {
+	if i/scopeChunkLen == len(v.scopeChunks) {
+		v.growScopes()
+	}
+	return &v.scopeChunks[i/scopeChunkLen][i%scopeChunkLen]
+}
+
+// growScopes adds one chunk of armed slots to the vessel's scope stack.
+//
+//nowa:coldpath runs once per scopeChunkLen nesting levels per vessel lifetime; the chunk stays with the vessel
+func (v *vessel) growScopes() {
+	c := new([scopeChunkLen]scope)
+	v.armScopes(c[:])
+	v.scopeChunks = append(v.scopeChunks, c)
+}
+
+// armScopes binds freshly created slots to the vessel and establishes
+// the armed-at-rest invariant Scope relies on.
+func (v *vessel) armScopes(slots []scope) {
+	for i := range slots {
+		slots[i].p = &v.proc
+		slots[i].wfMode = v.rt.waitFree
+		slots[i].rearm()
+	}
+}
 
 // scope is the per-spawning-function state: the paper's "stack object for
 // every called spawning function" holding α and the sync-condition counter
@@ -114,7 +143,8 @@ const scopeRingCap = 8
 type scope struct {
 	p      *Proc
 	wfMode bool
-	done   bool // completed a Sync; slot reclaimable once it is the ring top
+	done   bool // completed a Sync; slot reclaimable once it is the stack top
+	pinned bool // left non-quiescent by a panic unwind and tallied (resetScopes)
 	// keepToken marks a suspension that parked holding its own worker
 	// token because no thief vessel fit the budget (see syncBudget). It
 	// is a plain bool: written by the parent strictly before SyncBegin,
@@ -124,13 +154,6 @@ type scope struct {
 	keepToken bool
 	wf        core.WaitFreeJoin
 	lj        core.LockedJoin
-	// rec is the scope's promotable record: the deque advertisement a
-	// lazy Spawn publishes in place of a parked continuation. It lives
-	// in the scope, not the vessel, because inline children spawn too —
-	// each nesting level needs its own record, and scopes already nest
-	// with the frames that own them. Its round counter survives slot
-	// reuse and pool recycling by design (see cont.state).
-	rec cont
 	// charged counts the pool stacks on the owning vessel's list that
 	// steals of this scope's continuations put there (see stealLoop). It
 	// shares the list's access rule: the owning strand while it runs, the
@@ -209,7 +232,7 @@ func (s *scope) quiescent() bool {
 }
 
 // release marks the scope's sync round complete and pops every reclaimable
-// slot off the top of the vessel's ring. The cascade handles the
+// slot off the top of the vessel's scope stack. The cascade handles the
 // off-contract case of scopes synced out of creation order: an inner
 // scope marked done stays pinned until the scopes above it release.
 //
@@ -217,38 +240,24 @@ func (s *scope) quiescent() bool {
 func (s *scope) release() {
 	s.done = true
 	v := s.p.v
-	for v.scopeTop > 0 {
-		if n := v.scopeTop - scopeRingCap; n > 0 {
-			top := v.overflow[n-1]
-			if !top.done {
-				return
-			}
-			v.overflow[n-1] = nil
-			v.overflow = v.overflow[:n-1]
-			v.scopeTop--
-			s.p.rt.scopePool.Put(top)
-			continue
-		}
-		if !v.scopes[v.scopeTop-1].done {
-			return
-		}
+	for v.scopeTop > 0 && v.scopeAt(v.scopeTop-1).done {
 		v.scopeTop--
 	}
 }
 
 // Spawn implements lines 1–3 of Figure 5: push the continuation, then call
 // the spawned function — on this worker. Under lazy vessel promotion
-// (the default, see SpawnMode) the "continuation" published is a cheap
-// promotable record and the child runs inline on the parent's vessel;
-// under promotion — a thief's steal-interest CAS, a suspension on the
+// (the default, see SpawnMode) nothing is published while no thief is
+// asking and the child runs inline on the parent's vessel; under
+// promotion — steal demand posted on this token, a suspension on the
 // vessel, or SpawnEager mode — the spawn takes the full vessel handoff,
 // and when Spawn returns the strand may hold a different worker token (a
 // thief resumed the continuation) exactly as in the paper's
 // strand-to-worker mappings (Figure 4).
 //
 // The steady-state fast path performs no heap allocation, no channel
-// operation, and — lazily — no goroutine switch: one deque push, two
-// CASes on the record's state word, one deque pop.
+// operation, and — lazily — no goroutine switch, deque operation or
+// atomic write: one load of the token's steal-demand word.
 //
 // Once the run's context is cancelled, Spawn degrades to the serial
 // elision: the child executes inline on the caller's strand, nothing is
@@ -301,7 +310,7 @@ func (s *scope) spawn(fn func(api.Ctx), forceEager bool) {
 			// blocking) is evidently present.
 			p.v.eagerBurst--
 		} else if rt.chaosOn && rt.chaosRoll(p.worker, replay.SiteStealInterest) {
-			// Injected thief interest: exactly a record claim, minus the
+			// Injected steal demand: exactly a thief's post, minus the
 			// thief.
 			s.promote(fn, replay.PromoteClaim)
 			return
@@ -363,89 +372,40 @@ func (s *scope) spawnEager(fn func(api.Ctx)) {
 	}
 }
 
-// spawnLazy is the no-handoff fast path of lazy vessel promotion: open a
-// round on the scope's promotable record, push the record bottom-side as
-// the spawn's deque advertisement, run the child inline on the parent's
-// vessel, then retire the advertisement. Thieves never learn the child —
-// a record pop is just a read of its state word plus one steal-interest
-// CAS — so the only cross-strand communication is that one word, and the
-// owner alone materialises promotions: a claim that lands between
-// publish and commit makes the owner pay the eager handoff for this very
-// child, and interest that lands during the inline run arms an eager
-// burst for the spawns that follow (the continuation the thief wanted is
-// already running — inline — so converting future spawns is all the
-// promotion there is to do).
+// spawnLazy is the no-handoff fast path of lazy vessel promotion: one
+// load of the steal-demand word of the token the strand holds now. Zero —
+// no thief has found this token's deque empty since its strand started or
+// last answered — and the child runs inline on the parent's vessel:
+// nothing is published, so there is nothing to retire afterwards.
+// Non-zero and the owner answers: it clears the word and pays the eager
+// handoff for this very child, which publishes the continuation the
+// thief asked for (and wakes it if it parked), with an eager burst armed
+// for the spawns that follow.
 //
-// Memory ordering (the full argument is DESIGN.md §14): the state word
-// is a single atomic Uint32 packing round<<3|phase, the round never
-// resets, and every transition is a CAS or swap tagged with the round it
-// read, so a thief holding a stale record — slot reuse is deliberate —
-// can only ever land its CAS on the *current* round, which is a sound
-// (merely spurious) promotion. Publish order is state.Store(pending)
-// before pushBottom; the deque's release/acquire chain on its bottom
-// index publishes the pending store to any thief that can observe the
-// record, and everything is seq-cst in Go's model anyway.
+// The word is a hint, not a handshake (DESIGN.md §14): a demand the
+// owner's clear overwrites, or one posted twice, costs one spurious or
+// one late eager spawn and nothing else.
 //
 //nowa:hotpath
 func (s *scope) spawnLazy(fn func(api.Ctx)) {
 	p := s.p
 	rt := p.rt
-	w := p.worker
-	v := p.v
-	rec := &s.rec
-	// Open the round: bump the never-reset round counter, phase pending.
-	pending := (rec.state.Load()&^recPhaseMask + 1<<recRoundShift) | recPending
-	rec.state.Store(pending)
-	rt.pushBottom(w, rec)
-	rt.wakeThieves()
-	inline := pending&^recPhaseMask | recInline
-	if !rec.state.CompareAndSwap(pending, inline) {
-		// A thief claimed the round before the commit (the only other
-		// transition out of pending). The record is out of the deque on
-		// the thief's side; honour the claim by giving this child the
-		// full handoff, which publishes the real continuation the thief
-		// asked for. Counters and the KSpawn event come from the eager
-		// path, so each logical spawn is counted exactly once.
-		s.promote(fn, replay.PromoteClaim)
+	if rt.takeDemand(p.worker) {
+		s.promote(fn, replay.PromoteInterest)
 		return
 	}
-	v.pend[trace.Spawns]++
-	v.pend[trace.InlineRuns]++
+	p.v.pend[trace.Spawns]++
+	p.v.pend[trace.InlineRuns]++
 	if rt.recordOn {
-		rt.rep.Record(w, replay.KInlineRun, 0, 0)
+		rt.rep.Record(p.worker, replay.KInlineRun, 0, 0)
 	}
 	rt.runPromotable(p, fn)
-	// Close the round. Only a thief's inline→interest CAS can race this
-	// swap, and either winner is sound: interest observed here arms the
-	// burst; interest that loses is a failed CAS on the thief's side,
-	// already counted as a failed steal there.
-	if rec.state.Swap(inline&^recPhaseMask|recIdle)&recPhaseMask == recInterest {
-		v.eagerBurst = eagerBurstLen
-		v.pend[trace.PromotedSpawns]++
-		if rt.recordOn {
-			rt.rep.Record(p.worker, replay.KPromote, replay.PromoteInterest, 0)
-		}
-	}
-	// Retire the advertisement. If the child suspended and our strand was
-	// resumed on a different token, deque[w]'s bottom now belongs to that
-	// token's chain and the record stays behind as a stale entry for it
-	// to discard (see finishStrand); records are disposable because the
-	// steal-interest CAS, never deque membership, is what transfers a
-	// round. Otherwise the bottom is ours: pop, and if a thief or a
-	// descendant's drain already consumed the record, whatever surfaced
-	// belongs to an outer frame — push it straight back.
-	if p.worker != w {
-		return
-	}
-	if c, ok := rt.popBottom(w); ok && c != rec {
-		rt.pushBottom(w, c)
-	}
 }
 
-// promote pays the full eager handoff for a lazy spawn whose record was
-// claimed (by a thief's steal-interest CAS, or chaos impersonating one)
-// and arms an eager burst so the vessel's next spawns skip the record
-// dance while thieves are evidently hungry.
+// promote pays the full eager handoff for a lazy spawn that found steal
+// demand on its token (or chaos impersonating a thief) and arms an eager
+// burst so the vessel's next spawns publish real continuations while
+// thieves are evidently hungry.
 //
 //nowa:hotpath
 func (s *scope) promote(fn func(api.Ctx), site uint8) {

@@ -30,6 +30,7 @@ func (rt *Runtime) stealLoop(p *Proc) {
 				// token exactly like a stolen continuation's resume. The
 				// vessel is freed first, while the token is still ours.
 				rt.freeVessel(p.v, w)
+				rt.takeDemand(w)
 				bw.v.resumeTok = token{worker: w}
 				bw.v.pk.deliver()
 				return
@@ -103,7 +104,7 @@ func (rt *Runtime) stealLoop(p *Proc) {
 		}
 
 		victim := rt.stealVictim(w, rng)
-		c, outcome := rt.popTopSteal(w, victim)
+		c, outcome := rt.popTopSteal(victim)
 		if rt.recordOn {
 			// One event per attempt: the outcome kind carries the victim,
 			// and replay consumes any steal event as the victim decision
@@ -112,6 +113,12 @@ func (rt *Runtime) stealLoop(p *Proc) {
 			rt.rep.Record(w, stealOutcomeKind(outcome), 0, uint16(victim))
 		}
 		if outcome != deque.StealHit {
+			if outcome == deque.StealEmpty && rt.lazyOn && victim != w {
+				// Nothing published there: ask the victim's strand for its
+				// next spawn. Never on the thief's own token — the strand it
+				// resumes would answer a demand nobody is waiting on.
+				rt.postDemand(w, victim)
+			}
 			if preStack != nil {
 				rt.pool.Put(w, preStack)
 			}
@@ -149,10 +156,46 @@ func (rt *Runtime) stealLoop(p *Proc) {
 		// token. This vessel is done: free it while the token is still
 		// ours, then hand the token over through the parker.
 		rt.freeVessel(p.v, w)
+		rt.takeDemand(w)
 		c.v.resumeTok = token{worker: w}
 		c.v.pk.deliver()
 		return
 	}
+}
+
+// postDemand is the thief's half of lazy vessel promotion: thief w found
+// victim's deque empty and asks the strand running on that token to
+// publish its next spawn. The load keeps a thief that polls an
+// already-asked victim read-only; a landed CAS is one InterestSignals
+// tally.
+//
+//nowa:hotpath
+func (rt *Runtime) postDemand(w, victim int) {
+	d := &rt.demand[victim].n
+	if d.Load() == 0 && d.CompareAndSwap(0, 1) {
+		rt.rec.Worker(w)[trace.InterestSignals].Add(1)
+	}
+}
+
+// takeDemand clears the steal demand posted on token w and reports
+// whether there was any. A lazy spawn answers what it takes. Every
+// strand start on w — a fresh dispatch, a stolen continuation or queued
+// wakeup resumed from the steal loop — takes and discards: demand
+// belongs to the strand running on the token now, and one posted while
+// the token idled (in the steal loop, or under a dispatcher blocked on
+// its queue) is from a thief that has long since moved on — answering it
+// would cost the new strand an eager handoff plus a burst for nobody.
+// Discarding a live demand is as sound as answering a stale one: the
+// thief re-posts on its next visit.
+//
+//nowa:hotpath
+func (rt *Runtime) takeDemand(w int) bool {
+	d := &rt.demand[w].n
+	if d.Load() == 0 {
+		return false
+	}
+	d.Store(0)
+	return true
 }
 
 // stealVictim draws the next steal victim: from the replay cursor when a
@@ -165,13 +208,17 @@ func (rt *Runtime) stealVictim(w int, rng *rngState) int {
 			return v
 		}
 	}
-	// With stall recovery armed the draw covers every victim-eligible
-	// slot — armed supplements publish stealable continuations too.
-	n := rt.cfg.Workers
+	return int(rng.next() % uint64(rt.victimSlots()))
+}
+
+// victimSlots is the number of victim-eligible scheduling slots: the base
+// workers, plus — with stall recovery armed — every supplement slot armed
+// so far this run, since supplements publish stealable continuations too.
+func (rt *Runtime) victimSlots() int {
 	if rt.stallOn {
-		n = int(rt.victimHi.Load())
+		return int(rt.victimHi.Load())
 	}
-	return int(rng.next() % uint64(n))
+	return rt.cfg.Workers
 }
 
 // stealOutcomeKind maps a deque steal outcome onto its event kind.
@@ -196,15 +243,7 @@ func stealOutcomeKind(o deque.StealOutcome) replay.Kind {
 // pop and overlaps the frame lock, so a joiner that subsequently observes
 // the empty deque is ordered after the thief's count increment — the
 // hazardous race of §III-C is excluded by blocking, not transformed.
-//
-// In either mode the popped element may be a promotable record rather
-// than a parked continuation (lazy vessel promotion): the thief then
-// lands one steal-interest CAS on its state word and reports a lost
-// steal — the owner materialises the promotion, and the continuation the
-// thief wanted appears in a deque as a real, stealable element moments
-// later. The record branch never touches join state, so neither
-// protocol's proof obligations change.
-func (rt *Runtime) popTopSteal(w, victim int) (*cont, deque.StealOutcome) {
+func (rt *Runtime) popTopSteal(victim int) (*cont, deque.StealOutcome) {
 	if rt.cfg.Join == LockedFibril {
 		d := rt.theDeques[victim]
 		d.Lock()
@@ -212,15 +251,6 @@ func (rt *Runtime) popTopSteal(w, victim int) (*cont, deque.StealOutcome) {
 		if o != deque.StealHit {
 			d.Unlock()
 			return nil, o
-		}
-		if c.lazy {
-			// Release the deque lock before signalling: a record carries
-			// no frame, so there is no frame lock to couple with —
-			// promotion happens entirely outside Listing 2's critical
-			// sections.
-			d.Unlock()
-			rt.claimRecord(w, c)
-			return nil, deque.StealLost
 		}
 		lj := &c.scope.lj
 		lj.Lock()
@@ -233,37 +263,8 @@ func (rt *Runtime) popTopSteal(w, victim int) (*cont, deque.StealOutcome) {
 	if o != deque.StealHit {
 		return nil, o
 	}
-	if c.lazy {
-		rt.claimRecord(w, c)
-		return nil, deque.StealLost
-	}
 	c.scope.wf.OnSteal()
 	return c, deque.StealHit
-}
-
-// claimRecord lands the thief side of lazy vessel promotion on a popped
-// promotable record: one steal-interest CAS on the record's state word,
-// tagged with the round the thief read, so a record that went stale in
-// the thief's hands (slot reuse is deliberate) can only ever promote the
-// slot's *current* round — sound, merely spurious. Landing on pending
-// claims the in-flight spawn: the owner's commit CAS fails and it pays
-// the eager handoff for that very child. Landing on inline folds into
-// the owner's resolve swap and arms its eager burst. A record already
-// idle (or one that resolves mid-loop) needs nothing. In every case the
-// thief's attempt counts as a lost steal and it retries elsewhere.
-//
-//nowa:hotpath
-func (rt *Runtime) claimRecord(w int, c *cont) {
-	for {
-		st := c.state.Load()
-		if ph := st & recPhaseMask; ph != recPending && ph != recInline {
-			return
-		}
-		if c.state.CompareAndSwap(st, st&^recPhaseMask|recInterest) { //nowa:fsm-ok the old word is a dynamically guarded load: the line above restricts its phase to pending or inline, and both pending>interest and inline>interest are declared transitions
-			rt.rec.Worker(w)[trace.InterestSignals].Add(1)
-			return
-		}
-	}
 }
 
 // stealBackoff yields progressively: spin-yield first for low latency,

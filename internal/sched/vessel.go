@@ -28,57 +28,27 @@ type dispatch struct {
 	sub    *Submission // service submission this strand belongs to, if any
 }
 
-// cont is a deque element of two flavours: the stealable continuation of
-// a parked vessel (lazy == false), or the promotable record a lazy Spawn
-// advertises while running its child inline (lazy == true, embedded in
-// the spawning scope — see scope.rec). Each vessel owns exactly one
-// continuation slot — a spawning function has at most one pending
-// continuation at a time (§II-B) — and each scope owns one record, so
-// neither path allocates per spawn.
-//
-// A record in the deque is an advertisement, not the work itself: the
-// child already runs (or ran) inline on the owner's vessel, and a thief
-// that pops the record only lands a steal-interest CAS on its state word
-// — ownership never transfers through deque membership. Records are
-// therefore disposable: a stale one (outliving its round because the
-// owner resolved on a migrated token, or because a thief consumed the
-// entry without winning the round) is simply discarded by whoever pops
-// it, and never carries a child that could be lost with it.
-//
-//nowa:nopad embedded in vessel and scope, which own the padding layout; the state word is touched by other workers only at promotion events, which are rare by design
+// cont is the deque element: the stealable continuation of a parked
+// vessel. Each vessel owns exactly one continuation slot — a spawning
+// function has at most one pending continuation at a time (§II-B) — so
+// publishing one allocates nothing. Only an eager spawn publishes; a lazy
+// spawn whose token carries no steal demand touches no deque at all (see
+// scope.spawnLazy).
 type cont struct {
 	v     *vessel
 	scope *scope // the spawning function's scope, for the thief's OnSteal
-	// lazy brands the cont as a promotable record. Immutable after
-	// construction — vessel continuations are always eager, scope
-	// records always lazy — so a popped element branches on a plain
-	// bool, with no per-publish flag write to race on.
-	lazy bool
-	// state is the record's packed promotion word: round<<recRoundShift
-	// | phase (a rec* constant). The round counter versions each spawn
-	// round and is NEVER reset — not on resolve, not on scope recycling
-	// through the ring or pool — so a thief's CAS against a stale load
-	// fails on the round mismatch (ABA defense; the 2^29-round
-	// wraparound window is accepted).
-	//nowa:fsm mask=recPhaseMask phases=recIdle,recPending,recInline,recInterest transitions=recIdle>recPending,recPending>recInline,recPending>recInterest,recInline>recInterest,recInline>recIdle,recInterest>recIdle
-	state atomic.Uint32
 }
 
-// Promotion phases of a record's spawn round, in the low bits of
-// cont.state. Owner transitions: idle→pending (publish, a release
-// store), pending→inline (commit CAS), any→idle (resolve swap; the round
-// stays). Thief transition: pending→inline→interest via CAS only — on
-// pending it claims the in-flight spawn (the owner's commit fails and
-// honours it with the eager handoff), on inline it requests promotion of
-// the vessel's future spawns.
-const (
-	recIdle       uint32 = 0 // no spawn round in flight on this record
-	recPending    uint32 = 1 // advertisement published, owner not yet committed
-	recInline     uint32 = 2 // owner committed: child running inline
-	recInterest   uint32 = 3 // a thief signalled steal interest this round
-	recPhaseMask  uint32 = 7
-	recRoundShift        = 3
-)
+// demandWord is one scheduling slot's steal-demand flag (Runtime.demand):
+// a thief that found the slot's deque empty sets it, the strand holding
+// the slot's token reads it at each lazy spawn and answers a set flag
+// with an eager handoff. Thieves write, the owner only reads — until it
+// answers — so the no-steal spawn pays one load of a line nobody else is
+// writing. Padded like the other per-slot words.
+type demandWord struct {
+	n atomic.Uint32
+	_ [128 - 4]byte
+}
 
 // eagerBurstLen is how many consecutive spawns a vessel runs eagerly
 // after a promotion signal (thief interest or a suspension). Long enough
@@ -103,15 +73,18 @@ type vessel struct {
 	proc      Proc
 	cont      cont
 	// eagerBurst is the number of upcoming spawns this vessel runs
-	// eagerly before returning to lazy publication; armed by promotion
-	// signals (thief interest, claim, suspension). Owner-only, like the
-	// scope ring: only the strand running on this vessel touches it.
+	// eagerly before returning to lazy execution; armed by promotion
+	// signals (steal demand, suspension). Owner-only, like the scope
+	// stack: only the strand running on this vessel touches it.
 	eagerBurst int
-	// scopes is the strand-local LIFO ring backing Proc.Scope, with
-	// overflow spilling to the runtime's scope pool (see scope.go).
-	scopes   [scopeRingCap]scope
-	scopeTop int
-	overflow []*scope
+	// scopes and scopeChunks are the strand-local scope stack backing
+	// Proc.Scope: scopeInline slots embedded here, deeper levels in
+	// chunks the vessel allocates on first need and keeps (see scope.go).
+	// Slots never move, so a scope handle stays valid while a stolen
+	// child may still touch its join.
+	scopes      [scopeInline]scope
+	scopeTop    int
+	scopeChunks []*[scopeChunkLen]scope
 	// stacks accumulates the pool stacks charged to this vessel's frame
 	// chain (one per steal of its continuations); released when the
 	// strand finishes.
@@ -164,6 +137,8 @@ const (
 	_ uintptr = 128 - unsafe.Sizeof(vesselFreeList{})
 	_ uintptr = unsafe.Sizeof(rngState{}) - 128
 	_ uintptr = 128 - unsafe.Sizeof(rngState{})
+	_ uintptr = unsafe.Sizeof(demandWord{}) - 128
+	_ uintptr = 128 - unsafe.Sizeof(demandWord{})
 )
 
 const perWorkerVesselCap = 8
@@ -206,13 +181,7 @@ func (rt *Runtime) newVessel() *vessel {
 	v.pk.init()
 	v.proc = Proc{rt: rt, v: v}
 	v.cont.v = v
-	for i := range v.scopes {
-		v.scopes[i].p = &v.proc
-		v.scopes[i].wfMode = rt.waitFree
-		v.scopes[i].rec.lazy = true
-		// Establish the armed-at-rest invariant Scope relies on.
-		v.scopes[i].rearm()
-	}
+	v.armScopes(v.scopes[:])
 	rt.allMu.Lock()
 	if rt.closed {
 		rt.allMu.Unlock()
@@ -342,6 +311,7 @@ func (v *vessel) loop() {
 			v.rt.rep.Record(d.worker, replay.KBlocked, replay.BlockDispatch, 0)
 		}
 		if d.fn != nil {
+			v.rt.takeDemand(d.worker)
 			v.runStrand(d)
 		} else {
 			// Initial thief: the token starts idle.
@@ -375,36 +345,28 @@ func (v *vessel) runStrand(d dispatch) {
 
 // resetScopes reclaims the strand's scope slots at strand end. On the
 // contract-abiding path every scope has already been popped by its final
-// Sync and this is two loads. A strand that ended with live slots — a
+// Sync and this is one load. A strand that ended with live slots — a
 // panic unwound past un-synced scopes — may still have stolen children
 // running that will touch those joins, so only quiescent slots are
-// reclaimed: the ring index rolls back to just above the deepest
-// non-quiescent slot (leaking it for the vessel's lifetime — bounded,
-// and only on panic paths), and overflow scopes return to the pool or
-// are left to the garbage collector.
+// reclaimed: the stack index rolls back to just above the deepest
+// non-quiescent slot, which stays pinned until a later strand end on
+// this vessel finds it quiescent (at worst for the vessel's lifetime —
+// bounded, and only on panic paths). Pinning a slot beyond the inline
+// ones is tallied once as a leaked scope, so CheckIdle reports it.
 func (v *vessel) resetScopes() {
-	if v.scopeTop == 0 && len(v.overflow) == 0 {
-		return
-	}
-	for i, s := range v.overflow {
-		if s.quiescent() {
-			s.rearm() // restore the armed-at-rest invariant before pooling
-			v.rt.scopePool.Put(s)
-		} else {
-			// Abandoned to the garbage collector: a stolen child may
-			// still touch the join. Counted so Close can report the leak.
-			v.rt.scopesLeaked.Add(1)
-		}
-		v.overflow[i] = nil
-	}
-	v.overflow = v.overflow[:0]
 	top := v.scopeTop
-	if top > scopeRingCap {
-		top = scopeRingCap
-	}
-	for top > 0 && v.scopes[top-1].quiescent() {
+	for top > 0 {
+		s := v.scopeAt(top - 1)
+		if !s.quiescent() {
+			if top > scopeInline && !s.pinned {
+				s.pinned = true
+				v.rt.scopesLeaked.Add(1)
+			}
+			break
+		}
 		top--
-		v.scopes[top].rearm() // ditto for reclaimed ring slots
+		s.pinned = false
+		s.rearm() // restore the armed-at-rest invariant Scope relies on
 	}
 	v.scopeTop = top
 }
@@ -431,15 +393,6 @@ func (rt *Runtime) finishStrand(v *vessel, parent *scope) {
 		rt.chaosPrePopBottom(w)
 	}
 	c, ok := rt.popBottom(w)
-	for ok && c.lazy {
-		// A promotable record left behind by a lazy spawn on this token
-		// chain: either stale (its owner resolved on a migrated token) or
-		// a live advertisement shadowed by the continuation we were
-		// looking for having been stolen. Records are disposable — the
-		// steal-interest CAS, never deque membership, is what transfers a
-		// round — so discard and keep draining toward the continuation.
-		c, ok = rt.popBottom(w)
-	}
 	if ok && c.scope != parent {
 		// Not our push: this token's deque still carries another chain's
 		// continuation (external waits migrate strands across tokens;
