@@ -1,7 +1,9 @@
 # Developer entry points. `make verify` is the full pre-merge gate: it
 # fails on unformatted files, then builds, vets, lints (nowa-vet, the
-# repo's own invariant analyzer) and tests everything, including the
-# race-enabled chaos/cancellation/misuse stress subset, a smoke run
+# repo's own invariant analyzer), model-checks (nowa-model exits non-zero
+# if a protocol is violated or a planted bug goes unfound) and tests
+# everything, including the race-enabled chaos/cancellation/misuse stress
+# subset, a smoke run
 # of the spawn-overhead benchmark (catches fast-path breakage that only
 # -bench exercises) and the TestSpawnFloor latency gate (catches a
 # goroutine switch or shared-memory traffic sneaking back onto the lazy
@@ -21,7 +23,7 @@ BLOCK_TESTS = TestCQS|TestFuture|TestChannel|TestBarrier|TestBlock|TestWait|Test
 # package, then the whole benchmark harness (its test names match none
 # of the patterns, and its workloads drive the serving and resilience
 # layers from many goroutines at once).
-RACE_TEST = $(GO) test -race -run 'TestChaos|TestCancel|TestPanic|TestGovern|TestOverload|TestPromote|TestReplay|TestService|TestSubmit|TestStall|TestHedge|TestResilience|$(BLOCK_TESTS)' ./... \
+RACE_TEST = $(GO) test -race -run 'TestChaos|TestCancel|TestPanic|TestGovern|TestOverload|TestPromote|TestReplay|TestService|TestSubmit|TestStall|TestHedge|TestResilience|TestIdle|$(BLOCK_TESTS)' ./... \
 	&& $(GO) test -race ./benchmark
 
 .PHONY: verify fmt build vet lint loc test race bench bench-all torture serve-smoke fault-smoke block-smoke
@@ -36,6 +38,7 @@ verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) run ./cmd/nowa-vet ./...
+	$(GO) run ./cmd/nowa-model > /dev/null
 	$(GO) test ./...
 	$(RACE_TEST)
 	$(GO) test -run '^$$' -bench SpawnOverhead -benchtime 10x .

@@ -161,13 +161,14 @@ func TestFutureAbortStorm(t *testing.T) {
 
 // TestBlockWindDownParkedThieves: when a run is cancelled while strands
 // are still parked on external waits, idle tokens park through the
-// wind-down (parkThief's ending carve-out) instead of spinning, and
-// must still be woken once the last blocked wait drains so they can
-// retire. The "keep" case pins the edge that has no wake-queue traffic
-// at all: a kept-token waiter resumes by direct delivery, so the only
-// thing that can rouse the parked thieves is CommitWait's gauge-drop
-// broadcast. A lost broadcast leaves tokens parked forever and turns
-// RunCtx completion into a hang, which is how this test fails.
+// wind-down (parkThief sleeps while blocked waits hold the retirement
+// gate shut) instead of spinning, and must still be woken once the last
+// blocked wait drains so they can retire. The "keep" case pins the edge
+// that has no wake-queue traffic at all: a kept-token waiter resumes by
+// direct delivery, so the only thing that can rouse the parked thieves
+// is CommitWait's wake-all at the gauge drop. A lost one leaves tokens
+// parked forever and turns RunCtx completion into a hang, which is how
+// this test fails.
 func TestBlockWindDownParkedThieves(t *testing.T) {
 	const waiters = 6
 	cases := map[string]Limits{

@@ -1,7 +1,8 @@
 // Command nowa-model runs the explicit-state model checker over the three
 // strand-coordination protocols of the paper and prints the verdicts —
 // including the concrete §III-C counterexample for the naive protocol —
-// then over the scheduler's steal-demand handshake (DESIGN.md §14).
+// then over the scheduler's steal-demand and idle-queue handshake
+// (DESIGN.md §14).
 package main
 
 import (
@@ -38,23 +39,23 @@ func main() {
 	fmt.Println("(Fibril's coupled locks, Listing 2); ProtoWaitFree keeps them separate")
 	fmt.Println("but runs phase 1 on N_r' = I_max - omega (the Nowa transformation, §IV).")
 
-	fmt.Println("\nSteal-demand handshake (thieves post, the owner polls; 2 thieves, 1 owner, 3 spawns):")
+	fmt.Println("\nSteal-demand and idle-queue handshake (thieves post and park on tickets, the owner polls and resumes one; 2 thieves, 1 owner, 3 spawns):")
 	fmt.Println()
 	for _, late := range []bool{false, true} {
 		name := "demand"
 		if late {
 			name = "late-add"
 		}
-		r := model.CheckDemand(model.DemandConfig{Spawns: 3, BuggyLateAdd: late})
+		r := model.CheckDemand(model.DemandConfig{BuggyLateAdd: late})
 		fmt.Printf("%-10s  %7d states, %5d maximal executions: ", name, r.States, r.Executions)
 		switch {
 		case r.Violation == nil && late:
-			fmt.Println("UNEXPECTEDLY SAFE (waiters++ after the park-time post must lose a wakeup)")
+			fmt.Println("UNEXPECTEDLY SAFE (a re-scan before the ticket must lose a wakeup)")
 			exit = 1
 		case r.Violation == nil:
 			fmt.Println("safe — no lost wakeup, no post honoured twice, no demand outlives a strand start")
 		case late:
-			fmt.Printf("LOST WAKEUP FOUND (planted: waiters++ moved after the park-time post)\n\n%s\n", r.Violation)
+			fmt.Printf("LOST WAKEUP FOUND (planted: re-scan moved in front of the ticket)\n\n%s\n", r.Violation)
 		default:
 			fmt.Printf("UNEXPECTED VIOLATION\n\n%s\n\n", r.Violation)
 			exit = 1

@@ -237,6 +237,13 @@ func (q *Queue) resumeTicket(start *segment, id uint64) (any, Outcome) {
 		// it was aborted, ours included.
 		return nil, Aborted
 	}
+	if s.prev.Load() != nil {
+		// A dequeue ticket in s is claimed, so every ticket of every
+		// earlier segment is: nothing will look left of s again except
+		// remove(), for which a nil prev means "head". Cutting the link
+		// is what lets a long-lived queue's spent segments be collected.
+		s.prev.Store(nil)
+	}
 	c := &s.cells[id%segSize]
 	if c.state.CompareAndSwap(cellEmpty, cellResumed) {
 		return nil, Deposited
@@ -294,7 +301,11 @@ func (s *segment) remove() {
 			advance(&s.q.deqSeg, next)
 		} else {
 			prev.next.Store(next)
-			next.prev.Store(prev)
+			if old := next.prev.Load(); old != nil {
+				// Not a link the dequeue side already cut (resumeTicket):
+				// restoring it would pin the spent segments again.
+				next.prev.CompareAndSwap(old, prev)
+			}
 		}
 		if next.removed() && next.next.Load() != nil {
 			// next unlinked concurrently; restitch around it too.

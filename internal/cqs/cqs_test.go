@@ -109,6 +109,30 @@ func TestCQSSegmentUnlink(t *testing.T) {
 	}
 }
 
+// TestCQSSpentSegmentsCollectable: a queue that lives as long as a
+// runtime (the scheduler's idle queue) spends a segment every segSize
+// parks. Segments() walks forward from the dequeue cursor and cannot see
+// them, but the prev links could still pin every one: walking back from
+// the enqueue cursor must end within a segment or two, whatever mix of
+// resumes and aborts spent the cells.
+func TestCQSSpentSegmentsCollectable(t *testing.T) {
+	q := NewQueue()
+	for i := 0; i < 50*segSize; i++ {
+		tk, _ := q.Enqueue(i)
+		if i%3 == 0 || (i/segSize)%7 == 3 { // some cells, and whole segments, abort
+			tk.TryAbort()
+		}
+		q.Resume()
+	}
+	back := 0
+	for s := q.enqSeg.Load().prev.Load(); s != nil; s = s.prev.Load() {
+		back++
+	}
+	if back > 1 || q.Segments() > 2 {
+		t.Fatalf("%d segments pinned behind the enqueue cursor, %d ahead of the dequeue cursor", back, q.Segments())
+	}
+}
+
 // TestCQSStalledResumerFindsWaiter replays the stalled-resumer race
 // deterministically: a resumer claims its ticket and then stalls while
 // resumers >= segSize ahead advance the dequeue cursor past its

@@ -1,69 +1,83 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// Steal-demand handshake model: the Runtime.demand word one owner polls at
-// each lazy spawn, two thieves posting on it, and the idle parker (waiters
-// count, mutex, broadcast) the posts must compose with — internal/sched's
-// spawnLazy, postDemand, takeDemand, parkThief, wakeThieves. A step is one
-// shared-memory access; the owner's load-then-clear pairs are one step
-// each, since no post can land on a set word.
+// Steal-demand and idle-queue handshake model: the Runtime.demand word one
+// owner polls at each lazy spawn, two thieves posting on it, and the
+// cqs.Queue they sleep on — internal/sched's spawnLazy, postDemand,
+// takeDemand, parkThief, wakeThief. A step is one shared-memory access,
+// but for three groups the other side cannot tell apart: the owner's
+// load-then-clear of the word (no post lands on a set word), its Waiting
+// loads plus dequeue-ticket claim (it is the only resumer), its claim of a
+// waiter cell plus the parker delivery (a thief reads its parker only once
+// it waits). The queue is the tickets no resumer has resolved yet, oldest
+// first: a thief's live ticket, whose cell state is kept with the thief,
+// or an aborted cell.
 //
-//	thief  scan (steal a published continuation, else post) → lock,
-//	       waiters++ → re-scan (decline if published) → post → wait
-//	owner  per spawn: poll → inline | clear, publish → load waiters →
-//	       broadcast under the mutex → child strand starts on the token
-//	       (clear) → pop → next spawn (after a hit the parent's, after a
-//	       steal whatever strand the token runs next)
+//	thief  scan (steal, else post) → claim a ticket → register (a deposit
+//	       means already woken) → re-scan → abort the ticket (lost to the
+//	       resumer: consume its delivery) | post, await the parker
+//	owner  per spawn: poll → inline | clear, publish → Waiting? claim a
+//	       ticket → resolve its cell (deposit | deliver | aborted: look
+//	       again) → child strand starts on the token (clear) → pop
 //
 // Checked: no reachable state has a continuation published, a thief
-// parked, none still looking and no broadcast pending; the owner honours
-// no more posts than landed; a post it honours landed since the last
-// strand start on its token.
+// asleep, none looking and no resume in flight — a second publication
+// beside a second sleeper wakes it, whatever the first one's ticket went
+// to; the owner honours no more posts than landed, and none from before
+// the last strand start on its token.
 
-// DemandConfig is a bounded scenario: two thieves, one owner, Spawns
-// spawns. BuggyLateAdd moves waiters++ from before the re-scan to after
-// the park-time post, so an owner answering that post can read zero
-// waiters while the thief is past its last look at the deque — the lost
-// wakeup the real order excludes, which the checker must find.
-type DemandConfig struct {
-	Spawns       int
-	BuggyLateAdd bool
-}
+// DemandConfig is the scenario: two thieves, one owner, three spawns.
+// BuggyLateAdd moves the thief's re-scan in front of its ticket: an owner
+// that publishes in between finds nobody Waiting while the thief is past
+// its last look at the deque — the lost wakeup the checker must find.
+type DemandConfig struct{ BuggyLateAdd bool }
 
 const ( // thief pcs, then owner pcs
 	dtScan int8 = iota
-	dtLock
+	dtTicket
+	dtRegister
 	dtRescan
+	dtAbort
 	dtPost
-	dtWait
-	dtParked
+	dtAwait
 	dtDone
 	doPoll
 	doPublish
-	doWake
-	doBcast
+	doWaiting
+	doCell
 	doStart
 	doPop
 	doDone
 )
 
+const ( // live cell states, then queue entries (a live ticket is 1 + its thief)
+	dcEmpty int8 = iota
+	dcDeposit
+	dcWaiter
+	dcTaken
+	dqAborted = 3
+	dqLen     = 8 // per thief a live ticket and an aborted one per publication
+	dmSpawns  = 3
+)
+
 type dmstate struct {
-	word, deque, waiters, mu int8 // mu: idle.mu held by a thief
-	opc, spawn               int8
-	tpc                      [2]int8
-	landed, honoured         int8
-	gen, postGen             int8 // ghost: strand starts on the owner's token; the one the standing post landed in
-	stale                    bool // ghost: the owner honoured a post from before the last strand start
+	word, deque, opc, spawn        int8
+	tpc                            [2]int8
+	queue                          [dqLen]int8 // unclaimed tickets, oldest first; 0 past the last
+	cell                           [2]int8     // each thief's live cell
+	ready                          [2]bool     // a parker delivery is in for the thief
+	landed, honoured, gen, postGen int8        // ghost: posts landed and answered; strand starts on the owner's token, the one the standing post landed in
+	stale                          bool        // ghost: the owner honoured a post from before the last strand start
 }
 
 func (s *dmstate) clone() *dmstate { ns := *s; return &ns }
 
 // CheckDemand exhaustively explores the scenario.
 func CheckDemand(cfg DemandConfig) Result {
-	if cfg.Spawns < 1 {
-		cfg.Spawns = 3
-	}
 	return explore(&dmstate{opc: doPoll}, rules[*dmstate, dmstate]{
 		key: func(s *dmstate) dmstate { return *s }, inState: checkDemandState,
 		atEnd: func(*dmstate) string { return "" },
@@ -74,17 +88,10 @@ func CheckDemand(cfg DemandConfig) Result {
 }
 
 func checkDemandState(s *dmstate) string {
-	parked, looking := 0, 0
-	for _, pc := range s.tpc {
-		if pc == dtParked {
-			parked++
-		} else if pc != dtDone {
-			looking++
-		}
-	}
+	blind := func(t int) bool { return s.tpc[t] == dtDone || s.tpc[t] == dtAwait && !s.ready[t] } // gone, or asleep
 	switch {
-	case s.deque == 1 && parked > 0 && looking == 0 && s.opc != doWake && s.opc != doBcast:
-		return "lost wakeup: a continuation is published, every thief is parked and no broadcast is pending"
+	case s.deque == 1 && blind(0) && blind(1) && s.tpc != [2]int8{dtDone, dtDone} && s.opc != doWaiting && s.opc != doCell:
+		return "lost wakeup: a continuation is published, every thief is asleep and no resume is in flight"
 	case s.honoured > s.landed:
 		return fmt.Sprintf("post honoured twice: %d promotions for %d landed posts", s.honoured, s.landed)
 	case s.stale:
@@ -100,76 +107,69 @@ func (s *dmstate) post() {
 	}
 }
 
-// ownerSteps: each case names the step, the pc it leads to unless f picks
-// another, and f's effect.
-func (c DemandConfig) ownerSteps(s *dmstate) []step[*dmstate] {
-	own := func(name string, next int8, f func(*dmstate)) []step[*dmstate] {
-		return []step[*dmstate]{after(s, "owner: "+name, func(ns *dmstate) { ns.opc = next; f(ns) })}
-	}
-	nextSpawn := func(ns *dmstate) {
-		if ns.spawn++; int(ns.spawn) == c.Spawns {
-			ns.opc = doDone
+// dmrow is a candidate step: if on, the thread's pc moves to next, then f runs.
+type dmrow struct {
+	on   bool
+	name string
+	next int8
+	f    func(*dmstate)
+}
+
+// firstOf is the step of the first enabled row; pc picks the thread's pc.
+func (s *dmstate) firstOf(who string, pc func(*dmstate) *int8, rows []dmrow) []step[*dmstate] {
+	for _, r := range rows {
+		if r.on {
+			return []step[*dmstate]{after(s, who+r.name, func(ns *dmstate) { *pc(ns) = r.next; r.f(ns) })}
 		}
-	}
-	switch s.opc {
-	case doPoll:
-		if s.word == 0 {
-			return own("poll demand: none, run the child inline", doPoll, nextSpawn)
-		}
-		return own("poll demand: clear it, promote", doPublish, func(ns *dmstate) {
-			ns.word, ns.stale = 0, ns.postGen != ns.gen
-			ns.honoured++
-		})
-	case doPublish:
-		return own("publish continuation", doWake, func(ns *dmstate) { ns.deque = 1 })
-	case doWake:
-		if s.waiters > 0 {
-			return own("load waiters: some", doBcast, func(*dmstate) {})
-		}
-		return own("load waiters: none", doStart, func(*dmstate) {})
-	case doBcast:
-		if s.mu != 0 {
-			return nil
-		}
-		return own("broadcast under idle.mu", doStart, func(ns *dmstate) {
-			for t, pc := range ns.tpc {
-				if pc == dtParked { // wakes, retakes idle.mu, waiters--
-					ns.tpc[t] = dtScan
-					ns.waiters--
-				}
-			}
-		})
-	case doStart:
-		return own("child strand starts: drop demand", doPop, func(ns *dmstate) { ns.word = 0; ns.gen++ })
-	case doPop:
-		return own("pop bottom", doPoll, func(ns *dmstate) { ns.deque = 0; nextSpawn(ns) })
 	}
 	return nil
 }
 
+func (c DemandConfig) ownerSteps(s *dmstate) []step[*dmstate] {
+	nextSpawn := func(ns *dmstate) {
+		if ns.spawn++; ns.spawn == dmSpawns {
+			ns.opc = doDone
+		}
+	}
+	pop := func(ns *dmstate) { copy(ns.queue[:], append(ns.queue[1:], 0)) }
+	opc, head := s.opc, s.queue[0]
+	t := head >> 1 & 1 // the thief whose ticket is next, if it is a live one
+	return s.firstOf("owner: ", func(ns *dmstate) *int8 { return &ns.opc }, []dmrow{
+		{opc == doPoll && s.word == 0, "poll demand: none, run the child inline", doPoll, nextSpawn},
+		{opc == doPoll, "poll demand: clear it, promote", doPublish, func(ns *dmstate) {
+			ns.word, ns.stale = 0, ns.postGen != ns.gen
+			ns.honoured++
+		}},
+		{opc == doPublish, "publish continuation", doWaiting, func(ns *dmstate) { ns.deque = 1 }},
+		{opc == doWaiting && head == 0, "load Waiting: nobody", doStart, func(*dmstate) {}},
+		{opc == doWaiting, "load Waiting: somebody, claim a dequeue ticket", doCell, func(*dmstate) {}},
+		{opc == doCell && head == dqAborted, "resolve the cell: aborted, look again", doWaiting, pop},
+		{opc == doCell && s.cell[t] == dcEmpty, "resolve the cell: deposit", doStart, func(ns *dmstate) { pop(ns); ns.cell[t] = dcDeposit }},
+		{opc == doCell, "resolve the cell: claim its waiter, deliver", doStart, func(ns *dmstate) { pop(ns); ns.cell[t], ns.ready[t] = dcTaken, true }},
+		{opc == doStart, "child strand starts: drop demand", doPop, func(ns *dmstate) { ns.word = 0; ns.gen++ }},
+		{opc == doPop, "pop bottom", doPoll, func(ns *dmstate) { ns.deque = 0; nextSpawn(ns) }},
+	})
+}
+
 func (c DemandConfig) thiefSteps(s *dmstate, t int) []step[*dmstate] {
-	th := func(name string, next int8, f func(*dmstate)) []step[*dmstate] {
-		return []step[*dmstate]{after(s, fmt.Sprintf("thief %d: %s", t, name), func(ns *dmstate) { ns.tpc[t] = next; f(ns) })}
-	}
-	early, late := int8(1), int8(0) // where waiters++ happens: at the real site, or at the planted one
+	// The re-scan stands behind the registration, a hit aborting the ticket
+	// — or (planted) in front of the ticket, registration going on to the post.
+	scanned, registered, hit, miss := dtTicket, dtRescan, dtAbort, dtPost
 	if c.BuggyLateAdd {
-		early, late = 0, 1
+		scanned, registered, hit, miss = dtRescan, dtPost, dtScan, dtTicket
 	}
-	switch pc := s.tpc[t]; {
-	case pc == dtScan && s.deque == 1:
-		return th("steal", dtDone, func(ns *dmstate) { ns.deque = 0 })
-	case pc == dtScan:
-		return th("find the deque empty, post demand", dtLock, (*dmstate).post)
-	case pc == dtLock && s.mu == 0:
-		return th("lock idle.mu (waiters++)", dtRescan, func(ns *dmstate) { ns.mu = 1; ns.waiters += early })
-	case pc == dtRescan && s.deque == 1:
-		return th("re-scan finds work, decline to park", dtScan, func(ns *dmstate) { ns.mu = 0; ns.waiters -= early })
-	case pc == dtRescan:
-		return th("re-scan finds nothing", dtPost, func(*dmstate) {})
-	case pc == dtPost:
-		return th("post demand before sleeping", dtWait, (*dmstate).post)
-	case pc == dtWait:
-		return th("wait (releases idle.mu)", dtParked, func(ns *dmstate) { ns.mu = 0; ns.waiters += late })
-	}
-	return nil
+	pc, me, cell := s.tpc[t], int8(1+t), s.cell[t]
+	return s.firstOf(fmt.Sprintf("thief %d: ", t), func(ns *dmstate) *int8 { return &ns.tpc[t] }, []dmrow{
+		{pc == dtScan && s.deque == 1, "steal", dtDone, func(ns *dmstate) { ns.deque = 0 }},
+		{pc == dtScan, "find the deque empty, post demand", scanned, (*dmstate).post},
+		{pc == dtTicket, "claim a ticket", dtRegister, func(ns *dmstate) { ns.queue[slices.Index(ns.queue[:], 0)], ns.cell[t] = me, dcEmpty }},
+		{pc == dtRegister && cell == dcDeposit, "register: a deposit ran ahead, already woken", dtScan, func(ns *dmstate) { ns.cell[t] = dcTaken }},
+		{pc == dtRegister, "register in the cell", registered, func(ns *dmstate) { ns.cell[t] = dcWaiter }},
+		{pc == dtRescan && s.deque == 1, "re-scan finds work", hit, func(*dmstate) {}},
+		{pc == dtRescan, "re-scan finds nothing", miss, func(*dmstate) {}},
+		{pc == dtAbort && cell == dcTaken, "abort lost to the resumer: its delivery must be consumed", dtAwait, func(*dmstate) {}},
+		{pc == dtAbort, "abort the ticket, decline to park", dtScan, func(ns *dmstate) { ns.queue[slices.Index(ns.queue[:], me)], ns.cell[t] = dqAborted, dcTaken }},
+		{pc == dtPost, "post demand before sleeping", dtAwait, (*dmstate).post},
+		{pc == dtAwait && s.ready[t], "consume the delivery", dtScan, func(ns *dmstate) { ns.ready[t] = false }},
+	})
 }

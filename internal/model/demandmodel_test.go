@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestDemandModel checks the steal-demand handshake — two thieves, one
-// owner, three spawns — in every interleaving.
+// TestDemandModel checks the steal-demand and idle-queue handshake — two
+// thieves, one owner, three spawns — in every interleaving.
 func TestDemandModel(t *testing.T) {
-	r := CheckDemand(DemandConfig{Spawns: 3})
+	r := CheckDemand(DemandConfig{})
 	if r.Violation != nil {
 		t.Fatalf("demand model violated:\n%s", r.Violation)
 	}
@@ -19,12 +19,12 @@ func TestDemandModel(t *testing.T) {
 }
 
 // TestDemandModelCatchesLateAdd validates the checker's sensitivity: a
-// thief that counts itself a waiter only after its park-time post lets
-// the owner answer the post, read zero waiters and skip the broadcast.
+// thief that re-scans before it claims its ticket lets the owner publish
+// in between, find nobody Waiting and skip the resume.
 func TestDemandModelCatchesLateAdd(t *testing.T) {
-	r := CheckDemand(DemandConfig{Spawns: 3, BuggyLateAdd: true})
+	r := CheckDemand(DemandConfig{BuggyLateAdd: true})
 	if r.Violation == nil || !strings.HasPrefix(r.Violation.Kind, "lost wakeup") {
-		t.Fatalf("post before waiters++ not caught as a lost wakeup: %v", r.Violation)
+		t.Fatalf("re-scan before the ticket not caught as a lost wakeup: %v", r.Violation)
 	}
 	t.Logf("found:\n%s", r.Violation)
 }

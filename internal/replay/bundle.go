@@ -38,7 +38,6 @@ type Meta struct {
 	MaxVessels     int   `json:"max_vessels,omitempty"`
 	SoftMaxVessels int   `json:"soft_max_vessels,omitempty"`
 	MaxStacks      int   `json:"max_stacks,omitempty"`
-	ParkAfter      int   `json:"park_after,omitempty"`
 	TimeoutMS      int64 `json:"timeout_ms,omitempty"`
 	SpawnEager     bool  `json:"spawn_eager,omitempty"`
 

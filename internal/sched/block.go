@@ -20,7 +20,7 @@ import (
 // piece: a resume or abort may fire on any goroutine — another strand, a
 // context.AfterFunc timer, an external completer — so the waker cannot
 // always hand a token directly. Instead it pushes the Waiter onto the
-// runtime's wake queue and rouses the thieves; the next token to come
+// runtime's wake queue and rouses a thief; the next token to come
 // free — a strand blocking in its turn, or an idle thief — pops it and
 // hands itself over, and the blocked strand continues where it left off.
 //
@@ -31,7 +31,7 @@ import (
 // the last token while a waiter is parked or a wakeup is queued); and
 // the park guard declines to park while a wakeup is pending (counted as
 // WakeupsLost), closing the sleep race the same way Spawn's
-// publish-then-load-waiters order does.
+// publish-then-load-Waiting order does.
 
 // Waiter is the blocking-wait handle of a strand, embedded in its
 // vessel (one external wait can be in flight per strand — the strand is
@@ -128,11 +128,10 @@ func (p *Proc) CommitWait(bw *Waiter) bool {
 	rt.blockedLive.Add(-1)
 	if rt.done.Load() || rt.cancel.Cancelled() {
 		// Thieves park through the wind-down while blocked waits hold
-		// the retirement gate (parkThief's ending carve-out); this drop
-		// may have opened it, so rouse them to re-check. The seq-cst
-		// decrement-then-waiters-load here pairs with their
-		// waiters-increment-then-gauge-load, so the broadcast cannot be
-		// lost.
+		// the retirement gate shut (parkThief); this drop may have opened
+		// it, so rouse them all to re-check. The decrement precedes the
+		// drain's ticket bound, their ticket precedes their load of the
+		// gauge: one side sees the other.
 		rt.wakeThieves()
 	}
 	if bw.aborted {
@@ -264,7 +263,7 @@ func (rt *Runtime) blockClaimOwnCont(v *vessel, w int) (*cont, bool) {
 	}
 	if c.scope != v.disp.parent {
 		rt.pushBottom(w, c)
-		rt.wakeThieves()
+		rt.wakeThief()
 		return nil, false
 	}
 	return c, true
@@ -281,5 +280,5 @@ func (bw *Waiter) deliver(aborted bool) {
 	}
 	rt := bw.v.rt
 	rt.wakeq.Push(bw)
-	rt.wakeThieves()
+	rt.wakeThief()
 }

@@ -141,10 +141,6 @@ type Config struct {
 	// deepest spawn chain, or the runtime panics on overflow (the ABP
 	// drawback discussed in §II-D).
 	DequeCap int
-	// ParkAfter is the failed-steal count after which an idle thief stops
-	// polling and parks until a Spawn publishes new work (or the run ends
-	// or is cancelled). Non-positive selects the default (512).
-	ParkAfter int
 	// Chaos, if non-nil, enables seeded fault injection at the protocol's
 	// race windows (see Chaos). The only cost when nil is one pointer
 	// check per injection point.
@@ -225,9 +221,6 @@ func (c *Config) fill() error {
 	}
 	if c.MaxVessels > 0 && c.SoftMaxVessels > c.MaxVessels {
 		c.SoftMaxVessels = c.MaxVessels
-	}
-	if c.ParkAfter <= 0 {
-		c.ParkAfter = 512
 	}
 	if c.Chaos != nil {
 		// A copy, so normalisation never mutates the caller's struct.

@@ -41,7 +41,7 @@ func TestPromoteDemandPostRules(t *testing.T) {
 			defer rt.Close()
 			lazy := mode != SpawnEager
 			rt.Run(func(api.Ctx) {
-				// 48 failed attempts all happen on the ladder's yield rung,
+				// 48 failed attempts all happen before the thief's first park,
 				// and miss a self-draw with probability 2^-48.
 				awaitCond(t, "48 failed steals", func() bool {
 					return rt.rec.Worker(1)[trace.FailedSteals].Load() >= 48
@@ -105,7 +105,7 @@ func TestPromoteDemandHonouredOnce(t *testing.T) {
 // The next submission starts on that token, and its first spawn must run
 // inline — the demand was for a strand that is no longer there.
 func TestPromoteDemandDroppedAtStrandStart(t *testing.T) {
-	rt := MustNew(Config{Name: "nowa", Workers: 2, Deque: deque.CL, Join: WaitFree, ParkAfter: 1})
+	rt := MustNew(Config{Name: "nowa", Workers: 2, Deque: deque.CL, Join: WaitFree})
 	defer rt.Close()
 	if err := rt.StartService(ServiceConfig{}); err != nil {
 		t.Fatal(err)
@@ -132,8 +132,8 @@ func TestPromoteDemandDroppedAtStrandStart(t *testing.T) {
 
 // TestPromoteParkedThievesWoken parks both thieves of a three-worker
 // runtime without either having polled anybody: a crafted replay log has
-// each draw itself as victim — where a thief posts nothing — until the
-// backoff ladder runs out. The demand they post as part of parking is
+// each draw itself as victim — where a thief posts nothing — until its
+// spins run out. The demand they post as part of parking is
 // then the only signal the spawn-dense root can get: a lazy spawn
 // publishes nothing and wakes nobody, so without it the root runs inline
 // forever beside two sleeping tokens. Both must wake, and both steal.
@@ -141,11 +141,11 @@ func TestPromoteParkedThievesWoken(t *testing.T) {
 	const workers = 3
 	log := &replay.Log{PerWorker: make([][]replay.Event, workers), Dropped: make([]uint64, workers)}
 	for w := 1; w < workers; w++ {
-		for i := 0; i < 300; i++ { // the ladder parks after 256 failed attempts
+		for i := 0; i <= spinBeforePark; i++ { // the attempt after the last yield parks
 			log.PerWorker[w] = append(log.PerWorker[w], replay.Event{Kind: replay.KStealEmpty, Arg: uint16(w)})
 		}
 	}
-	rt := MustNew(Config{Name: "nowa", Workers: workers, Deque: deque.CL, Join: WaitFree, ParkAfter: 1, Replay: log})
+	rt := MustNew(Config{Name: "nowa", Workers: workers, Deque: deque.CL, Join: WaitFree, Replay: log})
 	defer rt.Close()
 	tally := func(id trace.ID) (n1, n2 int64) {
 		return rt.rec.Worker(1)[id].Load(), rt.rec.Worker(2)[id].Load()

@@ -12,6 +12,7 @@ import (
 	"nowa/internal/api"
 	"nowa/internal/cactus"
 	"nowa/internal/core"
+	"nowa/internal/cqs"
 	"nowa/internal/deque"
 	"nowa/internal/replay"
 	"nowa/internal/trace"
@@ -89,7 +90,10 @@ type Runtime struct {
 	finished   chan struct{}
 
 	cancel api.CancelState
-	idle   idleParker
+	// idle is where thieves out of spins sleep (parkThief): a publication
+	// of one unit of work resumes one of them (wakeThief), a condition
+	// every sleeper must re-check drains it (wakeThieves).
+	idle *cqs.Queue
 
 	// External-wait state (block.go): wakeq routes wakeups fired off any
 	// worker token to idle thieves, blockedLive gauges strands parked on
@@ -135,18 +139,6 @@ type Runtime struct {
 	// rejected, and Close drains instead of panicking. It stays set after
 	// Close so ServiceStats remains answerable.
 	svc atomic.Pointer[service]
-}
-
-// idleParker blocks idle thieves past the fail threshold so they stop
-// polling; Spawn (and run completion/cancellation) broadcast a wakeup.
-// The waiters count is read on the spawn hot path, so the no-waiter case
-// costs one uncontended atomic load.
-//
-//nowa:nopad singleton embedded in Runtime; waiters shares its line with a mutex touched only on the blocking path
-type idleParker struct {
-	waiters atomic.Int32
-	mu      sync.Mutex
-	cond    *sync.Cond
 }
 
 // rngState is a per-worker xorshift64 generator for victim selection,
@@ -195,8 +187,8 @@ func New(cfg Config) (*Runtime, error) {
 		rngs:       make([]rngState, slots),
 		demand:     make([]demandWord, slots),
 		vlocal:     make([]vesselFreeList, slots),
+		idle:       cqs.NewQueue(),
 	}
-	rt.idle.cond = sync.NewCond(&rt.idle.mu)
 	if cfg.Deque == deque.THE {
 		rt.theDeques = make([]*deque.THEDeque[cont], slots)
 	}
@@ -418,82 +410,111 @@ func (rt *Runtime) retireToken() {
 	}
 }
 
-// wakeThieves rouses every parked thief. Called after each eager Spawn
-// publication (cheap no-waiter fast path), when the root strand finishes,
-// and when the run's context is cancelled.
-func (rt *Runtime) wakeThieves() {
-	if rt.idle.waiters.Load() == 0 {
-		return
+// wakeThief rouses one parked thief after the publication of one unit of
+// work: an eager spawn's push, a continuation pushed back, a queued
+// wakeup. Two loads when nobody sleeps, and no lock ever — the publisher
+// loads Waiting after it published, the thief re-scans after it claimed
+// its ticket, so one of the two sees the other.
+//
+//nowa:hotpath
+func (rt *Runtime) wakeThief() {
+	if rt.idle.Waiting() {
+		rt.resumeThief()
 	}
-	rt.idle.mu.Lock()
-	rt.idle.cond.Broadcast()
-	rt.idle.mu.Unlock()
 }
 
-// parkThief blocks an idle thief until new work is published or the run
-// completes or cancels; it reports whether it actually parked. The
-// waiters increment happens before the re-check of the deques, pairing
-// with the eager Spawn's publish-then-load-waiters order, so a wakeup
-// cannot be lost: either the spawner sees the waiter and broadcasts, or
-// the thief sees the published item and declines to park.
-func (rt *Runtime) parkThief(w int) bool {
-	ip := &rt.idle
-	ip.mu.Lock()
-	ip.waiters.Add(1)
-	// A finished or cancelled run declines to park — the thief must go
-	// retire its token — unless blocked waits still hold the retirement
-	// gate: then sleeping is exactly right, because the only events that
-	// can end the wind-down are wakeups, and every one broadcasts here
-	// (deliver's push-then-wakeThieves, and CommitWait's blockedLive
-	// drop once the run is winding down). Without this carve-out a plain
-	// Run whose strand waits on a never-resolved future would spin every
-	// idle token forever instead of parking through the (possibly
-	// unbounded) wait.
-	ending := rt.done.Load() || rt.cancel.Cancelled()
-	if (ending && rt.blockedLive.Load() == 0) || rt.anyDequeNonEmpty() {
-		ip.waiters.Add(-1)
-		ip.mu.Unlock()
-		return false
+// resumeThief spends dequeue tickets until one reaches a thief: a parked
+// one is delivered to on its vessel's parker (a thief holding a token has
+// no other deliverer), a deposit is consumed by the thief about to
+// register. A ticket whose thief aborted found work on its re-scan and is
+// looking again; the next sleeper, if any, is woken in its place.
+//
+//nowa:coldpath a thief is asleep, so this publication ends an idle period; Resume may link a fresh queue segment
+func (rt *Runtime) resumeThief() {
+	for {
+		h, oc := rt.idle.Resume()
+		if oc == cqs.Woke {
+			h.(*vessel).pk.deliver()
+			return
+		}
+		if oc == cqs.Deposited || !rt.idle.Waiting() {
+			return
+		}
 	}
-	if rt.wakeq.Pending() > 0 {
-		// An external wakeup is queued: the thief must go pick it up,
-		// not sleep on it. Checked under idle.mu, pairing with the
-		// waker's push-then-broadcast order, so the wakeup cannot be
-		// lost; the decline is tallied as the near-miss it is.
+}
+
+// wakeThieves rouses every parked thief, for conditions each must
+// re-check for itself: the root strand finished, the run was cancelled,
+// the blocked gauge dropped during wind-down, a supplement was flagged to
+// retire.
+//
+//nowa:coldpath run end, cancellation, wind-down and supplement retirement only
+func (rt *Runtime) wakeThieves() {
+	rt.idle.Drain(func(h any) { h.(*vessel).pk.deliver() })
+}
+
+// parkThief puts a thief that ran out of spins to sleep on the idle queue
+// until a publication resumes it or the queue is drained. The ticket is
+// claimed before the re-scan and every publisher loads Waiting after it
+// published, so a wakeup cannot be lost: either the publisher sees the
+// ticket and resumes it, or the re-scan sees what was published and the
+// thief takes its ticket back.
+//
+//nowa:coldpath a thief out of spins; the idle period's cost is the goroutine park, not this
+func (rt *Runtime) parkThief(p *Proc) {
+	w := p.worker
+	t, ok := rt.idle.Enqueue(p.v)
+	if !ok {
+		// A resume ran ahead of the registration: already woken.
+		return
+	}
+	var look bool
+	if rt.done.Load() || rt.cancel.Cancelled() {
+		// Winding down, thieves steal nothing: the only reason to be
+		// awake is an open retirement gate. While blocked waits hold it
+		// shut, sleeping is exactly right — under a plain Run a wait on a
+		// never-resolved future is unbounded — and the events that can
+		// end it all come here: deliver's push wakes one, CommitWait's
+		// gauge drop wakes all.
+		look = rt.blockedLive.Load() == 0
+	} else {
+		// The stall hook doubles as the park-time heartbeat — a parked
+		// thief is idle, not stalled, and beats again at wake — and tells
+		// a supplement flagged to retire since its last pass.
+		look = rt.anyDequeNonEmpty() || (rt.stallOn && rt.stallStealCheck(w))
+	}
+	if !look && rt.wakeq.Pending() > 0 {
+		// A queued external wakeup must be picked up, not slept on; the
+		// decline is tallied as the near-miss it is.
 		rt.rec.Worker(w)[trace.WakeupsLost].Add(1)
-		ip.waiters.Add(-1)
-		ip.mu.Unlock()
-		return false
+		look = true
+	}
+	if look {
+		if !t.TryAbort() {
+			// A resumer claimed the cell first: its delivery is in
+			// flight and must be consumed before the parker is reused.
+			p.v.pk.await(0)
+		}
+		return
 	}
 	rt.rec.Worker(w)[trace.ThiefParks].Add(1)
 	if rt.recordOn {
 		// Owner-only: the parking strand still holds token w.
 		rt.rep.Record(w, replay.KPark, 0, 0)
 	}
-	if rt.stallOn {
-		// Heartbeat at park and again at wake: a parked thief is idle,
-		// not stalled, and the supervisor must see it moving through the
-		// rendezvous (a thief can only park while every deque is empty,
-		// so a stale-parked heartbeat never coincides with runnable work
-		// for long — the wake bump closes the remaining window).
-		rt.beat(w)
-	}
 	if rt.lazyOn {
 		// Ask every victim for its next spawn before sleeping: a lazy
 		// spawn publishes nothing and wakes nobody, so the demand is what
 		// turns some owner's next spawn into the eager one whose
-		// publish-then-wake ends this park. Posted after waiters.Add(1):
-		// an owner that sees the demand then sees the waiter too, and its
-		// broadcast queues behind idle.mu until Wait has released it.
+		// publish-then-wake ends this park. Posted after the ticket: an
+		// owner that sees the demand then sees the ticket too.
 		for v, n := 0, rt.victimSlots(); v < n; v++ {
 			if v != w {
 				rt.postDemand(w, v)
 			}
 		}
 	}
-	ip.cond.Wait()
-	ip.waiters.Add(-1)
-	ip.mu.Unlock()
+	p.v.pk.await(0)
 	if rt.stallOn {
 		rt.beat(w)
 	}
@@ -501,7 +522,6 @@ func (rt *Runtime) parkThief(w int) bool {
 	if rt.recordOn {
 		rt.rep.Record(w, replay.KWake, 0, 0)
 	}
-	return true
 }
 
 // anyDequeNonEmpty scans all worker deques (best-effort sizes).
@@ -607,7 +627,7 @@ func (rt *Runtime) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "  waits: blocked=%d resumed=%d aborted=%d live=%d highWater=%d pendingWakes=%d wakeupsLost=%d\n",
 		agg.BlockedWaits, agg.ResumedWaits, agg.AbortedWaits,
 		rt.blockedLive.Load(), rt.blockedHW.Load(), rt.wakeq.Pending(), agg.WakeupsLost)
-	fmt.Fprintf(w, "  parked thieves: %d\n", rt.idle.waiters.Load())
+	fmt.Fprintf(w, "  thieves parked: %v\n", rt.idle.Waiting())
 	fmt.Fprintf(w, "  counters: %+v\n", agg)
 	fmt.Fprintf(w, "  stacks: %+v\n", rt.pool.Stats())
 	if rt.recordOn {

@@ -357,7 +357,7 @@ func (s *scope) spawnEager(fn func(api.Ctx)) {
 	if rt.recordOn {
 		rt.rep.Record(w, replay.KSpawn, 0, 0)
 	}
-	rt.wakeThieves()
+	rt.wakeThief()
 
 	// The child executes next on this worker: hand over the token.
 	cv.disp = dispatch{fn: fn, parent: s, worker: w, sub: p.sub}

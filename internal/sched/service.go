@@ -594,8 +594,8 @@ func (svc *service) nextSubmission() *Submission {
 // every in-flight submission before the run completes.
 //
 // While blocked on an empty queue the dispatcher necessarily holds one
-// worker token; the remaining tokens park as idle thieves and wake on
-// the next spawn, so an idle service burns no CPU polling.
+// worker token; the remaining tokens park as idle thieves, one waking
+// per spawn, so an idle service burns no CPU polling.
 func (rt *Runtime) serviceRoot(c api.Ctx) {
 	svc := rt.svc.Load()
 	p := c.(*Proc)

@@ -6,6 +6,7 @@ import (
 
 	"nowa/internal/api"
 	"nowa/internal/deque"
+	"nowa/internal/trace"
 )
 
 // stallCfg is the baseline stall-recovery configuration the tests use:
@@ -155,6 +156,70 @@ func TestStallServiceRecovery(t *testing.T) {
 	}
 	if ss.Admitted != ss.Completed+ss.Panicked+ss.Cancelled+ss.Shed {
 		t.Fatalf("service conservation violated: %+v", ss)
+	}
+}
+
+// TestStallRetireFlagSeenAtPark closes the window between a supplement's
+// last stallStealCheck and its sleep: flagged to retire in there, it used
+// to sleep through the flag until somebody else's spawn woke it. The test
+// stands in for the supplement's thief on an idle service so it decides
+// where the thief is when the flag lands: past the check that found
+// nothing, not yet holding a ticket — the supervisor's wake finds nobody
+// to wake. The park that follows must be declined, and the supplement
+// must retire with no submission to help it.
+func TestStallRetireFlagSeenAtPark(t *testing.T) {
+	rt := MustNew(stallCfg(2))
+	defer rt.Close()
+	if err := rt.StartService(ServiceConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	awaitCond(t, "the service's thief to park", func() bool { return rt.rec.Worker(1)[trace.ThiefParks].Load() == 1 })
+	// Arm slot 0 for the dispatcher's token the way seizeWorker does, minus
+	// the dispatch: the dispatcher sits on its queue, so nothing re-enters
+	// the health word behind the test's back.
+	ws := rt.cfg.Workers
+	rt.wstate[0].state.CompareAndSwap(wsHealthy, wsSeized)
+	rt.wstate[0].state.CompareAndSwap(wsSeized, wsSupplemented)
+	rt.tokensLeft.Add(1)
+	rt.sup[0].watch.Store(0)
+	rt.sup[0].state.CompareAndSwap(supIdle, supArmed)
+	rt.victimHi.Store(int32(ws + 1))
+	rt.supplemented.Add(1)
+	v := &vessel{rt: rt}
+	v.pk.init()
+	v.proc = Proc{rt: rt, v: v, worker: ws}
+
+	if rt.stallStealCheck(ws) {
+		t.Fatal("retire flag seen before it was set")
+	}
+	rt.seizedReentry(0)
+	rt.retireRecoveredSupplements()
+	if st := rt.sup[0].state.Load(); st != supRetiring {
+		t.Fatalf("slot state %d after the worker's re-entry, want retiring", st)
+	}
+	retired := rt.supRetired.Load()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rt.parkThief(&v.proc)
+		if rt.stallStealCheck(ws) { // the steal loop's next pass
+			rt.retireSupplement(ws)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the flagged supplement went to sleep")
+	}
+	if got := rt.supRetired.Load(); got != retired+1 {
+		t.Fatalf("supRetired = %d, want %d", got, retired+1)
+	}
+	if n := rt.rec.Worker(ws)[trace.ThiefParks].Load(); n != 0 {
+		t.Fatalf("the supplement parked %d times", n)
+	}
+	rt.Close()
+	if err := rt.CheckIdle(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"runtime"
-	"time"
 
 	"nowa/internal/cactus"
 	"nowa/internal/deque"
@@ -44,26 +43,11 @@ func (rt *Runtime) stealLoop(p *Proc) {
 				// waiter with no token to resume on. Keep this token in
 				// the loop until the waits drain — and since under a
 				// plain Run (nil WaitContext) a wait on a never-resolved
-				// future is not abortable, that window can be unbounded:
-				// the backoff ladder must end at the idle parker, not a
-				// poll. parkThief's ending carve-out parks this token
-				// while the gate holds (wakeq-guarded, so a queued
-				// wakeup is never slept through), and deliver's
-				// broadcast plus CommitWait's gauge-drop broadcast wake
-				// it to either claim the wakeup or retire. Parked
-				// directly rather than through stealBackoff: a wakeup
-				// here means "re-check the gate", not fresh work, so the
-				// ladder must not reset to its poll rungs on every
-				// broadcast.
-				fails++
-				switch {
-				case fails < 64:
-					runtime.Gosched()
-				case rt.parkThief(w):
-					fails = 64
-				default:
-					time.Sleep(time.Microsecond)
-				}
+				// future is not abortable, that window can be unbounded,
+				// so the token parks like any idle thief: deliver's push
+				// wakes one to claim the wakeup, CommitWait's gauge drop
+				// wakes all to re-check this gate.
+				rt.stealBackoff(p, &fails)
 				continue
 			}
 			// Free the vessel before retiring: the token is still ours
@@ -85,8 +69,7 @@ func (rt *Runtime) stealLoop(p *Proc) {
 		if rt.chaosOn && rt.chaosPreSteal(w) {
 			// Forced failed steal: abandon the attempt outright.
 			rec[trace.FailedSteals].Add(1)
-			fails++
-			rt.stealBackoff(w, &fails)
+			rt.stealBackoff(p, &fails)
 			continue
 		}
 
@@ -96,8 +79,7 @@ func (rt *Runtime) stealLoop(p *Proc) {
 		if bounded {
 			s, ok := rt.pool.Get(w)
 			if !ok {
-				fails++
-				rt.stealBackoff(w, &fails)
+				rt.stealBackoff(p, &fails)
 				continue
 			}
 			preStack = s
@@ -123,8 +105,7 @@ func (rt *Runtime) stealLoop(p *Proc) {
 				rt.pool.Put(w, preStack)
 			}
 			rec[trace.FailedSteals].Add(1)
-			fails++
-			rt.stealBackoff(w, &fails)
+			rt.stealBackoff(p, &fails)
 			continue
 		}
 		rec[trace.Steals].Add(1)
@@ -267,26 +248,22 @@ func (rt *Runtime) popTopSteal(victim int) (*cont, deque.StealOutcome) {
 	return c, deque.StealHit
 }
 
-// stealBackoff yields progressively: spin-yield first for low latency,
-// then sleep so idle thieves do not starve working strands — essential on
-// hosts with fewer CPUs than worker tokens. Past the configured ParkAfter
-// threshold the thief parks outright on the idle parker (woken by Spawn,
-// completion or cancellation) instead of polling at 50µs forever; a
-// successful park resets the ladder since a wakeup implies fresh work.
-func (rt *Runtime) stealBackoff(w int, fails *int) {
-	f := *fails
-	switch {
-	case f < 64:
+// spinBeforePark is how many consecutive failed passes of the steal
+// loop yield the processor before the thief parks. A constant, not a
+// Config field: a parked thief is woken by the very publication a
+// spinning one would have found, so the count only trades yields against
+// one park and wake.
+const spinBeforePark = 64
+
+// stealBackoff is the one idle protocol: the first spinBeforePark
+// consecutive failures yield, the next one parks on the idle queue
+// (parkThief). The count restarts after a wakeup and after a declined
+// park alike — both mean there is something to look at again.
+func (rt *Runtime) stealBackoff(p *Proc, fails *int) {
+	if *fails++; *fails <= spinBeforePark {
 		runtime.Gosched()
-	case f < 256:
-		time.Sleep(time.Microsecond)
-	case f < rt.cfg.ParkAfter:
-		time.Sleep(50 * time.Microsecond)
-	default:
-		if rt.parkThief(w) {
-			*fails = 0
-		} else {
-			time.Sleep(50 * time.Microsecond)
-		}
+		return
 	}
+	*fails = 0
+	rt.parkThief(p)
 }

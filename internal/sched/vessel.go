@@ -403,7 +403,7 @@ func (rt *Runtime) finishStrand(v *vessel, parent *scope) {
 		// accounting — and treat the pop as a miss. The thief wake mirrors
 		// Spawn's publish-then-wake order.
 		rt.pushBottom(w, c)
-		rt.wakeThieves()
+		rt.wakeThief()
 		ok = false
 	}
 	if ok {

@@ -134,7 +134,6 @@ func drawTrial(c Config, from []Class, rng *rand.Rand, n int) replay.Meta {
 	m.MaxVessels, m.SoftMaxVessels = budget[0], budget[1]
 	m.MaxStacks = []int{0, 4 * w, 0, 0}[rng.Intn(4)]
 	m.TimeoutMS = []int64{0, 1, 5, 0}[rng.Intn(4)]
-	m.ParkAfter = []int{0, 64, 0, 0}[rng.Intn(4)]
 	if cl.NoBudgets {
 		// Most trials then cancel mid-churn with waiters in flight.
 		m.MaxVessels, m.SoftMaxVessels, m.MaxStacks = 0, 0, 0

@@ -128,7 +128,6 @@ var reductions = []struct {
 	{"workers halved", func(m *replay.Meta) { m.Workers = max(1, m.Workers/2) }},
 	{"deadline dropped", func(m *replay.Meta) { m.TimeoutMS = 0 }},
 	{"budgets dropped", func(m *replay.Meta) { m.MaxVessels, m.SoftMaxVessels, m.MaxStacks = 0, 0, 0 }},
-	{"park knob reset", func(m *replay.Meta) { m.ParkAfter = 0 }},
 	{"stall recovery disarmed", func(m *replay.Meta) { m.StallThresholdUS, m.MaxSupplements = 0, 0 }},
 }
 

@@ -2,9 +2,11 @@ package torture
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math/rand"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -179,12 +181,12 @@ func TestGoldenMeta(t *testing.T) {
 				c.Chaos = &sched.Chaos{Seed: 11, LeakVessel: 24, StealInterest: 1024, DelaySpins: 1}
 			}},
 		{`{"tool":"nowa-torture","kernel":"pipeline","scale":"test","variant":"cilkplus","workers":4,"seed":9,` +
-			`"max_vessels":16,"soft_max_vessels":8,"max_stacks":12,"park_after":64,"timeout_ms":5,"spawn_eager":true,` +
+			`"max_vessels":16,"soft_max_vessels":8,"max_stacks":12,"timeout_ms":5,"spawn_eager":true,` +
 			`"chaos":{"seed":3,"steal_fail":16,"delay_spins":2,"stall_worker":48,"stall_for_us":2000,` +
 			`"submit_latency":16,"submit_latency_for_us":500},"stall_threshold_us":500,"max_supplements":1}`,
 			func(c *sched.Config) {
 				c.Workers, c.Seed = 4, 9
-				c.MaxVessels, c.SoftMaxVessels, c.ParkAfter, c.Spawn = 16, 8, 64, sched.SpawnEager
+				c.MaxVessels, c.SoftMaxVessels, c.Spawn = 16, 8, sched.SpawnEager
 				c.Stacks.GlobalCap, c.Stacks.CapMode = 12, 1 // cactus.CapSoft
 				c.StallThreshold, c.MaxSupplements = 500*time.Microsecond, 1
 				c.Chaos = &sched.Chaos{Seed: 3, StealFail: 16, DelaySpins: 2, StallWorker: 48, StallForUS: 2000,
@@ -206,6 +208,43 @@ func TestGoldenMeta(t *testing.T) {
 	}
 }
 
+// TestReplayBundleWithParkAfter is the bundle-compatibility bar: a bundle
+// written while the scheduler still had a park threshold carries
+// "park_after" in its meta block. It must load, the key ignored, and
+// replay to the failure it recorded.
+func TestReplayBundleWithParkAfter(t *testing.T) {
+	c := soakConfig(t)
+	m := replay.Meta{
+		Tool: "nowa-torture", Kernel: "fib", Scale: "test", Variant: "nowa", Workers: 1, Seed: 7,
+		Chaos: &replay.Chaos{Seed: 11, LeakVessel: 24, StealInterest: 1024, DelaySpins: 1},
+	}
+	path, err := c.capture(m, "vessel-leak", "")
+	if err != nil || path == "" {
+		t.Fatalf("capture: %q, %v", path, err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic, uint32 meta length, meta JSON, streams: splice the old key in.
+	const key = `"park_after":64,`
+	at := len("NOWAREPL1\n") + 4
+	if raw[at] != '{' {
+		t.Fatalf("bundle layout changed: byte %d is %q", at, raw[at])
+	}
+	old := append([]byte(nil), raw[:at+1]...)
+	binary.LittleEndian.PutUint32(old[at-4:], binary.LittleEndian.Uint32(raw[at-4:])+uint32(len(key)))
+	old = append(append(old, key...), raw[at+1:]...)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	c.Stdout = &out
+	if code := Replay(path, c); code != 0 || !strings.Contains(out.String(), "\nreproduced: vessel-leak: ") {
+		t.Fatalf("exit %d:\n%s", code, out.String())
+	}
+}
+
 // TestShrinkSynthetic drives the shrinker with a predicate in place of
 // scheduler runs: the failure needs LeakVessel at 3/1024 or more and two
 // workers, nothing else. The shrinker must reach exactly that minimum —
@@ -214,7 +253,7 @@ func TestGoldenMeta(t *testing.T) {
 func TestShrinkSynthetic(t *testing.T) {
 	start := replay.Meta{
 		Tool: "nowa-torture", Kernel: "fib", Variant: "fibril", Workers: 8, Seed: 5, Class: "heavy",
-		MaxVessels: 10, SoftMaxVessels: 9, MaxStacks: 32, ParkAfter: 64, TimeoutMS: 5,
+		MaxVessels: 10, SoftMaxVessels: 9, MaxStacks: 32, TimeoutMS: 5,
 		StallThresholdUS: 500, MaxSupplements: 1,
 		Chaos: &replay.Chaos{Seed: 2, DelaySpins: 4, LeakVessel: 24, StealFail: 128,
 			StallWorker: 48, StallForUS: 2000},
@@ -239,7 +278,7 @@ func TestShrinkSynthetic(t *testing.T) {
 	if start.Chaos.LeakVessel != 24 || start.Chaos.StallForUS == 0 {
 		t.Errorf("the shrinker edited its input's chaos block: %+v", start.Chaos)
 	}
-	for _, kept := range []string{"workers halved", "deadline dropped", "budgets dropped", "park knob reset",
+	for _, kept := range []string{"workers halved", "deadline dropped", "budgets dropped",
 		"stall recovery disarmed", "chaos steal-fail dropped", "chaos stall-worker dropped", "chaos leak-vessel halved"} {
 		if !strings.Contains(log.String(), "shrink: kept "+kept+"\n") {
 			t.Errorf("log lacks %q:\n%s", kept, log.String())

@@ -31,7 +31,6 @@ func buildConfig(m replay.Meta) (sched.Config, error) {
 		cfg.Stacks.GlobalCap = m.MaxStacks
 		cfg.Stacks.CapMode = cactus.CapSoft
 	}
-	cfg.ParkAfter = m.ParkAfter
 	if m.SpawnEager {
 		cfg.Spawn = sched.SpawnEager
 	}
