@@ -109,10 +109,12 @@ torture:
 # see DESIGN.md §13). Then a service-mode torture soak: concurrent
 # submissions with mixed deadlines across the vessel-model variants and
 # all three overload policies, drain quiescence and accounting checked
-# every trial.
+# every trial. Every token takes from the admission queue, so the soak
+# draws up to three workers whatever the host has: the take-vs-take and
+# take-vs-drain races show when tokens outnumber CPUs.
 serve-smoke:
 	bash benchmark/run.sh --workload serve-overload --seconds 3
-	$(GO) run ./cmd/nowa-torture -service -duration 10s -out torture-out
+	$(GO) run ./cmd/nowa-torture -service -workers 3 -duration 10s -out torture-out
 
 # fault-smoke exercises the fault-tolerance stack (DESIGN.md §15): a
 # stall-classed torture soak (injected worker stalls with stall recovery

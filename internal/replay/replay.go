@@ -118,8 +118,8 @@ const (
 	// stream); Arg is the victim's id.
 	//nowa:replay-diagnostic service boundary trace; service schedules are not replayable (see nextDecision)
 	KSubShed
-	// KSubStart is the dispatcher spawning an admitted submission
-	// (dispatcher worker's stream); Arg is the submission id.
+	// KSubStart is a token taking an admitted submission to run it
+	// (the taking worker's stream); Arg is the submission id.
 	//nowa:replay-diagnostic service boundary trace; service schedules are not replayable (see nextDecision)
 	KSubStart
 	// KSubDone is a submission's wrapper strand completing (that

@@ -42,14 +42,12 @@ func (r *subRing) pop() *Submission {
 	return s
 }
 
-// admitQueue is the bounded admission queue in front of the service
-// dispatcher: two priority lanes (SubmitOpts.Priority > 0 selects the
-// high lane), a capacity shared between them, and an effective window
-// that shrinks under governor pressure. Producers are external
-// goroutines; the single consumer is the dispatcher root strand. The
-// rendezvous channels are buffered signals, not data carriers — the
-// queue state itself lives under mu, and both sides re-check it after
-// every wakeup, so a coalesced signal can never lose an item.
+// admitQueue is the bounded admission queue of a serving runtime: two
+// priority lanes (SubmitOpts.Priority > 0 selects the high lane), a
+// capacity shared between them, and an effective window that shrinks
+// under governor pressure. Producers are external goroutines; consumers
+// are the worker tokens that take a submission when they have no deque
+// work (takeSubmission). The rings and closed live under mu.
 //
 //nowa:nopad one admitQueue per service, embedded in the service singleton; no adjacent instances to false-share with
 type admitQueue struct {
@@ -57,7 +55,6 @@ type admitQueue struct {
 	mu     sync.Mutex
 	high   subRing
 	norm   subRing
-	total  int // items across both lanes, ≤ capa
 	capa   int
 	policy OverloadPolicy
 	closed bool
@@ -67,8 +64,12 @@ type admitQueue struct {
 	// read on every admission.
 	pressure atomic.Int32
 
-	itemCh   chan struct{} // producer → dispatcher: something was enqueued
-	spaceCh  chan struct{} // dispatcher → blocked producer: a slot freed up
+	// depth counts the items across both lanes, ≤ capa. Written under mu,
+	// atomic so that thieves, the stall probe and ServiceStats read it
+	// without the lock (service.takeNext says why that is sound).
+	depth atomic.Int64
+
+	spaceCh  chan struct{} // taker → blocked producer: a slot freed up
 	closedCh chan struct{} // closed once, at drain start
 
 	// Admission tallies, atomic so ServiceStats reads them without the
@@ -88,7 +89,6 @@ func (q *admitQueue) init(depth int, policy OverloadPolicy) {
 	q.policy = policy
 	q.high.buf = make([]*Submission, depth)
 	q.norm.buf = make([]*Submission, depth)
-	q.itemCh = make(chan struct{}, 1)
 	q.spaceCh = make(chan struct{}, 1)
 	q.closedCh = make(chan struct{})
 }
@@ -136,21 +136,21 @@ func (q *admitQueue) tryAdmitLocked(sub *Submission, grade int32) (outcome int, 
 	if q.closed {
 		return admitClosed, nil
 	}
-	if q.total < q.effWindow(grade) {
+	if q.depth.Load() < int64(q.effWindow(grade)) {
 		q.lane(sub).push(sub)
-		q.total++
+		q.depth.Add(1)
 		return admitOK, nil
 	}
 	if q.policy == OverloadShed || grade >= int32(gradeSevere) {
 		victim = q.popOldestLocked()
-		if victim == nil && q.total >= q.capa {
+		if victim == nil && q.depth.Load() >= int64(q.capa) {
 			// Nothing evictable and the rings are physically full; a
 			// shrunken window with an empty queue cannot get here
-			// (total < eff would have admitted).
+			// (depth < eff would have admitted).
 			return admitFull, nil
 		}
 		q.lane(sub).push(sub)
-		q.total++
+		q.depth.Add(1)
 		return admitOK, victim
 	}
 	return admitFull, nil
@@ -162,44 +162,44 @@ func (q *admitQueue) tryAdmitLocked(sub *Submission, grade int32) (outcome int, 
 //nowa:hotpath
 func (q *admitQueue) popOldestLocked() *Submission {
 	if s := q.norm.pop(); s != nil {
-		q.total--
+		q.depth.Add(-1)
 		return s
 	}
 	if s := q.high.pop(); s != nil {
-		q.total--
+		q.depth.Add(-1)
 		return s
 	}
 	return nil
 }
 
-// popNextLocked dequeues for the dispatcher: high lane first.
+// popNextLocked dequeues for a taking token: high lane first.
 //
 //nowa:hotpath
 func (q *admitQueue) popNextLocked() *Submission {
 	if s := q.high.pop(); s != nil {
-		q.total--
+		q.depth.Add(-1)
 		return s
 	}
 	if s := q.norm.pop(); s != nil {
-		q.total--
+		q.depth.Add(-1)
 		return s
 	}
 	return nil
 }
 
-// signal performs the non-blocking buffered-channel kick used on both
-// rendezvous directions; a coalesced signal is fine because the waiters
-// re-check queue state after every wakeup.
-func (q *admitQueue) signal(ch chan struct{}) {
+// signal performs the non-blocking buffered-channel kick that tells a
+// blocked producer to retry; a coalesced signal is fine because it
+// re-checks the queue state after every wakeup.
+func (q *admitQueue) signal() {
 	select {
-	case ch <- struct{}{}:
+	case q.spaceCh <- struct{}{}:
 	default:
 	}
 }
 
 // close stops admission: Submit fails with ErrServiceClosed from here
-// on, the dispatcher drains what is already queued and then sees nil,
-// and every producer blocked on a full queue wakes and fails.
+// on, the tokens drain what is already queued, and every producer
+// blocked on a full queue wakes and fails.
 func (q *admitQueue) close() {
 	q.mu.Lock()
 	if q.closed {
@@ -209,12 +209,4 @@ func (q *admitQueue) close() {
 	q.closed = true
 	q.mu.Unlock()
 	close(q.closedCh)
-}
-
-// queued reports the current queue length (both lanes).
-func (q *admitQueue) queued() int {
-	q.mu.Lock()
-	n := q.total
-	q.mu.Unlock()
-	return n
 }

@@ -104,8 +104,8 @@ func TestSubmitAdmitDispatchOrder(t *testing.T) {
 	if got := q.popNextLocked(); got != nil {
 		t.Fatalf("pop empty = %p, want nil", got)
 	}
-	if q.total != 0 {
-		t.Fatalf("total = %d after drain, want 0", q.total)
+	if q.depth.Load() != 0 {
+		t.Fatalf("depth = %d after drain, want 0", q.depth.Load())
 	}
 }
 

@@ -30,9 +30,10 @@ func idleRuntime(t *testing.T, workers int, log *replay.Log) *Runtime {
 	return rt
 }
 
-// TestIdleServiceStopsCounting: once a service has nothing to do, its
-// idle tokens are asleep — not polling on a timer. Twenty milliseconds
-// after the last completion the failed-steal tally has stopped moving.
+// TestIdleServiceStopsCounting: once a service has nothing to do, every
+// token is asleep — not polling on a timer, and none held by a strand
+// waiting for the next submission. Twenty milliseconds after the last
+// completion the failed-steal tally has stopped moving.
 func TestIdleServiceStopsCounting(t *testing.T) {
 	rt := NewNowa(4)
 	defer rt.Close()
@@ -59,8 +60,8 @@ func TestIdleServiceStopsCounting(t *testing.T) {
 	if before.FailedSteals != after.FailedSteals {
 		t.Errorf("an idle service still polls: FailedSteals %d -> %d over 50 ms", before.FailedSteals, after.FailedSteals)
 	}
-	if after.ThiefParks < 3 || !rt.idle.Waiting() {
-		t.Errorf("ThiefParks = %d, sleepers = %v; want every token but the dispatcher's asleep", after.ThiefParks, rt.idle.Waiting())
+	if after.ThiefParks < 4 || !rt.idle.Waiting() {
+		t.Errorf("ThiefParks = %d, sleepers = %v; want all four tokens asleep", after.ThiefParks, rt.idle.Waiting())
 	}
 }
 

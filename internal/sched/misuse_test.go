@@ -89,7 +89,7 @@ func TestPanicPinsDeepScope(t *testing.T) {
 		}()
 		rt.Run(func(c api.Ctx) {
 			root := c.Scope().(*scope)
-			root.spawn(func(c api.Ctx) {
+			root.spawnEager(func(c api.Ctx) {
 				pinnedOn = c.(*Proc).v
 				for i := 0; i < scopeInline; i++ {
 					c.Scope()
@@ -97,9 +97,9 @@ func TestPanicPinsDeepScope(t *testing.T) {
 				deep := c.Scope().(*scope)
 				// The child blocks until the root has seen this strand
 				// end, so this strand's continuation must be stolen.
-				deep.spawn(func(api.Ctx) { <-release }, true)
+				deep.spawnEager(func(api.Ctx) { <-release })
 				panic("unwound past a deep un-synced scope")
-			}, true)
+			})
 			root.Sync()
 			close(release)
 		})

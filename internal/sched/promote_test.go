@@ -99,19 +99,24 @@ func TestPromoteDemandHonouredOnce(t *testing.T) {
 	}
 }
 
-// TestPromoteDemandDroppedAtStrandStart is the serve-high sentinel: the
-// thief of a two-worker service parks while the dispatcher sits blocked
-// on its empty queue, leaving demand posted on the dispatcher's token.
-// The next submission starts on that token, and its first spawn must run
-// inline — the demand was for a strand that is no longer there.
+// TestPromoteDemandDroppedAtStrandStart is the serve-high sentinel: both
+// tokens of an idle two-worker service park, each leaving demand posted
+// on the other's token. The submission that wakes one is taken by it, and
+// the take is a strand start: its first spawn must run inline — the
+// demand the other thief posted was for a strand that is no longer there.
 func TestPromoteDemandDroppedAtStrandStart(t *testing.T) {
 	rt := MustNew(Config{Name: "nowa", Workers: 2, Deque: deque.CL, Join: WaitFree})
 	defer rt.Close()
 	if err := rt.StartService(ServiceConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	awaitCond(t, "the thief to park with demand posted on the dispatcher's token", func() bool {
-		return rt.rec.Worker(1)[trace.ThiefParks].Load() == 1 && rt.demand[0].n.Load() == 1
+	awaitCond(t, "both tokens to park with demand posted on each other", func() bool {
+		for w := 0; w < 2; w++ {
+			if rt.rec.Worker(w)[trace.ThiefParks].Load() != 1 || rt.demand[w].n.Load() != 1 {
+				return false
+			}
+		}
+		return true
 	})
 	sub, err := rt.Submit(func(c api.Ctx) {
 		s := c.Scope()
@@ -124,9 +129,50 @@ func TestPromoteDemandDroppedAtStrandStart(t *testing.T) {
 	if err := sub.Wait(); err != nil {
 		t.Fatal(err)
 	}
+	rt.Close() // the strand flushes its tallies after resolving the future
 	if c := rt.Counters(); c.PromotedSpawns != 0 || c.InlineRuns != 1 {
 		t.Fatalf("promoted=%d inline=%d, want 0 and 1: a stale demand reached the submission",
 			c.PromotedSpawns, c.InlineRuns)
+	}
+}
+
+// TestPromoteBurstDroppedAtTake: a one-worker service runs its
+// submissions back to back on one vessel, and an eager burst armed under
+// one of them must not tax the next — the take drops it, as strand start
+// drops demand.
+func TestPromoteBurstDroppedAtTake(t *testing.T) {
+	rt := MustNew(Config{Name: "nowa", Workers: 1, Deque: deque.CL, Join: WaitFree})
+	defer rt.Close()
+	if err := rt.StartService(ServiceConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	var first, second *vessel
+	for _, task := range []func(api.Ctx){
+		func(c api.Ctx) {
+			first = c.(*Proc).v
+			first.eagerBurst = eagerBurstLen // what a promotion leaves behind
+		},
+		func(c api.Ctx) {
+			second = c.(*Proc).v
+			s := c.Scope()
+			s.Spawn(func(api.Ctx) {})
+			s.Sync()
+		},
+	} {
+		sub, err := rt.Submit(task, SubmitOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sub.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if first != second {
+		t.Fatal("the two submissions ran on different vessels; the test lost its premise")
+	}
+	rt.Close() // the strand flushes its tallies after resolving the future
+	if c := rt.Counters(); c.InlineRuns != 1 || c.Spawns != 1 {
+		t.Fatalf("inline=%d spawns=%d, want 1 and 1: the last submission's burst reached this one", c.InlineRuns, c.Spawns)
 	}
 }
 
@@ -321,7 +367,7 @@ func TestPromoteSuspendSignal(t *testing.T) {
 		s := c.Scope().(*scope)
 		// Eager child that blocks until the continuation has run: the
 		// continuation must be stolen, and the Sync below must suspend.
-		s.spawn(func(api.Ctx) { <-release }, true)
+		s.spawnEager(func(api.Ctx) { <-release })
 		close(release)
 		s.Sync()
 		// The suspension above armed the burst: this lazy-eligible spawn

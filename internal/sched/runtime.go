@@ -483,6 +483,9 @@ func (rt *Runtime) parkThief(p *Proc) {
 		// a supplement flagged to retire since its last pass.
 		look = rt.anyDequeNonEmpty() || (rt.stallOn && rt.stallStealCheck(w))
 	}
+	// In both phases a queued submission is work: a forced drain still
+	// settles what is queued.
+	look = look || rt.submissionsQueued()
 	if !look && rt.wakeq.Pending() > 0 {
 		// A queued external wakeup must be picked up, not slept on; the
 		// decline is tallied as the near-miss it is.

@@ -16,7 +16,7 @@ type Proc struct {
 	worker int
 
 	// sub brands the strand with the service submission it belongs to
-	// (nil in batch runs and on the dispatcher). Children inherit it
+	// (nil in batch runs and on the service root). Children inherit it
 	// through dispatch, so cancellation and panic routing follow the
 	// whole subtree of a submission across steals.
 	sub *Submission
@@ -276,17 +276,6 @@ func (s *scope) release() {
 //
 //nowa:hotpath
 func (s *scope) Spawn(fn func(api.Ctx)) {
-	s.spawn(fn, false)
-}
-
-// spawn is Spawn with an explicit eager override, used by the service
-// dispatcher: its submissions must each get their own vessel no matter
-// the spawn mode, because the dispatch loop is exactly the shape the
-// deviation note on Spawn describes — every submission must run
-// concurrently with the loop that spawned it, not inline inside it.
-//
-//nowa:hotpath
-func (s *scope) spawn(fn func(api.Ctx), forceEager bool) {
 	p := s.p
 	rt := p.rt
 	if rt.cancel.Cancelled() || (p.sub != nil && p.sub.cs.Cancelled()) {
@@ -303,7 +292,7 @@ func (s *scope) spawn(fn func(api.Ctx), forceEager bool) {
 		rt.runInline(p, fn, trace.DegradedSpawns)
 		return
 	}
-	if rt.lazyOn && !forceEager {
+	if rt.lazyOn {
 		if p.v.eagerBurst > 0 {
 			// Promotion armed an eager burst on this vessel: pay the
 			// handoff so thieves get real continuations while demand (or

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"nowa/internal/api"
+	"nowa/internal/cqs"
 	"nowa/internal/replay"
 )
 
@@ -129,8 +130,8 @@ type SubmitOpts struct {
 }
 
 // Submission state machine: queued → running → done, with shed taking
-// queued → done directly. The CAS transitions make shed-vs-dispatch
-// races single-winner.
+// queued → done directly. The CAS transitions make shed-vs-take races
+// single-winner.
 const (
 	subQueued uint32 = iota
 	subRunning
@@ -145,7 +146,7 @@ const (
 //nowa:nopad submissions are individually heap-allocated, one per Submit; no two are ever adjacent in an array
 type Submission struct {
 	task func(api.Ctx)
-	body func(api.Ctx) // dispatcher spawn wrapper, built once at Submit
+	body func(api.Ctx) // the top strand's function, built once at Submit
 
 	// cs views the submission's effective context ctx: the service
 	// context, plus the caller's context and/or deadline when given.
@@ -250,11 +251,11 @@ func (s *Submission) release() {
 	}
 }
 
-// run is the submission wrapper the dispatcher spawns. It brands the
-// strand's Proc with the submission (children inherit it through
-// dispatch, so every strand of this task routes panics and cancellation
-// here) and contains the task's panic: unlike a batch Run, a service
-// panic resolves only this submission's future.
+// run is the submission's top strand, started by the token that took it.
+// It brands the strand's Proc with the submission (children inherit it
+// through dispatch, so every strand of this task routes panics and
+// cancellation here) and contains the task's panic: unlike a batch Run,
+// a service panic resolves only this submission's future.
 func (s *Submission) run(p *Proc) {
 	rt := p.rt
 	p.sub = s
@@ -286,7 +287,10 @@ type service struct {
 	ctx    context.Context
 	cancel context.CancelCauseFunc
 
-	adm     admitQueue
+	adm admitQueue
+	// rootq is where the service run's root strand waits for the drain
+	// (serviceRoot); wakeRoot resumes it.
+	rootq   *cqs.Queue
 	runDone chan struct{}
 	runErr  error // runInternal's result, set before runDone closes
 	// closing latches the drain decision: exactly one Close wins the CAS
@@ -316,10 +320,11 @@ type service struct {
 }
 
 // StartService switches the runtime into service mode: a long-lived
-// internal run whose root strand dispatches admitted submissions as
-// concurrent children of one scope. From then on external goroutines
-// feed work through Submit/SubmitCtx; Run/RunCtx panic (the service
-// occupies the runtime); Close gains graceful-drain semantics.
+// internal run in which every worker token with no deque work takes the
+// next admitted submission and runs it as a top-level strand. From then
+// on external goroutines feed work through Submit/SubmitCtx; Run/RunCtx
+// panic (the service occupies the runtime); Close gains graceful-drain
+// semantics.
 //
 // The stall watchdog's progress probe cannot distinguish "service idle,
 // no submissions" from a genuine stall, so do not arm StartWatchdog on
@@ -332,7 +337,7 @@ func (rt *Runtime) StartService(cfg ServiceConfig) error {
 	if closed {
 		return errors.New("sched: StartService on closed Runtime")
 	}
-	svc := &service{rt: rt, cfg: cfg, runDone: make(chan struct{})}
+	svc := &service{rt: rt, cfg: cfg, rootq: cqs.NewQueue(), runDone: make(chan struct{})}
 	svc.adm.init(cfg.QueueDepth, cfg.Policy)
 	if rt.chaosOn {
 		svc.chaosRng.s = uint64(rt.cfg.Chaos.Seed)*0x2545f4914f6cdd1d + 0x9e3779b97f4a7c15
@@ -346,10 +351,10 @@ func (rt *Runtime) StartService(cfg ServiceConfig) error {
 		defer close(svc.runDone)
 		defer func() {
 			if r := recover(); r != nil {
-				// A dispatcher-level panic (never a submission's — those
-				// resolve their own futures) would otherwise kill the
-				// process from a goroutine nobody joins. Capture it and
-				// fail the remaining queued work instead.
+				// A run-level panic (never a submission's — those resolve
+				// their own futures) would otherwise kill the process from
+				// a goroutine nobody joins. Capture it and fail the
+				// remaining queued work instead.
 				svc.runErr = fmt.Errorf("sched: service run panicked: %v", r)
 				svc.adm.close()
 			}
@@ -469,7 +474,9 @@ func (svc *service) admit(sub *Submission, waitCtx context.Context) error {
 			if rt.recordOn {
 				rt.rep.RecordExternal(replay.KSubmit, 0, sub.id)
 			}
-			q.signal(q.itemCh)
+			// Published under mu; a thief loads the depth after claiming
+			// its ticket, so it either takes this submission or is woken.
+			rt.wakeThief()
 			return nil
 		case admitClosed:
 			return ErrServiceClosed
@@ -528,13 +535,6 @@ func (svc *service) chaosRoll(site uint8) bool {
 	return fired
 }
 
-// queuedLen reports the current admission-queue depth — the stall
-// supervisor's "runnable work" probe for service mode, where work can
-// be queued for the dispatcher without any deque being non-empty.
-func (svc *service) queuedLen() int {
-	return svc.adm.queued()
-}
-
 // retryHint estimates how long until a queue slot frees: the smoothed
 // completion interval, clamped to a sane band. Before any completion it
 // reports the clamp floor scaled to the queue depth.
@@ -556,85 +556,124 @@ func (svc *service) retryHint() time.Duration {
 	return h
 }
 
-// nextSubmission blocks until a submission is available or the queue is
-// closed and fully drained (nil). A popped submission is counted in
-// flight before the queue lock is released, so it is never in neither
-// gauge; the caller gives the count back once the submission's outcome
-// is tallied.
-func (svc *service) nextSubmission() *Submission {
+// takeNext dequeues the next submission, nil if none, counted in flight
+// inside the same locked section. The gauge is raised before the pop
+// lowers the depth, so a reader that loads the depth and then the gauge
+// without the lock (ServiceStats, drained) never finds it in neither.
+func (svc *service) takeNext() *Submission {
 	q := &svc.adm
-	for {
-		q.mu.Lock()
-		sub := q.popNextLocked()
-		if sub != nil {
-			svc.inflight.Add(1)
-		}
-		closed := q.closed
+	q.mu.Lock()
+	if q.depth.Load() == 0 {
 		q.mu.Unlock()
-		if sub != nil {
-			q.signal(q.spaceCh)
-			return sub
-		}
-		if closed {
-			return nil
-		}
-		select {
-		case <-q.itemCh:
-		case <-q.closedCh:
-		}
+		return nil
 	}
+	svc.inflight.Add(1)
+	sub := q.popNextLocked()
+	q.mu.Unlock()
+	q.signal()
+	return sub
 }
 
-// serviceRoot is the dispatcher: the root strand of the service run. It
-// opens one scope and spawns every admitted submission as a child, so
-// concurrent submissions are sibling subtrees of a single fork/join
-// computation — the wait-free join protocol has no per-round fan-out
-// bound, which is exactly what lets one scope host an unbounded stream
-// of children. At drain (queue closed and empty) the final Sync joins
-// every in-flight submission before the run completes.
+// takeSubmission runs the next admitted submission as a new top strand
+// on the token's own vessel, dispatching to itself: the strand starts once
+// the steal loop has returned to vessel.loop. Like a run's root it is
+// charged one pool stack, so under a stack cap it is taken only with one
+// in hand. One shed or expired while queued is settled without running.
+// False when the queue turned out empty or no stack could be had.
 //
-// While blocked on an empty queue the dispatcher necessarily holds one
-// worker token; the remaining tokens park as idle thieves, one waking
-// per spawn, so an idle service burns no CPU polling.
-func (rt *Runtime) serviceRoot(c api.Ctx) {
+//nowa:coldpath one adm.mu section and one spaceCh kick per submission, next to the Gosched the caller just paid; a closed future and an outcome tally only for a submission settled without running
+func (rt *Runtime) takeSubmission(p *Proc) bool {
 	svc := rt.svc.Load()
-	p := c.(*Proc)
-	// Submissions always take the eager handoff regardless of spawn mode:
-	// the dispatch loop must run concurrently with every submission it
-	// spawns (an inline run would serialise the queue behind one
-	// submission's latency — the lazy-spawning deviation documented on
-	// scope.Spawn, here as a matter of policy rather than correctness).
-	s := c.Scope().(*scope)
+	w := p.worker
+	stack, ok := rt.pool.Get(w)
+	if !ok {
+		return false
+	}
 	for {
-		sub := svc.nextSubmission()
+		sub := svc.takeNext()
 		if sub == nil {
-			break
+			rt.pool.Put(w, stack)
+			return false
 		}
 		if !sub.state.CompareAndSwap(subQueued, subRunning) {
 			// Shed while queued: its future is already resolved and its
 			// outcome tallied by whoever shed it.
-			svc.inflight.Add(-1)
+			svc.leave()
 			continue
 		}
 		if sub.cs.Cancelled() {
 			// Expired (or force-cancelled) while queued: resolve without
-			// paying for a spawn.
+			// running it.
 			svc.adm.expired.Add(1)
 			err := sub.outcomeErr()
 			sub.release()
 			svc.noteOutcome(err, false)
-			svc.inflight.Add(-1)
+			svc.leave()
 			sub.resolve(subRunning, err)
 			continue
 		}
 		if rt.recordOn {
-			// Owner-only: the dispatcher holds whatever token it last
-			// resumed with.
-			rt.rep.Record(p.worker, replay.KSubStart, 0, sub.id)
+			// Owner-only: this strand holds token w.
+			rt.rep.Record(w, replay.KSubStart, 0, sub.id)
 		}
-		s.spawn(sub.body, true)
+		v := p.v
+		// Drop the eager burst, as strand start drops demand: it was armed
+		// for the thieves of this vessel's last strand, another submission.
+		v.eagerBurst = 0
+		v.stacks = append(v.stacks, stack)
+		v.disp = dispatch{fn: sub.body, worker: w, sub: sub}
+		v.pk.deliver()
+		return true
 	}
-	s.Sync()
+}
+
+// serviceRoot is the service run's root strand. Tokens take submissions
+// (takeSubmission), so the root only waits for the drain, like any
+// blocked strand: its token passed on, re-checking after it registered.
+// Whatever makes the drain true wakes it (wakeRoot); its return ends the run.
+func (rt *Runtime) serviceRoot(c api.Ctx) {
+	svc := rt.svc.Load()
+	p := c.(*Proc)
+	for !svc.drained() {
+		bw := p.PrepareWait()
+		// Never keep the token, whatever the vessel budget: a one-worker
+		// service would have none left to serve with. The root waits once
+		// per run, so that is one vessel past MaxVessels at most.
+		bw.keep = false
+		t, ok := svc.rootq.Enqueue(bw)
+		if !ok || (svc.drained() && t.TryAbort()) {
+			p.AbandonWait(bw)
+			continue
+		}
+		p.CommitWait(bw)
+	}
+}
+
+// drained reports the queue closed and empty and nothing in flight; once
+// true it stays true. Closed and empty under the lock means nothing can
+// be taken any more, so the gauge read after it is final.
+func (svc *service) drained() bool {
+	q := &svc.adm
+	q.mu.Lock()
+	empty := q.closed && q.depth.Load() == 0
+	q.mu.Unlock()
+	return empty && svc.inflight.Load() == 0
+}
+
+// wakeRoot wakes the service root once drained. It runs after each write
+// that can make drained true — the queue closing, the in-flight gauge
+// reaching zero — and the root re-checks after registering.
+func (svc *service) wakeRoot() {
+	if svc.closing.Load() && svc.drained() {
+		svc.rootq.Drain(func(h any) { h.(*Waiter).Wake() })
+	}
+}
+
+// leave takes one settled submission out of the in-flight gauge.
+func (svc *service) leave() {
+	if svc.inflight.Add(-1) == 0 {
+		svc.wakeRoot()
+	}
 }
 
 // complete resolves a submission whose wrapper strand finished: panic
@@ -650,7 +689,7 @@ func (svc *service) complete(sub *Submission) {
 	// Tally, then leave the gauge: whoever sees InFlight at zero must
 	// find this outcome already counted (see ServiceStats).
 	svc.noteOutcome(err, true)
-	svc.inflight.Add(-1)
+	svc.leave()
 	sub.resolve(subRunning, err)
 }
 
@@ -706,7 +745,7 @@ func (rt *Runtime) SetAdmissionPressure(grade int) {
 		return
 	}
 	// Pressure cleared: let one blocked producer retry immediately.
-	svc.adm.signal(svc.adm.spaceCh)
+	svc.adm.signal()
 }
 
 // ServiceStats is a point-in-time snapshot of service-mode accounting.
@@ -750,7 +789,7 @@ func (rt *Runtime) ServiceStats() (ServiceStats, bool) {
 		return ServiceStats{}, false
 	}
 	q := &svc.adm
-	queued, inflight := q.queued(), int(svc.inflight.Load())
+	queued, inflight := int(q.depth.Load()), int(svc.inflight.Load())
 	return ServiceStats{
 		Submitted:      q.submitted.Load(),
 		Admitted:       q.admitted.Load(),
@@ -780,6 +819,7 @@ func (rt *Runtime) drainService(svc *service) {
 		return
 	}
 	svc.adm.close()
+	svc.wakeRoot()
 	if svc.cfg.DrainTimeout < 0 {
 		<-svc.runDone
 		return

@@ -210,15 +210,9 @@ func (rt *Runtime) retireSupplement(w int) {
 // runnableWork reports whether the run has work a healthy worker could
 // be executing — the condition under which a stale heartbeat means a
 // stall rather than idleness: any non-empty deque (including
-// supplements'), or queued service admissions awaiting the dispatcher.
+// supplements'), or a queued submission no token has taken.
 func (rt *Runtime) runnableWork() bool {
-	if rt.anyDequeNonEmpty() {
-		return true
-	}
-	if svc := rt.svc.Load(); svc != nil && svc.queuedLen() > 0 {
-		return true
-	}
-	return false
+	return rt.anyDequeNonEmpty() || rt.submissionsQueued()
 }
 
 // seizeWorker marks base worker w seized and dispatches a supplemental

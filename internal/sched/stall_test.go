@@ -96,11 +96,10 @@ func TestStallSupplementBatch(t *testing.T) {
 
 // TestStallServiceRecovery is the head-of-line-blocking rescue on a
 // single-worker service: a submission stalls the only base token, so
-// without supplementation the dispatcher continuation — published but
-// unstealable with zero idle thieves — would pin every queued
-// submission behind the stall. With recovery armed, the supplement
-// steals the dispatcher continuation and the quick submissions all
-// complete while the stalled one is still asleep.
+// without supplementation no token is left to take the queued
+// submissions behind it. With recovery armed, the supplement takes them
+// itself, and the quick submissions all complete while the stalled one
+// is still asleep.
 func TestStallServiceRecovery(t *testing.T) {
 	cfg := stallCfg(1)
 	cfg.Spawn = SpawnEager
@@ -130,7 +129,7 @@ func TestStallServiceRecovery(t *testing.T) {
 				t.Fatalf("quick task %d: %v", i, err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("quick task %d still blocked: supplementation did not rescue the dispatcher", i)
+			t.Fatalf("quick task %d still queued: no supplement took it", i)
 		}
 	}
 	select {
@@ -164,8 +163,8 @@ func TestStallServiceRecovery(t *testing.T) {
 // to sleep through the flag until somebody else's spawn woke it. The test
 // stands in for the supplement's thief on an idle service so it decides
 // where the thief is when the flag lands: past the check that found
-// nothing, not yet holding a ticket — the supervisor's wake finds nobody
-// to wake. The park that follows must be declined, and the supplement
+// nothing, not yet holding a ticket — the wake that comes with the flag
+// misses it. The park that follows must be declined, and the supplement
 // must retire with no submission to help it.
 func TestStallRetireFlagSeenAtPark(t *testing.T) {
 	rt := MustNew(stallCfg(2))
@@ -173,10 +172,12 @@ func TestStallRetireFlagSeenAtPark(t *testing.T) {
 	if err := rt.StartService(ServiceConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	awaitCond(t, "the service's thief to park", func() bool { return rt.rec.Worker(1)[trace.ThiefParks].Load() == 1 })
-	// Arm slot 0 for the dispatcher's token the way seizeWorker does, minus
-	// the dispatch: the dispatcher sits on its queue, so nothing re-enters
-	// the health word behind the test's back.
+	awaitCond(t, "both of the service's tokens to park", func() bool {
+		return rt.rec.Worker(0)[trace.ThiefParks].Load() == 1 && rt.rec.Worker(1)[trace.ThiefParks].Load() == 1
+	})
+	// Arm slot 0 for token 0 the way seizeWorker does, minus the dispatch:
+	// the token sleeps on the idle queue, so nothing re-enters the health
+	// word behind the test's back.
 	ws := rt.cfg.Workers
 	rt.wstate[0].state.CompareAndSwap(wsHealthy, wsSeized)
 	rt.wstate[0].state.CompareAndSwap(wsSeized, wsSupplemented)

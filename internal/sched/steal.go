@@ -11,11 +11,11 @@ import (
 
 // stealLoop is the quest for work: the strand holding token p.worker picks
 // random victims until it steals a continuation (which it resumes, ending
-// this strand) or the runtime finishes. A cancelled run retires the token
-// instead: no new continuations appear once Spawn degrades to inline
-// execution, and already-published ones drain through the owner's
-// popBottom, so thieves are pure overhead while the computation winds
-// down.
+// this strand), takes a queued submission of a serving runtime, or the
+// runtime finishes. A cancelled run retires the token instead: no new
+// continuations appear once Spawn degrades to inline execution, and
+// already-published ones drain through the owner's popBottom, so thieves
+// are pure overhead while the computation winds down.
 func (rt *Runtime) stealLoop(p *Proc) {
 	w := p.worker
 	rec := rt.rec.Worker(w)
@@ -32,6 +32,17 @@ func (rt *Runtime) stealLoop(p *Proc) {
 				rt.takeDemand(w)
 				bw.v.resumeTok = token{worker: w}
 				bw.v.pk.deliver()
+				return
+			}
+		}
+
+		if rt.submissionsQueued() {
+			// Taken before the wind-down check, so a forced drain still
+			// settles everything queued. The yield is the only point where
+			// a serving token enters Go's scheduler between submissions;
+			// the goroutines feeding the queue need it (DESIGN.md §13).
+			runtime.Gosched()
+			if rt.takeSubmission(p) {
 				return
 			}
 		}
@@ -118,8 +129,8 @@ func (rt *Runtime) stealLoop(p *Proc) {
 		// may read the outstanding count and hand back the stacks of
 		// children that have since joined (the paper returns an emptied
 		// stack at the implicit sync). A strand that is stolen from for
-		// as long as it lives — the service dispatcher — thus holds stacks
-		// for its live children only.
+		// as long as it lives thus holds stacks for its live children
+		// only.
 		stack := preStack
 		if stack == nil {
 			if s, ok := rt.pool.Get(w); ok {
@@ -160,12 +171,12 @@ func (rt *Runtime) postDemand(w, victim int) {
 
 // takeDemand clears the steal demand posted on token w and reports
 // whether there was any. A lazy spawn answers what it takes. Every
-// strand start on w — a fresh dispatch, a stolen continuation or queued
-// wakeup resumed from the steal loop — takes and discards: demand
-// belongs to the strand running on the token now, and one posted while
-// the token idled (in the steal loop, or under a dispatcher blocked on
-// its queue) is from a thief that has long since moved on — answering it
-// would cost the new strand an eager handoff plus a burst for nobody.
+// strand start on w — a fresh dispatch (a taken submission included), a
+// stolen continuation or queued wakeup resumed from the steal loop —
+// takes and discards: demand belongs to the strand running on the token
+// now, and one posted while the token idled in the steal loop is from a
+// thief that has long since moved on — answering it would cost the new
+// strand an eager handoff plus a burst for nobody.
 // Discarding a live demand is as sound as answering a stale one: the
 // thief re-posts on its next visit.
 //
@@ -177,6 +188,17 @@ func (rt *Runtime) takeDemand(w int) bool {
 	}
 	d.Store(0)
 	return true
+}
+
+// submissionsQueued reports whether a serving runtime's admission queue
+// holds a submission. Submit publishes and then loads the idle queue's
+// Waiting, a parking thief claims its ticket and then calls this, so a
+// submission cannot be slept through.
+//
+//nowa:hotpath
+func (rt *Runtime) submissionsQueued() bool {
+	svc := rt.svc.Load()
+	return svc != nil && svc.adm.depth.Load() > 0
 }
 
 // stealVictim draws the next steal victim: from the replay cursor when a

@@ -22,7 +22,7 @@ type token struct {
 // stop retires the vessel goroutine (Close).
 type dispatch struct {
 	fn     func(api.Ctx)
-	parent *scope // nil for the root strand and for initial thieves
+	parent *scope // nil for a root strand (a run's, a submission's) and for initial thieves
 	worker int
 	stop   bool
 	sub    *Submission // service submission this strand belongs to, if any
@@ -306,8 +306,8 @@ func (v *vessel) loop() {
 		v.proc.worker = d.worker
 		v.proc.sub = d.sub
 		if v.rt.blockRecOn && blocked {
-			// The dispatcher handed token d.worker to this vessel, so the
-			// ring write is owner-only.
+			// Whoever dispatched handed token d.worker to this vessel, so
+			// the ring write is owner-only.
 			v.rt.rep.Record(d.worker, replay.KBlocked, replay.BlockDispatch, 0)
 		}
 		if d.fn != nil {
@@ -423,6 +423,12 @@ func (rt *Runtime) finishStrand(v *vessel, parent *scope) {
 		rt.rep.Record(w, replay.KPopMiss, 0, 0)
 	}
 	if parent == nil {
+		if v.disp.sub != nil {
+			// A submission's top strand finished: its token goes back to
+			// work — the next submission, a steal, or sleep.
+			rt.stealLoop(p)
+			return
+		}
 		// The root strand finished: the whole computation is done. Wake
 		// any parked thieves so they observe done and retire.
 		rt.freeVessel(v, w)

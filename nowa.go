@@ -381,10 +381,11 @@ func Close(rt Runtime) {
 }
 
 // Service mode turns a continuation-stealing runtime into a long-lived
-// server: StartService launches an internal dispatcher run, and from
-// then on external goroutines feed it work through Submit — each
-// submission becomes a concurrent subtree of one fork/join computation,
-// with its own future, cancellation, and panic isolation. A bounded
+// server: StartService launches an internal run, and from then on
+// external goroutines feed it work through Submit — a worker with
+// nothing to steal takes each submission and runs it as a top-level
+// strand of that run, with its own future, cancellation, and panic
+// isolation. A bounded
 // admission queue in front applies backpressure; its overload behavior
 // is policy-selectable and tightens under governor memory pressure.
 

@@ -319,8 +319,8 @@ func TestServiceSubmitDeadlineQueued(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	// Hold the workers well past the deadline, then let the dispatcher at
-	// the expired submission.
+	// Hold the workers well past the deadline, then let a token take the
+	// expired submission.
 	time.Sleep(100 * time.Millisecond)
 	close(release)
 	werr := sub.Wait()
@@ -546,8 +546,8 @@ func TestServicePressureGrades(t *testing.T) {
 }
 
 func TestServicePriorityShedsNormalFirst(t *testing.T) {
-	// One worker: once the blocker occupies the lone token, the suspended
-	// dispatcher cannot pop, so everything after it stays queued
+	// One worker: once the blocker occupies the lone token, no token is
+	// left to take from the queue, so everything after it stays queued
 	// deterministically.
 	rt := nowa.New(nowa.VariantNowa, 1)
 	if err := nowa.StartService(rt, nowa.ServiceConfig{QueueDepth: 2, Policy: nowa.OverloadShed}); err != nil {
@@ -739,12 +739,12 @@ func TestServiceAllVariants(t *testing.T) {
 	}
 }
 
-// TestServiceHeldStacksBoundedByLiveSubmissions: the dispatcher strand
-// never ends while the service runs, so a stack charged to it at every
-// steal of its continuation must come back once the submission that ran
-// beside the steal has finished — not at strand end. A serving runtime
-// that completes submissions one at a time therefore holds a bounded
-// number of stacks, and its heap does not grow with the number served.
+// TestServiceHeldStacksBoundedByLiveSubmissions: each taken submission is
+// charged one pool stack, and a steal inside it one more, and each must
+// come back when the strand it stands for has finished — the service run
+// itself never ends while it serves. A serving runtime that completes
+// submissions one at a time therefore holds a bounded number of stacks,
+// and its heap does not grow with the number served.
 func TestServiceHeldStacksBoundedByLiveSubmissions(t *testing.T) {
 	const n = 100_000
 	srt := sched.MustNew(sched.Config{Name: "serve-stacks", Workers: 2})
