@@ -1,6 +1,6 @@
 // Package replay captures and replays the scheduler's nondeterministic
 // decisions: steal-victim draws, steal and popBottom outcomes, idle-park
-// transitions, sync suspensions, chaos rolls and governor kicks. Each
+// transitions, sync suspensions, chaos rolls and governor trims. Each
 // decision point is one fixed-size binary event in a per-worker ring, so
 // a failing run — a chaos stress hit, a -race report, a watchdog stall —
 // leaves behind a schedule log instead of evaporating with the process.
@@ -97,8 +97,9 @@ const (
 	// the injection fired. A decision: replay feeds the outcome back in
 	// place of the chaos RNG draw.
 	KChaos
-	// KGov is a governor kick (external stream); Arg is the number of
-	// resources reclaimed, saturating at 65535.
+	// KGov is a memory-pressure trim (external stream; TrimToward, which
+	// the supervisor's pressure row calls); Arg is the number of resources
+	// reclaimed, saturating at 65535.
 	//nowa:replay-diagnostic external governor trace; trims are not replayed
 	KGov
 	// KPanic is a strand panic being recorded (external stream).
@@ -455,7 +456,7 @@ func (r *Recorder) Record(w int, k Kind, site uint8, arg uint16) {
 // raised off any worker token (governor trims, panic records). Mutex
 // serialised; never called from scheduler hot paths.
 //
-//nowa:coldpath external events are governor kicks and panic records, both rare and off the token-holding strands
+//nowa:coldpath external events are governor trims and panic records, both rare and off the token-holding strands
 func (r *Recorder) RecordExternal(k Kind, site uint8, arg uint16) {
 	r.extMu.Lock()
 	rg := &r.rings[r.workers]

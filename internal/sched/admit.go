@@ -60,8 +60,9 @@ type admitQueue struct {
 	closed bool
 
 	// pressure is the governor grade (0 none, 1 mild, 2 severe) driving
-	// the effective admission window; written by the governor goroutine,
-	// read on every admission.
+	// the effective admission window; written by the supervisor's
+	// pressure row (or SetAdmissionPressure's other callers), read on
+	// every admission.
 	pressure atomic.Int32
 
 	// depth counts the items across both lanes, ≤ capa. Written under mu,

@@ -32,14 +32,16 @@
 //
 // The eager handoff costs two goroutine switches per spawn — the ~290 ns
 // floor of the vessel model. Under lazy promotion (the default, see
-// Config.Spawn) Spawn instead publishes only a cheap promotable record to
-// the deque and runs the child inline on the parent's vessel; the full
-// handoff is paid only on promotion, when a thief's popTop lands a
-// steal-interest CAS on the record or a strand on the vessel suspends.
-// Work conservation is preserved — the record keeps the spawn visible to
-// thieves, and interest converts the vessel to eager spawning — while the
-// no-steal steady state never switches goroutines at all. See DESIGN.md
-// §14 for the promotion state machine and its memory-ordering argument.
+// Config.Spawn) Spawn instead loads its token's steal-demand word and,
+// finding no demand, runs the child inline on the parent's vessel,
+// publishing nothing. A thief that finds a deque empty sets the demand
+// word of that slot; the owner's next spawn answers it with the full
+// eager handoff, publishing a real continuation, and arms an eager burst
+// for the spawns after it. A strand on the vessel suspending arms the
+// burst too. The no-steal steady state touches nothing but its own
+// vessel and one read-mostly word, and never switches goroutines. See
+// DESIGN.md §14 for the demand handshake and why losing or duplicating
+// a demand is sound.
 package sched
 
 import (
@@ -76,10 +78,11 @@ type SpawnMode int
 
 const (
 	// SpawnAdaptive (the default) spawns lazily — the child runs inline
-	// on the parent's vessel behind a promotable record — and falls back
-	// to eager bursts on the vessel whenever a thief signals interest or
-	// a strand on the vessel suspends, so steal-heavy and blocking-prone
-	// phases converge to the eager behaviour on their own.
+	// on the parent's vessel and nothing is published while the token's
+	// steal-demand word is clear — and falls back to eager bursts on the
+	// vessel whenever a thief posts demand on the token or a strand on
+	// the vessel suspends, so steal-heavy and blocking-prone phases
+	// converge to the eager behaviour on their own.
 	SpawnAdaptive SpawnMode = iota
 	// SpawnEager always pays the full vessel handoff per spawn: the
 	// pre-promotion behaviour, and the semantics lazy spawning must stay
@@ -161,16 +164,17 @@ type Config struct {
 	// single-worker captures, best-effort otherwise — see
 	// Runtime.ReplayDivergences). The log's worker count must match.
 	Replay *replay.Log
-	// StallThreshold, if positive, arms stall recovery: a supervisor
-	// samples per-worker heartbeats (bumped on every steal-loop pass,
-	// park/wake and strand finish) and, when a worker's heartbeat stays
-	// stale for StallThreshold while runnable work exists, marks the
-	// worker seized and dispatches a supplemental worker on an extended
-	// slot so the run keeps its effective parallelism. The supplement
-	// retires as soon as the seized worker's strand returns to the
-	// scheduler (a re-entry CAS on the per-worker health word). Zero
-	// disables recovery entirely — the default, and the zero-cost path:
-	// no heartbeats are written and no supervisor runs.
+	// StallThreshold, if positive, arms stall recovery: for the duration
+	// of each run, the supervisor's stall row samples per-worker
+	// heartbeats (bumped on every steal-loop pass, park/wake and strand
+	// finish) and, when a worker's heartbeat stays stale for
+	// StallThreshold while runnable work exists, marks the worker seized
+	// and dispatches a supplemental worker on an extended slot so the run
+	// keeps its effective parallelism. The supplement retires as soon as
+	// the seized worker's strand returns to the scheduler (a re-entry CAS
+	// on the per-worker health word). Zero disables recovery entirely —
+	// the default, and the zero-cost path: no heartbeats are written and
+	// no stall row is armed.
 	StallThreshold time.Duration
 	// MaxSupplements bounds how many supplemental workers may be live at
 	// once when StallThreshold is set. Defaults to Workers (every base

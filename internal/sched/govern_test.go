@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"strings"
 	"sync"
 	"testing"
@@ -9,7 +10,6 @@ import (
 	"nowa/internal/api"
 	"nowa/internal/apps"
 	"nowa/internal/deque"
-	"nowa/internal/governor"
 )
 
 func governRuntime(t *testing.T) *Runtime {
@@ -165,21 +165,18 @@ func TestGovernStartGovernor(t *testing.T) {
 	rt.Run(app.Run)
 
 	var mu sync.Mutex
-	var reports []governor.Report
-	g, err := rt.StartGovernor(GovernorConfig{
+	var reports []TrimReport
+	g := rt.StartGovernor(GovernorConfig{
 		Tick:         time.Millisecond,
 		MemoryBudget: 1, // one byte: every evaluation is severe pressure
 		VesselFloor:  1,
 		StackFloor:   1,
-		OnTrim: func(r governor.Report) {
+		OnTrim: func(r TrimReport) {
 			mu.Lock()
 			reports = append(reports, r)
 			mu.Unlock()
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	deadline := time.Now().Add(5 * time.Second)
 	for rt.Stats().VesselsLive > 1 {
 		if time.Now().After(deadline) {
@@ -188,7 +185,7 @@ func TestGovernStartGovernor(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	g.Stop()
-	if g.Trims() == 0 {
+	if g.Actions() == 0 {
 		t.Fatal("governor reported zero trims")
 	}
 	mu.Lock()
@@ -198,7 +195,7 @@ func TestGovernStartGovernor(t *testing.T) {
 	if n == 0 {
 		t.Fatal("OnTrim never called")
 	}
-	if last.Severity != governor.Severe {
+	if last.Severity != gradeSevere {
 		t.Fatalf("severity = %v, want severe at a one-byte budget", last.Severity)
 	}
 	if !strings.Contains(last.Name, "nowa") {
@@ -218,16 +215,13 @@ func TestGovernStartGovernor(t *testing.T) {
 func TestGovernGovernorDuringRuns(t *testing.T) {
 	rt := governRuntime(t)
 	defer rt.Close()
-	g, err := rt.StartGovernor(GovernorConfig{
+	g := rt.StartGovernor(GovernorConfig{
 		Tick:         time.Millisecond,
 		MemoryBudget: 1,
 		VesselFloor:  1,
 		StackFloor:   1,
-		OnTrim:       func(governor.Report) {},
+		OnTrim:       func(TrimReport) {},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer g.Stop()
 	for i := 0; i < 10; i++ {
 		app := apps.NewQuicksort(apps.Test)
@@ -257,6 +251,111 @@ func TestGovernTrimAfterClose(t *testing.T) {
 			t.Fatalf("trim after Close stopped %d vessels", st.VesselsTrimmed)
 		}
 	}
+}
+
+// gradeCase is one pressure evaluation: usage against the budget
+// resolved the way the pressure row resolves it (an explicit budget,
+// else the process limit).
+type gradeCase struct {
+	name              string
+	used, budget, lim int64
+	want              int
+}
+
+func checkGrades(t *testing.T, cases []gradeCase) {
+	t.Helper()
+	for _, c := range cases {
+		if got := grade(c.used, cmp.Or(c.budget, c.lim)); got != c.want {
+			t.Errorf("%s: grade = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestGovernGradesSeverity: no pressure below 85 % of the budget, mild
+// from there, severe at the budget.
+func TestGovernGradesSeverity(t *testing.T) {
+	checkGrades(t, []gradeCase{
+		{"none-at-10pct", 100, 1000, 0, gradeNone},
+		{"none-below-85pct", 849, 1000, 0, gradeNone},
+		{"mild-at-90pct", 900, 1000, 0, gradeMild},
+		{"severe-at-100pct", 1000, 1000, 0, gradeSevere},
+		{"severe-over-budget", 2000, 1000, 0, gradeSevere},
+	})
+}
+
+// TestGovernExplicitBudgetOverridesLimit: an explicit budget wins over
+// the process limit; the limit is used only when no budget is set.
+func TestGovernExplicitBudgetOverridesLimit(t *testing.T) {
+	checkGrades(t, []gradeCase{
+		{"explicit-budget-beats-limit", 1 << 20, 1 << 40, 10, gradeNone},
+		{"limit-when-no-budget", 1000, 0, 1000, gradeSevere},
+	})
+}
+
+// TestGovernNoBudgetMeansIdle: with neither a budget nor a process limit
+// there is never any pressure, however much is in use.
+func TestGovernNoBudgetMeansIdle(t *testing.T) {
+	checkGrades(t, []gradeCase{
+		{"no-budget-is-idle", 1 << 40, 0, 0, gradeNone},
+	})
+}
+
+// TestGovernDefaultProbesSane: this test binary has a live heap, so the
+// usage probe reports something positive; the limit may be set by the
+// environment (GOMEMLIMIT) and is only required to be sane.
+func TestGovernDefaultProbesSane(t *testing.T) {
+	if u := memUsage(); u <= 0 {
+		t.Errorf("memUsage = %d, want > 0", u)
+	}
+	if l := memLimit(); l < 0 {
+		t.Errorf("memLimit = %d, want >= 0", l)
+	}
+}
+
+// TestGovernBackgroundLoopTrims: with no one driving it, the supervisor's
+// pressure row trims on its own tick at a one-byte budget and reports
+// each trim as severe, under the runtime's name.
+func TestGovernBackgroundLoopTrims(t *testing.T) {
+	rt := governRuntime(t)
+	defer rt.Close()
+	var mu sync.Mutex
+	var got []TrimReport
+	g := rt.StartGovernor(GovernorConfig{
+		Tick:         time.Millisecond,
+		MemoryBudget: 1,
+		OnTrim: func(r TrimReport) {
+			mu.Lock()
+			got = append(got, r)
+			mu.Unlock()
+		},
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	for g.Actions() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("pressure row never trimmed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	g.Stop()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) == 0 {
+		t.Fatal("OnTrim never observed a report")
+	}
+	if got[0].Severity != gradeSevere || got[0].Name != "nowa" || got[0].Budget != 1 {
+		t.Fatalf("first report = %+v", got[0])
+	}
+}
+
+// TestGovernStopIdempotent: Stop may be called twice, and after Close.
+func TestGovernStopIdempotent(t *testing.T) {
+	rt := governRuntime(t)
+	g := rt.StartGovernor(GovernorConfig{OnTrim: func(TrimReport) {}})
+	g.Stop()
+	g.Stop()
+	again := rt.StartGovernor(GovernorConfig{OnTrim: func(TrimReport) {}})
+	rt.Close()
+	again.Stop()
 }
 
 // TestGovernDumpStateIncludesBudget: the watchdog's diagnostic dump must

@@ -1,12 +1,16 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"os"
+	"runtime"
+	"runtime/debug"
 	"time"
 
 	"nowa/internal/api"
 	"nowa/internal/cactus"
-	"nowa/internal/governor"
 	"nowa/internal/replay"
 )
 
@@ -132,8 +136,9 @@ func (rt *Runtime) TrimToward(vesselFloor, stackFloor int) int {
 	n := rt.trimVessels(vesselFloor)
 	n += rt.pool.Trim(stackFloor)
 	if rt.recordOn && n > 0 {
-		// The governor goroutine holds no worker token, so the kick goes
-		// to the recorder's mutex-guarded external stream.
+		// The trimming goroutine (the supervisor, or any caller) holds no
+		// worker token, so the trim goes to the recorder's mutex-guarded
+		// external stream.
 		arg := n
 		if arg > 65535 {
 			arg = 65535
@@ -215,58 +220,100 @@ func (rt *Runtime) stopVessel(v *vessel) {
 
 // GovernorConfig parameterises StartGovernor.
 type GovernorConfig struct {
-	// Tick is the evaluation period (default 100ms).
-	Tick time.Duration
+	Tick time.Duration // evaluation period (default 100ms)
 	// MemoryBudget is the byte budget; zero honours the process's soft
-	// memory limit (GOMEMLIMIT / debug.SetMemoryLimit) and idles when
-	// neither is set.
+	// memory limit (GOMEMLIMIT / debug.SetMemoryLimit), and with neither
+	// set there is never any pressure.
 	MemoryBudget int64
-	// High is the mild-pressure fraction of the budget (default 0.85).
-	High float64
-	// VesselFloor is the live-vessel target under severe pressure
-	// (default Workers — one vessel per token, the minimum a Run needs).
-	// Mild pressure trims only down to twice the floor, keeping a warm
-	// working set.
-	VesselFloor int
-	// StackFloor is the live-stack target under severe pressure
-	// (default Workers); mild pressure trims to twice the floor.
-	StackFloor int
-	// OnTrim observes each trim (nil: log to stderr).
-	OnTrim func(governor.Report)
+	// VesselFloor and StackFloor are the live-vessel and live-stack
+	// targets under severe pressure (default Workers — one vessel per
+	// token, the minimum a Run needs). Mild pressure trims only down to
+	// twice the floors, keeping a warm working set.
+	VesselFloor, StackFloor int
+	// OnTrim observes each trim (nil: log to stderr). It runs on the
+	// supervisor goroutine: a blocking hook delays stall recovery, and it
+	// must not call Stop or Close.
+	OnTrim func(TrimReport)
 }
 
-// StartGovernor attaches a memory-pressure governor to the runtime:
-// every tick it compares process memory usage against the budget and,
-// under pressure, trims the vessel free lists and the stack pool toward
-// the floors (severe pressure) or twice the floors (mild pressure).
-// Trimming never touches busy resources and is safe mid-run; the
-// owner-local caches are additionally reclaimed when the runtime is
-// idle. On a serving runtime every evaluation also feeds the admission
-// window: mild pressure halves it, severe quarters it and sheds, and a
-// clean evaluation restores it (SetAdmissionPressure). Stop the
-// returned governor when done.
-func (rt *Runtime) StartGovernor(cfg GovernorConfig) (*governor.Governor, error) {
-	vf := cfg.VesselFloor
-	if vf <= 0 {
-		vf = rt.cfg.Workers
+// TrimReport describes one pressure evaluation that trimmed.
+type TrimReport struct {
+	Name      string // the runtime's name
+	Severity  int    // the admission grade: 1 mild, 2 severe
+	Used      int64  // bytes in use at evaluation time
+	Budget    int64  // the budget usage was compared against
+	Reclaimed int    // items TrimToward reclaimed
+}
+
+// grade maps memory usage against a budget onto the admission grades:
+// mild from 85 % of the budget, severe at the budget. No budget, no
+// pressure.
+func grade(used, budget int64) int {
+	switch {
+	case budget <= 0:
+		return gradeNone
+	case used >= budget:
+		return gradeSevere
+	case float64(used) >= 0.85*float64(budget):
+		return gradeMild
 	}
-	sf := cfg.StackFloor
-	if sf <= 0 {
-		sf = rt.cfg.Workers
+	return gradeNone
+}
+
+// StartGovernor arms the supervisor's pressure row: every Tick it grades
+// process memory usage against the budget, hands the grade to the
+// admission window (SetAdmissionPressure; none included, so pressure is
+// seen to clear) and, under pressure, trims the vessel free lists and the
+// stack pool toward the floors (severe) or twice the floors (mild) with
+// TrimToward, which is safe mid-run.
+func (rt *Runtime) StartGovernor(cfg GovernorConfig) *Row {
+	if cfg.Tick <= 0 {
+		cfg.Tick = 100 * time.Millisecond
 	}
-	return governor.Start(governor.Config{
-		Name:   rt.cfg.Name,
-		Tick:   cfg.Tick,
-		Budget: cfg.MemoryBudget,
-		High:   cfg.High,
-		Trim: func(sev governor.Severity) int {
-			vfloor, sfloor := vf, sf
-			if sev == governor.Mild {
-				vfloor, sfloor = 2*vf, 2*sf
-			}
-			return rt.TrimToward(vfloor, sfloor)
-		},
-		OnTrim:  cfg.OnTrim,
-		OnGrade: func(sev governor.Severity) { rt.SetAdmissionPressure(int(sev)) },
-	})
+	if cfg.VesselFloor <= 0 {
+		cfg.VesselFloor = rt.cfg.Workers
+	}
+	if cfg.StackFloor <= 0 {
+		cfg.StackFloor = rt.cfg.Workers
+	}
+	if cfg.OnTrim == nil {
+		cfg.OnTrim = func(r TrimReport) {
+			fmt.Fprintf(os.Stderr, "governor: %s pressure on %q (%d/%d bytes), reclaimed %d pooled items\n",
+				[...]string{"none", "mild", "severe"}[r.Severity], r.Name, r.Used, r.Budget, r.Reclaimed)
+		}
+	}
+	r := &Row{kind: rowPressure, period: cfg.Tick}
+	r.pass = func() {
+		budget, used := cmp.Or(cfg.MemoryBudget, memLimit()), int64(0)
+		if budget > 0 {
+			used = memUsage()
+		}
+		sev := grade(used, budget)
+		rt.SetAdmissionPressure(sev)
+		if sev == gradeNone {
+			return
+		}
+		k := 3 - sev // mild trims to twice the floors
+		n := rt.TrimToward(k*cfg.VesselFloor, k*cfg.StackFloor)
+		r.acts.Add(1)
+		cfg.OnTrim(TrimReport{Name: rt.cfg.Name, Severity: sev, Used: used, Budget: budget, Reclaimed: n})
+	}
+	return rt.arm(r)
+}
+
+// memUsage reads the two memory classes the scheduler's pools grow: heap
+// spans in use and goroutine stacks.
+func memUsage() int64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapInuse + ms.StackInuse)
+}
+
+// memLimit reads the process's soft memory limit without changing it; 0
+// when unset.
+func memLimit() int64 {
+	if l := debug.SetMemoryLimit(-1); l != math.MaxInt64 {
+		return l
+	}
+	return 0
 }

@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nowa/internal/api"
 	"nowa/internal/cactus"
@@ -16,7 +15,6 @@ import (
 	"nowa/internal/deque"
 	"nowa/internal/replay"
 	"nowa/internal/trace"
-	"nowa/internal/watchdog"
 )
 
 // Runtime is a continuation-stealing fork/join runtime instance. Create it
@@ -38,7 +36,7 @@ type Runtime struct {
 	replayOn   bool // cfg.Replay != nil: decisions driven from a captured log
 	blockRecOn bool // recordOn && Workers > 1: KBlocked diagnostics (see note)
 	lazyOn     bool // cfg.Spawn != SpawnEager: Spawn runs children inline until a thief posts demand
-	stallOn    bool // cfg.StallThreshold > 0: heartbeats + stall supervisor armed
+	stallOn    bool // cfg.StallThreshold > 0: heartbeats + the supervisor's stall row armed per run
 
 	// Cached vessel budgets (0 = unbounded): spawnLimit gates vessel
 	// creation on the Spawn path (SoftMaxVessels), syncLimit gates thief
@@ -139,6 +137,11 @@ type Runtime struct {
 	// rejected, and Close drains instead of panicking. It stays set after
 	// Close so ServiceStats remains answerable.
 	svc atomic.Pointer[service]
+
+	// supv is the supervisor (supervisor.go), guarded by allMu: nil until
+	// a row is first armed, supStopped once Close has stopped it. Kept
+	// last, away from the fields the scheduling paths touch.
+	supv *supervisor
 }
 
 // rngState is a per-worker xorshift64 generator for victim selection,
@@ -326,12 +329,11 @@ func (rt *Runtime) runInternal(ctx context.Context, root func(api.Ctx)) error {
 
 	if rt.stallOn {
 		// Health words, supplement slots and the victim high-water reset
-		// before any token exists; the supervisor runs for exactly this
-		// run (its stop blocks until exit, so a late seizure can never
-		// race the post-run idle reconciliation).
+		// before any token exists; the stall row is armed for exactly this
+		// run (its Stop returns only once no stall pass is in progress, so
+		// a late seizure can never race the post-run idle reconciliation).
 		rt.resetStallState()
-		stopSup := rt.startSupervisor()
-		defer stopSup()
+		defer rt.armStallRow().Stop()
 	}
 
 	// Token 0 carries the root strand; each stack the root's frame chain
@@ -537,7 +539,8 @@ func (rt *Runtime) anyDequeNonEmpty() bool {
 	return false
 }
 
-// Close stops all pooled vessel goroutines. In service mode it first
+// Close stops the supervisor, whatever rows are still armed, and all
+// pooled vessel goroutines. In service mode it first
 // drains: admission stops, queued and in-flight submissions run to
 // completion up to ServiceConfig.DrainTimeout, then the remainder is
 // force-cancelled through the run context — only after the service run
@@ -551,6 +554,9 @@ func (rt *Runtime) Close() {
 	if rt.running.Load() {
 		panic("sched: Close during Run")
 	}
+	// The supervisor stops before govMu is taken: its pressure row trims
+	// under govMu.
+	rt.stopSupervisor()
 	// govMu first (same order as the governor's trims) so a concurrent
 	// trim finishes before the shutdown broadcast; the free lists are
 	// left intact, so Stats can still reconcile leaks after Close.
@@ -661,22 +667,4 @@ func (rt *Runtime) ReplayDivergences() (int64, bool) {
 		n += int64(rt.repCur[i].Divergences())
 	}
 	return n, true
-}
-
-// StartWatchdog attaches a stall watchdog to the runtime: every tick it
-// samples the progress counters, and after stallTicks consecutive ticks
-// without progress during a live Run it calls onStall (nil: log to
-// stderr) with a diagnostic report including DumpState. Stop the returned
-// watchdog when done; the runtime itself pays nothing for it beyond the
-// sampling reads.
-func (rt *Runtime) StartWatchdog(tick time.Duration, stallTicks int, onStall func(watchdog.Report)) (*watchdog.Watchdog, error) {
-	return watchdog.Start(watchdog.Config{
-		Name:       rt.cfg.Name,
-		Tick:       tick,
-		StallTicks: stallTicks,
-		Progress:   rt.progressSum,
-		Active:     rt.running.Load,
-		Dump:       rt.DumpState,
-		OnStall:    onStall,
-	})
 }

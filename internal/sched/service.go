@@ -79,8 +79,8 @@ func (p OverloadPolicy) String() string {
 	return "block"
 }
 
-// Governor pressure grades as seen by the admission window. They mirror
-// governor.Severity (0 none, 1 mild, 2 severe) as plain ints so the
+// Memory-pressure grades, as the governor's pressure row computes them
+// (grade) and the admission window reads them: plain ints, so the
 // admission fast path compares against constants.
 const (
 	gradeNone   = 0
@@ -325,10 +325,6 @@ type service struct {
 // on external goroutines feed work through Submit/SubmitCtx; Run/RunCtx
 // panic (the service occupies the runtime); Close gains graceful-drain
 // semantics.
-//
-// The stall watchdog's progress probe cannot distinguish "service idle,
-// no submissions" from a genuine stall, so do not arm StartWatchdog on
-// a serving runtime unless traffic is continuous.
 func (rt *Runtime) StartService(cfg ServiceConfig) error {
 	cfg.fill()
 	rt.allMu.Lock()

@@ -8,49 +8,27 @@ import (
 	"nowa/internal/replay"
 )
 
-// Stall recovery: the watchdog turned from detector into actuator.
+// Stall recovery (DESIGN.md §15.1): the watchdog turned from detector
+// into actuator. A strand that seizes its OS thread — a blocking
+// syscall, a pathological user function, an injected Chaos.StallWorker —
+// pins a worker token and silently shrinks the run's parallelism. With
+// Config.StallThreshold set, the supervisor's stall row (armStallRow)
+// seizes a worker whose heartbeat (bumped wherever a token provably
+// passes through the scheduler) stays stale while runnable work exists,
+// and dispatches a *supplemental worker* on an extended slot: a full
+// scheduling participant with a token and a slot of its own, which
+// inherits the seized worker's duty but never its owner-only storage —
+// the seized strand still holds token w. The worker's return shows at
+// its next scheduler touch, as a re-entry CAS on its health word; the
+// supervisor then flags the supplement, which retires once its own
+// deque is empty. A false seizure costs transient oversubscription,
+// never correctness.
 //
-// Wait-freedom bounds every *scheduler* step, but a strand that seizes
-// its OS thread — a blocking syscall, a pathological user function, an
-// injected Chaos.StallWorker — pins a worker token and silently shrinks
-// the run's effective parallelism. When Config.StallThreshold is set, a
-// per-run supervisor goroutine samples per-worker heartbeats (bumped on
-// every steal-loop pass, thief park/wake and strand finish — the places
-// a token provably passes through the scheduler) and, when a worker's
-// heartbeat stays stale for the threshold while runnable work exists,
-// seizes the worker and dispatches a *supplemental worker* on an
-// extended slot.
-//
-// A supplement is a full scheduling participant: it holds a token (the
-// run-liveness count is raised by one while it lives), owns an extended
-// slot's deque/RNG/free-list block (slots Workers..Workers+MaxSupplements-1
-// are sized at New exactly for this), and steals from every deque —
-// including the seized worker's, whose published continuations are what
-// it exists to drain. It inherits the seized worker's *duty*, not its
-// storage: the seized strand still holds token w and will touch w's
-// owner-only structures when it returns, so the supplement must never
-// alias them.
-//
-// The seized worker's return is detected at its next scheduler touch: a
-// re-entry CAS on the per-worker health word (wsSeized|wsSupplemented →
-// wsHealthy) at the strand-finish and steal-loop heartbeat sites. The
-// supervisor then flags the supplement's slot supRetiring; the
-// supplement honours the flag at its next steal-loop pass — and only
-// once its slot's deque is observed empty (external waits can push a
-// foreign continuation back at a finish-miss, so miss no longer implies
-// empty; see stallStealCheck) — and retires its token. Transient
-// oversubscription between
-// return and retirement is the accepted cost; a false seizure (a
-// legitimately long-running strand) degrades to exactly that, never to
-// incorrectness.
-//
-// Memory ordering: slot handoff rides on the supSlot state word. The
-// retiring supplement frees its vessel and drains bookkeeping *before*
-// its release-CAS supRetiring→supIdle; the supervisor's acquire-load of
-// supIdle therefore orders all of the previous occupant's slot writes
-// before the next arming. The health word carries the seize/re-entry
-// edge the same way. Both words are CAS-only state machines, declared
-// to and enforced by the fsm analyzer below.
+// Memory ordering: the retiring supplement frees its vessel and drains
+// bookkeeping before its release-CAS supRetiring→supIdle, which the
+// supervisor's acquire-load of supIdle orders before the next arming;
+// the health word carries the seize/re-entry edge the same way. Both
+// words are CAS-only state machines, declared to the fsm analyzer below.
 
 // Per-worker health word phases. The zero value is healthy.
 const (
@@ -207,20 +185,12 @@ func (rt *Runtime) retireSupplement(w int) {
 	rt.retireToken()
 }
 
-// runnableWork reports whether the run has work a healthy worker could
-// be executing — the condition under which a stale heartbeat means a
-// stall rather than idleness: any non-empty deque (including
-// supplements'), or a queued submission no token has taken.
-func (rt *Runtime) runnableWork() bool {
-	return rt.anyDequeNonEmpty() || rt.submissionsQueued()
-}
-
 // seizeWorker marks base worker w seized and dispatches a supplemental
 // worker on a free extended slot. Supervisor-only. Every failure path
 // rolls the health word back to healthy so a later tick retries; the
 // rollback CAS may lose to the worker's own re-entry, which is the same
 // outcome. The token raise CASes n→n+1 only while n>0: once the run's
-// last token retires (n==0 closes finished), no supplement may joint
+// last token retires (n==0 closes finished), no supplement may join
 // the run, so the completion broadcast fires exactly once.
 func (rt *Runtime) seizeWorker(w int) {
 	if !rt.wstate[w].state.CompareAndSwap(wsHealthy, wsSeized) {
@@ -310,72 +280,39 @@ func (rt *Runtime) resetStallState() {
 	rt.victimHi.Store(int32(rt.cfg.Workers))
 }
 
-// startSupervisor launches the per-run stall supervisor and returns its
-// stop function, which blocks until the supervisor has fully exited —
-// runInternal defers it, so no supervisor outlives its run (the
-// governor's idle-time reconciliation must never race a late seizure).
-func (rt *Runtime) startSupervisor() func() {
-	stop := make(chan struct{})
-	exited := make(chan struct{})
-	go rt.runSupervisor(stop, exited)
-	return func() {
-		close(stop)
-		<-exited
-	}
-}
-
-// runSupervisor is the per-run stall supervisor: every tick (a quarter
-// of StallThreshold, floored at 100µs) it flags recovered supplements,
-// then samples each base worker's heartbeat. A worker whose heartbeat
-// is unchanged for a full threshold of consecutive ticks — with
-// runnable work present at every one of them — is seized. Any progress
-// or any workless tick resets the worker's stale count, so idle periods
-// and bursty schedules never accumulate toward a seizure.
-func (rt *Runtime) runSupervisor(stop <-chan struct{}, exited chan<- struct{}) {
-	defer close(exited)
-	tick := rt.cfg.StallThreshold / 4
-	if tick < 100*time.Microsecond {
-		tick = 100 * time.Microsecond
-	}
-	need := int(rt.cfg.StallThreshold / tick)
-	if need < 1 {
-		need = 1
-	}
-	workers := rt.cfg.Workers
-	last := make([]uint64, workers)
-	stale := make([]int, workers)
-	for w := 0; w < workers; w++ {
+// armStallRow arms the supervisor's stall row for one run. Every tick (a
+// quarter of StallThreshold, floored at 100µs) it flags recovered
+// supplements, then seizes each base worker whose heartbeat stayed
+// unchanged for a full threshold of consecutive ticks with runnable work
+// at every one: progress or a workless tick resets the count. Stopping
+// the row at run end returns only once no pass is in progress, so no
+// seizure lands after Run returns.
+func (rt *Runtime) armStallRow() *Row {
+	tick := max(rt.cfg.StallThreshold/4, 100*time.Microsecond)
+	need := max(int(rt.cfg.StallThreshold/tick), 1)
+	last, stale := make([]uint64, rt.cfg.Workers), make([]int, rt.cfg.Workers)
+	for w := range last {
 		last[w] = rt.hb[w].n.Load()
 	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-		}
+	return rt.arm(&Row{kind: rowStall, period: tick, pass: func() {
 		rt.retireRecoveredSupplements()
 		if rt.done.Load() || rt.cancel.Cancelled() {
-			continue
+			return
 		}
-		work := rt.runnableWork()
-		for w := 0; w < workers; w++ {
+		// Runnable work — a non-empty deque (supplements' included) or a
+		// queued submission no token has taken — is what makes a stale
+		// heartbeat a stall rather than idleness.
+		work := rt.anyDequeNonEmpty() || rt.submissionsQueued()
+		for w := range last {
 			cur := rt.hb[w].n.Load()
-			if cur != last[w] {
-				last[w] = cur
-				stale[w] = 0
+			if cur != last[w] || !work || rt.wstate[w].state.Load() != wsHealthy {
+				last[w], stale[w] = cur, 0
 				continue
 			}
-			if !work || rt.wstate[w].state.Load() != wsHealthy {
-				stale[w] = 0
-				continue
-			}
-			stale[w]++
-			if stale[w] >= need {
+			if stale[w]++; stale[w] >= need {
 				stale[w] = 0
 				rt.seizeWorker(w)
 			}
 		}
-	}
+	}})
 }

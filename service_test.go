@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,7 +12,6 @@ import (
 
 	"nowa"
 	"nowa/internal/api"
-	"nowa/internal/governor"
 	"nowa/internal/sched"
 )
 
@@ -667,8 +667,8 @@ func TestChaosSubmitFail(t *testing.T) {
 	}
 }
 
-// TestGovernorGradesFeedAdmission wires a real governor with synthetic
-// probes and watches the pressure grade reach the admission window.
+// TestGovernorGradesFeedAdmission arms a real pressure row against a
+// tiny budget and watches the grade reach the admission window.
 func TestGovernorGradesFeedAdmission(t *testing.T) {
 	srt := sched.MustNew(sched.Config{Name: "gov-admit", Workers: 2})
 	if err := srt.StartService(sched.ServiceConfig{QueueDepth: 8}); err != nil {
@@ -676,24 +676,24 @@ func TestGovernorGradesFeedAdmission(t *testing.T) {
 	}
 	defer srt.Close()
 
-	gov, err := srt.StartGovernor(sched.GovernorConfig{
-		Tick:         time.Hour, // driven by Kick only
+	// The row reads real process memory; against a 1000-byte budget every
+	// evaluation grades severe, and the grade must reach the window.
+	gov := srt.StartGovernor(sched.GovernorConfig{
+		Tick:         time.Millisecond,
 		MemoryBudget: 1000,
-		OnTrim:       func(governor.Report) {},
+		OnTrim:       func(sched.TrimReport) {},
 	})
-	if err != nil {
-		t.Fatalf("StartGovernor: %v", err)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, _ := srt.ServiceStats(); st.PressureGrade == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the pressure row never graded severe against a 1000-byte budget")
+		}
 	}
-	defer gov.Stop()
-	// The governor's default usage probe reads real process memory; with
-	// a tiny synthetic budget every Kick reports severe pressure, and the
-	// OnGrade hook must carry that grade into the admission window.
-	gov.Kick()
-	if st, _ := srt.ServiceStats(); st.PressureGrade != 2 {
-		t.Fatalf("grade after severe Kick = %d, want 2", st.PressureGrade)
-	}
-	// Drive the rest of the ladder through the same public hook the
-	// governor calls.
+	gov.Stop()
+	// Drive the rest of the ladder through the same public hook the row
+	// calls.
 	srt.SetAdmissionPressure(1)
 	if st, _ := srt.ServiceStats(); st.PressureGrade != 1 {
 		t.Fatalf("grade = %d, want 1 (mild)", st.PressureGrade)
@@ -701,6 +701,60 @@ func TestGovernorGradesFeedAdmission(t *testing.T) {
 	srt.SetAdmissionPressure(0)
 	if st, _ := srt.ServiceStats(); st.PressureGrade != 0 {
 		t.Fatalf("grade = %d, want 0 after clear", st.PressureGrade)
+	}
+}
+
+// TestWatchdogReportsHungSubmission: a submission awaiting a future that
+// nobody resolves is outstanding work making no progress. The watchdog
+// reports it once, with the live wait in the dump, and the service still
+// drains clean once the future resolves.
+func TestWatchdogReportsHungSubmission(t *testing.T) {
+	srt := sched.MustNew(sched.Config{Name: "hung", Workers: 2})
+	if err := srt.StartService(sched.ServiceConfig{}); err != nil {
+		t.Fatalf("StartService: %v", err)
+	}
+	var mu sync.Mutex
+	var reports []sched.WatchdogReport
+	wd := srt.StartWatchdog(5*time.Millisecond, 4, func(r sched.WatchdogReport) {
+		mu.Lock()
+		reports = append(reports, r)
+		mu.Unlock()
+	})
+	count := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(reports)
+	}
+	fut := nowa.NewFuture[int]()
+	sub, err := srt.Submit(func(c api.Ctx) { fut.Await(c) }, sched.SubmitOpts{})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); count() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no report for a submission hung on a future")
+		}
+	}
+	time.Sleep(100 * time.Millisecond) // the hang continues: still one report
+	fut.Complete(1)
+	if err := sub.Wait(); err != nil {
+		t.Fatalf("hung submission: %v", err)
+	}
+	wd.Stop()
+	mu.Lock()
+	n, dump := len(reports), reports[0].Dump
+	mu.Unlock()
+	if n != 1 {
+		t.Errorf("%d reports for one hang, want 1", n)
+	}
+	// Two live waits: the service root's, which idles on the drain, and
+	// the hung submission's.
+	if !strings.Contains(dump, "live=2") {
+		t.Errorf("dump does not show the live wait:\n%s", dump)
+	}
+	srt.Close()
+	if err := srt.CheckIdle(); err != nil {
+		t.Fatalf("not idle after Close: %v", err)
 	}
 }
 
