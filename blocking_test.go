@@ -15,6 +15,7 @@ import (
 
 	"nowa/internal/deque"
 	"nowa/internal/replay"
+	"nowa/internal/ring"
 	"nowa/internal/sched"
 )
 
@@ -545,15 +546,15 @@ func TestChannelHeadOfLine(t *testing.T) {
 		for blocked() < 2 {
 			runtime.Gosched()
 		}
-		if !ch.tail.CompareAndSwap(0, 2) {
-			t.Error("tail moved under a test that sends by hand")
+		s0, ok0 := ch.ring.Claim()
+		s1, ok1 := ch.ring.Claim()
+		if !ok0 || !ok1 {
+			t.Error("ring full under a test that sends by hand")
 		}
-		for _, ticket := range []uint64{1, 0} {
-			cell := &ch.cells[ticket]
-			cell.v = 10 + int(ticket)
-			cell.seq.Store(2*ticket + 1)
-			ch.wake(procOf(c), ch.recvQ, ch.sendQ, &ch.tail, free)
-			for ticket == 1 && blocked() < 3 {
+		for i, slot := range []ring.Slot[int]{s1, s0} {
+			slot.Publish(11 - i)
+			ch.wake(procOf(c), true)
+			for i == 0 && blocked() < 3 {
 				runtime.Gosched() // the receiver woken too early parks again
 			}
 		}

@@ -12,8 +12,8 @@ import (
 // structs: every struct containing atomic fields — directly, embedded,
 // or as an array of atomic cells — in internal/sched, internal/deque,
 // the two packages holding its per-worker blocks (internal/trace's
-// counter cells, internal/replay's event rings) and the root package
-// (the channel ring's two tickets) must carry the 128-byte
+// counter cells, internal/replay's event rings), internal/ring (the
+// ticketed ring's two tickets) and the root package must carry the 128-byte
 // padding pattern (a blank `_` array field separating or trailing the
 // contended words — 128 bytes covers adjacent-cache-line prefetching)
 // AND a compile-time guard that
@@ -29,14 +29,14 @@ import (
 func Padguard() *Analyzer {
 	return &Analyzer{
 		Name: "padguard",
-		Doc:  "require 128-byte padding and a compile-time size/offset guard on atomic-bearing structs in internal/sched, internal/deque, internal/trace, internal/replay and the root package",
+		Doc:  "require 128-byte padding and a compile-time size/offset guard on atomic-bearing structs in internal/sched, internal/deque, internal/trace, internal/replay, internal/ring and the root package",
 		Run:  runPadguard,
 	}
 }
 
 // padguardScope lists the import-path suffixes the analyzer applies to
 // ("nowa" is the module's root package).
-var padguardScope = []string{"internal/sched", "internal/deque", "internal/trace", "internal/replay", "nowa"}
+var padguardScope = []string{"internal/sched", "internal/deque", "internal/trace", "internal/replay", "internal/ring", "nowa"}
 
 func inPadguardScope(importPath string) bool {
 	for _, s := range padguardScope {

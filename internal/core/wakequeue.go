@@ -9,13 +9,13 @@ import (
 // atomically readable pending count. The scheduler uses it to route
 // external wakeups — a resumer or an abort firing from an arbitrary
 // goroutine, off any worker token — to the thieves: the waker pushes
-// the blocked strand's handle and broadcasts, an idle thief pops it and
-// hands over its token. The pending counter is the cheap gate both the
-// steal loop and the park guard read without taking the lock; it is
-// updated inside the critical section, so a nonzero count always means
-// a pop will (or very recently did) succeed, and the waker's broadcast
-// after the push closes the park race the same way deque publication
-// does.
+// the blocked strand's handle and wakes one parked thief, an idle thief
+// pops it and hands over its token. The pending counter is the cheap gate
+// both the steal loop and the park guard read without taking the lock;
+// it is updated inside the critical section, so a nonzero count always
+// means a pop will (or very recently did) succeed, and the waker's
+// wake-one after the push closes the park race the same way deque
+// publication does.
 //
 // This is cold-path machinery (a strand blocking on a future, channel,
 // or barrier has already paid a park), so a plain mutex is the right
@@ -59,8 +59,9 @@ func (q *WakeQueue[H]) Pop() (H, bool) {
 }
 
 // Pending returns the number of queued handles. A zero read is only a
-// hint to skip the lock; wakers broadcast after pushing, so a sleeper
-// that checked Pending under the idle lock cannot miss a wake.
+// hint to skip the lock; a waker wakes one parked thief after pushing,
+// and a thief claims its idle-queue ticket before it checks Pending, so
+// one of the two sees the other.
 func (q *WakeQueue[H]) Pending() int64 {
 	return q.pending.Load()
 }

@@ -19,13 +19,12 @@
 //     with the reduced-effective-capacity drawback discussed in §II-D.
 //   - Locked: a mutex around a slice; the strawman fully-synchronised queue.
 //
-// The deques are oblivious to what they carry: under lazy vessel
-// promotion (DESIGN.md §14) the scheduler pushes *promotable records* —
-// advertisements whose own atomic state word, not the deque, decides
-// whether a popped element yields work. A thief that pops such a record
-// signals interest on it and reports the attempt as StealLost so its
-// steal loop retries; no deque algorithm needed changes for this, which
-// is the point of keeping the protocol in the element.
+// The deques are oblivious to what they carry and to lazy vessel
+// promotion (DESIGN.md §14): a lazy spawn publishes nothing, so a deque
+// only ever holds continuations that are work. A thief that finds one
+// empty posts steal demand on the owner's token, a word beside the deque,
+// and the owner answers by publishing its next continuation; no deque
+// algorithm needed changes for this.
 package deque
 
 import "fmt"

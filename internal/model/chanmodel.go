@@ -9,11 +9,7 @@ import "fmt"
 // because nothing another strand does between them can change what
 // follows:
 //
-//   - the cell probe (claim: load the ticket word, load the cell's seq)
-//     together with the ticket CAS of an operation. The
-//     probe's "no" is exact as of the seq load, a stale ticket is retried
-//     without a trace, and a CAS that wins finds tail (head) and the cell
-//     as the probe saw them;
+//   - the cell probe together with the ticket CAS of an operation (mring);
 //   - Queue.Waiting (load deq, load enq), whose answer is exact as of the
 //     second load;
 //   - Resume's two cell CASes (empty→resumed, else waiter→resumed), which
@@ -133,16 +129,53 @@ const (
 )
 
 type chstate struct {
+	mring
+	closed bool
+	q      [2]chQueue // 0: sendQ, 1: recvQ
+	th     [chMaxThreads]chThread
+	got    [4]int8 // receive count per item
+	cpc    int8
+	cq     int8 // queue the closer is draining
+	cb, cd int8
+}
+
+// mring is internal/ring's ticketed ring as the models see it: the two
+// tickets, and each cell's seq and item. Probing the cell of a ticket and
+// CASing the ticket forward is one step: the probe's "no" is exact as of
+// the seq load, a stale ticket is retried without a trace, and a CAS that
+// wins finds the ticket and its cell as the probe saw them.
+type mring struct {
 	tail, head int8
-	seq        [2]int8
-	val        [2]int8
-	closed     bool
-	q          [2]chQueue // 0: sendQ, 1: recvQ
-	th         [chMaxThreads]chThread
-	got        [4]int8 // receive count per item
-	cpc        int8
-	cq         int8 // queue the closer is draining
-	cb, cd     int8
+	seq, val   [2]int8
+}
+
+func newMring(capa int) (r mring) {
+	for i := 0; i < capa; i++ {
+		r.seq[i] = int8(2 * i)
+	}
+	return r
+}
+
+// admits is claim's cell test at ticket t: free for a put, full for a get.
+func (r *mring) admits(capa int, put bool, t int8) bool {
+	want := 2 * t
+	if !put {
+		want++
+	}
+	return r.seq[int(t)%capa] == want
+}
+
+// publish stores item v in the cell of put ticket t.
+func (r *mring) publish(capa int, t, v int8) {
+	r.val[int(t)%capa], r.seq[int(t)%capa] = v, 2*t+1
+}
+
+// empty takes the item out of the cell of get ticket t, freeing the cell
+// for put t+capa.
+func (r *mring) empty(capa int, t int8) (v int8) {
+	i := int(t) % capa
+	v, r.val[i], r.seq[i] = r.val[i], 0, 2*(t+int8(capa))
+	return v
 }
 
 // chpath is a state as the exploration reached it: the state proper,
@@ -164,9 +197,7 @@ func (s *chpath) fail(format string, args ...any) {
 // CheckChannel exhaustively explores the scenario.
 func CheckChannel(cfg ChanConfig) Result {
 	s := chpath{perm: [chMaxThreads]int8{0, 1, 2, 3}}
-	for i := 0; i < cfg.Cap; i++ {
-		s.seq[i] = int8(2 * i)
-	}
+	s.mring = newMring(cfg.Cap)
 	for i := cfg.Senders + cfg.Receivers; i < chMaxThreads; i++ {
 		s.th[i].pc = pcDone
 	}
@@ -310,15 +341,6 @@ func (c ChanConfig) name(s *chpath, id int) string {
 	return fmt.Sprintf("R%d", int(s.perm[id])-c.Senders)
 }
 
-// admits is claim's cell test at ticket t.
-func (c ChanConfig) admits(s *chstate, sender bool, t int8) bool {
-	want := 2 * t
-	if !sender {
-		want++
-	}
-	return s.seq[int(t)%c.Cap] == want
-}
-
 // checkQuiescent is the sleeping-beside-a-usable-cell invariant, on
 // states where every strand is between operations, parked or returned
 // and the closer is not mid-drain.
@@ -335,9 +357,9 @@ func (c ChanConfig) checkQuiescent(s chpath) string {
 		if s.th[id].pc != pcParked {
 			continue
 		}
-		if c.sender(id) && c.admits(&s.chstate, true, s.tail) {
+		if c.sender(id) && s.admits(c.Cap, true, s.tail) {
 			return fmt.Sprintf("lost wakeup: %s is parked while the ring has space and no operation is in progress", c.name(&s, id))
-		} else if !c.sender(id) && c.admits(&s.chstate, false, s.head) {
+		} else if !c.sender(id) && s.admits(c.Cap, false, s.head) {
 			return fmt.Sprintf("lost wakeup: %s is parked while the ring has an item and no operation is in progress", c.name(&s, id))
 		}
 	}
@@ -420,7 +442,7 @@ func (c ChanConfig) threadStep(s *chpath, id int) string {
 		if sender {
 			word = &s.tail
 		}
-		ok := c.admits(&s.chstate, sender, *word)
+		ok := s.admits(c.Cap, sender, *word)
 		switch {
 		case t.use == forOp && ok:
 			t.t = *word
@@ -443,17 +465,14 @@ func (c ChanConfig) threadStep(s *chpath, id int) string {
 		i := int(t.t) % c.Cap
 		t.pc = pcOtherAsleep
 		if sender {
-			s.val[i] = int8(id*c.Items) + t.n + 1
-			s.seq[i] = 2*t.t + 1
+			s.publish(c.Cap, t.t, int8(id*c.Items)+t.n+1)
 			return fmt.Sprintf("%s: publish item %d in cell %d", who, s.val[i], i)
 		}
-		item := s.val[i]
-		s.val[i] = 0
+		item := s.empty(c.Cap, t.t)
 		s.got[item-1]++
 		if s.got[item-1] > 1 {
 			s.fail("item %d received twice", item)
 		}
-		s.seq[i] = 2 * (t.t + int8(c.Cap))
 		return fmt.Sprintf("%s: take item %d, free cell %d", who, item, i)
 	case pcClosedOp:
 		if s.closed {

@@ -107,24 +107,6 @@ func (s *dmstate) post() {
 	}
 }
 
-// dmrow is a candidate step: if on, the thread's pc moves to next, then f runs.
-type dmrow struct {
-	on   bool
-	name string
-	next int8
-	f    func(*dmstate)
-}
-
-// firstOf is the step of the first enabled row; pc picks the thread's pc.
-func (s *dmstate) firstOf(who string, pc func(*dmstate) *int8, rows []dmrow) []step[*dmstate] {
-	for _, r := range rows {
-		if r.on {
-			return []step[*dmstate]{after(s, who+r.name, func(ns *dmstate) { *pc(ns) = r.next; r.f(ns) })}
-		}
-	}
-	return nil
-}
-
 func (c DemandConfig) ownerSteps(s *dmstate) []step[*dmstate] {
 	nextSpawn := func(ns *dmstate) {
 		if ns.spawn++; ns.spawn == dmSpawns {
@@ -134,7 +116,7 @@ func (c DemandConfig) ownerSteps(s *dmstate) []step[*dmstate] {
 	pop := func(ns *dmstate) { copy(ns.queue[:], append(ns.queue[1:], 0)) }
 	opc, head := s.opc, s.queue[0]
 	t := head >> 1 & 1 // the thief whose ticket is next, if it is a live one
-	return s.firstOf("owner: ", func(ns *dmstate) *int8 { return &ns.opc }, []dmrow{
+	return firstOf(s, "owner: ", func(ns *dmstate) *int8 { return &ns.opc }, []row[*dmstate]{
 		{opc == doPoll && s.word == 0, "poll demand: none, run the child inline", doPoll, nextSpawn},
 		{opc == doPoll, "poll demand: clear it, promote", doPublish, func(ns *dmstate) {
 			ns.word, ns.stale = 0, ns.postGen != ns.gen
@@ -159,7 +141,7 @@ func (c DemandConfig) thiefSteps(s *dmstate, t int) []step[*dmstate] {
 		scanned, registered, hit, miss = dtRescan, dtPost, dtScan, dtTicket
 	}
 	pc, me, cell := s.tpc[t], int8(1+t), s.cell[t]
-	return s.firstOf(fmt.Sprintf("thief %d: ", t), func(ns *dmstate) *int8 { return &ns.tpc[t] }, []dmrow{
+	return firstOf(s, fmt.Sprintf("thief %d: ", t), func(ns *dmstate) *int8 { return &ns.tpc[t] }, []row[*dmstate]{
 		{pc == dtScan && s.deque == 1, "steal", dtDone, func(ns *dmstate) { ns.deque = 0 }},
 		{pc == dtScan, "find the deque empty, post demand", scanned, (*dmstate).post},
 		{pc == dtTicket, "claim a ticket", dtRegister, func(ns *dmstate) { ns.queue[slices.Index(ns.queue[:], 0)], ns.cell[t] = me, dcEmpty }},

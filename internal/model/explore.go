@@ -99,6 +99,25 @@ func after[S cloner[S]](s S, name string, f func(S)) step[S] {
 	return try(s, name, func(ns S) string { f(ns); return "" })
 }
 
+// row is a candidate step of one thread: if on, the thread's pc moves to
+// next, then f runs.
+type row[S any] struct {
+	on   bool
+	name string
+	next int8
+	f    func(S)
+}
+
+// firstOf is the step of the first enabled row; pc picks the thread's pc.
+func firstOf[S cloner[S]](s S, who string, pc func(S) *int8, rows []row[S]) []step[S] {
+	for _, r := range rows {
+		if r.on {
+			return []step[S]{after(s, who+r.name, func(ns S) { *pc(ns) = r.next; r.f(ns) })}
+		}
+	}
+	return nil
+}
+
 // Check exhaustively explores all interleavings of the configured model
 // with a DFS over distinct states, and returns the first violation found
 // (deterministically: threads are tried in index order).

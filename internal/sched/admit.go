@@ -1,82 +1,57 @@
 package sched
 
 import (
-	"sync"
+	"context"
+	"runtime"
 	"sync/atomic"
+
+	"nowa/internal/ring"
 )
 
-// Admission outcome codes returned by tryAdmitLocked. Plain ints rather
-// than error values so the locked fast path never boxes an interface.
+// Admission outcome codes returned by tryAdmit. Plain ints rather than
+// error values so the fast path never boxes an interface.
 const (
 	admitOK     = iota // enqueued (victim non-nil when a shed paid for it)
 	admitFull          // queue at its effective window; policy decides
 	admitClosed        // service draining or closed; no new admissions
 )
 
-// subRing is one admission lane: a fixed-capacity FIFO ring of
-// submissions. All access happens under the owning admitQueue's mutex;
-// the ring itself is plain index arithmetic so the admission fast path
-// stays free of allocation and channel traffic (the //nowa:hotpath
-// analyzer keeps it that way).
-type subRing struct {
-	buf  []*Submission
-	head int
-	n    int
-}
-
-//nowa:hotpath
-func (r *subRing) push(s *Submission) {
-	r.buf[(r.head+r.n)%len(r.buf)] = s
-	r.n++
-}
-
-//nowa:hotpath
-func (r *subRing) pop() *Submission {
-	if r.n == 0 {
-		return nil
-	}
-	s := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return s
-}
-
 // admitQueue is the bounded admission queue of a serving runtime: two
-// priority lanes (SubmitOpts.Priority > 0 selects the high lane), a
-// capacity shared between them, and an effective window that shrinks
-// under governor pressure. Producers are external goroutines; consumers
-// are the worker tokens that take a submission when they have no deque
-// work (takeSubmission). The rings and closed live under mu.
+// priority lanes (SubmitOpts.Priority > 0 selects the high lane), each an
+// internal/ring ring of capa cells, behind one depth gate bounding both
+// by an effective window that shrinks under governor pressure. Producers
+// are external goroutines; consumers are the tokens that take a
+// submission when they have no deque work (takeSubmission). No lock: a
+// producer raises depth and then claims a put ticket, a consumer gets and
+// then lowers depth. So depth counts every submission queued or between
+// those steps, and a lane never holds more items than depth: a put that
+// finds its cell not yet free waits for a get that has claimed the cell
+// and not yet emptied it, never for a taker to come.
 //
 //nowa:nopad one admitQueue per service, embedded in the service singleton; no adjacent instances to false-share with
 type admitQueue struct {
-	//nowa:lock level=4 name=adm.mu
-	mu     sync.Mutex
-	high   subRing
-	norm   subRing
+	high   ring.Ring[*Submission]
+	norm   ring.Ring[*Submission]
 	capa   int
 	policy OverloadPolicy
-	closed bool
+	closed atomic.Bool
 
-	// pressure is the governor grade (0 none, 1 mild, 2 severe) driving
-	// the effective admission window; written by the supervisor's
-	// pressure row (or SetAdmissionPressure's other callers), read on
-	// every admission.
+	// pressure is the governor grade (0 none, 1 mild, 2 severe) sizing the
+	// effective window (SetAdmissionPressure).
 	pressure atomic.Int32
-
-	// depth counts the items across both lanes, ≤ capa. Written under mu,
-	// atomic so that thieves, the stall probe and ServiceStats read it
-	// without the lock (service.takeNext says why that is sound).
+	// depth is the window gate. Thieves, the stall probe and ServiceStats
+	// read it too (service.takeNext says why that is sound).
 	depth atomic.Int64
 
+	// blocked counts Block-policy producers waiting for a slot; only while
+	// it is non-zero does a take or a pressure drop kick spaceCh.
+	blocked  atomic.Int32
 	spaceCh  chan struct{} // taker → blocked producer: a slot freed up
 	closedCh chan struct{} // closed once, at drain start
 
-	// Admission tallies, atomic so ServiceStats reads them without the
-	// mutex. submitted counts every Submit attempt; admitted the ones
-	// enqueued; rejected the FailFast/chaos refusals; shed the queued
-	// victims evicted oldest-first; expired the submissions whose
+	// Admission tallies. submitted counts every Submit attempt; admitted
+	// the ones enqueued; rejected the FailFast/chaos refusals; shed the
+	// queued victims evicted oldest-first; expired the submissions whose
 	// deadline or context fired while still queued.
 	submitted atomic.Int64
 	admitted  atomic.Int64
@@ -88,8 +63,8 @@ type admitQueue struct {
 func (q *admitQueue) init(depth int, policy OverloadPolicy) {
 	q.capa = depth
 	q.policy = policy
-	q.high.buf = make([]*Submission, depth)
-	q.norm.buf = make([]*Submission, depth)
+	q.high.Init(depth)
+	q.norm.Init(depth)
 	q.spaceCh = make(chan struct{}, 1)
 	q.closedCh = make(chan struct{})
 }
@@ -101,113 +76,118 @@ func (q *admitQueue) init(depth int, policy OverloadPolicy) {
 //
 //nowa:hotpath
 func (q *admitQueue) effWindow(grade int32) int {
-	w := q.capa
 	switch {
 	case grade >= int32(gradeSevere):
-		w = q.capa / 4
+		return max(1, q.capa/4)
 	case grade == int32(gradeMild):
-		w = q.capa / 2
+		return max(1, q.capa/2)
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return q.capa
 }
 
-// lane selects the ring a submission enqueues into.
-//
-//nowa:hotpath
-func (q *admitQueue) lane(sub *Submission) *subRing {
-	if sub.prio {
-		return &q.high
-	}
-	return &q.norm
-}
-
-// tryAdmitLocked is the admission decision under mu: enqueue within the
-// effective window; past it, shed the oldest queued submission when the
-// policy is Shed or the pressure grade is severe (overload must never
-// collapse into unbounded blocking then); otherwise report full and let
-// the caller apply the Block/FailFast policy. The returned victim, if
-// any, is no longer queued — the caller resolves its future outside the
-// lock (resolution closes a channel, which must stay off this path).
-//
-//nowa:hotpath
-func (q *admitQueue) tryAdmitLocked(sub *Submission, grade int32) (outcome int, victim *Submission) {
-	if q.closed {
-		return admitClosed, nil
-	}
-	if q.depth.Load() < int64(q.effWindow(grade)) {
-		q.lane(sub).push(sub)
-		q.depth.Add(1)
-		return admitOK, nil
-	}
-	if q.policy == OverloadShed || grade >= int32(gradeSevere) {
-		victim = q.popOldestLocked()
-		if victim == nil && q.depth.Load() >= int64(q.capa) {
-			// Nothing evictable and the rings are physically full; a
-			// shrunken window with an empty queue cannot get here
-			// (depth < eff would have admitted).
+// tryAdmit is the admission decision: within the effective window, raise
+// depth, then re-check closed — in that order, so that a drain check
+// which saw closed set and depth zero saw every producer that will
+// publish — and publish into the submission's lane. Past the window, shed
+// the oldest queued submission when the policy is Shed or the pressure
+// grade is severe (overload must never collapse into unbounded blocking
+// then): the victim's unit passes to the newcomer, so depth stays put.
+// Otherwise report full and let the caller apply Block or FailFast. A
+// returned victim is out of the queue; the caller resolves its future.
+func (q *admitQueue) tryAdmit(sub *Submission) (outcome int, victim *Submission) {
+	for {
+		grade := q.pressure.Load()
+		d := q.depth.Load()
+		switch {
+		case d < int64(q.effWindow(grade)):
+			if !q.depth.CompareAndSwap(d, d+1) {
+				continue
+			}
+			if q.closed.Load() {
+				q.depth.Add(-1)
+				return admitClosed, nil
+			}
+		case q.closed.Load():
+			return admitClosed, nil
+		case q.policy != OverloadShed && grade < int32(gradeSevere):
 			return admitFull, nil
+		default:
+			if victim = q.oldest(); victim == nil {
+				// Every unit is mid-admission or mid-take: look again.
+				runtime.Gosched()
+				continue
+			}
 		}
-		q.lane(sub).push(sub)
-		q.depth.Add(1)
-		return admitOK, victim
+		lane := &q.norm
+		if sub.prio {
+			lane = &q.high
+		}
+		for {
+			if slot, ok := lane.Claim(); ok {
+				slot.Publish(sub)
+				return admitOK, victim
+			}
+			runtime.Gosched() // a get has claimed this cell's last item
+		}
 	}
-	return admitFull, nil
 }
 
-// popOldestLocked evicts the oldest queued submission, preferring the
-// normal lane so high-priority work survives overload longest.
+// waitAdmit is the Block policy's slow path. Counted in blocked first, so
+// that every take from then on kicks spaceCh, it re-runs the admission
+// decision after each kick until it lands, the queue closes or waitCtx
+// ends (its error is returned).
+func (q *admitQueue) waitAdmit(sub *Submission, waitCtx context.Context) (int, *Submission, error) {
+	q.blocked.Add(1)
+	defer q.blocked.Add(-1)
+	for {
+		if outcome, victim := q.tryAdmit(sub); outcome != admitFull {
+			return outcome, victim, nil
+		}
+		select {
+		case <-q.spaceCh:
+		case <-q.closedCh:
+			return admitClosed, nil, nil
+		case <-waitCtx.Done():
+			return admitFull, nil, waitCtx.Err()
+		}
+	}
+}
+
+// kickBlocked tells one blocked producer that a slot may have freed up. A
+// coalesced kick is fine: the producer re-runs tryAdmit after each.
+func (q *admitQueue) kickBlocked() {
+	if q.blocked.Load() > 0 {
+		select {
+		case q.spaceCh <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// take dequeues for a taking token, high lane first; oldest for a
+// shedding producer, normal lane first, so high-priority work survives
+// overload longest.
 //
 //nowa:hotpath
-func (q *admitQueue) popOldestLocked() *Submission {
-	if s := q.norm.pop(); s != nil {
-		q.depth.Add(-1)
-		return s
-	}
-	if s := q.high.pop(); s != nil {
-		q.depth.Add(-1)
-		return s
-	}
-	return nil
-}
+func (q *admitQueue) take() *Submission { return firstOf(&q.high, &q.norm) }
 
-// popNextLocked dequeues for a taking token: high lane first.
-//
 //nowa:hotpath
-func (q *admitQueue) popNextLocked() *Submission {
-	if s := q.high.pop(); s != nil {
-		q.depth.Add(-1)
-		return s
-	}
-	if s := q.norm.pop(); s != nil {
-		q.depth.Add(-1)
-		return s
-	}
-	return nil
-}
+func (q *admitQueue) oldest() *Submission { return firstOf(&q.norm, &q.high) }
 
-// signal performs the non-blocking buffered-channel kick that tells a
-// blocked producer to retry; a coalesced signal is fine because it
-// re-checks the queue state after every wakeup.
-func (q *admitQueue) signal() {
-	select {
-	case q.spaceCh <- struct{}{}:
-	default:
+//nowa:hotpath
+func firstOf(a, b *ring.Ring[*Submission]) *Submission {
+	if s, ok := a.Get(); ok {
+		return s
 	}
+	s, _ := b.Get()
+	return s
 }
 
 // close stops admission: Submit fails with ErrServiceClosed from here
 // on, the tokens drain what is already queued, and every producer
 // blocked on a full queue wakes and fails.
 func (q *admitQueue) close() {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
+	if !q.closed.Swap(true) {
+		close(q.closedCh)
 	}
-	q.closed = true
-	q.mu.Unlock()
-	close(q.closedCh)
 }

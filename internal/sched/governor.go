@@ -245,6 +245,15 @@ type TrimReport struct {
 	Reclaimed int    // items TrimToward reclaimed
 }
 
+// Memory-pressure grades, as grade computes them and the admission window
+// reads them: plain ints, so the admission fast path compares against
+// constants.
+const (
+	gradeNone   = 0
+	gradeMild   = 1
+	gradeSevere = 2
+)
+
 // grade maps memory usage against a budget onto the admission grades:
 // mild from 85 % of the budget, severe at the budget. No budget, no
 // pressure.

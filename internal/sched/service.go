@@ -79,15 +79,6 @@ func (p OverloadPolicy) String() string {
 	return "block"
 }
 
-// Memory-pressure grades, as the governor's pressure row computes them
-// (grade) and the admission window reads them: plain ints, so the
-// admission fast path compares against constants.
-const (
-	gradeNone   = 0
-	gradeMild   = 1
-	gradeSevere = 2
-)
-
 // ServiceConfig parameterises StartService.
 type ServiceConfig struct {
 	// QueueDepth bounds the admission queue (per the whole queue, both
@@ -129,15 +120,6 @@ type SubmitOpts struct {
 	Priority int
 }
 
-// Submission state machine: queued → running → done, with shed taking
-// queued → done directly. The CAS transitions make shed-vs-take races
-// single-winner.
-const (
-	subQueued uint32 = iota
-	subRunning
-	subDone
-)
-
 // Submission is the future of one submitted task. Wait (or Done + Err)
 // observes the outcome: nil for success, *api.StrandPanic if the task
 // panicked, the submission context's error if it was cancelled or
@@ -157,11 +139,10 @@ type Submission struct {
 	cancel context.CancelFunc // releases the deadline/link contexts; nil when none
 	unlink func() bool        // stops the service-context AfterFunc link; nil when none
 
-	done  chan struct{}
-	err   error // written before done closes
-	state atomic.Uint32
-	prio  bool
-	id    uint16 // truncated sequence number, for schedule-log events
+	done chan struct{}
+	err  error // written before done closes
+	prio bool
+	id   uint16 // truncated sequence number, for schedule-log events
 
 	// pan collects this submission's strand panics: the first is kept,
 	// later ones are tallied on it via StrandPanic.Suppress — the same
@@ -223,15 +204,12 @@ func (s *Submission) outcomeErr() error {
 	return s.cs.Err()
 }
 
-// resolve moves the submission to done from the given state, storing
-// the outcome and waking waiters. False if another path won the race.
-func (s *Submission) resolve(from uint32, err error) bool {
-	if !s.state.CompareAndSwap(from, subDone) {
-		return false
-	}
+// resolve stores the outcome and wakes waiters. Exactly one path calls
+// it: the admission ring hands a queued submission to one getter, a
+// taking token or a shedding producer.
+func (s *Submission) resolve(err error) {
 	s.err = err
 	close(s.done)
-	return true
 }
 
 // release drops the submission's context resources: the deadline timer,
@@ -371,14 +349,9 @@ func (rt *Runtime) Submit(task func(api.Ctx), opts SubmitOpts) (*Submission, err
 	return rt.submit(nil, task, opts)
 }
 
-// SubmitCtx is Submit bound to a caller context: cancelling ctx cancels
-// the submission (queued: resolved without running; mid-flight:
-// cooperative cancellation like RunCtx).
-func (rt *Runtime) SubmitCtx(ctx context.Context, task func(api.Ctx)) (*Submission, error) {
-	return rt.submit(ctx, task, SubmitOpts{})
-}
-
-// SubmitCtxOpts is the general form: caller context plus options.
+// SubmitCtxOpts is Submit bound to a caller context: cancelling ctx
+// cancels the submission (queued: resolved without running; mid-flight:
+// cooperative cancellation like RunCtx). A nil ctx is Submit.
 func (rt *Runtime) SubmitCtxOpts(ctx context.Context, task func(api.Ctx), opts SubmitOpts) (*Submission, error) {
 	return rt.submit(ctx, task, opts)
 }
@@ -436,9 +409,9 @@ func (rt *Runtime) submit(ctx context.Context, task func(api.Ctx), opts SubmitOp
 	return sub, nil
 }
 
-// admit runs the admission policy loop for one submission. waitCtx is
-// the submission's effective context, observed while blocked under the
-// Block policy.
+// admit runs the admission policy for one submission. waitCtx is the
+// submission's effective context, observed while blocked under the Block
+// policy.
 func (svc *service) admit(sub *Submission, waitCtx context.Context) error {
 	rt := svc.rt
 	q := &svc.adm
@@ -451,61 +424,54 @@ func (svc *service) admit(sub *Submission, waitCtx context.Context) error {
 		// Admission-time fault injection: behave exactly like a FailFast
 		// overload refusal. Sound — callers must tolerate ErrOverloaded
 		// under any policy (severe pressure sheds, chaos refuses).
-		q.rejected.Add(1)
-		if rt.recordOn {
-			rt.rep.RecordExternal(replay.KSubReject, replay.SubRejectChaos, sub.id)
-		}
-		return &OverloadedError{RetryAfter: svc.retryHint()}
+		return svc.refuse(sub, replay.SubRejectChaos)
 	}
-	for {
-		q.mu.Lock()
-		outcome, victim := q.tryAdmitLocked(sub, q.pressure.Load())
-		q.mu.Unlock()
-		switch outcome {
-		case admitOK:
-			q.admitted.Add(1)
-			if victim != nil {
-				svc.shedVictim(victim)
-			}
-			if rt.recordOn {
-				rt.rep.RecordExternal(replay.KSubmit, 0, sub.id)
-			}
-			// Published under mu; a thief loads the depth after claiming
-			// its ticket, so it either takes this submission or is woken.
-			rt.wakeThief()
-			return nil
-		case admitClosed:
-			return ErrServiceClosed
-		case admitFull:
-			if q.policy == OverloadFailFast {
-				q.rejected.Add(1)
-				if rt.recordOn {
-					rt.rep.RecordExternal(replay.KSubReject, replay.SubRejectOverload, sub.id)
-				}
-				return &OverloadedError{RetryAfter: svc.retryHint()}
-			}
-			// Block: wait for a slot, the submission's own context, or
-			// drain start — then re-run the admission decision.
-			select {
-			case <-q.spaceCh:
-			case <-q.closedCh:
-				return ErrServiceClosed
-			case <-waitCtx.Done():
-				return waitCtx.Err()
-			}
+	outcome, victim := q.tryAdmit(sub)
+	if outcome == admitFull && q.policy == OverloadBlock {
+		var err error
+		if outcome, victim, err = q.waitAdmit(sub, waitCtx); err != nil {
+			return err
 		}
 	}
+	switch outcome {
+	case admitClosed:
+		// A producer that raised depth and then found the queue closed gave
+		// its unit back; the drain check may have counted it.
+		svc.wakeRoot()
+		return ErrServiceClosed
+	case admitFull:
+		return svc.refuse(sub, replay.SubRejectOverload)
+	}
+	q.admitted.Add(1)
+	if victim != nil {
+		svc.shedVictim(victim)
+	}
+	if rt.recordOn {
+		rt.rep.RecordExternal(replay.KSubmit, 0, sub.id)
+	}
+	// Published before this; a thief loads the depth after claiming its
+	// ticket, so it either takes this submission or is woken.
+	rt.wakeThief()
+	return nil
+}
+
+// refuse tallies and records one refusal and returns its error.
+func (svc *service) refuse(sub *Submission, reason uint8) error {
+	svc.adm.rejected.Add(1)
+	if svc.rt.recordOn {
+		svc.rt.rep.RecordExternal(replay.KSubReject, reason, sub.id)
+	}
+	return &OverloadedError{RetryAfter: svc.retryHint()}
 }
 
 // shedVictim resolves an evicted submission's future with ErrShed.
 func (svc *service) shedVictim(victim *Submission) {
-	if victim.resolve(subQueued, ErrShed) {
-		victim.release()
-		svc.adm.shed.Add(1)
-		if svc.rt.recordOn {
-			svc.rt.rep.RecordExternal(replay.KSubShed, 0, victim.id)
-		}
+	victim.release()
+	svc.adm.shed.Add(1)
+	if svc.rt.recordOn {
+		svc.rt.rep.RecordExternal(replay.KSubShed, 0, victim.id)
 	}
+	victim.resolve(ErrShed)
 }
 
 // chaosRoll rolls one of the admission-time injections (the external
@@ -532,41 +498,33 @@ func (svc *service) chaosRoll(site uint8) bool {
 }
 
 // retryHint estimates how long until a queue slot frees: the smoothed
-// completion interval, clamped to a sane band. Before any completion it
-// reports the clamp floor scaled to the queue depth.
+// completion interval clamped to [100µs, 1s], 1ms before any completion.
 func (svc *service) retryHint() time.Duration {
-	const (
-		floor = 100 * time.Microsecond
-		ceil  = time.Second
-	)
 	h := time.Duration(svc.ewmaNs.Load())
 	if h <= 0 {
 		h = time.Millisecond
 	}
-	if h < floor {
-		h = floor
-	}
-	if h > ceil {
-		h = ceil
-	}
-	return h
+	return min(max(h, 100*time.Microsecond), time.Second)
 }
 
 // takeNext dequeues the next submission, nil if none, counted in flight
-// inside the same locked section. The gauge is raised before the pop
-// lowers the depth, so a reader that loads the depth and then the gauge
-// without the lock (ServiceStats, drained) never finds it in neither.
+// before the depth drops: a reader that loads the depth and then the
+// gauge (ServiceStats, drained) never finds it in neither. A depth unit
+// with nothing to get is a producer between its raise and its put (or
+// its give-back); the gauge is lowered again and the token moves on.
 func (svc *service) takeNext() *Submission {
 	q := &svc.adm
-	q.mu.Lock()
 	if q.depth.Load() == 0 {
-		q.mu.Unlock()
 		return nil
 	}
 	svc.inflight.Add(1)
-	sub := q.popNextLocked()
-	q.mu.Unlock()
-	q.signal()
+	sub := q.take()
+	if sub == nil {
+		svc.leave()
+		return nil
+	}
+	q.depth.Add(-1)
+	q.kickBlocked()
 	return sub
 }
 
@@ -574,10 +532,10 @@ func (svc *service) takeNext() *Submission {
 // on the token's own vessel, dispatching to itself: the strand starts once
 // the steal loop has returned to vessel.loop. Like a run's root it is
 // charged one pool stack, so under a stack cap it is taken only with one
-// in hand. One shed or expired while queued is settled without running.
+// in hand. One expired while queued is settled without running.
 // False when the queue turned out empty or no stack could be had.
 //
-//nowa:coldpath one adm.mu section and one spaceCh kick per submission, next to the Gosched the caller just paid; a closed future and an outcome tally only for a submission settled without running
+//nowa:coldpath one amortised append to the vessel's stack list per submission, next to the Gosched the caller just paid; a closed future and an outcome tally only for a submission settled without running
 func (rt *Runtime) takeSubmission(p *Proc) bool {
 	svc := rt.svc.Load()
 	w := p.worker
@@ -591,12 +549,6 @@ func (rt *Runtime) takeSubmission(p *Proc) bool {
 			rt.pool.Put(w, stack)
 			return false
 		}
-		if !sub.state.CompareAndSwap(subQueued, subRunning) {
-			// Shed while queued: its future is already resolved and its
-			// outcome tallied by whoever shed it.
-			svc.leave()
-			continue
-		}
 		if sub.cs.Cancelled() {
 			// Expired (or force-cancelled) while queued: resolve without
 			// running it.
@@ -605,7 +557,7 @@ func (rt *Runtime) takeSubmission(p *Proc) bool {
 			sub.release()
 			svc.noteOutcome(err, false)
 			svc.leave()
-			sub.resolve(subRunning, err)
+			sub.resolve(err)
 			continue
 		}
 		if rt.recordOn {
@@ -645,15 +597,14 @@ func (rt *Runtime) serviceRoot(c api.Ctx) {
 	}
 }
 
-// drained reports the queue closed and empty and nothing in flight; once
-// true it stays true. Closed and empty under the lock means nothing can
-// be taken any more, so the gauge read after it is final.
+// drained reports the queue closed and empty and nothing in flight,
+// loading closed, depth, then the gauge. A producer raises depth before it
+// re-checks closed and a take raises the gauge before it lowers depth, so
+// once true nothing is queued, taken or run again; a later reading is
+// false only while a producer gives a unit back (admit then wakes the root).
 func (svc *service) drained() bool {
 	q := &svc.adm
-	q.mu.Lock()
-	empty := q.closed && q.depth.Load() == 0
-	q.mu.Unlock()
-	return empty && svc.inflight.Load() == 0
+	return q.closed.Load() && q.depth.Load() == 0 && svc.inflight.Load() == 0
 }
 
 // wakeRoot wakes the service root once drained. It runs after each write
@@ -686,7 +637,7 @@ func (svc *service) complete(sub *Submission) {
 	// find this outcome already counted (see ServiceStats).
 	svc.noteOutcome(err, true)
 	svc.leave()
-	sub.resolve(subRunning, err)
+	sub.resolve(err)
 }
 
 // noteOutcome updates the completion tallies and, for work that actually
@@ -726,22 +677,11 @@ func (rt *Runtime) SetAdmissionPressure(grade int) {
 	if svc == nil {
 		return
 	}
-	g := int32(grade)
-	if g < gradeNone {
-		g = gradeNone
+	g := int32(min(max(grade, gradeNone), gradeSevere))
+	if svc.adm.pressure.Swap(g) > g {
+		// The window widened: let one blocked producer retry now.
+		svc.adm.kickBlocked()
 	}
-	if g > gradeSevere {
-		g = gradeSevere
-	}
-	svc.adm.pressure.Store(g)
-	if g > gradeNone {
-		// A shrinking window admits nothing new until slots drain, but
-		// blocked producers re-evaluate on the next completion signal
-		// anyway; nothing to wake here.
-		return
-	}
-	// Pressure cleared: let one blocked producer retry immediately.
-	svc.adm.signal()
 }
 
 // ServiceStats is a point-in-time snapshot of service-mode accounting.

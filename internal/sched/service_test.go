@@ -1,8 +1,12 @@
 package sched
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,5 +133,106 @@ func TestServiceTightBudgetServes(t *testing.T) {
 	}
 	if hw := rt.Stats().VesselHighWater; hw > 2 {
 		t.Fatalf("vessel high water %d under MaxVessels 1, want at most 2", hw)
+	}
+}
+
+// TestServiceAdmissionStress drives the lock-free admission queue from
+// every side at once, per policy and at 2 and 3 workers: four producers
+// (two on the high lane, every fifth submission with a deadline that may
+// expire while queued) against the taking tokens, a goroutine cycling the
+// pressure grade — so the window shrinks under queued work and severe
+// pressure sheds under any policy — and Close landing mid-stream. Every
+// admitted future must resolve exactly once (a second resolve panics on
+// the closed done channel) with an outcome the queue allows, one
+// ServiceStats snapshot after Close must balance against what the
+// futures say, and CheckIdle must find nothing leaked.
+func TestServiceAdmissionStress(t *testing.T) {
+	for _, policy := range []OverloadPolicy{OverloadFailFast, OverloadShed, OverloadBlock} {
+		for _, workers := range []int{2, 3} {
+			t.Run(fmt.Sprintf("%v/workers=%d", policy, workers), func(t *testing.T) {
+				rt := MustNew(Config{Name: "nowa", Workers: workers, Deque: deque.CL, Join: WaitFree})
+				defer rt.Close()
+				if err := rt.StartService(ServiceConfig{QueueDepth: 8, Policy: policy}); err != nil {
+					t.Fatal(err)
+				}
+				task := func(c api.Ctx) {
+					s := c.Scope()
+					s.Spawn(func(api.Ctx) {})
+					s.Sync()
+				}
+				var (
+					mu   sync.Mutex
+					subs []*Submission
+					stop atomic.Bool
+					wg   sync.WaitGroup
+				)
+				for p := range 4 {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < 2000 && !stop.Load(); i++ {
+							opts := SubmitOpts{Priority: p % 2}
+							if i%5 == 0 {
+								opts.Deadline = time.Now().Add(100 * time.Microsecond)
+							}
+							sub, err := rt.Submit(task, opts)
+							switch {
+							case err == nil:
+								mu.Lock()
+								subs = append(subs, sub)
+								mu.Unlock()
+							case errors.Is(err, ErrServiceClosed):
+								return
+							case !errors.Is(err, ErrOverloaded) && !errors.Is(err, context.DeadlineExceeded):
+								t.Errorf("Submit: %v", err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for g := 0; !stop.Load(); g++ {
+						rt.SetAdmissionPressure(g % 3)
+						time.Sleep(200 * time.Microsecond)
+					}
+				}()
+				time.Sleep(30 * time.Millisecond)
+				rt.Close()
+				stop.Store(true)
+				wg.Wait()
+
+				var completed, shed, cancelled int64
+				for i, sub := range subs {
+					select {
+					case <-sub.Done():
+					case <-time.After(5 * time.Second):
+						t.Fatalf("admitted submission %d never resolved", i)
+					}
+					switch err := sub.Wait(); {
+					case err == nil:
+						completed++
+					case errors.Is(err, ErrShed):
+						shed++
+					case errors.Is(err, context.DeadlineExceeded):
+						cancelled++
+					default:
+						t.Fatalf("submission %d resolved with %v", i, err)
+					}
+				}
+				st, _ := rt.ServiceStats()
+				if st.Queued != 0 || st.InFlight != 0 || st.Admitted != int64(len(subs)) ||
+					st.Completed != completed || st.Shed != shed || st.Cancelled != cancelled || st.Panicked != 0 ||
+					st.Submitted < st.Admitted+st.Rejected {
+					t.Fatalf("stats %+v do not balance against %d admitted futures (%d completed, %d shed, %d cancelled)",
+						st, len(subs), completed, shed, cancelled)
+				}
+				if err := rt.CheckIdle(); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("%d admitted: %d completed, %d shed, %d cancelled; %d rejected", len(subs), completed, shed, cancelled, st.Rejected)
+			})
+		}
 	}
 }

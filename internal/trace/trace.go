@@ -112,7 +112,7 @@ type Counters struct {
 	StackGlobalGets int64 // stacks served from the global pool
 	ThiefParks      int64 // idle thieves parked after the fail threshold
 	ThiefWakeups    int64 // parked thieves woken by a spawn, finish or cancel
-	InterestSignals int64 // thief-side steal-interest CASes landed on promotable records
+	InterestSignals int64 // thief-side steal-demand posts that landed on a token's demand word
 	BlockedWaits    int64 // strand suspensions on an external wait (future/channel/barrier)
 	ResumedWaits    int64 // external waits that ended in a resume
 	AbortedWaits    int64 // external waits that ended in a cancellation

@@ -149,9 +149,10 @@ type SpawnPolicy = sched.SpawnMode
 
 const (
 	// SpawnAdaptive (the default everywhere) spawns lazily — the child
-	// runs inline behind a promotable record, paying no goroutine
-	// handoff — and converts to eager bursts when thieves signal
-	// interest or the vessel suspends.
+	// runs inline and nothing is published while no thief has posted
+	// steal demand on the token, paying no goroutine handoff — and
+	// converts to eager bursts when a thief posts demand or the vessel
+	// suspends.
 	SpawnAdaptive = sched.SpawnAdaptive
 	// SpawnEager pays the full vessel handoff on every spawn: the
 	// pre-promotion behaviour. Required when a child blocks on a signal
@@ -457,26 +458,18 @@ func StartService(rt Runtime, cfg ServiceConfig) error {
 // Submit hands one task to a serving runtime and returns its future.
 // Callable from any goroutine, concurrently.
 func Submit(rt Runtime, task func(Ctx), opts SubmitOpts) (*Submission, error) {
-	s, ok := rt.(*sched.Runtime)
-	if !ok {
-		return nil, ErrNotServing
-	}
-	return s.Submit(task, opts)
+	return SubmitOpt(rt, nil, task, opts)
 }
 
 // SubmitCtx is Submit bound to a caller context: cancelling ctx cancels
 // the submission (queued: resolved without running; mid-flight:
 // cooperatively, like RunCtx).
 func SubmitCtx(rt Runtime, ctx context.Context, task func(Ctx)) (*Submission, error) {
-	s, ok := rt.(*sched.Runtime)
-	if !ok {
-		return nil, ErrNotServing
-	}
-	return s.SubmitCtx(ctx, task)
+	return SubmitOpt(rt, ctx, task, SubmitOpts{})
 }
 
 // SubmitOpt is SubmitCtx with options — context, deadline and priority
-// together.
+// together. A nil ctx is Submit.
 func SubmitOpt(rt Runtime, ctx context.Context, task func(Ctx), opts SubmitOpts) (*Submission, error) {
 	s, ok := rt.(*sched.Runtime)
 	if !ok {
