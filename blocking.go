@@ -79,15 +79,9 @@ func blockOn(p *sched.Proc, q *cqs.Queue, ready func() bool) error {
 //
 //nowa:coldpath runs only when q.Waiting() said a strand is asleep
 func wakeOne(p *sched.Proc, q *cqs.Queue) {
-	for {
-		h, oc := q.Resume()
-		if oc == cqs.Woke {
-			p.ChaosWakeDelay()
-			wakeHandle(h)
-		}
-		if oc != cqs.Aborted || !q.Waiting() {
-			return
-		}
+	if h, ok := q.ResumeOne(); ok {
+		p.ChaosWakeDelay()
+		wakeHandle(h)
 	}
 }
 

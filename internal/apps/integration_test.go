@@ -6,7 +6,6 @@ import (
 	"nowa/internal/api"
 	"nowa/internal/cactus"
 	"nowa/internal/childsteal"
-	"nowa/internal/omp"
 	"nowa/internal/sched"
 )
 
@@ -29,12 +28,13 @@ func TestSuiteOnEveryRuntime(t *testing.T) {
 		}
 		makers = append(makers, mk{name, func() api.Runtime { return sched.MustNew(cfg) }})
 	}
-	makers = append(makers, []mk{
-		{"tbb", func() api.Runtime { return childsteal.NewTBB(workers) }},
-		{"libgomp", func() api.Runtime { return omp.NewGOMP(workers) }},
-		{"libomp-untied", func() api.Runtime { return omp.NewOMP(workers, omp.Untied) }},
-		{"libomp-tied", func() api.Runtime { return omp.NewOMP(workers, omp.Tied) }},
-	}...)
+	for _, name := range childsteal.Variants() {
+		rt, err := childsteal.New(name, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		makers = append(makers, mk{name, func() api.Runtime { return rt }})
+	}
 	for _, m := range makers {
 		m := m
 		t.Run(m.name, func(t *testing.T) {

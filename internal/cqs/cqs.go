@@ -187,6 +187,23 @@ func (q *Queue) Resume() (any, Outcome) {
 	return q.resumeTicket(start, q.deqIdx.Add(1)-1)
 }
 
+// ResumeOne is the wake-one rule: it spends dequeue tickets until one
+// reaches a waiter, returning its handle and true for the caller to
+// deliver to, or until a deposit lands or nobody waits, returning false.
+// Aborted cells are stepped over: their waiter found what it parked for
+// and is looking again, so the next sleeper is woken in its place.
+func (q *Queue) ResumeOne() (any, bool) {
+	for {
+		h, oc := q.Resume()
+		if oc == Woke {
+			return h, true
+		}
+		if oc == Deposited || !q.Waiting() {
+			return nil, false
+		}
+	}
+}
+
 // ResumeBounded is Resume restricted to tickets below bound (an
 // Enqueued snapshot): it returns Drained instead of claiming a ticket
 // at or past the bound, so a close/drain sweep terminates even while

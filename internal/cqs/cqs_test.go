@@ -321,6 +321,35 @@ func TestCQSWaiting(t *testing.T) {
 	check("drained", false)
 }
 
+// TestCQSResumeOne: the wake-one loop steps over aborted cells to the
+// next waiter, reports a deposit as nothing to deliver, and claims no
+// ticket once nobody waits.
+func TestCQSResumeOne(t *testing.T) {
+	q := NewQueue()
+	a, _ := q.Enqueue("a")
+	b, _ := q.Enqueue("b")
+	q.Enqueue("c")
+	a.TryAbort()
+	b.TryAbort()
+	if h, ok := q.ResumeOne(); !ok || h != any("c") {
+		t.Fatalf("ResumeOne = (%v, %v), want (c, true) past two aborted cells", h, ok)
+	}
+	d, _ := q.Enqueue("d")
+	d.TryAbort()
+	if h, ok := q.ResumeOne(); ok || q.Waiting() {
+		t.Fatalf("ResumeOne = (%v, %v), Waiting = %v; want the lone aborted cell spent and nobody left", h, ok, q.Waiting())
+	}
+	if h, ok := q.ResumeOne(); ok || h != nil {
+		t.Fatalf("ResumeOne on an empty queue = (%v, %v), want a deposit", h, ok)
+	}
+	if _, registered := q.Enqueue("e"); registered {
+		t.Fatal("enqueue after ResumeOne's deposit registered; want elimination")
+	}
+	if q.Waiting() {
+		t.Fatal("a deposit consumed, yet Waiting")
+	}
+}
+
 // TestCQSSemaphoreAccounting: the abort-compensation protocol — an
 // aborted acquirer's decrement is repaired by the next release's skip,
 // never by the aborter.

@@ -433,15 +433,8 @@ func (rt *Runtime) wakeThief() {
 //
 //nowa:coldpath a thief is asleep, so this publication ends an idle period; Resume may link a fresh queue segment
 func (rt *Runtime) resumeThief() {
-	for {
-		h, oc := rt.idle.Resume()
-		if oc == cqs.Woke {
-			h.(*vessel).pk.deliver()
-			return
-		}
-		if oc == cqs.Deposited || !rt.idle.Waiting() {
-			return
-		}
+	if h, ok := rt.idle.ResumeOne(); ok {
+		h.(*vessel).pk.deliver()
 	}
 }
 

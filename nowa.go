@@ -38,7 +38,6 @@ import (
 	"nowa/internal/api"
 	"nowa/internal/cactus"
 	"nowa/internal/childsteal"
-	"nowa/internal/omp"
 	"nowa/internal/replay"
 	"nowa/internal/resilience"
 	"nowa/internal/sched"
@@ -120,17 +119,11 @@ func New(v Variant, workers int) Runtime {
 		}
 		return rt
 	}
-	switch v {
-	case VariantTBB:
-		return childsteal.NewTBB(workers)
-	case VariantLibGOMP:
-		return omp.NewGOMP(workers)
-	case VariantLibOMPUntied:
-		return omp.NewOMP(workers, omp.Untied)
-	case VariantLibOMPTied:
-		return omp.NewOMP(workers, omp.Tied)
+	rt, err := childsteal.New(v.String(), workers, nil)
+	if err != nil {
+		panic("nowa: unknown variant " + v.String())
 	}
-	panic("nowa: unknown variant " + v.String())
+	return rt
 }
 
 // schedConfig maps the four continuation-stealing variants onto
