@@ -27,6 +27,19 @@ import (
 // the fine-grained guard is the benchmark ledger's sched.spawn_sync_ns.
 const spawnFloorBudget = 4 * 40 * time.Nanosecond
 
+// skipTimingGate skips a latency gate where its budget does not apply:
+// in -short mode, and under the race detector, which multiplies the cost
+// of every memory access the round trip makes.
+func skipTimingGate(t *testing.T) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("timing gate skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("timing gate skipped under the race detector")
+	}
+}
+
 // measureSpawnNs times one steady-state Spawn/Sync round trip on one
 // worker, best of several samples (best-of is the right statistic for a
 // lower-bound gate: noise only ever adds time).
@@ -59,9 +72,7 @@ func measureSpawnNs(rt nowa.Runtime) float64 {
 // under the default (lazy) spawn policy. Allocation bounds live in
 // alloc_test.go; this is the latency half of the floor guarantee.
 func TestSpawnFloor(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing gate skipped in -short mode")
-	}
+	skipTimingGate(t)
 	for _, v := range []nowa.Variant{nowa.VariantNowa, nowa.VariantNowaTHE} {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
@@ -82,9 +93,7 @@ func TestSpawnFloor(t *testing.T) {
 // only that it works and stays within an order of magnitude of the old
 // behaviour, not that it is fast).
 func TestSpawnFloorEagerStillWorks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing gate skipped in -short mode")
-	}
+	skipTimingGate(t)
 	rt := nowa.NewLimited(nowa.VariantNowa, 1, nowa.Limits{Spawn: nowa.SpawnEager})
 	defer nowa.Close(rt)
 	got := measureSpawnNs(rt)

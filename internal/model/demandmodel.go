@@ -7,7 +7,7 @@ import (
 
 // Steal-demand and idle-queue handshake model: the Runtime.demand word one
 // owner polls at each lazy spawn, two thieves posting on it, and the
-// cqs.Queue they sleep on — internal/sched's spawnLazy, postDemand,
+// cqs.Queue they sleep on — internal/sched's lazy Spawn, postDemand,
 // takeDemand, parkThief, wakeThief. A step is one shared-memory access,
 // but for three groups the other side cannot tell apart: the owner's
 // load-then-clear of the word (no post lands on a set word), its Waiting

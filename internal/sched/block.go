@@ -10,7 +10,7 @@ import (
 // External blocking waits (DESIGN.md §16). A strand that must wait on
 // something outside the fork/join tree — a future, a channel slot, a
 // barrier trip — suspends here. The protocol mirrors the suspension
-// half of scope.syncBudget: the strand decides whether it can give its
+// half of a budgeted scope.Sync: the strand decides whether it can give its
 // worker token away *before* registering in the primitive's waiter queue
 // (so the keep-token decision is published to the waker by the queue's
 // cell CAS), passes the token on (passToken: to its own un-stolen parent
@@ -176,7 +176,7 @@ func (bw *Waiter) WakeAborted() { bw.deliver(true) }
 // it soonest, in this order, and reports whether the strand must park
 // (false: the token came straight back — see branch 2):
 //
-//  1. Its own un-stolen parent continuation (blockClaimOwnCont): the
+//  1. Its own un-stolen parent continuation (popOwn): the
 //     work-first handoff, and what keeps the deque discipline — it runs
 //     first, so whoever gets the token in the other branches never finds
 //     this strand's push at the bottom of deque[w].
@@ -198,7 +198,7 @@ func (bw *Waiter) WakeAborted() { bw.deliver(true) }
 func (rt *Runtime) passToken(v *vessel, w int, bw *Waiter) bool {
 	tv := bw.tv
 	bw.tv = nil
-	if pc, ok := rt.blockClaimOwnCont(v, w); ok {
+	if pc, ok := rt.popOwn(w, v.disp.parent); ok {
 		// The claim counts as a steal on the parent's join state (this
 		// strand's own finish is the pop-miss that joins): a strand that
 		// migrates tokens across an external wait never leaves its
@@ -245,35 +245,11 @@ func (rt *Runtime) passToken(v *vessel, w int, bw *Waiter) bool {
 	return true
 }
 
-// blockClaimOwnCont pops the blocking strand's own spawn-push — its
-// parent's continuation, pushed by spawnEager when this strand was
-// dispatched — off the bottom of deque[w], if it is still there. While a
-// strand runs, the bottom of its token's deque is its most recent
-// un-consumed push; anything else there means our push was already
-// consumed. Ancestor continuations deeper in the deque stay put: steals
-// take the top first, so they are exactly the stealable parallelism a
-// blocked strand is supposed to release, and each belongs to a deeper
-// joiner's pop. A foreign element is pushed straight back (with a thief
-// wake, mirroring Spawn's publish-then-wake order, so it cannot be lost
-// to a park race).
-func (rt *Runtime) blockClaimOwnCont(v *vessel, w int) (*cont, bool) {
-	c, ok := rt.popBottom(w)
-	if !ok {
-		return nil, false
-	}
-	if c.scope != v.disp.parent {
-		rt.pushBottom(w, c)
-		rt.wakeThief()
-		return nil, false
-	}
-	return c, true
-}
-
 func (bw *Waiter) deliver(aborted bool) {
 	bw.aborted = aborted
 	if bw.keep {
 		// The strand parked holding its token: deliver directly with
-		// the keep-your-token sentinel, same as syncBudget's resume.
+		// the keep-your-token sentinel, same as a token-keeping Sync's.
 		bw.v.resumeTok = token{worker: -1}
 		bw.v.pk.deliver()
 		return

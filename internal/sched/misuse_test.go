@@ -105,9 +105,10 @@ func TestPanicPinsDeepScope(t *testing.T) {
 		})
 	}()
 	v := pinnedOn
-	if v.scopeTop != scopeInline+1 || !v.scopeAt(scopeInline).pinned {
-		t.Fatalf("scopeTop = %d, pinned = %v; want the slot at depth %d pinned",
-			v.scopeTop, v.scopeAt(scopeInline).pinned, scopeInline+1)
+	deep := v.scopes[scopeInline-1].up // depth scopeInline+1, the first chunk slot
+	if v.top != deep.up || !deep.pinned {
+		t.Fatalf("top at depth %d, pinned = %v; want the slot at depth %d pinned",
+			scopeDepth(v), deep.pinned, scopeInline+1)
 	}
 	if got := rt.Stats().ScopesLeaked; got != 1 {
 		t.Fatalf("ScopesLeaked = %d, want 1", got)
@@ -115,8 +116,8 @@ func TestPanicPinsDeepScope(t *testing.T) {
 	// The runtime is idle and the child has joined: what the vessel's
 	// next strand end does.
 	v.resetScopes()
-	if v.scopeTop != 0 || v.scopeAt(scopeInline).pinned {
-		t.Fatalf("quiescent slot not reclaimed: scopeTop = %d, pinned = %v", v.scopeTop, v.scopeAt(scopeInline).pinned)
+	if v.top != &v.scopes[0] || deep.pinned {
+		t.Fatalf("quiescent slot not reclaimed: top at depth %d, pinned = %v", scopeDepth(v), deep.pinned)
 	}
 	if got := rt.Stats().ScopesLeaked; got != 1 {
 		t.Fatalf("ScopesLeaked = %d after the reclaim, want 1 (tallied once)", got)
@@ -126,4 +127,13 @@ func TestPanicPinsDeepScope(t *testing.T) {
 	if got != fibSerial(15) {
 		t.Fatalf("fib(15) = %d on the runtime after the pinned slot was reclaimed", got)
 	}
+}
+
+// scopeDepth counts the live slots below the vessel's top.
+func scopeDepth(v *vessel) int {
+	n := 0
+	for s := v.top.down; s != nil; s = s.down {
+		n++
+	}
+	return n
 }

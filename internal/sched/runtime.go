@@ -31,7 +31,7 @@ type Runtime struct {
 	chaosOn    bool // cfg.Chaos != nil
 	waitFree   bool // cfg.Join == WaitFree
 	softStacks bool // stack pool in soft-cap mode: Spawn polls pool.Pressure
-	budgetOn   bool // cfg.MaxVessels > 0: Sync takes the budget-aware path
+	budgetOn   bool // cfg.MaxVessels > 0: Sync draws its thief vessel before SyncBegin
 	recordOn   bool // cfg.Record != nil: schedule decisions logged
 	replayOn   bool // cfg.Replay != nil: decisions driven from a captured log
 	blockRecOn bool // recordOn && Workers > 1: KBlocked diagnostics (see note)

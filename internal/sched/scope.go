@@ -47,9 +47,12 @@ func (p *Proc) Err() error {
 // Scope implements api.Ctx. It is allocation-free in the steady state:
 // the paper's "stack object for every called spawning function" lives in
 // a LIFO stack the vessel owns — scopes on one strand nest like the
-// frames that own them — whose first scopeInline slots are embedded in
-// the vessel and whose deeper levels sit in chunks the vessel allocates
-// the first time a strand nests that deep and then keeps.
+// frames that own them. The stack is a doubly linked list of slots whose
+// first scopeInline are embedded in the vessel and whose deeper ones sit
+// in chunks the vessel links in the first time a strand nests that deep
+// and then keeps. The vessel's top is the next free slot: Scope takes it
+// and steps up, release steps down, so every level costs the same
+// pointer moves.
 //
 // A slot is reclaimed when the scope completes a Sync while being the
 // innermost live scope of its strand (see release), or at strand end.
@@ -61,7 +64,7 @@ func (p *Proc) Err() error {
 // Scope relies on the armed-at-rest invariant: every slot not currently
 // hosting a spawn round holds an armed join (α == 0, counter == I_max),
 // so opening a scope is two plain stores — no atomic operation at all.
-// The invariant is established where slots are created (armScopes) and
+// The invariant is established where slots are created (linkScopes) and
 // maintained by every path that retires one (Sync re-arms before release
 // when the round left the counter dirty; resetScopes re-arms reclaimed
 // slots on the panic path).
@@ -69,61 +72,49 @@ func (p *Proc) Err() error {
 //nowa:hotpath
 func (p *Proc) Scope() api.Scope {
 	v := p.v
-	s := v.scopeAt(v.scopeTop)
-	v.scopeTop++
+	s := v.top
+	if s.up == nil {
+		v.growScopes(s)
+	}
+	v.top = s.up
 	s.done = false
 	return s
 }
 
 // scopeInline is the number of scope slots embedded in each vessel. It
 // covers the nesting depth of typical divide-and-conquer serial spines
-// between spawns; scopeChunkLen (a power of two) is how many slots each
-// further chunk adds, sized so one chunk takes a lazily inlined
-// recursion some forty levels down.
+// between spawns; scopeChunkLen is how many slots each further chunk
+// adds, sized so one chunk takes a lazily inlined recursion some forty
+// levels down.
 const (
 	scopeInline   = 8
 	scopeChunkLen = 32
 )
 
-// scopeAt returns slot i of the vessel's scope stack, growing the stack
-// by one chunk when i is the first level past its end. Slots never move:
-// a stolen child holds a pointer to its parent's scope. The inline-slot
-// case is small enough to be inlined into Scope and release.
-//
-//nowa:hotpath
-func (v *vessel) scopeAt(i int) *scope {
-	if i < scopeInline {
-		return &v.scopes[i]
-	}
-	return v.chunkScopeAt(i - scopeInline)
-}
-
-// chunkScopeAt is scopeAt for slot i past the inline ones.
-//
-//nowa:hotpath
-func (v *vessel) chunkScopeAt(i int) *scope {
-	if i/scopeChunkLen == len(v.scopeChunks) {
-		v.growScopes()
-	}
-	return &v.scopeChunks[i/scopeChunkLen][i%scopeChunkLen]
-}
-
-// growScopes adds one chunk of armed slots to the vessel's scope stack.
+// growScopes links one chunk of armed slots above s, the last slot of the
+// vessel's scope stack, which Scope is about to hand out: the top always
+// has a slot above it to step to.
 //
 //nowa:coldpath runs once per scopeChunkLen nesting levels per vessel lifetime; the chunk stays with the vessel
-func (v *vessel) growScopes() {
-	c := new([scopeChunkLen]scope)
-	v.armScopes(c[:])
-	v.scopeChunks = append(v.scopeChunks, c)
+func (v *vessel) growScopes(s *scope) {
+	v.linkScopes(s, new([scopeChunkLen]scope)[:], true)
 }
 
-// armScopes binds freshly created slots to the vessel and establishes
-// the armed-at-rest invariant Scope relies on.
-func (v *vessel) armScopes(slots []scope) {
+// linkScopes binds freshly created slots to the vessel, chains them in
+// order above below (nil for the bottom of the stack) and establishes the
+// armed-at-rest invariant Scope relies on.
+func (v *vessel) linkScopes(below *scope, slots []scope, chunked bool) {
 	for i := range slots {
-		slots[i].p = &v.proc
-		slots[i].wfMode = v.rt.waitFree
-		slots[i].rearm()
+		s := &slots[i]
+		s.p = &v.proc
+		s.wfMode = v.rt.waitFree
+		s.chunked = chunked
+		s.rearm()
+		s.down = below
+		if below != nil {
+			below.up = s
+		}
+		below = s
 	}
 }
 
@@ -141,12 +132,16 @@ func (v *vessel) armScopes(slots []scope) {
 //
 //nowa:join-state
 type scope struct {
-	p      *Proc
-	wfMode bool
-	done   bool // completed a Sync; slot reclaimable once it is the stack top
-	pinned bool // left non-quiescent by a panic unwind and tallied (resetScopes)
+	p *Proc
+	// up and down link the slot to its neighbours on the vessel's scope
+	// stack (down is nil at the bottom). Owner-only, like the stack.
+	up, down *scope
+	wfMode   bool
+	chunked  bool // lives in a chunk, past the vessel's inline slots
+	done     bool // completed a Sync; slot reclaimable once it is the stack top
+	pinned   bool // left non-quiescent by a panic unwind and tallied (resetScopes)
 	// keepToken marks a suspension that parked holding its own worker
-	// token because no thief vessel fit the budget (see syncBudget). It
+	// token because no thief vessel fit the budget (see Sync). It
 	// is a plain bool: written by the parent strictly before SyncBegin,
 	// read by the last-joining child strictly after its OnChildJoin
 	// returned true, and those two are ordered by the join counter's
@@ -163,9 +158,10 @@ type scope struct {
 
 // rearm readies the scope for a fresh spawn/sync round: the inline join
 // armed, no stack charged (endRound returned them; at strand end
-// finishStrand returns the vessel's whole list).
+// finishStrand returns the vessel's whole list), no token kept.
 func (s *scope) rearm() {
 	s.charged = 0
+	s.keepToken = false
 	if s.wfMode {
 		s.wf.Rearm()
 	} else {
@@ -231,8 +227,8 @@ func (s *scope) quiescent() bool {
 	return s.lj.Quiescent()
 }
 
-// release marks the scope's sync round complete and pops every reclaimable
-// slot off the top of the vessel's scope stack. The cascade handles the
+// release marks the scope's sync round complete and steps the vessel's
+// top down over every reclaimable slot beneath it. The cascade handles the
 // off-contract case of scopes synced out of creation order: an inner
 // scope marked done stays pinned until the scopes above it release.
 //
@@ -240,8 +236,8 @@ func (s *scope) quiescent() bool {
 func (s *scope) release() {
 	s.done = true
 	v := s.p.v
-	for v.scopeTop > 0 && v.scopeAt(v.scopeTop-1).done {
-		v.scopeTop--
+	for t := v.top.down; t != nil && t.done; t = t.down {
+		v.top = t
 	}
 }
 
@@ -253,11 +249,23 @@ func (s *scope) release() {
 // vessel, or SpawnEager mode — the spawn takes the full vessel handoff,
 // and when Spawn returns the strand may hold a different worker token (a
 // thief resumed the continuation) exactly as in the paper's
-// strand-to-worker mappings (Figure 4).
+// strand-to-worker mappings (Figure 4). The switch below decides inline or
+// eager; spawnEager only falls back to inline when no vessel fits the
+// SoftMaxVessels budget.
 //
 // The steady-state fast path performs no heap allocation, no channel
 // operation, and — lazily — no goroutine switch, deque operation or
-// atomic write: one load of the token's steal-demand word.
+// atomic write: one load of the token's steal-demand word. Zero — no
+// thief has found this token's deque empty since its strand started or
+// last answered — and the child runs inline: nothing is published, so
+// there is nothing to retire afterwards. Non-zero and the owner answers:
+// it clears the word and pays the eager handoff for this very child,
+// which publishes the continuation the thief asked for (and wakes it if
+// it parked), with an eager burst armed so the vessel's next spawns
+// publish real continuations while thieves are evidently hungry. The
+// word is a hint, not a handshake (DESIGN.md §14): a demand the owner's
+// clear overwrites, or one posted twice, costs one spurious or one late
+// eager spawn and nothing else.
 //
 // Once the run's context is cancelled, Spawn degrades to the serial
 // elision: the child executes inline on the caller's strand, nothing is
@@ -278,34 +286,42 @@ func (s *scope) release() {
 func (s *scope) Spawn(fn func(api.Ctx)) {
 	p := s.p
 	rt := p.rt
-	if rt.cancel.Cancelled() || (p.sub != nil && p.sub.cs.Cancelled()) {
+	v := p.v
+	var site uint8 // the replay.Promote* trigger of a promoted lazy spawn
+	switch {
+	case rt.cancel.Cancelled() || (p.sub != nil && p.sub.cs.Cancelled()):
 		rt.runInline(p, fn, trace.InlineSpawns)
 		return
-	}
-	if rt.softStacks && rt.pool.Pressure() {
-		// The stack pool's soft cap latched: shed parallelism until Put
-		// or a governor trim clears the pressure.
+	case rt.softStacks && rt.pool.Pressure(),
+		rt.chaosOn && rt.chaosRoll(p.worker, replay.SiteAllocFail):
+		// The stack pool's soft cap latched (or chaos says so): shed
+		// parallelism until Put or a governor trim clears the pressure.
 		rt.runInline(p, fn, trace.DegradedSpawns)
 		return
-	}
-	if rt.chaosOn && rt.chaosRoll(p.worker, replay.SiteAllocFail) {
-		rt.runInline(p, fn, trace.DegradedSpawns)
+	case !rt.lazyOn:
+	case v.eagerBurst > 0:
+		// Promotion armed an eager burst on this vessel: pay the handoff
+		// so thieves get real continuations while demand (or blocking) is
+		// evidently present.
+		v.eagerBurst--
+	case rt.chaosOn && rt.chaosRoll(p.worker, replay.SiteStealInterest):
+		// Injected steal demand: exactly a thief's post, minus the thief.
+		site = replay.PromoteClaim
+	case rt.takeDemand(p.worker):
+		site = replay.PromoteInterest
+	default:
+		v.pend[trace.Spawns]++
+		if rt.recordOn {
+			rt.rep.Record(p.worker, replay.KInlineRun, 0, 0)
+		}
+		rt.runInline(p, fn, trace.InlineRuns)
 		return
 	}
-	if rt.lazyOn {
-		if p.v.eagerBurst > 0 {
-			// Promotion armed an eager burst on this vessel: pay the
-			// handoff so thieves get real continuations while demand (or
-			// blocking) is evidently present.
-			p.v.eagerBurst--
-		} else if rt.chaosOn && rt.chaosRoll(p.worker, replay.SiteStealInterest) {
-			// Injected steal demand: exactly a thief's post, minus the
-			// thief.
-			s.promote(fn, replay.PromoteClaim)
-			return
-		} else {
-			s.spawnLazy(fn)
-			return
+	if site != 0 {
+		v.eagerBurst = eagerBurstLen
+		v.pend[trace.PromotedSpawns]++
+		if rt.recordOn {
+			rt.rep.Record(p.worker, replay.KPromote, site, 0)
 		}
 	}
 	s.spawnEager(fn)
@@ -361,84 +377,23 @@ func (s *scope) spawnEager(fn func(api.Ctx)) {
 	}
 }
 
-// spawnLazy is the no-handoff fast path of lazy vessel promotion: one
-// load of the steal-demand word of the token the strand holds now. Zero —
-// no thief has found this token's deque empty since its strand started or
-// last answered — and the child runs inline on the parent's vessel:
-// nothing is published, so there is nothing to retire afterwards.
-// Non-zero and the owner answers: it clears the word and pays the eager
-// handoff for this very child, which publishes the continuation the
-// thief asked for (and wakes it if it parked), with an eager burst armed
-// for the spawns that follow.
-//
-// The word is a hint, not a handshake (DESIGN.md §14): a demand the
-// owner's clear overwrites, or one posted twice, costs one spurious or
-// one late eager spawn and nothing else.
-//
-//nowa:hotpath
-func (s *scope) spawnLazy(fn func(api.Ctx)) {
-	p := s.p
-	rt := p.rt
-	if rt.takeDemand(p.worker) {
-		s.promote(fn, replay.PromoteInterest)
-		return
-	}
-	p.v.pend[trace.Spawns]++
-	p.v.pend[trace.InlineRuns]++
-	if rt.recordOn {
-		rt.rep.Record(p.worker, replay.KInlineRun, 0, 0)
-	}
-	rt.runPromotable(p, fn)
-}
-
-// promote pays the full eager handoff for a lazy spawn that found steal
-// demand on its token (or chaos impersonating a thief) and arms an eager
-// burst so the vessel's next spawns publish real continuations while
-// thieves are evidently hungry.
-//
-//nowa:hotpath
-func (s *scope) promote(fn func(api.Ctx), site uint8) {
-	p := s.p
-	rt := p.rt
-	p.v.eagerBurst = eagerBurstLen
-	p.v.pend[trace.PromotedSpawns]++
-	if rt.recordOn {
-		rt.rep.Record(p.worker, replay.KPromote, site, 0)
-	}
-	s.spawnEager(fn)
-}
-
-// runPromotable executes a lazily spawned child inline on the parent's
-// vessel. The fence mirrors runInline's: a panicking child is recorded
-// and contained, so it cannot unwind the parent's frame past its
-// un-synced scopes — keeping inline execution observationally equivalent
-// to the eager handoff, where runStrand contains the panic.
-//
-//nowa:hotpath
-func (rt *Runtime) runPromotable(p *Proc, fn func(api.Ctx)) {
-	defer func() { //nowa:hotpath-ok the defer is open-coded and its closure does not escape (no allocation); the panic fence is the point
-		if r := recover(); r != nil {
-			rt.recordPanic(p.sub, r)
-		}
-	}()
-	fn(p)
-}
-
 // runInline executes a spawned function on the caller's strand instead
-// of publishing it, tallied under why: trace.InlineSpawns for the
-// cancelled-run degradation of Spawn, trace.DegradedSpawns when the
-// resource governor said no — the vessel budget is exhausted, the stack
-// pool is under soft-cap pressure, or chaos simulated either — which
-// keeps overload observable. Semantically this is the serial elision —
-// fully strict, no parallelism from this spawn — so it is always sound.
-// The child's panic is contained exactly like a strand panic, so an
-// inline child cannot unwind the parent's frame past its un-synced
-// scopes.
+// of publishing it, tallied under why: trace.InlineRuns for a lazy spawn
+// no thief asked for, trace.InlineSpawns for the cancelled-run
+// degradation of Spawn, trace.DegradedSpawns when the resource governor
+// said no — the vessel budget is exhausted, the stack pool is under
+// soft-cap pressure, or chaos simulated either — which keeps overload
+// observable. Semantically this is the serial elision — fully strict, no
+// parallelism from this spawn — so it is always sound. The child's panic
+// is recorded and contained exactly like a strand panic (runStrand), so
+// an inline child cannot unwind the parent's frame past its un-synced
+// scopes: inline execution stays observationally equivalent to the eager
+// handoff.
 //
-//nowa:coldpath cancellation and budget/pressure degradation only; the defer/recover panic fence is the point, not an accident
+//nowa:hotpath
 func (rt *Runtime) runInline(p *Proc, fn func(api.Ctx), why trace.ID) {
 	p.v.pend[why]++
-	defer func() {
+	defer func() { //nowa:hotpath-ok the defer is open-coded and its closure does not escape (no allocation); the panic fence is the point
 		if r := recover(); r != nil {
 			rt.recordPanic(p.sub, r)
 		}
@@ -448,16 +403,34 @@ func (rt *Runtime) runInline(p *Proc, fn func(api.Ctx), why trace.ID) {
 
 // Sync implements the explicit sync point: restore the sync-condition
 // counter (wait-free) or test the count (locked); suspend if children are
-// outstanding. The last joiner hands its token to the suspended parent.
+// outstanding. The worker itself must not idle with the suspended frame —
+// it "goes over to steal work" (Figure 5) — so the token goes to a thief
+// vessel before the strand parks, and the last joiner hands its token to
+// the suspended parent.
+//
+// Under a vessel budget (or chaos) the thief vessel is drawn before
+// SyncBegin: whether one fits decides keepToken, and the last-joining
+// child reads keepToken right after its OnChildJoin returns true, so it
+// must be published first — the join counter's atomics (or the frame
+// mutex in Fibril mode) order this strand's write before that read. When
+// no vessel fits the hard budget (MaxVessels) the parent parks holding
+// its own worker token — the worker idles for the remainder of this join,
+// a bounded utilisation loss — and the last child resumes it with the
+// keep-your-token sentinel (worker −1), continuing on its own token as a
+// thief instead (see finishStrand). Without either a vessel can always be
+// had, so none is drawn until SyncBegin fails: the locked-join rows reach
+// SyncBegin on every round, stolen or not.
 //
 //nowa:hotpath
 func (s *scope) Sync() {
 	p := s.p
 	rt := p.rt
+	v := p.v
+	w := p.worker
 	if rt.chaosOn {
-		rt.chaosPreSync(p.worker)
+		rt.chaosPreSync(w)
 	}
-	p.v.pend[trace.ExplicitSyncs]++
+	v.pend[trace.ExplicitSyncs]++
 	if s.wfMode && s.wf.Forked() == 0 {
 		// No continuation of this round was stolen, so no strand ever
 		// touched the counter (OnChildJoin runs only after a steal): the
@@ -468,92 +441,41 @@ func (s *scope) Sync() {
 		s.release()
 		return
 	}
-	if rt.budgetOn || rt.chaosOn {
-		// Budget-aware (or chaos-instrumented) sync: the thief vessel
-		// must be acquired before SyncBegin so the keep-token decision
-		// is published in time for the last-joining child to see it.
-		s.syncBudget()
-		return
-	}
-	if s.syncBegin() {
-		s.endRound()
-		return
-	}
-	// The sync condition does not hold: suspend this frame. The worker
-	// itself must not idle with it — it "goes over to steal work"
-	// (Figure 5), so hand the token to a thief strand before parking.
-	p.v.pend[trace.Suspensions]++
-	if rt.recordOn {
-		rt.rep.Record(p.worker, replay.KSuspend, 0, 0)
-	}
-	if rt.lazyOn {
-		// A suspension marks this vessel's workload as blocking-prone:
-		// arm an eager burst so its upcoming children get vessels of
-		// their own instead of serialising behind blocked inline runs.
-		p.v.eagerBurst = eagerBurstLen
-		if rt.recordOn {
-			rt.rep.Record(p.worker, replay.KPromote, replay.PromoteSuspend, 0)
-		}
-	}
-	tv := rt.getVessel(p.worker)
-	tv.disp = dispatch{worker: p.worker}
-	tv.pk.deliver()
-	blocked := p.v.pk.await(parkerSpins)
-	p.worker = p.v.resumeTok.worker
-	if rt.recordOn {
-		if rt.blockRecOn && blocked {
-			rt.rep.Record(p.worker, replay.KBlocked, replay.BlockSync, 0)
-		}
-		rt.rep.Record(p.worker, replay.KResume, 0, 0)
-	}
-	s.endRound()
-}
-
-// syncBudget is the budget-aware explicit sync. The thief vessel is
-// acquired (or refused) *before* SyncBegin so the keep-token decision is
-// published in time: the last-joining child reads keepToken immediately
-// after its OnChildJoin returns true, and the join counter's atomics (or
-// the frame mutex in Fibril mode) order this strand's write before that
-// read. When no vessel fits the hard budget (MaxVessels) the parent
-// parks holding its own worker token — the worker idles for the
-// remainder of this join, a bounded utilisation loss — and the last
-// child resumes it with the keep-your-token sentinel (worker −1),
-// continuing on its own token as a thief instead (see finishStrand).
-//
-//nowa:coldpath budget-mode explicit sync; the unbudgeted configuration never routes here and its hot path is untouched
-func (s *scope) syncBudget() {
-	p := s.p
-	rt := p.rt
-	w := p.worker
 	var tv *vessel
-	if rt.chaosOn && rt.chaosRoll(w, replay.SiteSyncVessel) {
-		// Simulated exhaustion: tv stays nil and the strand takes the
-		// token-keeping suspension below.
-	} else {
-		tv = rt.getVesselBudget(w, rt.syncLimit)
+	early := rt.budgetOn || rt.chaosOn
+	if early {
+		if !rt.chaosOn || !rt.chaosRoll(w, replay.SiteSyncVessel) {
+			// A fired roll simulates exhaustion: tv stays nil and the
+			// strand takes the token-keeping suspension below.
+			tv = rt.getVesselBudget(w, rt.syncLimit)
+		}
+		s.keepToken = tv == nil
 	}
-	s.keepToken = tv == nil
 	if s.syncBegin() {
-		// The sync condition already holds: nobody suspends, and no
-		// child will read keepToken this round (they all joined before
-		// the counter hit zero).
-		s.keepToken = false
+		// The sync condition already holds: nobody suspends, and no child
+		// reads keepToken this round (they all joined before the counter
+		// hit zero); endRound's re-arm clears it.
 		if tv != nil {
 			rt.freeVessel(tv, w)
 		}
 		s.endRound()
 		return
 	}
-	p.v.pend[trace.Suspensions]++
+	if !early {
+		tv = rt.getVessel(w)
+	}
+	v.pend[trace.Suspensions]++
 	if tv == nil {
-		p.v.pend[trace.TokenKeepSyncs]++
+		v.pend[trace.TokenKeepSyncs]++
 	}
 	if rt.recordOn {
 		rt.rep.Record(w, replay.KSuspend, 0, 0)
 	}
 	if rt.lazyOn {
-		// Same blocking-prone signal as Sync's suspension path.
-		p.v.eagerBurst = eagerBurstLen
+		// A suspension marks this vessel's workload as blocking-prone:
+		// arm an eager burst so its upcoming children get vessels of
+		// their own instead of serialising behind blocked inline runs.
+		v.eagerBurst = eagerBurstLen
 		if rt.recordOn {
 			rt.rep.Record(w, replay.KPromote, replay.PromoteSuspend, 0)
 		}
@@ -562,11 +484,10 @@ func (s *scope) syncBudget() {
 		tv.disp = dispatch{worker: w}
 		tv.pk.deliver()
 	}
-	blocked := p.v.pk.await(parkerSpins)
-	if rw := p.v.resumeTok.worker; rw >= 0 {
+	blocked := v.pk.await(parkerSpins)
+	if rw := v.resumeTok.worker; rw >= 0 {
 		p.worker = rw
 	}
-	s.keepToken = false
 	if rt.recordOn {
 		if rt.blockRecOn && blocked {
 			rt.rep.Record(p.worker, replay.KBlocked, replay.BlockSync, 0)

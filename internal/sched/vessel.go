@@ -33,7 +33,7 @@ type dispatch struct {
 // function has at most one pending continuation at a time (§II-B) — so
 // publishing one allocates nothing. Only an eager spawn publishes; a lazy
 // spawn whose token carries no steal demand touches no deque at all (see
-// scope.spawnLazy).
+// scope.Spawn).
 type cont struct {
 	v     *vessel
 	scope *scope // the spawning function's scope, for the thief's OnSteal
@@ -77,14 +77,13 @@ type vessel struct {
 	// signals (steal demand, suspension). Owner-only, like the scope
 	// stack: only the strand running on this vessel touches it.
 	eagerBurst int
-	// scopes and scopeChunks are the strand-local scope stack backing
-	// Proc.Scope: scopeInline slots embedded here, deeper levels in
-	// chunks the vessel allocates on first need and keeps (see scope.go).
-	// Slots never move, so a scope handle stays valid while a stolen
-	// child may still touch its join.
-	scopes      [scopeInline]scope
-	scopeTop    int
-	scopeChunks []*[scopeChunkLen]scope
+	// scopes is the bottom of the strand-local scope stack backing
+	// Proc.Scope, a linked list whose deeper slots sit in chunks the
+	// vessel links in on first need and keeps (see scope.go); top is its
+	// next free slot. Slots never move, so a scope handle stays valid
+	// while a stolen child may still touch its join.
+	scopes [scopeInline]scope
+	top    *scope
 	// stacks accumulates the pool stacks charged to this vessel's frame
 	// chain (one per steal of its continuations); released when the
 	// strand finishes.
@@ -181,7 +180,8 @@ func (rt *Runtime) newVessel() *vessel {
 	v.pk.init()
 	v.proc = Proc{rt: rt, v: v}
 	v.cont.v = v
-	v.armScopes(v.scopes[:])
+	v.linkScopes(nil, v.scopes[:], false)
+	v.top = &v.scopes[0]
 	rt.allMu.Lock()
 	if rt.closed {
 		rt.allMu.Unlock()
@@ -344,31 +344,28 @@ func (v *vessel) runStrand(d dispatch) {
 }
 
 // resetScopes reclaims the strand's scope slots at strand end. On the
-// contract-abiding path every scope has already been popped by its final
-// Sync and this is one load. A strand that ended with live slots — a
-// panic unwound past un-synced scopes — may still have stolen children
+// contract-abiding path every scope has already been released by its
+// final Sync and this is two loads. A strand that ended with live slots —
+// a panic unwound past un-synced scopes — may still have stolen children
 // running that will touch those joins, so only quiescent slots are
-// reclaimed: the stack index rolls back to just above the deepest
-// non-quiescent slot, which stays pinned until a later strand end on
-// this vessel finds it quiescent (at worst for the vessel's lifetime —
-// bounded, and only on panic paths). Pinning a slot beyond the inline
-// ones is tallied once as a leaked scope, so CheckIdle reports it.
+// reclaimed: the top steps down to just above the deepest non-quiescent
+// slot, which stays pinned until a later strand end on this vessel finds
+// it quiescent (at worst for the vessel's lifetime — bounded, and only on
+// panic paths). Pinning a slot beyond the inline ones is tallied once as
+// a leaked scope, so CheckIdle reports it.
 func (v *vessel) resetScopes() {
-	top := v.scopeTop
-	for top > 0 {
-		s := v.scopeAt(top - 1)
+	for s := v.top.down; s != nil; s = s.down {
 		if !s.quiescent() {
-			if top > scopeInline && !s.pinned {
+			if s.chunked && !s.pinned {
 				s.pinned = true
 				v.rt.scopesLeaked.Add(1)
 			}
-			break
+			return
 		}
-		top--
+		v.top = s
 		s.pinned = false
 		s.rearm() // restore the armed-at-rest invariant Scope relies on
 	}
-	v.scopeTop = top
 }
 
 // finishStrand implements lines 4–5 of Figure 5: after the strand's
@@ -392,21 +389,7 @@ func (rt *Runtime) finishStrand(v *vessel, parent *scope) {
 	if rt.chaosOn {
 		rt.chaosPrePopBottom(w)
 	}
-	c, ok := rt.popBottom(w)
-	if ok && c.scope != parent {
-		// Not our push: this token's deque still carries another chain's
-		// continuation (external waits migrate strands across tokens;
-		// CommitWait's own-push claim keeps this from happening, so this
-		// is defense in depth — chaos interleavings included). Resuming it
-		// as a local hit would skip the join accounting its real child
-		// owes, so push it back for the steal path — which does the
-		// accounting — and treat the pop as a miss. The thief wake mirrors
-		// Spawn's publish-then-wake order.
-		rt.pushBottom(w, c)
-		rt.wakeThief()
-		ok = false
-	}
-	if ok {
+	if c, ok := rt.popOwn(w, parent); ok {
 		v.pend[trace.LocalResumes]++
 		v.flushCounters(w)
 		if rt.recordOn {
@@ -440,7 +423,7 @@ func (rt *Runtime) finishStrand(v *vessel, parent *scope) {
 	if parent.onChildJoin() {
 		if parent.keepToken {
 			// The parent suspended holding its own worker token (no thief
-			// vessel fit the budget — see scope.syncBudget). Resume it
+			// vessel fit the budget — see scope.Sync). Resume it
 			// with the keep-your-token sentinel and continue on this
 			// token as a thief ourselves: no vessel is freed and none is
 			// needed. Reading keepToken here is ordered after the
@@ -458,6 +441,31 @@ func (rt *Runtime) finishStrand(v *vessel, parent *scope) {
 		return
 	}
 	rt.stealLoop(p)
+}
+
+// popOwn pops the bottom of deque[w] if it is the continuation parent's
+// strand left there: the push spawnEager made when it dispatched the
+// strand, still un-consumed. While a strand runs, the bottom of its
+// token's deque is its most recent un-consumed push, so anything else
+// there means that push was already consumed — stolen — and belongs to
+// another chain (external waits migrate strands across tokens; CommitWait
+// claims its own push first, so at strand end this is defense in depth,
+// chaos interleavings included). Resuming a foreign continuation as a
+// local hit would skip the join accounting its real child owes, so it is
+// pushed back for the steal path, which does that accounting, with a
+// thief wake mirroring Spawn's publish-then-wake order. Ancestor
+// continuations deeper in the deque stay put: steals take the top first,
+// and each belongs to a deeper joiner's pop.
+//
+//nowa:hotpath
+func (rt *Runtime) popOwn(w int, parent *scope) (*cont, bool) {
+	c, ok := rt.popBottom(w)
+	if ok && c.scope != parent {
+		rt.pushBottom(w, c)
+		rt.wakeThief()
+		return nil, false
+	}
+	return c, ok
 }
 
 // releaseStacks returns the vessel's accumulated pool stacks.
