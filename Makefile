@@ -26,7 +26,7 @@ BLOCK_TESTS = TestCQS|TestFuture|TestChannel|TestBarrier|TestBlock|TestWait|Test
 RACE_TEST = $(GO) test -race -run 'TestChaos|TestCancel|TestPanic|TestGovern|TestOverload|TestPromote|TestReplay|TestService|TestSubmit|TestStall|TestWatchdog|TestSupervisor|TestHedge|TestResilience|TestIdle|$(BLOCK_TESTS)' ./... \
 	&& $(GO) test -race ./benchmark
 
-.PHONY: verify fmt build vet lint loc test race bench bench-all torture serve-smoke fault-smoke block-smoke
+.PHONY: verify fmt build vet lint loc test race bench bench-all trace torture serve-smoke fault-smoke block-smoke
 
 verify:
 	@unformatted=$$(gofmt -l .); \
@@ -91,6 +91,16 @@ bench:
 # bench-all runs the full paper benchmark suite once through.
 bench-all:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+
+# trace records Figure 4's strand-to-worker picture of a real run: the
+# fib kernel on the nowa runtime at 4 workers under runtime/trace, one
+# "strand" region per strand and the worker token it holds logged at its
+# start and at each resume (DESIGN.md §12, "Timelines"). It writes
+# torture-out/fib.trace and prints the command that opens it.
+trace:
+	@mkdir -p torture-out
+	$(GO) test -count 1 -run 'TestSuiteOnEveryRuntime/^nowa$$/^fib$$' -trace torture-out/fib.trace ./internal/apps
+	@echo "go tool trace torture-out/fib.trace"
 
 # torture validates the failure-capture pipeline against the planted
 # Chaos.LeakVessel bug, then soaks the scheduler for 30 seconds across

@@ -58,6 +58,9 @@ type Module struct {
 
 	atomicOnce bool
 	atomicFlds map[*types.Var][]token.Position // raw fields with atomic accesses (see atomic.go)
+
+	funcs  []*funcNode               // declared functions with bodies, in declaration order (see index)
+	byFunc map[*types.Func]*funcNode // the same, by generic-origin object
 }
 
 // An Analyzer checks one invariant over a whole module.
@@ -116,16 +119,117 @@ func (m *Module) pkgOf(p *types.Package) *Package {
 	return m.ByPath[p.Path()]
 }
 
-// eachFunc visits every function and method declaration with a body in
-// the module, paired with its package.
-func (m *Module) eachFunc(fn func(p *Package, decl *ast.FuncDecl)) {
-	for _, p := range m.Packages {
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-					fn(p, fd)
+// funcNode is one declared function with its owning package.
+type funcNode struct {
+	fn   *types.Func // generic origin
+	pkg  *Package
+	decl *ast.FuncDecl
+}
+
+// index lists every function and method declaration with a body in the
+// module, in declaration order, and maps each by its (generic-origin)
+// object. Built once per module; every call-graph analyzer shares it.
+func (m *Module) index() ([]*funcNode, map[*types.Func]*funcNode) {
+	if m.byFunc == nil {
+		m.byFunc = make(map[*types.Func]*funcNode)
+		for _, p := range m.Packages {
+			for _, f := range p.Files {
+				for _, d := range f.Decls {
+					fd, ok := d.(*ast.FuncDecl)
+					if !ok || fd.Body == nil {
+						continue
+					}
+					if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
+						n := &funcNode{fn: fn.Origin(), pkg: p, decl: fd}
+						m.funcs = append(m.funcs, n)
+						m.byFunc[n.fn] = n
+					}
 				}
 			}
 		}
 	}
+	return m.funcs, m.byFunc
+}
+
+// reach walks the static call graph breadth first from roots, entering
+// a declared function only when follow admits it (roots included), and
+// maps every function entered to the first root that reached it. Calls
+// that leave the module or go through an interface or a function value
+// end the walk at that call.
+func (m *Module) reach(roots []*funcNode, follow func(*funcNode) bool) map[*funcNode]*funcNode {
+	_, byFunc := m.index()
+	from := make(map[*funcNode]*funcNode)
+	var queue []*funcNode
+	for _, r := range roots {
+		if _, seen := from[r]; !seen && follow(r) {
+			from[r] = r
+			queue = append(queue, r)
+		}
+	}
+	for len(queue) > 0 {
+		n := queue[0]
+		queue = queue[1:]
+		ast.Inspect(n.decl.Body, func(x ast.Node) bool {
+			call, ok := x.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if callee := staticCallee(n.pkg.Info, call); callee != nil {
+				c := byFunc[callee.Origin()]
+				if _, seen := from[c]; c != nil && !seen && follow(c) {
+					from[c] = from[n]
+					queue = append(queue, c)
+				}
+			}
+			return true
+		})
+	}
+	return from
+}
+
+// staticCallee resolves a call to the *types.Func it statically invokes:
+// package functions, qualified functions, and methods called on concrete
+// receivers. Interface method calls and calls of function values return
+// nil.
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	// Unwrap explicit generic instantiation: f[T](...) and m[T1, T2](...)
+	// still name their callee statically.
+	switch idx := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(idx.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(idx.X)
+	}
+	switch fun := fun.(type) {
+	case *ast.Ident:
+		if fn, ok := info.Uses[fun].(*types.Func); ok {
+			return fn
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			if sel.Kind() != types.MethodVal {
+				return nil
+			}
+			if types.IsInterface(sel.Recv()) {
+				return nil
+			}
+			if fn, ok := sel.Obj().(*types.Func); ok {
+				return fn
+			}
+			return nil
+		}
+		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
+			return fn
+		}
+	}
+	return nil
+}
+
+func funcDisplayName(decl *ast.FuncDecl) string {
+	if decl.Recv == nil || len(decl.Recv.List) == 0 {
+		return decl.Name.Name
+	}
+	t := decl.Recv.List[0].Type
+	return "(" + types.ExprString(t) + ")." + decl.Name.Name
 }

@@ -42,127 +42,28 @@ func Hotpath() *Analyzer {
 	}
 }
 
-// funcNode is one declared function with its owning package.
-type funcNode struct {
-	pkg  *Package
-	decl *ast.FuncDecl
-}
-
 func runHotpath(m *Module) []Finding {
-	// Index every declared function by its (generic-origin) object.
-	index := make(map[*types.Func]funcNode)
-	m.eachFunc(func(p *Package, decl *ast.FuncDecl) {
-		if fn, ok := p.Info.Defs[decl.Name].(*types.Func); ok {
-			index[fn.Origin()] = funcNode{pkg: p, decl: decl}
-		}
-	})
-
 	// Roots and cold cuts come from declaration annotations.
-	var queue []*types.Func
-	rootName := make(map[*types.Func]string)
-	cold := make(map[*types.Func]bool)
-	for fn, node := range index {
-		doc := node.decl.Doc
-		if node.pkg.Notes.declNote(m, doc, node.decl.Pos(), "coldpath") {
-			cold[fn] = true
+	funcs, _ := m.index()
+	var roots []*funcNode
+	cold := make(map[*funcNode]bool)
+	for _, n := range funcs {
+		if n.pkg.Notes.declNote(m, n.decl.Doc, n.decl.Pos(), "coldpath") {
+			cold[n] = true
 		}
-		if node.pkg.Notes.declNote(m, doc, node.decl.Pos(), "hotpath") {
-			queue = append(queue, fn)
-			rootName[fn] = funcDisplayName(node.decl)
+		if n.pkg.Notes.declNote(m, n.decl.Doc, n.decl.Pos(), "hotpath") {
+			roots = append(roots, n)
 		}
 	}
-
-	// BFS through static intra-module callees.
-	hot := make(map[*types.Func]string) // function -> root that reached it
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		if _, seen := hot[fn]; seen || cold[fn] {
-			continue
-		}
-		root := rootName[fn]
-		hot[fn] = root
-		node := index[fn]
-		ast.Inspect(node.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := staticCallee(node.pkg.Info, call)
-			if callee == nil {
-				return true
-			}
-			callee = callee.Origin()
-			if _, declared := index[callee]; !declared {
-				return true // out of module (stdlib), not traversed
-			}
-			if _, seen := hot[callee]; !seen && !cold[callee] {
-				if _, queued := rootName[callee]; !queued {
-					rootName[callee] = root
-				}
-				queue = append(queue, callee)
-			}
-			return true
-		})
-	}
-
 	var out []Finding
-	for fn, root := range hot {
-		node := index[fn]
-		out = append(out, checkHotFunc(m, node, root)...)
+	for n, root := range m.reach(roots, func(n *funcNode) bool { return !cold[n] }) {
+		out = append(out, checkHotFunc(m, n, funcDisplayName(root.decl))...)
 	}
 	return out
 }
 
-// staticCallee resolves a call to the *types.Func it statically invokes:
-// package functions, qualified functions, and methods called on concrete
-// receivers. Interface method calls and calls of function values return
-// nil.
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	fun := ast.Unparen(call.Fun)
-	// Unwrap explicit generic instantiation: f[T](...) and m[T1, T2](...)
-	// still name their callee statically.
-	switch idx := fun.(type) {
-	case *ast.IndexExpr:
-		fun = ast.Unparen(idx.X)
-	case *ast.IndexListExpr:
-		fun = ast.Unparen(idx.X)
-	}
-	switch fun := fun.(type) {
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			if sel.Kind() != types.MethodVal {
-				return nil
-			}
-			if types.IsInterface(sel.Recv()) {
-				return nil
-			}
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				return fn
-			}
-			return nil
-		}
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
-}
-
-func funcDisplayName(decl *ast.FuncDecl) string {
-	if decl.Recv == nil || len(decl.Recv.List) == 0 {
-		return decl.Name.Name
-	}
-	t := decl.Recv.List[0].Type
-	return "(" + types.ExprString(t) + ")." + decl.Name.Name
-}
-
 // checkHotFunc walks one hot function's body for forbidden constructs.
-func checkHotFunc(m *Module, node funcNode, root string) []Finding {
+func checkHotFunc(m *Module, node *funcNode, root string) []Finding {
 	p := node.pkg
 	info := p.Info
 	var out []Finding

@@ -83,16 +83,11 @@ func runLockorder(m *Module) []Finding {
 		return out
 	}
 
-	// Index declared functions and compute their direct facts.
-	index := make(map[*types.Func]funcNode)
-	m.eachFunc(func(p *Package, decl *ast.FuncDecl) {
-		if fn, ok := p.Info.Defs[decl.Name].(*types.Func); ok {
-			index[fn.Origin()] = funcNode{pkg: p, decl: decl}
-		}
-	})
-	summaries := make(map[*types.Func]*lockSummary, len(index))
-	for fn, node := range index {
-		summaries[fn] = directLockFacts(node.pkg.Info, locks, node.decl.Body, funcDisplayName(node.decl))
+	// Compute every declared function's direct facts.
+	funcs, _ := m.index()
+	summaries := make(map[*types.Func]*lockSummary, len(funcs))
+	for _, n := range funcs {
+		summaries[n.fn] = directLockFacts(n.pkg.Info, locks, n.decl.Body, funcDisplayName(n.decl))
 	}
 
 	// Fixpoint: merge callee summaries until stable.
@@ -120,10 +115,10 @@ func runLockorder(m *Module) []Finding {
 
 	// Check every function body, then every function literal with an
 	// empty held set (a literal runs on whatever stack invokes it).
-	w := &lockWalker{m: m, locks: locks, index: index, summaries: summaries}
-	m.eachFunc(func(p *Package, decl *ast.FuncDecl) {
-		w.check(p, decl.Body)
-	})
+	w := &lockWalker{m: m, locks: locks, summaries: summaries}
+	for _, n := range funcs {
+		w.check(n.pkg, n.decl.Body)
+	}
 	for _, p := range m.Packages {
 		for _, f := range p.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -298,7 +293,6 @@ func isChanExpr(info *types.Info, e ast.Expr) bool {
 type lockWalker struct {
 	m         *Module
 	locks     map[*types.Var]*lockDecl
-	index     map[*types.Func]funcNode
 	summaries map[*types.Func]*lockSummary
 	out       []Finding
 }

@@ -108,15 +108,7 @@ func checkReplayPkg(m *Module, rp *Package, kindType types.Type) []Finding {
 		return out
 	}
 
-	// Index declared functions for the consumption closure and the
-	// Kind-returning-helper emission rule.
-	index := make(map[*types.Func]funcNode)
-	m.eachFunc(func(p *Package, decl *ast.FuncDecl) {
-		if fn, ok := p.Info.Defs[decl.Name].(*types.Func); ok {
-			index[fn.Origin()] = funcNode{pkg: p, decl: decl}
-		}
-	})
-
+	funcs, _ := m.index()
 	emitted := make(map[*kindConst]bool)
 	markUses := func(p *Package, body *ast.BlockStmt, set map[*kindConst]bool) {
 		ast.Inspect(body, func(n ast.Node) bool {
@@ -136,7 +128,8 @@ func checkReplayPkg(m *Module, rp *Package, kindType types.Type) []Finding {
 	// Emission rule 2: any Kind constant referenced in a module function
 	// whose results include the Kind type — those helpers classify an
 	// outcome into the kind that gets recorded.
-	for fn, node := range index {
+	for _, node := range funcs {
+		fn := node.fn
 		if fn.Pkg() == rp.Pkg && (fn.Name() == "Record" || fn.Name() == "RecordExternal") {
 			continue // the recorder itself is not an emission site
 		}
@@ -177,41 +170,16 @@ func checkReplayPkg(m *Module, rp *Package, kindType types.Type) []Finding {
 
 	// Consumption: Kind constants referenced in the Cursor's methods and
 	// everything they statically call inside the replay package.
-	consumed := make(map[*kindConst]bool)
-	var queue []*types.Func
-	seen := make(map[*types.Func]bool)
-	for fn := range index {
-		if fn.Pkg() != rp.Pkg {
-			continue
-		}
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil {
-			continue
-		}
-		if namedTypeName(sig.Recv().Type()) == "Cursor" {
-			queue = append(queue, fn)
+	var cursor []*funcNode
+	for _, node := range funcs {
+		if sig, ok := node.fn.Type().(*types.Signature); ok && node.pkg == rp && sig.Recv() != nil &&
+			namedTypeName(sig.Recv().Type()) == "Cursor" {
+			cursor = append(cursor, node)
 		}
 	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		if seen[fn] {
-			continue
-		}
-		seen[fn] = true
-		node, ok := index[fn]
-		if !ok {
-			continue
-		}
+	consumed := make(map[*kindConst]bool)
+	for node := range m.reach(cursor, func(n *funcNode) bool { return n.pkg == rp }) {
 		markUses(node.pkg, node.decl.Body, consumed)
-		ast.Inspect(node.decl.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if callee := staticCallee(node.pkg.Info, call); callee != nil && callee.Pkg() == rp.Pkg {
-					queue = append(queue, callee.Origin())
-				}
-			}
-			return true
-		})
 	}
 
 	for _, kc := range kinds {

@@ -15,13 +15,12 @@
 // rings are sized at construction and overwrite their oldest events when
 // full (the drop count is kept, so a truncated log is detectable).
 //
-// The rings are the scheduler's only event stream: besides the replay
-// decisions they carry the diagnostic kinds — strand boundaries, eager
-// publications, suspensions — from which DumpState's last-events lines
-// and the Chrome trace (internal/tracelog) are derived. A recorder built
-// with NewTimedRecorder keeps a nanosecond lane beside each worker ring
-// for the trace's time axis; the lane is wall-clock and therefore never
-// part of a bundle, so captures stay byte-identical with it on or off.
+// The rings are the scheduler's one in-process event record: besides the
+// replay decisions they carry the diagnostic kinds — strand boundaries,
+// eager publications, suspensions — from which DumpState's last-events
+// lines are derived and against which the counters are recounted. They
+// hold no time: timelines come from runtime/trace, whose regions and
+// tasks the scheduler emits at the same sites.
 //
 // A captured Log can drive a later run through sched.Config.Replay: per
 // worker, a Cursor feeds the recorded victim draws and chaos-roll
@@ -37,7 +36,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 )
 
@@ -174,11 +172,11 @@ const (
 	//nowa:replay-diagnostic spawn publication trace; which spawns go eager is determined by the replayed decisions and chaos rolls
 	KSpawn
 	// KStrandStart is a vessel beginning to execute a dispatched strand.
-	//nowa:replay-diagnostic strand boundary for the Chrome trace; dispatch follows from the recorded spawns
+	//nowa:replay-diagnostic strand boundary for DumpState and the counter recount; dispatch follows from the recorded spawns
 	KStrandStart
 	// KStrandEnd is that strand's function returning, recorded on the
 	// token the strand then holds (not recorded when it panicked).
-	//nowa:replay-diagnostic strand boundary for the Chrome trace; dispatch follows from the recorded spawns
+	//nowa:replay-diagnostic strand boundary for DumpState and the counter recount; dispatch follows from the recorded spawns
 	KStrandEnd
 )
 
@@ -349,14 +347,11 @@ func unpack(u uint32) Event {
 // atomics only for race-free diagnostic sampling — each ring has exactly
 // one writer (the strand holding the worker's token, or the external
 // mutex holder) — and the struct is padded to two cache lines so
-// adjacent workers' rings never false-share. ts is the time lane: slot
-// i holds the nanoseconds since Recorder.start at which ev[i] was
-// recorded; nil unless the recorder is timed.
+// adjacent workers' rings never false-share.
 type ring struct {
 	ev  []atomic.Uint32
-	ts  []atomic.Int64
 	pos atomic.Uint64
-	_   [128 - 56]byte
+	_   [128 - 32]byte
 }
 
 // The pad arithmetic above is checked at build time: both constants
@@ -374,7 +369,6 @@ type Recorder struct {
 	rings   []ring
 	workers int
 	mask    uint64
-	start   time.Time // time-lane origin; see NewTimedRecorder
 	extMu   sync.Mutex
 }
 
@@ -413,20 +407,6 @@ func NewRecorder(workers, perWorkerCap int) *Recorder {
 	return r
 }
 
-// NewTimedRecorder is NewRecorder plus the time lane: every worker-ring
-// event is stamped with the nanoseconds elapsed since construction (or
-// the last Reset), which Snapshot reports as Log.Times. It costs one
-// clock read per event, so it is for tracing, not for torture capture.
-// The external stream stays untimed — it has no worker row to draw on.
-func NewTimedRecorder(workers, perWorkerCap int) *Recorder {
-	r := NewRecorder(workers, perWorkerCap)
-	for w := 0; w < r.workers; w++ {
-		r.rings[w].ts = make([]atomic.Int64, len(r.rings[w].ev))
-	}
-	r.start = time.Now()
-	return r
-}
-
 // Workers reports the worker count the recorder was built for.
 func (r *Recorder) Workers() int { return r.workers }
 
@@ -446,9 +426,6 @@ func (r *Recorder) Record(w int, k Kind, site uint8, arg uint16) {
 	rg := &r.rings[w]
 	p := rg.pos.Load()
 	rg.ev[p&r.mask].Store(pack(k, site, arg))
-	if rg.ts != nil {
-		rg.ts[p&r.mask].Store(int64(time.Since(r.start)))
-	}
 	rg.pos.Store(p + 1)
 }
 
@@ -476,15 +453,11 @@ func (r *Recorder) Total() uint64 {
 	return n
 }
 
-// Reset discards all recorded events and restarts the time lane's
-// clock. The caller must guarantee no recording is in flight (runtime
-// idle).
+// Reset discards all recorded events. The caller must guarantee no
+// recording is in flight (runtime idle).
 func (r *Recorder) Reset() {
 	for i := range r.rings {
 		r.rings[i].pos.Store(0)
-	}
-	if !r.start.IsZero() {
-		r.start = time.Now()
 	}
 }
 
@@ -538,20 +511,10 @@ func (r *Recorder) Snapshot() *Log {
 		PerWorker: make([][]Event, r.workers),
 		Dropped:   make([]uint64, r.workers),
 	}
-	if !r.start.IsZero() {
-		l.Times = make([][]time.Duration, r.workers)
-	}
 	for w := 0; w < r.workers; w++ {
 		rg := &r.rings[w]
-		lo, hi := rg.window(len(rg.ev))
-		l.Dropped[w] = lo
+		l.Dropped[w], _ = rg.window(len(rg.ev))
 		l.PerWorker[w] = r.lastRing(rg, len(rg.ev))
-		if l.Times != nil {
-			l.Times[w] = make([]time.Duration, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				l.Times[w] = append(l.Times[w], time.Duration(rg.ts[i&r.mask].Load()))
-			}
-		}
 	}
 	l.External = r.lastRing(&r.rings[r.workers], externalRingCap)
 	return l
@@ -561,15 +524,11 @@ func (r *Recorder) Snapshot() *Log {
 // recording order (oldest first), the external stream, and the number of
 // events each worker's ring overwrote before the snapshot. A log with a
 // nonzero Dropped entry has lost its prefix and cannot drive an aligned
-// replay from the start of the run. Times, present only on a snapshot
-// of a timed recorder, parallels PerWorker: Times[w][i] is when
-// PerWorker[w][i] was recorded, as an offset from the recorder's clock
-// origin. It is not part of the bundle format.
+// replay from the start of the run.
 type Log struct {
 	PerWorker [][]Event
 	External  []Event
 	Dropped   []uint64
-	Times     [][]time.Duration
 }
 
 // Workers reports the worker count the log was captured from.

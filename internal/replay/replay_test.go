@@ -73,42 +73,6 @@ func TestRingOverwriteKeepsNewestAndCountsDrops(t *testing.T) {
 	}
 }
 
-// TestTimeLane: a timed recorder stamps every worker-ring event, the
-// stamps stay aligned with the events when the ring wraps, and the lane
-// never reaches a bundle — the same events encode to the same bytes
-// whether or not they were timed.
-func TestTimeLane(t *testing.T) {
-	const cap, n = 8, 20
-	timed, plain := NewTimedRecorder(1, cap), NewRecorder(1, cap)
-	for i := 0; i < n; i++ {
-		timed.Record(0, KPopHit, 0, uint16(i))
-		plain.Record(0, KPopHit, 0, uint16(i))
-	}
-	tl, pl := timed.Snapshot(), plain.Snapshot()
-	if pl.Times != nil {
-		t.Error("an untimed recorder reported a time lane")
-	}
-	if len(tl.Times) != 1 || len(tl.Times[0]) != cap {
-		t.Fatalf("Times = %v, want one stream of %d stamps", tl.Times, cap)
-	}
-	for i := 1; i < cap; i++ {
-		if tl.Times[0][i] < tl.Times[0][i-1] || tl.Times[0][i] <= 0 {
-			t.Fatalf("stamps not monotonic from the origin: %v", tl.Times[0])
-		}
-	}
-	var tb, pb bytes.Buffer
-	meta := Meta{Tool: "test", Variant: "x", Workers: 1, Seed: 1}
-	if err := WriteBundle(&tb, meta, tl); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBundle(&pb, meta, pl); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(tb.Bytes(), pb.Bytes()) {
-		t.Error("the time lane leaked into the bundle encoding")
-	}
-}
-
 func TestLastEventsMidRunView(t *testing.T) {
 	r := NewRecorder(1, 16)
 	for i := 0; i < 5; i++ {

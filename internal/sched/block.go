@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	rtrace "runtime/trace"
 
 	"nowa/internal/replay"
 	"nowa/internal/trace"
@@ -121,6 +122,9 @@ func (p *Proc) CommitWait(bw *Waiter) bool {
 		v.pk.await(0)
 		if rw := v.resumeTok.worker; rw >= 0 {
 			p.worker = rw
+		}
+		if rtrace.IsEnabled() {
+			p.traceToken()
 		}
 	}
 	// The gauge drops only after the strand holds a token again, so the

@@ -151,12 +151,12 @@ type Config struct {
 	// Record, if non-nil, logs every scheduling event — victim draws,
 	// steal and popBottom outcomes, thief park/wake, chaos rolls, strand
 	// boundaries — into the recorder's per-worker rings (see
-	// internal/replay): the one event stream behind replay bundles, the
-	// Chrome trace (cmd/nowa-trace) and DumpState's last-events lines.
-	// Create it with replay.NewRecorder(Workers, cap), or
-	// replay.NewTimedRecorder for a trace that needs timestamps; a
-	// worker-count mismatch is a configuration error. When nil the hot
-	// paths pay one cached bool test and nothing else.
+	// internal/replay): the one in-process event record behind replay
+	// bundles and DumpState's last-events lines. Timelines come from
+	// runtime/trace instead (see runStrand). Create it with
+	// replay.NewRecorder(Workers, cap); a worker-count mismatch is a
+	// configuration error. When nil the hot paths pay one cached bool test
+	// and nothing else.
 	Record *replay.Recorder
 	// Replay, if non-nil, drives victim selection and chaos rolls from a
 	// previously captured schedule log instead of the live RNG streams,

@@ -3,11 +3,18 @@ package sched
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	rtrace "runtime/trace"
+	"strings"
 	"testing"
 
+	"nowa/internal/api"
 	"nowa/internal/apps"
 	"nowa/internal/deque"
 	"nowa/internal/replay"
+	"nowa/internal/trace"
 )
 
 // encodeLog canonicalises a captured log into bundle bytes so two
@@ -166,9 +173,7 @@ func TestReplayReproducesCapturedFailure(t *testing.T) {
 
 // TestReplayRecordedChaosDecisions: a single-worker capture with chaos
 // replays to a byte-identical schedule log when recording is attached to
-// the replaying run too — capture of a replay equals the capture. The
-// replaying run records with the time lane on, the capture with it off:
-// the lane is wall-clock and must stay out of the bundle.
+// the replaying run too — capture of a replay equals the capture.
 func TestReplayRecordedChaosDecisions(t *testing.T) {
 	cfg := replayVariants(1)[0]
 	cfg.Seed = 3
@@ -188,7 +193,7 @@ func TestReplayRecordedChaosDecisions(t *testing.T) {
 	// Different live chaos seed; rates must stay nonzero so the injection
 	// points still consult the (replayed) rolls.
 	recfg.Chaos = &Chaos{Seed: 777, AllocFail: 64, PopBottomDelay: 64, DelaySpins: 1}
-	rec2 := replay.NewTimedRecorder(1, 1<<15)
+	rec2 := replay.NewRecorder(1, 1<<15)
 	recfg.Record = rec2
 	recfg.Replay = log
 	rrt := MustNew(recfg)
@@ -201,12 +206,8 @@ func TestReplayRecordedChaosDecisions(t *testing.T) {
 	if n, _ := rrt.ReplayDivergences(); n != 0 {
 		t.Fatalf("single-worker replay diverged %d times", n)
 	}
-	relog := rec2.Snapshot()
-	if replayed := encodeLog(t, relog); !bytes.Equal(captured, replayed) {
+	if replayed := encodeLog(t, rec2.Snapshot()); !bytes.Equal(captured, replayed) {
 		t.Fatal("recording a replayed run did not reproduce the captured schedule log")
-	}
-	if len(relog.Times) != 1 || len(relog.Times[0]) != len(relog.PerWorker[0]) {
-		t.Fatal("timed recorder produced no time lane")
 	}
 }
 
@@ -307,5 +308,204 @@ func TestReplayCountersStayCoherent(t *testing.T) {
 				t.Fatal("recorder captured nothing under chaos stress")
 			}
 		})
+	}
+}
+
+// counted maps an event kind onto the counters the scheduler bumps at the
+// very site that records it, one for one.
+var counted = map[replay.Kind][]trace.ID{
+	replay.KSpawn:      {trace.Spawns, trace.VesselDispatch},
+	replay.KInlineRun:  {trace.Spawns, trace.InlineRuns},
+	replay.KPopHit:     {trace.LocalResumes},
+	replay.KPopMiss:    {trace.ImplicitSyncs},
+	replay.KStealHit:   {trace.Steals},
+	replay.KStealEmpty: {trace.FailedSteals},
+	replay.KStealLost:  {trace.FailedSteals},
+	replay.KSuspend:    {trace.Suspensions},
+	replay.KPark:       {trace.ThiefParks},
+	replay.KWake:       {trace.ThiefWakeups},
+	replay.KWaitBlock:  {trace.BlockedWaits},
+	replay.KWaitWake:   {trace.ResumedWaits},
+	replay.KWaitAbort:  {trace.AbortedWaits},
+}
+
+// recount tallies the counted counters from a log's worker streams; the
+// other fields stay zero.
+func recount(log *replay.Log) trace.Counters {
+	var p trace.Pending
+	for _, evs := range log.PerWorker {
+		for _, e := range evs {
+			for _, id := range counted[e.Kind] {
+				p[id]++
+			}
+		}
+	}
+	return p.Counters()
+}
+
+// TestRecountSyntheticLog: recount tallies a hand-built log across worker
+// streams and leaves uncounted kinds (KStrandStart) out.
+func TestRecountSyntheticLog(t *testing.T) {
+	synthetic := &replay.Log{PerWorker: [][]replay.Event{
+		{{Kind: replay.KSpawn}, {Kind: replay.KInlineRun}, {Kind: replay.KStrandStart}},
+		{{Kind: replay.KStealHit}, {Kind: replay.KStealLost}},
+	}}
+	want := trace.Counters{Spawns: 2, VesselDispatch: 1, InlineRuns: 1, Steals: 1, FailedSteals: 1}
+	if got := recount(synthetic); got != want {
+		t.Errorf("recount = %+v, want %+v", got, want)
+	}
+}
+
+// TestEventsConsistentWithCounters: the event record and the counters are
+// written side by side, so on an untruncated capture of a chaos-free
+// runtime's whole life (chaos fails steals without a steal event) the
+// events recount every counted counter exactly.
+func TestEventsConsistentWithCounters(t *testing.T) {
+	rec := replay.NewRecorder(4, 1<<16)
+	rt := MustNew(Config{Workers: 4, Record: rec})
+	defer rt.Close()
+	rt.Run(func(c api.Ctx) { _ = fib(c, 14) })
+	log, cnt := rec.Snapshot(), rt.Counters()
+	if log.Truncated() {
+		t.Fatalf("ring wrapped: %v", log.Dropped)
+	}
+	sum := recount(log)
+	for _, ids := range counted {
+		for _, id := range ids {
+			if sum.Get(id) != cnt.Get(id) {
+				t.Errorf("%v: %d from events, counter %d", id, sum.Get(id), cnt.Get(id))
+			}
+		}
+	}
+	if cnt.Spawns == 0 {
+		t.Error("fib(14) counted no spawns")
+	}
+	kinds := map[replay.Kind]int64{}
+	for _, evs := range log.PerWorker {
+		for _, e := range evs {
+			kinds[e.Kind]++
+		}
+	}
+	if kinds[replay.KSuspend] != kinds[replay.KResume] {
+		t.Errorf("suspends %d != resumes %d", kinds[replay.KSuspend], kinds[replay.KResume])
+	}
+	// One strand per eager spawn plus the root, each started and ended.
+	if want := cnt.VesselDispatch + 1; kinds[replay.KStrandStart] != want || kinds[replay.KStrandEnd] != want {
+		t.Errorf("strand starts %d, ends %d, want %d each",
+			kinds[replay.KStrandStart], kinds[replay.KStrandEnd], want)
+	}
+}
+
+// TestRecorderResetBetweenRuns: Reset between two runs of one runtime
+// leaves only the second run's events.
+func TestRecorderResetBetweenRuns(t *testing.T) {
+	rec := replay.NewRecorder(2, 1<<14)
+	rt := MustNew(Config{Workers: 2, Record: rec})
+	defer rt.Close()
+	rt.Run(func(c api.Ctx) { _ = fib(c, 10) })
+	first := rec.Snapshot().Total()
+	rec.Reset()
+	rt.Run(func(c api.Ctx) { _ = fib(c, 5) })
+	if second := rec.Snapshot().Total(); second >= first {
+		t.Errorf("second (smaller) run recorded %d events, first %d — Reset kept the old ones", second, first)
+	}
+}
+
+// TestTraceRegions: under runtime/trace every strand is one "strand"
+// region, ended on the normal and the panic path alike; every admitted
+// submission is one "submission" task; the token a strand holds is
+// logged. It traces a fib run, a run whose eagerly spawned child panics
+// and a small service run, then reads the trace back with go tool trace.
+func TestTraceRegions(t *testing.T) {
+	if rtrace.IsEnabled() {
+		t.Skip("runtime/trace is already on: the counts would take in every other test")
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go binary to parse the trace with")
+	}
+	path := filepath.Join(t.TempDir(), "t.out")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := rtrace.Start(f); err != nil {
+		t.Fatal(err)
+	}
+	var strands, admitted int64
+	func() {
+		defer rtrace.Stop()
+
+		rt := MustNew(Config{Workers: 2})
+		defer rt.Close()
+		rt.Run(func(c api.Ctx) { _ = fib(c, 16) })
+		strands += rt.Counters().VesselDispatch + 1
+
+		prt := MustNew(Config{Workers: 2, Spawn: SpawnEager})
+		defer prt.Close()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("the panicking run did not re-raise")
+				}
+			}()
+			prt.Run(func(c api.Ctx) {
+				s := c.Scope()
+				s.Spawn(func(api.Ctx) { panic("strand panic") })
+				s.Sync()
+			})
+		}()
+		strands += prt.Counters().VesselDispatch + 1
+
+		srt := MustNew(Config{Workers: 2})
+		if err := srt.StartService(ServiceConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			sub, err := srt.Submit(func(c api.Ctx) { _ = fib(c, 10) }, SubmitOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sub.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srt.Close()
+		st, _ := srt.ServiceStats()
+		admitted = st.Admitted
+		// The service root, one top strand per submission, one per eager spawn.
+		strands += srt.Counters().VesselDispatch + 1 + admitted
+	}()
+
+	out, err := exec.Command(goBin, "tool", "trace", "-d=parsed", path).Output()
+	if err != nil {
+		t.Fatalf("go tool trace: %v", err)
+	}
+	// Event lines read `M=.. P=.. G=.. <Event> Time=.. [Task=..] Type="..."`.
+	n := map[string]int64{}
+	for _, line := range strings.Split(string(out), "\n") {
+		fs := strings.Fields(line)
+		if len(fs) < 5 {
+			continue
+		}
+		switch fs[3] {
+		case "RegionBegin", "RegionEnd", "TaskBegin":
+			n[fs[3]+" "+fs[len(fs)-1]]++
+		case "Log":
+			if strings.Contains(line, `Category="token"`) {
+				n["token"]++
+			}
+		}
+	}
+	begin, end := n[`RegionBegin Type="strand"`], n[`RegionEnd Type="strand"`]
+	if begin != end || begin != strands {
+		t.Errorf("strand regions: %d begun, %d ended, want %d each", begin, end, strands)
+	}
+	if got := n[`TaskBegin Type="submission"`]; got != admitted || admitted != 8 {
+		t.Errorf("%d submission tasks for %d admitted submissions (8 submitted)", got, admitted)
+	}
+	if n["token"] < strands {
+		t.Errorf("%d token logs for %d strands: every strand logs its token at start", n["token"], strands)
 	}
 }

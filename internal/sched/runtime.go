@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
+	rtrace "runtime/trace"
 	"sync"
 	"sync/atomic"
 
@@ -128,6 +129,11 @@ type Runtime struct {
 	// captures stay byte-identical run to run.
 	rep    *replay.Recorder
 	repCur []replay.Cursor
+
+	// traceCtx carries the current Run's runtime/trace task (a plain
+	// background context when tracing was off at Run start); strands
+	// outside a submission open their regions under it (Proc.traceCtx).
+	traceCtx context.Context
 
 	panicMu  sync.Mutex
 	panicked *api.StrandPanic
@@ -326,6 +332,15 @@ func (rt *Runtime) runInternal(ctx context.Context, root func(api.Ctx)) error {
 	}
 	stop := rt.cancel.Begin(ctx, rt.wakeThieves)
 	defer stop()
+	rt.traceCtx = context.Background()
+	if ctx != nil {
+		rt.traceCtx = ctx
+	}
+	if rtrace.IsEnabled() {
+		var task *rtrace.Task
+		rt.traceCtx, task = rtrace.NewTask(rt.traceCtx, "run")
+		defer task.End()
+	}
 
 	if rt.stallOn {
 		// Health words, supplement slots and the victim high-water reset

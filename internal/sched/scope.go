@@ -1,6 +1,8 @@
 package sched
 
 import (
+	rtrace "runtime/trace"
+
 	"nowa/internal/api"
 	"nowa/internal/core"
 	"nowa/internal/replay"
@@ -375,6 +377,9 @@ func (s *scope) spawnEager(fn func(api.Ctx)) {
 		// Recorded on the resuming token (which this strand now holds).
 		rt.rep.Record(p.worker, replay.KBlocked, replay.BlockSpawn, 0)
 	}
+	if rtrace.IsEnabled() {
+		p.traceToken()
+	}
 }
 
 // runInline executes a spawned function on the caller's strand instead
@@ -493,6 +498,9 @@ func (s *scope) Sync() {
 			rt.rep.Record(p.worker, replay.KBlocked, replay.BlockSync, 0)
 		}
 		rt.rep.Record(p.worker, replay.KResume, 0, 0)
+	}
+	if rtrace.IsEnabled() {
+		p.traceToken()
 	}
 	s.endRound()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	rtrace "runtime/trace"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,6 +139,9 @@ type Submission struct {
 	csStop func()
 	cancel context.CancelFunc // releases the deadline/link contexts; nil when none
 	unlink func() bool        // stops the service-context AfterFunc link; nil when none
+	// traceTask is the submission's runtime/trace task, carried by ctx;
+	// nil when tracing was off at Submit.
+	traceTask *rtrace.Task
 
 	done chan struct{}
 	err  error // written before done closes
@@ -213,8 +217,13 @@ func (s *Submission) resolve(err error) {
 }
 
 // release drops the submission's context resources: the deadline timer,
-// the service-context link and the CancelState's context reference.
+// the service-context link, the CancelState's context reference and the
+// runtime/trace task.
 func (s *Submission) release() {
+	if s.traceTask != nil {
+		s.traceTask.End()
+		s.traceTask = nil
+	}
 	if s.unlink != nil {
 		s.unlink()
 		s.unlink = nil
@@ -398,6 +407,11 @@ func (rt *Runtime) submit(ctx context.Context, task func(api.Ctx), opts SubmitOp
 			}
 		}
 		eff = dctx
+	}
+	if rtrace.IsEnabled() {
+		// Begun before admission and ended by release, right before the
+		// future resolves: the queue wait is inside the task.
+		eff, sub.traceTask = rtrace.NewTask(eff, "submission")
 	}
 	sub.ctx = eff
 	sub.csStop = sub.cs.Begin(eff, nil)

@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"context"
+	rtrace "runtime/trace"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -324,12 +327,24 @@ func (v *vessel) loop() {
 // protocol (and the worker token) survives: the panic is recorded and the
 // strand is treated as returned, so all joins still happen and Run can
 // re-raise it at the end.
+//
+// Under runtime/trace the strand is one "strand" region on this vessel
+// goroutine, which it never leaves (suspensions park it in place), ended
+// on the normal and the panic path alike before the token moves on.
 func (v *vessel) runStrand(d dispatch) {
 	if v.rt.recordOn {
 		v.rt.rep.Record(v.proc.worker, replay.KStrandStart, 0, 0)
 	}
+	var region *rtrace.Region
+	if rtrace.IsEnabled() {
+		region = rtrace.StartRegion(v.proc.traceCtx(), "strand")
+		v.proc.traceToken()
+	}
 	defer func() {
 		if r := recover(); r != nil {
+			if region != nil {
+				region.End()
+			}
 			v.rt.recordPanic(v.proc.sub, r)
 			v.resetScopes()
 			v.rt.finishStrand(v, d.parent)
@@ -339,8 +354,29 @@ func (v *vessel) runStrand(d dispatch) {
 	if v.rt.recordOn {
 		v.rt.rep.Record(v.proc.worker, replay.KStrandEnd, 0, 0)
 	}
+	if region != nil {
+		region.End()
+	}
 	v.resetScopes()
 	v.rt.finishStrand(v, d.parent)
+}
+
+// traceCtx is the runtime/trace context the strand's region and logs
+// belong to: its submission's task, else the current Run's.
+func (p *Proc) traceCtx() context.Context {
+	if p.sub != nil {
+		return p.sub.ctx
+	}
+	return p.rt.traceCtx
+}
+
+// traceToken logs the worker token the strand holds, at its start and
+// after each resume: the token a strand runs on changes when a thief
+// steals its continuation or a wakeup resumes it elsewhere.
+//
+//nowa:coldpath reached only with runtime/trace on (the caller tests trace.IsEnabled), where the log's formatting and event write are the point
+func (p *Proc) traceToken() {
+	rtrace.Log(p.traceCtx(), "token", strconv.Itoa(p.worker))
 }
 
 // resetScopes reclaims the strand's scope slots at strand end. On the
