@@ -10,6 +10,7 @@
 package nowa_test
 
 import (
+	"context"
 	"testing"
 
 	"nowa"
@@ -225,5 +226,45 @@ func TestBlockedWaitAllocs(t *testing.T) {
 				t.Errorf("%.2f allocs per round of two blocked waits, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestSubmitAllocs bounds what one submission costs the heap: a Submit
+// and Wait of an empty task on a two-worker service. The submission, its
+// future's channel and its cancellation latch are the floor; a caller
+// context that can never be cancelled must not add the link and cancel
+// function a cancellable one needs.
+func TestSubmitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	rt := nowa.New(nowa.VariantNowa, 2)
+	defer nowa.Close(rt)
+	if err := nowa.StartService(rt, nowa.ServiceConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		ctx   context.Context
+		bound float64
+	}{
+		{"nil", nil, 3},
+		{"background", context.Background(), 8},
+	} {
+		round := func() {
+			sub, err := nowa.SubmitOpt(rt, tc.ctx, func(nowa.Ctx) {}, nowa.SubmitOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sub.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			round()
+		}
+		if avg := testing.AllocsPerRun(200, round); avg > tc.bound {
+			t.Errorf("%s context: %.2f allocs per Submit+Wait, want <= %.0f", tc.name, avg, tc.bound)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package nowa
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -191,4 +192,71 @@ func TestCancelDoneChannel(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+}
+
+// TestCancelStartsNoWatcher: a run under a live cancellable context
+// starts no goroutine a plain Run does not — the wake that rouses parked
+// thieves on cancellation is a context.AfterFunc, not a watcher — and a
+// cancel mid-run still wakes the parked thief, which retires its token
+// while the root strand is still running.
+func TestCancelStartsNoWatcher(t *testing.T) {
+	rt := New(VariantNowa, 2)
+	defer Close(rt)
+	srt := rt.(*sched.Runtime)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	count := func(run func(root func(Ctx))) (n int) {
+		run(func(Ctx) { n = runtime.NumGoroutine() })
+		return n
+	}
+	plainRun := func(root func(Ctx)) { rt.Run(root) }
+	ctxRun := func(root func(Ctx)) {
+		if err := rt.RunCtx(ctx, root); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count(plainRun) // the run's vessels exist from here on
+	settled := 0
+	for attempt := 0; attempt < 20 && settled < 3; attempt++ {
+		// Goroutines other tests left behind may still be exiting: only a
+		// reading bracketed by two equal plain ones counts.
+		before, live, after := count(plainRun), count(ctxRun), count(plainRun)
+		if before != after {
+			continue
+		}
+		settled++
+		if live != before {
+			t.Fatalf("%d goroutines under RunCtx, %d under Run: cancellation started a watcher", live, before)
+		}
+	}
+	if settled < 3 {
+		t.Fatal("the goroutine count did not settle")
+	}
+
+	parks := srt.Counters().ThiefParks
+	err := rt.RunCtx(ctx, func(c Ctx) {
+		if waitFor(t, "the idle token to park", func() bool { return srt.Counters().ThiefParks > parks }) {
+			cancel()
+			waitFor(t, "the woken thief to retire", func() bool { return srt.DebugTokensLeft() == 1 })
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if err := srt.CheckIdle(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitFor polls cond for up to five seconds and reports whether it
+// held; it fails the test otherwise. Callable from a strand.
+func waitFor(t *testing.T, what string, cond func() bool) bool {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("timed out waiting for %s", what)
+			return false
+		}
+	}
+	return true
 }

@@ -182,8 +182,8 @@ func (rt *Runtime) runCtx(ctx context.Context, root func(api.Ctx)) error {
 	}
 	defer rt.run.Store(false)
 	rt.done.Store(false)
-	stop := rt.cancel.Begin(ctx, nil)
-	defer stop()
+	rt.cancel.Begin(ctx, nil)
+	defer rt.cancel.End()
 	var wg sync.WaitGroup
 	for w := 1; w < len(rt.ctxs); w++ {
 		wg.Add(1)

@@ -107,7 +107,8 @@ type FaultPoint struct {
 
 	// NotIdle is the idle invariant the runtime violated after Close
 	// (sched.Runtime.CheckIdle: a leaked vessel, stack or scope, an
-	// unretired supplement, a stranded waiter); empty when all hold.
+	// unretired supplement, a stranded waiter, an unbalanced spawn
+	// tally); empty when all hold.
 	NotIdle string `json:"not_idle,omitempty"`
 }
 

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"context"
 	"runtime"
 	"sync/atomic"
 
@@ -134,9 +133,9 @@ func (q *admitQueue) tryAdmit(sub *Submission) (outcome int, victim *Submission)
 
 // waitAdmit is the Block policy's slow path. Counted in blocked first, so
 // that every take from then on kicks spaceCh, it re-runs the admission
-// decision after each kick until it lands, the queue closes or waitCtx
-// ends (its error is returned).
-func (q *admitQueue) waitAdmit(sub *Submission, waitCtx context.Context) (int, *Submission, error) {
+// decision after each kick until it lands, the queue closes or the
+// submission's context ends (its error is returned).
+func (q *admitQueue) waitAdmit(sub *Submission) (int, *Submission, error) {
 	q.blocked.Add(1)
 	defer q.blocked.Add(-1)
 	for {
@@ -147,8 +146,8 @@ func (q *admitQueue) waitAdmit(sub *Submission, waitCtx context.Context) (int, *
 		case <-q.spaceCh:
 		case <-q.closedCh:
 			return admitClosed, nil, nil
-		case <-waitCtx.Done():
-			return admitFull, nil, waitCtx.Err()
+		case <-sub.cs.Done():
+			return admitFull, nil, sub.cs.Err()
 		}
 	}
 }

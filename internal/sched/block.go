@@ -153,18 +153,13 @@ func (p *Proc) CommitWait(bw *Waiter) bool {
 	return bw.aborted
 }
 
-// WaitContext is the context an external wait aborts under: the
-// submission's effective context in service mode (chained to the
-// service context, so Close-drain force-cancels blocked waiters), the
-// RunCtx context in a cancellable batch run, nil under a plain Run
-// (the wait is then not abortable by the runtime — only by the
-// primitive's own completion or close).
-func (p *Proc) WaitContext() context.Context {
-	if p.sub != nil {
-		return p.sub.ctx
-	}
-	return p.rt.cancel.Context()
-}
+// WaitContext is the context an external wait aborts under: the one the
+// strand answers to (Proc.cancel) — its submission's effective context
+// in service mode (chained to the service context, so Close-drain
+// force-cancels blocked waiters), the RunCtx context in a cancellable
+// batch run, nil under a plain Run (the wait is then not abortable by
+// the runtime — only by the primitive's own completion or close).
+func (p *Proc) WaitContext() context.Context { return p.cancel.Context() }
 
 // Wake resumes a blocked waiter. Called by whoever won the waiter's
 // cell (a resolver strand, a close sweep, a barrier tripper) — from any

@@ -77,9 +77,10 @@ func (rt *Runtime) Stats() Stats {
 // extended slots included; every supplement stall recovery dispatched
 // retired its token; no vessel, stack or scope leaked; every external
 // wait ended exactly once, by resume or by abort, and nothing is still
-// parked. The spawn-conservation law of trace.Counters.CheckQuiescent is
-// not restated here: cancellation lawfully redirects spawns inline
-// mid-flight, so callers check it where no deadline was involved.
+// parked; every eagerly published continuation was popped back or
+// stolen (trace.Counters.CheckQuiescent) — cancelled runs and
+// submissions included: a spawn run inline because of cancellation or
+// the resource governor never enters Spawns.
 func (rt *Runtime) CheckIdle() error {
 	if left := rt.tokensLeft.Load(); left != 0 {
 		return fmt.Errorf("tokens: %d tokens unaccounted", left)
@@ -105,6 +106,9 @@ func (rt *Runtime) CheckIdle() error {
 			st.BlockedWaits, st.ResumedWaits, st.AbortedWaits)
 	case st.BlockedLive != 0:
 		return fmt.Errorf("wait-leak: %d waiters still parked", st.BlockedLive)
+	}
+	if err := rt.Counters().CheckQuiescent(); err != nil {
+		return fmt.Errorf("counters: %v", err)
 	}
 	return nil
 }
@@ -212,7 +216,7 @@ func (rt *Runtime) stopVessel(v *vessel) {
 		}
 	}
 	rt.allMu.Unlock()
-	v.disp = dispatch{stop: true}
+	v.disp = retire
 	v.pk.deliver()
 	rt.vLive.Add(-1)
 	rt.vTrimmed.Add(1)

@@ -330,8 +330,8 @@ func (rt *Runtime) runInternal(ctx context.Context, root func(api.Ctx)) error {
 		// delivery below publishes it).
 		rt.rep.Record(0, replay.KRunStart, 0, 0)
 	}
-	stop := rt.cancel.Begin(ctx, rt.wakeThieves)
-	defer stop()
+	rt.cancel.Begin(ctx, rt.wakeThieves)
+	defer rt.cancel.End()
 	rt.traceCtx = context.Background()
 	if ctx != nil {
 		rt.traceCtx = ctx
@@ -577,7 +577,7 @@ func (rt *Runtime) Close() {
 	}
 	rt.closed = true
 	for _, v := range rt.allVessels {
-		v.disp = dispatch{stop: true}
+		v.disp = retire
 		v.pk.deliver() //nowa:lock-ok shutdown broadcast: every vessel is parked awaiting a dispatch and each parker's wake channel holds a one-slot buffer, so the send cannot block the closer
 	}
 }

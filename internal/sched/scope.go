@@ -19,32 +19,34 @@ type Proc struct {
 
 	// sub brands the strand with the service submission it belongs to
 	// (nil in batch runs and on the service root). Children inherit it
-	// through dispatch, so cancellation and panic routing follow the
-	// whole subtree of a submission across steals.
+	// through dispatch, so panic routing and service accounting follow
+	// the whole subtree of a submission across steals.
 	sub *Submission
+	// cancel is the one cancellation view the strand answers to: its
+	// submission's, else its run's. Set with sub at dispatch (bind).
+	cancel *api.CancelState
+}
+
+// bind brands the Proc with the submission its next strand belongs to
+// (nil for a run's) and points its cancellation view there.
+func (p *Proc) bind(sub *Submission) {
+	p.sub, p.cancel = sub, &p.rt.cancel
+	if sub != nil {
+		p.cancel = &sub.cs
+	}
 }
 
 // Workers implements api.Ctx.
 func (p *Proc) Workers() int { return p.rt.cfg.Workers }
 
-// Done implements api.Ctx: the enclosing RunCtx context's Done channel
-// (nil under a plain Run), or the submission's context in service mode.
-func (p *Proc) Done() <-chan struct{} {
-	if p.sub != nil {
-		return p.sub.cs.Done()
-	}
-	return p.rt.cancel.Done()
-}
+// Done implements api.Ctx: the Done channel of the context the strand
+// answers to — its submission's, else its RunCtx's (nil under a plain
+// Run).
+func (p *Proc) Done() <-chan struct{} { return p.cancel.Done() }
 
-// Err implements api.Ctx: the enclosing RunCtx context's error, or the
-// submission's in service mode (which chains to the service context, so
-// a drain force-cancel is visible here too).
-func (p *Proc) Err() error {
-	if p.sub != nil {
-		return p.sub.cs.Err()
-	}
-	return p.rt.cancel.Err()
-}
+// Err implements api.Ctx: that context's error. A submission's chains to
+// the service context, so a drain force-cancel is visible here too.
+func (p *Proc) Err() error { return p.cancel.Err() }
 
 // Scope implements api.Ctx. It is allocation-free in the steady state:
 // the paper's "stack object for every called spawning function" lives in
@@ -269,10 +271,11 @@ func (s *scope) release() {
 // clear overwrites, or one posted twice, costs one spurious or one late
 // eager spawn and nothing else.
 //
-// Once the run's context is cancelled, Spawn degrades to the serial
-// elision: the child executes inline on the caller's strand, nothing is
-// published and the join protocol is not engaged, so the cancelled
-// computation winds down with full strictness but no new parallelism.
+// Once the context the strand answers to is cancelled, Spawn degrades to
+// the serial elision: the child executes inline on the caller's strand,
+// nothing is published and the join protocol is not engaged, so the
+// cancelled computation winds down with full strictness but no new
+// parallelism.
 //
 // Deviation note: a lazily spawned child completes before Spawn returns,
 // so code in which a child blocks on a signal that only the parent's
@@ -291,7 +294,7 @@ func (s *scope) Spawn(fn func(api.Ctx)) {
 	v := p.v
 	var site uint8 // the replay.Promote* trigger of a promoted lazy spawn
 	switch {
-	case rt.cancel.Cancelled() || (p.sub != nil && p.sub.cs.Cancelled()):
+	case p.cancel.Cancelled():
 		rt.runInline(p, fn, trace.InlineSpawns)
 		return
 	case rt.softStacks && rt.pool.Pressure(),

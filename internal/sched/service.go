@@ -129,18 +129,19 @@ type SubmitOpts struct {
 //nowa:nopad submissions are individually heap-allocated, one per Submit; no two are ever adjacent in an array
 type Submission struct {
 	task func(api.Ctx)
-	body func(api.Ctx) // the top strand's function, built once at Submit
 
-	// cs views the submission's effective context ctx: the service
-	// context, plus the caller's context and/or deadline when given.
-	// Begun with a nil wake — no watcher goroutine per submission.
-	ctx    context.Context
-	cs     api.CancelState
-	csStop func()
-	cancel context.CancelFunc // releases the deadline/link contexts; nil when none
-	unlink func() bool        // stops the service-context AfterFunc link; nil when none
-	// traceTask is the submission's runtime/trace task, carried by ctx;
-	// nil when tracing was off at Submit.
+	// cs is the submission's one cancellation view, over its effective
+	// context: the service context, or the caller's context linked to it,
+	// bounded by the deadline when one is given. Every strand of the
+	// submission answers to it (Proc.cancel). Begun with a nil wake: no
+	// AfterFunc per submission.
+	cs api.CancelState
+	// cancel releases what the effective context holds beyond the
+	// service context — its deadline timer, its link to the service
+	// context; nil when it holds nothing.
+	cancel context.CancelFunc
+	// traceTask is the submission's runtime/trace task, carried by the
+	// effective context; nil when tracing was off at Submit.
 	traceTask *rtrace.Task
 
 	done chan struct{}
@@ -197,68 +198,52 @@ func (s *Submission) takePanic() *api.StrandPanic {
 // outcomeErr reads the submission's cancellation outcome, preferring
 // the context *cause* over the bare error so callers can tell a drain
 // force-cancel (ErrDrainForced) or deadline expiry from an external
-// cancel. Must run before release detaches the context.
+// cancel. Must run before resolve detaches the context.
 func (s *Submission) outcomeErr() error {
-	if s.cs.Err() == nil {
+	err := s.cs.Err()
+	if err == nil {
 		return nil
 	}
-	if cause := context.Cause(s.ctx); cause != nil {
+	if cause := context.Cause(s.cs.Context()); cause != nil {
 		return cause
 	}
-	return s.cs.Err()
+	return err
 }
 
-// resolve stores the outcome and wakes waiters. Exactly one path calls
-// it: the admission ring hands a queued submission to one getter, a
-// taking token or a shedding producer.
+// resolve releases the submission's effective context and runtime/trace
+// task, stores the outcome and wakes waiters. It is the one place a
+// submission is released, and exactly one path calls it: the admission
+// ring hands a queued submission to one getter, a taking token or a
+// shedding producer; a refused one never reaches the ring.
 func (s *Submission) resolve(err error) {
+	if s.traceTask != nil {
+		s.traceTask.End()
+	}
+	if s.cancel != nil {
+		s.cancel()
+	}
+	s.cs.End()
 	s.err = err
 	close(s.done)
 }
 
-// release drops the submission's context resources: the deadline timer,
-// the service-context link, the CancelState's context reference and the
-// runtime/trace task.
-func (s *Submission) release() {
-	if s.traceTask != nil {
-		s.traceTask.End()
-		s.traceTask = nil
-	}
-	if s.unlink != nil {
-		s.unlink()
-		s.unlink = nil
-	}
-	if s.cancel != nil {
-		s.cancel()
-		s.cancel = nil
-	}
-	if s.csStop != nil {
-		s.csStop()
-		s.csStop = nil
-	}
-}
-
-// run is the submission's top strand, started by the token that took it.
-// It brands the strand's Proc with the submission (children inherit it
-// through dispatch, so every strand of this task routes panics and
-// cancellation here) and contains the task's panic: unlike a batch Run,
-// a service panic resolves only this submission's future.
-func (s *Submission) run(p *Proc) {
-	rt := p.rt
-	p.sub = s
+// runSubmission is a submission's top strand, started by the token that
+// took it. The dispatch already bound the strand's Proc to the
+// submission (children inherit it, so every strand of this task routes
+// panics and cancellation there); this contains the task's panic: unlike
+// a batch Run, a service panic resolves only this submission's future.
+func runSubmission(c api.Ctx) {
+	p := c.(*Proc)
+	rt, s := p.rt, p.sub
 	defer func() {
-		r := recover()
-		p.sub = nil
-		if r != nil {
+		if r := recover(); r != nil {
 			s.notePanic(r, debug.Stack())
 		}
 		if rt.recordOn {
 			// Owner-only: this strand still holds p.worker's token.
 			rt.rep.Record(p.worker, replay.KSubDone, 0, s.id)
 		}
-		if svc := rt.svc.Load(); svc != nil {
-			svc.complete(s)
-		}
+		rt.svc.Load().complete(s)
 	}()
 	s.task(p)
 }
@@ -384,49 +369,47 @@ func (rt *Runtime) submit(ctx context.Context, task func(api.Ctx), opts SubmitOp
 		prio: opts.Priority > 0,
 		id:   uint16(svc.subSeq.Add(1)),
 	}
-	sub.body = func(c api.Ctx) { sub.run(c.(*Proc)) }
 
-	// Build the submission's effective context. Every chain is rooted
-	// in the service context so a drain-deadline force-cancel reaches
-	// all submissions; a caller context is linked in via AfterFunc (the
-	// only per-submission goroutine cost, and only if that link fires).
-	eff := svc.ctx
-	if ctx != nil {
-		cctx, cn := context.WithCancel(ctx)
-		sub.unlink = context.AfterFunc(svc.ctx, cn)
-		sub.cancel = cn
-		eff = cctx
+	// The effective context. A drain force-cancel must reach every
+	// submission, so a caller context is linked to the service context
+	// (a context.AfterFunc, which starts a goroutine only if it fires);
+	// one that can never be cancelled adds nothing and is not used. The
+	// deadline is set on whichever of the two is the base, so one cancel,
+	// wrapped with the link's stop, releases it all.
+	eff, link := svc.ctx, ctx != nil && ctx.Done() != nil
+	if link {
+		eff = ctx
 	}
-	if !opts.Deadline.IsZero() {
-		dctx, dn := context.WithDeadline(eff, opts.Deadline)
-		prev := sub.cancel
+	switch {
+	case !opts.Deadline.IsZero():
+		eff, sub.cancel = context.WithDeadline(eff, opts.Deadline)
+	case link:
+		eff, sub.cancel = context.WithCancel(eff)
+	}
+	if link {
+		unlink, cancel := context.AfterFunc(svc.ctx, sub.cancel), sub.cancel
 		sub.cancel = func() {
-			dn()
-			if prev != nil {
-				prev()
-			}
+			unlink()
+			cancel()
 		}
-		eff = dctx
 	}
 	if rtrace.IsEnabled() {
-		// Begun before admission and ended by release, right before the
-		// future resolves: the queue wait is inside the task.
+		// Begun before admission and ended by resolve: the queue wait is
+		// inside the task.
 		eff, sub.traceTask = rtrace.NewTask(eff, "submission")
 	}
-	sub.ctx = eff
-	sub.csStop = sub.cs.Begin(eff, nil)
+	sub.cs.Begin(eff, nil)
 
-	if err := svc.admit(sub, eff); err != nil {
-		sub.release()
+	if err := svc.admit(sub); err != nil {
+		sub.resolve(err)
 		return nil, err
 	}
 	return sub, nil
 }
 
-// admit runs the admission policy for one submission. waitCtx is the
-// submission's effective context, observed while blocked under the Block
-// policy.
-func (svc *service) admit(sub *Submission, waitCtx context.Context) error {
+// admit runs the admission policy for one submission. Blocked under the
+// Block policy, it observes the submission's effective context.
+func (svc *service) admit(sub *Submission) error {
 	rt := svc.rt
 	q := &svc.adm
 	if rt.chaosOn && svc.chaosRoll(replay.SiteSubmitLatency) {
@@ -443,7 +426,7 @@ func (svc *service) admit(sub *Submission, waitCtx context.Context) error {
 	outcome, victim := q.tryAdmit(sub)
 	if outcome == admitFull && q.policy == OverloadBlock {
 		var err error
-		if outcome, victim, err = q.waitAdmit(sub, waitCtx); err != nil {
+		if outcome, victim, err = q.waitAdmit(sub); err != nil {
 			return err
 		}
 	}
@@ -480,7 +463,6 @@ func (svc *service) refuse(sub *Submission, reason uint8) error {
 
 // shedVictim resolves an evicted submission's future with ErrShed.
 func (svc *service) shedVictim(victim *Submission) {
-	victim.release()
 	svc.adm.shed.Add(1)
 	if svc.rt.recordOn {
 		svc.rt.rep.RecordExternal(replay.KSubShed, 0, victim.id)
@@ -568,7 +550,6 @@ func (rt *Runtime) takeSubmission(p *Proc) bool {
 			// running it.
 			svc.adm.expired.Add(1)
 			err := sub.outcomeErr()
-			sub.release()
 			svc.noteOutcome(err, false)
 			svc.leave()
 			sub.resolve(err)
@@ -583,7 +564,7 @@ func (rt *Runtime) takeSubmission(p *Proc) bool {
 		// for the thieves of this vessel's last strand, another submission.
 		v.eagerBurst = 0
 		v.stacks = append(v.stacks, stack)
-		v.disp = dispatch{fn: sub.body, worker: w, sub: sub}
+		v.disp = dispatch{fn: runSubmission, worker: w, sub: sub}
 		v.pk.deliver()
 		return true
 	}
@@ -646,7 +627,6 @@ func (svc *service) complete(sub *Submission) {
 	} else {
 		err = sub.outcomeErr()
 	}
-	sub.release()
 	// Tally, then leave the gauge: whoever sees InFlight at zero must
 	// find this outcome already counted (see ServiceStats).
 	svc.noteOutcome(err, true)

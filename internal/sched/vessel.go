@@ -22,14 +22,17 @@ type token struct {
 
 // dispatch activates a vessel: run fn as a child of parent on the given
 // worker. A nil fn dispatches an initial thief (idle token at Run start);
-// stop retires the vessel goroutine (Close).
+// retire, the one dispatch with a negative worker, ends the vessel
+// goroutine (Close, trims).
 type dispatch struct {
 	fn     func(api.Ctx)
 	parent *scope // nil for a root strand (a run's, a submission's) and for initial thieves
 	worker int
-	stop   bool
 	sub    *Submission // service submission this strand belongs to, if any
 }
+
+// retire is the dispatch that ends a vessel goroutine.
+var retire = dispatch{worker: -1}
 
 // cont is the deque element: the stealable continuation of a parked
 // vessel. Each vessel owns exactly one continuation slot — a spawning
@@ -303,11 +306,11 @@ func (v *vessel) loop() {
 	for {
 		blocked := v.pk.await(parkerSpins)
 		d := v.disp
-		if d.stop {
+		if d.worker < 0 {
 			return
 		}
 		v.proc.worker = d.worker
-		v.proc.sub = d.sub
+		v.proc.bind(d.sub)
 		if v.rt.blockRecOn && blocked {
 			// Whoever dispatched handed token d.worker to this vessel, so
 			// the ring write is owner-only.
@@ -365,7 +368,7 @@ func (v *vessel) runStrand(d dispatch) {
 // belong to: its submission's task, else the current Run's.
 func (p *Proc) traceCtx() context.Context {
 	if p.sub != nil {
-		return p.sub.ctx
+		return p.sub.cs.Context()
 	}
 	return p.rt.traceCtx
 }

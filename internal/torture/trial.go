@@ -81,15 +81,16 @@ func run(m replay.Meta, sc *serviceSpec, ringCap int, log *replay.Log) (failure 
 		failure = batch(rt, m)
 	}
 	if failure == "" {
-		failure = checkAfter(rt, m)
+		failure = checkAfter(rt)
 	}
 	return failure, rec
 }
 
 // checkAfter is the one post-run check of both trial kinds: the idle
-// invariants — under a deadline too: cancellation must abort waiters,
-// never strand them — then what only one kind can assert.
-func checkAfter(rt *sched.Runtime, m replay.Meta) string {
+// invariants, spawn conservation included — under a deadline too:
+// cancellation must abort waiters, never strand them, and never unbalance
+// the counters — then the service accounting.
+func checkAfter(rt *sched.Runtime) string {
 	if err := rt.CheckIdle(); err != nil {
 		return err.Error()
 	}
@@ -101,13 +102,6 @@ func checkAfter(rt *sched.Runtime, m replay.Meta) string {
 		if got := ss.Completed + ss.Panicked + ss.Cancelled + ss.Shed; got != ss.Admitted {
 			return fmt.Sprintf("accounting: admitted %d != completed %d + panicked %d + cancelled %d + shed %d",
 				ss.Admitted, ss.Completed, ss.Panicked, ss.Cancelled, ss.Shed)
-		}
-	} else if m.TimeoutMS == 0 {
-		// Counter conservation: every eagerly published continuation was
-		// popped back or stolen. Skipped under a deadline: cancellation
-		// legitimately redirects spawns inline mid-flight.
-		if err := rt.Counters().CheckQuiescent(); err != nil {
-			return "counters: " + err.Error()
 		}
 	}
 	return ""
