@@ -102,14 +102,20 @@ trace:
 	$(GO) test -count 1 -run 'TestSuiteOnEveryRuntime/^nowa$$/^fib$$' -trace torture-out/fib.trace ./internal/apps
 	@echo "go tool trace torture-out/fib.trace"
 
-# torture validates the failure-capture pipeline against the planted
-# Chaos.LeakVessel bug, then soaks the scheduler for 30 seconds across
-# kernels x variants x chaos x budgets x deadlines, writing repro
-# bundles to torture-out/ on any invariant violation (see DESIGN.md §12
-# and `go run ./cmd/nowa-torture -h`).
+# torture is the CI torture job, step for step: it validates the
+# failure-capture pipeline against the planted Chaos.LeakVessel bug,
+# soaks the scheduler for 30 seconds across kernels x variants x chaos x
+# budgets x deadlines, then 15 seconds each of the abort, promote and
+# stall classes — the last one the stall-recovery gate, since
+# fault-smoke's campaign step is red on small hosts. Repro bundles go to
+# torture-out/ on any invariant violation (see DESIGN.md §12 and
+# `go run ./cmd/nowa-torture -h`).
 torture:
 	$(GO) run ./cmd/nowa-torture -selftest -out torture-out
 	$(GO) run ./cmd/nowa-torture -duration 30s -out torture-out
+	$(GO) run ./cmd/nowa-torture -duration 15s -chaos abort -out torture-out
+	$(GO) run ./cmd/nowa-torture -duration 15s -chaos promote -out torture-out
+	$(GO) run ./cmd/nowa-torture -duration 15s -chaos stall -out torture-out
 
 # serve-smoke drives the admission pipeline past its capacity for a few
 # seconds — the benchmark's serve-overload workload: Poisson arrivals at

@@ -35,11 +35,10 @@ type Meta struct {
 	Workers int    `json:"workers"`
 	Seed    int64  `json:"seed"`
 
-	MaxVessels     int   `json:"max_vessels,omitempty"`
-	SoftMaxVessels int   `json:"soft_max_vessels,omitempty"`
-	MaxStacks      int   `json:"max_stacks,omitempty"`
-	TimeoutMS      int64 `json:"timeout_ms,omitempty"`
-	SpawnEager     bool  `json:"spawn_eager,omitempty"`
+	MaxVessels int   `json:"max_vessels,omitempty"`
+	MaxStacks  int   `json:"max_stacks,omitempty"`
+	TimeoutMS  int64 `json:"timeout_ms,omitempty"`
+	SpawnEager bool  `json:"spawn_eager,omitempty"`
 
 	// Class names the torture chaos class the trial was drawn from. A
 	// label only: everything the class forces is spelled out in the
@@ -47,10 +46,8 @@ type Meta struct {
 	Class string `json:"class,omitempty"`
 	Chaos *Chaos `json:"chaos,omitempty"`
 
-	// Stall-recovery arming (Config.StallThreshold / MaxSupplements);
-	// zero threshold means recovery is off and MaxSupplements is inert.
+	// Stall-recovery arming (Config.StallThreshold); zero means off.
 	StallThresholdUS int64 `json:"stall_threshold_us,omitempty"`
-	MaxSupplements   int   `json:"max_supplements,omitempty"`
 
 	// Failure describes the invariant violation this bundle captured.
 	Failure string `json:"failure,omitempty"`

@@ -18,11 +18,9 @@ type BreakerPolicy struct {
 	// the window reaches it (default 0.5).
 	FailureRate float64
 	// Cooldown is how long an open circuit refuses before moving to
-	// half-open (default 100ms).
+	// half-open (default 100ms), which admits one trial submission: its
+	// success closes the circuit, its failure re-opens it.
 	Cooldown time.Duration
-	// HalfOpenProbes is how many trial submissions half-open admits
-	// (default 1): all must succeed to close, any failure re-opens.
-	HalfOpenProbes int
 }
 
 func (p *BreakerPolicy) fill() {
@@ -38,16 +36,14 @@ func (p *BreakerPolicy) fill() {
 	if p.Cooldown <= 0 {
 		p.Cooldown = 100 * time.Millisecond
 	}
-	if p.HalfOpenProbes <= 0 {
-		p.HalfOpenProbes = 1
-	}
 }
 
 // Breaker state machine. Closed passes everything through while
 // tallying outcomes; a window whose failure rate crosses the policy
 // threshold trips it open. Open refuses locally until the cooldown
-// elapses, then half-open admits a fixed number of probes: all
-// succeeding closes the circuit, any failing re-opens it.
+// elapses; the attempt that finds it elapsed is the one half-open probe,
+// and every other attempt is refused until the probe's outcome closes
+// the circuit or re-opens it.
 const (
 	brClosed uint32 = iota
 	brOpen
@@ -75,8 +71,6 @@ type breaker struct {
 	//nowa:fsm phases=brClosed,brOpen,brHalfOpen transitions=brClosed>brOpen,brOpen>brHalfOpen,brHalfOpen>brClosed,brHalfOpen>brOpen
 	state    uint32
 	openedAt time.Time
-	probes   int // half-open: probes admitted so far
-	okProbes int // half-open: probes that succeeded
 	buckets  [bucketCount]bucket
 }
 
@@ -98,15 +92,9 @@ func (b *breaker) allow() bool {
 			return false
 		}
 		b.state = brHalfOpen
-		b.probes = 1
-		b.okProbes = 0
 		return true
-	default: // brHalfOpen
-		if b.probes >= b.pol.HalfOpenProbes {
-			return false
-		}
-		b.probes++
-		return true
+	default: // brHalfOpen: the probe is in flight
+		return false
 	}
 }
 
@@ -136,11 +124,8 @@ func (b *breaker) observe(ok bool) {
 			b.openedAt = now
 			return
 		}
-		b.okProbes++
-		if b.okProbes >= b.pol.HalfOpenProbes {
-			b.state = brClosed
-			b.resetWindow()
-		}
+		b.state = brClosed
+		b.resetWindow()
 	case brOpen:
 		// A straggler attempt admitted before the trip resolved late;
 		// the window was reset at the trip, nothing to score.

@@ -20,8 +20,6 @@ type HedgePolicy struct {
 	// 1ms / 1s). MinDelay also stands in while the window is cold.
 	MinDelay time.Duration
 	MaxDelay time.Duration
-	// MaxHedges bounds hedge copies per attempt (default 1).
-	MaxHedges int
 }
 
 func (p *HedgePolicy) fill() {
@@ -36,9 +34,6 @@ func (p *HedgePolicy) fill() {
 	}
 	if p.MaxDelay < p.MinDelay {
 		p.MaxDelay = p.MinDelay
-	}
-	if p.MaxHedges <= 0 {
-		p.MaxHedges = 1
 	}
 }
 
@@ -108,8 +103,8 @@ type hedgeAttempt struct {
 	cancel context.CancelFunc
 }
 
-// hedge races the already-submitted primary against up to MaxHedges
-// late copies and returns the winning outcome. The winner is the first
+// hedge races the already-submitted primary against at most one late
+// copy and returns the winning outcome. The winner is the first
 // attempt to resolve *successfully*; if every launched attempt fails,
 // the last failure is returned once none remain in flight. Each copy —
 // the primary included — runs under a private child context of the
@@ -126,7 +121,7 @@ type hedgeAttempt struct {
 // nothing about service speed.
 func (r *Resilient) hedge(ctx context.Context, task func(api.Ctx), opts sched.SubmitOpts, primary hedgeAttempt, start time.Time, out *Outcome) error {
 	attempts := []hedgeAttempt{primary}
-	resCh := make(chan int, 1+r.hdg.pol.MaxHedges)
+	resCh := make(chan int, 2)
 	watch := func(i int, s *sched.Submission) {
 		go func() {
 			<-s.Done()
@@ -196,9 +191,6 @@ func (r *Resilient) hedge(ctx context.Context, task func(api.Ctx), opts sched.Su
 			attempts = append(attempts, hedgeAttempt{sub: h, cancel: hcancel})
 			watch(len(attempts)-1, h)
 			pending++
-			if len(attempts)-1 < r.hdg.pol.MaxHedges {
-				timer.Reset(r.hdg.delay())
-			}
 		}
 	}
 }

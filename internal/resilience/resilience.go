@@ -62,9 +62,6 @@ type Policy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps one wait. Zero means 100ms.
 	MaxBackoff time.Duration
-	// JitterFrac spreads each wait by ±frac·wait to decorrelate
-	// retrying callers. Zero means 0.2; negative disables jitter.
-	JitterFrac float64
 	// Budget, if nonzero, bounds the total time Do may spend across
 	// attempts and backoffs. A retry that cannot fit its wait inside
 	// the remaining budget is abandoned and the last error returned.
@@ -88,9 +85,6 @@ func (p *Policy) fill() {
 	}
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 100 * time.Millisecond
-	}
-	if p.JitterFrac == 0 {
-		p.JitterFrac = 0.2
 	}
 	if p.Seed == 0 {
 		p.Seed = 0x9e3779b97f4a7c15
@@ -269,8 +263,12 @@ func retryAfterHint(err error) time.Duration {
 	return 0
 }
 
+// jitterFrac spreads each backoff wait by ±jitterFrac·wait to
+// decorrelate retrying callers.
+const jitterFrac = 0.2
+
 // backoff sleeps the attempt's wait — the exponential schedule raised
-// to the service hint, jittered, capped — and reports whether another
+// to the service hint, capped, jittered — and reports whether another
 // attempt may proceed. False when ctx is done, the budget cannot cover
 // the wait, or this was the last attempt.
 func (r *Resilient) backoff(ctx context.Context, attempt int, hint time.Duration, deadline time.Time) bool {
@@ -287,13 +285,7 @@ func (r *Resilient) backoff(ctx context.Context, attempt int, hint time.Duration
 			wait = r.pol.MaxBackoff
 		}
 	}
-	if r.pol.JitterFrac > 0 {
-		span := float64(wait) * r.pol.JitterFrac
-		wait += time.Duration((r.rng.float64()*2 - 1) * span)
-		if wait < 0 {
-			wait = 0
-		}
-	}
+	wait += time.Duration((r.rng.float64()*2 - 1) * jitterFrac * float64(wait))
 	if !deadline.IsZero() && time.Now().Add(wait).After(deadline) {
 		return false
 	}

@@ -12,11 +12,10 @@ import (
 // (the §II-D limitation).
 func TestABPDequeVariant(t *testing.T) {
 	rt, err := New(Config{
-		Name:     "nowa-abp",
-		Workers:  4,
-		Deque:    deque.ABP,
-		Join:     WaitFree,
-		DequeCap: 1 << 12,
+		Name:    "nowa-abp",
+		Workers: 4,
+		Deque:   deque.ABP,
+		Join:    WaitFree,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -69,7 +69,7 @@ func (p *Proc) PrepareWait() *Waiter {
 	bw.tv = nil
 	bw.keep = false
 	if p.rt.budgetOn {
-		bw.tv = p.rt.getVesselBudget(p.worker, p.rt.syncLimit)
+		bw.tv = p.rt.getVesselBudget(p.worker, p.rt.cfg.MaxVessels)
 		bw.keep = bw.tv == nil
 	}
 	return bw

@@ -1,7 +1,8 @@
 // Package sched is the continuation-stealing runtime system of the
 // reproduction: randomized work-stealing workers, one deque per worker,
-// continuations published at every spawn, the popBottom fast path, and
-// implicit/explicit sync handled by a pluggable join protocol — the
+// continuations published when a thief asks for them (lazy promotion,
+// below) or at every spawn under SpawnEager, the popBottom fast path,
+// and implicit/explicit sync handled by a pluggable join protocol — the
 // wait-free Nowa protocol or the lock-based Fibril baseline (§III, §IV).
 //
 // # The vessel model
@@ -121,29 +122,18 @@ type Config struct {
 	// mode (CapMode selects abort-style or soft degradation) and Madvise
 	// for the §V-B page-release experiment.
 	Stacks cactus.Config
-	// MaxVessels, if positive, is the hard budget on live vessel
-	// goroutines: the runtime never holds more than this many at once.
-	// Exhaustion degrades gracefully instead of aborting — Spawn runs the
-	// child inline on the caller's strand (counted as DegradedSpawns), and
-	// a Sync that cannot obtain a thief vessel suspends holding its own
-	// worker token (counted as TokenKeepSyncs) rather than allocating.
-	// Values below Workers are raised to Workers (the Run startup needs
-	// one vessel per token). Zero means unbounded.
+	// MaxVessels, if positive, is the budget on live vessel goroutines:
+	// the runtime never holds more than this many at once. Exhaustion
+	// degrades gracefully instead of aborting — Spawn runs the child
+	// inline on the caller's strand (counted as DegradedSpawns), a Sync
+	// that cannot obtain a thief vessel suspends holding its own worker
+	// token (counted as TokenKeepSyncs) rather than allocating, and stall
+	// recovery stands down until a vessel fits. Values below Workers are
+	// raised to Workers (the Run startup needs one vessel per token).
+	// Zero means unbounded.
 	MaxVessels int
-	// SoftMaxVessels, if positive, is the early-degradation watermark:
-	// once live vessels reach it, Spawn stops creating fresh vessels
-	// (degrading inline when the free lists miss) while Sync suspensions
-	// may still draw thief vessels up to MaxVessels — the headroom between
-	// the two keeps worker tokens stealing under load. Defaults to
-	// MaxVessels; clamped into [Workers, MaxVessels].
-	SoftMaxVessels int
 	// Seed seeds the per-worker steal RNGs (default 1).
 	Seed int64
-	// DequeCap is the initial deque capacity (default 256). For the
-	// bounded ABP deque this is the FIXED capacity: it must exceed the
-	// deepest spawn chain, or the runtime panics on overflow (the ABP
-	// drawback discussed in §II-D).
-	DequeCap int
 	// Chaos, if non-nil, enables seeded fault injection at the protocol's
 	// race windows (see Chaos). The only cost when nil is one pointer
 	// check per injection point.
@@ -169,19 +159,19 @@ type Config struct {
 	// heartbeats (bumped on every steal-loop pass, park/wake and strand
 	// finish) and, when a worker's heartbeat stays stale for
 	// StallThreshold while runnable work exists, marks the worker seized
-	// and dispatches a supplemental worker on an extended slot so the run
-	// keeps its effective parallelism. The supplement retires as soon as
-	// the seized worker's strand returns to the scheduler (a re-entry CAS
-	// on the per-worker health word). Zero disables recovery entirely —
-	// the default, and the zero-cost path: no heartbeats are written and
-	// no stall row is armed.
+	// and dispatches a supplemental worker on slot Workers+w so the run
+	// keeps its effective parallelism. The supplement retires once the
+	// seized worker's strand returns to the scheduler (a CAS on the
+	// worker's stall word) and its own deque is empty. Zero disables
+	// recovery entirely — the default, and the zero-cost path: no
+	// heartbeats are written and no stall row is armed.
 	StallThreshold time.Duration
-	// MaxSupplements bounds how many supplemental workers may be live at
-	// once when StallThreshold is set. Defaults to Workers (every base
-	// worker may be supplemented simultaneously); ignored when stall
-	// recovery is disabled.
-	MaxSupplements int
 }
+
+// dequeCap is every deque's initial capacity. For the bounded ABP deque
+// it is the FIXED capacity: it must exceed the deepest spawn chain, or
+// the runtime panics on overflow (the ABP drawback discussed in §II-D).
+const dequeCap = 256
 
 func (c *Config) fill() error {
 	if c.Workers <= 0 {
@@ -189,9 +179,6 @@ func (c *Config) fill() error {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.DequeCap <= 0 {
-		c.DequeCap = 256
 	}
 	if c.Join == LockedFibril && c.Deque != deque.THE {
 		return fmt.Errorf("sched: the Fibril protocol requires the THE deque (its lock couples with the frame lock); got %v", c.Deque)
@@ -201,11 +188,6 @@ func (c *Config) fill() error {
 	}
 	if c.StallThreshold < 0 {
 		c.StallThreshold = 0
-	}
-	if c.StallThreshold == 0 {
-		c.MaxSupplements = 0
-	} else if c.MaxSupplements <= 0 {
-		c.MaxSupplements = c.Workers
 	}
 	// Per-slot structures (deques, stack caches, vessel free lists, RNG
 	// streams) are sized for base workers plus supplemental slots, so a
@@ -217,15 +199,6 @@ func (c *Config) fill() error {
 	if c.MaxVessels > 0 && c.MaxVessels < c.Workers {
 		c.MaxVessels = c.Workers
 	}
-	if c.SoftMaxVessels <= 0 {
-		c.SoftMaxVessels = c.MaxVessels
-	}
-	if c.SoftMaxVessels > 0 && c.SoftMaxVessels < c.Workers {
-		c.SoftMaxVessels = c.Workers
-	}
-	if c.MaxVessels > 0 && c.SoftMaxVessels > c.MaxVessels {
-		c.SoftMaxVessels = c.MaxVessels
-	}
 	if c.Chaos != nil {
 		// A copy, so normalisation never mutates the caller's struct.
 		c.Chaos = c.Chaos.WithDefaults(c.Seed)
@@ -236,12 +209,12 @@ func (c *Config) fill() error {
 	// totalSlots streams. A base-width recorder is still legal — Record
 	// bounds-checks and drops supplement events.
 	if c.Record != nil && c.Record.Workers() != c.Workers && c.Record.Workers() != c.totalSlots() {
-		return fmt.Errorf("sched: Record built for %d workers, Config has %d (+%d supplement slots)",
-			c.Record.Workers(), c.Workers, c.MaxSupplements)
+		return fmt.Errorf("sched: Record built for %d workers, Config has %d (%d slots)",
+			c.Record.Workers(), c.Workers, c.totalSlots())
 	}
 	if c.Replay != nil && c.Replay.Workers() != c.Workers && c.Replay.Workers() != c.totalSlots() {
-		return fmt.Errorf("sched: Replay log captured from %d workers, Config has %d (+%d supplement slots)",
-			c.Replay.Workers(), c.Workers, c.MaxSupplements)
+		return fmt.Errorf("sched: Replay log captured from %d workers, Config has %d (%d slots)",
+			c.Replay.Workers(), c.Workers, c.totalSlots())
 	}
 	if c.Name == "" {
 		c.Name = fmt.Sprintf("%s+%s", c.Join, c.Deque)
@@ -251,10 +224,13 @@ func (c *Config) fill() error {
 
 // totalSlots is the number of scheduling slots the runtime sizes its
 // per-slot arrays for: the base worker tokens plus, when stall recovery
-// is armed, one extended slot per possible supplemental worker. Slots
-// Workers..totalSlots-1 are only ever occupied by supplements.
+// is armed, one supplement slot per worker — slot Workers+w belongs to
+// worker w's supplement.
 func (c *Config) totalSlots() int {
-	return c.Workers + c.MaxSupplements
+	if c.StallThreshold > 0 {
+		return 2 * c.Workers
+	}
+	return c.Workers
 }
 
 // Slots reports how many scheduling slots a runtime built from c has

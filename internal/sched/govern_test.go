@@ -366,7 +366,7 @@ func TestGovernDumpStateIncludesBudget(t *testing.T) {
 	var sb strings.Builder
 	rt.DumpState(&sb)
 	out := sb.String()
-	for _, want := range []string{"budget:", "highWater=", "syncLimit=4"} {
+	for _, want := range []string{"budget:", "highWater=", "maxVessels=4"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("DumpState missing %q:\n%s", want, out)
 		}

@@ -86,26 +86,6 @@ func TestOverloadAllInline(t *testing.T) {
 	}
 }
 
-// TestOverloadSoftHeadroom splits the soft and hard budgets: Spawn stops
-// creating vessels at the soft watermark while Sync suspensions may
-// still draw thieves up to the hard cap. The hard cap must still hold.
-func TestOverloadSoftHeadroom(t *testing.T) {
-	for _, cfg := range overloadVariants(func(c *Config) {
-		c.SoftMaxVessels = c.Workers
-		c.MaxVessels = c.Workers + 8
-	}) {
-		cfg := cfg
-		t.Run(cfg.Name, func(t *testing.T) {
-			rt := MustNew(cfg)
-			defer rt.Close()
-			verifyWorkloads(t, rt)
-			if st := rt.Stats(); st.VesselHighWater > int64(cfg.MaxVessels) {
-				t.Fatalf("vessel high water %d exceeds MaxVessels %d", st.VesselHighWater, cfg.MaxVessels)
-			}
-		})
-	}
-}
-
 // TestOverloadChaosAllocFail injects simulated vessel-budget exhaustion
 // into Spawn at a high rate and checks that the mixed inline/parallel
 // execution stays correct and keeps the continuation conservation

@@ -39,12 +39,6 @@ type Runtime struct {
 	lazyOn     bool // cfg.Spawn != SpawnEager: Spawn runs children inline until a thief posts demand
 	stallOn    bool // cfg.StallThreshold > 0: heartbeats + the supervisor's stall row armed per run
 
-	// Cached vessel budgets (0 = unbounded): spawnLimit gates vessel
-	// creation on the Spawn path (SoftMaxVessels), syncLimit gates thief
-	// vessels drawn by suspending Syncs (MaxVessels).
-	spawnLimit int64
-	syncLimit  int64
-
 	deques    []deque.Deque[cont]
 	clDeques  []*deque.CLDeque[cont]  // non-nil iff cfg.Deque == CL: devirtualised hot path
 	theDeques []*deque.THEDeque[cont] // non-nil per worker iff cfg.Deque == THE
@@ -104,16 +98,14 @@ type Runtime struct {
 	chaosRngs    []rngState
 	chaosStalled atomic.Bool
 
-	// Stall recovery (all nil/zero unless stallOn; see stall.go). The
-	// per-slot arrays are indexed by scheduling slot: base workers
-	// 0..Workers-1, supplements Workers..totalSlots-1. tokensRetired is
-	// the cumulative retirement count — the monotonic progress signal
-	// progressSum folds in (tokensLeft alone dips when a supplement
-	// joins mid-run). victimHi is the number of victim-eligible slots,
-	// raised when a supplement arms, reset to Workers each Run.
+	// Stall recovery (all nil/zero unless stallOn; see stall.go). hb is
+	// indexed by scheduling slot: base workers 0..Workers-1, worker w's
+	// supplement Workers+w. tokensRetired is the cumulative retirement
+	// count — the monotonic progress signal progressSum folds in
+	// (tokensLeft alone dips when a supplement joins mid-run). victimHi
+	// is the number of victim-eligible slots, raised when a supplement
+	// arms, reset to Workers each Run.
 	hb            []hbSlot
-	wstate        []healthSlot
-	sup           []supSlot
 	victimHi      atomic.Int32
 	tokensRetired atomic.Int64
 	seized        atomic.Int64
@@ -188,8 +180,6 @@ func New(cfg Config) (*Runtime, error) {
 		lazyOn:     cfg.Spawn != SpawnEager,
 		stallOn:    cfg.StallThreshold > 0,
 		rep:        cfg.Record,
-		spawnLimit: int64(cfg.SoftMaxVessels),
-		syncLimit:  int64(cfg.MaxVessels),
 		deques:     make([]deque.Deque[cont], slots),
 		pool:       cactus.NewPool(cfg.Stacks),
 		rec:        trace.NewRecorder(slots),
@@ -205,7 +195,7 @@ func New(cfg Config) (*Runtime, error) {
 		rt.clDeques = make([]*deque.CLDeque[cont], slots)
 	}
 	for w := 0; w < slots; w++ {
-		d := deque.New[cont](cfg.Deque, cfg.DequeCap)
+		d := deque.New[cont](cfg.Deque, dequeCap)
 		rt.deques[w] = d
 		if rt.theDeques != nil {
 			rt.theDeques[w] = d.(*deque.THEDeque[cont])
@@ -226,8 +216,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if rt.stallOn {
 		rt.hb = make([]hbSlot, slots)
-		rt.wstate = make([]healthSlot, slots)
-		rt.sup = make([]supSlot, cfg.MaxSupplements)
 		rt.victimHi.Store(int32(cfg.Workers))
 	}
 	return rt, nil
@@ -343,11 +331,12 @@ func (rt *Runtime) runInternal(ctx context.Context, root func(api.Ctx)) error {
 	}
 
 	if rt.stallOn {
-		// Health words, supplement slots and the victim high-water reset
-		// before any token exists; the stall row is armed for exactly this
-		// run (its Stop returns only once no stall pass is in progress, so
-		// a late seizure can never race the post-run idle reconciliation).
-		rt.resetStallState()
+		// The victim high-water resets before any token exists (every
+		// stall word is back to healthy: the last run retired all its
+		// supplements); the stall row is armed for exactly this run (its
+		// Stop returns only once no stall pass is in progress, so a late
+		// seizure can never race the post-run idle reconciliation).
+		rt.victimHi.Store(int32(rt.cfg.Workers))
 		defer rt.armStallRow().Stop()
 	}
 
@@ -455,8 +444,8 @@ func (rt *Runtime) resumeThief() {
 
 // wakeThieves rouses every parked thief, for conditions each must
 // re-check for itself: the root strand finished, the run was cancelled,
-// the blocked gauge dropped during wind-down, a supplement was flagged to
-// retire.
+// the blocked gauge dropped during wind-down, a stalled worker returned
+// (its supplement may retire).
 //
 //nowa:coldpath run end, cancellation, wind-down and supplement retirement only
 func (rt *Runtime) wakeThieves() {
@@ -490,7 +479,7 @@ func (rt *Runtime) parkThief(p *Proc) {
 	} else {
 		// The stall hook doubles as the park-time heartbeat — a parked
 		// thief is idle, not stalled, and beats again at wake — and tells
-		// a supplement flagged to retire since its last pass.
+		// a supplement whose worker returned since its last pass.
 		look = rt.anyDequeNonEmpty() || (rt.stallOn && rt.stallStealCheck(w))
 	}
 	// In both phases a queued submission is work: a forced drain still
@@ -624,9 +613,9 @@ func (rt *Runtime) DumpState(w io.Writer) {
 	if rt.stallOn {
 		fmt.Fprintf(w, "  stall recovery: seized=%d supplemented=%d retired=%d victimSlots=%d\n",
 			rt.seized.Load(), rt.supplemented.Load(), rt.supRetired.Load(), rt.victimHi.Load())
-		for i := range rt.wstate {
-			if st := rt.wstate[i].state.Load(); st != wsHealthy && i < rt.cfg.Workers {
-				fmt.Fprintf(w, "  worker %d health: %d (1=seized 2=supplemented) heartbeat=%d\n", i, st, rt.hb[i].n.Load())
+		for i := 0; i < rt.cfg.Workers; i++ {
+			if st := rt.hb[i].state.Load(); st != wsHealthy {
+				fmt.Fprintf(w, "  worker %d stall word: %d (1=supplemented 2=retiring) heartbeat=%d\n", i, st, rt.hb[i].n.Load())
 			}
 		}
 	}
@@ -637,9 +626,9 @@ func (rt *Runtime) DumpState(w io.Writer) {
 	pooled := len(rt.vglobal.free)
 	rt.vglobal.mu.Unlock()
 	fmt.Fprintf(w, "  vessels: %d registered, %d pooled globally (owner-local caches not shown)\n", total, pooled)
-	fmt.Fprintf(w, "  budget: live=%d highWater=%d trimmed=%d spawnLimit=%d syncLimit=%d scopesLeaked=%d\n",
+	fmt.Fprintf(w, "  budget: live=%d highWater=%d trimmed=%d maxVessels=%d scopesLeaked=%d\n",
 		rt.vLive.Load(), rt.vHighWater.Load(), rt.vTrimmed.Load(),
-		rt.spawnLimit, rt.syncLimit, rt.scopesLeaked.Load())
+		rt.cfg.MaxVessels, rt.scopesLeaked.Load())
 	agg := rt.rec.Aggregate()
 	fmt.Fprintf(w, "  waits: blocked=%d resumed=%d aborted=%d live=%d highWater=%d pendingWakes=%d wakeupsLost=%d\n",
 		agg.BlockedWaits, agg.ResumedWaits, agg.AbortedWaits,

@@ -255,7 +255,7 @@ func (s *scope) release() {
 // thief resumed the continuation) exactly as in the paper's
 // strand-to-worker mappings (Figure 4). The switch below decides inline or
 // eager; spawnEager only falls back to inline when no vessel fits the
-// SoftMaxVessels budget.
+// MaxVessels budget.
 //
 // The steady-state fast path performs no heap allocation, no channel
 // operation, and — lazily — no goroutine switch, deque operation or
@@ -349,8 +349,8 @@ func (s *scope) spawnEager(fn func(api.Ctx)) {
 	// Acquire the child's vessel *before* publishing the continuation:
 	// once pushed it can be stolen, so there is no sound way to back out
 	// into inline execution afterwards. A free-list hit pays no budget
-	// check at all; only fresh vessel creation is gated (SoftMaxVessels).
-	cv := rt.getVesselBudget(w, rt.spawnLimit)
+	// check at all; only fresh vessel creation is gated (MaxVessels).
+	cv := rt.getVesselBudget(w, rt.cfg.MaxVessels)
 	if cv == nil {
 		rt.runInline(p, fn, trace.DegradedSpawns)
 		return
@@ -455,7 +455,7 @@ func (s *scope) Sync() {
 		if !rt.chaosOn || !rt.chaosRoll(w, replay.SiteSyncVessel) {
 			// A fired roll simulates exhaustion: tv stays nil and the
 			// strand takes the token-keeping suspension below.
-			tv = rt.getVesselBudget(w, rt.syncLimit)
+			tv = rt.getVesselBudget(w, rt.cfg.MaxVessels)
 		}
 		s.keepToken = tv == nil
 	}

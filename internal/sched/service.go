@@ -92,9 +92,6 @@ type ServiceConfig struct {
 	// remaining submissions are force-cancelled via the run context.
 	// Zero selects the default (5s); negative waits indefinitely.
 	DrainTimeout time.Duration
-	// BaseContext, if non-nil, parents every submission's context and
-	// the service run itself; cancelling it force-cancels the service.
-	BaseContext context.Context
 }
 
 func (c *ServiceConfig) fill() {
@@ -103,9 +100,6 @@ func (c *ServiceConfig) fill() {
 	}
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = 5 * time.Second
-	}
-	if c.BaseContext == nil {
-		c.BaseContext = context.Background()
 	}
 }
 
@@ -310,7 +304,7 @@ func (rt *Runtime) StartService(cfg ServiceConfig) error {
 	if rt.chaosOn {
 		svc.chaosRng.s = uint64(rt.cfg.Chaos.Seed)*0x2545f4914f6cdd1d + 0x9e3779b97f4a7c15
 	}
-	svc.ctx, svc.cancel = context.WithCancelCause(cfg.BaseContext)
+	svc.ctx, svc.cancel = context.WithCancelCause(context.Background())
 	if !rt.svc.CompareAndSwap(nil, svc) {
 		svc.cancel(nil)
 		return errors.New("sched: StartService on a Runtime already serving")

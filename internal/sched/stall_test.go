@@ -23,8 +23,8 @@ func stallCfg(workers int) Config {
 }
 
 // TestStallSlotSizing pins the array-sizing contract: recovery off means
-// exactly Workers slots (and zeroed stall stats), recovery on adds one
-// extended slot per possible supplement.
+// exactly Workers slots (and zeroed stall stats), recovery on adds slot
+// Workers+w for each worker w's supplement.
 func TestStallSlotSizing(t *testing.T) {
 	plain := NewNowa(4)
 	defer plain.Close()
@@ -39,13 +39,7 @@ func TestStallSlotSizing(t *testing.T) {
 	armed := MustNew(stallCfg(4))
 	defer armed.Close()
 	if got := armed.DebugSlots(); got != 8 {
-		t.Fatalf("DebugSlots = %d with recovery armed, want 8 (Workers + MaxSupplements default)", got)
-	}
-
-	capped := MustNew(func() Config { c := stallCfg(4); c.MaxSupplements = 1; return c }())
-	defer capped.Close()
-	if got := capped.DebugSlots(); got != 5 {
-		t.Fatalf("DebugSlots = %d with MaxSupplements=1, want 5", got)
+		t.Fatalf("DebugSlots = %d with recovery armed, want 8 (2×Workers)", got)
 	}
 }
 
@@ -91,6 +85,80 @@ func TestStallSupplementBatch(t *testing.T) {
 	cnt := rt.Counters()
 	if err := cnt.CheckQuiescent(); err != nil {
 		t.Fatalf("counter conservation violated with supplements: %v", err)
+	}
+}
+
+// TestStallReseize runs two full cycles on one worker in one run: the
+// worker stalls, is supplemented, returns, and its supplement retires;
+// then it stalls again and is supplemented again on the same slot. One
+// worker makes the strand-to-token mapping deterministic: each sleeper
+// runs on token 0 (child-first), the parent's continuation waits in
+// deque 0 as the runnable work that makes the stall seizable, and slot 1
+// is the only supplement slot there is.
+func TestStallReseize(t *testing.T) {
+	cfg := stallCfg(1)
+	cfg.Spawn = SpawnEager
+	rt := MustNew(cfg)
+	defer rt.Close()
+
+	rt.Run(func(c api.Ctx) {
+		s := c.Scope()
+		for range 2 {
+			s.Spawn(func(api.Ctx) { time.Sleep(60 * time.Millisecond) })
+			s.Sync()
+		}
+	})
+	st := rt.Stats()
+	if st.WorkersSupplemented != 2 || st.SupplementsRetired != 2 {
+		t.Fatalf("supplemented=%d retired=%d, want 2 and 2 (two 60ms stalls against a 2ms threshold)",
+			st.WorkersSupplemented, st.SupplementsRetired)
+	}
+	if n := rt.rec.Worker(1)[trace.FailedSteals].Load(); n == 0 {
+		t.Fatal("slot 1 never ran a steal loop: the supplements were not on worker 0's slot")
+	}
+	if err := rt.CheckIdle(); err != nil {
+		t.Fatalf("not idle after two seize/supplement/retire cycles: %v", err)
+	}
+}
+
+// TestStallRespectsVesselBudget arms recovery under a tight vessel budget
+// with stall chaos: a seizure must draw the supplement's vessel under
+// MaxVessels like any spawn, and stand down when none fits, so the high
+// water never passes the budget. Each round also plants one long stall
+// beside a spawning loop that keeps the budget drawn, so every round
+// seizes at least once.
+func TestStallRespectsVesselBudget(t *testing.T) {
+	cfg := stallCfg(2)
+	cfg.Spawn = SpawnEager
+	cfg.MaxVessels = cfg.Workers + 2
+	cfg.Chaos = &Chaos{StallWorker: 48, StallForUS: 4000}
+	rt := MustNew(cfg)
+	defer rt.Close()
+
+	for round := 0; round < 3; round++ {
+		var got int
+		rt.Run(func(c api.Ctx) {
+			s := c.Scope()
+			s.Spawn(func(api.Ctx) { time.Sleep(40 * time.Millisecond) })
+			for deadline := time.Now().Add(30 * time.Millisecond); time.Now().Before(deadline); {
+				got = fib(c, 14)
+			}
+			s.Sync()
+		})
+		if want := fibSerial(14); got != want {
+			t.Fatalf("round %d: fib(14) = %d, want %d", round, got, want)
+		}
+	}
+	st := rt.Stats()
+	if st.WorkersSeized == 0 {
+		t.Fatal("no seizure: the stall chaos never gave recovery a chance to overdraw")
+	}
+	if st.VesselHighWater > int64(cfg.MaxVessels) {
+		t.Fatalf("vessel high water %d exceeds MaxVessels %d (seized=%d supplemented=%d)",
+			st.VesselHighWater, cfg.MaxVessels, st.WorkersSeized, st.WorkersSupplemented)
+	}
+	if err := rt.CheckIdle(); err != nil {
+		t.Fatalf("not idle: %v", err)
 	}
 }
 
@@ -159,13 +227,13 @@ func TestStallServiceRecovery(t *testing.T) {
 }
 
 // TestStallRetireFlagSeenAtPark closes the window between a supplement's
-// last stallStealCheck and its sleep: flagged to retire in there, it used
-// to sleep through the flag until somebody else's spawn woke it. The test
-// stands in for the supplement's thief on an idle service so it decides
-// where the thief is when the flag lands: past the check that found
-// nothing, not yet holding a ticket — the wake that comes with the flag
-// misses it. The park that follows must be declined, and the supplement
-// must retire with no submission to help it.
+// last stallStealCheck and its sleep: its worker returning in there, it
+// used to sleep through the retire phase until somebody else's spawn woke
+// it. The test stands in for the supplement's thief on an idle service so
+// it decides where the thief is when the word moves: past the check that
+// found nothing, not yet holding a ticket — the wake that comes with the
+// return misses it. The park that follows must be declined, and the
+// supplement must retire with no submission to help it.
 func TestStallRetireFlagSeenAtPark(t *testing.T) {
 	rt := MustNew(stallCfg(2))
 	defer rt.Close()
@@ -175,15 +243,12 @@ func TestStallRetireFlagSeenAtPark(t *testing.T) {
 	awaitCond(t, "both of the service's tokens to park", func() bool {
 		return rt.rec.Worker(0)[trace.ThiefParks].Load() == 1 && rt.rec.Worker(1)[trace.ThiefParks].Load() == 1
 	})
-	// Arm slot 0 for token 0 the way seizeWorker does, minus the dispatch:
-	// the token sleeps on the idle queue, so nothing re-enters the health
-	// word behind the test's back.
+	// Arm slot Workers+0 for token 0 the way seizeWorker does, minus the
+	// dispatch: the token sleeps on the idle queue, so nothing moves the
+	// stall word behind the test's back.
 	ws := rt.cfg.Workers
-	rt.wstate[0].state.CompareAndSwap(wsHealthy, wsSeized)
-	rt.wstate[0].state.CompareAndSwap(wsSeized, wsSupplemented)
 	rt.tokensLeft.Add(1)
-	rt.sup[0].watch.Store(0)
-	rt.sup[0].state.CompareAndSwap(supIdle, supArmed)
+	rt.hb[0].state.CompareAndSwap(wsHealthy, wsSupplemented)
 	rt.victimHi.Store(int32(ws + 1))
 	rt.supplemented.Add(1)
 	v := &vessel{rt: rt}
@@ -191,12 +256,11 @@ func TestStallRetireFlagSeenAtPark(t *testing.T) {
 	v.proc = Proc{rt: rt, v: v, worker: ws}
 
 	if rt.stallStealCheck(ws) {
-		t.Fatal("retire flag seen before it was set")
+		t.Fatal("retire phase seen before the worker returned")
 	}
-	rt.seizedReentry(0)
-	rt.retireRecoveredSupplements()
-	if st := rt.sup[0].state.Load(); st != supRetiring {
-		t.Fatalf("slot state %d after the worker's re-entry, want retiring", st)
+	rt.stallReentry(0)
+	if st := rt.hb[0].state.Load(); st != wsRetiring {
+		t.Fatalf("stall word %d after the worker's re-entry, want retiring", st)
 	}
 	retired := rt.supRetired.Load()
 	done := make(chan struct{})

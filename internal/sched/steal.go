@@ -63,7 +63,7 @@ func (rt *Runtime) stealLoop(p *Proc) {
 			}
 			// Free the vessel before retiring: the token is still ours
 			// here, which keeps the local free list owner-only. Supplement
-			// tokens route through their slot bookkeeping (stall.go).
+			// tokens route through their stall word (stall.go).
 			rt.freeVessel(p.v, w)
 			rt.retireTokenFrom(w)
 			return

@@ -213,7 +213,7 @@ func (rt *Runtime) getVessel(w int) *vessel {
 // degrades (Spawn runs the child inline, Sync keeps its token).
 //
 //nowa:hotpath
-func (rt *Runtime) getVesselBudget(w int, limit int64) *vessel {
+func (rt *Runtime) getVesselBudget(w int, limit int) *vessel {
 	lf := &rt.vlocal[w]
 	if n := len(lf.free); n > 0 {
 		v := lf.free[n-1]
@@ -228,7 +228,7 @@ func (rt *Runtime) getVesselBudget(w int, limit int64) *vessel {
 // fresh creation under the budget reservation.
 //
 //nowa:coldpath free-list miss only: takes the global mutex and may start a goroutine; steady state recycles through the owner-local caches
-func (rt *Runtime) getVesselSlow(limit int64) *vessel {
+func (rt *Runtime) getVesselSlow(limit int) *vessel {
 	rt.vglobal.mu.Lock()
 	if n := len(rt.vglobal.free); n > 0 {
 		v := rt.vglobal.free[n-1]
@@ -248,14 +248,14 @@ func (rt *Runtime) getVesselSlow(limit int64) *vessel {
 // loop, so the check and the increment are a single atomic step — a
 // plain check-then-add would let concurrent reservers overshoot the cap,
 // and would race with the governor's concurrent trim decrements.
-func (rt *Runtime) reserveVessel(limit int64) bool {
+func (rt *Runtime) reserveVessel(limit int) bool {
 	if limit <= 0 {
 		rt.vLive.Add(1)
 		return true
 	}
 	for {
 		n := rt.vLive.Load()
-		if n >= limit {
+		if n >= int64(limit) {
 			return false
 		}
 		if rt.vLive.CompareAndSwap(n, n+1) {

@@ -41,9 +41,9 @@ type Class struct {
 	// kernel: a hard vessel budget makes PrepareWait keep the worker
 	// token, a stack budget can park every strand that could free a stack.
 	NoBudgets bool
-	// RecoveryUS, if positive, arms stall recovery with this threshold
-	// (and on a coin flip a supplement pool of one, which covers the
-	// all-slots-busy stand-down path).
+	// RecoveryUS, if positive, arms stall recovery with this threshold.
+	// The budget draw's tight vessel cap covers the stand-down path, a
+	// seizure with no vessel to spare.
 	RecoveryUS int64
 }
 
@@ -127,16 +127,12 @@ func drawTrial(c Config, from []Class, rng *rand.Rand, n int) replay.Meta {
 		m.SpawnEager = true
 	}
 	m.StallThresholdUS = cl.RecoveryUS
-	if cl.RecoveryUS > 0 {
-		m.MaxSupplements = rng.Intn(2) // 0: the default, one per worker
-	}
-	budget := [][2]int{{}, {w + 2, 0}, {4 * w, 2 * w}}[rng.Intn(3)]
-	m.MaxVessels, m.SoftMaxVessels = budget[0], budget[1]
+	m.MaxVessels = []int{0, w + 2}[rng.Intn(2)]
 	m.MaxStacks = []int{0, 4 * w, 0, 0}[rng.Intn(4)]
 	m.TimeoutMS = []int64{0, 1, 5, 0}[rng.Intn(4)]
 	if cl.NoBudgets {
 		// Most trials then cancel mid-churn with waiters in flight.
-		m.MaxVessels, m.SoftMaxVessels, m.MaxStacks = 0, 0, 0
+		m.MaxVessels, m.MaxStacks = 0, 0
 		if m.TimeoutMS == 0 {
 			m.TimeoutMS = rng.Int63n(2)
 		}

@@ -82,9 +82,9 @@ func TestAbortTrialDraw(t *testing.T) {
 		if !m.SpawnEager {
 			t.Fatalf("trial %d: abort class without eager spawns", n)
 		}
-		if m.MaxVessels != 0 || m.SoftMaxVessels != 0 || m.MaxStacks != 0 {
-			t.Fatalf("trial %d: abort class kept budgets v=%d sv=%d st=%d",
-				n, m.MaxVessels, m.SoftMaxVessels, m.MaxStacks)
+		if m.MaxVessels != 0 || m.MaxStacks != 0 {
+			t.Fatalf("trial %d: abort class kept budgets v=%d st=%d",
+				n, m.MaxVessels, m.MaxStacks)
 		}
 	}
 }
@@ -181,14 +181,14 @@ func TestGoldenMeta(t *testing.T) {
 				c.Chaos = &sched.Chaos{Seed: 11, LeakVessel: 24, StealInterest: 1024, DelaySpins: 1}
 			}},
 		{`{"tool":"nowa-torture","kernel":"pipeline","scale":"test","variant":"cilkplus","workers":4,"seed":9,` +
-			`"max_vessels":16,"soft_max_vessels":8,"max_stacks":12,"timeout_ms":5,"spawn_eager":true,` +
+			`"max_vessels":16,"max_stacks":12,"timeout_ms":5,"spawn_eager":true,` +
 			`"chaos":{"seed":3,"steal_fail":16,"delay_spins":2,"stall_worker":48,"stall_for_us":2000,` +
-			`"submit_latency":16,"submit_latency_for_us":500},"stall_threshold_us":500,"max_supplements":1}`,
+			`"submit_latency":16,"submit_latency_for_us":500},"stall_threshold_us":500}`,
 			func(c *sched.Config) {
 				c.Workers, c.Seed = 4, 9
-				c.MaxVessels, c.SoftMaxVessels, c.Spawn = 16, 8, sched.SpawnEager
+				c.MaxVessels, c.Spawn = 16, sched.SpawnEager
 				c.Stacks.GlobalCap, c.Stacks.CapMode = 12, 1 // cactus.CapSoft
-				c.StallThreshold, c.MaxSupplements = 500*time.Microsecond, 1
+				c.StallThreshold = 500 * time.Microsecond
 				c.Chaos = &sched.Chaos{Seed: 3, StealFail: 16, DelaySpins: 2, StallWorker: 48, StallForUS: 2000,
 					SubmitLatency: 16, SubmitLatencyForUS: 500}
 			}},
@@ -253,8 +253,7 @@ func TestReplayBundleWithParkAfter(t *testing.T) {
 func TestShrinkSynthetic(t *testing.T) {
 	start := replay.Meta{
 		Tool: "nowa-torture", Kernel: "fib", Variant: "fibril", Workers: 8, Seed: 5, Class: "heavy",
-		MaxVessels: 10, SoftMaxVessels: 9, MaxStacks: 32, TimeoutMS: 5,
-		StallThresholdUS: 500, MaxSupplements: 1,
+		MaxVessels: 10, MaxStacks: 32, TimeoutMS: 5, StallThresholdUS: 500,
 		Chaos: &replay.Chaos{Seed: 2, DelaySpins: 4, LeakVessel: 24, StealFail: 128,
 			StallWorker: 48, StallForUS: 2000},
 	}

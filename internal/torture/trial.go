@@ -26,7 +26,6 @@ func buildConfig(m replay.Meta) (sched.Config, error) {
 	}
 	cfg.Seed = m.Seed
 	cfg.MaxVessels = m.MaxVessels
-	cfg.SoftMaxVessels = m.SoftMaxVessels
 	if m.MaxStacks > 0 {
 		cfg.Stacks.GlobalCap = m.MaxStacks
 		cfg.Stacks.CapMode = cactus.CapSoft
@@ -36,7 +35,6 @@ func buildConfig(m replay.Meta) (sched.Config, error) {
 	}
 	cfg.Chaos = m.Chaos
 	cfg.StallThreshold = time.Duration(m.StallThresholdUS) * time.Microsecond
-	cfg.MaxSupplements = m.MaxSupplements
 	return cfg, nil
 }
 
@@ -50,7 +48,7 @@ func label(m replay.Meta, sc *serviceSpec) string {
 	l := fmt.Sprintf("%s/%s w=%d seed=%d chaos=%s vessels=%d stacks=%d timeout=%dms",
 		m.Kernel, m.Variant, m.Workers, m.Seed, m.Class, m.MaxVessels, m.MaxStacks, m.TimeoutMS)
 	if m.StallThresholdUS > 0 {
-		l += fmt.Sprintf(" recovery=%dµs/sup%d", m.StallThresholdUS, m.MaxSupplements)
+		l += fmt.Sprintf(" recovery=%dµs", m.StallThresholdUS)
 	}
 	return l
 }

@@ -44,9 +44,8 @@ func TestLimitedCorrectAcrossBudgets(t *testing.T) {
 	}{
 		{"low", Limits{MaxVessels: 1}}, // raised to Workers: the tightest legal budget
 		{"mid", Limits{MaxVessels: workers + 3}},
-		{"soft-headroom", Limits{SoftMaxVessels: workers, MaxVessels: workers + 6}},
 		{"stack-bound", Limits{MaxStacks: 3}},
-		{"everything", Limits{MaxVessels: workers + 2, SoftMaxVessels: workers, MaxStacks: 4}},
+		{"everything", Limits{MaxVessels: workers + 2, MaxStacks: 4}},
 	}
 	for _, v := range limitedVariants {
 		for _, tc := range cases {

@@ -157,15 +157,10 @@ const (
 // spawns run inline on the caller's strand, preserving correctness while
 // shedding parallelism — instead of growing without bound or aborting.
 type Limits struct {
-	// MaxVessels is the hard budget on live execution goroutines
-	// (vessels); zero means unbounded. Values below the worker count are
-	// raised to it.
+	// MaxVessels is the budget on live execution goroutines (vessels);
+	// zero means unbounded. Values below the worker count are raised to
+	// it.
 	MaxVessels int
-	// SoftMaxVessels, if positive, makes Spawn stop creating fresh
-	// vessels early while syncs may still draw up to MaxVessels; the
-	// headroom keeps workers stealing under load. Defaults to
-	// MaxVessels.
-	SoftMaxVessels int
 	// MaxStacks bounds the cactus stack pool in soft mode: exhaustion
 	// latches a pressure signal that degrades new spawns to inline
 	// execution until stacks are returned or trimmed. Zero means
@@ -180,12 +175,10 @@ type Limits struct {
 	Spawn SpawnPolicy
 	// StallThreshold arms stall recovery: a worker whose heartbeat goes
 	// stale this long while runnable work exists is seized and a
-	// supplemental worker dispatched in its stead (see internal/sched
-	// stall.go). Zero (the default) disables recovery at zero cost.
+	// supplemental worker dispatched in its stead, at most one per
+	// worker (see internal/sched stall.go). Zero (the default) disables
+	// recovery at zero cost.
 	StallThreshold time.Duration
-	// MaxSupplements bounds the supplemental workers live at once;
-	// zero with a StallThreshold set defaults to the worker count.
-	MaxSupplements int
 }
 
 // ResourceStats is a snapshot of a runtime's resource accounting; see
@@ -210,10 +203,8 @@ func NewLimited(v Variant, workers int, lim Limits) Runtime {
 		panic("nowa: NewLimited requires a continuation-stealing variant (vessel model); got " + v.String())
 	}
 	cfg.MaxVessels = lim.MaxVessels
-	cfg.SoftMaxVessels = lim.SoftMaxVessels
 	cfg.Spawn = lim.Spawn
 	cfg.StallThreshold = lim.StallThreshold
-	cfg.MaxSupplements = lim.MaxSupplements
 	if lim.MaxStacks > 0 {
 		cfg.Stacks.GlobalCap = lim.MaxStacks
 		cfg.Stacks.CapMode = cactus.CapSoft
