@@ -751,6 +751,9 @@ func TestWaitStatsSurface(t *testing.T) {
 // TestSubmitCancelAbortsBlockedWait: in service mode a submission's
 // context cancellation reaches a strand blocked in a channel — the
 // SubmitCtx machinery is what Close-drain force-cancellation rides on.
+// Beside it a submission hangs on a future until the test goroutine,
+// which holds no worker token, resolves it; the service then drains
+// clean with one wait ended by abort and one by resume.
 func TestSubmitCancelAbortsBlockedWait(t *testing.T) {
 	rt := NewLimited(VariantNowa, 4, Limits{Spawn: SpawnEager})
 	defer Close(rt)
@@ -776,8 +779,28 @@ func TestSubmitCancelAbortsBlockedWait(t *testing.T) {
 	if !errors.Is(got, context.Canceled) {
 		t.Fatalf("blocked Recv under cancelled submission: %v, want context.Canceled", got)
 	}
+
+	fut := NewFuture[int]()
+	var awaited int
+	hung, err := Submit(rt, func(c Ctx) { awaited, _ = fut.Await(c) }, SubmitOpts{})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	time.Sleep(5 * time.Millisecond) // let the strand park
+	select {
+	case <-hung.Done():
+		t.Fatal("submission awaiting an unresolved future finished")
+	default:
+	}
+	fut.Complete(7)
+	if err := hung.Wait(); err != nil || awaited != 7 {
+		t.Fatalf("hung submission: err %v, awaited %d, want nil and 7", err, awaited)
+	}
 	Close(rt) // the idle invariants hold once the service has drained
 	assertWaitConservation(t, rt)
+	if st, _ := Resources(rt); st.ResumedWaits == 0 || st.AbortedWaits == 0 {
+		t.Fatalf("want one wait ended by resume and one by abort: %+v", st)
+	}
 }
 
 // TestReplayAbortRace is the acceptance-criterion replay test: a

@@ -43,9 +43,9 @@ import (
 // uses; deferred Unlock keeps the lock held to the end of the function,
 // matching its dynamic extent.
 //
-// A documented exception — vessel teardown delivering a parker wake while
-// the governor lock is held — is suppressed line-scoped with
-// //nowa:lock-ok <reason>.
+// A documented exception — Close's shutdown broadcast delivering parker
+// wakes while the vessel registry lock is held — is suppressed
+// line-scoped with //nowa:lock-ok <reason>.
 func Lockorder() *Analyzer {
 	return &Analyzer{
 		Name: "lockorder",

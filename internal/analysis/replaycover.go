@@ -32,7 +32,7 @@ import (
 // function counts as emitted. Consumption is the set of Kind constants
 // referenced in the Cursor's methods and everything they statically call
 // inside the replay package. The zero Kind (KNone) is the absent-event
-// sentinel and exempt.
+// sentinel and exempt, as is a blank (_) holding a retired kind's number.
 func Replaycover() *Analyzer {
 	return &Analyzer{
 		Name: "replaycover",
@@ -69,7 +69,8 @@ func checkReplayPkg(m *Module, rp *Package, kindType types.Type) []Finding {
 
 	// Collect the vocabulary: Kind-typed constants of the replay package,
 	// with their //nowa:replay-* annotations. The zero value is the
-	// absent-event sentinel and exempt from coverage.
+	// absent-event sentinel and exempt from coverage; so is a blank,
+	// which holds a retired kind's number and which no code can name.
 	var kinds []*kindConst
 	byObj := make(map[*types.Const]*kindConst)
 	for _, f := range rp.Files {
@@ -88,6 +89,9 @@ func checkReplayPkg(m *Module, rp *Package, kindType types.Type) []Finding {
 					doc = gd.Doc
 				}
 				for _, nm := range vs.Names {
+					if nm.Name == "_" {
+						continue
+					}
 					c, ok := rp.Info.Defs[nm].(*types.Const)
 					if !ok || !types.Identical(c.Type(), kindType) {
 						continue

@@ -9,6 +9,7 @@ func Trace(r *replay.Recorder) {
 	r.Record(0, replay.KDiag)
 	r.Record(0, replay.KAsym)
 	r.Record(0, replay.KOver)
+	r.Record(0, replay.KAfter)
 	r.Record(0, outcome(true))
 }
 

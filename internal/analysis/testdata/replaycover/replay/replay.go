@@ -26,6 +26,11 @@ const (
 	// KOver is annotated reserved yet the emit package records it.
 	//nowa:replay-reserved corpus positive: contradicted by the emit package
 	KOver
+	// A blank holds a retired kind's number: nothing can name it, so it
+	// is no vocabulary: clean.
+	_
+	// KAfter follows the blank and is recorded and consumed: clean.
+	KAfter
 )
 
 // Recorder appends events.
@@ -54,4 +59,4 @@ func (c *Cursor) Next() (Kind, bool) {
 
 // isDecision is reached from the cursor: everything it references counts
 // as consumed.
-func isDecision(k Kind) bool { return k == KUsed || k == KOdd }
+func isDecision(k Kind) bool { return k == KUsed || k == KOdd || k == KAfter }

@@ -2,7 +2,7 @@ package api
 
 // ResourceStats is a runtime-agnostic snapshot of pooled-resource
 // accounting: how many execution vessels and stacks a runtime holds, how
-// hard its resource governor has degraded or trimmed, and what leaked.
+// often its budgets degraded a spawn or a sync, and what leaked.
 // Runtimes without a vessel model (the child-stealing and OpenMP-like
 // comparators, the serial elision) simply do not implement
 // ResourceReporter.
@@ -12,17 +12,14 @@ type ResourceStats struct {
 	// MaxVessels budget the high water never exceeds the budget.
 	VesselsLive     int64
 	VesselHighWater int64
-	// VesselsTrimmed counts vessels retired by memory-pressure trims;
 	// VesselsLeaked is the idle-time reconciliation of created versus
 	// recycled (nonzero indicates a runtime bug).
-	VesselsTrimmed int64
-	VesselsLeaked  int64
-	// StacksLive / StacksTrimmed / StacksLeaked are the same three for
-	// the cactus stack pool.
-	StacksLive    int64
-	StacksTrimmed int64
-	StacksLeaked  int64
-	// DegradedSpawns counts spawns the governor ran inline (vessel
+	VesselsLeaked int64
+	// StacksLive and StacksLeaked are the same two for the cactus stack
+	// pool.
+	StacksLive   int64
+	StacksLeaked int64
+	// DegradedSpawns counts spawns a budget ran inline (vessel
 	// budget exhausted or stack pool under soft-cap pressure);
 	// TokenKeepSyncs counts sync suspensions that parked holding their
 	// worker token because no thief vessel fit the budget. Both are the

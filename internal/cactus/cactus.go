@@ -53,8 +53,8 @@ const (
 	// CapSoft generalises the cap into a graceful-degradation signal: a
 	// failed Get additionally latches the pool's pressure flag, which the
 	// scheduler polls on the spawn path to degrade new spawns to inline
-	// execution (shedding stack demand instead of aborting supply). Any
-	// Put or Trim that makes capacity available clears the latch.
+	// execution (shedding stack demand instead of aborting supply). The
+	// next Put, which makes capacity available, clears the latch.
 	CapSoft
 )
 
@@ -74,8 +74,7 @@ type Config struct {
 	PerWorkerCap int
 	// GlobalCap, if positive, bounds the TOTAL number of stacks live at
 	// once (the Cilk Plus strategy); Get fails once it is reached and
-	// nothing is free. Zero means unbounded. Trim lowers the live count,
-	// making room for fresh allocations again.
+	// nothing is free. Zero means unbounded.
 	GlobalCap int
 	// CapMode selects the exhaustion behaviour under GlobalCap: CapAbort
 	// (default, the paper's comparator) or CapSoft (pressure-latch
@@ -109,14 +108,13 @@ func (c *Config) fill() {
 
 // Stats is a snapshot of pool accounting.
 type Stats struct {
-	Allocated     int64 // stacks currently live (allocated minus trimmed)
+	Allocated     int64 // stacks currently live
 	LocalGets     int64 // served from a per-worker buffer
 	GlobalGets    int64 // served from the global pool
 	FreshGets     int64 // newly allocated
 	FailedGets    int64 // GlobalCap exhausted (bounded modes)
 	LocalPuts     int64
 	GlobalPuts    int64
-	Trimmed       int64 // free stacks destroyed by Trim (governor reclamation)
 	MadviseCalls  int64
 	PageFaults    int64 // pages touched back in after a release
 	ResidentBytes int64 // current accounted RSS of all stacks
@@ -140,7 +138,6 @@ type Pool struct {
 	failedGets   atomic.Int64
 	localPuts    atomic.Int64
 	globalPuts   atomic.Int64
-	trimmed      atomic.Int64
 	madviseCalls atomic.Int64
 	pageFaults   atomic.Int64
 	resident     atomic.Int64
@@ -214,8 +211,7 @@ func (p *Pool) Get(worker int) (*Stack, bool) {
 // reserve atomically claims one slot of the GlobalCap budget (always
 // succeeds when unbounded). The CAS loop makes the check-then-allocate a
 // single linearisable step: two concurrent callers racing for the last
-// slot cannot both pass the cap test, and a concurrent Trim's decrement
-// only makes a reservation spuriously retry, never over-admit.
+// slot cannot both pass the cap test.
 func (p *Pool) reserve() bool {
 	cap64 := int64(p.cfg.GlobalCap)
 	if cap64 <= 0 {
@@ -234,7 +230,7 @@ func (p *Pool) reserve() bool {
 }
 
 // Pressure reports the soft-cap pressure latch: true between a cap-failed
-// Get and the next Put or Trim that makes capacity available. One atomic
+// Get and the next Put, which makes capacity available. One atomic
 // load; the scheduler polls it on the spawn path in soft mode.
 func (p *Pool) Pressure() bool { return p.pressure.Load() }
 
@@ -267,72 +263,11 @@ func (p *Pool) Put(worker int, s *Stack) {
 }
 
 // clearPressure releases the soft-cap latch once capacity is available
-// again (a stack returned to a free list, or Trim lowered the live count
-// below the cap).
+// again: a stack returned to a free list.
 func (p *Pool) clearPressure() {
 	if p.cfg.CapMode == CapSoft {
 		p.pressure.Store(false)
 	}
-}
-
-// Trim destroys free stacks — global pool first, then the per-worker
-// buffers — until the live count is at or below floor or no free stacks
-// remain, and returns the number destroyed. Destroyed stacks give their
-// GlobalCap slots back, so a bounded pool regains allocation headroom;
-// their resident pages leave the RSS accounting. This is the governor's
-// memory-pressure reclamation hook; it contends only on the pool locks
-// and is safe concurrently with Get/Put.
-func (p *Pool) Trim(floor int) int {
-	if floor < 0 {
-		floor = 0
-	}
-	n := 0
-	for p.allocated.Load()-int64(n) > int64(floor) {
-		s := p.takeFree()
-		if s == nil {
-			break
-		}
-		if s.resident {
-			s.resident = false
-			p.addResident(-int64(len(s.data)))
-		}
-		s.pool = nil
-		s.data = nil
-		n++
-	}
-	if n > 0 {
-		p.allocated.Add(-int64(n))
-		p.trimmed.Add(int64(n))
-		p.clearPressure()
-	}
-	return n
-}
-
-// takeFree pops one free stack: global pool first (cheapest to shrink),
-// then the per-worker buffers.
-func (p *Pool) takeFree() *Stack {
-	p.mu.Lock()
-	if n := len(p.global); n > 0 {
-		s := p.global[n-1]
-		p.global[n-1] = nil
-		p.global = p.global[:n-1]
-		p.mu.Unlock()
-		return s
-	}
-	p.mu.Unlock()
-	for i := range p.local {
-		lb := &p.local[i]
-		lb.mu.Lock()
-		if n := len(lb.stacks); n > 0 {
-			s := lb.stacks[n-1]
-			lb.stacks[n-1] = nil
-			lb.stacks = lb.stacks[:n-1]
-			lb.mu.Unlock()
-			return s
-		}
-		lb.mu.Unlock()
-	}
-	return nil
 }
 
 // FreeCount reports how many stacks currently sit in the free lists
@@ -400,7 +335,6 @@ func (p *Pool) Stats() Stats {
 		FailedGets:    p.failedGets.Load(),
 		LocalPuts:     p.localPuts.Load(),
 		GlobalPuts:    p.globalPuts.Load(),
-		Trimmed:       p.trimmed.Load(),
 		MadviseCalls:  p.madviseCalls.Load(),
 		PageFaults:    p.pageFaults.Load(),
 		ResidentBytes: p.resident.Load(),

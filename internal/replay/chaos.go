@@ -47,7 +47,7 @@ type Chaos struct {
 	// restore, racing it against late-joining children (Eq. 5's window).
 	SyncDelay int `json:"sync_delay,omitempty"`
 	// AllocFail makes Spawn behave as if the vessel budget were exhausted:
-	// the child runs inline on the caller's strand (the governor's
+	// the child runs inline on the caller's strand (the budget's
 	// degradation path, counted as a DegradedSpawn). Sound because inline
 	// execution preserves the fully-strict semantics by construction.
 	AllocFail int `json:"alloc_fail,omitempty"`
@@ -69,11 +69,11 @@ type Chaos struct {
 	LeakVessel int `json:"leak_vessel,omitempty"`
 	// SubmitFail makes service-mode admission (Submit) behave as if the
 	// queue were overloaded: the submission is refused with an
-	// *OverloadedError before touching the queue. Sound — callers must
-	// already tolerate refusal under any policy (severe governor
-	// pressure sheds, FailFast rejects). The draws come from a dedicated
-	// mutex-guarded stream (admission runs off any worker token) and are
-	// logged on the external stream, never replayed.
+	// *OverloadedError before touching the queue. Sound — a refusal is
+	// one of Submit's documented outcomes whatever the policy. The draws
+	// come from a dedicated mutex-guarded stream (admission runs off any
+	// worker token) and are logged on the external stream, never
+	// replayed.
 	SubmitFail int `json:"submit_fail,omitempty"`
 	// StealInterest makes a would-be lazy spawn behave as if a thief had
 	// posted steal demand on its token: the spawn takes the full eager
@@ -126,11 +126,6 @@ type Chaos struct {
 	// DelaySpins is the number of scheduler yields per injected delay
 	// (default 16).
 	DelaySpins int `json:"delay_spins,omitempty"`
-	// SyncStallUS, if positive, injects a one-shot sleep of this many
-	// microseconds at the first explicit-sync window of a Run — the
-	// artificial stall the watchdog tests detect. It re-arms on the next
-	// Run.
-	SyncStallUS int64 `json:"sync_stall_us,omitempty"`
 }
 
 // Chaos roll sites, carried in the Site byte of KChaos events so a log
@@ -230,7 +225,7 @@ func (c *Chaos) Zero() bool {
 			return false
 		}
 	}
-	return c.SyncStallUS == 0
+	return true
 }
 
 // WithDefaults returns a normalised copy for a runtime to use: a zero

@@ -10,7 +10,7 @@ import (
 // TestChaosTable drives the chaos type's invariants from the table, the
 // TestEveryCounterRow pattern: every rate field of Chaos (an int other
 // than DelaySpins) is named by exactly one row, every duration field
-// (an int64 other than Seed and SyncStallUS) by exactly one row's dur,
+// (an int64 other than Seed) by exactly one row's dur,
 // every field has a distinct omitempty bundle key, the dump names are
 // unique — and the site IDs, which bundles carry in their event
 // streams, keep their values.
@@ -42,7 +42,7 @@ func TestChaosTable(t *testing.T) {
 		}
 		keys[key] = true
 		switch {
-		case f.Name == "Seed" || f.Name == "DelaySpins" || f.Name == "SyncStallUS":
+		case f.Name == "Seed" || f.Name == "DelaySpins":
 		case f.Type.Kind() == reflect.Int:
 			if _, ok := rateRows[f.Offset]; !ok {
 				t.Errorf("rate field %s has no row in sites (and so no Site, dump name or shrinker pass)", f.Name)
@@ -75,9 +75,6 @@ func TestChaosTable(t *testing.T) {
 func TestChaosEverySite(t *testing.T) {
 	if !(&Chaos{Seed: 3, DelaySpins: 2}).Zero() {
 		t.Error("seed and spins alone must count as nothing armed")
-	}
-	if (&Chaos{SyncStallUS: 1}).Zero() {
-		t.Error("a one-shot sync stall is an injection")
 	}
 	for s := uint8(1); s < NumSites; s++ {
 		c := Chaos{Seed: 9, DelaySpins: 1}
@@ -119,12 +116,13 @@ func TestChaosEverySite(t *testing.T) {
 
 // TestChaosGoldenJSON decodes a chaos block as the parent commit's
 // ChaosSpec struct tags wrote it: every key of that encoding, plus a key
-// this version does not know.
+// this version does not know and the retired one-shot sync stall's key.
 func TestChaosGoldenJSON(t *testing.T) {
 	const golden = `{"seed":11,"steal_delay":1,"steal_fail":2,"pop_bottom_delay":3,"sync_delay":4,` +
 		`"alloc_fail":5,"sync_vessel_fail":6,"leak_vessel":7,"submit_fail":8,"steal_interest":9,` +
 		`"delay_spins":10,"stall_worker":11,"stall_for_us":2000,"submit_latency":12,` +
-		`"submit_latency_for_us":500,"abort_wait":13,"wakeup_delay":14,"from_the_future":1}`
+		`"submit_latency_for_us":500,"abort_wait":13,"wakeup_delay":14,"from_the_future":1,` +
+		`"sync_stall_us":400000}`
 	want := Chaos{
 		Seed: 11, StealDelay: 1, StealFail: 2, PopBottomDelay: 3, SyncDelay: 4,
 		AllocFail: 5, SyncVesselFail: 6, LeakVessel: 7, SubmitFail: 8, StealInterest: 9,

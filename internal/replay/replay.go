@@ -1,19 +1,18 @@
 // Package replay captures and replays the scheduler's nondeterministic
 // decisions: steal-victim draws, steal and popBottom outcomes, idle-park
-// transitions, sync suspensions, chaos rolls and governor trims. Each
-// decision point is one fixed-size binary event in a per-worker ring, so
-// a failing run — a chaos stress hit, a -race report, a watchdog stall —
-// leaves behind a schedule log instead of evaporating with the process.
+// transitions, sync suspensions and chaos rolls. Each decision point is
+// one fixed-size binary event in a per-worker ring, so a failing run — a
+// chaos stress hit, a -race report, a hung test — leaves behind a schedule log instead of evaporating with the process.
 //
 // The design follows the scheduler's owner-only discipline: worker w's
 // ring is written only by the strand holding token w (the same argument
 // that makes the victim RNGs and chaos streams synchronisation-free), so
 // recording is one packed store plus one position store per event. The
-// slots are typed atomics purely so diagnostic readers (DumpState, the
-// stall watchdog) may sample a ring mid-run without a data race; on the
-// write side they are uncontended. Recording allocates nothing: the
-// rings are sized at construction and overwrite their oldest events when
-// full (the drop count is kept, so a truncated log is detectable).
+// slots are typed atomics purely so diagnostic readers (DumpState) may
+// sample a ring mid-run without a data race; on the write side they are
+// uncontended. Recording allocates nothing: the rings are sized at
+// construction and overwrite their oldest events when full (the drop
+// count is kept, so a truncated log is detectable).
 //
 // The rings are the scheduler's one in-process event record: besides the
 // replay decisions they carry the diagnostic kinds — strand boundaries,
@@ -95,11 +94,9 @@ const (
 	// the injection fired. A decision: replay feeds the outcome back in
 	// place of the chaos RNG draw.
 	KChaos
-	// KGov is a memory-pressure trim (external stream; TrimToward, which
-	// the supervisor's pressure row calls); Arg is the number of resources
-	// reclaimed, saturating at 65535.
-	//nowa:replay-diagnostic external governor trace; trims are not replayed
-	KGov
+	// A retired kind's number: the blank keeps the numbers of the kinds
+	// after it, which NOWAREPL1 bundles carry.
+	_
 	// KPanic is a strand panic being recorded (external stream).
 	//nowa:replay-diagnostic failure forensics only
 	KPanic
@@ -138,7 +135,7 @@ const (
 	// KInlineRun.
 	//nowa:replay-diagnostic promotion trigger trace, fully determined by the recorded decisions
 	KPromote
-	// KSeized is the stall supervisor marking a base worker's token
+	// KSeized is the stall ticker marking a base worker's token
 	// seized (external stream); Arg is the seized worker. Seizures are
 	// wall-clock heartbeat judgements, not scheduling decisions, so they
 	// are recorded for forensics and never consumed on replay.
@@ -196,7 +193,6 @@ var kindNames = [...]string{
 	KResume:      "resume",
 	KBlocked:     "blocked",
 	KChaos:       "chaos",
-	KGov:         "gov-kick",
 	KPanic:       "panic",
 	KSubmit:      "submit",
 	KSubReject:   "submit-reject",
@@ -274,7 +270,7 @@ type Event struct {
 	// Site qualifies the kind (chaos site, parker site; 0 otherwise).
 	Site uint8
 	// Arg carries kind-specific data (victim worker, roll outcome,
-	// reclaim count).
+	// submission id).
 	Arg uint16
 }
 
@@ -299,8 +295,6 @@ func (e Event) String() string {
 			return "blocked[dispatch]"
 		}
 		return "blocked"
-	case KGov:
-		return fmt.Sprintf("gov-kick(%d)", e.Arg)
 	case KSubmit, KSubShed, KSubStart, KSubDone:
 		return fmt.Sprintf("%s(#%d)", e.Kind, e.Arg)
 	case KPromote:
@@ -362,9 +356,9 @@ const (
 )
 
 // Recorder is a per-worker schedule log: workers+1 rings, the last being
-// the external stream for events raised off any worker token (governor
-// kicks, panic records), which is mutex-serialised since it has no
-// single owner.
+// the external stream for events raised off any worker token (panic,
+// admission and stall-recovery records), which is mutex-serialised since
+// it has no single owner.
 type Recorder struct {
 	rings   []ring
 	workers int
@@ -430,10 +424,10 @@ func (r *Recorder) Record(w int, k Kind, site uint8, arg uint16) {
 }
 
 // RecordExternal appends one event to the external stream — for events
-// raised off any worker token (governor trims, panic records). Mutex
-// serialised; never called from scheduler hot paths.
+// raised off any worker token (panic, admission and stall-recovery
+// records). Mutex serialised; never called from scheduler hot paths.
 //
-//nowa:coldpath external events are governor trims and panic records, both rare and off the token-holding strands
+//nowa:coldpath external events are panic, admission and stall-recovery records, all off the token-holding strands
 func (r *Recorder) RecordExternal(k Kind, site uint8, arg uint16) {
 	r.extMu.Lock()
 	rg := &r.rings[r.workers]

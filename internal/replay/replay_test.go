@@ -13,7 +13,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 		{Kind: KStealEmpty, Arg: 65535},
 		{Kind: KChaos, Site: SiteLeakVessel, Arg: 1},
 		{Kind: KBlocked, Site: BlockSync},
-		{Kind: KGov, Arg: 1234},
+		{Kind: KSubmit, Arg: 1234},
 	}
 	for _, e := range cases {
 		if got := unpack(pack(e.Kind, e.Site, e.Arg)); got != e {
@@ -27,7 +27,7 @@ func TestRecorderOrderAndSnapshot(t *testing.T) {
 	r.Record(0, KRunStart, 0, 0)
 	r.Record(0, KStealEmpty, 0, 1)
 	r.Record(1, KChaos, SiteStealFail, 1)
-	r.RecordExternal(KGov, 0, 7)
+	r.RecordExternal(KSeized, 0, 7)
 	l := r.Snapshot()
 	want0 := []Event{{Kind: KRunStart}, {Kind: KStealEmpty, Arg: 1}}
 	if !reflect.DeepEqual(l.PerWorker[0], want0) {
@@ -37,7 +37,7 @@ func TestRecorderOrderAndSnapshot(t *testing.T) {
 	if !reflect.DeepEqual(l.PerWorker[1], want1) {
 		t.Errorf("worker 1 stream = %v, want %v", l.PerWorker[1], want1)
 	}
-	wantExt := []Event{{Kind: KGov, Arg: 7}}
+	wantExt := []Event{{Kind: KSeized, Arg: 7}}
 	if !reflect.DeepEqual(l.External, wantExt) {
 		t.Errorf("external stream = %v, want %v", l.External, wantExt)
 	}
@@ -194,10 +194,14 @@ func TestFormatEvents(t *testing.T) {
 }
 
 // TestEveryKindNamed: the name table has a distinct row for every kind
-// up to the newest one, so dumps and traces never print "unknown".
+// up to the newest one, so dumps and traces never print "unknown" — bar
+// the retired numbers, which no recorder emits.
 func TestEveryKindNamed(t *testing.T) {
 	seen := map[string]Kind{}
 	for k := KRunStart; k <= KStrandEnd; k++ {
+		if k == kindRetired {
+			continue
+		}
 		name := k.String()
 		if prev, dup := seen[name]; dup || name == "unknown" {
 			t.Errorf("kind %d: name %q (also kind %d)", k, name, prev)
@@ -209,5 +213,60 @@ func TestEveryKindNamed(t *testing.T) {
 	}
 	if KNone.String() != "unknown" || Kind(200).String() != "unknown" {
 		t.Error("the zero and out-of-range kinds must print unknown")
+	}
+}
+
+// kindRetired is the number the blank in the Kind block holds.
+const kindRetired Kind = 15
+
+// TestKindNumbersPinned: NOWAREPL1 bundles carry every event's Kind as
+// its number, so deleting or inserting a kind mid-block must not
+// renumber the kinds after it. A retired kind leaves a blank behind.
+func TestKindNumbersPinned(t *testing.T) {
+	golden := []struct {
+		kind Kind
+		num  int
+		name string
+	}{
+		{KNone, 0, "unknown"},
+		{KRunStart, 1, "run-start"},
+		{KRunEnd, 2, "run-end"},
+		{KVictim, 3, "victim"},
+		{KStealHit, 4, "steal-hit"},
+		{KStealEmpty, 5, "steal-empty"},
+		{KStealLost, 6, "steal-lost"},
+		{KPopHit, 7, "pop-hit"},
+		{KPopMiss, 8, "pop-miss"},
+		{KPark, 9, "park"},
+		{KWake, 10, "wake"},
+		{KSuspend, 11, "suspend"},
+		{KResume, 12, "resume"},
+		{KBlocked, 13, "blocked"},
+		{KChaos, 14, "chaos"},
+		{kindRetired, 15, "unknown"},
+		{KPanic, 16, "panic"},
+		{KSubmit, 17, "submit"},
+		{KSubReject, 18, "submit-reject"},
+		{KSubShed, 19, "submit-shed"},
+		{KSubStart, 20, "submit-start"},
+		{KSubDone, 21, "submit-done"},
+		{KInlineRun, 22, "inline-run"},
+		{KPromote, 23, "promote"},
+		{KSeized, 24, "seized"},
+		{KSupplement, 25, "supplement"},
+		{KWaitBlock, 26, "wait-block"},
+		{KWaitWake, 27, "wait-wake"},
+		{KWaitAbort, 28, "wait-abort"},
+		{KSpawn, 29, "spawn"},
+		{KStrandStart, 30, "strand-start"},
+		{KStrandEnd, 31, "strand-end"},
+	}
+	if len(golden) != int(KStrandEnd)+1 {
+		t.Fatalf("golden table has %d rows for %d kinds: add the new kind's row", len(golden), KStrandEnd+1)
+	}
+	for i, g := range golden {
+		if int(g.kind) != g.num || g.num != i || g.kind.String() != g.name {
+			t.Errorf("row %d: kind %d named %q, want number %d named %q", i, g.kind, g.kind.String(), g.num, g.name)
+		}
 	}
 }

@@ -11,21 +11,21 @@ import (
 // error values so the fast path never boxes an interface.
 const (
 	admitOK     = iota // enqueued (victim non-nil when a shed paid for it)
-	admitFull          // queue at its effective window; policy decides
+	admitFull          // queue at capacity; policy decides
 	admitClosed        // service draining or closed; no new admissions
 )
 
 // admitQueue is the bounded admission queue of a serving runtime: two
 // priority lanes (SubmitOpts.Priority > 0 selects the high lane), each an
 // internal/ring ring of capa cells, behind one depth gate bounding both
-// by an effective window that shrinks under governor pressure. Producers
-// are external goroutines; consumers are the tokens that take a
-// submission when they have no deque work (takeSubmission). No lock: a
-// producer raises depth and then claims a put ticket, a consumer gets and
-// then lowers depth. So depth counts every submission queued or between
-// those steps, and a lane never holds more items than depth: a put that
-// finds its cell not yet free waits for a get that has claimed the cell
-// and not yet emptied it, never for a taker to come.
+// together by capa. Producers are external goroutines; consumers are the
+// tokens that take a submission when they have no deque work
+// (takeSubmission). No lock: a producer raises depth and then claims a
+// put ticket, a consumer gets and then lowers depth. So depth counts
+// every submission queued or between those steps, and a lane never holds
+// more items than depth: a put that finds its cell not yet free waits
+// for a get that has claimed the cell and not yet emptied it, never for
+// a taker to come.
 //
 //nowa:nopad one admitQueue per service, embedded in the service singleton; no adjacent instances to false-share with
 type admitQueue struct {
@@ -35,15 +35,12 @@ type admitQueue struct {
 	policy OverloadPolicy
 	closed atomic.Bool
 
-	// pressure is the governor grade (0 none, 1 mild, 2 severe) sizing the
-	// effective window (SetAdmissionPressure).
-	pressure atomic.Int32
-	// depth is the window gate. Thieves, the stall probe and ServiceStats
+	// depth is the capacity gate. Thieves, the stall probe and ServiceStats
 	// read it too (service.takeNext says why that is sound).
 	depth atomic.Int64
 
 	// blocked counts Block-policy producers waiting for a slot; only while
-	// it is non-zero does a take or a pressure drop kick spaceCh.
+	// it is non-zero does a take kick spaceCh.
 	blocked  atomic.Int32
 	spaceCh  chan struct{} // taker → blocked producer: a slot freed up
 	closedCh chan struct{} // closed once, at drain start
@@ -68,37 +65,19 @@ func (q *admitQueue) init(depth int, policy OverloadPolicy) {
 	q.closedCh = make(chan struct{})
 }
 
-// effWindow is the number of queue slots admission may currently use:
-// the full capacity when the governor reports no pressure, half under
-// mild pressure, a quarter under severe — never below one, so the
-// service keeps trickling work instead of seizing up.
-//
-//nowa:hotpath
-func (q *admitQueue) effWindow(grade int32) int {
-	switch {
-	case grade >= int32(gradeSevere):
-		return max(1, q.capa/4)
-	case grade == int32(gradeMild):
-		return max(1, q.capa/2)
-	}
-	return q.capa
-}
-
-// tryAdmit is the admission decision: within the effective window, raise
-// depth, then re-check closed — in that order, so that a drain check
-// which saw closed set and depth zero saw every producer that will
-// publish — and publish into the submission's lane. Past the window, shed
-// the oldest queued submission when the policy is Shed or the pressure
-// grade is severe (overload must never collapse into unbounded blocking
-// then): the victim's unit passes to the newcomer, so depth stays put.
-// Otherwise report full and let the caller apply Block or FailFast. A
-// returned victim is out of the queue; the caller resolves its future.
+// tryAdmit is the admission decision: below capacity, raise depth, then
+// re-check closed — in that order, so that a drain check which saw
+// closed set and depth zero saw every producer that will publish — and
+// publish into the submission's lane. At capacity, shed the oldest
+// queued submission when the policy is Shed: the victim's unit passes to
+// the newcomer, so depth stays put. Otherwise report full and let the
+// caller apply Block or FailFast. A returned victim is out of the queue;
+// the caller resolves its future.
 func (q *admitQueue) tryAdmit(sub *Submission) (outcome int, victim *Submission) {
 	for {
-		grade := q.pressure.Load()
 		d := q.depth.Load()
 		switch {
-		case d < int64(q.effWindow(grade)):
+		case d < int64(q.capa):
 			if !q.depth.CompareAndSwap(d, d+1) {
 				continue
 			}
@@ -108,7 +87,7 @@ func (q *admitQueue) tryAdmit(sub *Submission) (outcome int, victim *Submission)
 			}
 		case q.closed.Load():
 			return admitClosed, nil
-		case q.policy != OverloadShed && grade < int32(gradeSevere):
+		case q.policy != OverloadShed:
 			return admitFull, nil
 		default:
 			if victim = q.oldest(); victim == nil {

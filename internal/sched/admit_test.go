@@ -16,27 +16,6 @@ func admitSvc(depth int, policy OverloadPolicy) *service {
 	return svc
 }
 
-func TestSubmitAdmitWindowGrades(t *testing.T) {
-	var q admitQueue
-	q.init(8, OverloadBlock)
-	if got := q.effWindow(gradeNone); got != 8 {
-		t.Fatalf("effWindow(none) = %d, want 8", got)
-	}
-	if got := q.effWindow(gradeMild); got != 4 {
-		t.Fatalf("effWindow(mild) = %d, want 4", got)
-	}
-	if got := q.effWindow(gradeSevere); got != 2 {
-		t.Fatalf("effWindow(severe) = %d, want 2", got)
-	}
-	// The window never closes completely: a depth-1 queue under severe
-	// pressure still admits one.
-	var q1 admitQueue
-	q1.init(1, OverloadBlock)
-	if got := q1.effWindow(gradeSevere); got != 1 {
-		t.Fatalf("effWindow floor = %d, want 1", got)
-	}
-}
-
 func TestSubmitAdmitShedOrder(t *testing.T) {
 	q := &admitSvc(2, OverloadShed).adm
 	hi, lo := mkSub(true), mkSub(false)
@@ -66,27 +45,19 @@ func TestSubmitAdmitShedOrder(t *testing.T) {
 	_ = hi
 }
 
-func TestSubmitAdmitSevereShedsUnderAnyPolicy(t *testing.T) {
-	q := &admitSvc(8, OverloadFailFast).adm
-	q.pressure.Store(gradeSevere)
+// TestSubmitAdmitFailFastRefusesWhenFull: at capacity a FailFast queue
+// reports full and leaves the queued submission in place.
+func TestSubmitAdmitFailFastRefusesWhenFull(t *testing.T) {
+	q := &admitSvc(1, OverloadFailFast).adm
 	a := mkSub(false)
 	if out, _ := q.tryAdmit(a); out != admitOK {
-		t.Fatalf("admit under severe: %d", out)
+		t.Fatalf("admit: %d", out)
 	}
-	if out, _ := q.tryAdmit(mkSub(false)); out != admitOK {
-		t.Fatalf("admit 2 under severe: %d", out)
+	if out, victim := q.tryAdmit(mkSub(false)); out != admitFull || victim != nil {
+		t.Fatalf("failfast full: out=%d victim=%p, want admitFull and no victim", out, victim)
 	}
-	// Window (8/4 = 2) full: severe pressure must shed even though the
-	// policy is FailFast — overload cannot queue-build past the window.
-	out, victim := q.tryAdmit(mkSub(false))
-	if out != admitOK || victim != a {
-		t.Fatalf("severe shed: out=%d victim=%p, want admitOK with a (%p)", out, victim, a)
-	}
-	// Without pressure the same policy refuses instead.
-	q2 := &admitSvc(1, OverloadFailFast).adm
-	q2.tryAdmit(mkSub(false))
-	if out, _ := q2.tryAdmit(mkSub(false)); out != admitFull {
-		t.Fatalf("failfast full: out=%d, want admitFull", out)
+	if got := q.take(); got != a || q.depth.Load() != 1 {
+		t.Fatalf("queued %p at depth %d, want %p at depth 1", got, q.depth.Load(), a)
 	}
 }
 

@@ -96,7 +96,7 @@ func (p *Proc) CommitWait(bw *Waiter) bool {
 	w := p.worker
 	v.pend[trace.BlockedWaits]++
 	// Flush before the token leaves: the aggregate stays monotonic for
-	// the watchdog, and the block itself is progress.
+	// mid-run readers.
 	v.flushCounters(w)
 	if rt.recordOn {
 		rt.rep.Record(w, replay.KWaitBlock, 0, 0)

@@ -118,12 +118,9 @@ func (p *Proc) ChaosWakeDelay() {
 	}
 }
 
-// chaosPreSync runs the explicit-sync injections: the one-shot stall
-// (first sync window of the run only) and the counter-restore delay.
+// chaosPreSync runs the explicit-sync injection: the counter-restore
+// delay.
 func (rt *Runtime) chaosPreSync(w int) {
-	if us := rt.cfg.Chaos.SyncStallUS; us > 0 && rt.chaosStalled.CompareAndSwap(false, true) {
-		time.Sleep(time.Duration(us) * time.Microsecond)
-	}
 	if rt.chaosRoll(w, replay.SiteSyncDelay) {
 		rt.chaosDelay()
 	}

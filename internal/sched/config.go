@@ -155,7 +155,7 @@ type Config struct {
 	// Runtime.ReplayDivergences). The log's worker count must match.
 	Replay *replay.Log
 	// StallThreshold, if positive, arms stall recovery: for the duration
-	// of each run, the supervisor's stall row samples per-worker
+	// of each run, a stall ticker samples per-worker
 	// heartbeats (bumped on every steal-loop pass, park/wake and strand
 	// finish) and, when a worker's heartbeat stays stale for
 	// StallThreshold while runnable work exists, marks the worker seized

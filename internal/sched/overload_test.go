@@ -63,7 +63,7 @@ func TestOverloadHighWater(t *testing.T) {
 // worker: the only vessel is the root's, so every spawn must degrade to
 // inline execution — effectively the serial elision — with the correct
 // answer and an accurate DegradedSpawns tally. SpawnEager keeps this a
-// governor test: lazy spawns request no vessel in the first place, so
+// budget test: lazy spawns request no vessel in the first place, so
 // under the default mode a one-vessel budget simply never binds.
 func TestOverloadAllInline(t *testing.T) {
 	for _, cfg := range overloadVariants(func(c *Config) { c.Workers = 1; c.MaxVessels = 1; c.Spawn = SpawnEager }) {
@@ -148,7 +148,7 @@ func TestOverloadChaosSyncVesselFail(t *testing.T) {
 }
 
 // TestOverloadMixedChaos turns on every degradation injection at once on
-// top of a tight budget — the worst day the governor can have.
+// top of a tight budget — the worst day the budget can have.
 func TestOverloadMixedChaos(t *testing.T) {
 	for _, cfg := range overloadVariants(func(c *Config) {
 		c.MaxVessels = c.Workers + 1

@@ -258,8 +258,7 @@ func TestReplayConfigValidation(t *testing.T) {
 }
 
 // TestReplayDumpStateShowsSchedule: with recording attached, DumpState
-// includes the per-worker schedule tails the watchdog embeds in stall
-// reports.
+// includes the per-worker schedule tails.
 func TestReplayDumpStateShowsSchedule(t *testing.T) {
 	cfg := replayVariants(1)[0]
 	rec := replay.NewRecorder(1, 64)

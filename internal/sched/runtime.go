@@ -37,7 +37,7 @@ type Runtime struct {
 	replayOn   bool // cfg.Replay != nil: decisions driven from a captured log
 	blockRecOn bool // recordOn && Workers > 1: KBlocked diagnostics (see note)
 	lazyOn     bool // cfg.Spawn != SpawnEager: Spawn runs children inline until a thief posts demand
-	stallOn    bool // cfg.StallThreshold > 0: heartbeats + the supervisor's stall row armed per run
+	stallOn    bool // cfg.StallThreshold > 0: heartbeats + a stall ticker started per run
 
 	deques    []deque.Deque[cont]
 	clDeques  []*deque.CLDeque[cont]  // non-nil iff cfg.Deque == CL: devirtualised hot path
@@ -58,22 +58,20 @@ type Runtime struct {
 	allVessels []*vessel
 	closed     bool
 
-	// Vessel accounting: live tracks goroutines in existence (created
-	// minus trimmed), highWater its maximum, trimmed the governor's
-	// reclamations, scopesLeaked the scope slots past the inline ones that
+	// Vessel accounting: live tracks goroutines in existence, highWater
+	// its maximum, scopesLeaked the scope slots past the inline ones that
 	// panic unwinds left pinned non-quiescent (see resetScopes).
 	vLive        atomic.Int64
 	vHighWater   atomic.Int64
-	vTrimmed     atomic.Int64
 	scopesLeaked atomic.Int64
 
-	// govMu serialises governor trims (which touch the owner-local vessel
-	// caches when the runtime is idle) against Run start and Close; Run
-	// acquires it only for the instant of the running transition. Its
-	// place in the runtime's lock hierarchy — always before allMu and
-	// the pool's vglobal.mu — is declared by the //nowa:lock levels on
-	// the three fields; the lockorder analyzer enforces the order at
-	// build time, so the annotation below is the source of truth.
+	// govMu serialises Stats' idle read of the owner-local vessel caches
+	// against Run start; Run acquires it only for the instant of the
+	// running transition. Its place in the runtime's lock hierarchy —
+	// always before the pool's vglobal.mu — is declared by the
+	// //nowa:lock levels on the fields; the lockorder analyzer enforces
+	// the order at build time, so the annotation below is the source of
+	// truth.
 	//nowa:lock level=1 name=govMu
 	govMu sync.Mutex
 
@@ -95,22 +93,17 @@ type Runtime struct {
 	blockedLive atomic.Int64
 	blockedHW   atomic.Int64
 
-	chaosRngs    []rngState
-	chaosStalled atomic.Bool
+	chaosRngs []rngState
 
 	// Stall recovery (all nil/zero unless stallOn; see stall.go). hb is
 	// indexed by scheduling slot: base workers 0..Workers-1, worker w's
-	// supplement Workers+w. tokensRetired is the cumulative retirement
-	// count — the monotonic progress signal progressSum folds in
-	// (tokensLeft alone dips when a supplement joins mid-run). victimHi
-	// is the number of victim-eligible slots, raised when a supplement
-	// arms, reset to Workers each Run.
-	hb            []hbSlot
-	victimHi      atomic.Int32
-	tokensRetired atomic.Int64
-	seized        atomic.Int64
-	supplemented  atomic.Int64
-	supRetired    atomic.Int64
+	// supplement Workers+w. victimHi is the number of victim-eligible
+	// slots, raised when a supplement arms, reset to Workers each Run.
+	hb           []hbSlot
+	victimHi     atomic.Int32
+	seized       atomic.Int64
+	supplemented atomic.Int64
+	supRetired   atomic.Int64
 
 	// rep is the schedule recorder (cfg.Record), repCur the per-worker
 	// replay cursors rebuilt at each Run start from cfg.Replay. Both are
@@ -135,11 +128,6 @@ type Runtime struct {
 	// rejected, and Close drains instead of panicking. It stays set after
 	// Close so ServiceStats remains answerable.
 	svc atomic.Pointer[service]
-
-	// supv is the supervisor (supervisor.go), guarded by allMu: nil until
-	// a row is first armed, supStopped once Close has stopped it. Kept
-	// last, away from the fields the scheduling paths touch.
-	supv *supervisor
 }
 
 // rngState is a per-worker xorshift64 generator for victim selection,
@@ -281,7 +269,7 @@ func (rt *Runtime) runInternal(ctx context.Context, root func(api.Ctx)) error {
 	if closed {
 		panic("sched: Run on closed Runtime")
 	}
-	// The running transition is taken under govMu so a governor trim that
+	// The running transition is taken under govMu so a Stats call that
 	// observed the runtime idle holds off Run start until it has finished
 	// with the owner-local vessel caches.
 	rt.govMu.Lock()
@@ -293,7 +281,6 @@ func (rt *Runtime) runInternal(ctx context.Context, root func(api.Ctx)) error {
 	defer rt.running.Store(false)
 
 	rt.done.Store(false)
-	rt.chaosStalled.Store(false)
 	for w := range rt.demand {
 		// No token exists yet: whatever the last run's thieves left posted
 		// is nobody's demand.
@@ -333,11 +320,11 @@ func (rt *Runtime) runInternal(ctx context.Context, root func(api.Ctx)) error {
 	if rt.stallOn {
 		// The victim high-water resets before any token exists (every
 		// stall word is back to healthy: the last run retired all its
-		// supplements); the stall row is armed for exactly this run (its
-		// Stop returns only once no stall pass is in progress, so a late
+		// supplements); the stall ticker lives for exactly this run (its
+		// stop returns only once the ticker goroutine has exited, so a late
 		// seizure can never race the post-run idle reconciliation).
 		rt.victimHi.Store(int32(rt.cfg.Workers))
-		defer rt.armStallRow().Stop()
+		defer rt.startStallTicker()()
 	}
 
 	// Token 0 carries the root strand; each stack the root's frame chain
@@ -410,7 +397,6 @@ func (rt *Runtime) recordPanic(sub *Submission, v any) {
 //
 //nowa:coldpath runs once per worker token per Run, at drain time; the close is the Run-completion broadcast
 func (rt *Runtime) retireToken() {
-	rt.tokensRetired.Add(1)
 	if rt.tokensLeft.Add(-1) == 0 {
 		close(rt.finished)
 	}
@@ -536,8 +522,7 @@ func (rt *Runtime) anyDequeNonEmpty() bool {
 	return false
 }
 
-// Close stops the supervisor, whatever rows are still armed, and all
-// pooled vessel goroutines. In service mode it first
+// Close stops all pooled vessel goroutines. In service mode it first
 // drains: admission stops, queued and in-flight submissions run to
 // completion up to ServiceConfig.DrainTimeout, then the remainder is
 // force-cancelled through the run context — only after the service run
@@ -551,14 +536,8 @@ func (rt *Runtime) Close() {
 	if rt.running.Load() {
 		panic("sched: Close during Run")
 	}
-	// The supervisor stops before govMu is taken: its pressure row trims
-	// under govMu.
-	rt.stopSupervisor()
-	// govMu first (same order as the governor's trims) so a concurrent
-	// trim finishes before the shutdown broadcast; the free lists are
-	// left intact, so Stats can still reconcile leaks after Close.
-	rt.govMu.Lock()
-	defer rt.govMu.Unlock()
+	// The free lists are left intact, so Stats can still reconcile leaks
+	// after Close.
 	rt.allMu.Lock()
 	defer rt.allMu.Unlock()
 	if rt.closed {
@@ -579,27 +558,12 @@ func (rt *Runtime) DebugTokensLeft() int64 { return rt.tokensLeft.Load() }
 // DebugDequeSize exposes a deque's size for diagnostics.
 func (rt *Runtime) DebugDequeSize(w int) int { return rt.deques[w].Size() }
 
-// DebugSlots exposes the total scheduling-slot count (base workers plus
-// supplemental slots) so harnesses can sweep every deque.
-func (rt *Runtime) DebugSlots() int { return len(rt.deques) }
-
-// progressSum folds every forward-progress signal into one monotonic
-// scalar for stall detection: the trace counters (minus failed steals)
-// plus the cumulative number of retired worker tokens (the cumulative
-// count, not Workers-tokensLeft: a supplement joining mid-run raises
-// tokensLeft, and the progress signal must never move backwards).
-func (rt *Runtime) progressSum() uint64 {
-	s := rt.rec.Aggregate().ProgressSum()
-	s += rt.tokensRetired.Load()
-	return uint64(s)
-}
-
 // DumpState writes a human-readable diagnostic snapshot: token count,
 // per-worker deque sizes, vessel accounting, parked thieves and the
 // aggregated trace counters. Safe to call mid-run (values are
-// best-effort); this is what the stall watchdog emits. The owner-local
-// vessel caches are owner-only and deliberately not read here — only
-// the mutex-guarded global pool and the created total are reported.
+// best-effort). The owner-local vessel caches are owner-only and
+// deliberately not read here — only the mutex-guarded global pool and
+// the created total are reported.
 func (rt *Runtime) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "sched runtime %q: workers=%d tokensLeft=%d running=%v cancelled=%v\n",
 		rt.cfg.Name, rt.cfg.Workers, rt.DebugTokensLeft(), rt.running.Load(), rt.cancel.Cancelled())
@@ -626,9 +590,8 @@ func (rt *Runtime) DumpState(w io.Writer) {
 	pooled := len(rt.vglobal.free)
 	rt.vglobal.mu.Unlock()
 	fmt.Fprintf(w, "  vessels: %d registered, %d pooled globally (owner-local caches not shown)\n", total, pooled)
-	fmt.Fprintf(w, "  budget: live=%d highWater=%d trimmed=%d maxVessels=%d scopesLeaked=%d\n",
-		rt.vLive.Load(), rt.vHighWater.Load(), rt.vTrimmed.Load(),
-		rt.cfg.MaxVessels, rt.scopesLeaked.Load())
+	fmt.Fprintf(w, "  budget: live=%d highWater=%d maxVessels=%d scopesLeaked=%d\n",
+		rt.vLive.Load(), rt.vHighWater.Load(), rt.cfg.MaxVessels, rt.scopesLeaked.Load())
 	agg := rt.rec.Aggregate()
 	fmt.Fprintf(w, "  waits: blocked=%d resumed=%d aborted=%d live=%d highWater=%d pendingWakes=%d wakeupsLost=%d\n",
 		agg.BlockedWaits, agg.ResumedWaits, agg.AbortedWaits,
@@ -637,8 +600,8 @@ func (rt *Runtime) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "  counters: %+v\n", agg)
 	fmt.Fprintf(w, "  stacks: %+v\n", rt.pool.Stats())
 	if rt.recordOn {
-		// The newest schedule events per worker: a stall report shows how
-		// each worker got where it is stuck, not just that it is stuck.
+		// The newest schedule events per worker: the dump shows how each
+		// worker got where it is, not just where it is.
 		const lastN = 8
 		for i := 0; i < rt.cfg.Workers; i++ {
 			fmt.Fprintf(w, "  schedule worker %d: %s\n", i, replay.FormatEvents(rt.rep.LastEvents(i, lastN)))

@@ -288,13 +288,11 @@ func TestCountersConservation(t *testing.T) {
 
 // TestEveryCounterSurfaces drives the scheduler's counter plumbing from
 // the table: for every row, an increment batched on a vessel and flushed
-// reaches Counters() in its own field alone, appears by name in
-// DumpState, and moves the watchdog's progress signal iff the row counts
-// as progress.
+// reaches Counters() in its own field alone and appears by name in
+// DumpState.
 func TestEveryCounterSurfaces(t *testing.T) {
 	for id := trace.ID(0); id < trace.NumCounters; id++ {
 		rt := NewNowa(2)
-		before := rt.progressSum()
 		v := &vessel{rt: rt}
 		v.pend[id] = 3
 		v.flushCounters(1)
@@ -308,9 +306,6 @@ func TestEveryCounterSurfaces(t *testing.T) {
 		rt.DumpState(&dump)
 		if line := fmt.Sprintf("%v:3", id); !bytes.Contains(dump.Bytes(), []byte(line)) {
 			t.Errorf("%v: DumpState lacks %q:\n%s", id, line, dump.String())
-		}
-		if moved := rt.progressSum() != before; moved != (want.ProgressSum() != 0) {
-			t.Errorf("%v: progress signal moved = %v", id, moved)
 		}
 		rt.Close()
 	}

@@ -300,7 +300,7 @@ func (s *scope) Spawn(fn func(api.Ctx)) {
 	case rt.softStacks && rt.pool.Pressure(),
 		rt.chaosOn && rt.chaosRoll(p.worker, replay.SiteAllocFail):
 		// The stack pool's soft cap latched (or chaos says so): shed
-		// parallelism until Put or a governor trim clears the pressure.
+		// parallelism until a Put clears the pressure.
 		rt.runInline(p, fn, trace.DegradedSpawns)
 		return
 	case !rt.lazyOn:
@@ -388,10 +388,9 @@ func (s *scope) spawnEager(fn func(api.Ctx)) {
 // runInline executes a spawned function on the caller's strand instead
 // of publishing it, tallied under why: trace.InlineRuns for a lazy spawn
 // no thief asked for, trace.InlineSpawns for the cancelled-run
-// degradation of Spawn, trace.DegradedSpawns when the resource governor
-// said no — the vessel budget is exhausted, the stack pool is under
-// soft-cap pressure, or chaos simulated either — which keeps overload
-// observable. Semantically this is the serial elision — fully strict, no
+// degradation of Spawn, trace.DegradedSpawns when a budget said no —
+// the vessel budget is exhausted, the stack pool is under soft-cap
+// pressure, or chaos simulated either — which keeps overload observable. Semantically this is the serial elision — fully strict, no
 // parallelism from this spawn — so it is always sound. The child's panic
 // is recorded and contained exactly like a strand panic (runStrand), so
 // an inline child cannot unwind the parent's frame past its un-synced

@@ -29,8 +29,7 @@ var (
 	// is an *OverloadedError carrying a retry-after hint.
 	ErrOverloaded = errors.New("sched: admission queue overloaded")
 	// ErrShed resolves the future of a queued submission that was
-	// evicted oldest-first to admit newer work (the Shed policy, or any
-	// policy under severe governor pressure).
+	// evicted oldest-first to admit newer work (the Shed policy).
 	ErrShed = fmt.Errorf("sched: submission shed under overload: %w", ErrOverloaded)
 	// ErrDrainForced is the cancellation cause installed when a Close
 	// drain exceeds ServiceConfig.DrainTimeout and the remaining
@@ -54,7 +53,7 @@ func (e *OverloadedError) Error() string {
 func (e *OverloadedError) Is(target error) bool { return target == ErrOverloaded }
 
 // OverloadPolicy selects Submit's behaviour when the admission queue is
-// at its effective window.
+// full.
 type OverloadPolicy int
 
 const (
@@ -86,7 +85,7 @@ type ServiceConfig struct {
 	// priority lanes together). Default 256.
 	QueueDepth int
 	// Policy selects the overload behaviour at a full queue (default
-	// OverloadBlock). Severe governor pressure sheds regardless.
+	// OverloadBlock).
 	Policy OverloadPolicy
 	// DrainTimeout bounds Close's graceful drain: once it elapses the
 	// remaining submissions are force-cancelled via the run context.
@@ -326,9 +325,6 @@ func (rt *Runtime) StartService(cfg ServiceConfig) error {
 	return nil
 }
 
-// Serving reports whether the runtime is in service mode.
-func (rt *Runtime) Serving() bool { return rt.svc.Load() != nil }
-
 // Submit hands one task to a serving runtime and returns its future.
 // Callable from any goroutine, concurrently. The overload behaviour at
 // a full admission queue follows ServiceConfig.Policy; see SubmitOpts
@@ -413,8 +409,8 @@ func (svc *service) admit(sub *Submission) error {
 	}
 	if rt.chaosOn && svc.chaosRoll(replay.SiteSubmitFail) {
 		// Admission-time fault injection: behave exactly like a FailFast
-		// overload refusal. Sound — callers must tolerate ErrOverloaded
-		// under any policy (severe pressure sheds, chaos refuses).
+		// overload refusal. Sound — a refusal is one of Submit's
+		// documented outcomes whatever the policy.
 		return svc.refuse(sub, replay.SubRejectChaos)
 	}
 	outcome, victim := q.tryAdmit(sub)
@@ -657,21 +653,6 @@ func (svc *service) noteOutcome(err error, ran bool) {
 	svc.ewmaNs.Store(old - old/8 + gap/8)
 }
 
-// SetAdmissionPressure sets the admission pressure grade (0 none,
-// 1 mild → half window, 2 severe → quarter window and shed-on-full).
-// Normally driven by StartGovernor; exported for tests and operators.
-func (rt *Runtime) SetAdmissionPressure(grade int) {
-	svc := rt.svc.Load()
-	if svc == nil {
-		return
-	}
-	g := int32(min(max(grade, gradeNone), gradeSevere))
-	if svc.adm.pressure.Swap(g) > g {
-		// The window widened: let one blocked producer retry now.
-		svc.adm.kickBlocked()
-	}
-}
-
 // ServiceStats is a point-in-time snapshot of service-mode accounting.
 type ServiceStats struct {
 	// Admission pipeline tallies (see admitQueue).
@@ -689,8 +670,7 @@ type ServiceStats struct {
 	Queued   int // currently in the admission queue
 	InFlight int // dispatched, not yet resolved
 
-	PressureGrade int           // current admission pressure (0/1/2)
-	RetryHint     time.Duration // current FailFast retry-after estimate
+	RetryHint time.Duration // current FailFast retry-after estimate
 
 	// CompletionEWMA is the smoothed inter-completion interval — the
 	// signal RetryHint clamps into its band. Exported raw so breakers
@@ -725,7 +705,6 @@ func (rt *Runtime) ServiceStats() (ServiceStats, bool) {
 		Cancelled:      svc.cancelled.Load(),
 		Queued:         queued,
 		InFlight:       inflight,
-		PressureGrade:  int(q.pressure.Load()),
 		RetryHint:      svc.retryHint(),
 		CompletionEWMA: time.Duration(svc.ewmaNs.Load()),
 	}, true

@@ -139,9 +139,8 @@ func TestServiceTightBudgetServes(t *testing.T) {
 // TestServiceAdmissionStress drives the lock-free admission queue from
 // every side at once, per policy and at 2 and 3 workers: four producers
 // (two on the high lane, every fifth submission with a deadline that may
-// expire while queued) against the taking tokens, a goroutine cycling the
-// pressure grade — so the window shrinks under queued work and severe
-// pressure sheds under any policy — and Close landing mid-stream. Every
+// expire while queued) against the taking tokens, and Close landing
+// mid-stream. Every
 // admitted future must resolve exactly once (a second resolve panics on
 // the closed done channel) with an outcome the queue allows, one
 // ServiceStats snapshot after Close must balance against what the
@@ -190,14 +189,6 @@ func TestServiceAdmissionStress(t *testing.T) {
 						}
 					}()
 				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for g := 0; !stop.Load(); g++ {
-						rt.SetAdmissionPressure(g % 3)
-						time.Sleep(200 * time.Microsecond)
-					}
-				}()
 				time.Sleep(30 * time.Millisecond)
 				rt.Close()
 				stop.Store(true)

@@ -8,33 +8,32 @@ import (
 	"nowa/internal/replay"
 )
 
-// Stall recovery (DESIGN.md §15.1): the watchdog turned from detector
-// into actuator. A strand that seizes its OS thread — a blocking
-// syscall, a pathological user function, an injected Chaos.StallWorker —
-// pins a worker token and silently shrinks the run's parallelism. With
-// Config.StallThreshold set, the supervisor's stall row (armStallRow)
-// seizes a worker whose heartbeat (bumped wherever a token provably
-// passes through the scheduler) stays stale while runnable work exists,
-// and dispatches a *supplemental worker* on slot Workers+w, the one
-// paired with base worker w: a full scheduling participant with a token
-// and a slot of its own, which inherits the seized worker's duty but
-// never its owner-only storage — the seized strand still holds token w.
-// The worker's return shows at its next scheduler touch, as a CAS on its
-// stall word that also wakes the parked thieves; the supplement retires
-// once its own deque is empty. A false seizure costs transient
-// oversubscription, never correctness.
+// Stall recovery (DESIGN.md §15.1). A strand that seizes its OS thread
+// — a blocking syscall, a pathological user function, an injected
+// Chaos.StallWorker — pins a worker token and silently shrinks the run's
+// parallelism. With Config.StallThreshold set, a per-run ticker
+// (startStallTicker) seizes a worker whose heartbeat (bumped wherever a
+// token provably passes through the scheduler) stays stale while
+// runnable work exists, and dispatches a *supplemental worker* on slot
+// Workers+w, the one paired with base worker w: a full scheduling
+// participant with a token and a slot of its own, which inherits the
+// seized worker's duty but never its owner-only storage — the seized
+// strand still holds token w. The worker's return shows at its next
+// scheduler touch, as a CAS on its stall word that also wakes the parked
+// thieves; the supplement retires once its own deque is empty. A false
+// seizure costs transient oversubscription, never correctness.
 //
 // Memory ordering: one CAS word per base worker carries the whole cycle.
-// The supervisor draws the supplement's vessel and reserves its token
+// The ticker draws the supplement's vessel and reserves its token
 // before it moves the word off healthy; the supplement frees its vessel
-// before its release-CAS retiring→healthy, which the supervisor's
+// before its release-CAS retiring→healthy, which the ticker's
 // acquire-load of healthy orders before the next arming of the slot.
 
 // Per-worker stall word phases. The zero value is healthy.
 const (
 	// wsHealthy: token w circulates normally and slot Workers+w is free.
 	wsHealthy uint32 = iota
-	// wsSupplemented: the supervisor judged worker w stalled (heartbeat
+	// wsSupplemented: the ticker judged worker w stalled (heartbeat
 	// stale past StallThreshold with runnable work present) and a
 	// supplement is live on slot Workers+w.
 	wsSupplemented
@@ -46,9 +45,9 @@ const (
 // hbSlot is one slot's heartbeat — a monotonic counter bumped at every
 // scheduler touch of the slot's token — and, for a base worker, its
 // stall word (see the ws* phases). The token holder bumps the counter
-// and the supervisor samples it; the word moves one edge per party —
-// supervisor, returning worker, supplement. Padded like the RNG streams
-// so supervisor sampling never bounces a worker's line. A supplement
+// and the ticker samples it; the word moves one edge per party —
+// ticker, returning worker, supplement. Padded like the RNG streams
+// so the ticker's sampling never bounces a worker's line. A supplement
 // slot's own word stays healthy: its pair's word is hb[w].state.
 type hbSlot struct {
 	n atomic.Uint64
@@ -65,7 +64,7 @@ const (
 
 // beat bumps slot w's heartbeat. Callers gate on rt.stallOn, so the
 // disabled configuration pays nothing. Supplemental slots bump too —
-// harmless, the supervisor samples base workers only.
+// harmless, the ticker samples base workers only.
 //
 //nowa:hotpath
 func (rt *Runtime) beat(w int) {
@@ -146,10 +145,10 @@ func (rt *Runtime) retireSupplement(ws int) {
 }
 
 // seizeWorker dispatches a supplemental worker on slot Workers+w for
-// base worker w, whose stall word reads healthy. Supervisor-only; while
-// the word is healthy the slot's owner-only storage is the supervisor's.
+// base worker w, whose stall word reads healthy. Ticker-only; while
+// the word is healthy the slot's owner-only storage is the ticker's.
 // The vessel comes first, under the MaxVessels budget: if none fits, the
-// supervisor stands down and a later tick retries. Then the token: the
+// ticker stands down and a later tick retries. Then the token: the
 // raise CASes n→n+1 only while n>0, because once the run's last token
 // retires (n==0 closes finished) no supplement may join the run. The
 // word moves last, before the dispatch the supplement starts from.
@@ -192,38 +191,53 @@ func (rt *Runtime) seizeWorker(w int) {
 	}
 }
 
-// armStallRow arms the supervisor's stall row for one run. Every tick (a
-// quarter of StallThreshold, floored at 100µs) it seizes each base worker
-// whose word reads healthy and whose heartbeat stayed unchanged for a
-// full threshold of consecutive ticks with runnable work at every one:
-// progress or a workless tick resets the count. Stopping the row at run
-// end returns only once no pass is in progress, so no seizure lands
-// after Run returns.
-func (rt *Runtime) armStallRow() *Row {
+// startStallTicker starts stall recovery for one run: a goroutine whose
+// ticker fires every quarter of StallThreshold, floored at 100µs. Each
+// tick seizes every base worker whose word reads healthy and whose
+// heartbeat stayed unchanged for a full threshold of consecutive ticks
+// with runnable work at every one: progress or a workless tick resets
+// the count. The returned stop ends the goroutine and returns only once
+// it has exited, so no seizure lands after Run returns.
+func (rt *Runtime) startStallTicker() (stop func()) {
 	tick := max(rt.cfg.StallThreshold/4, 100*time.Microsecond)
 	need := max(int(rt.cfg.StallThreshold/tick), 1)
 	last, stale := make([]uint64, rt.cfg.Workers), make([]int, rt.cfg.Workers)
 	for w := range last {
 		last[w] = rt.hb[w].n.Load()
 	}
-	return rt.arm(&Row{kind: rowStall, period: tick, pass: func() {
-		if rt.done.Load() || rt.cancel.Cancelled() {
-			return
-		}
-		// Runnable work — a non-empty deque (supplements' included) or a
-		// queued submission no token has taken — is what makes a stale
-		// heartbeat a stall rather than idleness.
-		work := rt.anyDequeNonEmpty() || rt.submissionsQueued()
-		for w := range last {
-			cur := rt.hb[w].n.Load()
-			if cur != last[w] || !work || rt.hb[w].state.Load() != wsHealthy {
-				last[w], stale[w] = cur, 0
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		t := time.NewTicker(tick)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
+			}
+			if rt.done.Load() || rt.cancel.Cancelled() {
 				continue
 			}
-			if stale[w]++; stale[w] >= need {
-				stale[w] = 0
-				rt.seizeWorker(w)
+			// Runnable work — a non-empty deque (supplements' included) or
+			// a queued submission no token has taken — is what makes a
+			// stale heartbeat a stall rather than idleness.
+			work := rt.anyDequeNonEmpty() || rt.submissionsQueued()
+			for w := range last {
+				cur := rt.hb[w].n.Load()
+				if cur != last[w] || !work || rt.hb[w].state.Load() != wsHealthy {
+					last[w], stale[w] = cur, 0
+					continue
+				}
+				if stale[w]++; stale[w] >= need {
+					stale[w] = 0
+					rt.seizeWorker(w)
+				}
 			}
 		}
-	}})
+	}()
+	return func() {
+		close(quit)
+		<-exited
+	}
 }

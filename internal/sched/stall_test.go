@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,8 +31,8 @@ func stallCfg(workers int) Config {
 func TestStallSlotSizing(t *testing.T) {
 	plain := NewNowa(4)
 	defer plain.Close()
-	if got := plain.DebugSlots(); got != 4 {
-		t.Fatalf("DebugSlots = %d without stall recovery, want 4", got)
+	if got := len(plain.deques); got != 4 {
+		t.Fatalf("%d slots without stall recovery, want 4", got)
 	}
 	st := plain.Stats()
 	if st.WorkersSeized != 0 || st.WorkersSupplemented != 0 || st.SupplementsRetired != 0 {
@@ -38,8 +41,81 @@ func TestStallSlotSizing(t *testing.T) {
 
 	armed := MustNew(stallCfg(4))
 	defer armed.Close()
-	if got := armed.DebugSlots(); got != 8 {
-		t.Fatalf("DebugSlots = %d with recovery armed, want 8 (2×Workers)", got)
+	if got := len(armed.deques); got != 8 {
+		t.Fatalf("%d slots with recovery armed, want 8 (2×Workers)", got)
+	}
+}
+
+// stallTickers counts the goroutines startStallTicker created and that
+// have not exited. It matches the creation line, which the dump prints
+// even for a goroutine that has not run yet.
+func stallTickers() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by nowa/internal/sched.(*Runtime).startStallTicker ")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// awaitNoTicker fails the test unless the stall tickers are gone within
+// a second. Stop joins the ticker goroutine before it returns; the
+// second covers only the instant the goroutine takes to leave the stack
+// after signalling its exit.
+func awaitNoTicker(t *testing.T, when string) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); stallTickers() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d stall tickers %s, want 0", stallTickers(), when)
+		}
+	}
+}
+
+// TestStallTickerPerRun: stall recovery's ticker lives for exactly one
+// run. A plain runtime runs none. A stall-armed batch runtime runs one
+// while Run is live and none once Run returns, so none between runs. A
+// service's run is its lifetime: a stall-armed service runs one until
+// Close returns, and is idle afterwards.
+func TestStallTickerPerRun(t *testing.T) {
+	awaitNoTicker(t, "before the test")
+	plain := NewNowa(2)
+	defer plain.Close()
+	live := -1
+	plain.Run(func(api.Ctx) { live = stallTickers() })
+	if live != 0 {
+		t.Fatalf("%d stall tickers during a run without stall recovery", live)
+	}
+
+	rt := MustNew(stallCfg(2))
+	defer rt.Close()
+	for run := 1; run <= 2; run++ {
+		rt.Run(func(api.Ctx) { live = stallTickers() })
+		if live != 1 {
+			t.Fatalf("run %d: %d stall tickers while Run is live, want 1", run, live)
+		}
+		awaitNoTicker(t, fmt.Sprintf("after run %d returned", run))
+	}
+
+	svc := MustNew(stallCfg(2))
+	if err := svc.StartService(ServiceConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := svc.Submit(func(api.Ctx) {}, SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sub.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n := stallTickers(); n != 1 {
+		t.Fatalf("%d stall tickers while serving, want 1", n)
+	}
+	svc.Close()
+	awaitNoTicker(t, "after Close")
+	if err := svc.CheckIdle(); err != nil {
+		t.Fatal(err)
 	}
 }
 

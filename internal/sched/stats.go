@@ -1,0 +1,121 @@
+package sched
+
+import (
+	"fmt"
+
+	"nowa/internal/api"
+	"nowa/internal/cactus"
+)
+
+// Stats is a snapshot of the runtime's resource accounting: the
+// runtime-agnostic api.ResourceStats (vessel and stack population,
+// budget-degradation, stall-recovery and wait tallies — see the field
+// docs there) plus the gauges only this runtime can report. The leak
+// reconciliations (VesselsLeaked, StacksLeaked) and VesselsPooled need
+// the owner-local caches, so they are computed only while the runtime
+// is idle; mid-run they read 0 and -1. When idle every dispatched
+// supplement has retired (WorkersSupplemented == SupplementsRetired)
+// and every wait has ended (BlockedLive == 0, BlockedWaits ==
+// ResumedWaits + AbortedWaits) — the same reconciliation that proves
+// VesselsLeaked == 0.
+type Stats struct {
+	api.ResourceStats
+	// VesselsPooled counts the vessels sitting in free lists.
+	VesselsPooled int64
+	// BlockedLive gauges the strands currently parked on an external
+	// wait (block.go).
+	BlockedLive int64
+	// Stacks is the cactus pool's own snapshot.
+	Stacks cactus.Stats
+}
+
+// Stats returns the runtime's resource accounting. Safe to call at any
+// time.
+func (rt *Runtime) Stats() Stats {
+	agg := rt.rec.Aggregate()
+	st := Stats{VesselsPooled: -1, BlockedLive: rt.blockedLive.Load(), Stacks: rt.pool.Stats()}
+	st.ResourceStats = api.ResourceStats{
+		VesselHighWater:     rt.vHighWater.Load(),
+		StacksLive:          st.Stacks.Allocated,
+		DegradedSpawns:      agg.DegradedSpawns,
+		TokenKeepSyncs:      agg.TokenKeepSyncs,
+		ScopesLeaked:        rt.scopesLeaked.Load(),
+		WorkersSeized:       rt.seized.Load(),
+		WorkersSupplemented: rt.supplemented.Load(),
+		SupplementsRetired:  rt.supRetired.Load(),
+		BlockedWaits:        agg.BlockedWaits,
+		BlockedHighWater:    rt.blockedHW.Load(),
+		ResumedWaits:        agg.ResumedWaits,
+		AbortedWaits:        agg.AbortedWaits,
+		WakeupsLost:         agg.WakeupsLost,
+	}
+	rt.govMu.Lock()
+	st.VesselsLive = rt.vLive.Load()
+	if !rt.running.Load() {
+		st.VesselsPooled = int64(rt.countPooledLocked())
+		st.VesselsLeaked = st.VesselsLive - st.VesselsPooled
+		st.StacksLeaked = st.StacksLive - int64(rt.pool.FreeCount())
+	}
+	rt.govMu.Unlock()
+	return st
+}
+
+// CheckIdle states the invariants that hold whenever no run is in flight
+// — after Run returns, after Close drains a service — and names the
+// first one the runtime violates as "class: detail", the class being
+// what the torture harness matches reruns on. Every worker token was
+// retired; no continuation survives in any deque, the supplements'
+// extended slots included; every supplement stall recovery dispatched
+// retired its token; no vessel, stack or scope leaked; every external
+// wait ended exactly once, by resume or by abort, and nothing is still
+// parked; every eagerly published continuation was popped back or
+// stolen (trace.Counters.CheckQuiescent) — cancelled runs and
+// submissions included: a spawn run inline because of cancellation or
+// a budget never enters Spawns.
+func (rt *Runtime) CheckIdle() error {
+	if left := rt.tokensLeft.Load(); left != 0 {
+		return fmt.Errorf("tokens: %d tokens unaccounted", left)
+	}
+	for w := range rt.deques {
+		if n := rt.deques[w].Size(); n != 0 {
+			return fmt.Errorf("quiescence: deque %d holds %d continuations", w, n)
+		}
+	}
+	st := rt.Stats()
+	switch {
+	case st.WorkersSupplemented != st.SupplementsRetired:
+		return fmt.Errorf("supplement-leak: %d supplements dispatched, %d retired",
+			st.WorkersSupplemented, st.SupplementsRetired)
+	case st.VesselsLeaked != 0:
+		return fmt.Errorf("vessel-leak: %d vessels never returned to a free list", st.VesselsLeaked)
+	case st.StacksLeaked != 0:
+		return fmt.Errorf("stack-leak: %d stacks unaccounted", st.StacksLeaked)
+	case st.ScopesLeaked != 0:
+		return fmt.Errorf("scope-leak: %d scopes abandoned", st.ScopesLeaked)
+	case st.BlockedWaits != st.ResumedWaits+st.AbortedWaits:
+		return fmt.Errorf("wait-leak: BlockedWaits(%d) != ResumedWaits(%d)+AbortedWaits(%d)",
+			st.BlockedWaits, st.ResumedWaits, st.AbortedWaits)
+	case st.BlockedLive != 0:
+		return fmt.Errorf("wait-leak: %d waiters still parked", st.BlockedLive)
+	}
+	if err := rt.Counters().CheckQuiescent(); err != nil {
+		return fmt.Errorf("counters: %v", err)
+	}
+	return nil
+}
+
+// ResourceStats implements api.ResourceReporter.
+func (rt *Runtime) ResourceStats() api.ResourceStats { return rt.Stats().ResourceStats }
+
+// countPooledLocked sums the vessel free lists. Caller holds govMu and
+// the runtime is idle, which is what makes reading the owner-local
+// caches safe: no token holder exists, and Run start is held off.
+func (rt *Runtime) countPooledLocked() int {
+	rt.vglobal.mu.Lock()
+	n := len(rt.vglobal.free)
+	rt.vglobal.mu.Unlock()
+	for w := range rt.vlocal {
+		n += len(rt.vlocal[w].free)
+	}
+	return n
+}

@@ -103,7 +103,7 @@ type vessel struct {
 	// atomic add each. Only the vessel's own goroutine touches pend — a
 	// strand runs nowhere else — so the batching is race-free, and
 	// flushing before every token handoff or steal-loop entry keeps the
-	// aggregate monotonic for the watchdog's mid-run sampling.
+	// aggregate monotonic for mid-run readers (Counters, DumpState).
 	pend trace.Pending
 }
 
@@ -246,8 +246,7 @@ func (rt *Runtime) getVesselSlow(limit int) *vessel {
 
 // reserveVessel claims one slot of the live-vessel budget with a CAS
 // loop, so the check and the increment are a single atomic step — a
-// plain check-then-add would let concurrent reservers overshoot the cap,
-// and would race with the governor's concurrent trim decrements.
+// plain check-then-add would let concurrent reservers overshoot the cap.
 func (rt *Runtime) reserveVessel(limit int) bool {
 	if limit <= 0 {
 		rt.vLive.Add(1)
@@ -421,7 +420,7 @@ func (rt *Runtime) finishStrand(v *vessel, parent *scope) {
 	if rt.stallOn {
 		// Strand finish is a heartbeat site: a token pinned by a long
 		// user function goes stale between two of these, which is what
-		// the supervisor measures; a seized token returning lands its
+		// the stall ticker measures; a seized token returning lands its
 		// re-entry CAS here.
 		rt.stallFinishCheck(w)
 	}

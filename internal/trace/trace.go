@@ -3,13 +3,13 @@
 // counting adds no cache-line contention of its own; Aggregate folds the
 // blocks into a snapshot. The cells are atomics — still uncontended on
 // the write side because each block has exactly one writer — so that
-// diagnostic readers (the stall watchdog) may snapshot mid-run without a
-// data race.
+// diagnostic readers (Counters, DumpState) may snapshot mid-run without
+// a data race.
 //
 // Every counter is declared once: an ID constant and its row of table.
-// Blocks, pending batches, aggregation, the progress sum and the
-// Counters snapshot are all loops over that table, so adding a counter
-// is one ID, one row and one Counters field.
+// Blocks, pending batches, aggregation and the Counters snapshot are all
+// loops over that table, so adding a counter is one ID, one row and one
+// Counters field.
 package trace
 
 import (
@@ -49,44 +49,35 @@ const (
 	NumCounters
 )
 
-// table is the one declaration of the counter set. progress says whether
-// the counter advancing means the computation advanced (see ProgressSum).
-// Failed steals, interest signals and declined parks are symptoms of an
-// idle or stuck thief, which produces them forever without the
-// computation moving, and the watchdog must tell those apart; the
-// stack-pool tallies describe the pool, not the computation. The wait tallies do count: a strand blocking on or
-// returning from an external wait is the computation moving through a
-// protocol step — but a direct handoff is only the route one of those
-// blocks took, already counted as the block. field is the row's offset
-// in the Counters snapshot.
+// table is the one declaration of the counter set: each row's name and
+// its field's offset in the Counters snapshot.
 var table = [NumCounters]struct {
-	name     string
-	progress bool
-	field    uintptr
+	name  string
+	field uintptr
 }{
-	Spawns:          {"Spawns", true, unsafe.Offsetof(Counters{}.Spawns)},
-	InlineSpawns:    {"InlineSpawns", true, unsafe.Offsetof(Counters{}.InlineSpawns)},
-	InlineRuns:      {"InlineRuns", true, unsafe.Offsetof(Counters{}.InlineRuns)},
-	PromotedSpawns:  {"PromotedSpawns", true, unsafe.Offsetof(Counters{}.PromotedSpawns)},
-	DegradedSpawns:  {"DegradedSpawns", true, unsafe.Offsetof(Counters{}.DegradedSpawns)},
-	TokenKeepSyncs:  {"TokenKeepSyncs", true, unsafe.Offsetof(Counters{}.TokenKeepSyncs)},
-	LocalResumes:    {"LocalResumes", true, unsafe.Offsetof(Counters{}.LocalResumes)},
-	Steals:          {"Steals", true, unsafe.Offsetof(Counters{}.Steals)},
-	FailedSteals:    {"FailedSteals", false, unsafe.Offsetof(Counters{}.FailedSteals)},
-	ImplicitSyncs:   {"ImplicitSyncs", true, unsafe.Offsetof(Counters{}.ImplicitSyncs)},
-	ExplicitSyncs:   {"ExplicitSyncs", true, unsafe.Offsetof(Counters{}.ExplicitSyncs)},
-	Suspensions:     {"Suspensions", true, unsafe.Offsetof(Counters{}.Suspensions)},
-	VesselDispatch:  {"VesselDispatch", true, unsafe.Offsetof(Counters{}.VesselDispatch)},
-	StackLocalGets:  {"StackLocalGets", false, unsafe.Offsetof(Counters{}.StackLocalGets)},
-	StackGlobalGets: {"StackGlobalGets", false, unsafe.Offsetof(Counters{}.StackGlobalGets)},
-	ThiefParks:      {"ThiefParks", true, unsafe.Offsetof(Counters{}.ThiefParks)},
-	ThiefWakeups:    {"ThiefWakeups", true, unsafe.Offsetof(Counters{}.ThiefWakeups)},
-	InterestSignals: {"InterestSignals", false, unsafe.Offsetof(Counters{}.InterestSignals)},
-	BlockedWaits:    {"BlockedWaits", true, unsafe.Offsetof(Counters{}.BlockedWaits)},
-	ResumedWaits:    {"ResumedWaits", true, unsafe.Offsetof(Counters{}.ResumedWaits)},
-	AbortedWaits:    {"AbortedWaits", true, unsafe.Offsetof(Counters{}.AbortedWaits)},
-	WakeupsLost:     {"WakeupsLost", false, unsafe.Offsetof(Counters{}.WakeupsLost)},
-	DirectHandoffs:  {"DirectHandoffs", false, unsafe.Offsetof(Counters{}.DirectHandoffs)},
+	Spawns:          {"Spawns", unsafe.Offsetof(Counters{}.Spawns)},
+	InlineSpawns:    {"InlineSpawns", unsafe.Offsetof(Counters{}.InlineSpawns)},
+	InlineRuns:      {"InlineRuns", unsafe.Offsetof(Counters{}.InlineRuns)},
+	PromotedSpawns:  {"PromotedSpawns", unsafe.Offsetof(Counters{}.PromotedSpawns)},
+	DegradedSpawns:  {"DegradedSpawns", unsafe.Offsetof(Counters{}.DegradedSpawns)},
+	TokenKeepSyncs:  {"TokenKeepSyncs", unsafe.Offsetof(Counters{}.TokenKeepSyncs)},
+	LocalResumes:    {"LocalResumes", unsafe.Offsetof(Counters{}.LocalResumes)},
+	Steals:          {"Steals", unsafe.Offsetof(Counters{}.Steals)},
+	FailedSteals:    {"FailedSteals", unsafe.Offsetof(Counters{}.FailedSteals)},
+	ImplicitSyncs:   {"ImplicitSyncs", unsafe.Offsetof(Counters{}.ImplicitSyncs)},
+	ExplicitSyncs:   {"ExplicitSyncs", unsafe.Offsetof(Counters{}.ExplicitSyncs)},
+	Suspensions:     {"Suspensions", unsafe.Offsetof(Counters{}.Suspensions)},
+	VesselDispatch:  {"VesselDispatch", unsafe.Offsetof(Counters{}.VesselDispatch)},
+	StackLocalGets:  {"StackLocalGets", unsafe.Offsetof(Counters{}.StackLocalGets)},
+	StackGlobalGets: {"StackGlobalGets", unsafe.Offsetof(Counters{}.StackGlobalGets)},
+	ThiefParks:      {"ThiefParks", unsafe.Offsetof(Counters{}.ThiefParks)},
+	ThiefWakeups:    {"ThiefWakeups", unsafe.Offsetof(Counters{}.ThiefWakeups)},
+	InterestSignals: {"InterestSignals", unsafe.Offsetof(Counters{}.InterestSignals)},
+	BlockedWaits:    {"BlockedWaits", unsafe.Offsetof(Counters{}.BlockedWaits)},
+	ResumedWaits:    {"ResumedWaits", unsafe.Offsetof(Counters{}.ResumedWaits)},
+	AbortedWaits:    {"AbortedWaits", unsafe.Offsetof(Counters{}.AbortedWaits)},
+	WakeupsLost:     {"WakeupsLost", unsafe.Offsetof(Counters{}.WakeupsLost)},
+	DirectHandoffs:  {"DirectHandoffs", unsafe.Offsetof(Counters{}.DirectHandoffs)},
 }
 
 // String returns the counter's name, which is also its Counters field.
@@ -99,7 +90,7 @@ type Counters struct {
 	InlineSpawns    int64 // Spawns degraded to inline execution (cancelled run)
 	InlineRuns      int64 // lazy spawns committed to inline execution (no handoff paid)
 	PromotedSpawns  int64 // lazy spawns promoted to the eager handoff (claim, interest fold or suspension)
-	DegradedSpawns  int64 // Spawns degraded inline by the resource governor (budget/pressure)
+	DegradedSpawns  int64 // Spawns degraded inline by a budget (vessel budget or stack-pool pressure)
 	TokenKeepSyncs  int64 // sync suspensions that kept their token (no thief vessel in budget)
 	LocalResumes    int64 // popBottom hits: continuation not stolen
 	Steals          int64 // successful popTop operations
@@ -167,7 +158,7 @@ func (w *WorkerCounters) addTo(p *Pending) {
 
 // Snapshot reads the block atomically cell by cell. The result is a
 // consistent tally only when the worker is quiescent; mid-run it is a
-// best-effort monotonic sample, which is all stall detection needs.
+// best-effort monotonic sample.
 func (w *WorkerCounters) Snapshot() Counters {
 	var p Pending
 	w.addTo(&p)
@@ -208,19 +199,6 @@ func (r *Recorder) Aggregate() Counters {
 		r.blocks[i].addTo(&p)
 	}
 	return p.Counters()
-}
-
-// ProgressSum folds a snapshot into one scalar that advances whenever the
-// scheduler makes forward progress: the sum of the rows marked progress
-// in the table.
-func (c Counters) ProgressSum() int64 {
-	var s int64
-	for id := range table {
-		if table[id].progress {
-			s += *c.cell(ID(id))
-		}
-	}
-	return s
 }
 
 // CheckQuiescent states the conservation identities that hold whenever

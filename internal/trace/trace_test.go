@@ -11,7 +11,7 @@ import (
 // every row, an increment flushed into one worker's block shows up in
 // that block's Snapshot, in Aggregate, under the row's name in the
 // Counters struct (the one conversion) and through Get — and nowhere
-// else — and moves ProgressSum iff the row says so.
+// else.
 func TestEveryCounterRow(t *testing.T) {
 	if n := reflect.TypeOf(Counters{}).NumField(); n != int(NumCounters) {
 		t.Fatalf("Counters has %d fields, the table %d rows", n, NumCounters)
@@ -43,27 +43,6 @@ func TestEveryCounterRow(t *testing.T) {
 		f.SetInt(5)
 		if snap := r.Worker(1).Snapshot(); snap != want {
 			t.Errorf("%v: Snapshot = %+v, want %+v", id, snap, want)
-		}
-		wantSum := int64(0)
-		if table[id].progress {
-			wantSum = 7
-		}
-		if s := got.ProgressSum(); s != wantSum {
-			t.Errorf("%v: ProgressSum = %d, want %d (progress=%v)", id, s, wantSum, table[id].progress)
-		}
-	}
-}
-
-// TestProgressRows pins which rows stay out of the progress sum: the
-// idleness symptoms an idle or stuck thief bumps forever, and
-// DirectHandoffs, which only names the route of a block BlockedWaits
-// already counted.
-func TestProgressRows(t *testing.T) {
-	idle := map[ID]bool{FailedSteals: true, InterestSignals: true, WakeupsLost: true,
-		StackLocalGets: true, StackGlobalGets: true, DirectHandoffs: true}
-	for id := ID(0); id < NumCounters; id++ {
-		if table[id].progress == idle[id] {
-			t.Errorf("%v: progress = %v", id, table[id].progress)
 		}
 	}
 }

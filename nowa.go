@@ -372,7 +372,7 @@ func Close(rt Runtime) {
 // strand of that run, with its own future, cancellation, and panic
 // isolation. A bounded
 // admission queue in front applies backpressure; its overload behavior
-// is policy-selectable and tightens under governor memory pressure.
+// is policy-selectable.
 
 // ServiceConfig parameterises StartService: admission queue depth,
 // overload policy, and Close's drain deadline.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -503,48 +502,6 @@ func TestServiceCloseDrainForced(t *testing.T) {
 	}
 }
 
-func TestServicePressureGrades(t *testing.T) {
-	rt := nowa.New(nowa.VariantNowa, 4)
-	srt := rt.(*sched.Runtime)
-	if err := srt.StartService(sched.ServiceConfig{QueueDepth: 8, Policy: sched.OverloadFailFast}); err != nil {
-		t.Fatalf("StartService: %v", err)
-	}
-	defer nowa.Close(rt)
-
-	release := make(chan struct{})
-	defer close(release)
-	blockNSubmissions(t, rt, 4, release)
-
-	// Severe pressure quarters the window (8 → 2) and sheds at the edge
-	// even under FailFast.
-	srt.SetAdmissionPressure(2)
-	a, err := nowa.Submit(rt, func(nowa.Ctx) {}, nowa.SubmitOpts{})
-	if err != nil {
-		t.Fatalf("Submit under severe pressure 1: %v", err)
-	}
-	if _, err := nowa.Submit(rt, func(nowa.Ctx) {}, nowa.SubmitOpts{}); err != nil {
-		t.Fatalf("Submit under severe pressure 2: %v", err)
-	}
-	// Window (2) is full: severe pressure must shed the oldest, not block.
-	if _, err := nowa.Submit(rt, func(nowa.Ctx) {}, nowa.SubmitOpts{}); err != nil {
-		t.Fatalf("Submit at severe window edge: %v", err)
-	}
-	if werr := a.Wait(); !errors.Is(werr, nowa.ErrShed) {
-		t.Fatalf("oldest under severe pressure: err = %v, want ErrShed", werr)
-	}
-	st, _ := nowa.ServiceInfo(rt)
-	if st.PressureGrade != 2 {
-		t.Fatalf("PressureGrade = %d, want 2", st.PressureGrade)
-	}
-	// Clearing pressure restores the full window.
-	srt.SetAdmissionPressure(0)
-	for i := 0; i < 5; i++ {
-		if _, err := nowa.Submit(rt, func(nowa.Ctx) {}, nowa.SubmitOpts{}); err != nil {
-			t.Fatalf("Submit after pressure cleared (%d): %v", i, err)
-		}
-	}
-}
-
 func TestServicePriorityShedsNormalFirst(t *testing.T) {
 	// One worker: once the blocker occupies the lone token, no token is
 	// left to take from the queue, so everything after it stays queued
@@ -664,97 +621,6 @@ func TestChaosSubmitFail(t *testing.T) {
 	srt.Close()
 	if lk := srt.Stats(); lk.VesselsLeaked != 0 {
 		t.Fatalf("leaks under chaos: %+v", lk)
-	}
-}
-
-// TestGovernorGradesFeedAdmission arms a real pressure row against a
-// tiny budget and watches the grade reach the admission window.
-func TestGovernorGradesFeedAdmission(t *testing.T) {
-	srt := sched.MustNew(sched.Config{Name: "gov-admit", Workers: 2})
-	if err := srt.StartService(sched.ServiceConfig{QueueDepth: 8}); err != nil {
-		t.Fatalf("StartService: %v", err)
-	}
-	defer srt.Close()
-
-	// The row reads real process memory; against a 1000-byte budget every
-	// evaluation grades severe, and the grade must reach the window.
-	gov := srt.StartGovernor(sched.GovernorConfig{
-		Tick:         time.Millisecond,
-		MemoryBudget: 1000,
-		OnTrim:       func(sched.TrimReport) {},
-	})
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if st, _ := srt.ServiceStats(); st.PressureGrade == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the pressure row never graded severe against a 1000-byte budget")
-		}
-	}
-	gov.Stop()
-	// Drive the rest of the ladder through the same public hook the row
-	// calls.
-	srt.SetAdmissionPressure(1)
-	if st, _ := srt.ServiceStats(); st.PressureGrade != 1 {
-		t.Fatalf("grade = %d, want 1 (mild)", st.PressureGrade)
-	}
-	srt.SetAdmissionPressure(0)
-	if st, _ := srt.ServiceStats(); st.PressureGrade != 0 {
-		t.Fatalf("grade = %d, want 0 after clear", st.PressureGrade)
-	}
-}
-
-// TestWatchdogReportsHungSubmission: a submission awaiting a future that
-// nobody resolves is outstanding work making no progress. The watchdog
-// reports it once, with the live wait in the dump, and the service still
-// drains clean once the future resolves.
-func TestWatchdogReportsHungSubmission(t *testing.T) {
-	srt := sched.MustNew(sched.Config{Name: "hung", Workers: 2})
-	if err := srt.StartService(sched.ServiceConfig{}); err != nil {
-		t.Fatalf("StartService: %v", err)
-	}
-	var mu sync.Mutex
-	var reports []sched.WatchdogReport
-	wd := srt.StartWatchdog(5*time.Millisecond, 4, func(r sched.WatchdogReport) {
-		mu.Lock()
-		reports = append(reports, r)
-		mu.Unlock()
-	})
-	count := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(reports)
-	}
-	fut := nowa.NewFuture[int]()
-	sub, err := srt.Submit(func(c api.Ctx) { fut.Await(c) }, sched.SubmitOpts{})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	for deadline := time.Now().Add(5 * time.Second); count() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("no report for a submission hung on a future")
-		}
-	}
-	time.Sleep(100 * time.Millisecond) // the hang continues: still one report
-	fut.Complete(1)
-	if err := sub.Wait(); err != nil {
-		t.Fatalf("hung submission: %v", err)
-	}
-	wd.Stop()
-	mu.Lock()
-	n, dump := len(reports), reports[0].Dump
-	mu.Unlock()
-	if n != 1 {
-		t.Errorf("%d reports for one hang, want 1", n)
-	}
-	// Two live waits: the service root's, which idles on the drain, and
-	// the hung submission's.
-	if !strings.Contains(dump, "live=2") {
-		t.Errorf("dump does not show the live wait:\n%s", dump)
-	}
-	srt.Close()
-	if err := srt.CheckIdle(); err != nil {
-		t.Fatalf("not idle after Close: %v", err)
 	}
 }
 
