@@ -16,7 +16,7 @@ GO ?= go
 # barriers, pipeline/BFS kernels, abort storms, the scheduler's whitebox
 # token-handoff and parker tests): part of RACE_TEST, and what
 # `block-smoke` runs on its own.
-BLOCK_TESTS = TestCQS|TestFuture|TestChannel|TestBarrier|TestBlock|TestWait|TestAbort|TestPipeline|TestBFS|TestKernel
+BLOCK_TESTS = TestCQS|TestFuture|TestChannel|TestBarrier|TestBlock|TestWait|TestAbort|TestPipeline|TestBFS|TestKernel|TestWakeSlot
 
 # The race-enabled stress subset, shared by `race` and `verify` so the
 # two gates cannot drift apart: the name-selected stress tests of every

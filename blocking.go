@@ -76,12 +76,16 @@ func blockOn(p *sched.Proc, q *cqs.Queue, ready func() bool) error {
 // waiter only: it resumes the oldest waiter of q, stepping over aborted
 // cells. Of two wakers racing for one waiter the loser deposits its wake
 // in a cell yet to be taken, whose strand then looks again unparked.
+// It is the one strand-to-strand, single-waiter wake, so the waiter goes
+// to the next-wakeup slot of p's own token (sched.Proc.WakeNext) and
+// resumes where its waker runs; every other wake takes wakeHandle's
+// wake-queue path.
 //
 //nowa:coldpath runs only when q.Waiting() said a strand is asleep
 func wakeOne(p *sched.Proc, q *cqs.Queue) {
 	if h, ok := q.ResumeOne(); ok {
 		p.ChaosWakeDelay()
-		wakeHandle(h)
+		p.WakeNext(h.(*sched.Waiter))
 	}
 }
 

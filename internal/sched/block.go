@@ -3,6 +3,8 @@ package sched
 import (
 	"context"
 	rtrace "runtime/trace"
+	"sync/atomic"
+	"unsafe"
 
 	"nowa/internal/replay"
 	"nowa/internal/trace"
@@ -24,15 +26,42 @@ import (
 // runtime's wake queue and rouses a thief; the next token to come
 // free — a strand blocking in its turn, or an idle thief — pops it and
 // hands itself over, and the blocked strand continues where it left off.
+// The exception is WakeNext, the child-first rule applied to wakeups: a
+// strand that wakes one waiter files it in its own token's slot.
 //
 // Leak-freedom is the sum of three guarantees: the primitive's cell CAS
 // arbitration means exactly one of Wake/WakeAborted fires per
 // CommitWait (no lost or double wakeup); the blockedLive gauge plus the
 // wake-queue pending count gate token retirement (a thief never retires
-// the last token while a waiter is parked or a wakeup is queued); and
-// the park guard declines to park while a wakeup is pending (counted as
-// WakeupsLost), closing the sleep race the same way Spawn's
-// publish-then-load-Waiting order does.
+// the last token while a waiter is parked — a slot's occupant included —
+// or a wakeup is queued); and the park guard declines to park while a
+// wakeup is pending (counted as WakeupsLost) or a slot is filled, closing
+// the sleep race the same way Spawn's publish-then-load-Waiting order
+// does.
+
+// nextSlot is a scheduling slot's next wakeup (Runtime.next), like Go's
+// runnext: filled only by the slot's token holder (WakeNext), emptied by
+// its passToken and stealLoop or by a parking thief. Padded like the
+// other per-slot words.
+type nextSlot struct {
+	w atomic.Pointer[Waiter]
+	_ [128 - 8]byte
+}
+
+const (
+	_ uintptr = unsafe.Sizeof(nextSlot{}) - 128
+	_ uintptr = 128 - unsafe.Sizeof(nextSlot{})
+)
+
+// takeNext empties slot i and returns its occupant; nil when it was
+// empty or another token took it first.
+func (rt *Runtime) takeNext(i int) *Waiter {
+	s := &rt.next[i].w
+	if s.Load() == nil {
+		return nil
+	}
+	return s.Swap(nil)
+}
 
 // Waiter is the blocking-wait handle of a strand, embedded in its
 // vessel (one external wait can be in flight per strand — the strand is
@@ -166,6 +195,23 @@ func (p *Proc) WaitContext() context.Context { return p.cancel.Context() }
 // goroutine. Exactly one of Wake/WakeAborted per CommitWait.
 func (bw *Waiter) Wake() { bw.deliver(false) }
 
+// WakeNext is Wake from strand p for the one waiter its operation
+// unblocked. When p's slot and the wake queue are both empty, bw goes to
+// the slot and resumes on p's token once p blocks or idles; the thief
+// roused as by Wake takes the slot if p runs on past its spin budget.
+// Otherwise — keep waits and other runtimes' waiters too — it is Wake:
+// behind a queued wakeup, so slot wakeups never starve queued ones.
+func (p *Proc) WakeNext(bw *Waiter) {
+	rt := p.rt
+	s := &rt.next[p.worker].w
+	bw.aborted = false
+	if bw.keep || bw.v.rt != rt || rt.wakeq.Pending() > 0 || s.Load() != nil || !s.CompareAndSwap(nil, bw) {
+		bw.deliver(false)
+		return
+	}
+	rt.wakeThief()
+}
+
 // WakeAborted resumes a blocked waiter on its cancellation path. Called
 // by the abort arm (a context.AfterFunc, typically) after it won the
 // waiter's cell.
@@ -173,13 +219,15 @@ func (bw *Waiter) WakeAborted() { bw.deliver(true) }
 
 // passToken gives the blocking strand's worker token w to whoever can use
 // it soonest, in this order, and reports whether the strand must park
-// (false: the token came straight back — see branch 2):
+// (false: the token came straight back — see branches 2 and 3):
 //
 //  1. Its own un-stolen parent continuation (popOwn): the
 //     work-first handoff, and what keeps the deque discipline — it runs
 //     first, so whoever gets the token in the other branches never finds
 //     this strand's push at the bottom of deque[w].
-//  2. The oldest wakeup queued in rt.wakeq, directly. A thief vessel
+//  2. The waiter in token w's own next-wakeup slot: the strand this one
+//     woke last (WakeNext) resumes on the token it was woken from.
+//  3. The oldest wakeup queued in rt.wakeq, directly. A thief vessel
 //     dispatched instead would do nothing but pop that same entry and
 //     pass the token on; skipping it saves a vessel dispatch and two
 //     goroutine switches per block. The popped waiter can be this very
@@ -189,7 +237,7 @@ func (bw *Waiter) WakeAborted() { bw.deliver(true) }
 //     waiter stays counted in blockedLive until it runs on the token, so
 //     the retirement gate holds across the handoff, and a thief that
 //     declined to park for this entry merely finds the queue empty.
-//  3. A thief vessel, as the fallback.
+//  4. A thief vessel, as the fallback.
 //
 // The route records no schedule event, like the thief-side pop in
 // stealLoop: the wake queue is FIFO and its order is set by the replayed
@@ -224,7 +272,11 @@ func (rt *Runtime) passToken(v *vessel, w int, bw *Waiter) bool {
 		pc.v.pk.deliver()
 		return true
 	}
-	if next, ok := rt.wakeq.Pop(); ok {
+	next := rt.takeNext(w)
+	if next == nil {
+		next, _ = rt.wakeq.Pop()
+	}
+	if next != nil {
 		if tv != nil {
 			rt.freeVessel(tv, w)
 		}

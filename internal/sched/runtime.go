@@ -87,9 +87,11 @@ type Runtime struct {
 	idle *cqs.Queue
 
 	// External-wait state (block.go): wakeq routes wakeups fired off any
-	// worker token to idle thieves, blockedLive gauges strands parked on
-	// an external wait (gating token retirement), blockedHW its maximum.
+	// worker token to idle thieves, next holds each scheduling slot's
+	// next wakeup, blockedLive gauges strands parked on an external wait
+	// (gating token retirement), blockedHW its maximum.
 	wakeq       core.WakeQueue[*Waiter]
+	next        []nextSlot
 	blockedLive atomic.Int64
 	blockedHW   atomic.Int64
 
@@ -173,6 +175,7 @@ func New(cfg Config) (*Runtime, error) {
 		rec:        trace.NewRecorder(slots),
 		rngs:       make([]rngState, slots),
 		demand:     make([]demandWord, slots),
+		next:       make([]nextSlot, slots),
 		vlocal:     make([]vesselFreeList, slots),
 		idle:       cqs.NewQueue(),
 	}
@@ -443,7 +446,9 @@ func (rt *Runtime) wakeThieves() {
 // claimed before the re-scan and every publisher loads Waiting after it
 // published, so a wakeup cannot be lost: either the publisher sees the
 // ticket and resumes it, or the re-scan sees what was published and the
-// thief takes its ticket back.
+// thief takes its ticket back. A wakeup in another token's next-wakeup
+// slot has outlasted this thief's whole spin budget: the re-scan moves it
+// to the thief's own slot, which the steal loop's next pass resumes.
 //
 //nowa:coldpath a thief out of spins; the idle period's cost is the goroutine park, not this
 func (rt *Runtime) parkThief(p *Proc) {
@@ -453,8 +458,16 @@ func (rt *Runtime) parkThief(p *Proc) {
 		// A resume ran ahead of the registration: already woken.
 		return
 	}
-	var look bool
-	if rt.done.Load() || rt.cancel.Cancelled() {
+	var bw *Waiter
+	for i := 0; i < len(rt.next) && bw == nil; i++ {
+		bw = rt.takeNext(i)
+	}
+	look := bw != nil
+	if look {
+		// Only this token's holder fills its own slot, and the steal
+		// loop emptied it before coming here.
+		rt.next[w].w.Store(bw)
+	} else if rt.done.Load() || rt.cancel.Cancelled() {
 		// Winding down, thieves steal nothing: the only reason to be
 		// awake is an open retirement gate. While blocked waits hold it
 		// shut, sleeping is exactly right — under a plain Run a wait on a
@@ -482,6 +495,11 @@ func (rt *Runtime) parkThief(p *Proc) {
 			// A resumer claimed the cell first: its delivery is in
 			// flight and must be consumed before the parker is reused.
 			p.v.pk.await(0)
+			if bw != nil {
+				// Meant for a thief that stays to look; this one is
+				// leaving with the slot's waiter, so pass it on.
+				rt.wakeThief()
+			}
 		}
 		return
 	}
@@ -559,19 +577,23 @@ func (rt *Runtime) DebugTokensLeft() int64 { return rt.tokensLeft.Load() }
 func (rt *Runtime) DebugDequeSize(w int) int { return rt.deques[w].Size() }
 
 // DumpState writes a human-readable diagnostic snapshot: token count,
-// per-worker deque sizes, vessel accounting, parked thieves and the
-// aggregated trace counters. Safe to call mid-run (values are
-// best-effort). The owner-local vessel caches are owner-only and
-// deliberately not read here — only the mutex-guarded global pool and
-// the created total are reported.
+// per-slot deque sizes and next wakeups, vessel accounting, parked
+// thieves and the aggregated trace counters. Safe to call mid-run
+// (values are best-effort). The owner-local vessel caches are owner-only
+// and deliberately not read here — only the mutex-guarded global pool
+// and the created total are reported.
 func (rt *Runtime) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "sched runtime %q: workers=%d tokensLeft=%d running=%v cancelled=%v\n",
 		rt.cfg.Name, rt.cfg.Workers, rt.DebugTokensLeft(), rt.running.Load(), rt.cancel.Cancelled())
 	for i := range rt.deques {
+		next := "none"
+		if bw := rt.next[i].w.Load(); bw != nil {
+			next = fmt.Sprintf("waiter %p", bw)
+		}
 		if i < rt.cfg.Workers {
-			fmt.Fprintf(w, "  worker %d: deque size %d\n", i, rt.DebugDequeSize(i))
+			fmt.Fprintf(w, "  worker %d: deque size %d, next wakeup %s\n", i, rt.DebugDequeSize(i), next)
 		} else {
-			fmt.Fprintf(w, "  supplement slot %d (worker %d): deque size %d\n", i-rt.cfg.Workers, i, rt.DebugDequeSize(i))
+			fmt.Fprintf(w, "  supplement slot %d (worker %d): deque size %d, next wakeup %s\n", i-rt.cfg.Workers, i, rt.DebugDequeSize(i), next)
 		}
 	}
 	if rt.stallOn {

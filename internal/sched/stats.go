@@ -68,10 +68,10 @@ func (rt *Runtime) Stats() Stats {
 // extended slots included; every supplement stall recovery dispatched
 // retired its token; no vessel, stack or scope leaked; every external
 // wait ended exactly once, by resume or by abort, and nothing is still
-// parked; every eagerly published continuation was popped back or
-// stolen (trace.Counters.CheckQuiescent) — cancelled runs and
-// submissions included: a spawn run inline because of cancellation or
-// a budget never enters Spawns.
+// parked or filed in a next-wakeup slot; every eagerly published
+// continuation was popped back or stolen (trace.Counters.CheckQuiescent)
+// — cancelled runs and submissions included: a spawn run inline because
+// of cancellation or a budget never enters Spawns.
 func (rt *Runtime) CheckIdle() error {
 	if left := rt.tokensLeft.Load(); left != 0 {
 		return fmt.Errorf("tokens: %d tokens unaccounted", left)
@@ -79,6 +79,11 @@ func (rt *Runtime) CheckIdle() error {
 	for w := range rt.deques {
 		if n := rt.deques[w].Size(); n != 0 {
 			return fmt.Errorf("quiescence: deque %d holds %d continuations", w, n)
+		}
+	}
+	for w := range rt.next {
+		if rt.next[w].w.Load() != nil {
+			return fmt.Errorf("wait-leak: slot %d holds a wakeup no token took", w)
 		}
 	}
 	st := rt.Stats()

@@ -23,17 +23,20 @@ func (rt *Runtime) stealLoop(p *Proc) {
 	bounded := rt.cfg.Stacks.GlobalCap > 0
 	fails := 0
 	for {
-		if rt.wakeq.Pending() > 0 {
-			if bw, ok := rt.wakeq.Pop(); ok {
-				// An externally blocked strand was woken: hand it this
-				// token exactly like a stolen continuation's resume. The
-				// vessel is freed first, while the token is still ours.
-				rt.freeVessel(p.v, w)
-				rt.takeDemand(w)
-				bw.v.resumeTok = token{worker: w}
-				bw.v.pk.deliver()
-				return
-			}
+		bw := rt.takeNext(w)
+		if bw == nil && rt.wakeq.Pending() > 0 {
+			bw, _ = rt.wakeq.Pop()
+		}
+		if bw != nil {
+			// An externally blocked strand was woken — the one in this
+			// token's own slot first, else the oldest queued: hand it
+			// this token exactly like a stolen continuation's resume. The
+			// vessel is freed first, while the token is still ours.
+			rt.freeVessel(p.v, w)
+			rt.takeDemand(w)
+			bw.v.resumeTok = token{worker: w}
+			bw.v.pk.deliver()
+			return
 		}
 
 		if rt.submissionsQueued() {
@@ -50,7 +53,7 @@ func (rt *Runtime) stealLoop(p *Proc) {
 		if rt.done.Load() || rt.cancel.Cancelled() {
 			if rt.blockedLive.Load() > 0 || rt.wakeq.Pending() > 0 {
 				// Strands are still parked on external waits (or their
-				// wakeups are queued): retiring now could strand a woken
+				// wakeups wait for a token): retiring now could strand a woken
 				// waiter with no token to resume on. Keep this token in
 				// the loop until the waits drain — and since under a
 				// plain Run (nil WaitContext) a wait on a never-resolved
@@ -280,7 +283,9 @@ const spinBeforePark = 64
 // stealBackoff is the one idle protocol: the first spinBeforePark
 // consecutive failures yield, the next one parks on the idle queue
 // (parkThief). The count restarts after a wakeup and after a declined
-// park alike — both mean there is something to look at again.
+// park alike — both mean there is something to look at again. The
+// budget is also the grace a next-wakeup slot's owner has before another
+// token takes the slot (parkThief, DESIGN.md §16.2).
 func (rt *Runtime) stealBackoff(p *Proc, fails *int) {
 	if *fails++; *fails <= spinBeforePark {
 		runtime.Gosched()

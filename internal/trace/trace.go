@@ -108,7 +108,7 @@ type Counters struct {
 	ResumedWaits    int64 // external waits that ended in a resume
 	AbortedWaits    int64 // external waits that ended in a cancellation
 	WakeupsLost     int64 // thief parks declined because an external wakeup was pending
-	DirectHandoffs  int64 // blocking strands that passed their token straight to a queued wakeup (their own included), no thief vessel in between
+	DirectHandoffs  int64 // blocking strands that passed their token straight to a slot or queued wakeup (their own included), no thief vessel in between
 }
 
 // cell addresses the field of c that the counter's row names.
