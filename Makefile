@@ -23,7 +23,7 @@ BLOCK_TESTS = TestCQS|TestFuture|TestChannel|TestBarrier|TestBlock|TestWait|Test
 # package, then the whole benchmark harness (its test names match none
 # of the patterns, and its workloads drive the serving and resilience
 # layers from many goroutines at once).
-RACE_TEST = $(GO) test -race -run 'TestChaos|TestCancel|TestPanic|TestGovern|TestOverload|TestPromote|TestReplay|TestService|TestSubmit|TestStall|TestHedge|TestResilience|TestIdle|$(BLOCK_TESTS)' ./... \
+RACE_TEST = $(GO) test -race -run 'TestChaos|TestCancel|TestPanic|TestGovern|TestVesselPopulation|TestPromote|TestReplay|TestService|TestSubmit|TestStall|TestHedge|TestResilience|TestIdle|$(BLOCK_TESTS)' ./... \
 	&& $(GO) test -race ./benchmark
 
 .PHONY: verify fmt build vet lint loc test race bench bench-all trace torture serve-smoke fault-smoke block-smoke
@@ -105,7 +105,7 @@ trace:
 # torture is the CI torture job, step for step: it validates the
 # failure-capture pipeline against the planted Chaos.LeakVessel bug,
 # soaks the scheduler for 30 seconds across kernels x variants x chaos x
-# budgets x deadlines, then 15 seconds each of the abort, promote and
+# deadlines, then 15 seconds each of the abort, promote and
 # stall classes — the last one the stall-recovery gate, since
 # fault-smoke's campaign step is red on small hosts. Repro bundles go to
 # torture-out/ on any invariant violation (see DESIGN.md §12 and

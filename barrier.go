@@ -118,11 +118,9 @@ func (b *Barrier) await(p *sched.Proc, g *barrierGen) (rearrive bool, err error)
 	t, registered := g.q.Enqueue(bw)
 	if !registered {
 		// Eliminated: the trip's deposit beat the registration CAS.
-		p.AbandonWait(bw)
 		return false, nil
 	}
 	if p.ChaosAbortWait() && b.abortArrival(g, t) {
-		p.AbandonWait(bw)
 		return true, nil
 	}
 	return false, parkWait(p, bw, arrival{b, g, t})

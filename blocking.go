@@ -66,7 +66,6 @@ func blockOn(p *sched.Proc, q *cqs.Queue, ready func() bool) error {
 	bw := p.PrepareWait()
 	t, registered := q.Enqueue(bw)
 	if !registered || ((ready() || p.ChaosAbortWait()) && t.TryAbort()) {
-		p.AbandonWait(bw)
 		return nil
 	}
 	return parkWait(p, bw, t)

@@ -164,62 +164,50 @@ func TestFutureAbortStorm(t *testing.T) {
 // are still parked on external waits, idle tokens park through the
 // wind-down (parkThief sleeps while blocked waits hold the retirement
 // gate shut) instead of spinning, and must still be woken once the last
-// blocked wait drains so they can retire. The "keep" case pins the edge
-// that has no wake-queue traffic at all: a kept-token waiter resumes by
-// direct delivery, so the only thing that can rouse the parked thieves
-// is CommitWait's wake-all at the gauge drop. A lost one leaves tokens
+// blocked wait drains so they can retire. A lost wakeup leaves tokens
 // parked forever and turns RunCtx completion into a hang, which is how
 // this test fails.
 func TestBlockWindDownParkedThieves(t *testing.T) {
 	const waiters = 6
-	cases := map[string]Limits{
-		// Unbounded vessels: every wait hands its token to a thief, so
-		// the wind-down finds idle tokens with nothing to steal.
-		"thief": {Spawn: SpawnEager},
-		// A budget with one slot of wait headroom (1 root + 6 children
-		// + 1 thief vessel): most PrepareWaits come up empty and park
-		// holding their tokens (keep).
-		"keep": {Spawn: SpawnEager, MaxVessels: 8},
-	}
-	for name, lim := range cases {
-		t.Run(name, func(t *testing.T) {
-			rt := NewLimited(VariantNowa, 4, lim)
-			defer Close(rt)
-			f := NewFuture[int]() // never resolved: only the aborts end the waits
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			var entered, aborted atomic.Int64
-			go func() {
-				for entered.Load() == 0 {
-					time.Sleep(50 * time.Microsecond)
-				}
-				// Let the waiters park and the idle tokens reach the
-				// parker before the wind-down starts, so the cancel
-				// lands on parked thieves.
-				time.Sleep(2 * time.Millisecond)
-				cancel()
-			}()
-			err := rt.RunCtx(ctx, func(c Ctx) {
-				s := c.Scope()
-				for i := 0; i < waiters; i++ {
-					s.Spawn(func(c Ctx) {
-						entered.Add(1)
-						if _, err := f.Await(c); errors.Is(err, context.Canceled) {
-							aborted.Add(1)
-						}
-					})
-				}
-				s.Sync()
-			})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("run: %v, want context.Canceled", err)
+	// Every wait hands its token to a thief, so the wind-down finds idle
+	// tokens with nothing to steal.
+	t.Run("thief", func(t *testing.T) {
+		rt := NewLimited(VariantNowa, 4, Limits{Spawn: SpawnEager})
+		defer Close(rt)
+		f := NewFuture[int]() // never resolved: only the aborts end the waits
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var entered, aborted atomic.Int64
+		go func() {
+			for entered.Load() == 0 {
+				time.Sleep(50 * time.Microsecond)
 			}
-			if got := aborted.Load(); got != waiters {
-				t.Fatalf("%d of %d waiters saw context.Canceled", got, waiters)
+			// Let the waiters park and the idle tokens reach the
+			// parker before the wind-down starts, so the cancel
+			// lands on parked thieves.
+			time.Sleep(2 * time.Millisecond)
+			cancel()
+		}()
+		err := rt.RunCtx(ctx, func(c Ctx) {
+			s := c.Scope()
+			for i := 0; i < waiters; i++ {
+				s.Spawn(func(c Ctx) {
+					entered.Add(1)
+					if _, err := f.Await(c); errors.Is(err, context.Canceled) {
+						aborted.Add(1)
+					}
+				})
 			}
-			assertWaitConservation(t, rt)
+			s.Sync()
 		})
-	}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("run: %v, want context.Canceled", err)
+		}
+		if got := aborted.Load(); got != waiters {
+			t.Fatalf("%d of %d waiters saw context.Canceled", got, waiters)
+		}
+		assertWaitConservation(t, rt)
+	})
 }
 
 // TestChannelPipeline: values flow producer → stage → consumer through

@@ -1,15 +1,17 @@
 package api
 
 // ResourceStats is a runtime-agnostic snapshot of pooled-resource
-// accounting: how many execution vessels and stacks a runtime holds, how
-// often its budgets degraded a spawn or a sync, and what leaked.
+// accounting: how many execution vessels and stacks a runtime holds and
+// what leaked.
 // Runtimes without a vessel model (the child-stealing and OpenMP-like
 // comparators, the serial elision) simply do not implement
 // ResourceReporter.
 type ResourceStats struct {
 	// VesselsLive is the number of pooled execution goroutines in
-	// existence; VesselHighWater is the maximum ever reached — under a
-	// MaxVessels budget the high water never exceeds the budget.
+	// existence; VesselHighWater is the maximum ever reached. No budget
+	// bounds it: the computation does — a suspension gives its worker
+	// token away, so the population stays within the busy-leaves bound
+	// (per worker, about the spawn depth plus the free-list cache).
 	VesselsLive     int64
 	VesselHighWater int64
 	// VesselsLeaked is the idle-time reconciliation of created versus
@@ -19,14 +21,6 @@ type ResourceStats struct {
 	// pool.
 	StacksLive   int64
 	StacksLeaked int64
-	// DegradedSpawns counts spawns a budget ran inline (vessel
-	// budget exhausted or stack pool under soft-cap pressure);
-	// TokenKeepSyncs counts sync suspensions that parked holding their
-	// worker token because no thief vessel fit the budget. Both are the
-	// graceful-degradation tallies: work completed correctly, just with
-	// less parallelism.
-	DegradedSpawns int64
-	TokenKeepSyncs int64
 	// ScopesLeaked counts join scopes abandoned on panic paths.
 	ScopesLeaked int64
 	// Stall-recovery tallies (all zero unless the runtime was built

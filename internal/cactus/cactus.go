@@ -39,33 +39,6 @@ func (s *Stack) Bytes() []byte { return s.data }
 // Resident reports whether the stack's pages are accounted as resident.
 func (s *Stack) Resident() bool { return s.resident }
 
-// CapMode selects what a GlobalCap-exhausted Get failure means to the
-// runtime above.
-type CapMode int
-
-const (
-	// CapAbort is the Cilk Plus strategy reproduced from the paper: a
-	// failed Get stops the calling thief from stealing until a stack is
-	// returned. It is the comparator's documented failure mode — under
-	// sustained overload the system effectively serialises or (in the
-	// original) aborts.
-	CapAbort CapMode = iota
-	// CapSoft generalises the cap into a graceful-degradation signal: a
-	// failed Get additionally latches the pool's pressure flag, which the
-	// scheduler polls on the spawn path to degrade new spawns to inline
-	// execution (shedding stack demand instead of aborting supply). The
-	// next Put, which makes capacity available, clears the latch.
-	CapSoft
-)
-
-// String returns the mode name.
-func (m CapMode) String() string {
-	if m == CapSoft {
-		return "soft"
-	}
-	return "abort"
-}
-
 // Config parameterises a Pool.
 type Config struct {
 	// Workers is the number of per-worker buffers.
@@ -74,12 +47,9 @@ type Config struct {
 	PerWorkerCap int
 	// GlobalCap, if positive, bounds the TOTAL number of stacks live at
 	// once (the Cilk Plus strategy); Get fails once it is reached and
-	// nothing is free. Zero means unbounded.
+	// nothing is free, and the failing thief stops stealing until a stack
+	// is returned. Zero means unbounded.
 	GlobalCap int
-	// CapMode selects the exhaustion behaviour under GlobalCap: CapAbort
-	// (default, the paper's comparator) or CapSoft (pressure-latch
-	// degradation; see the mode docs).
-	CapMode CapMode
 	// StackBytes is the arena size per stack (default 64 KiB; the paper
 	// used 1 MiB stacks — scaled down to keep test memory modest while
 	// preserving the cost *ratios*).
@@ -112,14 +82,13 @@ type Stats struct {
 	LocalGets     int64 // served from a per-worker buffer
 	GlobalGets    int64 // served from the global pool
 	FreshGets     int64 // newly allocated
-	FailedGets    int64 // GlobalCap exhausted (bounded modes)
+	FailedGets    int64 // GlobalCap exhausted
 	LocalPuts     int64
 	GlobalPuts    int64
 	MadviseCalls  int64
 	PageFaults    int64 // pages touched back in after a release
 	ResidentBytes int64 // current accounted RSS of all stacks
 	PeakRSSBytes  int64 // high-water mark of ResidentBytes
-	Pressure      bool  // soft-cap pressure latch currently set
 }
 
 // Pool recirculates stacks between workers.
@@ -142,7 +111,6 @@ type Pool struct {
 	pageFaults   atomic.Int64
 	resident     atomic.Int64
 	peak         atomic.Int64
-	pressure     atomic.Bool
 }
 
 type localBuf struct {
@@ -162,10 +130,8 @@ func (p *Pool) Config() Config { return p.cfg }
 
 // Get obtains a stack for the given worker: local buffer first, then the
 // global pool, then a fresh allocation. It reports false only when a
-// GlobalCap is configured and exhausted. In CapAbort mode the caller must
-// then stop stealing until a stack is returned (§II-C, the Cilk Plus
-// comparator); in CapSoft mode the failure also latches the pressure flag
-// so the scheduler sheds spawn demand instead (graceful degradation).
+// GlobalCap is configured and exhausted; the caller must then stop
+// stealing until a stack is returned (§II-C, the Cilk Plus comparator).
 //
 //nowa:coldpath stacks are charged only on steals and at Run start; the pool interaction (locks, possible fresh allocation) is the documented price of a steal
 func (p *Pool) Get(worker int) (*Stack, bool) {
@@ -195,9 +161,6 @@ func (p *Pool) Get(worker int) (*Stack, bool) {
 	p.mu.Unlock()
 	if !p.reserve() {
 		p.failedGets.Add(1)
-		if p.cfg.CapMode == CapSoft {
-			p.pressure.Store(true)
-		}
 		return nil, false
 	}
 
@@ -229,11 +192,6 @@ func (p *Pool) reserve() bool {
 	}
 }
 
-// Pressure reports the soft-cap pressure latch: true between a cap-failed
-// Get and the next Put, which makes capacity available. One atomic
-// load; the scheduler polls it on the spawn path in soft mode.
-func (p *Pool) Pressure() bool { return p.pressure.Load() }
-
 // Put returns a stack to the worker's buffer, overflowing to the global
 // pool. In madvise mode the stack's physical pages are released first.
 //
@@ -251,7 +209,6 @@ func (p *Pool) Put(worker int, s *Stack) {
 		lb.stacks = append(lb.stacks, s)
 		lb.mu.Unlock()
 		p.localPuts.Add(1)
-		p.clearPressure()
 		return
 	}
 	lb.mu.Unlock()
@@ -259,15 +216,6 @@ func (p *Pool) Put(worker int, s *Stack) {
 	p.global = append(p.global, s)
 	p.mu.Unlock()
 	p.globalPuts.Add(1)
-	p.clearPressure()
-}
-
-// clearPressure releases the soft-cap latch once capacity is available
-// again: a stack returned to a free list.
-func (p *Pool) clearPressure() {
-	if p.cfg.CapMode == CapSoft {
-		p.pressure.Store(false)
-	}
 }
 
 // FreeCount reports how many stacks currently sit in the free lists
@@ -339,6 +287,5 @@ func (p *Pool) Stats() Stats {
 		PageFaults:    p.pageFaults.Load(),
 		ResidentBytes: p.resident.Load(),
 		PeakRSSBytes:  p.peak.Load(),
-		Pressure:      p.pressure.Load(),
 	}
 }

@@ -52,56 +52,3 @@ func TestCapReserveRace(t *testing.T) {
 		}
 	}
 }
-
-// TestCapSoftPressureLatch: in CapSoft mode a cap-failed Get latches the
-// pressure flag, and the next Put clears it — into the worker's own
-// buffer or, when that is full, into the global pool; in CapAbort mode
-// the latch never engages.
-func TestCapSoftPressureLatch(t *testing.T) {
-	p := NewPool(Config{Workers: 1, GlobalCap: 1, CapMode: CapSoft, StackBytes: 4096})
-	s, ok := p.Get(0)
-	if !ok {
-		t.Fatal("first Get failed")
-	}
-	if p.Pressure() {
-		t.Fatal("pressure latched before any failure")
-	}
-	if _, ok := p.Get(0); ok {
-		t.Fatal("Get succeeded past the cap")
-	}
-	if !p.Pressure() {
-		t.Fatal("cap-failed Get did not latch pressure in soft mode")
-	}
-	p.Put(0, s)
-	if p.Pressure() {
-		t.Fatal("Put did not clear the pressure latch")
-	}
-
-	// One-stack buffers: worker 0's second Put overflows to the global pool.
-	g := NewPool(Config{Workers: 2, PerWorkerCap: 1, GlobalCap: 2, CapMode: CapSoft, StackBytes: 4096})
-	s0, _ := g.Get(0)
-	s1, _ := g.Get(0)
-	g.Put(0, s0)
-	if _, ok := g.Get(1); ok {
-		t.Fatal("Get succeeded past the cap")
-	}
-	if !g.Pressure() {
-		t.Fatal("cap-failed Get did not latch pressure in soft mode")
-	}
-	g.Put(0, s1)
-	if st := g.Stats(); st.GlobalPuts != 1 {
-		t.Fatalf("global puts = %d, want 1 (the overflow)", st.GlobalPuts)
-	}
-	if g.Pressure() {
-		t.Fatal("a Put overflowing to the global pool did not clear the pressure latch")
-	}
-
-	a := NewPool(Config{Workers: 1, GlobalCap: 1, CapMode: CapAbort, StackBytes: 4096})
-	_, _ = a.Get(0)
-	if _, ok := a.Get(0); ok {
-		t.Fatal("abort-mode Get succeeded past the cap")
-	}
-	if a.Pressure() {
-		t.Fatal("abort mode must not latch pressure")
-	}
-}

@@ -6,11 +6,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 )
 
 // Bundle file layout (little-endian):
 //
-//	magic "NOWAREPL1\n"                     10 bytes
+//	magic "NOWAREPL2\n"                     10 bytes
 //	meta length                             uint32
 //	meta JSON                               <meta length> bytes
 //	worker count                            uint32
@@ -21,8 +22,11 @@ import (
 // a hex dump; the event streams are packed words so a long capture stays
 // compact (4 bytes per decision).
 
-// bundleMagic identifies a repro bundle and its format version.
-const bundleMagic = "NOWAREPL1\n"
+// bundleMagic identifies a repro bundle and its format version. The
+// version moves whenever a number the event streams carry changes
+// meaning — a chaos site ID, a Kind — so an older bundle is refused
+// instead of replayed against shifted IDs.
+const bundleMagic = "NOWAREPL2\n"
 
 // Meta is the bundle's self-describing header: everything needed to
 // rebuild the failing configuration plus a human-readable account of the
@@ -35,8 +39,6 @@ type Meta struct {
 	Workers int    `json:"workers"`
 	Seed    int64  `json:"seed"`
 
-	MaxVessels int   `json:"max_vessels,omitempty"`
-	MaxStacks  int   `json:"max_stacks,omitempty"`
 	TimeoutMS  int64 `json:"timeout_ms,omitempty"`
 	SpawnEager bool  `json:"spawn_eager,omitempty"`
 
@@ -107,6 +109,10 @@ func ReadBundle(r io.Reader) (Meta, *Log, error) {
 		return meta, nil, fmt.Errorf("replay: read magic: %w", err)
 	}
 	if string(magic) != bundleMagic {
+		if strings.HasPrefix(string(magic), "NOWAREPL") {
+			return meta, nil, fmt.Errorf("replay: bundle format %s, this build reads %s only",
+				strings.TrimSpace(string(magic)), strings.TrimSpace(bundleMagic))
+		}
 		return meta, nil, fmt.Errorf("replay: not a repro bundle (bad magic %q)", magic)
 	}
 	var mlen uint32

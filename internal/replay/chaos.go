@@ -46,18 +46,6 @@ type Chaos struct {
 	// SyncDelay delays a parent just before the explicit-sync counter
 	// restore, racing it against late-joining children (Eq. 5's window).
 	SyncDelay int `json:"sync_delay,omitempty"`
-	// AllocFail makes Spawn behave as if the vessel budget were exhausted:
-	// the child runs inline on the caller's strand (the budget's
-	// degradation path, counted as a DegradedSpawn). Sound because inline
-	// execution preserves the fully-strict semantics by construction.
-	AllocFail int `json:"alloc_fail,omitempty"`
-	// SyncVesselFail makes a suspending Sync behave as if no thief vessel
-	// were available within budget: the parent parks holding its own
-	// worker token and the last-joining child keeps its token and goes
-	// stealing (the TokenKeepSyncs path). Sound for the same reason — the
-	// handoff to a thief is a utilisation optimisation, not a correctness
-	// requirement.
-	SyncVesselFail int `json:"sync_vessel_fail,omitempty"`
 	// LeakVessel is the one deliberately UNSOUND injection: with this
 	// probability a finishing vessel is dropped instead of returned to a
 	// free list, so the idle-time reconciliation reports VesselsLeaked >
@@ -137,8 +125,6 @@ const (
 	SiteStealDelay
 	SitePopBottom
 	SiteSyncDelay
-	SiteAllocFail
-	SiteSyncVessel
 	SiteLeakVessel
 	SiteSubmitFail
 	SiteStealInterest
@@ -167,8 +153,6 @@ var sites = [NumSites]struct {
 	SiteStealDelay:    {name: "steal-delay", rate: unsafe.Offsetof(Chaos{}.StealDelay)},
 	SitePopBottom:     {name: "pop-delay", rate: unsafe.Offsetof(Chaos{}.PopBottomDelay)},
 	SiteSyncDelay:     {name: "sync-delay", rate: unsafe.Offsetof(Chaos{}.SyncDelay)},
-	SiteAllocFail:     {name: "alloc-fail", rate: unsafe.Offsetof(Chaos{}.AllocFail)},
-	SiteSyncVessel:    {name: "sync-vessel", rate: unsafe.Offsetof(Chaos{}.SyncVesselFail)},
 	SiteLeakVessel:    {name: "leak-vessel", rate: unsafe.Offsetof(Chaos{}.LeakVessel)},
 	SiteSubmitFail:    {name: "submit-fail", rate: unsafe.Offsetof(Chaos{}.SubmitFail), external: true},
 	SiteStealInterest: {name: "steal-interest", rate: unsafe.Offsetof(Chaos{}.StealInterest)},

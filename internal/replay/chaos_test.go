@@ -60,10 +60,10 @@ func TestChaosTable(t *testing.T) {
 	if len(rateRows)+len(durRows) != 0 {
 		t.Errorf("rows that name no field of their kind: rates %v, durations %v", rateRows, durRows)
 	}
-	if SiteStealFail != 1 || SiteLeakVessel != 7 || SiteWakeDelay != 13 || NumSites != 14 {
+	if SiteStealFail != 1 || SiteLeakVessel != 5 || SiteWakeDelay != 11 || NumSites != 12 {
 		t.Error("site IDs moved: they are part of the bundle format, append new ones before NumSites")
 	}
-	if SiteName(0) != "site0" || SiteName(NumSites) != "site14" {
+	if SiteName(0) != "site0" || SiteName(NumSites) != "site12" {
 		t.Errorf("out-of-range sites print %q and %q", SiteName(0), SiteName(NumSites))
 	}
 }
@@ -114,9 +114,10 @@ func TestChaosEverySite(t *testing.T) {
 	}
 }
 
-// TestChaosGoldenJSON decodes a chaos block as the parent commit's
-// ChaosSpec struct tags wrote it: every key of that encoding, plus a key
-// this version does not know and the retired one-shot sync stall's key.
+// TestChaosGoldenJSON decodes a chaos block as the old ChaosSpec struct
+// tags wrote it: every key of that encoding, plus a key this version
+// does not know and the retired keys — the one-shot sync stall's and the
+// two vessel-budget injections' — which decode to nothing.
 func TestChaosGoldenJSON(t *testing.T) {
 	const golden = `{"seed":11,"steal_delay":1,"steal_fail":2,"pop_bottom_delay":3,"sync_delay":4,` +
 		`"alloc_fail":5,"sync_vessel_fail":6,"leak_vessel":7,"submit_fail":8,"steal_interest":9,` +
@@ -125,7 +126,7 @@ func TestChaosGoldenJSON(t *testing.T) {
 		`"sync_stall_us":400000}`
 	want := Chaos{
 		Seed: 11, StealDelay: 1, StealFail: 2, PopBottomDelay: 3, SyncDelay: 4,
-		AllocFail: 5, SyncVesselFail: 6, LeakVessel: 7, SubmitFail: 8, StealInterest: 9,
+		LeakVessel: 7, SubmitFail: 8, StealInterest: 9,
 		DelaySpins: 10, StallWorker: 11, StallForUS: 2000, SubmitLatency: 12,
 		SubmitLatencyForUS: 500, AbortWait: 13, WakeupDelay: 14,
 	}

@@ -95,7 +95,7 @@ const (
 	// place of the chaos RNG draw.
 	KChaos
 	// A retired kind's number: the blank keeps the numbers of the kinds
-	// after it, which NOWAREPL1 bundles carry.
+	// after it, which bundles carry.
 	_
 	// KPanic is a strand panic being recorded (external stream).
 	//nowa:replay-diagnostic failure forensics only

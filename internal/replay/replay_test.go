@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -146,7 +147,7 @@ func TestCursorDivergence(t *testing.T) {
 func TestBundleRoundTrip(t *testing.T) {
 	r := NewRecorder(2, 16)
 	r.Record(0, KRunStart, 0, 0)
-	r.Record(0, KChaos, SiteAllocFail, 1)
+	r.Record(0, KChaos, SiteSyncDelay, 1)
 	r.Record(1, KStealLost, 0, 0)
 	r.RecordExternal(KPanic, 0, 0)
 	log := r.Snapshot()
@@ -175,6 +176,20 @@ func TestBundleRoundTrip(t *testing.T) {
 func TestBundleRejectsGarbage(t *testing.T) {
 	if _, _, err := ReadBundle(bytes.NewReader([]byte("not a bundle at all"))); err == nil {
 		t.Error("bad magic accepted")
+	}
+}
+
+// TestBundleRefusesOldVersion: a bundle of an older format version is
+// refused by name, never decoded against this version's site IDs.
+func TestBundleRefusesOldVersion(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteBundle(&buf, Meta{Tool: "test", Variant: "nowa", Workers: 1}, NewRecorder(1, 4).Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte("NOWAREPL1\n"), buf.Bytes()[len(bundleMagic):]...)
+	_, _, err := ReadBundle(bytes.NewReader(old))
+	if err == nil || !strings.Contains(err.Error(), "NOWAREPL1") {
+		t.Errorf("a NOWAREPL1 bundle read back with error %v, want one naming the version", err)
 	}
 }
 
@@ -219,7 +234,7 @@ func TestEveryKindNamed(t *testing.T) {
 // kindRetired is the number the blank in the Kind block holds.
 const kindRetired Kind = 15
 
-// TestKindNumbersPinned: NOWAREPL1 bundles carry every event's Kind as
+// TestKindNumbersPinned: bundles carry every event's Kind as
 // its number, so deleting or inserting a kind mid-block must not
 // renumber the kinds after it. A retired kind leaves a blank behind.
 func TestKindNumbersPinned(t *testing.T) {

@@ -13,13 +13,11 @@ import (
 // External blocking waits (DESIGN.md §16). A strand that must wait on
 // something outside the fork/join tree — a future, a channel slot, a
 // barrier trip — suspends here. The protocol mirrors the suspension
-// half of a budgeted scope.Sync: the strand decides whether it can give its
-// worker token away *before* registering in the primitive's waiter queue
-// (so the keep-token decision is published to the waker by the queue's
-// cell CAS), passes the token on (passToken: to its own un-stolen parent
-// continuation, else to the oldest queued wakeup, else to a thief
-// vessel), and parks on its vessel's parker — without the ladder's spin
-// phase, since nothing bounds the wait. The wakeup side is the new
+// half of scope.Sync: after registering in the primitive's waiter queue
+// the strand passes its worker token on (passToken: to its own
+// un-stolen parent continuation, else to the next wakeup, else to a
+// thief vessel) and parks on its vessel's parker — without the ladder's
+// spin phase, since nothing bounds the wait. The wakeup side is the new
 // piece: a resume or abort may fire on any goroutine — another strand, a
 // context.AfterFunc timer, an external completer — so the waker cannot
 // always hand a token directly. Instead it pushes the Waiter onto the
@@ -69,49 +67,20 @@ func (rt *Runtime) takeNext(i int) *Waiter {
 // cqs cells and what Wake/WakeAborted route back to the scheduler.
 type Waiter struct {
 	v *vessel
-	// keep marks a wait that parked holding its worker token because no
-	// thief vessel fit the budget (the keepToken protocol). Decided
-	// before the primitive's registration publishes the Waiter, so the
-	// waker's read is ordered by the cell CAS.
-	keep bool
 	// aborted is set by WakeAborted before the parker delivery and read
 	// by the owner after its await returns.
 	aborted bool
-	// tv is the thief vessel PrepareWait drew to settle keep under a
-	// vessel budget (nil without one): dispatched or freed by CommitWait,
-	// released by AbandonWait.
-	tv *vessel
 }
 
-// PrepareWait readies the strand's wait handle. Under a vessel budget it
-// draws the thief vessel that may inherit this worker token, because
-// whether one fits decides keep and keep must precede the registration:
-// nil tv (budget exhausted) means the wait will keep its token — pure
-// utilisation loss, the wakeup path delivers directly. Without a budget
-// a vessel can always be had, so none is drawn until passToken finds
-// nobody better to give the token to. Must be followed by exactly one of
-// CommitWait or AbandonWait.
+// PrepareWait readies the strand's wait handle for registration in a
+// primitive's waiter queue. It holds nothing: a prepared wait that never
+// commits (elimination — the wakeup ran ahead of the registration, or
+// the waiter aborted its own cell first) is simply dropped.
 func (p *Proc) PrepareWait() *Waiter {
 	bw := &p.v.wait
 	bw.v = p.v
 	bw.aborted = false
-	bw.tv = nil
-	bw.keep = false
-	if p.rt.budgetOn {
-		bw.tv = p.rt.getVesselBudget(p.worker, p.rt.cfg.MaxVessels)
-		bw.keep = bw.tv == nil
-	}
 	return bw
-}
-
-// AbandonWait releases a prepared wait that never parked (elimination:
-// the wakeup ran ahead of the registration, or the waiter aborted its
-// own cell before committing).
-func (p *Proc) AbandonWait(bw *Waiter) {
-	if bw.tv != nil {
-		p.rt.freeVessel(bw.tv, p.worker)
-		bw.tv = nil
-	}
 }
 
 // CommitWait parks the strand until its Waiter is woken. The caller has
@@ -142,16 +111,14 @@ func (p *Proc) CommitWait(bw *Waiter) bool {
 			break
 		}
 	}
-	// A keep wait parks holding its token; any other gives it away first,
-	// and parks unless its own wakeup was what the token went to. Parking
-	// is immediate (spin budget 0): the wait is unbounded and the strand
-	// holds no token, so the ladder's yields would only contend with the
-	// token holders for Go's run queue (see parker).
-	if bw.keep || rt.passToken(v, w, bw) {
+	// The token goes away first; the strand parks unless its own wakeup
+	// was what the token went to. Parking is immediate (spin budget 0):
+	// the wait is unbounded and the strand holds no token, so the
+	// ladder's yields would only contend with the token holders for Go's
+	// run queue (see parker).
+	if rt.passToken(v, w, bw) {
 		v.pk.await(0)
-		if rw := v.resumeTok.worker; rw >= 0 {
-			p.worker = rw
-		}
+		p.worker = v.resumeTok.worker
 		if rtrace.IsEnabled() {
 			p.traceToken()
 		}
@@ -199,13 +166,13 @@ func (bw *Waiter) Wake() { bw.deliver(false) }
 // unblocked. When p's slot and the wake queue are both empty, bw goes to
 // the slot and resumes on p's token once p blocks or idles; the thief
 // roused as by Wake takes the slot if p runs on past its spin budget.
-// Otherwise — keep waits and other runtimes' waiters too — it is Wake:
-// behind a queued wakeup, so slot wakeups never starve queued ones.
+// Otherwise — other runtimes' waiters too — it is Wake: behind a queued
+// wakeup, so slot wakeups never starve queued ones.
 func (p *Proc) WakeNext(bw *Waiter) {
 	rt := p.rt
 	s := &rt.next[p.worker].w
 	bw.aborted = false
-	if bw.keep || bw.v.rt != rt || rt.wakeq.Pending() > 0 || s.Load() != nil || !s.CompareAndSwap(nil, bw) {
+	if bw.v.rt != rt || rt.wakeq.Pending() > 0 || s.Load() != nil || !s.CompareAndSwap(nil, bw) {
 		bw.deliver(false)
 		return
 	}
@@ -243,17 +210,12 @@ func (bw *Waiter) WakeAborted() { bw.deliver(true) }
 // stealLoop: the wake queue is FIFO and its order is set by the replayed
 // interleaving (see replay.KWaitBlock).
 func (rt *Runtime) passToken(v *vessel, w int, bw *Waiter) bool {
-	tv := bw.tv
-	bw.tv = nil
 	if pc, ok := rt.popOwn(w, v.disp.parent); ok {
 		// The claim counts as a steal on the parent's join state (this
 		// strand's own finish is the pop-miss that joins): a strand that
 		// migrates tokens across an external wait never leaves its
 		// un-consumed push behind for the token's next chain to pop as
 		// its own.
-		if tv != nil {
-			rt.freeVessel(tv, w)
-		}
 		if pc.scope.wfMode {
 			pc.scope.wf.OnSteal()
 		} else {
@@ -277,9 +239,6 @@ func (rt *Runtime) passToken(v *vessel, w int, bw *Waiter) bool {
 		next, _ = rt.wakeq.Pop()
 	}
 	if next != nil {
-		if tv != nil {
-			rt.freeVessel(tv, w)
-		}
 		rt.rec.Worker(w)[trace.DirectHandoffs].Add(1)
 		if next == bw {
 			return false
@@ -288,9 +247,7 @@ func (rt *Runtime) passToken(v *vessel, w int, bw *Waiter) bool {
 		next.v.pk.deliver()
 		return true
 	}
-	if tv == nil {
-		tv = rt.getVessel(w)
-	}
+	tv := rt.getVessel(w)
 	tv.disp = dispatch{worker: w}
 	tv.pk.deliver()
 	return true
@@ -298,13 +255,6 @@ func (rt *Runtime) passToken(v *vessel, w int, bw *Waiter) bool {
 
 func (bw *Waiter) deliver(aborted bool) {
 	bw.aborted = aborted
-	if bw.keep {
-		// The strand parked holding its token: deliver directly with
-		// the keep-your-token sentinel, same as a token-keeping Sync's.
-		bw.v.resumeTok = token{worker: -1}
-		bw.v.pk.deliver()
-		return
-	}
 	rt := bw.v.rt
 	rt.wakeq.Push(bw)
 	rt.wakeThief()

@@ -18,12 +18,9 @@ import (
 
 // blockRuntime is a one-worker eager-spawn runtime: with a single token
 // every handoff in these tests is forced, not a matter of timing.
-func blockRuntime(t *testing.T, maxVessels int) *Runtime {
+func blockRuntime(t *testing.T) *Runtime {
 	t.Helper()
-	rt := MustNew(Config{
-		Name: "nowa", Workers: 1, Deque: deque.CL, Join: WaitFree,
-		Spawn: SpawnEager, MaxVessels: maxVessels,
-	})
+	rt := MustNew(Config{Name: "nowa", Workers: 1, Deque: deque.CL, Join: WaitFree, Spawn: SpawnEager})
 	t.Cleanup(rt.Close)
 	return rt
 }
@@ -51,7 +48,6 @@ func semWait(p *Proc, s *cqs.Semaphore) {
 	}
 	bw := p.PrepareWait()
 	if _, registered := s.Register(bw); !registered {
-		p.AbandonWait(bw)
 		return
 	}
 	p.CommitWait(bw)
@@ -68,7 +64,7 @@ func semPost(s *cqs.Semaphore) {
 // wake queue — each block finds the other's wakeup already queued.
 func TestBlockDirectHandoffPingPong(t *testing.T) {
 	const rounds = 200
-	rt := blockRuntime(t, 0)
+	rt := blockRuntime(t)
 	ping, pong := cqs.NewSemaphore(0), cqs.NewSemaphore(0)
 	rt.Run(func(c api.Ctx) {
 		s := c.Scope()
@@ -97,7 +93,7 @@ func TestBlockDirectHandoffPingPong(t *testing.T) {
 // its token and returns without parking — no thief vessel, no parker
 // event, and the gauge back at zero.
 func TestBlockSelfWakeup(t *testing.T) {
-	rt := blockRuntime(t, 0)
+	rt := blockRuntime(t)
 	var aborted [2]bool
 	rt.Run(func(c api.Ctx) {
 		p := c.(*Proc)
@@ -127,43 +123,12 @@ func TestBlockSelfWakeup(t *testing.T) {
 	assertWaitsSettled(t, rt)
 }
 
-// TestBlockKeepTokenDirectDelivery: under a hard vessel budget with no
-// room for a thief vessel the wait keeps its token, parks on it, and is
-// resumed by direct parker delivery — the wake queue and passToken stay
-// out of it.
-func TestBlockKeepTokenDirectDelivery(t *testing.T) {
-	rt := blockRuntime(t, 1)
-	rt.Run(func(c api.Ctx) {
-		p := c.(*Proc)
-		bw := p.PrepareWait()
-		if !bw.keep {
-			t.Error("PrepareWait found a thief vessel inside a budget of one")
-			p.AbandonWait(bw)
-			return
-		}
-		go func() {
-			for rt.blockedLive.Load() == 0 {
-				runtime.Gosched()
-			}
-			bw.Wake()
-		}()
-		if p.CommitWait(bw) {
-			t.Error("resumed wait reported aborted")
-		}
-	})
-	c := rt.Counters()
-	if c.BlockedWaits != 1 || c.ResumedWaits != 1 || c.DirectHandoffs != 0 {
-		t.Errorf("blocked=%d resumed=%d direct=%d, want 1 1 0", c.BlockedWaits, c.ResumedWaits, c.DirectHandoffs)
-	}
-	assertWaitsSettled(t, rt)
-}
-
 // TestBlockAbortServedByNeighbour: an abort fired from a
 // context.AfterFunc goroutine queues the victim's cancellation wakeup
 // while no thief exists (one worker, and its token is busy); the next
 // strand to block hands the token straight to the victim.
 func TestBlockAbortServedByNeighbour(t *testing.T) {
-	rt := blockRuntime(t, 0)
+	rt := blockRuntime(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var victimAborted bool

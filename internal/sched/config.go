@@ -119,19 +119,8 @@ type Config struct {
 	Spawn SpawnMode
 	// Stacks configures the cactus stack pool. Workers and PerWorkerCap
 	// are filled in automatically; set GlobalCap for the Cilk Plus bounded
-	// mode (CapMode selects abort-style or soft degradation) and Madvise
-	// for the §V-B page-release experiment.
+	// mode and Madvise for the §V-B page-release experiment.
 	Stacks cactus.Config
-	// MaxVessels, if positive, is the budget on live vessel goroutines:
-	// the runtime never holds more than this many at once. Exhaustion
-	// degrades gracefully instead of aborting — Spawn runs the child
-	// inline on the caller's strand (counted as DegradedSpawns), a Sync
-	// that cannot obtain a thief vessel suspends holding its own worker
-	// token (counted as TokenKeepSyncs) rather than allocating, and stall
-	// recovery stands down until a vessel fits. Values below Workers are
-	// raised to Workers (the Run startup needs one vessel per token).
-	// Zero means unbounded.
-	MaxVessels int
 	// Seed seeds the per-worker steal RNGs (default 1).
 	Seed int64
 	// Chaos, if non-nil, enables seeded fault injection at the protocol's
@@ -195,9 +184,6 @@ func (c *Config) fill() error {
 	c.Stacks.Workers = c.totalSlots()
 	if c.Stacks.StackBytes <= 0 {
 		c.Stacks.StackBytes = 16 << 10
-	}
-	if c.MaxVessels > 0 && c.MaxVessels < c.Workers {
-		c.MaxVessels = c.Workers
 	}
 	if c.Chaos != nil {
 		// A copy, so normalisation never mutates the caller's struct.

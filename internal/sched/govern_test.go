@@ -58,14 +58,15 @@ func TestGovernStatsMidRun(t *testing.T) {
 }
 
 // TestGovernDumpStateIncludesBudget: the diagnostic dump carries the
-// budget block, and a dump taken mid-run shows the live run's tokens.
+// vessel-accounting block, and a dump taken mid-run shows the live run's
+// tokens.
 func TestGovernDumpStateIncludesBudget(t *testing.T) {
-	rt := MustNew(Config{Name: "nowa", Workers: 2, Deque: deque.CL, Join: WaitFree, MaxVessels: 4})
+	rt := MustNew(Config{Name: "nowa", Workers: 2, Deque: deque.CL, Join: WaitFree})
 	defer rt.Close()
 	var sb strings.Builder
 	rt.DumpState(&sb)
 	out := sb.String()
-	for _, want := range []string{"budget:", "highWater=", "maxVessels=4"} {
+	for _, want := range []string{"accounting: live=", "highWater=", "scopesLeaked="} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("DumpState missing %q:\n%s", want, out)
 		}
@@ -117,5 +118,50 @@ func TestStacksReturnAtSync(t *testing.T) {
 // spinFor burns CPU for about d without yielding the worker token.
 func spinFor(d time.Duration) {
 	for t0 := time.Now(); time.Since(t0) < d; {
+	}
+}
+
+// populationBound is the busy-leaves bound on live vessels for fib(n) on
+// workers tokens: a suspension gives its token away, so each token
+// drives at most one spawn chain — n+2 vessels deep counting the root's
+// and a thief's — and keeps at most perWorkerVesselCap recycled vessels
+// idle in its cache.
+func populationBound(workers, n int) int64 {
+	return int64(workers*(n+2) + workers*perWorkerVesselCap)
+}
+
+// vesselHighWater runs fib(n) once on a fresh runtime built from cfg and
+// returns its vessel high water.
+func vesselHighWater(t *testing.T, cfg Config, n int) int64 {
+	t.Helper()
+	rt := MustNew(cfg)
+	defer rt.Close()
+	var got int
+	rt.Run(func(c api.Ctx) { got = fib(c, n) })
+	if want := fibSerial(n); got != want {
+		t.Fatalf("fib(%d) = %d, want %d", n, got, want)
+	}
+	return rt.Stats().VesselHighWater
+}
+
+// TestVesselPopulationBounded: with no budget on vessels, the computation
+// bounds the population — eager and adaptive fib(n) never hold more live
+// vessels than the busy-leaves bound. The bound has teeth: the planted
+// Chaos.LeakVessel bug, which strands finished vessels, must break it.
+func TestVesselPopulationBounded(t *testing.T) {
+	for _, mode := range []SpawnMode{SpawnEager, SpawnAdaptive} {
+		for _, n := range []int{12, 20, 24} {
+			for _, w := range []int{1, 2, 4} {
+				cfg := Config{Name: "nowa", Workers: w, Deque: deque.CL, Join: WaitFree, Spawn: mode}
+				if hw, bound := vesselHighWater(t, cfg, n), populationBound(w, n); hw > bound {
+					t.Errorf("%v fib(%d) on %d workers: vessel high water %d, bound %d", mode, n, w, hw, bound)
+				}
+			}
+		}
+	}
+	leaky := Config{Name: "nowa", Workers: 1, Deque: deque.CL, Join: WaitFree, Spawn: SpawnEager,
+		Chaos: &Chaos{LeakVessel: 24}}
+	if hw, bound := vesselHighWater(t, leaky, 24), populationBound(1, 24); hw <= bound {
+		t.Errorf("leaking vessels: high water %d stayed within bound %d; the bound cannot catch a leak", hw, bound)
 	}
 }

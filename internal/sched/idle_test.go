@@ -178,7 +178,6 @@ func TestIdleWindDownParks(t *testing.T) {
 		bw := p.PrepareWait()
 		if _, ok := q.Enqueue(bw); !ok {
 			t.Error("the wait was resumed before it registered")
-			p.AbandonWait(bw)
 			return
 		}
 		if !p.CommitWait(bw) {

@@ -64,7 +64,7 @@ func TestReplayDeterministicCapture(t *testing.T) {
 				Seed:           11,
 				PopBottomDelay: 64,
 				SyncDelay:      64,
-				AllocFail:      32,
+				StealInterest:  32,
 				DelaySpins:     2,
 			}
 			a := captureRun(t, cfg)
@@ -83,7 +83,7 @@ func TestReplaySeedSensitivity(t *testing.T) {
 	cfg.Seed = 7
 	mk := func(chaosSeed int64) []byte {
 		c := cfg
-		c.Chaos = &Chaos{Seed: chaosSeed, AllocFail: 128, DelaySpins: 1}
+		c.Chaos = &Chaos{Seed: chaosSeed, StealInterest: 128, DelaySpins: 1}
 		return captureRun(t, c)
 	}
 	if bytes.Equal(mk(11), mk(12)) {
@@ -177,7 +177,7 @@ func TestReplayReproducesCapturedFailure(t *testing.T) {
 func TestReplayRecordedChaosDecisions(t *testing.T) {
 	cfg := replayVariants(1)[0]
 	cfg.Seed = 3
-	cfg.Chaos = &Chaos{Seed: 5, AllocFail: 64, PopBottomDelay: 64, DelaySpins: 1}
+	cfg.Chaos = &Chaos{Seed: 5, StealInterest: 64, PopBottomDelay: 64, DelaySpins: 1}
 	rec := replay.NewRecorder(1, 1<<15)
 	cfg.Record = rec
 	rt := MustNew(cfg)
@@ -192,7 +192,7 @@ func TestReplayRecordedChaosDecisions(t *testing.T) {
 	recfg.Seed = 3
 	// Different live chaos seed; rates must stay nonzero so the injection
 	// points still consult the (replayed) rolls.
-	recfg.Chaos = &Chaos{Seed: 777, AllocFail: 64, PopBottomDelay: 64, DelaySpins: 1}
+	recfg.Chaos = &Chaos{Seed: 777, StealInterest: 64, PopBottomDelay: 64, DelaySpins: 1}
 	rec2 := replay.NewRecorder(1, 1<<15)
 	recfg.Record = rec2
 	recfg.Replay = log

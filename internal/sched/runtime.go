@@ -31,8 +31,6 @@ type Runtime struct {
 	// paths test a packed bool instead of chasing config pointers.
 	chaosOn    bool // cfg.Chaos != nil
 	waitFree   bool // cfg.Join == WaitFree
-	softStacks bool // stack pool in soft-cap mode: Spawn polls pool.Pressure
-	budgetOn   bool // cfg.MaxVessels > 0: Sync draws its thief vessel before SyncBegin
 	recordOn   bool // cfg.Record != nil: schedule decisions logged
 	replayOn   bool // cfg.Replay != nil: decisions driven from a captured log
 	blockRecOn bool // recordOn && Workers > 1: KBlocked diagnostics (see note)
@@ -162,8 +160,6 @@ func New(cfg Config) (*Runtime, error) {
 		cfg:        cfg,
 		chaosOn:    cfg.Chaos != nil,
 		waitFree:   cfg.Join == WaitFree,
-		softStacks: cfg.Stacks.GlobalCap > 0 && cfg.Stacks.CapMode == cactus.CapSoft,
-		budgetOn:   cfg.MaxVessels > 0,
 		recordOn:   cfg.Record != nil,
 		replayOn:   cfg.Replay != nil,
 		blockRecOn: cfg.Record != nil && cfg.Workers > 1,
@@ -612,8 +608,8 @@ func (rt *Runtime) DumpState(w io.Writer) {
 	pooled := len(rt.vglobal.free)
 	rt.vglobal.mu.Unlock()
 	fmt.Fprintf(w, "  vessels: %d registered, %d pooled globally (owner-local caches not shown)\n", total, pooled)
-	fmt.Fprintf(w, "  budget: live=%d highWater=%d maxVessels=%d scopesLeaked=%d\n",
-		rt.vLive.Load(), rt.vHighWater.Load(), rt.cfg.MaxVessels, rt.scopesLeaked.Load())
+	fmt.Fprintf(w, "  accounting: live=%d highWater=%d scopesLeaked=%d\n",
+		rt.vLive.Load(), rt.vHighWater.Load(), rt.scopesLeaked.Load())
 	agg := rt.rec.Aggregate()
 	fmt.Fprintf(w, "  waits: blocked=%d resumed=%d aborted=%d live=%d highWater=%d pendingWakes=%d wakeupsLost=%d\n",
 		agg.BlockedWaits, agg.ResumedWaits, agg.AbortedWaits,

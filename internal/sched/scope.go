@@ -144,15 +144,8 @@ type scope struct {
 	chunked  bool // lives in a chunk, past the vessel's inline slots
 	done     bool // completed a Sync; slot reclaimable once it is the stack top
 	pinned   bool // left non-quiescent by a panic unwind and tallied (resetScopes)
-	// keepToken marks a suspension that parked holding its own worker
-	// token because no thief vessel fit the budget (see Sync). It
-	// is a plain bool: written by the parent strictly before SyncBegin,
-	// read by the last-joining child strictly after its OnChildJoin
-	// returned true, and those two are ordered by the join counter's
-	// atomics (wait-free mode) or the frame mutex (Fibril mode).
-	keepToken bool
-	wf        core.WaitFreeJoin
-	lj        core.LockedJoin
+	wf       core.WaitFreeJoin
+	lj       core.LockedJoin
 	// charged counts the pool stacks on the owning vessel's list that
 	// steals of this scope's continuations put there (see stealLoop). It
 	// shares the list's access rule: the owning strand while it runs, the
@@ -162,10 +155,9 @@ type scope struct {
 
 // rearm readies the scope for a fresh spawn/sync round: the inline join
 // armed, no stack charged (endRound returned them; at strand end
-// finishStrand returns the vessel's whole list), no token kept.
+// finishStrand returns the vessel's whole list).
 func (s *scope) rearm() {
 	s.charged = 0
-	s.keepToken = false
 	if s.wfMode {
 		s.wf.Rearm()
 	} else {
@@ -254,8 +246,7 @@ func (s *scope) release() {
 // and when Spawn returns the strand may hold a different worker token (a
 // thief resumed the continuation) exactly as in the paper's
 // strand-to-worker mappings (Figure 4). The switch below decides inline or
-// eager; spawnEager only falls back to inline when no vessel fits the
-// MaxVessels budget.
+// eager; once it says eager, the handoff always happens.
 //
 // The steady-state fast path performs no heap allocation, no channel
 // operation, and — lazily — no goroutine switch, deque operation or
@@ -296,12 +287,6 @@ func (s *scope) Spawn(fn func(api.Ctx)) {
 	switch {
 	case p.cancel.Cancelled():
 		rt.runInline(p, fn, trace.InlineSpawns)
-		return
-	case rt.softStacks && rt.pool.Pressure(),
-		rt.chaosOn && rt.chaosRoll(p.worker, replay.SiteAllocFail):
-		// The stack pool's soft cap latched (or chaos says so): shed
-		// parallelism until a Put clears the pressure.
-		rt.runInline(p, fn, trace.DegradedSpawns)
 		return
 	case !rt.lazyOn:
 	case v.eagerBurst > 0:
@@ -346,15 +331,6 @@ func (s *scope) spawnEager(fn func(api.Ctx)) {
 	w := p.worker
 	v := p.v
 
-	// Acquire the child's vessel *before* publishing the continuation:
-	// once pushed it can be stolen, so there is no sound way to back out
-	// into inline execution afterwards. A free-list hit pays no budget
-	// check at all; only fresh vessel creation is gated (MaxVessels).
-	cv := rt.getVesselBudget(w, rt.cfg.MaxVessels)
-	if cv == nil {
-		rt.runInline(p, fn, trace.DegradedSpawns)
-		return
-	}
 	// Batched: folded into the worker blocks at strand end (see
 	// vessel.pend), keeping the per-spawn cost to plain increments.
 	v.pend[trace.Spawns]++
@@ -370,6 +346,7 @@ func (s *scope) spawnEager(fn func(api.Ctx)) {
 	rt.wakeThief()
 
 	// The child executes next on this worker: hand over the token.
+	cv := rt.getVessel(w)
 	cv.disp = dispatch{fn: fn, parent: s, worker: w, sub: p.sub}
 	cv.pk.deliver()
 
@@ -388,14 +365,12 @@ func (s *scope) spawnEager(fn func(api.Ctx)) {
 // runInline executes a spawned function on the caller's strand instead
 // of publishing it, tallied under why: trace.InlineRuns for a lazy spawn
 // no thief asked for, trace.InlineSpawns for the cancelled-run
-// degradation of Spawn, trace.DegradedSpawns when a budget said no —
-// the vessel budget is exhausted, the stack pool is under soft-cap
-// pressure, or chaos simulated either — which keeps overload observable. Semantically this is the serial elision — fully strict, no
-// parallelism from this spawn — so it is always sound. The child's panic
-// is recorded and contained exactly like a strand panic (runStrand), so
-// an inline child cannot unwind the parent's frame past its un-synced
-// scopes: inline execution stays observationally equivalent to the eager
-// handoff.
+// degradation of Spawn. Semantically this is the serial elision — fully
+// strict, no parallelism from this spawn — so it is always sound. The
+// child's panic is recorded and contained exactly like a strand panic
+// (runStrand), so an inline child cannot unwind the parent's frame past
+// its un-synced scopes: inline execution stays observationally
+// equivalent to the eager handoff.
 //
 //nowa:hotpath
 func (rt *Runtime) runInline(p *Proc, fn func(api.Ctx), why trace.ID) {
@@ -413,20 +388,9 @@ func (rt *Runtime) runInline(p *Proc, fn func(api.Ctx), why trace.ID) {
 // outstanding. The worker itself must not idle with the suspended frame —
 // it "goes over to steal work" (Figure 5) — so the token goes to a thief
 // vessel before the strand parks, and the last joiner hands its token to
-// the suspended parent.
-//
-// Under a vessel budget (or chaos) the thief vessel is drawn before
-// SyncBegin: whether one fits decides keepToken, and the last-joining
-// child reads keepToken right after its OnChildJoin returns true, so it
-// must be published first — the join counter's atomics (or the frame
-// mutex in Fibril mode) order this strand's write before that read. When
-// no vessel fits the hard budget (MaxVessels) the parent parks holding
-// its own worker token — the worker idles for the remainder of this join,
-// a bounded utilisation loss — and the last child resumes it with the
-// keep-your-token sentinel (worker −1), continuing on its own token as a
-// thief instead (see finishStrand). Without either a vessel can always be
-// had, so none is drawn until SyncBegin fails: the locked-join rows reach
-// SyncBegin on every round, stolen or not.
+// the suspended parent. The thief vessel is drawn only once SyncBegin
+// fails: the locked-join rows reach SyncBegin on every round, stolen or
+// not.
 //
 //nowa:hotpath
 func (s *scope) Sync() {
@@ -448,33 +412,13 @@ func (s *scope) Sync() {
 		s.release()
 		return
 	}
-	var tv *vessel
-	early := rt.budgetOn || rt.chaosOn
-	if early {
-		if !rt.chaosOn || !rt.chaosRoll(w, replay.SiteSyncVessel) {
-			// A fired roll simulates exhaustion: tv stays nil and the
-			// strand takes the token-keeping suspension below.
-			tv = rt.getVesselBudget(w, rt.cfg.MaxVessels)
-		}
-		s.keepToken = tv == nil
-	}
 	if s.syncBegin() {
-		// The sync condition already holds: nobody suspends, and no child
-		// reads keepToken this round (they all joined before the counter
-		// hit zero); endRound's re-arm clears it.
-		if tv != nil {
-			rt.freeVessel(tv, w)
-		}
+		// The sync condition already holds: nobody suspends.
 		s.endRound()
 		return
 	}
-	if !early {
-		tv = rt.getVessel(w)
-	}
+	tv := rt.getVessel(w)
 	v.pend[trace.Suspensions]++
-	if tv == nil {
-		v.pend[trace.TokenKeepSyncs]++
-	}
 	if rt.recordOn {
 		rt.rep.Record(w, replay.KSuspend, 0, 0)
 	}
@@ -487,14 +431,10 @@ func (s *scope) Sync() {
 			rt.rep.Record(w, replay.KPromote, replay.PromoteSuspend, 0)
 		}
 	}
-	if tv != nil {
-		tv.disp = dispatch{worker: w}
-		tv.pk.deliver()
-	}
+	tv.disp = dispatch{worker: w}
+	tv.pk.deliver()
 	blocked := v.pk.await(parkerSpins)
-	if rw := v.resumeTok.worker; rw >= 0 {
-		p.worker = rw
-	}
+	p.worker = v.resumeTok.worker
 	if rt.recordOn {
 		if rt.blockRecOn && blocked {
 			rt.rep.Record(p.worker, replay.KBlocked, replay.BlockSync, 0)

@@ -569,13 +569,8 @@ func (rt *Runtime) serviceRoot(c api.Ctx) {
 	p := c.(*Proc)
 	for !svc.drained() {
 		bw := p.PrepareWait()
-		// Never keep the token, whatever the vessel budget: a one-worker
-		// service would have none left to serve with. The root waits once
-		// per run, so that is one vessel past MaxVessels at most.
-		bw.keep = false
 		t, ok := svc.rootq.Enqueue(bw)
 		if !ok || (svc.drained() && t.TryAbort()) {
-			p.AbandonWait(bw)
 			continue
 		}
 		p.CommitWait(bw)

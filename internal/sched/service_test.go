@@ -108,34 +108,6 @@ func TestServiceSubmissionRunsWide(t *testing.T) {
 	t.Error(failure)
 }
 
-// TestServiceTightBudgetServes: under the tightest vessel budget
-// (MaxVessels = Workers = 1) the service root's wait would keep the only
-// token and nothing would ever be taken. The root gives its token away
-// regardless, at the cost of one vessel past the budget.
-func TestServiceTightBudgetServes(t *testing.T) {
-	rt := MustNew(Config{Name: "nowa", Workers: 1, Deque: deque.CL, Join: WaitFree, MaxVessels: 1})
-	defer rt.Close()
-	if err := rt.StartService(ServiceConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := rt.Submit(func(api.Ctx) {}, SubmitOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-sub.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("the submission was never taken")
-	}
-	rt.Close()
-	if err := rt.CheckIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if hw := rt.Stats().VesselHighWater; hw > 2 {
-		t.Fatalf("vessel high water %d under MaxVessels 1, want at most 2", hw)
-	}
-}
-
 // TestServiceAdmissionStress drives the lock-free admission queue from
 // every side at once, per policy and at 2 and 3 workers: four producers
 // (two on the high lane, every fifth submission with a deadline that may

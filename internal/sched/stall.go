@@ -147,33 +147,28 @@ func (rt *Runtime) retireSupplement(ws int) {
 // seizeWorker dispatches a supplemental worker on slot Workers+w for
 // base worker w, whose stall word reads healthy. Ticker-only; while
 // the word is healthy the slot's owner-only storage is the ticker's.
-// The vessel comes first, under the MaxVessels budget: if none fits, the
-// ticker stands down and a later tick retries. Then the token: the
-// raise CASes n→n+1 only while n>0, because once the run's last token
-// retires (n==0 closes finished) no supplement may join the run. The
-// word moves last, before the dispatch the supplement starts from.
+// The token comes first, then the vessel: the raise CASes n→n+1 only while n>0, because
+// once the run's last token retires (n==0 closes finished) no supplement
+// may join the run. The word moves last, before the dispatch the
+// supplement starts from.
 func (rt *Runtime) seizeWorker(w int) {
 	rt.seized.Add(1)
 	if rt.recordOn {
 		rt.rep.RecordExternal(replay.KSeized, 0, uint16(w))
 	}
 	ws := rt.cfg.Workers + w
-	v := rt.getVesselBudget(ws, rt.cfg.MaxVessels)
-	if v == nil {
-		return
-	}
 	for {
 		n := rt.tokensLeft.Load()
 		if n <= 0 {
 			// The run is completing; supplementing now could double-close
 			// the completion broadcast.
-			rt.freeVesselGlobal(v)
 			return
 		}
 		if rt.tokensLeft.CompareAndSwap(n, n+1) {
 			break
 		}
 	}
+	v := rt.getVessel(ws)
 	rt.hb[w].state.Store(wsSupplemented)
 	// Publish the slot as a steal victim before the supplement can
 	// publish continuations into it.

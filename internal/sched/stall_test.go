@@ -197,47 +197,6 @@ func TestStallReseize(t *testing.T) {
 	}
 }
 
-// TestStallRespectsVesselBudget arms recovery under a tight vessel budget
-// with stall chaos: a seizure must draw the supplement's vessel under
-// MaxVessels like any spawn, and stand down when none fits, so the high
-// water never passes the budget. Each round also plants one long stall
-// beside a spawning loop that keeps the budget drawn, so every round
-// seizes at least once.
-func TestStallRespectsVesselBudget(t *testing.T) {
-	cfg := stallCfg(2)
-	cfg.Spawn = SpawnEager
-	cfg.MaxVessels = cfg.Workers + 2
-	cfg.Chaos = &Chaos{StallWorker: 48, StallForUS: 4000}
-	rt := MustNew(cfg)
-	defer rt.Close()
-
-	for round := 0; round < 3; round++ {
-		var got int
-		rt.Run(func(c api.Ctx) {
-			s := c.Scope()
-			s.Spawn(func(api.Ctx) { time.Sleep(40 * time.Millisecond) })
-			for deadline := time.Now().Add(30 * time.Millisecond); time.Now().Before(deadline); {
-				got = fib(c, 14)
-			}
-			s.Sync()
-		})
-		if want := fibSerial(14); got != want {
-			t.Fatalf("round %d: fib(14) = %d, want %d", round, got, want)
-		}
-	}
-	st := rt.Stats()
-	if st.WorkersSeized == 0 {
-		t.Fatal("no seizure: the stall chaos never gave recovery a chance to overdraw")
-	}
-	if st.VesselHighWater > int64(cfg.MaxVessels) {
-		t.Fatalf("vessel high water %d exceeds MaxVessels %d (seized=%d supplemented=%d)",
-			st.VesselHighWater, cfg.MaxVessels, st.WorkersSeized, st.WorkersSupplemented)
-	}
-	if err := rt.CheckIdle(); err != nil {
-		t.Fatalf("not idle: %v", err)
-	}
-}
-
 // TestStallServiceRecovery is the head-of-line-blocking rescue on a
 // single-worker service: a submission stalls the only base token, so
 // without supplementation no token is left to take the queued

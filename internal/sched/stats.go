@@ -9,7 +9,7 @@ import (
 
 // Stats is a snapshot of the runtime's resource accounting: the
 // runtime-agnostic api.ResourceStats (vessel and stack population,
-// budget-degradation, stall-recovery and wait tallies — see the field
+// stall-recovery and wait tallies — see the field
 // docs there) plus the gauges only this runtime can report. The leak
 // reconciliations (VesselsLeaked, StacksLeaked) and VesselsPooled need
 // the owner-local caches, so they are computed only while the runtime
@@ -37,8 +37,6 @@ func (rt *Runtime) Stats() Stats {
 	st.ResourceStats = api.ResourceStats{
 		VesselHighWater:     rt.vHighWater.Load(),
 		StacksLive:          st.Stacks.Allocated,
-		DegradedSpawns:      agg.DegradedSpawns,
-		TokenKeepSyncs:      agg.TokenKeepSyncs,
 		ScopesLeaked:        rt.scopesLeaked.Load(),
 		WorkersSeized:       rt.seized.Load(),
 		WorkersSupplemented: rt.supplemented.Load(),
@@ -71,7 +69,7 @@ func (rt *Runtime) Stats() Stats {
 // parked or filed in a next-wakeup slot; every eagerly published
 // continuation was popped back or stolen (trace.Counters.CheckQuiescent)
 // — cancelled runs and submissions included: a spawn run inline because
-// of cancellation or a budget never enters Spawns.
+// of cancellation never enters Spawns.
 func (rt *Runtime) CheckIdle() error {
 	if left := rt.tokensLeft.Load(); left != 0 {
 		return fmt.Errorf("tokens: %d tokens unaccounted", left)

@@ -170,13 +170,12 @@ func (rt *Runtime) popBottom(w int) (*cont, bool) {
 	return rt.deques[w].PopBottom()
 }
 
-// newVessel allocates and starts a fresh vessel goroutine. The caller has
-// already claimed a live-vessel slot via reserveVessel, so this only
-// records the high-water mark.
+// newVessel allocates and starts a fresh vessel goroutine, counting it
+// live and raising the high-water mark.
 //
 //nowa:coldpath runs once per vessel ever created; steady state recycles vessels through the free lists and never gets here
 func (rt *Runtime) newVessel() *vessel {
-	for live := rt.vLive.Load(); ; {
+	for live := rt.vLive.Add(1); ; {
 		hw := rt.vHighWater.Load()
 		if live <= hw || rt.vHighWater.CompareAndSwap(hw, live) {
 			break
@@ -199,21 +198,11 @@ func (rt *Runtime) newVessel() *vessel {
 	return v
 }
 
-// getVessel obtains a vessel with no budget: worker-local list
-// (owner-only, lock-free), then the global list, then fresh. Never nil.
-func (rt *Runtime) getVessel(w int) *vessel {
-	return rt.getVesselBudget(w, 0)
-}
-
-// getVesselBudget obtains a vessel subject to a live-vessel budget
-// (0 = unbounded). Recycled vessels cost nothing against the budget —
-// they are already counted live — so the limit only gates *creation*:
-// a free-list hit on the spawn path pays no budget check at all. Returns
-// nil when the free lists miss and the budget is exhausted; the caller
-// degrades (Spawn runs the child inline, Sync keeps its token).
+// getVessel obtains a vessel: worker-local list (owner-only, lock-free),
+// then the global list, then fresh. Never nil.
 //
 //nowa:hotpath
-func (rt *Runtime) getVesselBudget(w int, limit int) *vessel {
+func (rt *Runtime) getVessel(w int) *vessel {
 	lf := &rt.vlocal[w]
 	if n := len(lf.free); n > 0 {
 		v := lf.free[n-1]
@@ -221,14 +210,14 @@ func (rt *Runtime) getVesselBudget(w int, limit int) *vessel {
 		lf.free = lf.free[:n-1]
 		return v
 	}
-	return rt.getVesselSlow(limit)
+	return rt.getVesselSlow()
 }
 
 // getVesselSlow is the local-cache miss path: global mutex pool, then
-// fresh creation under the budget reservation.
+// fresh creation.
 //
 //nowa:coldpath free-list miss only: takes the global mutex and may start a goroutine; steady state recycles through the owner-local caches
-func (rt *Runtime) getVesselSlow(limit int) *vessel {
+func (rt *Runtime) getVesselSlow() *vessel {
 	rt.vglobal.mu.Lock()
 	if n := len(rt.vglobal.free); n > 0 {
 		v := rt.vglobal.free[n-1]
@@ -238,29 +227,7 @@ func (rt *Runtime) getVesselSlow(limit int) *vessel {
 		return v
 	}
 	rt.vglobal.mu.Unlock()
-	if !rt.reserveVessel(limit) {
-		return nil
-	}
 	return rt.newVessel()
-}
-
-// reserveVessel claims one slot of the live-vessel budget with a CAS
-// loop, so the check and the increment are a single atomic step — a
-// plain check-then-add would let concurrent reservers overshoot the cap.
-func (rt *Runtime) reserveVessel(limit int) bool {
-	if limit <= 0 {
-		rt.vLive.Add(1)
-		return true
-	}
-	for {
-		n := rt.vLive.Load()
-		if n >= int64(limit) {
-			return false
-		}
-		if rt.vLive.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
 }
 
 // freeVessel returns a finished vessel to the pool of worker w. The
@@ -459,18 +426,6 @@ func (rt *Runtime) finishStrand(v *vessel, parent *scope) {
 		return
 	}
 	if parent.onChildJoin() {
-		if parent.keepToken {
-			// The parent suspended holding its own worker token (no thief
-			// vessel fit the budget — see scope.Sync). Resume it
-			// with the keep-your-token sentinel and continue on this
-			// token as a thief ourselves: no vessel is freed and none is
-			// needed. Reading keepToken here is ordered after the
-			// parent's pre-SyncBegin write by the join-counter atomics.
-			parent.p.v.resumeTok = token{worker: -1}
-			parent.p.v.pk.deliver()
-			rt.stealLoop(p)
-			return
-		}
 		// Sync condition holds: resume the parent suspended at its
 		// explicit sync point, handing over this token.
 		rt.freeVessel(v, w)

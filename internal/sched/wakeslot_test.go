@@ -26,7 +26,6 @@ func slotWait(p *Proc, s *cqs.Semaphore, from *atomic.Int64) (parked, onWakerTok
 	}
 	bw := p.PrepareWait()
 	if _, registered := s.Register(bw); !registered {
-		p.AbandonWait(bw)
 		return false, false
 	}
 	p.CommitWait(bw)

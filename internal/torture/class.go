@@ -1,10 +1,10 @@
 // Package torture is the engine behind cmd/nowa-torture, the robustness
 // soak driver: it cycles kernels × scheduler variants × worker counts ×
-// chaos classes × resource budgets × cancellation deadlines and checks
-// the scheduler's invariants after every trial. When one breaks, the
-// trial is re-run for a repro bundle (config + seeds + schedule), the
-// bundle is confirmed to replay to the same failure via Config.Replay,
-// and the trial is shrunk to a minimal one that still fails.
+// chaos classes × cancellation deadlines and checks the scheduler's
+// invariants after every trial. When one breaks, the trial is re-run
+// for a repro bundle (config + seeds + schedule), the bundle is
+// confirmed to replay to the same failure via Config.Replay, and the
+// trial is shrunk to a minimal one that still fails.
 //
 // The matrix is data. An injection site is a row of internal/replay's
 // chaos table, a chaos class a row of Classes here; drawing a trial,
@@ -34,16 +34,11 @@ type Class struct {
 	Chaos *replay.Chaos
 	// Blocking draws the kernel from the blocking suite, not -kernels,
 	// and forces eager spawns: those kernels deadlock under lazy spawns —
-	// a parked stage's unblocker is a later-spawned sibling.
+	// a parked stage's unblocker is a later-spawned sibling. It also
+	// leans on short deadlines, so most trials cancel mid-churn with
+	// waiters in flight.
 	Blocking bool
-	// NoBudgets drops the vessel and stack budgets and leans on short
-	// deadlines instead. Either budget can lawfully deadlock a blocking
-	// kernel: a hard vessel budget makes PrepareWait keep the worker
-	// token, a stack budget can park every strand that could free a stack.
-	NoBudgets bool
 	// RecoveryUS, if positive, arms stall recovery with this threshold.
-	// The budget draw's tight vessel cap covers the stand-down path, a
-	// seizure with no vessel to spare.
 	RecoveryUS int64
 }
 
@@ -58,7 +53,7 @@ var Classes = []Class{
 		SubmitFail: 16}},
 	{Name: "heavy", Chaos: &replay.Chaos{
 		StealDelay: 64, StealFail: 128, PopBottomDelay: 128, SyncDelay: 128,
-		AllocFail: 64, SyncVesselFail: 64, StealInterest: 128, DelaySpins: 4,
+		StealInterest: 128, DelaySpins: 4,
 		SubmitFail: 128}},
 	{Name: "promote", Chaos: &replay.Chaos{ // every lazy spawn promotes mid-inline-run
 		StealInterest: 1024, StealFail: 16, PopBottomDelay: 16, DelaySpins: 2,
@@ -66,7 +61,7 @@ var Classes = []Class{
 	{Name: "stall", RecoveryUS: 500, Chaos: &replay.Chaos{ // armed well under the 2ms stall: each one is seizable
 		StallWorker: 48, StallForUS: 2000, StealFail: 16, DelaySpins: 2,
 		SubmitFail: 16, SubmitLatency: 16, SubmitLatencyForUS: 500}},
-	{Name: "abort", Blocking: true, NoBudgets: true, Chaos: &replay.Chaos{ // WakeAborted races Wake in the cqs cell CAS
+	{Name: "abort", Blocking: true, Chaos: &replay.Chaos{ // WakeAborted races Wake in the cqs cell CAS
 		AbortWait: 96, WakeupDelay: 64, StealFail: 16, DelaySpins: 2,
 		SubmitFail: 16}},
 }
@@ -121,18 +116,12 @@ func drawTrial(c Config, from []Class, rng *rand.Rand, n int) replay.Meta {
 		}
 		m.Chaos = &cc
 	}
+	m.StallThresholdUS = cl.RecoveryUS
+	m.TimeoutMS = []int64{0, 1, 5, 0}[rng.Intn(4)]
 	if cl.Blocking {
 		names := blockapps.BlockingNames()
 		m.Kernel = names[rng.Intn(len(names))]
 		m.SpawnEager = true
-	}
-	m.StallThresholdUS = cl.RecoveryUS
-	m.MaxVessels = []int{0, w + 2}[rng.Intn(2)]
-	m.MaxStacks = []int{0, 4 * w, 0, 0}[rng.Intn(4)]
-	m.TimeoutMS = []int64{0, 1, 5, 0}[rng.Intn(4)]
-	if cl.NoBudgets {
-		// Most trials then cancel mid-churn with waiters in flight.
-		m.MaxVessels, m.MaxStacks = 0, 0
 		if m.TimeoutMS == 0 {
 			m.TimeoutMS = rng.Int63n(2)
 		}

@@ -127,7 +127,6 @@ var reductions = []struct {
 }{
 	{"workers halved", func(m *replay.Meta) { m.Workers = max(1, m.Workers/2) }},
 	{"deadline dropped", func(m *replay.Meta) { m.TimeoutMS = 0 }},
-	{"budgets dropped", func(m *replay.Meta) { m.MaxVessels, m.MaxStacks = 0, 0 }},
 	{"stall recovery disarmed", func(m *replay.Meta) { m.StallThresholdUS = 0 }},
 }
 

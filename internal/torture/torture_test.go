@@ -63,8 +63,7 @@ func TestChaosClassValidation(t *testing.T) {
 }
 
 // TestAbortTrialDraw pins the abort-class trial shape: a blocking
-// kernel, eager spawns, and no resource budgets (a vessel or stack
-// budget can lawfully deadlock a blocking kernel via keepToken).
+// kernel and eager spawns.
 func TestAbortTrialDraw(t *testing.T) {
 	abort, err := classes([]string{"abort"})
 	if err != nil {
@@ -81,10 +80,6 @@ func TestAbortTrialDraw(t *testing.T) {
 		}
 		if !m.SpawnEager {
 			t.Fatalf("trial %d: abort class without eager spawns", n)
-		}
-		if m.MaxVessels != 0 || m.MaxStacks != 0 {
-			t.Fatalf("trial %d: abort class kept budgets v=%d st=%d",
-				n, m.MaxVessels, m.MaxStacks)
 		}
 	}
 }
@@ -181,13 +176,13 @@ func TestGoldenMeta(t *testing.T) {
 				c.Chaos = &sched.Chaos{Seed: 11, LeakVessel: 24, StealInterest: 1024, DelaySpins: 1}
 			}},
 		{`{"tool":"nowa-torture","kernel":"pipeline","scale":"test","variant":"cilkplus","workers":4,"seed":9,` +
-			`"max_vessels":16,"max_stacks":12,"timeout_ms":5,"spawn_eager":true,` +
+			`"timeout_ms":5,"spawn_eager":true,` +
 			`"chaos":{"seed":3,"steal_fail":16,"delay_spins":2,"stall_worker":48,"stall_for_us":2000,` +
 			`"submit_latency":16,"submit_latency_for_us":500},"stall_threshold_us":500}`,
 			func(c *sched.Config) {
 				c.Workers, c.Seed = 4, 9
-				c.MaxVessels, c.Spawn = 16, sched.SpawnEager
-				c.Stacks.GlobalCap, c.Stacks.CapMode = 12, 1 // cactus.CapSoft
+				c.Spawn = sched.SpawnEager
+				c.Stacks.GlobalCap = 8 * 4 // the cilkplus bound at 4 workers
 				c.StallThreshold = 500 * time.Microsecond
 				c.Chaos = &sched.Chaos{Seed: 3, StealFail: 16, DelaySpins: 2, StallWorker: 48, StallForUS: 2000,
 					SubmitLatency: 16, SubmitLatencyForUS: 500}
@@ -228,7 +223,7 @@ func TestReplayBundleWithParkAfter(t *testing.T) {
 	}
 	// magic, uint32 meta length, meta JSON, streams: splice the old key in.
 	const key = `"park_after":64,`
-	at := len("NOWAREPL1\n") + 4
+	at := len("NOWAREPL2\n") + 4
 	if raw[at] != '{' {
 		t.Fatalf("bundle layout changed: byte %d is %q", at, raw[at])
 	}
@@ -253,7 +248,7 @@ func TestReplayBundleWithParkAfter(t *testing.T) {
 func TestShrinkSynthetic(t *testing.T) {
 	start := replay.Meta{
 		Tool: "nowa-torture", Kernel: "fib", Variant: "fibril", Workers: 8, Seed: 5, Class: "heavy",
-		MaxVessels: 10, MaxStacks: 32, TimeoutMS: 5, StallThresholdUS: 500,
+		TimeoutMS: 5, StallThresholdUS: 500,
 		Chaos: &replay.Chaos{Seed: 2, DelaySpins: 4, LeakVessel: 24, StealFail: 128,
 			StallWorker: 48, StallForUS: 2000},
 	}
@@ -277,7 +272,7 @@ func TestShrinkSynthetic(t *testing.T) {
 	if start.Chaos.LeakVessel != 24 || start.Chaos.StallForUS == 0 {
 		t.Errorf("the shrinker edited its input's chaos block: %+v", start.Chaos)
 	}
-	for _, kept := range []string{"workers halved", "deadline dropped", "budgets dropped",
+	for _, kept := range []string{"workers halved", "deadline dropped",
 		"stall recovery disarmed", "chaos steal-fail dropped", "chaos stall-worker dropped", "chaos leak-vessel halved"} {
 		if !strings.Contains(log.String(), "shrink: kept "+kept+"\n") {
 			t.Errorf("log lacks %q:\n%s", kept, log.String())

@@ -11,7 +11,6 @@ import (
 	"nowa/internal/api"
 	"nowa/internal/apps"
 	"nowa/internal/blockapps"
-	"nowa/internal/cactus"
 	"nowa/internal/loadgen"
 	"nowa/internal/replay"
 	"nowa/internal/sched"
@@ -25,11 +24,6 @@ func buildConfig(m replay.Meta) (sched.Config, error) {
 		return sched.Config{}, err
 	}
 	cfg.Seed = m.Seed
-	cfg.MaxVessels = m.MaxVessels
-	if m.MaxStacks > 0 {
-		cfg.Stacks.GlobalCap = m.MaxStacks
-		cfg.Stacks.CapMode = cactus.CapSoft
-	}
 	if m.SpawnEager {
 		cfg.Spawn = sched.SpawnEager
 	}
@@ -45,8 +39,8 @@ func label(m replay.Meta, sc *serviceSpec) string {
 			m.Variant, m.Workers, m.Seed, m.Class, sc.policy, sc.depth,
 			sc.producers, sc.perProd, sc.panicEvery, sc.deadlineEvery, sc.stallEvery, sc.burst)
 	}
-	l := fmt.Sprintf("%s/%s w=%d seed=%d chaos=%s vessels=%d stacks=%d timeout=%dms",
-		m.Kernel, m.Variant, m.Workers, m.Seed, m.Class, m.MaxVessels, m.MaxStacks, m.TimeoutMS)
+	l := fmt.Sprintf("%s/%s w=%d seed=%d chaos=%s timeout=%dms",
+		m.Kernel, m.Variant, m.Workers, m.Seed, m.Class, m.TimeoutMS)
 	if m.StallThresholdUS > 0 {
 		l += fmt.Sprintf(" recovery=%dµs", m.StallThresholdUS)
 	}

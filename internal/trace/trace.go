@@ -27,8 +27,6 @@ const (
 	InlineSpawns
 	InlineRuns
 	PromotedSpawns
-	DegradedSpawns
-	TokenKeepSyncs
 	LocalResumes
 	Steals
 	FailedSteals
@@ -59,8 +57,6 @@ var table = [NumCounters]struct {
 	InlineSpawns:    {"InlineSpawns", unsafe.Offsetof(Counters{}.InlineSpawns)},
 	InlineRuns:      {"InlineRuns", unsafe.Offsetof(Counters{}.InlineRuns)},
 	PromotedSpawns:  {"PromotedSpawns", unsafe.Offsetof(Counters{}.PromotedSpawns)},
-	DegradedSpawns:  {"DegradedSpawns", unsafe.Offsetof(Counters{}.DegradedSpawns)},
-	TokenKeepSyncs:  {"TokenKeepSyncs", unsafe.Offsetof(Counters{}.TokenKeepSyncs)},
 	LocalResumes:    {"LocalResumes", unsafe.Offsetof(Counters{}.LocalResumes)},
 	Steals:          {"Steals", unsafe.Offsetof(Counters{}.Steals)},
 	FailedSteals:    {"FailedSteals", unsafe.Offsetof(Counters{}.FailedSteals)},
@@ -90,8 +86,6 @@ type Counters struct {
 	InlineSpawns    int64 // Spawns degraded to inline execution (cancelled run)
 	InlineRuns      int64 // lazy spawns committed to inline execution (no handoff paid)
 	PromotedSpawns  int64 // lazy spawns promoted to the eager handoff (claim, interest fold or suspension)
-	DegradedSpawns  int64 // Spawns degraded inline by a budget (vessel budget or stack-pool pressure)
-	TokenKeepSyncs  int64 // sync suspensions that kept their token (no thief vessel in budget)
 	LocalResumes    int64 // popBottom hits: continuation not stolen
 	Steals          int64 // successful popTop operations
 	FailedSteals    int64 // empty, lost-race or chaos-failed popTop operations

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"nowa/internal/api"
-	"nowa/internal/cactus"
 	"nowa/internal/childsteal"
 	"nowa/internal/replay"
 	"nowa/internal/resilience"
@@ -153,25 +152,14 @@ const (
 	SpawnEager = sched.SpawnEager
 )
 
-// Limits bounds a runtime's resources. Exhaustion degrades gracefully —
-// spawns run inline on the caller's strand, preserving correctness while
-// shedding parallelism — instead of growing without bound or aborting.
+// Limits configures a continuation-stealing runtime beyond its variant:
+// the spawn policy and stall recovery. No vessel or stack budget is
+// offered: a suspension always gives its worker token away, so the
+// vessel population stays bounded by the computation itself, and the
+// stack pool is bounded only by the cilkplus comparator, whose bound is
+// the paper's (§II-C).
 type Limits struct {
-	// MaxVessels is the budget on live execution goroutines (vessels);
-	// zero means unbounded. Values below the worker count are raised to
-	// it.
-	MaxVessels int
-	// MaxStacks bounds the cactus stack pool in soft mode: exhaustion
-	// latches a pressure signal that degrades new spawns to inline
-	// execution until stacks are returned or trimmed. Zero means
-	// unbounded.
-	MaxStacks int
-	// Spawn selects the spawn policy the budgets apply to. Under the
-	// default (SpawnAdaptive) a vessel budget binds only on promoted
-	// spawns: lazily spawned children run inline on the parent's vessel
-	// and consume no vessel at all. SpawnEager restores the
-	// pre-promotion accounting in which every spawn requests a vessel
-	// and a tight budget forces inline degradation.
+	// Spawn selects the spawn policy (default SpawnAdaptive).
 	Spawn SpawnPolicy
 	// StallThreshold arms stall recovery: a worker whose heartbeat goes
 	// stale this long while runnable work exists is seized and a
@@ -194,21 +182,16 @@ func HasVesselModel(v Variant) bool {
 }
 
 // NewLimited creates a continuation-stealing runtime of the given
-// variant with resource bounds. Only the vessel-model variants
-// (VariantNowa, VariantNowaTHE, VariantFibril, VariantCilkPlus) can be
-// limited; NewLimited panics for the comparators without one.
+// variant configured by lim. Only the vessel-model variants
+// (VariantNowa, VariantNowaTHE, VariantFibril, VariantCilkPlus) take
+// Limits; NewLimited panics for the comparators without one.
 func NewLimited(v Variant, workers int, lim Limits) Runtime {
 	cfg, ok := schedConfig(v, workers)
 	if !ok {
 		panic("nowa: NewLimited requires a continuation-stealing variant (vessel model); got " + v.String())
 	}
-	cfg.MaxVessels = lim.MaxVessels
 	cfg.Spawn = lim.Spawn
 	cfg.StallThreshold = lim.StallThreshold
-	if lim.MaxStacks > 0 {
-		cfg.Stacks.GlobalCap = lim.MaxStacks
-		cfg.Stacks.CapMode = cactus.CapSoft
-	}
 	rt, err := sched.New(cfg)
 	if err != nil {
 		panic(err)
