@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.RingCap, "ring", 1<<15, "per-worker recorder capacity (events)")
 	replayPath := fs.String("replay", "", "replay a bundle instead of soaking")
 	selftest := fs.Bool("selftest", false, "validate the capture→replay→shrink pipeline against the planted LeakVessel bug")
-	fs.BoolVar(&cfg.Service, "service", false, "soak service mode instead of batch runs: concurrent submissions with mixed deadlines, priorities, panics and admission chaos, checking drain quiescence and accounting")
+	fs.BoolVar(&cfg.Service, "service", false, "soak service mode instead of batch runs: concurrent submissions with mixed deadlines, panics and admission chaos, checking drain quiescence and accounting")
 	fs.BoolVar(&cfg.Verbose, "v", false, "log every trial")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

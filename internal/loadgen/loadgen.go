@@ -42,7 +42,7 @@ type Config struct {
 	// Duration is how long arrivals are generated.
 	Duration time.Duration
 	// Policy is the client resilience policy each arrival is driven
-	// through — retry schedule, breaker, hedging.
+	// through — retry schedule, hedging.
 	Policy resilience.Policy
 	// Task is the work each submission performs.
 	Task func(api.Ctx)
@@ -54,7 +54,7 @@ type Result struct {
 	Offered int64   `json:"offered"`  // arrivals generated
 	// Admission outcomes, client-side view.
 	Admitted     int64 `json:"admitted"`      // arrivals some attempt of which was admitted
-	Rejected     int64 `json:"rejected"`      // refusal events (ErrOverloaded / breaker)
+	Rejected     int64 `json:"rejected"`      // refusal events (ErrOverloaded)
 	Shed         int64 `json:"shed"`          // admissions evicted while queued
 	ShedsRetried int64 `json:"sheds_retried"` // retry attempts after a refusal or shed
 	RetryOK      int64 `json:"retries_ok"`    // retried arrivals that were admitted

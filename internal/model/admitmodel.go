@@ -4,12 +4,13 @@ import "fmt"
 
 // Admission gate model: the serving runtime's admission queue
 // (internal/sched's tryAdmit, takeNext, drained) — a depth gate bounded
-// by the window, a lane on the ticketed ring (mring), the closed flag and
-// the drain check — between two producers, one FailFast and one
-// shedding, one taking token, the service root and Close. The high lane
-// runs the same code as the lane modelled. A step is one shared-memory
-// access, but for a ring claim (mring) and the gate's load-and-CAS of
-// depth, whose lost CAS is retried without a trace.
+// by the window (QueueDepth), the queue's one FIFO ticketed ring (mring),
+// the closed flag and the drain check — between two producers, one
+// FailFast and one shedding, one taking token, the service root and
+// Close. The ring modelled is the only lane: taker and shedder get from
+// it alike. A step is one shared-memory access, but for a ring claim
+// (mring) and the gate's load-and-CAS of depth, whose lost CAS is
+// retried without a trace.
 //
 //	producer  under the window: raise depth → re-check closed (set: give
 //	          the unit back) → claim a put ticket → publish. At it: load
@@ -25,7 +26,7 @@ import "fmt"
 // or running, and nothing is published after; every published submission
 // is taken or shed by the end, and every thread returns.
 
-// AdmitConfig is the scenario. Cap is the lane's capacity and the window,
+// AdmitConfig is the scenario. Cap is the ring's capacity and the window,
 // 1 (the shedder sheds) or 2 (cells are published out of ticket order).
 // BuggyCheckFirst moves the producer's closed check in front of the depth
 // raise: a Close and the root's verdict can fall between the two, and the

@@ -1,21 +1,17 @@
 // Package resilience layers client-side fault tolerance over a serving
 // runtime's Submit: bounded retries with capped exponential backoff and
-// jitter, a three-state circuit breaker that sheds locally while the
-// service is judged unhealthy, and hedged submissions that race a
-// second attempt against a slow first one.
+// jitter, and hedged submissions that race a second attempt against a
+// slow first one.
 //
 // The layer is deliberately client-side. The scheduler already defends
-// itself (admission windows, shedding, FailFast hints); resilience is
-// about what a *caller* should do with those signals instead of
-// hand-rolling retry loops at every call site. The division of labour:
+// itself (a bounded admission queue, shedding, FailFast refusals with
+// retry-after hints); resilience is about what a *caller* should do with
+// those signals instead of hand-rolling retry loops at every call site.
+// The division of labour:
 //
 //   - The service says "not now" (ErrOverloaded with a RetryAfter
 //     hint, or ErrShed for a queued eviction). Resilience turns that
 //     into a bounded, jittered, hint-honouring retry.
-//   - The service keeps saying "not now". The breaker notices the
-//     failure rate over a rolling window, opens, and refuses locally —
-//     no queue pressure, no network of goroutines hammering a sick
-//     admission queue, and a half-open probe to notice recovery.
 //   - The service says nothing for too long. Hedging submits a second
 //     copy after a latency-percentile delay; the first result wins and
 //     the loser is cancelled through its submission context, which
@@ -30,7 +26,6 @@ package resilience
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -44,14 +39,9 @@ type Submitter interface {
 	SubmitCtxOpts(ctx context.Context, task func(api.Ctx), opts sched.SubmitOpts) (*sched.Submission, error)
 }
 
-// ErrBreakerOpen is returned by Do when the circuit breaker refuses the
-// submission locally. It wraps sched.ErrOverloaded, so callers that
-// already classify overloads with errors.Is keep working unchanged.
-var ErrBreakerOpen = fmt.Errorf("resilience: circuit breaker open: %w", sched.ErrOverloaded)
-
 // Policy parameterises a Resilient wrapper. The zero value retries
 // transient overloads up to three attempts with 500µs base backoff; set
-// Breaker and Hedge to enable those layers.
+// Hedge to enable hedging.
 type Policy struct {
 	// MaxAttempts bounds admissions attempts per Do (first try
 	// included). Zero means the default of 3; 1 disables retry.
@@ -70,8 +60,6 @@ type Policy struct {
 	// wrappers that want decorrelated jitter should pass distinct
 	// seeds.
 	Seed uint64
-	// Breaker enables the circuit breaker when non-nil.
-	Breaker *BreakerPolicy
 	// Hedge enables hedged submissions when non-nil.
 	Hedge *HedgePolicy
 }
@@ -100,7 +88,7 @@ type Outcome struct {
 	// Admitted is true when some attempt was admitted and ran to a
 	// resolution (even a panic or cancellation — those are outcomes).
 	Admitted bool
-	// Rejected counts FailFast/breaker refusals at admission time.
+	// Rejected counts FailFast refusals at admission time.
 	Rejected int
 	// Sheds counts admissions that were later evicted from the queue.
 	Sheds int
@@ -110,8 +98,6 @@ type Outcome struct {
 	Hedged bool
 	// HedgeWon is true when the hedge resolved before the primary.
 	HedgeWon bool
-	// BreakerOpen counts attempts refused locally by the breaker.
-	BreakerOpen int
 	// FinalAt is when the winning (or final failing) attempt was
 	// submitted — the point from which a caller that billed its own
 	// backoff should start measuring service latency.
@@ -119,40 +105,25 @@ type Outcome struct {
 }
 
 // Resilient wraps a Submitter with a Policy. Safe for concurrent use;
-// the breaker and the hedge latency window are shared across all Do
-// calls, which is what makes the breaker a circuit and the hedge delay
-// a live percentile rather than a per-call guess.
+// the hedge latency window is shared across all Do calls, which is what
+// makes the hedge delay a live percentile rather than a per-call guess.
 type Resilient struct {
 	sub Submitter
 	pol Policy
-	brk *breaker
 	hdg *hedgeWindow
 	rng jitterRNG
 }
 
 // New builds a Resilient wrapper over sub. The Policy is copied and
-// normalised; a nil-Breaker, nil-Hedge policy yields a pure
-// retry/backoff wrapper.
+// normalised; a nil-Hedge policy yields a pure retry/backoff wrapper.
 func New(sub Submitter, pol Policy) *Resilient {
 	pol.fill()
 	r := &Resilient{sub: sub, pol: pol}
 	r.rng.s.Store(pol.Seed)
-	if pol.Breaker != nil {
-		r.brk = newBreaker(*pol.Breaker)
-	}
 	if pol.Hedge != nil {
 		r.hdg = newHedgeWindow(*pol.Hedge)
 	}
 	return r
-}
-
-// Breaker reports the breaker's current state name ("closed", "open",
-// "half-open") or "none" when the policy has no breaker.
-func (r *Resilient) Breaker() string {
-	if r.brk == nil {
-		return "none"
-	}
-	return r.brk.stateName()
 }
 
 // Do submits task through the policy and blocks until a winning
@@ -177,19 +148,6 @@ func (r *Resilient) Do(ctx context.Context, task func(api.Ctx), opts sched.Submi
 		if attempt > 1 {
 			out.Retries++
 		}
-		if r.brk != nil && !r.brk.allow() {
-			out.Attempts++
-			out.Rejected++
-			out.BreakerOpen++
-			lastErr = ErrBreakerOpen
-			// An open breaker is a local judgement; backing off and
-			// re-asking is how the half-open probe eventually gets
-			// through.
-			if !r.backoff(ctx, attempt, 0, deadline) {
-				break
-			}
-			continue
-		}
 		out.FinalAt = time.Now()
 		err, admitted, shed := r.attempt(ctx, task, opts, &out)
 		if admitted {
@@ -204,15 +162,9 @@ func (r *Resilient) Do(ctx context.Context, task func(api.Ctx), opts sched.Submi
 		if err == nil || !transient(err) {
 			// A real outcome: success, panic, cancellation, expiry — or
 			// a non-overload admission error (service closed). Done.
-			if r.brk != nil && err == nil {
-				r.brk.observe(true)
-			}
 			return out, err
 		}
 		// Transient: overloaded refusal or queued-then-shed.
-		if r.brk != nil {
-			r.brk.observe(false)
-		}
 		lastErr = err
 		if !r.backoff(ctx, attempt, retryAfterHint(err), deadline) {
 			break
@@ -247,8 +199,7 @@ func (r *Resilient) attempt(ctx context.Context, task func(api.Ctx), opts sched.
 
 // transient reports whether err is a congestion signal worth retrying:
 // anything matching sched.ErrOverloaded, which covers FailFast
-// refusals (*OverloadedError), queue evictions (ErrShed), and the local
-// breaker refusal (ErrBreakerOpen).
+// refusals (*OverloadedError) and queue evictions (ErrShed).
 func transient(err error) bool {
 	return errors.Is(err, sched.ErrOverloaded)
 }

@@ -144,93 +144,6 @@ func TestResilienceCtxCancelAbortsBackoff(t *testing.T) {
 	}
 }
 
-// TestBreakerLifecycle drives the state machine directly through a full
-// closed → open → half-open → open → half-open → closed cycle.
-func TestBreakerLifecycle(t *testing.T) {
-	b := newBreaker(BreakerPolicy{
-		Window:      time.Second,
-		MinSamples:  4,
-		FailureRate: 0.5,
-		Cooldown:    10 * time.Millisecond,
-	})
-	if !b.allow() || b.stateName() != "closed" {
-		t.Fatalf("fresh breaker not closed/allowing (state %s)", b.stateName())
-	}
-	for i := 0; i < 4; i++ {
-		b.observe(false)
-	}
-	if b.stateName() != "open" {
-		t.Fatalf("state %s after 4/4 failures, want open", b.stateName())
-	}
-	if b.allow() {
-		t.Fatal("open breaker allowed an attempt inside the cooldown")
-	}
-	time.Sleep(15 * time.Millisecond)
-	if !b.allow() {
-		t.Fatal("cooldown elapsed but the probe was refused")
-	}
-	if b.stateName() != "half-open" {
-		t.Fatalf("state %s after cooldown probe, want half-open", b.stateName())
-	}
-	b.observe(false)
-	if b.stateName() != "open" {
-		t.Fatalf("state %s after failed probe, want open", b.stateName())
-	}
-	time.Sleep(15 * time.Millisecond)
-	if !b.allow() {
-		t.Fatal("second cooldown elapsed but the probe was refused")
-	}
-	b.observe(true)
-	if b.stateName() != "closed" {
-		t.Fatalf("state %s after successful probe, want closed", b.stateName())
-	}
-	if !b.allow() {
-		t.Fatal("re-closed breaker refused an attempt")
-	}
-}
-
-// TestBreakerColdWindowNeverOpens pins the MinSamples floor.
-func TestBreakerColdWindowNeverOpens(t *testing.T) {
-	b := newBreaker(BreakerPolicy{MinSamples: 10})
-	for i := 0; i < 9; i++ {
-		b.observe(false)
-	}
-	if b.stateName() != "closed" {
-		t.Fatalf("state %s with 9 < MinSamples observations, want closed", b.stateName())
-	}
-}
-
-func TestResilienceBreakerSheds(t *testing.T) {
-	rt := serveRT(t, 2)
-	defer rt.Close()
-	f := &flaky{rt: rt, refusals: 1000}
-	r := New(f, Policy{
-		MaxAttempts: 12,
-		BaseBackoff: 100 * time.Microsecond,
-		MaxBackoff:  200 * time.Microsecond,
-		Breaker:     &BreakerPolicy{MinSamples: 4, FailureRate: 0.5, Cooldown: 10 * time.Second},
-	})
-	out, err := r.Do(context.Background(), func(api.Ctx) {}, sched.SubmitOpts{})
-	if !errors.Is(err, sched.ErrOverloaded) {
-		t.Fatalf("Do error = %v, want an overload classification", err)
-	}
-	if out.BreakerOpen == 0 {
-		t.Fatalf("outcome %+v: the breaker never opened across 12 all-failing attempts", out)
-	}
-	if r.Breaker() != "open" {
-		t.Fatalf("breaker state %s after the storm, want open", r.Breaker())
-	}
-	f.mu.Lock()
-	reached := f.attempts
-	f.mu.Unlock()
-	if reached >= 12 {
-		t.Fatalf("all %d attempts reached the service: the open breaker did not shed locally", reached)
-	}
-	if !errors.Is(ErrBreakerOpen, sched.ErrOverloaded) {
-		t.Fatal("ErrBreakerOpen must classify as an overload for existing callers")
-	}
-}
-
 // TestResilienceConcurrentDoJitter: Do is documented safe for concurrent
 // use, and every retrying call draws backoff jitter from the wrapper's
 // one generator — under -race this fails unless the draw is atomic. The

@@ -1,5 +1,5 @@
 // Package ring is the bounded MPMC ticketed ring under nowa.Channel and
-// the serving runtime's admission lanes (DESIGN.md §16.6, §13). It holds
+// the serving runtime's admission queue (DESIGN.md §16.6, §13). It holds
 // items only: who sleeps beside a full or empty ring is the caller's
 // protocol.
 package ring

@@ -15,22 +15,20 @@ const (
 	admitClosed        // service draining or closed; no new admissions
 )
 
-// admitQueue is the bounded admission queue of a serving runtime: two
-// priority lanes (SubmitOpts.Priority > 0 selects the high lane), each an
-// internal/ring ring of capa cells, behind one depth gate bounding both
-// together by capa. Producers are external goroutines; consumers are the
-// tokens that take a submission when they have no deque work
-// (takeSubmission). No lock: a producer raises depth and then claims a
-// put ticket, a consumer gets and then lowers depth. So depth counts
-// every submission queued or between those steps, and a lane never holds
-// more items than depth: a put that finds its cell not yet free waits
-// for a get that has claimed the cell and not yet emptied it, never for
-// a taker to come.
+// admitQueue is the bounded admission queue of a serving runtime: one
+// FIFO internal/ring ring of capa cells behind a depth gate bounding it
+// by capa. Producers are external goroutines; consumers are the tokens
+// that take a submission when they have no deque work (takeSubmission)
+// and the shedding producers that evict the oldest. No lock: a producer
+// raises depth and then claims a put ticket, a consumer gets and then
+// lowers depth. So depth counts every submission queued or between those
+// steps, and the ring never holds more items than depth: a put that
+// finds its cell not yet free waits for a get that has claimed the cell
+// and not yet emptied it, never for a taker to come.
 //
 //nowa:nopad one admitQueue per service, embedded in the service singleton; no adjacent instances to false-share with
 type admitQueue struct {
-	high   ring.Ring[*Submission]
-	norm   ring.Ring[*Submission]
+	fifo   ring.Ring[*Submission]
 	capa   int
 	policy OverloadPolicy
 	closed atomic.Bool
@@ -59,8 +57,7 @@ type admitQueue struct {
 func (q *admitQueue) init(depth int, policy OverloadPolicy) {
 	q.capa = depth
 	q.policy = policy
-	q.high.Init(depth)
-	q.norm.Init(depth)
+	q.fifo.Init(depth)
 	q.spaceCh = make(chan struct{}, 1)
 	q.closedCh = make(chan struct{})
 }
@@ -68,7 +65,7 @@ func (q *admitQueue) init(depth int, policy OverloadPolicy) {
 // tryAdmit is the admission decision: below capacity, raise depth, then
 // re-check closed — in that order, so that a drain check which saw
 // closed set and depth zero saw every producer that will publish — and
-// publish into the submission's lane. At capacity, shed the oldest
+// publish into the ring. At capacity, shed the oldest
 // queued submission when the policy is Shed: the victim's unit passes to
 // the newcomer, so depth stays put. Otherwise report full and let the
 // caller apply Block or FailFast. A returned victim is out of the queue;
@@ -90,18 +87,14 @@ func (q *admitQueue) tryAdmit(sub *Submission) (outcome int, victim *Submission)
 		case q.policy != OverloadShed:
 			return admitFull, nil
 		default:
-			if victim = q.oldest(); victim == nil {
+			if victim = q.take(); victim == nil {
 				// Every unit is mid-admission or mid-take: look again.
 				runtime.Gosched()
 				continue
 			}
 		}
-		lane := &q.norm
-		if sub.prio {
-			lane = &q.high
-		}
 		for {
-			if slot, ok := lane.Claim(); ok {
+			if slot, ok := q.fifo.Claim(); ok {
 				slot.Publish(sub)
 				return admitOK, victim
 			}
@@ -142,22 +135,12 @@ func (q *admitQueue) kickBlocked() {
 	}
 }
 
-// take dequeues for a taking token, high lane first; oldest for a
-// shedding producer, normal lane first, so high-priority work survives
-// overload longest.
+// take dequeues the oldest queued submission, for a taking token and a
+// shedding producer alike; nil when the ring is empty.
 //
 //nowa:hotpath
-func (q *admitQueue) take() *Submission { return firstOf(&q.high, &q.norm) }
-
-//nowa:hotpath
-func (q *admitQueue) oldest() *Submission { return firstOf(&q.norm, &q.high) }
-
-//nowa:hotpath
-func firstOf(a, b *ring.Ring[*Submission]) *Submission {
-	if s, ok := a.Get(); ok {
-		return s
-	}
-	s, _ := b.Get()
+func (q *admitQueue) take() *Submission {
+	s, _ := q.fifo.Get()
 	return s
 }
 

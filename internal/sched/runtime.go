@@ -569,9 +569,6 @@ var _ api.Runtime = (*Runtime)(nil)
 // DebugTokensLeft exposes the live token count for diagnostics.
 func (rt *Runtime) DebugTokensLeft() int64 { return rt.tokensLeft.Load() }
 
-// DebugDequeSize exposes a deque's size for diagnostics.
-func (rt *Runtime) DebugDequeSize(w int) int { return rt.deques[w].Size() }
-
 // DumpState writes a human-readable diagnostic snapshot: token count,
 // per-slot deque sizes and next wakeups, vessel accounting, parked
 // thieves and the aggregated trace counters. Safe to call mid-run
@@ -581,15 +578,15 @@ func (rt *Runtime) DebugDequeSize(w int) int { return rt.deques[w].Size() }
 func (rt *Runtime) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "sched runtime %q: workers=%d tokensLeft=%d running=%v cancelled=%v\n",
 		rt.cfg.Name, rt.cfg.Workers, rt.DebugTokensLeft(), rt.running.Load(), rt.cancel.Cancelled())
-	for i := range rt.deques {
+	for i, d := range rt.deques {
 		next := "none"
 		if bw := rt.next[i].w.Load(); bw != nil {
 			next = fmt.Sprintf("waiter %p", bw)
 		}
 		if i < rt.cfg.Workers {
-			fmt.Fprintf(w, "  worker %d: deque size %d, next wakeup %s\n", i, rt.DebugDequeSize(i), next)
+			fmt.Fprintf(w, "  worker %d: deque size %d, next wakeup %s\n", i, d.Size(), next)
 		} else {
-			fmt.Fprintf(w, "  supplement slot %d (worker %d): deque size %d, next wakeup %s\n", i-rt.cfg.Workers, i, rt.DebugDequeSize(i), next)
+			fmt.Fprintf(w, "  supplement slot %d (worker %d): deque size %d, next wakeup %s\n", i-rt.cfg.Workers, i, d.Size(), next)
 		}
 	}
 	if rt.stallOn {

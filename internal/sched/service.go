@@ -81,8 +81,7 @@ func (p OverloadPolicy) String() string {
 
 // ServiceConfig parameterises StartService.
 type ServiceConfig struct {
-	// QueueDepth bounds the admission queue (per the whole queue, both
-	// priority lanes together). Default 256.
+	// QueueDepth bounds the admission queue. Default 256.
 	QueueDepth int
 	// Policy selects the overload behaviour at a full queue (default
 	// OverloadBlock).
@@ -109,9 +108,6 @@ type SubmitOpts struct {
 	// the task; expiry mid-flight cancels cooperatively (Ctx.Err fires,
 	// Spawn degrades inline) exactly like RunCtx.
 	Deadline time.Time
-	// Priority > 0 routes the submission through the high-priority
-	// admission lane: dequeued first, shed last.
-	Priority int
 }
 
 // Submission is the future of one submitted task. Wait (or Done + Err)
@@ -138,8 +134,7 @@ type Submission struct {
 	traceTask *rtrace.Task
 
 	done chan struct{}
-	err  error // written before done closes
-	prio bool
+	err  error  // written before done closes
 	id   uint16 // truncated sequence number, for schedule-log events
 
 	// pan collects this submission's strand panics: the first is kept,
@@ -328,7 +323,7 @@ func (rt *Runtime) StartService(cfg ServiceConfig) error {
 // Submit hands one task to a serving runtime and returns its future.
 // Callable from any goroutine, concurrently. The overload behaviour at
 // a full admission queue follows ServiceConfig.Policy; see SubmitOpts
-// for deadlines and priority.
+// for deadlines.
 func (rt *Runtime) Submit(task func(api.Ctx), opts SubmitOpts) (*Submission, error) {
 	return rt.submit(nil, task, opts)
 }
@@ -356,7 +351,6 @@ func (rt *Runtime) submit(ctx context.Context, task func(api.Ctx), opts SubmitOp
 	sub := &Submission{
 		task: task,
 		done: make(chan struct{}),
-		prio: opts.Priority > 0,
 		id:   uint16(svc.subSeq.Add(1)),
 	}
 
@@ -668,7 +662,7 @@ type ServiceStats struct {
 	RetryHint time.Duration // current FailFast retry-after estimate
 
 	// CompletionEWMA is the smoothed inter-completion interval — the
-	// signal RetryHint clamps into its band. Exported raw so breakers
+	// signal RetryHint clamps into its band. Exported raw so clients
 	// and dashboards can read service velocity without triggering a
 	// rejection to obtain a hint. Zero before the first completion.
 	CompletionEWMA time.Duration

@@ -110,9 +110,8 @@ func TestServiceSubmissionRunsWide(t *testing.T) {
 
 // TestServiceAdmissionStress drives the lock-free admission queue from
 // every side at once, per policy and at 2 and 3 workers: four producers
-// (two on the high lane, every fifth submission with a deadline that may
-// expire while queued) against the taking tokens, and Close landing
-// mid-stream. Every
+// (every fifth submission with a deadline that may expire while queued)
+// against the taking tokens, and Close landing mid-stream. Every
 // admitted future must resolve exactly once (a second resolve panics on
 // the closed done channel) with an outcome the queue allows, one
 // ServiceStats snapshot after Close must balance against what the
@@ -137,12 +136,12 @@ func TestServiceAdmissionStress(t *testing.T) {
 					stop atomic.Bool
 					wg   sync.WaitGroup
 				)
-				for p := range 4 {
+				for range 4 {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
 						for i := 0; i < 2000 && !stop.Load(); i++ {
-							opts := SubmitOpts{Priority: p % 2}
+							var opts SubmitOpts
 							if i%5 == 0 {
 								opts.Deadline = time.Now().Add(100 * time.Microsecond)
 							}

@@ -137,7 +137,6 @@ type serviceSpec struct {
 	perProd       int
 	panicEvery    int // every Nth submission panics at top level (0 = never)
 	deadlineEvery int // every Nth submission carries a 0–3ms deadline
-	prioEvery     int // every Nth submission is high priority
 	stallEvery    int // every Nth submission sleeps 2ms mid-strand (0 = never)
 	burst         int // submissions left in flight when Close drains
 }
@@ -151,15 +150,14 @@ func drawServiceSpec(rng *rand.Rand) *serviceSpec {
 		perProd:       20 + pick(60),
 		panicEvery:    []int{0, 5, 9}[pick(3)],
 		deadlineEvery: []int{0, 3, 7}[pick(3)],
-		prioEvery:     []int{0, 4}[pick(2)],
 		stallEvery:    []int{0, 0, 7}[pick(3)],
 		burst:         pick(24),
 	}
 }
 
 // serve soaks one service-mode configuration: concurrent producers
-// submit fork/join tasks with mixed deadlines, priorities and planted
-// top-level panics, and a burst is left in flight for Close to drain.
+// submit fork/join tasks with mixed deadlines and planted top-level
+// panics, and a burst is left in flight for Close to drain.
 // Every future must resolve, to a legal outcome. Arrivals are wall-clock
 // driven, hence not replayable: failures are reported by seed.
 func serve(rt *sched.Runtime, sc *serviceSpec) string {
@@ -204,9 +202,6 @@ func serve(rt *sched.Runtime, sc *serviceSpec) string {
 				if every(sc.deadlineEvery) {
 					// 0–3ms: some expire in the queue, some mid-flight.
 					opts.Deadline = time.Now().Add(time.Duration(n%4) * time.Millisecond)
-				}
-				if every(sc.prioEvery) {
-					opts.Priority = 1
 				}
 				sub, err := rt.Submit(t, opts)
 				switch {

@@ -272,10 +272,8 @@ func ScheduleDivergences(rt Runtime) (int64, bool) {
 type (
 	// ResiliencePolicy parameterises a Resilient wrapper: bounded
 	// retries with capped exponential backoff honouring the service's
-	// retry-after hints, plus optional breaker and hedging layers.
+	// retry-after hints, plus optional hedging.
 	ResiliencePolicy = resilience.Policy
-	// BreakerPolicy configures the circuit breaker layer.
-	BreakerPolicy = resilience.BreakerPolicy
 	// HedgePolicy configures hedged submissions.
 	HedgePolicy = resilience.HedgePolicy
 	// Resilient is the wrapper; call Do instead of Submit.
@@ -283,10 +281,6 @@ type (
 	// ResilienceOutcome reports what one resilient call spent.
 	ResilienceOutcome = resilience.Outcome
 )
-
-// ErrBreakerOpen is returned by Resilient.Do when the circuit breaker
-// refuses locally; it classifies as an overload via errors.Is.
-var ErrBreakerOpen = resilience.ErrBreakerOpen
 
 // NewResilient wraps a serving-capable runtime with a resilience
 // policy. Only the vessel-model variants serve, so only their runtimes
@@ -361,7 +355,7 @@ func Close(rt Runtime) {
 // overload policy, and Close's drain deadline.
 type ServiceConfig = sched.ServiceConfig
 
-// SubmitOpts carries a submission's deadline and priority.
+// SubmitOpts carries a submission's deadline.
 type SubmitOpts = sched.SubmitOpts
 
 // Submission is the future of one submitted task; see Wait, Done, Err.
@@ -435,8 +429,7 @@ func SubmitCtx(rt Runtime, ctx context.Context, task func(Ctx)) (*Submission, er
 	return SubmitOpt(rt, ctx, task, SubmitOpts{})
 }
 
-// SubmitOpt is SubmitCtx with options — context, deadline and priority
-// together. A nil ctx is Submit.
+// SubmitOpt is SubmitCtx with options — context and deadline together. A nil ctx is Submit.
 func SubmitOpt(rt Runtime, ctx context.Context, task func(Ctx), opts SubmitOpts) (*Submission, error) {
 	s, ok := rt.(*sched.Runtime)
 	if !ok {

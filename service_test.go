@@ -502,51 +502,6 @@ func TestServiceCloseDrainForced(t *testing.T) {
 	}
 }
 
-func TestServicePriorityShedsNormalFirst(t *testing.T) {
-	// One worker: once the blocker occupies the lone token, no token is
-	// left to take from the queue, so everything after it stays queued
-	// deterministically.
-	rt := nowa.New(nowa.VariantNowa, 1)
-	if err := nowa.StartService(rt, nowa.ServiceConfig{QueueDepth: 2, Policy: nowa.OverloadShed}); err != nil {
-		t.Fatalf("StartService: %v", err)
-	}
-	defer nowa.Close(rt)
-
-	release := make(chan struct{})
-	started := make(chan struct{})
-	blocker, err := nowa.Submit(rt, func(nowa.Ctx) {
-		close(started)
-		<-release
-	}, nowa.SubmitOpts{})
-	if err != nil {
-		t.Fatalf("Submit blocker: %v", err)
-	}
-	<-started
-	hi, err := nowa.Submit(rt, func(nowa.Ctx) {}, nowa.SubmitOpts{Priority: 1})
-	if err != nil {
-		t.Fatalf("Submit high: %v", err)
-	}
-	lo, err := nowa.Submit(rt, func(nowa.Ctx) {}, nowa.SubmitOpts{})
-	if err != nil {
-		t.Fatalf("Submit low: %v", err)
-	}
-	// Queue full; the next admission must evict the normal-lane entry and
-	// spare the high-priority one even though it is older.
-	if _, err := nowa.Submit(rt, func(nowa.Ctx) {}, nowa.SubmitOpts{}); err != nil {
-		t.Fatalf("Submit overflow: %v", err)
-	}
-	if werr := lo.Wait(); !errors.Is(werr, nowa.ErrShed) {
-		t.Fatalf("normal-lane entry: err = %v, want ErrShed", werr)
-	}
-	close(release)
-	if werr := hi.Wait(); werr != nil {
-		t.Fatalf("high-priority entry shed or failed: %v", werr)
-	}
-	if werr := blocker.Wait(); werr != nil {
-		t.Fatalf("blocker failed: %v", werr)
-	}
-}
-
 // TestCancelRunTimeoutCause is the RunTimeout satellite: the deadline
 // path is marked with ErrRunTimeout, the external-cancel path is not.
 func TestCancelRunTimeoutCause(t *testing.T) {
