@@ -23,7 +23,7 @@ BLOCK_TESTS = TestCQS|TestFuture|TestChannel|TestBarrier|TestBlock|TestWait|Test
 # package, then the whole benchmark harness (its test names match none
 # of the patterns, and its workloads drive the serving and resilience
 # layers from many goroutines at once).
-RACE_TEST = $(GO) test -race -run 'TestChaos|TestCancel|TestPanic|TestGovern|TestVesselPopulation|TestPromote|TestReplay|TestService|TestSubmit|TestStall|TestHedge|TestResilience|TestIdle|$(BLOCK_TESTS)' ./... \
+RACE_TEST = $(GO) test -race -run 'TestChaos|TestCancel|TestPanic|TestGovern|TestVesselPopulation|TestPromote|TestReplay|TestService|TestSubmit|TestStall|TestResilience|TestIdle|$(BLOCK_TESTS)' ./... \
 	&& $(GO) test -race ./benchmark
 
 .PHONY: verify fmt build vet lint loc test race bench bench-all trace torture serve-smoke fault-smoke block-smoke
@@ -135,10 +135,10 @@ serve-smoke:
 # fault-smoke exercises the fault-tolerance stack (DESIGN.md §15): a
 # stall-classed torture soak (injected worker stalls with stall recovery
 # armed, batch and service, conservation checked every trial) and the
-# nowa-serve fault campaign (baseline vs stall vs stall+supplement vs
-# stall+supplement+hedge), which fails on any leak, unretired
-# supplement, never-seized recovery run, or goodput dropping below 80%
-# of the clean baseline while supplemented. The campaign's report goes
+# nowa-serve fault campaign (baseline vs stall vs stall+supplement),
+# which fails on any leak, unretired supplement, never-seized recovery
+# run, or goodput dropping below 80% of the clean baseline while
+# supplemented. The campaign's report goes
 # to torture-out/serve-faults.json (git-ignored, like the repro bundles).
 fault-smoke:
 	$(GO) run ./cmd/nowa-torture -duration 15s -chaos stall -out torture-out

@@ -1,16 +1,14 @@
 // Command nowa-serve runs the fault campaign (DESIGN.md §15): the same
-// open-loop load against a serving runtime in four scenarios — clean
-// baseline, injected worker stalls, stalls with seize/supplement
-// recovery, and recovery plus a hedging client — and writes the report
-// as JSON.
+// open-loop load against a serving runtime in three scenarios — clean
+// baseline, injected worker stalls, and stalls with seize/supplement
+// recovery — and writes the report as JSON.
 //
 //	nowa-serve -workers 4 -dur 1s
 //
 // It exits non-zero on any leak, unretired supplement, recovery run
-// that never seized, supplemented goodput below 80% of the baseline, or
-// a hedged p99 above 1.5× the unhedged one. Serving latency and
-// overload behaviour are measured by the serve-* workloads of
-// `bash benchmark/run.sh`, not here.
+// that never seized, or supplemented goodput below 80% of the baseline.
+// Serving latency and overload behaviour are measured by the serve-*
+// workloads of `bash benchmark/run.sh`, not here.
 package main
 
 import (

@@ -6,15 +6,14 @@ import (
 	"time"
 
 	"nowa/internal/deque"
-	"nowa/internal/resilience"
 	"nowa/internal/sched"
 )
 
 // FaultSweepConfig parameterises the fault campaign: the same open-loop
-// load measured across four scenarios — clean baseline, injected
-// worker stalls with no defence, stalls with stall recovery
-// (seize/supplement) armed, and stalls with recovery plus a hedging
-// client — so the report shows what each layer buys back.
+// load measured across three scenarios — clean baseline, injected
+// worker stalls with no defence, and stalls with stall recovery
+// (seize/supplement) armed — so the report shows what recovery buys
+// back.
 type FaultSweepConfig struct {
 	// Workers per runtime (default 4).
 	Workers int
@@ -92,7 +91,6 @@ type FaultPoint struct {
 	Scenario string `json:"scenario"`
 	Stalls   bool   `json:"stalls_injected"`
 	Recovery bool   `json:"stall_recovery"`
-	Hedged   bool   `json:"hedged_client"`
 
 	Result Result `json:"result"`
 
@@ -122,7 +120,7 @@ type FaultReport struct {
 	Points           []FaultPoint `json:"points"`
 }
 
-// FaultSweep runs the four scenarios and returns the report. Every
+// FaultSweep runs the three scenarios and returns the report. Every
 // scenario uses the flagship configuration (CL deque, wait-free join);
 // the sweep isolates the fault knobs, not the variant space.
 func FaultSweep(cfg FaultSweepConfig) FaultReport {
@@ -141,26 +139,14 @@ func FaultSweep(cfg FaultSweepConfig) FaultReport {
 		StallThresholdUS: stallThreshold.Microseconds(),
 	}
 
-	retry := resilience.Policy{MaxAttempts: 2}
-	hedge := resilience.Policy{
-		MaxAttempts: 2,
-		Hedge: &resilience.HedgePolicy{
-			// The hedge exists to cut the stall-tail: fire well under
-			// the injected stall length but above healthy completion.
-			MinDelay: stallFor / 4,
-			MaxDelay: stallFor,
-		},
-	}
 	scenarios := []struct {
 		name     string
 		stalls   bool
 		recovery bool
-		policy   resilience.Policy
 	}{
-		{"baseline", false, false, retry},
-		{"stall", true, false, retry},
-		{"stall+supplement", true, true, retry},
-		{"stall+supplement+hedge", true, true, hedge},
+		{"baseline", false, false},
+		{"stall", true, false},
+		{"stall+supplement", true, true},
 	}
 
 	var base Result
@@ -188,14 +174,12 @@ func FaultSweep(cfg FaultSweepConfig) FaultReport {
 			Runtime:  rt,
 			Rate:     rate,
 			Duration: cfg.PointDur,
-			Policy:   sc.policy,
 			Task:     SpinTask(cfg.TaskIters),
 		})
 		pt := FaultPoint{
 			Scenario: sc.name,
 			Stalls:   sc.stalls,
 			Recovery: sc.recovery,
-			Hedged:   sc.policy.Hedge != nil,
 			Result:   res,
 		}
 		rt.Close()
@@ -220,9 +204,9 @@ func FaultSweep(cfg FaultSweepConfig) FaultReport {
 				pt.P99Ratio = res.P99us / base.P99us
 			}
 		}
-		cfg.Logf("  fault %-24s goodput=%8.0f/s (%.2fx) p99=%.0fµs (%.2fx) seized=%d supplemented=%d hedged=%d",
+		cfg.Logf("  fault %-24s goodput=%8.0f/s (%.2fx) p99=%.0fµs (%.2fx) seized=%d supplemented=%d",
 			sc.name, res.GoodputRPS, pt.GoodputRatio, res.P99us, pt.P99Ratio,
-			pt.WorkersSeized, pt.WorkersSupplemented, res.Hedged)
+			pt.WorkersSeized, pt.WorkersSupplemented)
 		rep.Points = append(rep.Points, pt)
 	}
 	return rep
@@ -235,10 +219,9 @@ func FaultSweep(cfg FaultSweepConfig) FaultReport {
 // nothing).
 // degraded (host-noise sensitive; callers decide severity): the
 // supplemented scenario must keep goodput within 80% of the clean
-// baseline, and hedging must not make the stall p99 worse than the
-// unhedged recovery scenario.
+// baseline.
 func CheckFaultReport(rep FaultReport) (leaks, degraded []string) {
-	var supplemented, hedged *FaultPoint
+	var supplemented *FaultPoint
 	for i := range rep.Points {
 		pt := &rep.Points[i]
 		if pt.NotIdle != "" {
@@ -248,22 +231,13 @@ func CheckFaultReport(rep FaultReport) (leaks, degraded []string) {
 			leaks = append(leaks, fmt.Sprintf("fault/%s: recovery armed but no worker was ever seized",
 				pt.Scenario))
 		}
-		switch pt.Scenario {
-		case "stall+supplement":
+		if pt.Scenario == "stall+supplement" {
 			supplemented = pt
-		case "stall+supplement+hedge":
-			hedged = pt
 		}
 	}
 	if supplemented != nil && supplemented.GoodputRatio < 0.8 {
 		degraded = append(degraded, fmt.Sprintf(
 			"fault/stall+supplement: goodput ratio %.2f < 0.80 of clean baseline", supplemented.GoodputRatio))
-	}
-	if supplemented != nil && hedged != nil && supplemented.Result.P99us > 0 &&
-		hedged.Result.P99us > 1.5*supplemented.Result.P99us {
-		degraded = append(degraded, fmt.Sprintf(
-			"fault/hedge: hedged p99 %.0fµs > 1.5× unhedged %.0fµs — hedging made the tail worse",
-			hedged.Result.P99us, supplemented.Result.P99us))
 	}
 	return leaks, degraded
 }

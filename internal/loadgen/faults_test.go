@@ -7,7 +7,7 @@ import (
 )
 
 // TestFaultSweepSmoke runs a miniature fault campaign and checks the
-// structural guarantees: four scenarios, clean leak accounting, armed
+// structural guarantees: three scenarios, clean leak accounting, armed
 // recovery actually seizing, and sane ratio bookkeeping. Throughput
 // ratios themselves are host-dependent and only checked for presence.
 func TestFaultSweepSmoke(t *testing.T) {
@@ -21,8 +21,8 @@ func TestFaultSweepSmoke(t *testing.T) {
 		StallEvery: 30,
 		Logf:       t.Logf,
 	})
-	if len(rep.Points) != 4 {
-		t.Fatalf("got %d fault points, want 4", len(rep.Points))
+	if len(rep.Points) != 3 {
+		t.Fatalf("got %d fault points, want 3", len(rep.Points))
 	}
 	leaks, _ := CheckFaultReport(rep)
 	for _, msg := range leaks {
@@ -53,11 +53,9 @@ func TestCheckFaultReportBars(t *testing.T) {
 			{Scenario: "stall", Stalls: true, GoodputRatio: 0.5, Result: Result{P99us: 30000}},
 			{Scenario: "stall+supplement", Stalls: true, Recovery: true, GoodputRatio: 0.95,
 				WorkersSeized: 9, WorkersSupplemented: 9, SupplementsRetired: 9, Result: Result{P99us: 4000}},
-			{Scenario: "stall+supplement+hedge", Stalls: true, Recovery: true, Hedged: true, GoodputRatio: 0.9,
-				WorkersSeized: 7, WorkersSupplemented: 7, SupplementsRetired: 7, Result: Result{P99us: 4000}},
 		}}
 	}
-	const supplemented, hedged = 2, 3
+	const supplemented = 2
 	for _, tc := range []struct {
 		name                string
 		edit                func(*FaultReport)
@@ -68,21 +66,18 @@ func TestCheckFaultReportBars(t *testing.T) {
 		{name: "goodput 0.79 fails", edit: func(r *FaultReport) { r.Points[supplemented].GoodputRatio = 0.79 },
 			wantDegrd: "goodput ratio 0.79 < 0.80"},
 		{name: "unsupplemented goodput is not barred", edit: func(r *FaultReport) { r.Points[1].GoodputRatio = 0.1 }},
-		{name: "hedged p99 at 1.5x holds", edit: func(r *FaultReport) { r.Points[hedged].Result.P99us = 6000 }},
-		{name: "hedged p99 past 1.5x fails", edit: func(r *FaultReport) { r.Points[hedged].Result.P99us = 6001 },
-			wantDegrd: "hedged p99 6001µs > 1.5× unhedged 4000µs"},
 		{name: "unretired supplement", edit: func(r *FaultReport) {
 			r.Points[supplemented].NotIdle = "supplement-leak: 9 supplements dispatched, 8 retired"
 		}, wantLeak: "fault/stall+supplement: supplement-leak: 9 supplements dispatched, 8 retired"},
-		{name: "recovery armed, never seized", edit: func(r *FaultReport) { r.Points[hedged].WorkersSeized = 0 },
-			wantLeak: "fault/stall+supplement+hedge: recovery armed but no worker was ever seized"},
+		{name: "recovery armed, never seized", edit: func(r *FaultReport) { r.Points[supplemented].WorkersSeized = 0 },
+			wantLeak: "fault/stall+supplement: recovery armed but no worker was ever seized"},
 		{name: "unarmed run need not seize", edit: func(r *FaultReport) { r.Points[1].WorkersSeized = 0 }},
 		{name: "leaked vessel", edit: func(r *FaultReport) { r.Points[0].NotIdle = "vessel-leak: 1 vessels never returned to a free list" },
 			wantLeak: "fault/baseline: vessel-leak: 1 vessels"},
 		{name: "leaked stack", edit: func(r *FaultReport) { r.Points[1].NotIdle = "stack-leak: 2 stacks unaccounted" },
 			wantLeak: "fault/stall: stack-leak: 2 stacks"},
-		{name: "leaked scope", edit: func(r *FaultReport) { r.Points[hedged].NotIdle = "scope-leak: 3 scopes abandoned" },
-			wantLeak: "fault/stall+supplement+hedge: scope-leak: 3 scopes"},
+		{name: "leaked scope", edit: func(r *FaultReport) { r.Points[supplemented].NotIdle = "scope-leak: 3 scopes abandoned" },
+			wantLeak: "fault/stall+supplement: scope-leak: 3 scopes"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rep := clean()

@@ -6,9 +6,8 @@
 // honestly (no coordinated omission: latency is taken from the
 // *scheduled* arrival time, not the submit call).
 //
-// Client behaviour at overload is delegated to internal/resilience: a
-// retrying client is a resilience.Policy with MaxAttempts > 1, and the
-// fault campaign layers hedging on the same policy.
+// Client behaviour at overload is delegated to internal/resilience: each
+// arrival is one resilience.Do that retries a refusal once.
 //
 // Arrivals are paced with time.Sleep, which on hosts with 1 kHz timers
 // returns up to a millisecond late and bills that lag as latency. That
@@ -41,9 +40,6 @@ type Config struct {
 	Rate float64
 	// Duration is how long arrivals are generated.
 	Duration time.Duration
-	// Policy is the client resilience policy each arrival is driven
-	// through — retry schedule, hedging.
-	Policy resilience.Policy
 	// Task is the work each submission performs.
 	Task func(api.Ctx)
 }
@@ -60,8 +56,6 @@ type Result struct {
 	RetryOK      int64 `json:"retries_ok"`    // retried arrivals that were admitted
 	Completed    int64 `json:"completed"`     // futures resolved nil
 	Failed       int64 `json:"failed"`        // futures resolved with other errors
-	Hedged       int64 `json:"hedged"`        // arrivals that launched a hedge copy
-	HedgeWins    int64 `json:"hedge_wins"`    // hedges that beat the primary
 	// Latency of completed work from scheduled arrival, microseconds.
 	P50us  float64 `json:"p50_us"`
 	P99us  float64 `json:"p99_us"`
@@ -96,15 +90,15 @@ func Run(cfg Config) Result {
 
 	var res Result
 	res.RateRPS = cfg.Rate
-	var admitted, rejected, shed, retried, retryOK, completed, failed, hedges, hedgeWins atomic.Int64
+	var admitted, rejected, shed, retried, retryOK, completed, failed atomic.Int64
 
-	r := resilience.New(cfg.Runtime, cfg.Policy)
+	r := resilience.New(cfg.Runtime, resilience.Policy{MaxAttempts: 2})
 
 	states := make([]submitterState, submitters)
 	var waiters sync.WaitGroup
 
 	// Each arrival runs its whole resilient call — submit, backoff,
-	// hedge, wait — on a tracked goroutine. Nothing ever sleeps on a
+	// wait — on a tracked goroutine. Nothing ever sleeps on a
 	// submitter goroutine: a sleeping submitter would backlog the
 	// arrival schedule and bill generator lag as service latency. The
 	// Add happens on the caller's goroutine so waiters.Wait cannot miss
@@ -123,12 +117,6 @@ func Run(cfg Config) Result {
 			retried.Add(int64(out.Retries))
 			if out.Retries > 0 && out.Admitted {
 				retryOK.Add(1)
-			}
-			if out.Hedged {
-				hedges.Add(1)
-			}
-			if out.HedgeWon {
-				hedgeWins.Add(1)
 			}
 			switch {
 			case err == nil:
@@ -181,8 +169,6 @@ func Run(cfg Config) Result {
 	res.RetryOK = retryOK.Load()
 	res.Completed = completed.Load()
 	res.Failed = failed.Load()
-	res.Hedged = hedges.Load()
-	res.HedgeWins = hedgeWins.Load()
 	res.ElapsedMS = float64(genElapsed.Milliseconds())
 	if sec := genElapsed.Seconds(); sec > 0 {
 		res.GoodputRPS = float64(res.Completed) / sec

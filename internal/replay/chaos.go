@@ -83,11 +83,11 @@ type Chaos struct {
 	// 10ms when StallWorker is set).
 	StallForUS int64 `json:"stall_for_us,omitempty"`
 	// SubmitLatency delays an admission attempt by SubmitLatencyForUS
-	// before it reaches the queue, modelling a slow client-to-service
-	// edge — the latency tail hedged submissions exist to cut. Sound:
-	// admission latency carries no protocol obligations. Like
-	// SubmitFail, the draws come from the mutex-guarded external stream
-	// and are logged external, never replayed.
+	// between Submit's closing check and the queue's tryAdmit, widening
+	// the window in which Close's drain races an admission (the
+	// admitClosed outcome). Sound: admission latency carries no protocol
+	// obligations. Like SubmitFail, the draws come from the mutex-guarded
+	// external stream and are logged external, never replayed.
 	SubmitLatency int `json:"submit_latency,omitempty"`
 	// SubmitLatencyForUS is the injected admission delay in microseconds
 	// (default 1ms when SubmitLatency is set).

@@ -52,7 +52,7 @@ func TestResilienceRetryAdmits(t *testing.T) {
 	rt := serveRT(t, 2)
 	defer rt.Close()
 	f := &flaky{rt: rt, refusals: 2, hint: 10 * time.Millisecond}
-	r := New(f, Policy{MaxAttempts: 3, BaseBackoff: time.Millisecond})
+	r := New(f, Policy{MaxAttempts: 3})
 
 	var ran atomic.Int32
 	begin := time.Now()
@@ -66,7 +66,7 @@ func TestResilienceRetryAdmits(t *testing.T) {
 	if out.Attempts != 3 || out.Retries != 2 || out.Rejected != 2 || !out.Admitted {
 		t.Fatalf("outcome %+v, want 3 attempts / 2 retries / 2 rejections / admitted", out)
 	}
-	// Two refusals each carried a 10ms hint that dominates the 1–2ms
+	// Two refusals each carried a 10ms hint that dominates the 0.5–1ms
 	// exponential schedule; even with -20% jitter the waits sum past
 	// 14ms. A faster finish means the hint was ignored.
 	if elapsed := time.Since(begin); elapsed < 14*time.Millisecond {
@@ -78,7 +78,7 @@ func TestResilienceExhausted(t *testing.T) {
 	rt := serveRT(t, 2)
 	defer rt.Close()
 	f := &flaky{rt: rt, refusals: 99, hint: time.Millisecond}
-	r := New(f, Policy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond})
+	r := New(f, Policy{MaxAttempts: 3})
 
 	out, err := r.Do(context.Background(), func(api.Ctx) {}, sched.SubmitOpts{})
 	if !errors.Is(err, sched.ErrOverloaded) {
@@ -92,7 +92,7 @@ func TestResilienceExhausted(t *testing.T) {
 func TestResilienceNoRetryOnPanic(t *testing.T) {
 	rt := serveRT(t, 2)
 	defer rt.Close()
-	r := New(rt, Policy{MaxAttempts: 5, BaseBackoff: 100 * time.Microsecond})
+	r := New(rt, Policy{MaxAttempts: 5})
 
 	out, err := r.Do(context.Background(), func(api.Ctx) { panic("boom") }, sched.SubmitOpts{})
 	var sp *api.StrandPanic
@@ -104,30 +104,53 @@ func TestResilienceNoRetryOnPanic(t *testing.T) {
 	}
 }
 
-func TestResilienceBudget(t *testing.T) {
+// TestResilienceClosedNotRejected: a closed service is an answer, not
+// a FailFast refusal, so it is neither retried nor tallied as Rejected.
+func TestResilienceClosedNotRejected(t *testing.T) {
 	rt := serveRT(t, 2)
-	defer rt.Close()
-	f := &flaky{rt: rt, refusals: 99}
-	r := New(f, Policy{MaxAttempts: 10, BaseBackoff: 20 * time.Millisecond, Budget: 5 * time.Millisecond})
+	rt.Close()
+	r := New(rt, Policy{MaxAttempts: 3})
 
-	begin := time.Now()
 	out, err := r.Do(context.Background(), func(api.Ctx) {}, sched.SubmitOpts{})
+	if !errors.Is(err, sched.ErrServiceClosed) {
+		t.Fatalf("Do error = %v, want ErrServiceClosed", err)
+	}
+	if out.Rejected != 0 || out.Attempts != 1 || out.Admitted {
+		t.Fatalf("outcome %+v, want one unadmitted attempt and no rejection", out)
+	}
+}
+
+// TestResilienceDeadlineAbandonsBackoff: a backoff that would end past
+// ctx's deadline is abandoned at once — Do returns the refusal, not a
+// deadline error, and does not sleep out the time it has left.
+func TestResilienceDeadlineAbandonsBackoff(t *testing.T) {
+	// Every attempt is refused, so the runtime is never reached.
+	f := &flaky{refusals: 99, hint: 100 * time.Millisecond}
+	r := New(f, Policy{MaxAttempts: 3})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	begin := time.Now()
+	out, err := r.Do(ctx, func(api.Ctx) {}, sched.SubmitOpts{})
+	elapsed := time.Since(begin)
 	if !errors.Is(err, sched.ErrOverloaded) {
-		t.Fatalf("Do error = %v, want an overload", err)
+		t.Fatalf("Do error = %v, want the overload refusal", err)
 	}
 	if out.Attempts != 1 {
-		t.Fatalf("outcome %+v: a 20ms backoff cannot fit a 5ms budget, so only the first attempt runs", out)
+		t.Fatalf("outcome %+v: an 80–120ms backoff cannot fit a 50ms deadline, so only the first attempt runs", out)
 	}
-	if elapsed := time.Since(begin); elapsed > time.Second {
-		t.Fatalf("Do took %v: the budget did not bound the call", elapsed)
+	if elapsed > 25*time.Millisecond {
+		t.Fatalf("Do took %v: the backoff was slept, not abandoned", elapsed)
 	}
 }
 
 func TestResilienceCtxCancelAbortsBackoff(t *testing.T) {
-	rt := serveRT(t, 2)
-	defer rt.Close()
-	f := &flaky{rt: rt, refusals: 99}
-	r := New(f, Policy{MaxAttempts: 3, BaseBackoff: 10 * time.Second})
+	// Every attempt is refused with a hint that raises each wait to the
+	// 100ms cap, jittered to no less than 80ms. Cancel lands at 5ms,
+	// inside the first wait, so a backoff that slept the wait out before
+	// looking at ctx would take at least 80ms.
+	f := &flaky{refusals: 99, hint: time.Second}
+	r := New(f, Policy{MaxAttempts: 50})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -139,8 +162,8 @@ func TestResilienceCtxCancelAbortsBackoff(t *testing.T) {
 	if !errors.Is(err, sched.ErrOverloaded) {
 		t.Fatalf("Do error = %v, want the last overload refusal", err)
 	}
-	if elapsed := time.Since(begin); elapsed > 5*time.Second {
-		t.Fatalf("Do took %v: cancellation did not abort the backoff wait", elapsed)
+	if elapsed := time.Since(begin); elapsed > 60*time.Millisecond {
+		t.Fatalf("Do took %v: cancellation did not abort the first backoff wait", elapsed)
 	}
 }
 
@@ -153,7 +176,7 @@ func TestResilienceConcurrentDoJitter(t *testing.T) {
 	defer rt.Close()
 	const callers = 8
 	f := &flaky{rt: rt, refusals: 4 * callers}
-	r := New(f, Policy{MaxAttempts: 16, BaseBackoff: 50 * time.Microsecond, MaxBackoff: time.Millisecond})
+	r := New(f, Policy{MaxAttempts: 16})
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)

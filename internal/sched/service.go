@@ -397,8 +397,8 @@ func (svc *service) admit(sub *Submission) error {
 	rt := svc.rt
 	q := &svc.adm
 	if rt.chaosOn && svc.chaosRoll(replay.SiteSubmitLatency) {
-		// A slow client-to-service edge: the latency tail hedging
-		// exists to cut.
+		// Widens the window between submit's closing check and
+		// tryAdmit, where Close's drain races this admission.
 		time.Sleep(time.Duration(rt.cfg.Chaos.SubmitLatencyForUS) * time.Microsecond)
 	}
 	if rt.chaosOn && svc.chaosRoll(replay.SiteSubmitFail) {

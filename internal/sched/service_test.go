@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -196,5 +197,102 @@ func TestServiceAdmissionStress(t *testing.T) {
 				t.Logf("%d admitted: %d completed, %d shed, %d cancelled; %d rejected", len(subs), completed, shed, cancelled, st.Rejected)
 			})
 		}
+	}
+}
+
+// TestServiceCancelStormAccounting pins that service accounting is final
+// the moment the gauges say idle while cancelled submissions wind down.
+// Rounds of concurrent callers each submit a slow cooperative task and
+// cancel it through its context without waiting for it; a side
+// goroutine hammers ServiceStats throughout and checks every snapshot
+// taken while no Submit was in progress: one that shows nothing queued
+// and nothing in flight must already balance. It used not to — a
+// finishing submission left the in-flight gauge before its outcome was
+// tallied, a dispatched one left the queue gauge long before it entered
+// the in-flight one, and the snapshot read the tallies before the
+// gauges.
+func TestServiceCancelStormAccounting(t *testing.T) {
+	for _, cfg := range variantConfigs(4) {
+		t.Run(cfg.Name, func(t *testing.T) {
+			rt := MustNew(cfg)
+			defer rt.Close()
+			if err := rt.StartService(ServiceConfig{QueueDepth: 64}); err != nil {
+				t.Fatal(err)
+			}
+			slow := func(c api.Ctx) {
+				for end := time.Now().Add(20 * time.Millisecond); time.Now().Before(end) && c.Err() == nil; {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+
+			// A snapshot is quiet when every Submit started before it had
+			// returned and none started while it was taken.
+			var started, finished, idleSeen atomic.Int64
+			stop, sampled := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(sampled)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					runtime.Gosched() // GOMAXPROCS may be 1
+					fin := finished.Load()
+					begun := started.Load()
+					ss, _ := rt.ServiceStats()
+					if begun != fin || started.Load() != begun || ss.Queued != 0 || ss.InFlight != 0 {
+						continue
+					}
+					idleSeen.Add(1)
+					if got := ss.Completed + ss.Panicked + ss.Cancelled + ss.Shed; got != ss.Admitted {
+						t.Errorf("idle gauges over unsettled tallies: admitted %d, accounted %d: %+v", ss.Admitted, got, ss)
+						return
+					}
+				}
+			}()
+
+			const rounds, callers = 40, 6
+			for round := 0; round < rounds && !t.Failed(); round++ {
+				var wg sync.WaitGroup
+				for c := 0; c < callers; c++ {
+					wg.Add(1)
+					started.Add(1)
+					go func() {
+						defer wg.Done()
+						ctx, cancel := context.WithCancel(context.Background())
+						_, err := rt.SubmitCtxOpts(ctx, slow, SubmitOpts{})
+						finished.Add(1)
+						if err != nil {
+							cancel()
+							t.Errorf("Submit: %v", err)
+							return
+						}
+						time.Sleep(time.Millisecond)
+						cancel()
+					}()
+				}
+				wg.Wait()
+				// The cancelled submissions are still winding down: let the
+				// sampler watch them drain until it has seen this round's idle
+				// snapshot.
+				seen := idleSeen.Load()
+				for deadline := time.Now().Add(10 * time.Second); idleSeen.Load() == seen && !t.Failed(); {
+					if time.Now().After(deadline) {
+						t.Fatal("the sampler never saw the service idle")
+					}
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
+			close(stop)
+			<-sampled
+			if ss, _ := rt.ServiceStats(); ss.Cancelled == 0 {
+				t.Fatalf("no submission was ever cancelled: the storm lost its premise: %+v", ss)
+			}
+			rt.Close()
+			if err := rt.CheckIdle(); err != nil {
+				t.Fatalf("CheckIdle after the storm: %v", err)
+			}
+		})
 	}
 }

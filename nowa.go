@@ -267,15 +267,13 @@ func ScheduleDivergences(rt Runtime) (int64, bool) {
 	return 0, false
 }
 
-// Resilience re-exports: client-side fault tolerance over a serving
-// runtime's Submit. See internal/resilience for the full semantics.
+// Resilience re-exports: client-side retry over a serving runtime's
+// Submit. See internal/resilience for the full semantics.
 type (
 	// ResiliencePolicy parameterises a Resilient wrapper: bounded
 	// retries with capped exponential backoff honouring the service's
-	// retry-after hints, plus optional hedging.
+	// retry-after hints and the caller's context deadline.
 	ResiliencePolicy = resilience.Policy
-	// HedgePolicy configures hedged submissions.
-	HedgePolicy = resilience.HedgePolicy
 	// Resilient is the wrapper; call Do instead of Submit.
 	Resilient = resilience.Resilient
 	// ResilienceOutcome reports what one resilient call spent.

@@ -362,6 +362,10 @@ func TestServiceSubmitCancelMidFlight(t *testing.T) {
 	if st.Cancelled != 1 {
 		t.Fatalf("stats.Cancelled = %d, want 1 (%+v)", st.Cancelled, st)
 	}
+	if got := st.Completed + st.Panicked + st.Cancelled + st.Shed; got != st.Admitted {
+		t.Fatalf("admitted %d, accounted %d: the cancelled submission broke the admission identity (%+v)",
+			st.Admitted, got, st)
+	}
 }
 
 // TestServicePanicIsolation is the satellite test: two concurrent

@@ -22,7 +22,7 @@ var exportedSurface = []string{
 	"ErrPoisoned", "ErrRunTimeout", "ErrServiceClosed", "ErrShed", "For",
 	"Future", "Future.Await", "Future.Complete", "Future.Done",
 	"Future.Fail", "Future.Poison", "Future.Resolve", "Future.TryGet",
-	"HasVesselModel", "HedgePolicy", "Instrument", "Invoke", "IsSorted",
+	"HasVesselModel", "Instrument", "Invoke", "IsSorted",
 	"Limits", "Map", "New", "NewBarrier", "NewChannel", "NewFuture",
 	"NewInstrumented", "NewLimited", "NewResilient",
 	"NewScheduleRecorder", "OverloadBlock", "OverloadFailFast",
