@@ -55,7 +55,8 @@ vet:
 
 # lint runs nowa-vet, the stdlib-only static analyzer suite that
 # enforces the scheduler's concurrency and hot-path invariants —
-# atomicmix, hotpath, padguard, joinenc, lockorder, fsm, replaycover
+# atomicmix, hotpath, padguard, joinenc, lockorder, fsm, and
+# replaycover, which requires every event kind to have a record site
 # (see DESIGN.md §10). Human-readable output; CI additionally captures
 # `nowa-vet -json` as an artifact.
 lint:
@@ -88,7 +89,9 @@ bench:
 	$(GO) test -run '^$$' -bench 'SpawnOverhead|SyncOverhead' -benchtime 100000x .
 	bash benchmark/run.sh
 
-# bench-all runs the full paper benchmark suite once through.
+# bench-all runs the real-runtime paper benchmarks (BenchmarkFig*) and
+# the micro-ablations once through; the simulator's 256-thread figures
+# and Table III are cmd/nowa-sim's (-format csv for machine-readable).
 bench-all:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
@@ -103,12 +106,14 @@ trace:
 	@echo "go tool trace torture-out/fib.trace"
 
 # torture is the CI torture job, step for step: it validates the
-# failure-capture pipeline against the planted Chaos.LeakVessel bug,
+# failure-capture pipeline (capture, meta rerun, shrink) against the
+# planted Chaos.LeakVessel bug,
 # soaks the scheduler for 30 seconds across kernels x variants x chaos x
 # deadlines, then 15 seconds each of the abort, promote and
 # stall classes — the last one the stall-recovery gate, since
-# fault-smoke's campaign step is red on small hosts. Repro bundles go to
-# torture-out/ on any invariant violation (see DESIGN.md §12 and
+# fault-smoke's campaign step is red on small hosts. Repro bundles (the
+# trial's seeds and configuration as JSON) go to torture-out/ on any
+# invariant violation (see DESIGN.md §12 and
 # `go run ./cmd/nowa-torture -h`).
 torture:
 	$(GO) run ./cmd/nowa-torture -selftest -out torture-out

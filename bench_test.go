@@ -1,18 +1,9 @@
-// Benchmark harness: one benchmark family per paper table and figure.
-//
-// Two kinds of benchmarks coexist here:
-//
-//   - Real-runtime benchmarks (BenchmarkFig*) run the Table I kernels on
-//     the actual runtimes and report wall time. On this host they verify
-//     orderings at low worker counts; absolute 256-thread behaviour comes
-//     from the simulator.
-//   - Simulator benchmarks (BenchmarkSim*) regenerate the figure series
-//     at 256 virtual threads and report the speedups as custom metrics
-//     (s256_<scheme>), so `go test -bench` output contains the paper's
-//     headline numbers directly.
-//
-// cmd/nowa-sim prints the full per-figure tables; these benches are the
-// machine-readable regeneration hooks.
+// Benchmark harness: the real-runtime benchmarks (BenchmarkFig*) run the
+// Table I kernels on the actual runtimes and report wall time, which at
+// low worker counts verifies the paper's orderings; then the
+// micro-ablations. The 256-thread figures and Table III come from the
+// simulator alone, through cmd/nowa-sim (-format csv for the
+// machine-readable form).
 package nowa_test
 
 import (
@@ -27,7 +18,6 @@ import (
 	"nowa/internal/core"
 	"nowa/internal/deque"
 	"nowa/internal/sched"
-	"nowa/internal/sim"
 )
 
 var realVariants = []nowa.Variant{
@@ -182,86 +172,6 @@ func BenchmarkTable2_RSS(b *testing.B) {
 				rt.Close()
 			}
 			b.ReportMetric(float64(peak), "peak_rss_bytes")
-		})
-	}
-}
-
-// simFigure runs one benchmark DAG under the figure's schemes at 256
-// virtual threads and reports each speedup as a metric.
-func simFigure(b *testing.B, workload string, schemes []sim.Scheme) {
-	dag, err := sim.Workload(workload, sim.SimFull)
-	if err != nil {
-		b.Fatal(err)
-	}
-	results := map[string]float64{}
-	for i := 0; i < b.N; i++ {
-		for _, sch := range schemes {
-			r := sim.Run(dag, sch, 256, sim.DefaultCosts(), uint64(i)+1)
-			results[sch.Name] = r.Speedup
-		}
-	}
-	for name, sp := range results {
-		b.ReportMetric(sp, "s256_"+name)
-	}
-}
-
-// BenchmarkSimFig1 regenerates Figure 1's headline point.
-func BenchmarkSimFig1(b *testing.B) { simFigure(b, "nqueens", sim.Fig7Schemes()) }
-
-// BenchmarkSimFig7 regenerates Figure 7 at 256 threads for all twelve
-// benchmarks.
-func BenchmarkSimFig7(b *testing.B) {
-	for _, name := range sim.WorkloadNames() {
-		name := name
-		b.Run(name, func(b *testing.B) { simFigure(b, name, sim.Fig7Schemes()) })
-	}
-}
-
-// BenchmarkSimFig8 regenerates the madvise comparison at 256 threads.
-func BenchmarkSimFig8(b *testing.B) {
-	for _, name := range []string{"cholesky", "lu", "fib", "nqueens"} {
-		name := name
-		b.Run(name, func(b *testing.B) { simFigure(b, name, sim.Fig8Schemes()) })
-	}
-}
-
-// BenchmarkSimFig9 regenerates the queue ablation at 256 threads.
-func BenchmarkSimFig9(b *testing.B) {
-	for _, name := range []string{"cholesky", "fib", "nqueens", "matmul"} {
-		name := name
-		b.Run(name, func(b *testing.B) { simFigure(b, name, sim.Fig9Schemes()) })
-	}
-}
-
-// BenchmarkSimFig10 regenerates the OpenMP comparison at 256 threads.
-func BenchmarkSimFig10(b *testing.B) {
-	for _, name := range sim.WorkloadNames() {
-		name := name
-		b.Run(name, func(b *testing.B) { simFigure(b, name, sim.Fig10Schemes()) })
-	}
-}
-
-// BenchmarkSimTable3 regenerates Table III: virtual execution times (ms)
-// at 256 threads, reported as time_ms_<scheme> metrics.
-func BenchmarkSimTable3(b *testing.B) {
-	schemes := []sim.Scheme{sim.Nowa(), sim.LibOMPUntied(), sim.LibOMPTied()}
-	for _, name := range sim.WorkloadNames() {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			dag, err := sim.Workload(name, sim.SimFull)
-			if err != nil {
-				b.Fatal(err)
-			}
-			times := map[string]float64{}
-			for i := 0; i < b.N; i++ {
-				for _, sch := range schemes {
-					r := sim.Run(dag, sch, 256, sim.DefaultCosts(), uint64(i)+1)
-					times[sch.Name] = float64(r.Makespan) / 1e6
-				}
-			}
-			for n, t := range times {
-				b.ReportMetric(t, "time_ms_"+n)
-			}
 		})
 	}
 }

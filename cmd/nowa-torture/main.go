@@ -2,7 +2,7 @@
 // internal/torture, which holds the engine and says what it checks.
 //
 //	nowa-torture -duration 30s -out torture-out   # soak (exit 1 on failure)
-//	nowa-torture -replay torture-out/x.bundle     # re-run a captured failure
+//	nowa-torture -replay torture-out/x.bundle     # rerun a bundle's meta
 //	nowa-torture -selftest                        # pipeline check against the
 //	                                              # planted Chaos.LeakVessel bug
 package main
@@ -40,8 +40,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"comma-separated chaos classes the matrix may draw ("+strings.Join(classes, ", ")+")")
 	fs.IntVar(&cfg.MaxWorkers, "workers", runtime.NumCPU(), "cap on trial worker counts")
 	fs.IntVar(&cfg.RingCap, "ring", 1<<15, "per-worker recorder capacity (events)")
-	replayPath := fs.String("replay", "", "replay a bundle instead of soaking")
-	selftest := fs.Bool("selftest", false, "validate the capture→replay→shrink pipeline against the planted LeakVessel bug")
+	replayPath := fs.String("replay", "", "rerun a bundle's configuration and seeds instead of soaking")
+	selftest := fs.Bool("selftest", false, "validate the capture→rerun→shrink pipeline against the planted LeakVessel bug")
 	fs.BoolVar(&cfg.Service, "service", false, "soak service mode instead of batch runs: concurrent submissions with mixed deadlines, panics and admission chaos, checking drain quiescence and accounting")
 	fs.BoolVar(&cfg.Verbose, "v", false, "log every trial")
 	if err := fs.Parse(args); err != nil {

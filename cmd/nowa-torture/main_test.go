@@ -47,7 +47,7 @@ func TestExitCodes(t *testing.T) {
 // must reproduce the planted failure.
 func TestSelftestAndReplay(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the capture, replay and shrink pipeline")
+		t.Skip("runs the capture, rerun and shrink pipeline")
 	}
 	out := t.TempDir()
 	var stdout, stderr bytes.Buffer

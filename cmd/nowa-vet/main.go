@@ -12,7 +12,7 @@
 // -deps`, so they pick the roots; every module package in their import
 // closure is loaded, type-checked in one universe and analyzed — the
 // analyzers reason about cross-package facts (hot-path callees, atomic
-// access sites, lock hierarchies, record/replay symmetry) and need the
+// access sites, lock hierarchies, record sites of every event kind) and need the
 // whole picture. Run with ./... in practice; narrower patterns analyze
 // partial closures.
 //

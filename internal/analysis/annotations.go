@@ -74,19 +74,6 @@ import (
 //	    value was loaded and dynamically guarded). The reason is
 //	    mandatory.
 //
-//	//nowa:replay-diagnostic <reason>
-//	    Declaration-scoped, on a replay.Kind constant. Marks the event
-//	    kind as trace-only: it is recorded for divergence checking and
-//	    diagnostics but intentionally never consulted by the replay
-//	    cursor. The replaycover analyzer requires every non-diagnostic
-//	    kind to be consumed on the replay path.
-//
-//	//nowa:replay-reserved <reason>
-//	    Declaration-scoped, on a replay.Kind constant. Marks the kind
-//	    as deliberately unemitted (reserved encoding space or emitted
-//	    only by external tooling); replaycover otherwise requires every
-//	    kind to have at least one record site.
-//
 // Line-scoped annotations cover the line they sit on (trailing comment)
 // or the line immediately below (comment on its own line). A reason, when
 // required, is free text to end of line and must be non-empty; for verbs
@@ -98,18 +85,16 @@ const notePrefix = "//nowa:"
 
 // noteVerbs maps each verb to whether it requires a reason.
 var noteVerbs = map[string]bool{
-	"hotpath":           false,
-	"coldpath":          true,
-	"hotpath-ok":        true,
-	"plain-ok":          true,
-	"nopad":             true,
-	"join-state":        false,
-	"lock":              true, // "reason" carries the key=value args
-	"lock-ok":           true,
-	"fsm":               true, // "reason" carries the key=value args
-	"fsm-ok":            true,
-	"replay-diagnostic": true,
-	"replay-reserved":   true,
+	"hotpath":    false,
+	"coldpath":   true,
+	"hotpath-ok": true,
+	"plain-ok":   true,
+	"nopad":      true,
+	"join-state": false,
+	"lock":       true, // "reason" carries the key=value args
+	"lock-ok":    true,
+	"fsm":        true, // "reason" carries the key=value args
+	"fsm-ok":     true,
 }
 
 // Note is one parsed //nowa: annotation.

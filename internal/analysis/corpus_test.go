@@ -109,10 +109,6 @@ func TestReplaycoverCorpus(t *testing.T) {
 	m := loadCorpus(t, "replaycover")
 	wantFindings(t, RunAll(m, []*Analyzer{Replaycover()}), []string{
 		"replay.Kind KDead is never emitted",
-		"replay.Kind KAsym is recorded but never consulted",
-		"replay.Kind KOdd is annotated //nowa:replay-diagnostic but the replay cursor consumes it",
-		"replay.Kind KOver is annotated //nowa:replay-reserved but has a record site",
-		"replay.Kind KOver is recorded but never consulted",
 	})
 }
 

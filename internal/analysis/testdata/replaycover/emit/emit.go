@@ -6,9 +6,6 @@ import "corpus/replaycover/replay"
 // Trace records one event of each emitted class.
 func Trace(r *replay.Recorder) {
 	r.Record(0, replay.KUsed)
-	r.Record(0, replay.KDiag)
-	r.Record(0, replay.KAsym)
-	r.Record(0, replay.KOver)
 	r.Record(0, replay.KAfter)
 	r.Record(0, outcome(true))
 }
@@ -18,7 +15,7 @@ func Trace(r *replay.Recorder) {
 // emitted.
 func outcome(hit bool) replay.Kind {
 	if hit {
-		return replay.KOdd
+		return replay.KOutcome
 	}
 	return replay.KNone
 }

@@ -142,7 +142,7 @@ func New(name string, workers int, chaos *replay.Chaos) (*Runtime, error) {
 		c.rt, c.worker, c.wake = rt, w, make(chan struct{}, 1)
 		c.rng = seed + uint64(w)*0x9e3779b97f4a7c15 + 1
 		if rt.chaos != nil {
-			c.chaosRng = uint64(rt.chaos.Seed)*0xbf58476d1ce4e5b9 + uint64(w) + 1
+			c.chaos.Seed(rt.chaos.Seed, w)
 		}
 	}
 	return rt, nil
@@ -309,13 +309,13 @@ func (rt *Runtime) take(c *ctx, steal bool) (*task, bool) {
 	return t, ok
 }
 
-// chaosPreSteal rolls the steal-path injections on c's own chaos stream
+// chaosPreSteal rolls the steal-path injections on c's own chaos streams
 // (owner-only, like the victim stream); true abandons the attempt as a
 // failed steal.
 func (rt *Runtime) chaosPreSteal(c *ctx) bool {
 	roll := func(site uint8) bool {
 		rate := rt.chaos.Rate(site)
-		return rate > 0 && int(xorshift(&c.chaosRng)&1023) < rate
+		return rate > 0 && c.chaos.Roll(site, rate)
 	}
 	if roll(replay.SiteStealFail) {
 		return true
@@ -347,11 +347,11 @@ func (rt *Runtime) execute(t *task, c *ctx) {
 // never migrates: its worker is fixed, which is exactly the pinned-stack
 // property of child stealing.
 type ctx struct {
-	rt       *Runtime
-	worker   int
-	rng      uint64        // victim stream
-	chaosRng uint64        // chaos stream
-	wake     chan struct{} // where a resumer delivers this worker's wakeup
+	rt     *Runtime
+	worker int
+	rng    uint64         // victim stream
+	chaos  replay.Streams // chaos streams, one per site
+	wake   chan struct{}  // where a resumer delivers this worker's wakeup
 }
 
 // Workers implements api.Ctx.

@@ -1,32 +1,25 @@
 package replay
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 )
 
-// Bundle file layout (little-endian):
-//
-//	magic "NOWAREPL2\n"                     10 bytes
-//	meta length                             uint32
-//	meta JSON                               <meta length> bytes
-//	worker count                            uint32
-//	per worker: dropped uint64, count uint32, count×uint32 packed events
-//	external:   count uint32, count×uint32 packed events
-//
-// The meta block is JSON so a bundle is self-describing to a human with
-// a hex dump; the event streams are packed words so a long capture stays
-// compact (4 bytes per decision).
+// Bundle is a repro bundle: one JSON document holding the trial's Meta —
+// the configuration and seeds, which is all a rerun needs — and, for the
+// reader, the newest events of each stream of the failing run.
+type Bundle struct {
+	Meta Meta `json:"meta"`
+	// Events holds each worker stream's newest events as FormatEvents
+	// text, the external stream last.
+	Events []string `json:"events,omitempty"`
+}
 
-// bundleMagic identifies a repro bundle and its format version. The
-// version moves whenever a number the event streams carry changes
-// meaning — a chaos site ID, a Kind — so an older bundle is refused
-// instead of replayed against shifted IDs.
-const bundleMagic = "NOWAREPL2\n"
+// bundleEvents is how many of each stream's newest events a bundle keeps.
+const bundleEvents = 64
 
 // Meta is the bundle's self-describing header: everything needed to
 // rebuild the failing configuration plus a human-readable account of the
@@ -55,139 +48,50 @@ type Meta struct {
 	Failure string `json:"failure,omitempty"`
 }
 
-// WriteBundle serialises a captured log and its metadata.
-func WriteBundle(w io.Writer, meta Meta, log *Log) error {
-	mb, err := json.Marshal(meta)
+// NewBundle describes a failing trial: its meta plus, when rec is
+// non-nil, the newest events of each of rec's streams.
+func NewBundle(meta Meta, rec *Recorder) Bundle {
+	b := Bundle{Meta: meta}
+	if rec != nil {
+		for w := 0; w <= rec.Workers(); w++ {
+			b.Events = append(b.Events, FormatEvents(rec.LastEvents(w, bundleEvents)))
+		}
+	}
+	return b
+}
+
+// WriteBundle writes b as indented JSON.
+func WriteBundle(w io.Writer, b Bundle) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(b)
+}
+
+// ReadBundle parses a bundle written by WriteBundle. A binary bundle of
+// the schedule-log formats that came before is refused by name.
+func ReadBundle(r io.Reader) (Bundle, error) {
+	var b Bundle
+	raw, err := io.ReadAll(r)
 	if err != nil {
-		return fmt.Errorf("replay: encode meta: %w", err)
+		return b, err
 	}
-	if _, err := io.WriteString(w, bundleMagic); err != nil {
-		return err
+	if bytes.HasPrefix(raw, []byte("NOWAREPL")) {
+		magic, _, _ := bytes.Cut(raw, []byte("\n"))
+		return b, fmt.Errorf("replay: %s is a binary schedule-log bundle; this build reads JSON bundles only", magic)
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(mb))); err != nil {
-		return err
+	if err := json.Unmarshal(raw, &b); err != nil {
+		return b, fmt.Errorf("replay: not a repro bundle: %w", err)
 	}
-	if _, err := w.Write(mb); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(log.PerWorker))); err != nil {
-		return err
-	}
-	for wi, evs := range log.PerWorker {
-		var dropped uint64
-		if wi < len(log.Dropped) {
-			dropped = log.Dropped[wi]
-		}
-		if err := binary.Write(w, binary.LittleEndian, dropped); err != nil {
-			return err
-		}
-		if err := writeEvents(w, evs); err != nil {
-			return err
-		}
-	}
-	return writeEvents(w, log.External)
-}
-
-// writeEvents emits one packed event stream: count then words.
-func writeEvents(w io.Writer, evs []Event) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(evs))); err != nil {
-		return err
-	}
-	buf := make([]byte, 4*len(evs))
-	for i, e := range evs {
-		binary.LittleEndian.PutUint32(buf[4*i:], pack(e.Kind, e.Site, e.Arg))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-// ReadBundle parses a bundle written by WriteBundle.
-func ReadBundle(r io.Reader) (Meta, *Log, error) {
-	var meta Meta
-	magic := make([]byte, len(bundleMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return meta, nil, fmt.Errorf("replay: read magic: %w", err)
-	}
-	if string(magic) != bundleMagic {
-		if strings.HasPrefix(string(magic), "NOWAREPL") {
-			return meta, nil, fmt.Errorf("replay: bundle format %s, this build reads %s only",
-				strings.TrimSpace(string(magic)), strings.TrimSpace(bundleMagic))
-		}
-		return meta, nil, fmt.Errorf("replay: not a repro bundle (bad magic %q)", magic)
-	}
-	var mlen uint32
-	if err := binary.Read(r, binary.LittleEndian, &mlen); err != nil {
-		return meta, nil, err
-	}
-	const maxMeta = 1 << 20
-	if mlen > maxMeta {
-		return meta, nil, fmt.Errorf("replay: meta block too large (%d bytes)", mlen)
-	}
-	mb := make([]byte, mlen)
-	if _, err := io.ReadFull(r, mb); err != nil {
-		return meta, nil, err
-	}
-	if err := json.Unmarshal(mb, &meta); err != nil {
-		return meta, nil, fmt.Errorf("replay: decode meta: %w", err)
-	}
-	var workers uint32
-	if err := binary.Read(r, binary.LittleEndian, &workers); err != nil {
-		return meta, nil, err
-	}
-	const maxWorkers = 1 << 16
-	if workers == 0 || workers > maxWorkers {
-		return meta, nil, fmt.Errorf("replay: implausible worker count %d", workers)
-	}
-	log := &Log{
-		PerWorker: make([][]Event, workers),
-		Dropped:   make([]uint64, workers),
-	}
-	for w := uint32(0); w < workers; w++ {
-		if err := binary.Read(r, binary.LittleEndian, &log.Dropped[w]); err != nil {
-			return meta, nil, err
-		}
-		evs, err := readEvents(r)
-		if err != nil {
-			return meta, nil, err
-		}
-		log.PerWorker[w] = evs
-	}
-	ext, err := readEvents(r)
-	if err != nil {
-		return meta, nil, err
-	}
-	log.External = ext
-	return meta, log, nil
-}
-
-// readEvents parses one packed event stream.
-func readEvents(r io.Reader) ([]Event, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	const maxEvents = 1 << 28 // 1 GiB of events; far past any real ring
-	if n > maxEvents {
-		return nil, fmt.Errorf("replay: implausible event count %d", n)
-	}
-	buf := make([]byte, 4*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	evs := make([]Event, n)
-	for i := range evs {
-		evs[i] = unpack(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	return evs, nil
+	return b, nil
 }
 
 // SaveBundle writes a bundle to a file.
-func SaveBundle(path string, meta Meta, log *Log) error {
+func SaveBundle(path string, b Bundle) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := WriteBundle(f, meta, log); err != nil {
+	if err := WriteBundle(f, b); err != nil {
 		f.Close()
 		return err
 	}
@@ -195,10 +99,10 @@ func SaveBundle(path string, meta Meta, log *Log) error {
 }
 
 // LoadBundle reads a bundle from a file.
-func LoadBundle(path string) (Meta, *Log, error) {
+func LoadBundle(path string) (Bundle, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return Meta{}, nil, err
+		return Bundle{}, err
 	}
 	defer f.Close()
 	return ReadBundle(f)

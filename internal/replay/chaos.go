@@ -18,10 +18,10 @@ import (
 // failure-capture pipeline (see its comment).
 //
 // Rates are probabilities in units of 1/1024 per pass through the
-// corresponding window; the draws come from a dedicated per-worker
-// xorshift64 stream seeded from Seed, so chaos never perturbs victim
-// selection and a given (Seed, schedule) is reproducible modulo the OS
-// scheduler.
+// corresponding window; the draws come from Streams, one xorshift64
+// stream per (slot, site) seeded from Seed, so chaos never perturbs
+// victim selection and a given (Seed, schedule) is reproducible modulo
+// the OS scheduler.
 //
 // Every injection is declared once: a rate field here — its tag is its
 // key in a bundle's meta JSON, durations are microsecond counts so the
@@ -31,7 +31,7 @@ import (
 // loops over that table, so adding an injection is one field, one
 // constant, one row and the call site that rolls it.
 type Chaos struct {
-	// Seed seeds the per-worker chaos RNG streams (0: inherit Config.Seed).
+	// Seed seeds the per-slot, per-site chaos streams (0: inherit Config.Seed).
 	Seed int64 `json:"seed"`
 	// StealDelay delays a thief between victim selection eligibility and
 	// its popTop attempt, stretching the steal/pop race window.
@@ -50,8 +50,8 @@ type Chaos struct {
 	// probability a finishing vessel is dropped instead of returned to a
 	// free list, so the idle-time reconciliation reports VesselsLeaked >
 	// 0 — a real invariant violation, planted on purpose. It exists so
-	// the failure-capture pipeline (nowa-torture → repro bundle →
-	// Config.Replay) can be exercised end to end against a bug that is
+	// the failure-capture pipeline (nowa-torture → repro bundle → meta
+	// rerun) can be exercised end to end against a bug that is
 	// known to be there; it must stay zero in any suite that asserts the
 	// soundness property of the other injections.
 	LeakVessel int `json:"leak_vessel,omitempty"`
@@ -59,9 +59,8 @@ type Chaos struct {
 	// queue were overloaded: the submission is refused with an
 	// *OverloadedError before touching the queue. Sound — a refusal is
 	// one of Submit's documented outcomes whatever the policy. The draws
-	// come from a dedicated mutex-guarded stream (admission runs off any
-	// worker token) and are logged on the external stream, never
-	// replayed.
+	// come from dedicated mutex-guarded streams (admission runs off any
+	// worker token) and are logged on the external stream.
 	SubmitFail int `json:"submit_fail,omitempty"`
 	// StealInterest makes a would-be lazy spawn behave as if a thief had
 	// posted steal demand on its token: the spawn takes the full eager
@@ -87,7 +86,7 @@ type Chaos struct {
 	// the window in which Close's drain races an admission (the
 	// admitClosed outcome). Sound: admission latency carries no protocol
 	// obligations. Like SubmitFail, the draws come from the mutex-guarded
-	// external stream and are logged external, never replayed.
+	// admission streams and are logged external.
 	SubmitLatency int `json:"submit_latency,omitempty"`
 	// SubmitLatencyForUS is the injected admission delay in microseconds
 	// (default 1ms when SubmitLatency is set).
@@ -117,9 +116,9 @@ type Chaos struct {
 }
 
 // Chaos roll sites, carried in the Site byte of KChaos events so a log
-// names the injection window each roll guarded. The values are part of
-// the bundle format; each constant's row of sites names the rate field
-// that documents the window.
+// names the injection window each roll guarded, and indexing each slot's
+// Streams. Each constant's row of sites names the rate field that
+// documents the window.
 const (
 	SiteStealFail uint8 = iota + 1
 	SiteStealDelay
@@ -141,8 +140,8 @@ const (
 // in Chaos. An injection that lasts a configured time also names its
 // duration field (dur; 0 for none) and the microseconds used when the
 // rate is set without one. external marks the sites rolled on the
-// admission path: they fire in service mode only, log to the external
-// stream and are never replayed.
+// admission path: they fire in service mode only and log to the external
+// stream.
 var sites = [NumSites]struct {
 	name         string
 	rate, dur    uintptr
@@ -173,7 +172,7 @@ func SiteName(s uint8) string {
 }
 
 // SiteExternal reports whether the site is rolled on the admission path
-// (service mode only, external stream, never replayed).
+// (service mode only, external stream).
 func SiteExternal(s uint8) bool { return sites[s].external }
 
 // Rate reads the injection rate of one site through its row.
@@ -210,6 +209,47 @@ func (c *Chaos) Zero() bool {
 		}
 	}
 	return true
+}
+
+// Streams is one scheduling slot's chaos draws: an xorshift64 word per
+// site, so the k-th roll at a site on a slot is the same whatever the
+// other sites rolled in between, and a roll added or dropped at one site
+// shifts no other site's draws. Owner-only, like the slot's token. The
+// twelve words are padded to 128 bytes so adjacent slots' blocks never
+// false-share.
+type Streams struct {
+	s [NumSites]uint64
+	_ [128 - 8*NumSites]byte
+}
+
+// The pad arithmetic is checked at build time, as on the event rings.
+const (
+	_ uintptr = unsafe.Sizeof(Streams{}) - 128
+	_ uintptr = 128 - unsafe.Sizeof(Streams{})
+)
+
+// Seed seeds every site's word from (seed, slot, site), through the
+// splitmix64 finaliser so neighbouring streams do not start correlated.
+func (st *Streams) Seed(seed int64, slot int) {
+	for s := range st.s {
+		z := uint64(seed)*0xbf58476d1ce4e5b9 + uint64(slot)<<8 + uint64(s) + 1
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		st.s[s] = z ^ z>>31 | 1 // xorshift never leaves 0
+	}
+}
+
+// Roll advances site's stream and reports whether an injection armed at
+// rate (in 1/1024) fires.
+//
+//nowa:hotpath
+func (st *Streams) Roll(site uint8, rate int) bool {
+	x := st.s[site]
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	st.s[site] = x
+	return int(x&1023) < rate
 }
 
 // WithDefaults returns a normalised copy for a runtime to use: a zero

@@ -1,8 +1,10 @@
-// Package replay captures and replays the scheduler's nondeterministic
-// decisions: steal-victim draws, steal and popBottom outcomes, idle-park
-// transitions, sync suspensions and chaos rolls. Each decision point is
-// one fixed-size binary event in a per-worker ring, so a failing run — a
-// chaos stress hit, a -race report, a hung test — leaves behind a schedule log instead of evaporating with the process.
+// Package replay records the scheduler's nondeterministic decisions —
+// steal-victim draws, steal and popBottom outcomes, idle-park
+// transitions, sync suspensions, chaos rolls — and declares the chaos
+// injections and the repro bundle. Each decision point is one fixed-size
+// binary event in a per-worker ring, so a failing run — a chaos stress
+// hit, a -race report, a hung test — leaves its last steps behind instead
+// of evaporating with the process.
 //
 // The design follows the scheduler's owner-only discipline: worker w's
 // ring is written only by the strand holding token w (the same argument
@@ -15,19 +17,17 @@
 // count is kept, so a truncated log is detectable).
 //
 // The rings are the scheduler's one in-process event record: besides the
-// replay decisions they carry the diagnostic kinds — strand boundaries,
-// eager publications, suspensions — from which DumpState's last-events
-// lines are derived and against which the counters are recounted. They
-// hold no time: timelines come from runtime/trace, whose regions and
-// tasks the scheduler emits at the same sites.
+// scheduling decisions they carry strand boundaries, eager publications
+// and suspensions, from which DumpState's last-events lines are derived
+// and against which the counters are recounted. They hold no time:
+// timelines come from runtime/trace, whose regions and tasks the
+// scheduler emits at the same sites.
 //
-// A captured Log can drive a later run through sched.Config.Replay: per
-// worker, a Cursor feeds the recorded victim draws and chaos-roll
-// outcomes back into the scheduler in place of the live RNG streams.
-// Replay is exact for single-worker schedules (nothing else is
-// nondeterministic there) and best-effort for multi-worker ones — the OS
-// still interleaves workers, so cursors count divergences instead of
-// pretending otherwise.
+// A run is reproduced from its seeds, not from its log: the victim
+// streams and the per-(slot, site) chaos streams (Streams) are functions
+// of the configuration's seeds, so rerunning a bundle's Meta replays a
+// single-worker schedule exactly and gives a multi-worker one the same
+// draws at every site, whatever the OS interleaving.
 package replay
 
 import (
@@ -45,135 +45,87 @@ const (
 	// KNone is the zero Kind; it never appears in a log.
 	KNone Kind = iota
 	// KRunStart marks a Run beginning (worker 0's stream).
-	//nowa:replay-diagnostic run boundary marker for log inspection; alignment is positional, not consumed
 	KRunStart
 	// KRunEnd marks a Run completing (worker 0's stream).
-	//nowa:replay-diagnostic run boundary marker for log inspection; alignment is positional, not consumed
 	KRunEnd
-	// KVictim is a bare steal-victim draw; Arg is the chosen victim. The
-	// scheduler folds the draw into the KSteal* outcome events instead of
-	// emitting this — every victim-bearing kind replays as a victim
-	// decision — but the kind is reserved for logs that record draws
-	// without outcomes.
-	//nowa:replay-reserved victim draws are folded into the KSteal* outcome kinds; reserved for logs that record draws without outcomes
-	KVictim
 	// KStealHit is a steal attempt whose popTop succeeded; Arg is the
-	// drawn victim. A decision: replay feeds the victim back in.
+	// drawn victim (the draw and its outcome are one event).
 	KStealHit
 	// KStealEmpty is a steal attempt that found the victim's deque empty;
-	// Arg is the drawn victim. A decision, like KStealHit.
+	// Arg is the drawn victim.
 	KStealEmpty
 	// KStealLost is a steal attempt that lost a race (CAS failure or
-	// owner conflict); Arg is the drawn victim. A decision, like
-	// KStealHit.
+	// owner conflict); Arg is the drawn victim.
 	KStealLost
 	// KPopHit is a popBottom hit at strand end (continuation not stolen).
-	//nowa:replay-diagnostic deterministic outcome of the replayed interleaving; logged for divergence context
 	KPopHit
 	// KPopMiss is a popBottom miss at strand end (implicit sync).
-	//nowa:replay-diagnostic deterministic outcome of the replayed interleaving; logged for divergence context
 	KPopMiss
 	// KPark is an idle thief parking past the fail threshold.
-	//nowa:replay-diagnostic idle-loop trace; park points are derived from the replayed steal decisions
 	KPark
 	// KWake is a parked thief waking.
-	//nowa:replay-diagnostic idle-loop trace; wake points are derived from the replayed steal decisions
 	KWake
 	// KSuspend is a parent suspending at an explicit sync point.
-	//nowa:replay-diagnostic join-boundary trace; suspension is determined by the replayed steal outcomes
 	KSuspend
 	// KResume is a suspended parent resuming; recorded on the worker
 	// token the parent resumed with.
-	//nowa:replay-diagnostic join-boundary trace; resumption is determined by the replayed steal outcomes
 	KResume
 	// KBlocked marks a parker rendezvous that exhausted its spin budget
 	// and took the blocking channel path; Site is a Block* constant.
-	//nowa:replay-diagnostic rendezvous-path trace; spin-vs-block is host timing, not a schedule decision
 	KBlocked
 	// KChaos is a chaos roll; Site is a Site* constant and Arg is 1 when
-	// the injection fired. A decision: replay feeds the outcome back in
-	// place of the chaos RNG draw.
+	// the injection fired.
 	KChaos
-	// A retired kind's number: the blank keeps the numbers of the kinds
-	// after it, which bundles carry.
-	_
 	// KPanic is a strand panic being recorded (external stream).
-	//nowa:replay-diagnostic failure forensics only
 	KPanic
 	// KSubmit is a service submission being admitted (external stream);
-	// Arg is the truncated submission id. Diagnostic only — submission
-	// boundary events are never consumed as replay decisions (service
-	// schedules are not replayable; see nextDecision).
-	//nowa:replay-diagnostic service boundary trace; service schedules are not replayable (see nextDecision)
+	// Arg is the truncated submission id.
 	KSubmit
 	// KSubReject is an admission refusal (external stream): FailFast
 	// overload or an admission-time chaos injection; Site distinguishes.
-	//nowa:replay-diagnostic service boundary trace; service schedules are not replayable (see nextDecision)
 	KSubReject
 	// KSubShed is a queued submission evicted oldest-first (external
 	// stream); Arg is the victim's id.
-	//nowa:replay-diagnostic service boundary trace; service schedules are not replayable (see nextDecision)
 	KSubShed
 	// KSubStart is a token taking an admitted submission to run it
 	// (the taking worker's stream); Arg is the submission id.
-	//nowa:replay-diagnostic service boundary trace; service schedules are not replayable (see nextDecision)
 	KSubStart
 	// KSubDone is a submission's wrapper strand completing (that
 	// strand's worker stream); Arg is the submission id.
-	//nowa:replay-diagnostic service boundary trace; service schedules are not replayable (see nextDecision)
 	KSubDone
 	// KInlineRun is a lazy spawn running its child inline: the owner
 	// found no steal demand posted on its token and published nothing.
-	// Not a decision — whether demand stands at a spawn is fully
-	// determined by the (recorded) thief interleaving and chaos rolls —
-	// so replay alignment is preserved (see nextDecision).
-	//nowa:replay-diagnostic whether demand stands at a spawn is fully determined by the recorded thief interleaving and chaos rolls
 	KInlineRun
 	// KPromote is a lazy spawn being promoted to the full eager vessel
 	// handoff; Site is a Promote* constant naming the trigger. Recorded
-	// on the owner's stream at the promotion point. Not a decision, like
-	// KInlineRun.
-	//nowa:replay-diagnostic promotion trigger trace, fully determined by the recorded decisions
+	// on the owner's stream at the promotion point.
 	KPromote
 	// KSeized is the stall ticker marking a base worker's token
-	// seized (external stream); Arg is the seized worker. Seizures are
-	// wall-clock heartbeat judgements, not scheduling decisions, so they
-	// are recorded for forensics and never consumed on replay.
-	//nowa:replay-diagnostic stall-recovery trace; seizures are wall-clock heartbeat judgements, never replayed
+	// seized (external stream); Arg is the seized worker.
 	KSeized
 	// KSupplement is the lifecycle of a supplemental worker (external
 	// stream); Site is a Sup* constant (arm/retire) and Arg the extended
-	// slot index. Diagnostic for the same reason as KSeized.
-	//nowa:replay-diagnostic stall-recovery trace; supplementation follows wall-clock seizures, never replayed
+	// slot index.
 	KSupplement
 	// KWaitBlock is a strand suspending on an external wait (future,
-	// channel, barrier); Arg is unused. The wait outcome is arbitrated
-	// by the waiter cell's CAS, whose winner is fully determined by the
-	// replayed thief interleaving and chaos rolls, so these are traces.
-	// The same holds for where the blocking strand's token goes next
-	// (its parent's continuation, a queued wakeup, a thief vessel — see
-	// sched's passToken) and for who pops a queued wakeup, a blocker or
-	// a thief: the wake queue is FIFO and filled by those same decisions,
-	// so neither pop site records an event of its own.
-	//nowa:replay-diagnostic wait-boundary trace; block/wake/abort arbitration and the token's route out of a block (wake-queue pops included) are determined by the replayed decisions and chaos rolls
+	// channel, barrier); Arg is unused. Where the blocking strand's token
+	// goes next (its parent's continuation, a queued wakeup, a thief
+	// vessel — see sched's passToken) and who pops a queued wakeup follow
+	// from the events around it, so neither pop site records an event of
+	// its own.
 	KWaitBlock
 	// KWaitWake is that wait ending in a resume.
-	//nowa:replay-diagnostic wait-boundary trace; block/wake/abort arbitration is determined by the replayed decisions and chaos rolls
 	KWaitWake
 	// KWaitAbort is that wait ending in a cancellation.
-	//nowa:replay-diagnostic wait-boundary trace; block/wake/abort arbitration is determined by the replayed decisions and chaos rolls
 	KWaitAbort
 	// KSpawn is an eager spawn publishing the parent's continuation to
 	// the deque (the lazy path records KInlineRun instead, so the two
 	// together count every Spawn).
-	//nowa:replay-diagnostic spawn publication trace; which spawns go eager is determined by the replayed decisions and chaos rolls
 	KSpawn
 	// KStrandStart is a vessel beginning to execute a dispatched strand.
-	//nowa:replay-diagnostic strand boundary for DumpState and the counter recount; dispatch follows from the recorded spawns
 	KStrandStart
 	// KStrandEnd is that strand's function returning, recorded on the
 	// token the strand then holds (not recorded when it panicked).
-	//nowa:replay-diagnostic strand boundary for DumpState and the counter recount; dispatch follows from the recorded spawns
 	KStrandEnd
 )
 
@@ -181,7 +133,6 @@ const (
 var kindNames = [...]string{
 	KRunStart:    "run-start",
 	KRunEnd:      "run-end",
-	KVictim:      "victim",
 	KStealHit:    "steal-hit",
 	KStealEmpty:  "steal-empty",
 	KStealLost:   "steal-lost",
@@ -277,7 +228,7 @@ type Event struct {
 // String formats the event compactly for dumps.
 func (e Event) String() string {
 	switch e.Kind {
-	case KVictim, KStealHit, KStealEmpty, KStealLost:
+	case KStealHit, KStealEmpty, KStealLost:
 		return fmt.Sprintf("%s(%d)", e.Kind, e.Arg)
 	case KChaos:
 		fired := "-"
@@ -409,8 +360,8 @@ func (r *Recorder) Workers() int { return r.workers }
 // It never allocates and never blocks — one packed store, one position
 // store. Slots outside the recorder's worker range — the scheduler's
 // supplemental workers, which exist only while a base worker is seized —
-// are dropped silently: a capture carries base-worker streams only, and
-// supplement decisions are never replayed (see KSupplement).
+// are dropped silently: a base-width recorder carries base-worker
+// streams only.
 //
 //nowa:hotpath
 func (r *Recorder) Record(w int, k Kind, site uint8, arg uint16) {
@@ -517,16 +468,12 @@ func (r *Recorder) Snapshot() *Log {
 // Log is a decoded schedule capture: per-worker event streams in
 // recording order (oldest first), the external stream, and the number of
 // events each worker's ring overwrote before the snapshot. A log with a
-// nonzero Dropped entry has lost its prefix and cannot drive an aligned
-// replay from the start of the run.
+// nonzero Dropped entry has lost its prefix.
 type Log struct {
 	PerWorker [][]Event
 	External  []Event
 	Dropped   []uint64
 }
-
-// Workers reports the worker count the log was captured from.
-func (l *Log) Workers() int { return len(l.PerWorker) }
 
 // Total reports the number of events present in the log.
 func (l *Log) Total() int {
@@ -547,104 +494,3 @@ func (l *Log) Truncated() bool {
 	}
 	return false
 }
-
-// Cursors builds one replay cursor per worker over the log's streams.
-func (l *Log) Cursors() []Cursor {
-	cur := make([]Cursor, len(l.PerWorker))
-	for w := range cur {
-		cur[w].evs = l.PerWorker[w]
-	}
-	return cur
-}
-
-// Cursor replays one worker's decision stream. Decision events (victim
-// draws — KVictim or any KSteal* — and KChaos rolls) are consumed in
-// order; other events between them are skipped
-// — the replaying scheduler regenerates outcomes itself, and they need
-// not match when the OS interleaves a multi-worker run differently. A
-// requested decision that does not match the next recorded one is a
-// divergence: the cursor leaves the stream where it is, counts it, and
-// the scheduler falls back to its live RNG. Cursors are owner-only like
-// the rings they replay, and padded so adjacent workers' cursors never
-// false-share.
-type Cursor struct {
-	evs []Event
-	i   int
-	div int
-	_   [128 - 40]byte
-}
-
-// isVictimDecision reports whether a kind carries a replayable victim
-// draw: the bare draw or any steal attempt (the scheduler records the
-// draw and the outcome as one event).
-//
-//nowa:hotpath
-func isVictimDecision(k Kind) bool {
-	return k == KVictim || k == KStealHit || k == KStealEmpty || k == KStealLost
-}
-
-// nextDecision advances the cursor past non-decision events to the next
-// decision, returning false when the stream is exhausted.
-//
-//nowa:hotpath
-func (c *Cursor) nextDecision() (Event, bool) {
-	for c.i < len(c.evs) {
-		e := c.evs[c.i]
-		if isVictimDecision(e.Kind) || e.Kind == KChaos {
-			return e, true
-		}
-		c.i++
-	}
-	return Event{}, false
-}
-
-// NextVictim consumes the next recorded victim draw. ok is false when
-// the stream is exhausted or the next decision is not a victim draw
-// (a divergence; the caller falls back to its live RNG).
-//
-//nowa:hotpath
-func (c *Cursor) NextVictim() (victim int, ok bool) {
-	e, ok := c.nextDecision()
-	if !ok {
-		return 0, false
-	}
-	if !isVictimDecision(e.Kind) {
-		c.div++
-		return 0, false
-	}
-	c.i++
-	return int(e.Arg), true
-}
-
-// NextChaos consumes the next recorded chaos roll for the given site,
-// returning whether the injection fired. ok is false when the stream is
-// exhausted or the next decision is not a chaos roll at this site (a
-// divergence; the caller falls back to its live stream). A chaos roll at
-// the wrong site is consumed — the stream stays aligned site-for-site on
-// deterministic schedules, and skipping keeps replay moving when it is
-// not.
-//
-//nowa:hotpath
-func (c *Cursor) NextChaos(site uint8) (fired, ok bool) {
-	e, ok := c.nextDecision()
-	if !ok {
-		return false, false
-	}
-	if e.Kind != KChaos {
-		c.div++
-		return false, false
-	}
-	c.i++
-	if e.Site != site {
-		c.div++
-		return false, false
-	}
-	return e.Arg != 0, true
-}
-
-// Divergences reports how many requested decisions failed to match the
-// recorded stream. Read when the replayed run is idle.
-func (c *Cursor) Divergences() int { return c.div }
-
-// Remaining reports the number of events not yet consumed or skipped.
-func (c *Cursor) Remaining() int { return len(c.evs) - c.i }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"nowa/internal/api"
@@ -51,23 +52,23 @@ func TestLockedDequeVariant(t *testing.T) {
 	}
 }
 
-// TestSeedsChangeStealPattern checks that the RNG seed actually steers
-// victim selection (determinism knob for experiments).
+// TestSeedsChangeStealPattern: the seed is the only key a run is
+// reproduced by, so it must decide victim selection — slot 1's first 256
+// draws are the same for equal seeds and differ between seeds 1 and 99.
 func TestSeedsChangeStealPattern(t *testing.T) {
-	counts := make([]int64, 2)
-	for i, seed := range []int64{1, 99} {
-		rt, err := New(Config{Workers: 4, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
+	draws := func(seed int64) []int {
+		rt := MustNew(Config{Workers: 4, Seed: seed})
+		defer rt.Close()
+		out := make([]int, 256)
+		for i := range out {
+			out[i] = rt.stealVictim(1, &rt.rngs[1])
 		}
-		rt.Run(func(c api.Ctx) { _ = fib(c, 18) })
-		counts[i] = rt.Counters().FailedSteals
-		rt.Close()
+		return out
 	}
-	// Not a strict guarantee, but with fib(18) the schedules essentially
-	// never coincide; a deterministic-identical result would indicate the
-	// seed is ignored.
-	if counts[0] == counts[1] {
-		t.Logf("warning: identical failed-steal counts %d for different seeds (possible but unlikely)", counts[0])
+	if a, b := draws(1), draws(1); !slices.Equal(a, b) {
+		t.Fatal("equal seeds drew different victims")
+	}
+	if slices.Equal(draws(1), draws(99)) {
+		t.Fatal("seeds 1 and 99 drew the same 256 victims: the seed is ignored")
 	}
 }

@@ -14,22 +14,17 @@ import (
 // when one hits.
 type Chaos = replay.Chaos
 
-// chaosRoll draws from worker w's chaos stream and reports whether the
-// injection at site fires, with the probability (in 1/1024) its row of
+// chaosRoll draws from slot w's stream for site and reports whether the
+// injection there fires, with the probability (in 1/1024) its row of
 // the chaos table configures; site also tags the roll in the schedule
 // log. Only the strand holding token w calls this, so the stream needs
 // no synchronisation (the token handoff provides the happens-before
 // edge, as with the victim RNGs).
 //
-// A zero rate consumes nothing — neither the live stream nor the replay
-// cursor — so unconfigured injection points never perturb the alignment
-// between a capture and its replay.
-//
-// Under Config.Replay the recorded outcome substitutes for the RNG draw
-// (the live stream does not advance), which is what makes a captured
-// chaos failure reproducible under a different — or absent — live seed;
-// a cursor mismatch falls back to the live stream and is counted as a
-// divergence.
+// A zero rate draws nothing. Each site has its own stream, so the k-th
+// roll at a site on a slot is the same whatever the other sites did:
+// arming, disarming or re-timing one injection shifts no other's draws,
+// which is what lets a bundle's seeds reproduce a multi-worker failure.
 //
 //nowa:hotpath
 func (rt *Runtime) chaosRoll(w int, site uint8) bool {
@@ -37,18 +32,7 @@ func (rt *Runtime) chaosRoll(w int, site uint8) bool {
 	if rate <= 0 {
 		return false
 	}
-	// Supplemental slots (w >= len(repCur)) have no replay cursor: a
-	// capture only carries base-worker streams, so supplements always
-	// draw live.
-	if rt.replayOn && w < len(rt.repCur) {
-		if fired, ok := rt.repCur[w].NextChaos(site); ok {
-			if rt.recordOn {
-				rt.recordRoll(w, site, fired)
-			}
-			return fired
-		}
-	}
-	fired := int(rt.chaosRngs[w].next()&1023) < rate
+	fired := rt.chaos[w].Roll(site, rate)
 	if rt.recordOn {
 		rt.recordRoll(w, site, fired)
 	}

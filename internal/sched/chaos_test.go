@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nowa/internal/apps"
+	"nowa/internal/replay"
 )
 
 // chaosVariants are the configurations the chaos suite stresses: the
@@ -72,5 +73,37 @@ func TestChaosStressVariants(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestChaosStreamsPerSite: each site rolls on its own stream, so the
+// outcomes at one site are a function of the seed and the slot alone.
+// Two runtimes share a chaos seed; one rolls site A alone, the other
+// rolls site B between A's rolls, and A's outcomes must match roll for
+// roll. With one stream per slot, every B roll would shift A's draws.
+func TestChaosStreamsPerSite(t *testing.T) {
+	const a, b = replay.SiteSyncDelay, replay.SitePopBottom
+	mk := func() *Runtime {
+		rt := MustNew(Config{Workers: 2, Chaos: &Chaos{Seed: 5, SyncDelay: 512, PopBottomDelay: 512}})
+		t.Cleanup(rt.Close)
+		return rt
+	}
+	alone, mixed := mk(), mk()
+	fired := 0
+	for i := 0; i < 256; i++ {
+		for j := 0; j < i%3; j++ {
+			mixed.chaosRoll(1, b)
+		}
+		got, want := mixed.chaosRoll(1, a), alone.chaosRoll(1, a)
+		if got != want {
+			t.Fatalf("roll %d at %s: %v with %s rolls between, %v alone",
+				i, replay.SiteName(a), got, replay.SiteName(b), want)
+		}
+		if want {
+			fired++
+		}
+	}
+	if fired == 0 || fired == 256 {
+		t.Fatalf("%d of 256 rolls at rate 512/1024 fired: the stream is stuck", fired)
 	}
 }

@@ -137,12 +137,6 @@ type Config struct {
 	// configuration error. When nil the hot paths pay one cached bool test
 	// and nothing else.
 	Record *replay.Recorder
-	// Replay, if non-nil, drives victim selection and chaos rolls from a
-	// previously captured schedule log instead of the live RNG streams,
-	// turning a recorded failure into a deterministic rerun (exact for
-	// single-worker captures, best-effort otherwise — see
-	// Runtime.ReplayDivergences). The log's worker count must match.
-	Replay *replay.Log
 	// StallThreshold, if positive, arms stall recovery: for the duration
 	// of each run, a stall ticker samples per-worker
 	// heartbeats (bumped on every steal-loop pass, park/wake and strand
@@ -189,7 +183,7 @@ func (c *Config) fill() error {
 		// A copy, so normalisation never mutates the caller's struct.
 		c.Chaos = c.Chaos.WithDefaults(c.Seed)
 	}
-	// A recorder (or a log) may be sized to the base worker count or to
+	// A recorder may be sized to the base worker count or to
 	// the full slot count: stall-recovery supplements record scheduling
 	// decisions on extended slots, so a stall-armed capture carries
 	// totalSlots streams. A base-width recorder is still legal — Record
@@ -197,10 +191,6 @@ func (c *Config) fill() error {
 	if c.Record != nil && c.Record.Workers() != c.Workers && c.Record.Workers() != c.totalSlots() {
 		return fmt.Errorf("sched: Record built for %d workers, Config has %d (%d slots)",
 			c.Record.Workers(), c.Workers, c.totalSlots())
-	}
-	if c.Replay != nil && c.Replay.Workers() != c.Workers && c.Replay.Workers() != c.totalSlots() {
-		return fmt.Errorf("sched: Replay log captured from %d workers, Config has %d (%d slots)",
-			c.Replay.Workers(), c.Workers, c.totalSlots())
 	}
 	if c.Name == "" {
 		c.Name = fmt.Sprintf("%s+%s", c.Join, c.Deque)

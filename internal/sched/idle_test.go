@@ -11,7 +11,6 @@ import (
 	"nowa/internal/api"
 	"nowa/internal/cqs"
 	"nowa/internal/deque"
-	"nowa/internal/replay"
 	"nowa/internal/trace"
 )
 
@@ -20,12 +19,13 @@ import (
 // sleeps on the idle queue; one publication wakes one sleeper, a
 // condition everybody must re-check wakes all.
 
-func idleRuntime(t *testing.T, workers int, log *replay.Log) *Runtime {
+func idleRuntime(t *testing.T, workers int, victims [][]int) *Runtime {
 	t.Helper()
 	rt := MustNew(Config{
 		Name: "nowa", Workers: workers, Deque: deque.CL, Join: WaitFree,
-		Spawn: SpawnEager, Replay: log,
+		Spawn: SpawnEager,
 	})
+	rt.victimScript = victims
 	t.Cleanup(rt.Close)
 	return rt
 }
@@ -98,24 +98,19 @@ func TestIdleWakeOne(t *testing.T) {
 
 // TestIdleNoParkBesideWork: a token that turns thief while a continuation
 // sits in somebody else's deque — published when nobody slept, so nobody
-// was woken for it — must not go to sleep beside it. A crafted replay log
+// was woken for it — must not go to sleep beside it. A victim script
 // has the thief on token 1 draw itself through two whole spin budgets
 // before it is allowed to look at token 0, so both park attempts run, and
 // both must be declined by the re-scan.
 func TestIdleNoParkBesideWork(t *testing.T) {
-	self := replay.Event{Kind: replay.KStealEmpty, Arg: 1}
-	zero := replay.Event{Kind: replay.KStealHit, Arg: 0}
-	var script []replay.Event
-	for _, seg := range []struct {
-		n  int
-		ev replay.Event
-	}{{spinBeforePark + 1, self}, {1, zero}, {2 * (spinBeforePark + 1), self}, {1, zero}} {
+	var script []int
+	for _, seg := range []struct{ n, victim int }{
+		{spinBeforePark + 1, 1}, {1, 0}, {2 * (spinBeforePark + 1), 1}, {1, 0}} {
 		for i := 0; i < seg.n; i++ {
-			script = append(script, seg.ev)
+			script = append(script, seg.victim)
 		}
 	}
-	log := &replay.Log{PerWorker: [][]replay.Event{nil, script}, Dropped: make([]uint64, 2)}
-	rt := idleRuntime(t, 2, log)
+	rt := idleRuntime(t, 2, [][]int{nil, script})
 	parks := func() int64 { return rt.Counters().ThiefParks }
 	var rootStolen, published, resumed atomic.Bool
 	spin := func(f *atomic.Bool) {

@@ -177,7 +177,7 @@ func TestPromoteBurstDroppedAtTake(t *testing.T) {
 }
 
 // TestPromoteParkedThievesWoken parks both thieves of a three-worker
-// runtime without either having polled anybody: a crafted replay log has
+// runtime without either having polled anybody: a victim script has
 // each draw itself as victim — where a thief posts nothing — until its
 // spins run out. The demand they post as part of parking is
 // then the only signal the spawn-dense root can get: a lazy spawn
@@ -185,13 +185,14 @@ func TestPromoteBurstDroppedAtTake(t *testing.T) {
 // forever beside two sleeping tokens. Both must wake, and both steal.
 func TestPromoteParkedThievesWoken(t *testing.T) {
 	const workers = 3
-	log := &replay.Log{PerWorker: make([][]replay.Event, workers), Dropped: make([]uint64, workers)}
+	script := make([][]int, workers)
 	for w := 1; w < workers; w++ {
 		for i := 0; i <= spinBeforePark; i++ { // the attempt after the last yield parks
-			log.PerWorker[w] = append(log.PerWorker[w], replay.Event{Kind: replay.KStealEmpty, Arg: uint16(w)})
+			script[w] = append(script[w], w)
 		}
 	}
-	rt := MustNew(Config{Name: "nowa", Workers: workers, Deque: deque.CL, Join: WaitFree, Replay: log})
+	rt := MustNew(Config{Name: "nowa", Workers: workers, Deque: deque.CL, Join: WaitFree})
+	rt.victimScript = script
 	defer rt.Close()
 	tally := func(id trace.ID) (n1, n2 int64) {
 		return rt.rec.Worker(1)[id].Load(), rt.rec.Worker(2)[id].Load()
@@ -308,14 +309,12 @@ func TestPromoteModesEquivalent(t *testing.T) {
 
 // TestPromoteInterestUnderLoad hammers the live promotion path: four
 // workers, adaptive mode, a spawn-heavy kernel, so real thieves pop real
-// records and land real steal-interest CASes mid-inline-run. The run is
-// recorded and then replayed; the promotion-heavy schedule must drive to
-// the same answer with zero divergences.
+// records and land real steal-interest CASes mid-inline-run. The
+// promotion-heavy schedule must give the serial answer with every spawn
+// conserved.
 func TestPromoteInterestUnderLoad(t *testing.T) {
-	cfg := Config{Name: "nowa", Workers: 4, Deque: deque.CL, Join: WaitFree}
-	rec := replay.NewRecorder(cfg.Workers, 1<<16)
-	cfg.Record = rec
-	rt := MustNew(cfg)
+	rt := MustNew(Config{Name: "nowa", Workers: 4, Deque: deque.CL, Join: WaitFree})
+	defer rt.Close()
 	app := apps.NewFib(apps.Test)
 	app.Prepare()
 	rt.Run(app.Run)
@@ -323,28 +322,11 @@ func TestPromoteInterestUnderLoad(t *testing.T) {
 		t.Fatalf("verify: %v", err)
 	}
 	c := rt.Counters()
-	rt.Close()
 	if err := c.CheckQuiescent(); err != nil {
 		t.Fatalf("conservation: %v", err)
 	}
 	if c.InlineRuns == 0 {
 		t.Fatal("no inline runs under adaptive mode — the lazy path never engaged")
-	}
-	log := rec.Snapshot()
-	if log.Truncated() {
-		t.Fatal("capture ring overflowed; grow the test recorder")
-	}
-
-	recfg := Config{Name: "nowa", Workers: 4, Deque: deque.CL, Join: WaitFree, Replay: log}
-	rrt := MustNew(recfg)
-	defer rrt.Close()
-	app.Prepare()
-	rrt.Run(app.Run)
-	if err := app.Verify(); err != nil {
-		t.Fatalf("replay verify: %v", err)
-	}
-	if d, on := rrt.ReplayDivergences(); !on || d != 0 {
-		t.Fatalf("replay divergences = %d (replaying=%v), want 0", d, on)
 	}
 }
 

@@ -32,7 +32,6 @@ type Runtime struct {
 	chaosOn    bool // cfg.Chaos != nil
 	waitFree   bool // cfg.Join == WaitFree
 	recordOn   bool // cfg.Record != nil: schedule decisions logged
-	replayOn   bool // cfg.Replay != nil: decisions driven from a captured log
 	blockRecOn bool // recordOn && Workers > 1: KBlocked diagnostics (see note)
 	lazyOn     bool // cfg.Spawn != SpawnEager: Spawn runs children inline until a thief posts demand
 	stallOn    bool // cfg.StallThreshold > 0: heartbeats + a stall ticker started per run
@@ -93,7 +92,8 @@ type Runtime struct {
 	blockedLive atomic.Int64
 	blockedHW   atomic.Int64
 
-	chaosRngs []rngState
+	// chaos holds each scheduling slot's chaos streams, one per site.
+	chaos []replay.Streams
 
 	// Stall recovery (all nil/zero unless stallOn; see stall.go). hb is
 	// indexed by scheduling slot: base workers 0..Workers-1, worker w's
@@ -105,15 +105,18 @@ type Runtime struct {
 	supplemented atomic.Int64
 	supRetired   atomic.Int64
 
-	// rep is the schedule recorder (cfg.Record), repCur the per-worker
-	// replay cursors rebuilt at each Run start from cfg.Replay. Both are
-	// owner-only like the RNG streams: worker w's ring and cursor are
-	// touched only by the strand holding token w. KBlocked (a parker
-	// rendezvous exhausting its spin budget) is the one timing-dependent
-	// event; it is suppressed at Workers==1 (blockRecOn) so single-worker
-	// captures stay byte-identical run to run.
-	rep    *replay.Recorder
-	repCur []replay.Cursor
+	// rep is the schedule recorder (cfg.Record). It is owner-only like
+	// the RNG streams: worker w's ring is touched only by the strand
+	// holding token w. KBlocked (a parker rendezvous exhausting its spin
+	// budget) is the one timing-dependent event; it is suppressed at
+	// Workers==1 (blockRecOn) so single-worker captures stay
+	// byte-identical run to run.
+	rep *replay.Recorder
+
+	// victimScript, when a test sets it before Run, dictates slot w's
+	// steal victims: its draws come from victimScript[w] while that
+	// lasts, from the slot's RNG after. Owner-only like the RNG.
+	victimScript [][]int
 
 	// traceCtx carries the current Run's runtime/trace task (a plain
 	// background context when tracing was off at Run start); strands
@@ -161,7 +164,6 @@ func New(cfg Config) (*Runtime, error) {
 		chaosOn:    cfg.Chaos != nil,
 		waitFree:   cfg.Join == WaitFree,
 		recordOn:   cfg.Record != nil,
-		replayOn:   cfg.Replay != nil,
 		blockRecOn: cfg.Record != nil && cfg.Workers > 1,
 		lazyOn:     cfg.Spawn != SpawnEager,
 		stallOn:    cfg.StallThreshold > 0,
@@ -196,9 +198,9 @@ func New(cfg Config) (*Runtime, error) {
 		rt.vlocal[w].free = make([]*vessel, 0, perWorkerVesselCap)
 	}
 	if cfg.Chaos != nil {
-		rt.chaosRngs = make([]rngState, slots)
-		for w := 0; w < slots; w++ {
-			rt.chaosRngs[w].s = uint64(cfg.Chaos.Seed)*0xbf58476d1ce4e5b9 + uint64(w) + 1
+		rt.chaos = make([]replay.Streams, slots)
+		for w := range rt.chaos {
+			rt.chaos[w].Seed(cfg.Chaos.Seed, w)
 		}
 	}
 	if rt.stallOn {
@@ -287,17 +289,6 @@ func (rt *Runtime) runInternal(ctx context.Context, root func(api.Ctx)) error {
 	}
 	rt.tokensLeft.Store(int64(rt.cfg.Workers))
 	rt.finished = make(chan struct{})
-	if rt.replayOn {
-		// Fresh cursors per Run: the captured decision streams are
-		// consumed from their start each time. A base-width log driving
-		// a stall-armed run pads empty cursors for the supplement slots;
-		// an exhausted cursor falls back to the live RNG, so supplements
-		// simply run unreplayed (their dispatch is wall-clock anyway).
-		rt.repCur = rt.cfg.Replay.Cursors()
-		for len(rt.repCur) < len(rt.deques) {
-			rt.repCur = append(rt.repCur, replay.Cursor{})
-		}
-	}
 	if rt.recordOn {
 		// No token holder exists yet, so writing worker 0's ring here is
 		// ordered before everything the root strand records (the parker
@@ -625,21 +616,4 @@ func (rt *Runtime) DumpState(w io.Writer) {
 			fmt.Fprintf(w, "  schedule external: %s\n", replay.FormatEvents(ext))
 		}
 	}
-}
-
-// ReplayDivergences reports how many decisions of the most recent Run
-// failed to match the configured replay log (the scheduler fell back to
-// its live RNGs there), and whether the runtime is replaying at all.
-// Zero on a single-worker replay of a single-worker capture; multi-worker
-// replays are best-effort and typically diverge once the OS interleaves
-// the workers differently. Read it when no Run is in flight.
-func (rt *Runtime) ReplayDivergences() (int64, bool) {
-	if !rt.replayOn {
-		return 0, false
-	}
-	var n int64
-	for i := range rt.repCur {
-		n += int64(rt.repCur[i].Divergences())
-	}
-	return n, true
 }

@@ -272,11 +272,11 @@ type service struct {
 	lastDoneNs atomic.Int64
 	ewmaNs     atomic.Int64
 
-	// chaosRng backs the admission-time SubmitFail injection. Admission
-	// runs on external goroutines with no worker token, so unlike the
-	// per-worker streams this one is mutex-guarded.
-	chaosMu  sync.Mutex
-	chaosRng rngState
+	// chaos backs the admission-time injections. Admission runs on
+	// external goroutines with no worker token, so unlike the per-slot
+	// streams these are mutex-guarded.
+	chaosMu sync.Mutex
+	chaos   replay.Streams
 }
 
 // StartService switches the runtime into service mode: a long-lived
@@ -296,7 +296,7 @@ func (rt *Runtime) StartService(cfg ServiceConfig) error {
 	svc := &service{rt: rt, cfg: cfg, rootq: cqs.NewQueue(), runDone: make(chan struct{})}
 	svc.adm.init(cfg.QueueDepth, cfg.Policy)
 	if rt.chaosOn {
-		svc.chaosRng.s = uint64(rt.cfg.Chaos.Seed)*0x2545f4914f6cdd1d + 0x9e3779b97f4a7c15
+		svc.chaos.Seed(rt.cfg.Chaos.Seed, -1)
 	}
 	svc.ctx, svc.cancel = context.WithCancelCause(context.Background())
 	if !rt.svc.CompareAndSwap(nil, svc) {
@@ -456,7 +456,7 @@ func (svc *service) shedVictim(victim *Submission) {
 
 // chaosRoll rolls one of the admission-time injections (the external
 // sites of the chaos table). The admission path has no worker token, so
-// the draw comes from the service's dedicated mutex-guarded stream, and
+// the draw comes from the service's dedicated mutex-guarded streams, and
 // the roll is recorded on the external stream (replay never consumes it
 // — service schedules are not replayable).
 func (svc *service) chaosRoll(site uint8) bool {
@@ -465,7 +465,7 @@ func (svc *service) chaosRoll(site uint8) bool {
 		return false
 	}
 	svc.chaosMu.Lock()
-	fired := int(svc.chaosRng.next()&1023) < rate
+	fired := svc.chaos.Roll(site, rate)
 	svc.chaosMu.Unlock()
 	if svc.rt.recordOn {
 		var arg uint16

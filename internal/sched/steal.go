@@ -103,9 +103,7 @@ func (rt *Runtime) stealLoop(p *Proc) {
 		c, outcome := rt.popTopSteal(victim)
 		if rt.recordOn {
 			// One event per attempt: the outcome kind carries the victim,
-			// and replay consumes any steal event as the victim decision
-			// (replay.Cursor.NextVictim), so the draw needs no separate
-			// entry.
+			// so the draw needs no separate entry.
 			rt.rep.Record(w, stealOutcomeKind(outcome), 0, uint16(victim))
 		}
 		if outcome != deque.StealHit {
@@ -204,15 +202,14 @@ func (rt *Runtime) submissionsQueued() bool {
 	return svc != nil && svc.adm.depth.Load() > 0
 }
 
-// stealVictim draws the next steal victim: from the replay cursor when a
-// captured schedule is driving the run (falling back to the live policy
-// on cursor exhaustion or divergence), otherwise from the per-worker RNG
-// — the paper's randomized work stealing.
+// stealVictim draws the next steal victim from the per-worker RNG — the
+// paper's randomized work stealing — unless a test scripted the slot's
+// victims (victimScript).
 func (rt *Runtime) stealVictim(w int, rng *rngState) int {
-	if rt.replayOn && w < len(rt.repCur) {
-		if v, ok := rt.repCur[w].NextVictim(); ok && v >= 0 && v < rt.cfg.Workers {
-			return v
-		}
+	if w < len(rt.victimScript) && len(rt.victimScript[w]) > 0 {
+		v := rt.victimScript[w][0]
+		rt.victimScript[w] = rt.victimScript[w][1:]
+		return v
 	}
 	return int(rng.next() % uint64(rt.victimSlots()))
 }

@@ -2,9 +2,10 @@
 // soak driver: it cycles kernels × scheduler variants × worker counts ×
 // chaos classes × cancellation deadlines and checks the scheduler's
 // invariants after every trial. When one breaks, the trial is re-run
-// for a repro bundle (config + seeds + schedule), the bundle is
-// confirmed to replay to the same failure via Config.Replay, and the
-// trial is shrunk to a minimal one that still fails.
+// for a repro bundle (config and seeds, plus the failing run's last
+// events for the reader), the bundle's meta is confirmed to rerun to the
+// same failure, and the trial is shrunk to a minimal one that still
+// fails.
 //
 // The matrix is data. An injection site is a row of internal/replay's
 // chaos table, a chaos class a row of Classes here; drawing a trial,

@@ -69,7 +69,7 @@ func Soak(c Config) int {
 				m.StallThresholdUS = 500
 			}
 		}
-		f, _ := run(m, sc, ringCap, nil)
+		f, _ := run(m, sc, ringCap)
 		if c.Verbose {
 			status := "ok"
 			if f != "" {
@@ -107,12 +107,19 @@ func failureClass(f string) string {
 	return class
 }
 
-// rerun runs the trial again, recorder attached, until it fails with
-// the given class or the attempts are spent: a multi-worker schedule is
-// only reproduced best-effort, so one clean rerun proves nothing.
-func rerun(m replay.Meta, class string, ringCap, attempts int) (f string, rec *replay.Recorder) {
-	for ; attempts > 0 && failureClass(f) != class; attempts-- {
-		f, rec = run(m, nil, ringCap, nil)
+// rerun runs the trial again from its meta, recorder attached, until it
+// fails with the given class or the attempts are spent: one attempt at
+// one worker, where the seeds decide everything, three otherwise, where
+// the OS interleaving still varies and one clean rerun proves nothing.
+func rerun(m replay.Meta, class string, ringCap int) (f string, rec *replay.Recorder) {
+	attempts := 3
+	if m.Workers == 1 {
+		attempts = 1
+	}
+	for ; attempts > 0; attempts-- {
+		if f, rec = run(m, nil, ringCap); failureClass(f) == class {
+			break
+		}
 	}
 	return f, rec
 }
@@ -183,27 +190,27 @@ func shrink(m replay.Meta, fails func(replay.Meta) bool, log io.Writer) replay.M
 	return m
 }
 
-// capture re-runs a failing trial, writes its repro bundle and confirms
-// that the bundle replays to the same failure class. It returns the
-// bundle's path, "" if the failure evaporated.
+// capture re-runs a failing trial, writes its repro bundle — the meta
+// plus the failing run's last events — and confirms that rerunning the
+// meta reproduces the same failure class. It returns the bundle's path,
+// "" if the failure evaporated.
 func (c Config) capture(m replay.Meta, class, suffix string) (string, error) {
-	f, rec := rerun(m, class, c.RingCap, 3)
+	f, rec := rerun(m, class, c.RingCap)
 	if failureClass(f) != class {
 		return "", nil
 	}
 	m.Failure = f
-	log := rec.Snapshot()
 	if err := os.MkdirAll(c.Out, 0o755); err != nil {
 		return "", err
 	}
 	path := filepath.Join(c.Out, fmt.Sprintf("%s-%s-w%d-s%d%s.bundle", m.Kernel, m.Variant, m.Workers, m.Seed, suffix))
-	if err := replay.SaveBundle(path, m, log); err != nil {
+	if err := replay.SaveBundle(path, replay.NewBundle(m, rec)); err != nil {
 		return "", err
 	}
-	if rf, _ := run(m, nil, 0, log); failureClass(rf) == class {
-		fmt.Fprintf(c.Stdout, "  bundle %s replays to the same failure (%s)\n", path, failureClass(rf))
+	if rf, _ := rerun(m, class, 0); failureClass(rf) == class {
+		fmt.Fprintf(c.Stdout, "  bundle %s reruns to the same failure (%s)\n", path, failureClass(rf))
 	} else {
-		fmt.Fprintf(c.Stdout, "  warning: bundle %s replayed to %q, captured %q\n", path, rf, f)
+		fmt.Fprintf(c.Stdout, "  warning: bundle %s reran to %q, captured %q\n", path, rf, f)
 	}
 	return path, nil
 }
@@ -227,11 +234,7 @@ func (c Config) pin(m replay.Meta, class, suffix string) (bundles []string, mini
 		log = c.Stdout
 	}
 	minimal = shrink(m, func(cand replay.Meta) bool {
-		attempts := 3
-		if cand.Workers == 1 {
-			attempts = 1 // nothing else is nondeterministic there
-		}
-		f, _ := rerun(cand, class, c.RingCap, attempts)
+		f, _ := rerun(cand, class, 0)
 		return failureClass(f) == class
 	}, log)
 	fmt.Fprintf(c.Stdout, "  shrunk to: %s\n", label(minimal, nil))
@@ -243,43 +246,39 @@ func (c Config) pin(m replay.Meta, class, suffix string) (bundles []string, mini
 	return bundles, minimal
 }
 
-// Replay loads a repro bundle and re-runs its trial with the captured
-// schedule log driving the scheduler. Exit 0 iff the recorded failure
-// class reproduces.
+// Replay loads a repro bundle and reruns its meta under rerun's attempt
+// rule. Exit 0 iff the recorded failure class reproduces.
 func Replay(path string, c Config) int {
-	m, log, err := replay.LoadBundle(path)
+	b, err := replay.LoadBundle(path)
 	if err != nil {
 		fmt.Fprintln(c.Stderr, "nowa-torture:", err)
 		return 2
 	}
-	if m.Class == "" {
-		m.Class = "unlabelled" // a bundle from before the class travelled in the meta
-	}
-	fmt.Fprintf(c.Stdout, "replaying %s: %s\n", path, label(m, nil))
+	m := b.Meta
+	fmt.Fprintf(c.Stdout, "rerunning %s: %s\n", path, label(m, nil))
 	if m.Failure != "" {
 		fmt.Fprintf(c.Stdout, "  captured failure: %s\n", m.Failure)
 	}
-	if c.Verbose && log.Workers() > 0 {
-		evs := log.PerWorker[0]
-		fmt.Fprintf(c.Stdout, "  worker 0 schedule tail: %s\n", replay.FormatEvents(evs[max(0, len(evs)-16):]))
+	if c.Verbose && len(b.Events) > 0 {
+		fmt.Fprintf(c.Stdout, "  worker 0 schedule tail: %s\n", b.Events[0])
 	}
-	f, _ := run(m, nil, 0, log)
+	f, _ := rerun(m, failureClass(m.Failure), 0)
 	switch {
 	case f == "" && m.Failure == "":
-		fmt.Fprintln(c.Stdout, "replay passed (bundle recorded no failure)")
+		fmt.Fprintln(c.Stdout, "rerun passed (bundle recorded no failure)")
 		return 0
 	case failureClass(f) == failureClass(m.Failure):
 		fmt.Fprintf(c.Stdout, "reproduced: %s\n", f)
 		return 0
 	}
-	fmt.Fprintf(c.Stdout, "NOT reproduced: replay gave %q, bundle recorded %q\n", f, m.Failure)
+	fmt.Fprintf(c.Stdout, "NOT reproduced: rerun gave %q, bundle recorded %q\n", f, m.Failure)
 	return 1
 }
 
 // SelfTest validates the whole pipeline against the planted
-// Chaos.LeakVessel bug: the trial must fail, its bundle must replay to
-// the same failure, and the shrinker must arrive at a trial that still
-// fails and still carries the injection that causes the failure.
+// Chaos.LeakVessel bug: the trial must fail, its bundle's meta must rerun
+// to the same failure, and the shrinker must arrive at a trial that
+// still fails and still carries the injection that causes the failure.
 func SelfTest(c Config) int {
 	// StealInterest 1024 promotes every lazy spawn: without it a
 	// single-worker trial runs everything inline under the default spawn
@@ -291,7 +290,7 @@ func SelfTest(c Config) int {
 	}
 	const class = "vessel-leak"
 	fmt.Fprintf(c.Stdout, "selftest trial: %s (planted leak-vessel bug armed)\n", label(m, nil))
-	f, _ := run(m, nil, c.RingCap, nil)
+	f, _ := run(m, nil, c.RingCap)
 	if failureClass(f) != class {
 		fmt.Fprintf(c.Stdout, "selftest FAILED: planted bug gave %q, want a vessel-leak\n", f)
 		return 1
@@ -303,11 +302,11 @@ func SelfTest(c Config) int {
 	case len(bundles) < 2:
 		fmt.Fprintf(c.Stdout, "selftest FAILED: the trial or its shrunk form did not fail again for a bundle (got %q)\n", bundles)
 	case Replay(bundles[0], c) != 0:
-		fmt.Fprintln(c.Stdout, "selftest FAILED: bundle did not replay to the captured failure")
+		fmt.Fprintln(c.Stdout, "selftest FAILED: bundle did not rerun to the captured failure")
 	case min.Chaos == nil || min.Chaos.LeakVessel == 0:
 		fmt.Fprintln(c.Stdout, "selftest FAILED: shrinker dropped the injection that causes the failure")
 	default:
-		fmt.Fprintf(c.Stdout, "selftest passed: capture, replay and shrink all work (leak-vessel rate %d left)\n", min.Chaos.LeakVessel)
+		fmt.Fprintf(c.Stdout, "selftest passed: capture, rerun and shrink all work (leak-vessel rate %d left)\n", min.Chaos.LeakVessel)
 		return 0
 	}
 	return 1

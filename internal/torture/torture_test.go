@@ -2,7 +2,6 @@ package torture
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -108,7 +107,7 @@ func TestAbortTrialRuns(t *testing.T) {
 				TimeoutMS:  timeoutMS,
 				Class:      "abort", Chaos: &chaos,
 			}
-			if f, _ := run(m, nil, 0, nil); f != "" {
+			if f, _ := run(m, nil, 0); f != "" {
 				t.Fatalf("%s timeout=%dms: %s", kernel, timeoutMS, f)
 			}
 		}
@@ -134,14 +133,14 @@ func TestClassRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 				var buf bytes.Buffer
-				log := replay.NewRecorder(m.Workers, 8).Snapshot()
-				if err := replay.WriteBundle(&buf, m, log); err != nil {
+				if err := replay.WriteBundle(&buf, replay.NewBundle(m, replay.NewRecorder(m.Workers, 8))); err != nil {
 					t.Fatal(err)
 				}
-				back, _, err := replay.ReadBundle(&buf)
+				b, err := replay.ReadBundle(&buf)
 				if err != nil {
 					t.Fatal(err)
 				}
+				back := b.Meta
 				got, err := buildConfig(back)
 				if err != nil || !reflect.DeepEqual(got, want) || label(back, nil) != label(m, nil) {
 					t.Fatalf("%s service=%v: bundle rebuilds\n %+v (%v)\nwant\n %+v", cl.Name, service, got, err, want)
@@ -203,10 +202,10 @@ func TestGoldenMeta(t *testing.T) {
 	}
 }
 
-// TestReplayBundleWithParkAfter is the bundle-compatibility bar: a bundle
+// TestReplayBundleWithParkAfter is the bundle-compatibility bar: a meta
 // written while the scheduler still had a park threshold carries
-// "park_after" in its meta block. It must load, the key ignored, and
-// replay to the failure it recorded.
+// "park_after". It must load, the key ignored, and rerun to the failure
+// it recorded.
 func TestReplayBundleWithParkAfter(t *testing.T) {
 	c := soakConfig(t)
 	m := replay.Meta{
@@ -221,15 +220,12 @@ func TestReplayBundleWithParkAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// magic, uint32 meta length, meta JSON, streams: splice the old key in.
-	const key = `"park_after":64,`
-	at := len("NOWAREPL2\n") + 4
-	if raw[at] != '{' {
-		t.Fatalf("bundle layout changed: byte %d is %q", at, raw[at])
+	// Splice the old key into the meta object.
+	const meta = `"meta": {`
+	if !bytes.Contains(raw, []byte(meta)) {
+		t.Fatalf("bundle layout changed:\n%s", raw)
 	}
-	old := append([]byte(nil), raw[:at+1]...)
-	binary.LittleEndian.PutUint32(old[at-4:], binary.LittleEndian.Uint32(raw[at-4:])+uint32(len(key)))
-	old = append(append(old, key...), raw[at+1:]...)
+	old := bytes.Replace(raw, []byte(meta), []byte(meta+`"park_after":64,`), 1)
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}

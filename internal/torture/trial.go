@@ -51,8 +51,8 @@ func label(m replay.Meta, sc *serviceSpec) string {
 // service soak — and checks every invariant, returning "" on a clean
 // pass or a "class: detail" failure string. A positive ringCap attaches
 // (and returns) a recorder as wide as the filled configuration's slots:
-// supplements record on extended ones. A log drives the run as a replay.
-func run(m replay.Meta, sc *serviceSpec, ringCap int, log *replay.Log) (failure string, rec *replay.Recorder) {
+// supplements record on extended ones.
+func run(m replay.Meta, sc *serviceSpec, ringCap int) (failure string, rec *replay.Recorder) {
 	cfg, err := buildConfig(m)
 	slots, serr := cfg.Slots()
 	if err = errors.Join(err, serr); err != nil {
@@ -61,7 +61,7 @@ func run(m replay.Meta, sc *serviceSpec, ringCap int, log *replay.Log) (failure 
 	if ringCap > 0 {
 		rec = replay.NewRecorder(slots, ringCap)
 	}
-	cfg.Record, cfg.Replay = rec, log
+	cfg.Record = rec
 	rt, err := sched.New(cfg)
 	if err != nil {
 		return "config: " + err.Error(), nil

@@ -214,11 +214,6 @@ func Resources(rt Runtime) (ResourceStats, bool) {
 // See internal/replay for the event format.
 type ScheduleRecorder = replay.Recorder
 
-// ScheduleLog is a decoded schedule capture, obtained from
-// ScheduleRecorder.Snapshot, that can drive a later run deterministically
-// via Instrument.Replay.
-type ScheduleLog = replay.Log
-
 // NewScheduleRecorder creates a recorder for an instrumented runtime with
 // the given worker count. perWorkerCap is the per-worker event capacity
 // (rounded up to a power of two; <= 0 selects the default, 65536 events —
@@ -227,44 +222,30 @@ func NewScheduleRecorder(workers, perWorkerCap int) *ScheduleRecorder {
 	return replay.NewRecorder(workers, perWorkerCap)
 }
 
-// Instrument configures schedule capture and replay for NewInstrumented.
+// Instrument configures schedule capture for NewInstrumented. A run is
+// reproduced from its seeds, not from its log: the log is for reading.
 type Instrument struct {
 	// Record, if non-nil, logs the runtime's scheduling decisions. Flush
 	// with Record.Snapshot() once the run of interest completed.
 	Record *ScheduleRecorder
-	// Replay, if non-nil, drives victim selection and chaos rolls from a
-	// captured log instead of the live RNGs. Exact for single-worker
-	// captures; best-effort otherwise (see ScheduleDivergences).
-	Replay *ScheduleLog
 }
 
 // NewInstrumented creates a continuation-stealing runtime with schedule
-// recording and/or replay attached. Only the vessel-model variants can
-// be instrumented (the same set NewLimited accepts); NewInstrumented
-// panics for the comparators, and on a worker-count mismatch between the
-// runtime and the recorder or log.
+// recording attached. Only the vessel-model variants can be instrumented
+// (the same set NewLimited accepts); NewInstrumented panics for the
+// comparators, and on a worker-count mismatch between the runtime and
+// the recorder.
 func NewInstrumented(v Variant, workers int, ins Instrument) Runtime {
 	cfg, ok := schedConfig(v, workers)
 	if !ok {
 		panic("nowa: NewInstrumented requires a continuation-stealing variant (vessel model); got " + v.String())
 	}
 	cfg.Record = ins.Record
-	cfg.Replay = ins.Replay
 	rt, err := sched.New(cfg)
 	if err != nil {
 		panic(err)
 	}
 	return rt
-}
-
-// ScheduleDivergences reports how many scheduling decisions of the most
-// recent Run fell back to the live RNGs because they failed to match the
-// configured replay log, and whether rt is replaying a log at all.
-func ScheduleDivergences(rt Runtime) (int64, bool) {
-	if r, ok := rt.(interface{ ReplayDivergences() (int64, bool) }); ok {
-		return r.ReplayDivergences()
-	}
-	return 0, false
 }
 
 // Resilience re-exports: client-side retry over a serving runtime's

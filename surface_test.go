@@ -29,7 +29,7 @@ var exportedSurface = []string{
 	"OverloadPolicy", "OverloadShed", "OverloadedError", "Reduce",
 	"ResilienceOutcome", "ResiliencePolicy", "Resilient", "ResourceStats",
 	"Resources", "RunTimeout", "RunTimeoutCtx", "Runtime",
-	"ScheduleDivergences", "ScheduleLog", "ScheduleRecorder", "Scope",
+	"ScheduleRecorder", "Scope",
 	"Serial", "ServiceConfig", "ServiceInfo", "ServiceStats", "Sort",
 	"SortOrdered", "SpawnAdaptive", "SpawnEager", "SpawnPolicy",
 	"StartService", "StrandPanic", "Submission", "Submit", "SubmitCtx",
