@@ -12,11 +12,12 @@
 
 GO ?= go
 
-# The blocking-layer tests by name (CQS queue, futures, channels,
-# barriers, pipeline/BFS kernels, abort storms, the scheduler's whitebox
-# token-handoff and parker tests): part of RACE_TEST, and what
+# The blocking-layer tests by name (CQS queue, the wake queue built on
+# it, futures, channels, barriers, pipeline/BFS kernels, abort storms,
+# the scheduler's whitebox token-handoff and parker tests, and the
+# golden one-worker schedule counts): part of RACE_TEST, and what
 # `block-smoke` runs on its own.
-BLOCK_TESTS = TestCQS|TestFuture|TestChannel|TestBarrier|TestBlock|TestWait|TestAbort|TestPipeline|TestBFS|TestKernel|TestWakeSlot
+BLOCK_TESTS = TestCQS|TestWakeQueue|TestFuture|TestChannel|TestBarrier|TestBlock|TestWait|TestAbort|TestPipeline|TestBFS|TestKernel|TestWakeSlot|TestScheduleCounts
 
 # The race-enabled stress subset, shared by `race` and `verify` so the
 # two gates cannot drift apart: the name-selected stress tests of every
@@ -151,9 +152,10 @@ fault-smoke:
 	$(GO) run ./cmd/nowa-serve -workers 4 -dur 1s
 
 # block-smoke exercises the external blocking layer (DESIGN.md §16): the
-# race-enabled blocking primitive and kernel tests (BLOCK_TESTS above;
-# TestPipelineKernel and TestBFSKernel run both kernels on the four
-# vessel-model variants and check wait conservation), one iteration of
+# race-enabled blocking primitive, wake-queue and kernel tests
+# (BLOCK_TESTS above; TestPipelineKernel and TestBFSKernel run both
+# kernels on the four vessel-model variants and check wait conservation,
+# TestScheduleCounts pins their one-worker counts), one iteration of
 # BenchmarkBlockingKernels and of BenchmarkChannel (so the blocks/op and
 # ns/block re-read and the four channel shapes cannot rot; their output
 # is kept in torture-out/ for CI to upload), and an
@@ -162,7 +164,7 @@ fault-smoke:
 # BlockedWaits == ResumedWaits + AbortedWaits conservation bar and the
 # leak bars checked every trial.
 block-smoke:
-	$(GO) test -race -run '$(BLOCK_TESTS)' . ./internal/cqs/ ./internal/blockapps/ ./internal/sched/
+	$(GO) test -race -run '$(BLOCK_TESTS)' . ./internal/cqs/ ./internal/core/ ./internal/blockapps/ ./internal/sched/
 	@mkdir -p torture-out
 	{ $(GO) test -run '^$$' -bench BlockingKernels -benchtime 1x ./internal/blockapps \
 		&& $(GO) test -run '^$$' -bench 'Channel$$' -benchtime 1x . ; } > torture-out/blocking-kernels.bench.txt \

@@ -1,7 +1,7 @@
 // Package core implements the Nowa paper's primary contribution (§IV):
 // wait-free coordination of the strands of a fully-strict fork/join
-// computation, plus the lock-based Fibril-style baseline it is compared
-// against.
+// computation, the lock-based Fibril-style baseline it is compared against,
+// and WakeQueue, the scheduler's lock-free wake FIFO (DESIGN.md §16.2).
 //
 // # The problem (§III-C)
 //

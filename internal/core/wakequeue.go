@@ -1,67 +1,64 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
+
+	"nowa/internal/cqs"
 )
 
-// WakeQueue is a small mutex-guarded FIFO of wake handles with an
-// atomically readable pending count. The scheduler uses it to route
-// external wakeups — a resumer or an abort firing from an arbitrary
-// goroutine, off any worker token — to the thieves: the waker pushes
-// the blocked strand's handle and wakes one parked thief, an idle thief
-// pops it and hands over its token. The pending counter is the cheap gate
-// both the steal loop and the park guard read without taking the lock;
-// it is updated inside the critical section, so a nonzero count always
-// means a pop will (or very recently did) succeed, and the waker's
-// wake-one after the push closes the park race the same way deque
-// publication does.
-//
-// This is cold-path machinery (a strand blocking on a future, channel,
-// or barrier has already paid a park), so a plain mutex is the right
-// tool — no lock-free ceremony.
+// WakeQueue is the scheduler's FIFO of wake handles (DESIGN.md §16.2):
+// a waker on any goroutine pushes a blocked strand's handle, the next
+// token to come free pops it. It is a typed adapter over one cqs.Queue
+// whose cells are never aborted, so both ends are lock-free. The zero
+// value is ready: first use links the queue.
 type WakeQueue[H any] struct {
-	pending atomic.Int64
-	mu      sync.Mutex
-	items   []H
-	head    int
+	q atomic.Pointer[cqs.Queue]
 }
 
-// Push appends a wake handle.
-func (q *WakeQueue[H]) Push(h H) {
-	q.mu.Lock()
-	q.items = append(q.items, h)
-	q.pending.Add(1)
-	q.mu.Unlock()
+// Push appends h. A pop that reached h's cell first left a deposit
+// there; h then takes the next ticket. Push returns only once h is
+// registered, so the waker's wake-one after it closes the park race.
+//
+//nowa:coldpath external wakeup only; Enqueue may link a fresh segment
+func (w *WakeQueue[H]) Push(h H) {
+	q := w.q.Load()
+	if q == nil {
+		w.q.CompareAndSwap(nil, cqs.NewQueue())
+		q = w.q.Load()
+	}
+	for {
+		if _, ok := q.Enqueue(h); ok {
+			return
+		}
+	}
 }
 
-// Pop removes the oldest handle, if any.
-func (q *WakeQueue[H]) Pop() (H, bool) {
-	var zero H
-	if q.pending.Load() == 0 {
-		return zero, false
+// Pop removes the oldest registered handle, if any. It spends only the
+// tickets claimed before it began, leaving a deposit for a push still
+// in flight.
+//
+//nowa:coldpath a wakeup is queued or a strand is blocking; Resume may link a fresh segment
+func (w *WakeQueue[H]) Pop() (h H, ok bool) {
+	q := w.q.Load()
+	if q == nil {
+		return h, false
 	}
-	q.mu.Lock()
-	if q.head == len(q.items) {
-		q.mu.Unlock()
-		return zero, false
+	for bound := q.Enqueued(); ; {
+		v, oc := q.ResumeBounded(bound)
+		if oc == cqs.Woke {
+			return v.(H), true
+		}
+		if oc == cqs.Drained {
+			return h, false
+		}
 	}
-	h := q.items[q.head]
-	q.items[q.head] = zero
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	q.pending.Add(-1)
-	q.mu.Unlock()
-	return h, true
 }
 
-// Pending returns the number of queued handles. A zero read is only a
-// hint to skip the lock; a waker wakes one parked thief after pushing,
-// and a thief claims its idle-queue ticket before it checks Pending, so
-// one of the two sees the other.
-func (q *WakeQueue[H]) Pending() int64 {
-	return q.pending.Load()
+// Pending reports whether a push holds a ticket no pop has claimed.
+// In-flight pushes count, so a pop can come back empty while Pending is
+// true; a false read means every push completed before it was claimed,
+// which is what the park and retirement gates need.
+func (w *WakeQueue[H]) Pending() bool {
+	q := w.q.Load()
+	return q != nil && q.Waiting()
 }

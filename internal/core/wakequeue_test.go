@@ -13,8 +13,8 @@ func TestWakeQueueFIFO(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		q.Push(i)
 	}
-	if got := q.Pending(); got != 10 {
-		t.Fatalf("pending = %d, want 10", got)
+	if !q.Pending() {
+		t.Fatal("pending = false after 10 pushes")
 	}
 	for i := 0; i < 10; i++ {
 		h, ok := q.Pop()
@@ -22,17 +22,58 @@ func TestWakeQueueFIFO(t *testing.T) {
 			t.Fatalf("pop %d: got (%d, %v)", i, h, ok)
 		}
 	}
-	if got := q.Pending(); got != 0 {
-		t.Fatalf("pending after drain = %d, want 0", got)
+	if q.Pending() {
+		t.Fatal("pending after drain")
+	}
+}
+
+// TestWakeQueueZeroValue: a declared WakeQueue needs no constructor
+// (the benchmark's ledger declares one). Before any push it reads empty
+// without linking a queue; pushers racing on first use all land in the
+// one queue their CAS agreed on.
+func TestWakeQueueZeroValue(t *testing.T) {
+	var q WakeQueue[int]
+	if q.Pending() {
+		t.Fatal("zero value pending")
+	}
+	if _, ok := q.Pop(); ok {
+		t.Fatal("pop from zero value succeeded")
+	}
+	if q.q.Load() != nil {
+		t.Fatal("a read linked a queue")
+	}
+	const pushers = 8
+	var wg sync.WaitGroup
+	for p := 0; p < pushers; p++ {
+		wg.Add(1)
+		go func(h int) {
+			defer wg.Done()
+			q.Push(h)
+		}(p)
+	}
+	wg.Wait()
+	seen := make([]bool, pushers)
+	for i := 0; i < pushers; i++ {
+		h, ok := q.Pop()
+		if !ok || seen[h] {
+			t.Fatalf("pop %d: got (%d, %v), a first-use push was lost or duplicated", i, h, ok)
+		}
+		seen[h] = true
+	}
+	if _, ok := q.Pop(); ok || q.Pending() {
+		t.Fatal("queue not empty after popping every push")
 	}
 }
 
 // TestWakeQueueConcurrent checks that concurrent pushers and poppers
-// neither lose nor duplicate a handle.
+// neither lose nor duplicate a handle. The poppers pop without waiting
+// for Pending, so they claim tickets whose push has not registered yet:
+// those pushes find a deposit and take a second ticket.
 func TestWakeQueueConcurrent(t *testing.T) {
 	const (
-		pushers = 4
-		perPush = 1000
+		pushers = 8
+		poppers = 8
+		perPush = 4000
 	)
 	var q WakeQueue[int]
 	var wg sync.WaitGroup
@@ -50,7 +91,7 @@ func TestWakeQueueConcurrent(t *testing.T) {
 	var mu sync.Mutex
 	var pw sync.WaitGroup
 	done := make(chan struct{})
-	for c := 0; c < 4; c++ {
+	for c := 0; c < poppers; c++ {
 		pw.Add(1)
 		go func() {
 			defer pw.Done()
@@ -93,4 +134,8 @@ func TestWakeQueueConcurrent(t *testing.T) {
 	if popped != pushers*perPush {
 		t.Fatalf("popped %d of %d handles", popped, pushers*perPush)
 	}
+	if q.Pending() {
+		t.Fatal("pending after every handle was popped")
+	}
+	t.Logf("%d pushes, %d re-enqueued after a deposit", pushers*perPush, q.q.Load().Enqueued()-pushers*perPush)
 }

@@ -21,16 +21,16 @@ import (
 // piece: a resume or abort may fire on any goroutine — another strand, a
 // context.AfterFunc timer, an external completer — so the waker cannot
 // always hand a token directly. Instead it pushes the Waiter onto the
-// runtime's wake queue and rouses a thief; the next token to come
-// free — a strand blocking in its turn, or an idle thief — pops it and
-// hands itself over, and the blocked strand continues where it left off.
-// The exception is WakeNext, the child-first rule applied to wakeups: a
-// strand that wakes one waiter files it in its own token's slot.
+// runtime's wake queue (a cqs.Queue: no lock) and rouses a thief; the
+// next token to come free — a strand blocking in its turn, or an idle
+// thief — pops it and hands itself over, and the blocked strand goes
+// on where it left off. The exception is WakeNext, the child-first rule
+// applied to wakeups: one woken waiter goes to its waker's token's slot.
 //
 // Leak-freedom is the sum of three guarantees: the primitive's cell CAS
 // arbitration means exactly one of Wake/WakeAborted fires per
 // CommitWait (no lost or double wakeup); the blockedLive gauge plus the
-// wake-queue pending count gate token retirement (a thief never retires
+// wake queue's Pending flag gate token retirement (a thief never retires
 // the last token while a waiter is parked — a slot's occupant included —
 // or a wakeup is queued); and the park guard declines to park while a
 // wakeup is pending (counted as WakeupsLost) or a slot is filled, closing
@@ -172,7 +172,7 @@ func (p *Proc) WakeNext(bw *Waiter) {
 	rt := p.rt
 	s := &rt.next[p.worker].w
 	bw.aborted = false
-	if bw.v.rt != rt || rt.wakeq.Pending() > 0 || s.Load() != nil || !s.CompareAndSwap(nil, bw) {
+	if bw.v.rt != rt || rt.wakeq.Pending() || s.Load() != nil || !s.CompareAndSwap(nil, bw) {
 		bw.deliver(false)
 		return
 	}
@@ -207,8 +207,8 @@ func (bw *Waiter) WakeAborted() { bw.deliver(true) }
 //  4. A thief vessel, as the fallback.
 //
 // The route records no schedule event, like the thief-side pop in
-// stealLoop: the wake queue is FIFO and its order is set by the replayed
-// interleaving (see replay.KWaitBlock).
+// stealLoop: the wake queue is FIFO by ticket, and a run is reproduced
+// from its seeds, not from a record of the routes it took.
 func (rt *Runtime) passToken(v *vessel, w int, bw *Waiter) bool {
 	if pc, ok := rt.popOwn(w, v.disp.parent); ok {
 		// The claim counts as a steal on the parent's join state (this

@@ -32,29 +32,28 @@ func assertWaitsSettled(t *testing.T, rt *Runtime) {
 	if err := rt.Counters().CheckQuiescent(); err != nil {
 		t.Errorf("conservation: %v", err)
 	}
-	if live, pending := rt.blockedLive.Load(), rt.wakeq.Pending(); live != 0 || pending != 0 {
-		t.Errorf("blockedLive = %d, queued wakeups = %d; want 0, 0", live, pending)
+	if live, pending := rt.blockedLive.Load(), rt.wakeq.Pending(); live != 0 || pending {
+		t.Errorf("blockedLive = %d, wakeup queued = %v; want 0, false", live, pending)
 	}
 	if st := rt.Stats(); st.VesselsLeaked != 0 || st.StacksLeaked != 0 || st.ScopesLeaked != 0 {
 		t.Errorf("leaks: vessels=%d stacks=%d scopes=%d", st.VesselsLeaked, st.StacksLeaked, st.ScopesLeaked)
 	}
 }
 
-// semWait and semPost are a channel's slow path in miniature: take a
-// permit or park until one is released.
-func semWait(p *Proc, s *cqs.Semaphore) {
-	if s.Acquire() {
-		return
-	}
+// pairWait and pairPost are a channel's slow path in miniature, on a
+// bare cqs.Queue where each post pairs with one wait: the wait parks
+// until its post, and a post that runs first leaves a deposit the wait
+// consumes without parking.
+func pairWait(p *Proc, q *cqs.Queue) {
 	bw := p.PrepareWait()
-	if _, registered := s.Register(bw); !registered {
+	if _, registered := q.Enqueue(bw); !registered {
 		return
 	}
 	p.CommitWait(bw)
 }
 
-func semPost(s *cqs.Semaphore) {
-	if h, ok := s.Release(); ok {
+func pairPost(q *cqs.Queue) {
+	if h, oc := q.Resume(); oc == cqs.Woke {
 		h.(*Waiter).Wake()
 	}
 }
@@ -65,18 +64,18 @@ func semPost(s *cqs.Semaphore) {
 func TestBlockDirectHandoffPingPong(t *testing.T) {
 	const rounds = 200
 	rt := blockRuntime(t)
-	ping, pong := cqs.NewSemaphore(0), cqs.NewSemaphore(0)
+	ping, pong := cqs.NewQueue(), cqs.NewQueue()
 	rt.Run(func(c api.Ctx) {
 		s := c.Scope()
 		s.Spawn(func(c api.Ctx) {
 			for i := 0; i < rounds; i++ {
-				semWait(c.(*Proc), ping)
-				semPost(pong)
+				pairWait(c.(*Proc), ping)
+				pairPost(pong)
 			}
 		})
 		for i := 0; i < rounds; i++ {
-			semPost(ping)
-			semWait(c.(*Proc), pong)
+			pairPost(ping)
+			pairWait(c.(*Proc), pong)
 		}
 		s.Sync()
 	})
@@ -133,13 +132,17 @@ func TestBlockAbortServedByNeighbour(t *testing.T) {
 	defer cancel()
 	var victimAborted bool
 	var rootWait *Waiter
+	queued := make(chan struct{})
 	rt.Run(func(c api.Ctx) {
 		p := c.(*Proc)
 		s := c.Scope()
 		s.Spawn(func(c api.Ctx) {
 			vp := c.(*Proc)
 			bw := vp.PrepareWait()
-			stop := context.AfterFunc(ctx, bw.WakeAborted)
+			stop := context.AfterFunc(ctx, func() {
+				bw.WakeAborted()
+				close(queued)
+			})
 			defer stop()
 			// Blocking claims the root's continuation: the root runs on.
 			victimAborted = vp.CommitWait(bw)
@@ -147,9 +150,7 @@ func TestBlockAbortServedByNeighbour(t *testing.T) {
 		})
 		rootWait = p.PrepareWait()
 		cancel()
-		for rt.wakeq.Pending() == 0 {
-			runtime.Gosched()
-		}
+		<-queued
 		if p.CommitWait(rootWait) {
 			t.Error("root's wait reported aborted")
 		}

@@ -471,7 +471,7 @@ func (rt *Runtime) parkThief(p *Proc) {
 	// In both phases a queued submission is work: a forced drain still
 	// settles what is queued.
 	look = look || rt.submissionsQueued()
-	if !look && rt.wakeq.Pending() > 0 {
+	if !look && rt.wakeq.Pending() {
 		// A queued external wakeup must be picked up, not slept on; the
 		// decline is tallied as the near-miss it is.
 		rt.rec.Worker(w)[trace.WakeupsLost].Add(1)
@@ -599,7 +599,7 @@ func (rt *Runtime) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "  accounting: live=%d highWater=%d scopesLeaked=%d\n",
 		rt.vLive.Load(), rt.vHighWater.Load(), rt.scopesLeaked.Load())
 	agg := rt.rec.Aggregate()
-	fmt.Fprintf(w, "  waits: blocked=%d resumed=%d aborted=%d live=%d highWater=%d pendingWakes=%d wakeupsLost=%d\n",
+	fmt.Fprintf(w, "  waits: blocked=%d resumed=%d aborted=%d live=%d highWater=%d pendingWakes=%v wakeupsLost=%d\n",
 		agg.BlockedWaits, agg.ResumedWaits, agg.AbortedWaits,
 		rt.blockedLive.Load(), rt.blockedHW.Load(), rt.wakeq.Pending(), agg.WakeupsLost)
 	fmt.Fprintf(w, "  thieves parked: %v\n", rt.idle.Waiting())

@@ -456,9 +456,9 @@ func (svc *service) shedVictim(victim *Submission) {
 
 // chaosRoll rolls one of the admission-time injections (the external
 // sites of the chaos table). The admission path has no worker token, so
-// the draw comes from the service's dedicated mutex-guarded streams, and
-// the roll is recorded on the external stream (replay never consumes it
-// — service schedules are not replayable).
+// the draw comes from the service's own mutex-guarded streams, seeded
+// from Chaos.Seed; the roll is recorded on the external stream for
+// post-mortems only (a run is reproduced from its seeds).
 func (svc *service) chaosRoll(site uint8) bool {
 	rate := svc.rt.cfg.Chaos.Rate(site)
 	if rate <= 0 {

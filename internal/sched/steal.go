@@ -24,7 +24,7 @@ func (rt *Runtime) stealLoop(p *Proc) {
 	fails := 0
 	for {
 		bw := rt.takeNext(w)
-		if bw == nil && rt.wakeq.Pending() > 0 {
+		if bw == nil && rt.wakeq.Pending() {
 			bw, _ = rt.wakeq.Pop()
 		}
 		if bw != nil {
@@ -51,7 +51,7 @@ func (rt *Runtime) stealLoop(p *Proc) {
 		}
 
 		if rt.done.Load() || rt.cancel.Cancelled() {
-			if rt.blockedLive.Load() > 0 || rt.wakeq.Pending() > 0 {
+			if rt.blockedLive.Load() > 0 || rt.wakeq.Pending() {
 				// Strands are still parked on external waits (or their
 				// wakeups wait for a token): retiring now could strand a woken
 				// waiter with no token to resume on. Keep this token in

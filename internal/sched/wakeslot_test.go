@@ -16,25 +16,22 @@ import (
 // parkThief): a strand's single wakeup resumes on the waker's token, and
 // another token takes it only once its thief's spin budget is spent.
 
-// slotWait and slotPost are semWait/semPost with the wakeup routed
+// slotWait and slotPost are pairWait/pairPost with the wakeup routed
 // through the waker's slot. slotPost stamps the waker's token into from
-// before the release; slotWait reports whether the strand parked and, if
+// before the resume; slotWait reports whether the strand parked and, if
 // so, whether it resumed on that token.
-func slotWait(p *Proc, s *cqs.Semaphore, from *atomic.Int64) (parked, onWakerToken bool) {
-	if s.Acquire() {
-		return false, false
-	}
+func slotWait(p *Proc, q *cqs.Queue, from *atomic.Int64) (parked, onWakerToken bool) {
 	bw := p.PrepareWait()
-	if _, registered := s.Register(bw); !registered {
+	if _, registered := q.Enqueue(bw); !registered {
 		return false, false
 	}
 	p.CommitWait(bw)
 	return true, int64(p.worker) == from.Load()
 }
 
-func slotPost(p *Proc, s *cqs.Semaphore, from *atomic.Int64) {
+func slotPost(p *Proc, q *cqs.Queue, from *atomic.Int64) {
 	from.Store(int64(p.worker))
-	if h, ok := s.Release(); ok {
+	if h, oc := q.Resume(); oc == cqs.Woke {
 		p.WakeNext(h.(*Waiter))
 	}
 }
@@ -48,11 +45,11 @@ func slotPost(p *Proc, s *cqs.Semaphore, from *atomic.Int64) {
 func TestWakeSlotStaysOnToken(t *testing.T) {
 	const rounds = 2000
 	rt := idleRuntime(t, 2, nil)
-	ping, pong := cqs.NewSemaphore(0), cqs.NewSemaphore(0)
+	ping, pong := cqs.NewQueue(), cqs.NewQueue()
 	var pingFrom, pongFrom atomic.Int64
 	var resumes, onToken atomic.Int64
-	wait := func(p *Proc, s *cqs.Semaphore, from *atomic.Int64) {
-		if parked, same := slotWait(p, s, from); parked {
+	wait := func(p *Proc, q *cqs.Queue, from *atomic.Int64) {
+		if parked, same := slotWait(p, q, from); parked {
 			resumes.Add(1)
 			if same {
 				onToken.Add(1)
@@ -100,7 +97,7 @@ func TestWakeSlotStaysOnToken(t *testing.T) {
 // 20 ms — instead of going back to sleep beside it.
 func TestWakeSlotTakenBeforeSleep(t *testing.T) {
 	rt := idleRuntime(t, 2, nil)
-	sem := cqs.NewSemaphore(0)
+	q := cqs.NewQueue()
 	var from atomic.Int64
 	resumedOn := atomic.Int64{}
 	resumedOn.Store(-1)
@@ -111,7 +108,7 @@ func TestWakeSlotTakenBeforeSleep(t *testing.T) {
 		s := c.Scope()
 		s.Spawn(func(c api.Ctx) {
 			p := c.(*Proc)
-			if parked, _ := slotWait(p, sem, &from); !parked {
+			if parked, _ := slotWait(p, q, &from); !parked {
 				t.Error("the wakee never parked")
 			}
 			parksAtResume = rt.Counters().ThiefParks
@@ -131,7 +128,7 @@ func TestWakeSlotTakenBeforeSleep(t *testing.T) {
 			runtime.Gosched()
 		}
 		waker = p.worker
-		slotPost(p, sem, &from)
+		slotPost(p, q, &from)
 		for end := time.Now().Add(20 * time.Millisecond); time.Now().Before(end); {
 			if resumedOn.Load() >= 0 {
 				inTime = true
