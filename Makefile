@@ -56,9 +56,8 @@ vet:
 
 # lint runs nowa-vet, the stdlib-only static analyzer suite that
 # enforces the scheduler's concurrency and hot-path invariants —
-# atomicmix, hotpath, padguard, joinenc, lockorder, fsm, and
-# replaycover, which requires every event kind to have a record site
-# (see DESIGN.md §10). Human-readable output; CI additionally captures
+# atomicmix, hotpath, padguard, joinenc, lockorder and fsm (see
+# DESIGN.md §10). Human-readable output; CI additionally captures
 # `nowa-vet -json` as an artifact.
 lint:
 	$(GO) run ./cmd/nowa-vet ./...

@@ -32,10 +32,7 @@ var allocVariants = []struct {
 }
 
 // TestSpawnAllocs asserts the steady-state allocation bound of one
-// Spawn/Sync round trip on a single worker (the popBottom-hit path),
-// first on the plain runtime and then, as the "record" row, with a
-// schedule recorder attached: capture logs every popBottom outcome into
-// a preallocated ring, so turning it on must not cost an allocation.
+// Spawn/Sync round trip on a single worker (the popBottom-hit path).
 // The warm-up loop populates the vessel free list, the scope ring and
 // the deque ring so the measurement sees only the recycled state.
 func TestSpawnAllocs(t *testing.T) {
@@ -63,10 +60,6 @@ func TestSpawnAllocs(t *testing.T) {
 		tc := tc
 		t.Run(tc.v.String(), func(t *testing.T) {
 			check(t, nowa.New(tc.v, 1), tc.bound)
-			t.Run("record", func(t *testing.T) {
-				rec := nowa.NewScheduleRecorder(1, 1<<12)
-				check(t, nowa.NewInstrumented(tc.v, 1, nowa.Instrument{Record: rec}), tc.bound)
-			})
 		})
 	}
 }

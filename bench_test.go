@@ -243,10 +243,7 @@ func BenchmarkJoinCounter(b *testing.B) {
 
 // BenchmarkSpawnOverhead measures the end-to-end cost of one spawn/sync
 // round trip per runtime variant (the vessel-model substrate cost). The
-// vessel-model variants get a second row, <variant>/record, with a
-// schedule recorder attached: the difference between the two rows is
-// what turning capture on costs per round trip (a few packed atomic
-// stores into the replay ring). The nowa/depth24 row nests the round
+// nowa/depth24 row nests the round
 // trips 24 scopes deep per iteration — each level opens a scope, spawns
 // the next level and syncs, the shape of an inlined fib or nqueens spine
 // — and reports ns per level: the scope stack past its inline slots.
@@ -265,12 +262,6 @@ func BenchmarkSpawnOverhead(b *testing.B) {
 	}
 	for _, v := range realVariants {
 		b.Run(v.String(), func(b *testing.B) { roundTrips(b, nowa.New(v, 1)) })
-		if nowa.HasVesselModel(v) {
-			b.Run(v.String()+"/record", func(b *testing.B) {
-				rec := nowa.NewScheduleRecorder(1, 1<<12)
-				roundTrips(b, nowa.NewInstrumented(v, 1, nowa.Instrument{Record: rec}))
-			})
-		}
 	}
 	b.Run("nowa/depth24", func(b *testing.B) {
 		const depth = 24

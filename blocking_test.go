@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -15,9 +14,9 @@ import (
 	"time"
 
 	"nowa/internal/deque"
-	"nowa/internal/replay"
 	"nowa/internal/ring"
 	"nowa/internal/sched"
+	"nowa/internal/trace"
 )
 
 // blockingRuntimes returns the four vessel-model variants configured for
@@ -795,11 +794,12 @@ func TestSubmitCancelAbortsBlockedWait(t *testing.T) {
 // TestReplayAbortRace: a single-worker run whose schedule includes
 // planted mid-wait aborts (Chaos.AbortWait) and stretched wakeup windows
 // (Chaos.WakeupDelay) is a function of its seeds: run twice, the wait
-// block/wake/abort arbitration records the same schedule and produces
-// the same result.
+// block/wake/abort arbitration makes the same registrations, leaves the
+// same counters and produces the same result.
 func TestReplayAbortRace(t *testing.T) {
-	workload := func(c Ctx) int64 {
-		var sum int64
+	// workload returns its sum and how many waits registered in the
+	// primitives' queues.
+	workload := func(c Ctx) (sum int64, registered uint64) {
 		f := NewFuture[int]()
 		ch := NewChannel[int](2)
 		s := c.Scope()
@@ -827,39 +827,38 @@ func TestReplayAbortRace(t *testing.T) {
 		}
 		ch.Close()
 		s.Sync()
-		return sum
+		return sum, f.core.q.Enqueued() + ch.sendQ.Enqueued() + ch.recvQ.Enqueued()
 	}
-	capture := func() (int64, *replay.Log) {
+	type result struct {
+		sum        int64
+		registered uint64
+		counters   trace.Counters
+	}
+	capture := func(abortWait int) (r result) {
 		cfg := sched.Config{
 			Name: "nowa", Workers: 1, Deque: deque.CL, Join: sched.WaitFree,
 			Seed:  7,
 			Spawn: sched.SpawnEager,
-			Chaos: &sched.Chaos{Seed: 11, AbortWait: 300, WakeupDelay: 200, DelaySpins: 1},
+			Chaos: &sched.Chaos{Seed: 11, AbortWait: abortWait, WakeupDelay: 200, DelaySpins: 1},
 		}
-		rec := replay.NewRecorder(1, 1<<15)
-		cfg.Record = rec
 		rt := sched.MustNew(cfg)
 		defer rt.Close()
-		var sum int64
-		rt.Run(func(c Ctx) { sum = workload(c) })
-		return sum, rec.Snapshot()
+		rt.Run(func(c Ctx) { r.sum, r.registered = workload(c) })
+		r.counters = rt.Counters()
+		return r
 	}
-	sum1, log1 := capture()
-	if want := int64(6*10 + 20); sum1 != want {
-		t.Fatalf("capture run sum = %d, want %d", sum1, want)
+	first := capture(300)
+	if want := int64(6*10 + 20); first.sum != want {
+		t.Fatalf("capture run sum = %d, want %d", first.sum, want)
 	}
-	aborts := 0
-	for _, e := range log1.PerWorker[0] {
-		if e.Kind == replay.KChaos && e.Site == replay.SiteAbortWait && e.Arg != 0 {
-			aborts++
-		}
+	// A planted abort that wins its cell sends the strand to register
+	// again instead of parking.
+	if quiet := capture(0); first.registered <= quiet.registered {
+		t.Fatalf("%d registrations with planted aborts, %d without; the test lost its premise",
+			first.registered, quiet.registered)
 	}
-	if aborts == 0 {
-		t.Fatal("no planted abort fired; the test lost its premise")
-	}
-	sum2, log2 := capture()
-	if sum2 != sum1 || !reflect.DeepEqual(log2, log1) {
-		t.Fatalf("rerun sum = %d, capture sum = %d; logs equal: %v", sum2, sum1, reflect.DeepEqual(log2, log1))
+	if again := capture(300); again != first {
+		t.Fatalf("rerun %+v\ncapture %+v", again, first)
 	}
 }
 

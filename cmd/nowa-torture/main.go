@@ -3,6 +3,8 @@
 //
 //	nowa-torture -duration 30s -out torture-out   # soak (exit 1 on failure)
 //	nowa-torture -replay torture-out/x.bundle     # rerun a bundle's meta
+//	nowa-torture -replay x.bundle -trace x.trace  # ... under runtime/trace;
+//	                                              # read it with go tool trace
 //	nowa-torture -selftest                        # pipeline check against the
 //	                                              # planted Chaos.LeakVessel bug
 package main
@@ -10,6 +12,7 @@ package main
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -39,8 +42,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	chaos := fs.String("chaos", strings.Join(classes, ","),
 		"comma-separated chaos classes the matrix may draw ("+strings.Join(classes, ", ")+")")
 	fs.IntVar(&cfg.MaxWorkers, "workers", runtime.NumCPU(), "cap on trial worker counts")
-	fs.IntVar(&cfg.RingCap, "ring", 1<<15, "per-worker recorder capacity (events)")
 	replayPath := fs.String("replay", "", "rerun a bundle's configuration and seeds instead of soaking")
+	fs.StringVar(&cfg.Trace, "trace", "", "with -replay: write the rerun's runtime/trace to this file (read it with go tool trace)")
 	selftest := fs.Bool("selftest", false, "validate the capture→rerun→shrink pipeline against the planted LeakVessel bug")
 	fs.BoolVar(&cfg.Service, "service", false, "soak service mode instead of batch runs: concurrent submissions with mixed deadlines, panics and admission chaos, checking drain quiescence and accounting")
 	fs.BoolVar(&cfg.Verbose, "v", false, "log every trial")
@@ -56,6 +59,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg.Kernels, cfg.Variants, cfg.Chaos = list(*kernels), list(*variants), list(*chaos)
 	switch {
+	case cfg.Trace != "" && *replayPath == "":
+		fmt.Fprintln(stderr, "nowa-torture: -trace traces a -replay rerun; give both")
+		return 2
 	case *replayPath != "":
 		return torture.Replay(*replayPath, cfg)
 	case *selftest:

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	rtrace "runtime/trace"
 	"strings"
 	"testing"
 )
@@ -24,6 +27,7 @@ func TestExitCodes(t *testing.T) {
 		{name: "unknown variant", args: "-duration 0 -variants nowa,tbb", exit: 2, stderr: `unknown variant "tbb"`},
 		{name: "unknown kernel", args: "-duration 0 -kernels fib,nosuch", exit: 2, stderr: "nosuch"},
 		{name: "missing bundle", args: "-replay " + out + "/absent.bundle", exit: 2, stderr: "absent.bundle"},
+		{name: "trace without replay", args: "-duration 0 -trace " + out + "/x.trace", exit: 2, stderr: "-trace traces a -replay rerun"},
 		{name: "empty soak", args: "-duration 0 -out " + out, exit: 0, stdout: "nowa-torture: 0 trials, 0 failures in 0s"},
 		{name: "empty service soak", args: "-service -duration 0 -chaos stall -out " + out, exit: 0, stdout: "nowa-torture: 0 trials, 0 failures in 0s"},
 	} {
@@ -65,5 +69,39 @@ func TestSelftestAndReplay(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "\nreproduced: vessel-leak: ") {
 		t.Errorf("replay did not reproduce the planted leak:\n%s", stdout.String())
+	}
+}
+
+// TestReplayTrace reruns a saved bundle under -trace: the rerun must
+// reproduce the bundle's failure and leave a Go execution trace behind.
+// The bundle is in the older layout that carried "events" tails beside
+// the meta, which a rerun reads past.
+func TestReplayTrace(t *testing.T) {
+	if rtrace.IsEnabled() {
+		t.Skip("runtime/trace is already on for this process")
+	}
+	dir := t.TempDir()
+	bundle, tr := filepath.Join(dir, "leak.bundle"), filepath.Join(dir, "leak.trace")
+	const saved = `{"meta": {"tool": "nowa-torture", "kernel": "fib", "scale": "test", "variant": "nowa",
+	"workers": 1, "seed": 7, "chaos": {"seed": 11, "leak_vessel": 24, "steal_interest": 1024, "delay_spins": 1},
+	"failure": "vessel-leak: 88 vessels never returned to a free list"},
+	"events": ["run-start spawn strand-start pop-hit", "(none)"]}`
+	if err := os.WriteFile(bundle, []byte(saved), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-replay", bundle, "-trace", tr}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s%s", code, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "\nreproduced: vessel-leak: ") {
+		t.Errorf("rerun did not reproduce the leak:\n%s", stdout.String())
+	}
+	raw, err := os.ReadFile(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every Go execution trace opens with "go 1.N trace".
+	if header, _, _ := bytes.Cut(raw, []byte{0}); !bytes.HasPrefix(header, []byte("go 1.")) || !bytes.HasSuffix(header, []byte(" trace")) {
+		t.Errorf("trace file of %d bytes starts %q, want a Go trace header", len(raw), raw[:min(len(raw), 16)])
 	}
 }

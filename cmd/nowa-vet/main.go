@@ -1,6 +1,6 @@
 // Command nowa-vet runs the repository's domain-specific static
 // analyzers (internal/analysis) over the module: atomicmix, hotpath,
-// padguard, joinenc, lockorder, fsm and replaycover. It exits non-zero
+// padguard, joinenc, lockorder and fsm. It exits non-zero
 // when any invariant is violated, so `make verify` and CI treat findings
 // like compile errors.
 //
@@ -12,9 +12,8 @@
 // -deps`, so they pick the roots; every module package in their import
 // closure is loaded, type-checked in one universe and analyzed — the
 // analyzers reason about cross-package facts (hot-path callees, atomic
-// access sites, lock hierarchies, record sites of every event kind) and need the
-// whole picture. Run with ./... in practice; narrower patterns analyze
-// partial closures.
+// access sites, lock hierarchies) and need the whole picture. Run with
+// ./... in practice; narrower patterns analyze partial closures.
 //
 // -only selects a comma-separated subset of analyzers by name; empty
 // segments (a trailing comma) are ignored, an unknown name or a

@@ -72,7 +72,7 @@ type Analyzer struct {
 
 // All is the nowa-vet suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Atomicmix(), Hotpath(), Padguard(), Joinenc(), Lockorder(), Fsm(), Replaycover()}
+	return []*Analyzer{Atomicmix(), Hotpath(), Padguard(), Joinenc(), Lockorder(), Fsm()}
 }
 
 // RunAll applies every analyzer — plus the annotation grammar checks

@@ -105,13 +105,6 @@ func TestFsmCorpus(t *testing.T) {
 	})
 }
 
-func TestReplaycoverCorpus(t *testing.T) {
-	m := loadCorpus(t, "replaycover")
-	wantFindings(t, RunAll(m, []*Analyzer{Replaycover()}), []string{
-		"replay.Kind KDead is never emitted",
-	})
-}
-
 func TestAnnotationGrammarCorpus(t *testing.T) {
 	m := loadCorpus(t, "annotation")
 	wantFindings(t, RunAll(m, nil), []string{

@@ -11,8 +11,7 @@ import (
 // Padguard enforces the false-sharing discipline on the scheduler's hot
 // structs: every struct containing atomic fields — directly, embedded,
 // or as an array of atomic cells — in internal/sched, internal/deque,
-// the two packages holding its per-worker blocks (internal/trace's
-// counter cells, internal/replay's event rings), internal/ring (the
+// internal/trace (the per-worker counter cells), internal/ring (the
 // ticketed ring's two tickets) and the root package must carry the 128-byte
 // padding pattern (a blank `_` array field separating or trailing the
 // contended words — 128 bytes covers adjacent-cache-line prefetching)
@@ -29,14 +28,14 @@ import (
 func Padguard() *Analyzer {
 	return &Analyzer{
 		Name: "padguard",
-		Doc:  "require 128-byte padding and a compile-time size/offset guard on atomic-bearing structs in internal/sched, internal/deque, internal/trace, internal/replay, internal/ring and the root package",
+		Doc:  "require 128-byte padding and a compile-time size/offset guard on atomic-bearing structs in internal/sched, internal/deque, internal/trace, internal/ring and the root package",
 		Run:  runPadguard,
 	}
 }
 
 // padguardScope lists the import-path suffixes the analyzer applies to
 // ("nowa" is the module's root package).
-var padguardScope = []string{"internal/sched", "internal/deque", "internal/trace", "internal/replay", "internal/ring", "nowa"}
+var padguardScope = []string{"internal/sched", "internal/deque", "internal/trace", "internal/ring", "nowa"}
 
 func inPadguardScope(importPath string) bool {
 	for _, s := range padguardScope {

@@ -1,3 +1,16 @@
+// Package replay declares what reproduces a run: the chaos injections
+// (Chaos, the table of sites and the per-(slot, site) Streams they roll
+// on) and the repro bundle that carries a failing trial's Meta.
+//
+// A run is reproduced from its seeds, not from a log: the victim streams
+// and the chaos streams are functions of the configuration's seeds, so
+// rerunning a bundle's Meta replays a single-worker schedule exactly and
+// gives a multi-worker one the same draws at every site, whatever the OS
+// interleaving. To read what a rerun did, run it under runtime/trace
+// (nowa-torture -replay <bundle> -trace <file>) and open the trace with
+// go tool trace: the scheduler emits its strand regions, token logs and
+// run and submission tasks there, and its counters say how often each
+// decision was taken.
 package replay
 
 import (
@@ -9,17 +22,11 @@ import (
 )
 
 // Bundle is a repro bundle: one JSON document holding the trial's Meta —
-// the configuration and seeds, which is all a rerun needs — and, for the
-// reader, the newest events of each stream of the failing run.
+// the configuration and seeds, which is all a rerun needs. The "events"
+// tails older bundles carried beside it are ignored on reading.
 type Bundle struct {
 	Meta Meta `json:"meta"`
-	// Events holds each worker stream's newest events as FormatEvents
-	// text, the external stream last.
-	Events []string `json:"events,omitempty"`
 }
-
-// bundleEvents is how many of each stream's newest events a bundle keeps.
-const bundleEvents = 64
 
 // Meta is the bundle's self-describing header: everything needed to
 // rebuild the failing configuration plus a human-readable account of the
@@ -46,18 +53,6 @@ type Meta struct {
 
 	// Failure describes the invariant violation this bundle captured.
 	Failure string `json:"failure,omitempty"`
-}
-
-// NewBundle describes a failing trial: its meta plus, when rec is
-// non-nil, the newest events of each of rec's streams.
-func NewBundle(meta Meta, rec *Recorder) Bundle {
-	b := Bundle{Meta: meta}
-	if rec != nil {
-		for w := 0; w <= rec.Workers(); w++ {
-			b.Events = append(b.Events, FormatEvents(rec.LastEvents(w, bundleEvents)))
-		}
-	}
-	return b
 }
 
 // WriteBundle writes b as indented JSON.

@@ -115,10 +115,9 @@ type Chaos struct {
 	DelaySpins int `json:"delay_spins,omitempty"`
 }
 
-// Chaos roll sites, carried in the Site byte of KChaos events so a log
-// names the injection window each roll guarded, and indexing each slot's
-// Streams. Each constant's row of sites names the rate field that
-// documents the window.
+// Chaos roll sites, each indexing its word of a slot's Streams. Each
+// constant's row of sites names the rate field that documents the
+// window.
 const (
 	SiteStealFail uint8 = iota + 1
 	SiteStealDelay
@@ -140,8 +139,8 @@ const (
 // in Chaos. An injection that lasts a configured time also names its
 // duration field (dur; 0 for none) and the microseconds used when the
 // rate is set without one. external marks the sites rolled on the
-// admission path: they fire in service mode only and log to the external
-// stream.
+// admission path: they fire in service mode only and roll on the
+// service's own streams.
 var sites = [NumSites]struct {
 	name         string
 	rate, dur    uintptr
@@ -222,7 +221,8 @@ type Streams struct {
 	_ [128 - 8*NumSites]byte
 }
 
-// The pad arithmetic is checked at build time, as on the event rings.
+// The pad arithmetic is checked at build time: both constants underflow
+// unless Streams is exactly 128 bytes.
 const (
 	_ uintptr = unsafe.Sizeof(Streams{}) - 128
 	_ uintptr = 128 - unsafe.Sizeof(Streams{})

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"nowa/internal/replay"
 	"nowa/internal/trace"
 )
 
@@ -96,9 +95,6 @@ func (p *Proc) CommitWait(bw *Waiter) bool {
 	// Flush before the token leaves: the aggregate stays monotonic for
 	// mid-run readers.
 	v.flushCounters(w)
-	if rt.recordOn {
-		rt.rep.Record(w, replay.KWaitBlock, 0, 0)
-	}
 	if rt.lazyOn {
 		// A blocking strand is a promotion signal like a suspension:
 		// thieves are about to need real continuations.
@@ -138,13 +134,6 @@ func (p *Proc) CommitWait(bw *Waiter) bool {
 		p.v.pend[trace.AbortedWaits]++
 	} else {
 		p.v.pend[trace.ResumedWaits]++
-	}
-	if rt.recordOn {
-		if bw.aborted {
-			rt.rep.Record(p.worker, replay.KWaitAbort, 0, 0)
-		} else {
-			rt.rep.Record(p.worker, replay.KWaitWake, 0, 0)
-		}
 	}
 	return bw.aborted
 }
@@ -205,10 +194,6 @@ func (bw *Waiter) WakeAborted() { bw.deliver(true) }
 //     the retirement gate holds across the handoff, and a thief that
 //     declined to park for this entry merely finds the queue empty.
 //  4. A thief vessel, as the fallback.
-//
-// The route records no schedule event, like the thief-side pop in
-// stealLoop: the wake queue is FIFO by ticket, and a run is reproduced
-// from its seeds, not from a record of the routes it took.
 func (rt *Runtime) passToken(v *vessel, w int, bw *Waiter) bool {
 	if pc, ok := rt.popOwn(w, v.disp.parent); ok {
 		// The claim counts as a steal on the parent's join state (this
@@ -227,9 +212,6 @@ func (rt *Runtime) passToken(v *vessel, w int, bw *Waiter) bool {
 		// conservation honest for blocking kernels.
 		v.pend[trace.LocalResumes]++
 		v.flushCounters(w)
-		if rt.recordOn {
-			rt.rep.Record(w, replay.KPopHit, 0, 0)
-		}
 		pc.v.resumeTok = token{worker: w}
 		pc.v.pk.deliver()
 		return true

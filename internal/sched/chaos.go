@@ -16,10 +16,9 @@ type Chaos = replay.Chaos
 
 // chaosRoll draws from slot w's stream for site and reports whether the
 // injection there fires, with the probability (in 1/1024) its row of
-// the chaos table configures; site also tags the roll in the schedule
-// log. Only the strand holding token w calls this, so the stream needs
-// no synchronisation (the token handoff provides the happens-before
-// edge, as with the victim RNGs).
+// the chaos table configures. Only the strand holding token w calls
+// this, so the stream needs no synchronisation (the token handoff
+// provides the happens-before edge, as with the victim RNGs).
 //
 // A zero rate draws nothing. Each site has its own stream, so the k-th
 // roll at a site on a slot is the same whatever the other sites did:
@@ -32,22 +31,7 @@ func (rt *Runtime) chaosRoll(w int, site uint8) bool {
 	if rate <= 0 {
 		return false
 	}
-	fired := rt.chaos[w].Roll(site, rate)
-	if rt.recordOn {
-		rt.recordRoll(w, site, fired)
-	}
-	return fired
-}
-
-// recordRoll logs one chaos-roll outcome.
-//
-//nowa:hotpath
-func (rt *Runtime) recordRoll(w int, site uint8, fired bool) {
-	var arg uint16
-	if fired {
-		arg = 1
-	}
-	rt.rep.Record(w, replay.KChaos, site, arg)
+	return rt.chaos[w].Roll(site, rate)
 }
 
 // chaosDelay yields the strand DelaySpins times, long enough for a

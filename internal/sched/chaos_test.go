@@ -76,11 +76,13 @@ func TestChaosStressVariants(t *testing.T) {
 	}
 }
 
-// TestChaosStreamsPerSite: each site rolls on its own stream, so the
-// outcomes at one site are a function of the seed and the slot alone.
-// Two runtimes share a chaos seed; one rolls site A alone, the other
-// rolls site B between A's rolls, and A's outcomes must match roll for
-// roll. With one stream per slot, every B roll would shift A's draws.
+// TestChaosStreamsPerSite: each (slot, site) rolls on its own stream, so
+// the outcomes at one site of a slot are a function of the seed, the
+// slot and the site alone. Two runtimes share a chaos seed; one rolls
+// site A of slot 1 alone, the other rolls site B of slot 1 and both
+// sites of slot 0 between A's rolls, and A's outcomes must match roll
+// for roll. With one stream per slot, every B roll would shift A's
+// draws; with one stream per runtime, every slot-0 roll would.
 func TestChaosStreamsPerSite(t *testing.T) {
 	const a, b = replay.SiteSyncDelay, replay.SitePopBottom
 	mk := func() *Runtime {
@@ -93,6 +95,10 @@ func TestChaosStreamsPerSite(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		for j := 0; j < i%3; j++ {
 			mixed.chaosRoll(1, b)
+		}
+		if i%2 == 0 {
+			mixed.chaosRoll(0, a)
+			mixed.chaosRoll(0, b)
 		}
 		got, want := mixed.chaosRoll(1, a), alone.chaosRoll(1, a)
 		if got != want {

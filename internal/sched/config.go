@@ -52,7 +52,6 @@ import (
 
 	"nowa/internal/cactus"
 	"nowa/internal/deque"
-	"nowa/internal/replay"
 )
 
 // JoinKind selects the strand-coordination protocol.
@@ -127,16 +126,6 @@ type Config struct {
 	// race windows (see Chaos). The only cost when nil is one pointer
 	// check per injection point.
 	Chaos *Chaos
-	// Record, if non-nil, logs every scheduling event — victim draws,
-	// steal and popBottom outcomes, thief park/wake, chaos rolls, strand
-	// boundaries — into the recorder's per-worker rings (see
-	// internal/replay): the one in-process event record behind replay
-	// bundles and DumpState's last-events lines. Timelines come from
-	// runtime/trace instead (see runStrand). Create it with
-	// replay.NewRecorder(Workers, cap); a worker-count mismatch is a
-	// configuration error. When nil the hot paths pay one cached bool test
-	// and nothing else.
-	Record *replay.Recorder
 	// StallThreshold, if positive, arms stall recovery: for the duration
 	// of each run, a stall ticker samples per-worker
 	// heartbeats (bumped on every steal-loop pass, park/wake and strand
@@ -183,15 +172,6 @@ func (c *Config) fill() error {
 		// A copy, so normalisation never mutates the caller's struct.
 		c.Chaos = c.Chaos.WithDefaults(c.Seed)
 	}
-	// A recorder may be sized to the base worker count or to
-	// the full slot count: stall-recovery supplements record scheduling
-	// decisions on extended slots, so a stall-armed capture carries
-	// totalSlots streams. A base-width recorder is still legal — Record
-	// bounds-checks and drops supplement events.
-	if c.Record != nil && c.Record.Workers() != c.Workers && c.Record.Workers() != c.totalSlots() {
-		return fmt.Errorf("sched: Record built for %d workers, Config has %d (%d slots)",
-			c.Record.Workers(), c.Workers, c.totalSlots())
-	}
 	if c.Name == "" {
 		c.Name = fmt.Sprintf("%s+%s", c.Join, c.Deque)
 	}
@@ -207,16 +187,6 @@ func (c *Config) totalSlots() int {
 		return 2 * c.Workers
 	}
 	return c.Workers
-}
-
-// Slots reports how many scheduling slots a runtime built from c has
-// once the defaults are filled in — the width of a recorder that is to
-// capture the supplements' streams as well as the base workers'.
-func (c Config) Slots() (int, error) {
-	if err := c.fill(); err != nil {
-		return 0, err
-	}
-	return c.totalSlots(), nil
 }
 
 // variants is the one table of the paper's four continuation-stealing

@@ -82,7 +82,7 @@ func TestGovernDumpStateIncludesBudget(t *testing.T) {
 // stolen from, hands a round's charged stacks back when the round's Sync
 // completes instead of hoarding them until it ends — on every variant.
 func TestStacksReturnAtSync(t *testing.T) {
-	for _, cfg := range replayVariants(4) {
+	for _, cfg := range variantConfigs(4) {
 		cfg := cfg
 		cfg.Spawn = SpawnEager
 		t.Run(cfg.Name, func(t *testing.T) {

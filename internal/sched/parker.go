@@ -100,17 +100,14 @@ func (p *parker) deliver() {
 
 // await returns once an event has been delivered, consuming it, after
 // at most spins yielding polls of the state word (parkerSpins on the
-// ladder, 0 for an external wait). It reports whether the owner
-// exhausted that budget before the event arrived — the schedule
-// recorder's KBlocked signal; the steady-state ladder always returns
-// false.
+// ladder, 0 for an external wait).
 //
 //nowa:hotpath
-func (p *parker) await(spins int) bool {
+func (p *parker) await(spins int) {
 	for i := 0; i < spins; i++ {
 		if atomic.LoadUint32(&p.state) == parkerReady {
 			p.state = parkerIdle //nowa:plain-ok consume-side reset: the deliverer is done with the word, and the next deliverer is ordered behind seq-cst atomics the owner performs after consuming (see type comment)
-			return false
+			return
 		}
 		runtime.Gosched()
 	}
@@ -121,5 +118,4 @@ func (p *parker) await(spins int) bool {
 	// ready, or the wake receive ordered us after a deliver that saw
 	// waiting. Both ways the event is in; consume it.
 	p.state = parkerIdle //nowa:plain-ok consume-side reset after a delivered event, same argument as the spin-phase reset above
-	return true
 }

@@ -1,12 +1,11 @@
 package sched
 
 import (
-	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	rtrace "runtime/trace"
 	"slices"
 	"strings"
@@ -19,16 +18,10 @@ import (
 	"nowa/internal/trace"
 )
 
-// replayVariants are the four vessel-model configurations, at the given
-// worker count, with recording attached.
-func replayVariants(workers int) []Config { return variantConfigs(workers) }
-
 // captureRun executes one seeded chaos workload on a fresh runtime built
-// from cfg with a fresh recorder, returning the captured log.
-func captureRun(t *testing.T, cfg Config) *replay.Log {
+// from cfg and returns its counters.
+func captureRun(t *testing.T, cfg Config) trace.Counters {
 	t.Helper()
-	rec := replay.NewRecorder(cfg.Workers, 1<<16)
-	cfg.Record = rec
 	rt := MustNew(cfg)
 	defer rt.Close()
 	app := apps.NewFib(apps.Test)
@@ -37,33 +30,17 @@ func captureRun(t *testing.T, cfg Config) *replay.Log {
 	if err := app.Verify(); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
-	log := rec.Snapshot()
-	if log.Truncated() {
-		t.Fatal("capture ring overflowed; grow the test recorder")
-	}
-	return log
-}
-
-// rolls lists the outcomes of the chaos rolls at site in one stream.
-func rolls(evs []replay.Event, site uint8) []uint16 {
-	var out []uint16
-	for _, e := range evs {
-		if e.Kind == replay.KChaos && e.Site == site {
-			out = append(out, e.Arg)
-		}
-	}
-	return out
+	return rt.Counters()
 }
 
 // TestReplayDeterministicCapture is the determinism gate: at Workers=1 a
 // run's schedule is fully determined by the configuration and seeds —
 // the single token executes the serial depth-first order and every chaos
-// draw comes from a seeded stream — so recording the same workload twice
-// must produce identical event logs, for every scheduler variant. This
-// is the property that makes rerunning a single-worker bundle's meta
-// exact.
+// draw comes from a seeded stream — so running the same workload twice
+// must produce identical counters, for every scheduler variant. This is
+// the property that makes rerunning a single-worker bundle's meta exact.
 func TestReplayDeterministicCapture(t *testing.T) {
-	for _, cfg := range replayVariants(1) {
+	for _, cfg := range variantConfigs(1) {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			cfg.Seed = 7
@@ -74,25 +51,95 @@ func TestReplayDeterministicCapture(t *testing.T) {
 				StealInterest:  32,
 				DelaySpins:     2,
 			}
-			if a, b := captureRun(t, cfg), captureRun(t, cfg); !reflect.DeepEqual(a, b) {
-				t.Fatalf("two identically seeded single-worker captures differ (%d vs %d events)", a.Total(), b.Total())
+			if a, b := captureRun(t, cfg), captureRun(t, cfg); a != b {
+				t.Fatalf("two identically seeded single-worker runs differ:\n%+v\n%+v", a, b)
 			}
 		})
 	}
 }
 
-// TestReplaySeedSensitivity guards against the capture being trivially
-// constant: a different chaos seed must change the recorded schedule.
+// TestReplaySeedSensitivity guards against the determinism gate being
+// trivially met: a different chaos seed must change the chaos-driven
+// promotion count.
 func TestReplaySeedSensitivity(t *testing.T) {
-	cfg := replayVariants(1)[0]
+	cfg := variantConfigs(1)[0]
 	cfg.Seed = 7
-	mk := func(chaosSeed int64) *replay.Log {
+	promoted := func(chaosSeed int64) int64 {
 		c := cfg
 		c.Chaos = &Chaos{Seed: chaosSeed, StealInterest: 128, DelaySpins: 1}
-		return captureRun(t, c)
+		return captureRun(t, c).PromotedSpawns
 	}
-	if reflect.DeepEqual(mk(11), mk(12)) {
-		t.Fatal("captures with different chaos seeds are identical; the log is not recording the rolls")
+	a, b := promoted(11), promoted(12)
+	if a == 0 {
+		t.Fatal("no spawn was promoted at StealInterest 128/1024: the chaos site never fired")
+	}
+	if a == b {
+		t.Fatalf("chaos seeds 11 and 12 both promoted %d spawns; the rolls do not follow the seed", a)
+	}
+}
+
+// TestReplayRecordedChaosDecisions: the outcomes at one chaos site hang
+// on the seed alone, not on which other sites are armed. Two
+// single-worker runs share a seed; the second also arms two delay sites,
+// whose rolls land between the steal-interest rolls. At one worker a
+// delay only yields, so it moves no counter — and the steal-interest
+// outcomes, seen as the promoted spawns, must come out the same, run for
+// run.
+func TestReplayRecordedChaosDecisions(t *testing.T) {
+	cfg := variantConfigs(1)[0]
+	cfg.Seed = 3
+	cfg.Chaos = &Chaos{Seed: 5, StealInterest: 64, DelaySpins: 1}
+	alone := captureRun(t, cfg)
+	cfg.Chaos = &Chaos{Seed: 5, StealInterest: 64, PopBottomDelay: 64, SyncDelay: 64, DelaySpins: 1}
+	mixed := captureRun(t, cfg)
+	if alone.PromotedSpawns == 0 {
+		t.Fatal("no spawn was promoted at StealInterest 64/1024: the workload rolls too little")
+	}
+	if alone != mixed {
+		t.Fatalf("counters changed when other sites were armed:\nalone %+v\nmixed %+v", alone, mixed)
+	}
+}
+
+// TestReplayMultiWorkerBestEffort: two 4-worker runs of one
+// configuration interleave differently — how many rolls each slot makes,
+// and in which order its sites roll, is up to the OS — but the k-th roll
+// at each (slot, site) agrees, so of any two runs' roll sequences at a
+// site the shorter is a prefix of the longer. This is what the meta
+// rerun of a multi-worker bundle rests on. Each run's interleaving here
+// is drawn from its own source, standing in for two OS schedules.
+func TestReplayMultiWorkerBestEffort(t *testing.T) {
+	const workers = 4
+	armed := []uint8{replay.SiteStealFail, replay.SitePopBottom, replay.SiteSyncDelay}
+	run := func(order int64) [workers][replay.NumSites][]bool {
+		rt := MustNew(Config{Workers: workers, Chaos: &Chaos{Seed: 11, StealFail: 64, PopBottomDelay: 32, SyncDelay: 512, DelaySpins: 2}})
+		defer rt.Close()
+		pick := rand.New(rand.NewSource(order))
+		var out [workers][replay.NumSites][]bool
+		for n := 2000 + pick.Intn(2000); n > 0; n-- {
+			w, site := pick.Intn(workers), armed[pick.Intn(len(armed))]
+			out[w][site] = append(out[w][site], rt.chaosRoll(w, site))
+		}
+		return out
+	}
+	a, b := run(1), run(2)
+	fired, compared := 0, 0
+	for w := range a {
+		for _, site := range armed {
+			ra, rb := a[w][site], b[w][site]
+			k := min(len(ra), len(rb))
+			if !slices.Equal(ra[:k], rb[:k]) {
+				t.Errorf("slot %d, %s: the runs' first %d rolls differ", w, replay.SiteName(site), k)
+			}
+			compared += k
+			for _, f := range ra[:k] {
+				if f {
+					fired++
+				}
+			}
+		}
+	}
+	if fired == 0 || fired == compared {
+		t.Fatalf("%d of %d compared rolls fired: the armed sites never vary", fired, compared)
 	}
 }
 
@@ -121,11 +168,8 @@ func leakConfig(chaosSeed int64) Config {
 // while a different chaos seed leaks differently, so the seed, not luck,
 // decides the failure.
 func TestReplayReproducesCapturedFailure(t *testing.T) {
-	leak := func(chaosSeed int64) (int64, *replay.Log) {
-		cfg := leakConfig(chaosSeed)
-		rec := replay.NewRecorder(cfg.Workers, 1<<15)
-		cfg.Record = rec
-		rt := MustNew(cfg)
+	leak := func(chaosSeed int64) int64 {
+		rt := MustNew(leakConfig(chaosSeed))
 		defer rt.Close()
 		app := apps.NewFib(apps.Test)
 		app.Prepare()
@@ -133,110 +177,27 @@ func TestReplayReproducesCapturedFailure(t *testing.T) {
 		if err := app.Verify(); err != nil {
 			t.Fatalf("verify: %v", err)
 		}
-		return rt.Stats().VesselsLeaked, rec.Snapshot()
+		return rt.Stats().VesselsLeaked
 	}
-	leaked, log := leak(11)
+	leaked := leak(11)
 	if leaked <= 0 {
 		t.Fatalf("planted LeakVessel bug produced no leak (VesselsLeaked=%d); cannot exercise the pipeline", leaked)
 	}
-	if log.Truncated() {
-		t.Fatal("capture ring overflowed; grow the test recorder")
+	if again := leak(11); again != leaked {
+		t.Fatalf("rerun of the same seeds leaked %d vessels, the first run %d", again, leaked)
 	}
-	if again, relog := leak(11); again != leaked || !reflect.DeepEqual(relog, log) {
-		t.Fatalf("rerun of the same seeds leaked %d vessels (capture %d); logs equal: %v",
-			again, leaked, reflect.DeepEqual(relog, log))
-	}
-	if other, _ := leak(9999); other == leaked {
-		t.Skipf("a different chaos seed coincidentally leaked the same count (%d); inconclusive control, the rerun assertions above already passed", other)
+	if other := leak(9999); other == leaked {
+		t.Skipf("a different chaos seed coincidentally leaked the same count (%d); inconclusive control, the rerun assertion above already passed", other)
 	}
 }
 
-// TestReplayRecordedChaosDecisions: a site's recorded rolls depend on
-// the seed alone, not on which other sites are armed. Two single-worker
-// captures share a seed; the second also arms two delay sites, whose
-// rolls land between the first site's — and the first site's outcomes
-// must come out the same, roll for roll.
-func TestReplayRecordedChaosDecisions(t *testing.T) {
-	cfg := replayVariants(1)[0]
-	cfg.Seed = 3
-	cfg.Chaos = &Chaos{Seed: 5, StealInterest: 64, DelaySpins: 1}
-	alone := captureRun(t, cfg).PerWorker[0]
-	cfg.Chaos = &Chaos{Seed: 5, StealInterest: 64, PopBottomDelay: 64, SyncDelay: 64, DelaySpins: 1}
-	mixed := captureRun(t, cfg).PerWorker[0]
-	a, m := rolls(alone, replay.SiteStealInterest), rolls(mixed, replay.SiteStealInterest)
-	if len(a) == 0 || len(rolls(mixed, replay.SitePopBottom)) == 0 {
-		t.Fatalf("%d steal-interest rolls alone, %d pop-delay rolls mixed: the workload rolls too little",
-			len(a), len(rolls(mixed, replay.SitePopBottom)))
-	}
-	if !reflect.DeepEqual(a, m) {
-		t.Fatalf("steal-interest outcomes changed when other sites were armed:\nalone %v\nmixed %v", a, m)
-	}
-}
-
-// TestReplayMultiWorkerBestEffort: two 4-worker runs of one
-// configuration interleave differently — how many rolls each slot makes
-// is up to the OS — but the k-th roll at each (slot, site) agrees, so of
-// any two runs' roll sequences at a site the shorter is a prefix of the
-// longer. This is what the meta rerun of a multi-worker bundle rests on.
-func TestReplayMultiWorkerBestEffort(t *testing.T) {
-	cfg := replayVariants(4)[0]
-	cfg.Seed = 7
-	cfg.Chaos = &Chaos{Seed: 11, StealFail: 64, PopBottomDelay: 32, DelaySpins: 2}
-	a, b := captureRun(t, cfg), captureRun(t, cfg)
-	n := 0
-	for w := range a.PerWorker {
-		for site := uint8(1); site < replay.NumSites; site++ {
-			ra, rb := rolls(a.PerWorker[w], site), rolls(b.PerWorker[w], site)
-			k := min(len(ra), len(rb))
-			if !slices.Equal(ra[:k], rb[:k]) {
-				t.Errorf("slot %d, %s: the runs' first %d rolls differ", w, replay.SiteName(site), k)
-			}
-			n += k
-		}
-	}
-	if n == 0 {
-		t.Fatal("no roll was made in both runs")
-	}
-}
-
-// TestReplayConfigValidation: a worker-count mismatch between the config
-// and an attached recorder is rejected at New.
-func TestReplayConfigValidation(t *testing.T) {
-	if _, err := New(Config{Workers: 2, Record: replay.NewRecorder(4, 64)}); err == nil {
-		t.Error("recorder worker mismatch accepted")
-	}
-}
-
-// TestReplayDumpStateShowsSchedule: with recording attached, DumpState
-// includes the per-worker schedule tails.
-func TestReplayDumpStateShowsSchedule(t *testing.T) {
-	cfg := replayVariants(1)[0]
-	rec := replay.NewRecorder(1, 64)
-	cfg.Record = rec
-	rt := MustNew(cfg)
-	defer rt.Close()
-	app := apps.NewFib(apps.Test)
-	app.Prepare()
-	rt.Run(app.Run)
-	var buf bytes.Buffer
-	rt.DumpState(&buf)
-	out := buf.String()
-	for _, want := range []string{"tokens", "deque", "schedule worker 0:", "inline-run"} {
-		if !bytes.Contains([]byte(out), []byte(want)) {
-			t.Errorf("DumpState output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestReplayCountersStayCoherent: recording must not disturb the
-// scheduler's counting invariants under multi-worker chaos stress.
+// TestReplayCountersStayCoherent: multi-worker chaos stress keeps the
+// scheduler's counting invariants and leaves the runtime idle.
 func TestReplayCountersStayCoherent(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
-		cfg := replayVariants(4)[0]
+		cfg := variantConfigs(4)[0]
 		cfg.Seed = seed
 		cfg.Chaos = &Chaos{Seed: seed, StealFail: 64, PopBottomDelay: 64, DelaySpins: 2}
-		rec := replay.NewRecorder(4, 1<<14)
-		cfg.Record = rec
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rt := MustNew(cfg)
 			defer rt.Close()
@@ -246,117 +207,13 @@ func TestReplayCountersStayCoherent(t *testing.T) {
 			if err := app.Verify(); err != nil {
 				t.Fatalf("verify: %v", err)
 			}
-			c := rt.Counters()
-			if err := c.CheckQuiescent(); err != nil {
+			if err := rt.Counters().CheckQuiescent(); err != nil {
 				t.Fatal(err)
 			}
 			if err := rt.CheckIdle(); err != nil {
 				t.Fatalf("not idle after the runs: %v", err)
 			}
-			if rec.Total() == 0 {
-				t.Fatal("recorder captured nothing under chaos stress")
-			}
 		})
-	}
-}
-
-// counted maps an event kind onto the counters the scheduler bumps at the
-// very site that records it, one for one.
-var counted = map[replay.Kind][]trace.ID{
-	replay.KSpawn:      {trace.Spawns, trace.VesselDispatch},
-	replay.KInlineRun:  {trace.Spawns, trace.InlineRuns},
-	replay.KPopHit:     {trace.LocalResumes},
-	replay.KPopMiss:    {trace.ImplicitSyncs},
-	replay.KStealHit:   {trace.Steals},
-	replay.KStealEmpty: {trace.FailedSteals},
-	replay.KStealLost:  {trace.FailedSteals},
-	replay.KSuspend:    {trace.Suspensions},
-	replay.KPark:       {trace.ThiefParks},
-	replay.KWake:       {trace.ThiefWakeups},
-	replay.KWaitBlock:  {trace.BlockedWaits},
-	replay.KWaitWake:   {trace.ResumedWaits},
-	replay.KWaitAbort:  {trace.AbortedWaits},
-}
-
-// recount tallies the counted counters from a log's worker streams; the
-// other fields stay zero.
-func recount(log *replay.Log) trace.Counters {
-	var p trace.Pending
-	for _, evs := range log.PerWorker {
-		for _, e := range evs {
-			for _, id := range counted[e.Kind] {
-				p[id]++
-			}
-		}
-	}
-	return p.Counters()
-}
-
-// TestRecountSyntheticLog: recount tallies a hand-built log across worker
-// streams and leaves uncounted kinds (KStrandStart) out.
-func TestRecountSyntheticLog(t *testing.T) {
-	synthetic := &replay.Log{PerWorker: [][]replay.Event{
-		{{Kind: replay.KSpawn}, {Kind: replay.KInlineRun}, {Kind: replay.KStrandStart}},
-		{{Kind: replay.KStealHit}, {Kind: replay.KStealLost}},
-	}}
-	want := trace.Counters{Spawns: 2, VesselDispatch: 1, InlineRuns: 1, Steals: 1, FailedSteals: 1}
-	if got := recount(synthetic); got != want {
-		t.Errorf("recount = %+v, want %+v", got, want)
-	}
-}
-
-// TestEventsConsistentWithCounters: the event record and the counters are
-// written side by side, so on an untruncated capture of a chaos-free
-// runtime's whole life (chaos fails steals without a steal event) the
-// events recount every counted counter exactly.
-func TestEventsConsistentWithCounters(t *testing.T) {
-	rec := replay.NewRecorder(4, 1<<16)
-	rt := MustNew(Config{Workers: 4, Record: rec})
-	defer rt.Close()
-	rt.Run(func(c api.Ctx) { _ = fib(c, 14) })
-	log, cnt := rec.Snapshot(), rt.Counters()
-	if log.Truncated() {
-		t.Fatalf("ring wrapped: %v", log.Dropped)
-	}
-	sum := recount(log)
-	for _, ids := range counted {
-		for _, id := range ids {
-			if sum.Get(id) != cnt.Get(id) {
-				t.Errorf("%v: %d from events, counter %d", id, sum.Get(id), cnt.Get(id))
-			}
-		}
-	}
-	if cnt.Spawns == 0 {
-		t.Error("fib(14) counted no spawns")
-	}
-	kinds := map[replay.Kind]int64{}
-	for _, evs := range log.PerWorker {
-		for _, e := range evs {
-			kinds[e.Kind]++
-		}
-	}
-	if kinds[replay.KSuspend] != kinds[replay.KResume] {
-		t.Errorf("suspends %d != resumes %d", kinds[replay.KSuspend], kinds[replay.KResume])
-	}
-	// One strand per eager spawn plus the root, each started and ended.
-	if want := cnt.VesselDispatch + 1; kinds[replay.KStrandStart] != want || kinds[replay.KStrandEnd] != want {
-		t.Errorf("strand starts %d, ends %d, want %d each",
-			kinds[replay.KStrandStart], kinds[replay.KStrandEnd], want)
-	}
-}
-
-// TestRecorderResetBetweenRuns: Reset between two runs of one runtime
-// leaves only the second run's events.
-func TestRecorderResetBetweenRuns(t *testing.T) {
-	rec := replay.NewRecorder(2, 1<<14)
-	rt := MustNew(Config{Workers: 2, Record: rec})
-	defer rt.Close()
-	rt.Run(func(c api.Ctx) { _ = fib(c, 10) })
-	first := rec.Snapshot().Total()
-	rec.Reset()
-	rt.Run(func(c api.Ctx) { _ = fib(c, 5) })
-	if second := rec.Snapshot().Total(); second >= first {
-		t.Errorf("second (smaller) run recorded %d events, first %d — Reset kept the old ones", second, first)
 	}
 }
 

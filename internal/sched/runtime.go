@@ -29,12 +29,10 @@ type Runtime struct {
 
 	// Cached fast-path flags, derived from cfg once in New so the hot
 	// paths test a packed bool instead of chasing config pointers.
-	chaosOn    bool // cfg.Chaos != nil
-	waitFree   bool // cfg.Join == WaitFree
-	recordOn   bool // cfg.Record != nil: schedule decisions logged
-	blockRecOn bool // recordOn && Workers > 1: KBlocked diagnostics (see note)
-	lazyOn     bool // cfg.Spawn != SpawnEager: Spawn runs children inline until a thief posts demand
-	stallOn    bool // cfg.StallThreshold > 0: heartbeats + a stall ticker started per run
+	chaosOn  bool // cfg.Chaos != nil
+	waitFree bool // cfg.Join == WaitFree
+	lazyOn   bool // cfg.Spawn != SpawnEager: Spawn runs children inline until a thief posts demand
+	stallOn  bool // cfg.StallThreshold > 0: heartbeats + a stall ticker started per run
 
 	deques    []deque.Deque[cont]
 	clDeques  []*deque.CLDeque[cont]  // non-nil iff cfg.Deque == CL: devirtualised hot path
@@ -105,14 +103,6 @@ type Runtime struct {
 	supplemented atomic.Int64
 	supRetired   atomic.Int64
 
-	// rep is the schedule recorder (cfg.Record). It is owner-only like
-	// the RNG streams: worker w's ring is touched only by the strand
-	// holding token w. KBlocked (a parker rendezvous exhausting its spin
-	// budget) is the one timing-dependent event; it is suppressed at
-	// Workers==1 (blockRecOn) so single-worker captures stay
-	// byte-identical run to run.
-	rep *replay.Recorder
-
 	// victimScript, when a test sets it before Run, dictates slot w's
 	// steal victims: its draws come from victimScript[w] while that
 	// lasts, from the slot's RNG after. Owner-only like the RNG.
@@ -160,22 +150,19 @@ func New(cfg Config) (*Runtime, error) {
 	// supplemental slots. See stall.go.
 	slots := cfg.totalSlots()
 	rt := &Runtime{
-		cfg:        cfg,
-		chaosOn:    cfg.Chaos != nil,
-		waitFree:   cfg.Join == WaitFree,
-		recordOn:   cfg.Record != nil,
-		blockRecOn: cfg.Record != nil && cfg.Workers > 1,
-		lazyOn:     cfg.Spawn != SpawnEager,
-		stallOn:    cfg.StallThreshold > 0,
-		rep:        cfg.Record,
-		deques:     make([]deque.Deque[cont], slots),
-		pool:       cactus.NewPool(cfg.Stacks),
-		rec:        trace.NewRecorder(slots),
-		rngs:       make([]rngState, slots),
-		demand:     make([]demandWord, slots),
-		next:       make([]nextSlot, slots),
-		vlocal:     make([]vesselFreeList, slots),
-		idle:       cqs.NewQueue(),
+		cfg:      cfg,
+		chaosOn:  cfg.Chaos != nil,
+		waitFree: cfg.Join == WaitFree,
+		lazyOn:   cfg.Spawn != SpawnEager,
+		stallOn:  cfg.StallThreshold > 0,
+		deques:   make([]deque.Deque[cont], slots),
+		pool:     cactus.NewPool(cfg.Stacks),
+		rec:      trace.NewRecorder(slots),
+		rngs:     make([]rngState, slots),
+		demand:   make([]demandWord, slots),
+		next:     make([]nextSlot, slots),
+		vlocal:   make([]vesselFreeList, slots),
+		idle:     cqs.NewQueue(),
 	}
 	if cfg.Deque == deque.THE {
 		rt.theDeques = make([]*deque.THEDeque[cont], slots)
@@ -289,12 +276,6 @@ func (rt *Runtime) runInternal(ctx context.Context, root func(api.Ctx)) error {
 	}
 	rt.tokensLeft.Store(int64(rt.cfg.Workers))
 	rt.finished = make(chan struct{})
-	if rt.recordOn {
-		// No token holder exists yet, so writing worker 0's ring here is
-		// ordered before everything the root strand records (the parker
-		// delivery below publishes it).
-		rt.rep.Record(0, replay.KRunStart, 0, 0)
-	}
 	rt.cancel.Begin(ctx, rt.wakeThieves)
 	defer rt.cancel.End()
 	rt.traceCtx = context.Background()
@@ -333,10 +314,6 @@ func (rt *Runtime) runInternal(ctx context.Context, root func(api.Ctx)) error {
 		v.pk.deliver()
 	}
 	<-rt.finished
-	if rt.recordOn {
-		// Every token has retired, so worker 0's ring has no other writer.
-		rt.rep.Record(0, replay.KRunEnd, 0, 0)
-	}
 
 	// A strand panic is re-raised here, on the caller's goroutine, after
 	// the computation drained (every join completed, the runtime stays
@@ -365,9 +342,6 @@ func (rt *Runtime) runInternal(ctx context.Context, root func(api.Ctx)) error {
 func (rt *Runtime) recordPanic(sub *Submission, v any) {
 	if sub != nil {
 		sub.notePanic(v, debug.Stack())
-		if rt.recordOn {
-			rt.rep.RecordExternal(replay.KPanic, 0, sub.id)
-		}
 		return
 	}
 	rt.panicMu.Lock()
@@ -377,9 +351,6 @@ func (rt *Runtime) recordPanic(sub *Submission, v any) {
 		rt.panicked.Suppress(v)
 	}
 	rt.panicMu.Unlock()
-	if rt.recordOn {
-		rt.rep.RecordExternal(replay.KPanic, 0, 0)
-	}
 }
 
 // retireToken surrenders one worker token at shutdown; the last retirement
@@ -491,10 +462,6 @@ func (rt *Runtime) parkThief(p *Proc) {
 		return
 	}
 	rt.rec.Worker(w)[trace.ThiefParks].Add(1)
-	if rt.recordOn {
-		// Owner-only: the parking strand still holds token w.
-		rt.rep.Record(w, replay.KPark, 0, 0)
-	}
 	if rt.lazyOn {
 		// Ask every victim for its next spawn before sleeping: a lazy
 		// spawn publishes nothing and wakes nobody, so the demand is what
@@ -512,9 +479,6 @@ func (rt *Runtime) parkThief(p *Proc) {
 		rt.beat(w)
 	}
 	rt.rec.Worker(w)[trace.ThiefWakeups].Add(1)
-	if rt.recordOn {
-		rt.rep.Record(w, replay.KWake, 0, 0)
-	}
 }
 
 // anyDequeNonEmpty scans all worker deques (best-effort sizes).
@@ -605,15 +569,4 @@ func (rt *Runtime) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "  thieves parked: %v\n", rt.idle.Waiting())
 	fmt.Fprintf(w, "  counters: %+v\n", agg)
 	fmt.Fprintf(w, "  stacks: %+v\n", rt.pool.Stats())
-	if rt.recordOn {
-		// The newest schedule events per worker: the dump shows how each
-		// worker got where it is, not just where it is.
-		const lastN = 8
-		for i := 0; i < rt.cfg.Workers; i++ {
-			fmt.Fprintf(w, "  schedule worker %d: %s\n", i, replay.FormatEvents(rt.rep.LastEvents(i, lastN)))
-		}
-		if ext := rt.rep.LastEvents(rt.cfg.Workers, lastN); len(ext) > 0 {
-			fmt.Fprintf(w, "  schedule external: %s\n", replay.FormatEvents(ext))
-		}
-	}
 }

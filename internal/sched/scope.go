@@ -283,7 +283,6 @@ func (s *scope) Spawn(fn func(api.Ctx)) {
 	p := s.p
 	rt := p.rt
 	v := p.v
-	var site uint8 // the replay.Promote* trigger of a promoted lazy spawn
 	switch {
 	case p.cancel.Cancelled():
 		rt.runInline(p, fn, trace.InlineSpawns)
@@ -294,25 +293,15 @@ func (s *scope) Spawn(fn func(api.Ctx)) {
 		// so thieves get real continuations while demand (or blocking) is
 		// evidently present.
 		v.eagerBurst--
-	case rt.chaosOn && rt.chaosRoll(p.worker, replay.SiteStealInterest):
-		// Injected steal demand: exactly a thief's post, minus the thief.
-		site = replay.PromoteClaim
-	case rt.takeDemand(p.worker):
-		site = replay.PromoteInterest
-	default:
-		v.pend[trace.Spawns]++
-		if rt.recordOn {
-			rt.rep.Record(p.worker, replay.KInlineRun, 0, 0)
-		}
-		rt.runInline(p, fn, trace.InlineRuns)
-		return
-	}
-	if site != 0 {
+	case rt.chaosOn && rt.chaosRoll(p.worker, replay.SiteStealInterest), rt.takeDemand(p.worker):
+		// Steal demand on the token, injected by chaos (exactly a thief's
+		// post, minus the thief) or posted by a thief: promote.
 		v.eagerBurst = eagerBurstLen
 		v.pend[trace.PromotedSpawns]++
-		if rt.recordOn {
-			rt.rep.Record(p.worker, replay.KPromote, site, 0)
-		}
+	default:
+		v.pend[trace.Spawns]++
+		rt.runInline(p, fn, trace.InlineRuns)
+		return
 	}
 	s.spawnEager(fn)
 }
@@ -340,9 +329,6 @@ func (s *scope) spawnEager(fn func(api.Ctx)) {
 	// thief (popTop) or by the child's return (popBottom hit).
 	v.cont.scope = s
 	rt.pushBottom(w, &v.cont)
-	if rt.recordOn {
-		rt.rep.Record(w, replay.KSpawn, 0, 0)
-	}
 	rt.wakeThief()
 
 	// The child executes next on this worker: hand over the token.
@@ -351,12 +337,8 @@ func (s *scope) spawnEager(fn func(api.Ctx)) {
 	cv.pk.deliver()
 
 	// Park until the continuation is resumed.
-	blocked := v.pk.await(parkerSpins)
+	v.pk.await(parkerSpins)
 	p.worker = v.resumeTok.worker
-	if rt.blockRecOn && blocked {
-		// Recorded on the resuming token (which this strand now holds).
-		rt.rep.Record(p.worker, replay.KBlocked, replay.BlockSpawn, 0)
-	}
 	if rtrace.IsEnabled() {
 		p.traceToken()
 	}
@@ -419,28 +401,16 @@ func (s *scope) Sync() {
 	}
 	tv := rt.getVessel(w)
 	v.pend[trace.Suspensions]++
-	if rt.recordOn {
-		rt.rep.Record(w, replay.KSuspend, 0, 0)
-	}
 	if rt.lazyOn {
 		// A suspension marks this vessel's workload as blocking-prone:
 		// arm an eager burst so its upcoming children get vessels of
 		// their own instead of serialising behind blocked inline runs.
 		v.eagerBurst = eagerBurstLen
-		if rt.recordOn {
-			rt.rep.Record(w, replay.KPromote, replay.PromoteSuspend, 0)
-		}
 	}
 	tv.disp = dispatch{worker: w}
 	tv.pk.deliver()
-	blocked := v.pk.await(parkerSpins)
+	v.pk.await(parkerSpins)
 	p.worker = v.resumeTok.worker
-	if rt.recordOn {
-		if rt.blockRecOn && blocked {
-			rt.rep.Record(p.worker, replay.KBlocked, replay.BlockSync, 0)
-		}
-		rt.rep.Record(p.worker, replay.KResume, 0, 0)
-	}
 	if rtrace.IsEnabled() {
 		p.traceToken()
 	}

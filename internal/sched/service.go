@@ -134,8 +134,7 @@ type Submission struct {
 	traceTask *rtrace.Task
 
 	done chan struct{}
-	err  error  // written before done closes
-	id   uint16 // truncated sequence number, for schedule-log events
+	err  error // written before done closes
 
 	// pan collects this submission's strand panics: the first is kept,
 	// later ones are tallied on it via StrandPanic.Suppress — the same
@@ -227,10 +226,6 @@ func runSubmission(c api.Ctx) {
 		if r := recover(); r != nil {
 			s.notePanic(r, debug.Stack())
 		}
-		if rt.recordOn {
-			// Owner-only: this strand still holds p.worker's token.
-			rt.rep.Record(p.worker, replay.KSubDone, 0, s.id)
-		}
 		rt.svc.Load().complete(s)
 	}()
 	s.task(p)
@@ -259,7 +254,6 @@ type service struct {
 	//nowa:fsm phases=false,true transitions=false>true
 	closing atomic.Bool
 
-	subSeq   atomic.Uint32
 	inflight atomic.Int64
 
 	completed atomic.Int64
@@ -351,7 +345,6 @@ func (rt *Runtime) submit(ctx context.Context, task func(api.Ctx), opts SubmitOp
 	sub := &Submission{
 		task: task,
 		done: make(chan struct{}),
-		id:   uint16(svc.subSeq.Add(1)),
 	}
 
 	// The effective context. A drain force-cancel must reach every
@@ -405,7 +398,7 @@ func (svc *service) admit(sub *Submission) error {
 		// Admission-time fault injection: behave exactly like a FailFast
 		// overload refusal. Sound — a refusal is one of Submit's
 		// documented outcomes whatever the policy.
-		return svc.refuse(sub, replay.SubRejectChaos)
+		return svc.refuse()
 	}
 	outcome, victim := q.tryAdmit(sub)
 	if outcome == admitFull && q.policy == OverloadBlock {
@@ -421,14 +414,11 @@ func (svc *service) admit(sub *Submission) error {
 		svc.wakeRoot()
 		return ErrServiceClosed
 	case admitFull:
-		return svc.refuse(sub, replay.SubRejectOverload)
+		return svc.refuse()
 	}
 	q.admitted.Add(1)
 	if victim != nil {
 		svc.shedVictim(victim)
-	}
-	if rt.recordOn {
-		rt.rep.RecordExternal(replay.KSubmit, 0, sub.id)
 	}
 	// Published before this; a thief loads the depth after claiming its
 	// ticket, so it either takes this submission or is woken.
@@ -436,29 +426,22 @@ func (svc *service) admit(sub *Submission) error {
 	return nil
 }
 
-// refuse tallies and records one refusal and returns its error.
-func (svc *service) refuse(sub *Submission, reason uint8) error {
+// refuse tallies one refusal and returns its error.
+func (svc *service) refuse() error {
 	svc.adm.rejected.Add(1)
-	if svc.rt.recordOn {
-		svc.rt.rep.RecordExternal(replay.KSubReject, reason, sub.id)
-	}
 	return &OverloadedError{RetryAfter: svc.retryHint()}
 }
 
 // shedVictim resolves an evicted submission's future with ErrShed.
 func (svc *service) shedVictim(victim *Submission) {
 	svc.adm.shed.Add(1)
-	if svc.rt.recordOn {
-		svc.rt.rep.RecordExternal(replay.KSubShed, 0, victim.id)
-	}
 	victim.resolve(ErrShed)
 }
 
 // chaosRoll rolls one of the admission-time injections (the external
 // sites of the chaos table). The admission path has no worker token, so
 // the draw comes from the service's own mutex-guarded streams, seeded
-// from Chaos.Seed; the roll is recorded on the external stream for
-// post-mortems only (a run is reproduced from its seeds).
+// from Chaos.Seed.
 func (svc *service) chaosRoll(site uint8) bool {
 	rate := svc.rt.cfg.Chaos.Rate(site)
 	if rate <= 0 {
@@ -467,13 +450,6 @@ func (svc *service) chaosRoll(site uint8) bool {
 	svc.chaosMu.Lock()
 	fired := svc.chaos.Roll(site, rate)
 	svc.chaosMu.Unlock()
-	if svc.rt.recordOn {
-		var arg uint16
-		if fired {
-			arg = 1
-		}
-		svc.rt.rep.RecordExternal(replay.KChaos, site, arg)
-	}
 	return fired
 }
 
@@ -538,10 +514,6 @@ func (rt *Runtime) takeSubmission(p *Proc) bool {
 			svc.leave()
 			sub.resolve(err)
 			continue
-		}
-		if rt.recordOn {
-			// Owner-only: this strand holds token w.
-			rt.rep.Record(w, replay.KSubStart, 0, sub.id)
 		}
 		v := p.v
 		// Drop the eager burst, as strand start drops demand: it was armed

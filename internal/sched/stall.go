@@ -4,8 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 	"unsafe"
-
-	"nowa/internal/replay"
 )
 
 // Stall recovery (DESIGN.md §15.1). A strand that seizes its OS thread
@@ -137,9 +135,6 @@ func (rt *Runtime) retireSupplement(ws int) {
 	s.CompareAndSwap(wsSupplemented, wsRetiring)
 	if s.CompareAndSwap(wsRetiring, wsHealthy) {
 		rt.supRetired.Add(1)
-		if rt.recordOn {
-			rt.rep.RecordExternal(replay.KSupplement, replay.SupRetire, uint16(w))
-		}
 	}
 	rt.retireToken()
 }
@@ -153,9 +148,6 @@ func (rt *Runtime) retireSupplement(ws int) {
 // supplement starts from.
 func (rt *Runtime) seizeWorker(w int) {
 	rt.seized.Add(1)
-	if rt.recordOn {
-		rt.rep.RecordExternal(replay.KSeized, 0, uint16(w))
-	}
 	ws := rt.cfg.Workers + w
 	for {
 		n := rt.tokensLeft.Load()
@@ -181,9 +173,6 @@ func (rt *Runtime) seizeWorker(w int) {
 	v.disp = dispatch{worker: ws}
 	v.pk.deliver()
 	rt.supplemented.Add(1)
-	if rt.recordOn {
-		rt.rep.RecordExternal(replay.KSupplement, replay.SupArm, uint16(w))
-	}
 }
 
 // startStallTicker starts stall recovery for one run: a goroutine whose

@@ -197,6 +197,47 @@ func TestStallReseize(t *testing.T) {
 	}
 }
 
+// TestStallDumpState prints a dump from inside a seizure: the one
+// worker sleeps in a spawned child, the supplement on slot 1 steals the
+// parent's continuation, and the continuation dumps while the stall
+// lasts. Every base and supplement slot must have its line, and so must
+// the stall counts, the seized worker's stall word and the waits.
+func TestStallDumpState(t *testing.T) {
+	cfg := stallCfg(1)
+	cfg.Spawn = SpawnEager
+	rt := MustNew(cfg)
+	defer rt.Close()
+
+	var dump strings.Builder
+	seized := false
+	rt.Run(func(c api.Ctx) {
+		s := c.Scope()
+		s.Spawn(func(api.Ctx) { time.Sleep(60 * time.Millisecond) })
+		// On slot 1 the supplement stole this continuation while the
+		// child still holds token 0: worker 0 is seized.
+		if seized = c.(*Proc).worker == 1; seized {
+			rt.DumpState(&dump)
+		}
+		s.Sync()
+	})
+	if !seized {
+		t.Fatal("the continuation ran only after the stall: no supplement stole it")
+	}
+	out := dump.String()
+	for _, want := range []string{
+		"workers=1 ",
+		"\n  worker 0: deque size ",
+		"\n  supplement slot 0 (worker 1): deque size ",
+		"\n  stall recovery: seized=1 supplemented=1 retired=0 victimSlots=2\n",
+		"\n  worker 0 stall word: 1 (1=supplemented 2=retiring) heartbeat=",
+		"\n  waits: blocked=0 resumed=0 aborted=0 live=0 ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("dump lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestStallServiceRecovery is the head-of-line-blocking rescue on a
 // single-worker service: a submission stalls the only base token, so
 // without supplementation no token is left to take the queued

@@ -5,7 +5,6 @@ import (
 
 	"nowa/internal/cactus"
 	"nowa/internal/deque"
-	"nowa/internal/replay"
 	"nowa/internal/trace"
 )
 
@@ -101,11 +100,6 @@ func (rt *Runtime) stealLoop(p *Proc) {
 
 		victim := rt.stealVictim(w, rng)
 		c, outcome := rt.popTopSteal(victim)
-		if rt.recordOn {
-			// One event per attempt: the outcome kind carries the victim,
-			// so the draw needs no separate entry.
-			rt.rep.Record(w, stealOutcomeKind(outcome), 0, uint16(victim))
-		}
 		if outcome != deque.StealHit {
 			if outcome == deque.StealEmpty && rt.lazyOn && victim != w {
 				// Nothing published there: ask the victim's strand for its
@@ -222,17 +216,6 @@ func (rt *Runtime) victimSlots() int {
 		return int(rt.victimHi.Load())
 	}
 	return rt.cfg.Workers
-}
-
-// stealOutcomeKind maps a deque steal outcome onto its event kind.
-func stealOutcomeKind(o deque.StealOutcome) replay.Kind {
-	switch o {
-	case deque.StealHit:
-		return replay.KStealHit
-	case deque.StealLost:
-		return replay.KStealLost
-	}
-	return replay.KStealEmpty
 }
 
 // popTopSteal performs one steal attempt on the victim's deque, updating

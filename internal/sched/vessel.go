@@ -270,18 +270,13 @@ func (rt *Runtime) freeVesselGlobal(v *vessel) {
 // token away (see freeVessel).
 func (v *vessel) loop() {
 	for {
-		blocked := v.pk.await(parkerSpins)
+		v.pk.await(parkerSpins)
 		d := v.disp
 		if d.worker < 0 {
 			return
 		}
 		v.proc.worker = d.worker
 		v.proc.bind(d.sub)
-		if v.rt.blockRecOn && blocked {
-			// Whoever dispatched handed token d.worker to this vessel, so
-			// the ring write is owner-only.
-			v.rt.rep.Record(d.worker, replay.KBlocked, replay.BlockDispatch, 0)
-		}
 		if d.fn != nil {
 			v.rt.takeDemand(d.worker)
 			v.runStrand(d)
@@ -301,9 +296,6 @@ func (v *vessel) loop() {
 // goroutine, which it never leaves (suspensions park it in place), ended
 // on the normal and the panic path alike before the token moves on.
 func (v *vessel) runStrand(d dispatch) {
-	if v.rt.recordOn {
-		v.rt.rep.Record(v.proc.worker, replay.KStrandStart, 0, 0)
-	}
 	var region *rtrace.Region
 	if rtrace.IsEnabled() {
 		region = rtrace.StartRegion(v.proc.traceCtx(), "strand")
@@ -320,9 +312,6 @@ func (v *vessel) runStrand(d dispatch) {
 		}
 	}()
 	d.fn(&v.proc)
-	if v.rt.recordOn {
-		v.rt.rep.Record(v.proc.worker, replay.KStrandEnd, 0, 0)
-	}
 	if region != nil {
 		region.End()
 	}
@@ -397,9 +386,6 @@ func (rt *Runtime) finishStrand(v *vessel, parent *scope) {
 	if c, ok := rt.popOwn(w, parent); ok {
 		v.pend[trace.LocalResumes]++
 		v.flushCounters(w)
-		if rt.recordOn {
-			rt.rep.Record(w, replay.KPopHit, 0, 0)
-		}
 		rt.freeVessel(v, w)
 		c.v.resumeTok = token{worker: w}
 		c.v.pk.deliver()
@@ -407,9 +393,6 @@ func (rt *Runtime) finishStrand(v *vessel, parent *scope) {
 	}
 	v.pend[trace.ImplicitSyncs]++
 	v.flushCounters(w)
-	if rt.recordOn {
-		rt.rep.Record(w, replay.KPopMiss, 0, 0)
-	}
 	if parent == nil {
 		if v.disp.sub != nil {
 			// A submission's top strand finished: its token goes back to

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	rtrace "runtime/trace"
 	"strings"
 	"time"
 
@@ -24,8 +25,8 @@ type Config struct {
 	Variants   []string
 	Chaos      []string // names of Classes rows
 	MaxWorkers int
-	RingCap    int  // per-worker recorder capacity (events)
-	Service    bool // soak service mode instead of batch runs
+	Trace      string // Replay only: write the rerun's runtime/trace here
+	Service    bool   // soak service mode instead of batch runs
 	Verbose    bool
 	Stdout     io.Writer
 	Stderr     io.Writer // bad arguments and bundle-writing errors
@@ -58,9 +59,9 @@ func Soak(c Config) int {
 		m := drawTrial(c, from, rng, trials)
 		trials++
 		var sc *serviceSpec
-		kind, ringCap := "", c.RingCap
+		kind := ""
 		if c.Service {
-			sc, kind, ringCap = drawServiceSpec(rng), "service ", 0
+			sc, kind = drawServiceSpec(rng), "service "
 			m.TimeoutMS = 0 // deadlines are per-submission here
 			if sc.stallEvery > 0 && m.StallThresholdUS == 0 {
 				// Planted mid-strand stalls are the application-level
@@ -69,7 +70,7 @@ func Soak(c Config) int {
 				m.StallThresholdUS = 500
 			}
 		}
-		f, _ := run(m, sc, ringCap)
+		f := run(m, sc)
 		if c.Verbose {
 			status := "ok"
 			if f != "" {
@@ -107,21 +108,21 @@ func failureClass(f string) string {
 	return class
 }
 
-// rerun runs the trial again from its meta, recorder attached, until it
-// fails with the given class or the attempts are spent: one attempt at
-// one worker, where the seeds decide everything, three otherwise, where
-// the OS interleaving still varies and one clean rerun proves nothing.
-func rerun(m replay.Meta, class string, ringCap int) (f string, rec *replay.Recorder) {
+// rerun runs the trial again from its meta until it fails with the
+// given class or the attempts are spent: one attempt at one worker,
+// where the seeds decide everything, three otherwise, where the OS
+// interleaving still varies and one clean rerun proves nothing.
+func rerun(m replay.Meta, class string) (f string) {
 	attempts := 3
 	if m.Workers == 1 {
 		attempts = 1
 	}
 	for ; attempts > 0; attempts-- {
-		if f, rec = run(m, nil, ringCap); failureClass(f) == class {
+		if f = run(m, nil); failureClass(f) == class {
 			break
 		}
 	}
-	return f, rec
+	return f
 }
 
 // reductions are the shrinker's steps outside the chaos block, in the
@@ -191,11 +192,11 @@ func shrink(m replay.Meta, fails func(replay.Meta) bool, log io.Writer) replay.M
 }
 
 // capture re-runs a failing trial, writes its repro bundle — the meta
-// plus the failing run's last events — and confirms that rerunning the
-// meta reproduces the same failure class. It returns the bundle's path,
-// "" if the failure evaporated.
+// with the failure it gave — and confirms that rerunning the meta
+// reproduces the same failure class. It returns the bundle's path, "" if
+// the failure evaporated.
 func (c Config) capture(m replay.Meta, class, suffix string) (string, error) {
-	f, rec := rerun(m, class, c.RingCap)
+	f := rerun(m, class)
 	if failureClass(f) != class {
 		return "", nil
 	}
@@ -204,10 +205,10 @@ func (c Config) capture(m replay.Meta, class, suffix string) (string, error) {
 		return "", err
 	}
 	path := filepath.Join(c.Out, fmt.Sprintf("%s-%s-w%d-s%d%s.bundle", m.Kernel, m.Variant, m.Workers, m.Seed, suffix))
-	if err := replay.SaveBundle(path, replay.NewBundle(m, rec)); err != nil {
+	if err := replay.SaveBundle(path, replay.Bundle{Meta: m}); err != nil {
 		return "", err
 	}
-	if rf, _ := rerun(m, class, 0); failureClass(rf) == class {
+	if rf := rerun(m, class); failureClass(rf) == class {
 		fmt.Fprintf(c.Stdout, "  bundle %s reruns to the same failure (%s)\n", path, failureClass(rf))
 	} else {
 		fmt.Fprintf(c.Stdout, "  warning: bundle %s reran to %q, captured %q\n", path, rf, f)
@@ -234,8 +235,7 @@ func (c Config) pin(m replay.Meta, class, suffix string) (bundles []string, mini
 		log = c.Stdout
 	}
 	minimal = shrink(m, func(cand replay.Meta) bool {
-		f, _ := rerun(cand, class, 0)
-		return failureClass(f) == class
+		return failureClass(rerun(cand, class)) == class
 	}, log)
 	fmt.Fprintf(c.Stdout, "  shrunk to: %s\n", label(minimal, nil))
 	if path, err = c.capture(minimal, class, suffix+"-min"); err != nil {
@@ -247,7 +247,8 @@ func (c Config) pin(m replay.Meta, class, suffix string) (bundles []string, mini
 }
 
 // Replay loads a repro bundle and reruns its meta under rerun's attempt
-// rule. Exit 0 iff the recorded failure class reproduces.
+// rule, under runtime/trace into c.Trace when that names a file (read it
+// with go tool trace). Exit 0 iff the recorded failure class reproduces.
 func Replay(path string, c Config) int {
 	b, err := replay.LoadBundle(path)
 	if err != nil {
@@ -259,10 +260,20 @@ func Replay(path string, c Config) int {
 	if m.Failure != "" {
 		fmt.Fprintf(c.Stdout, "  captured failure: %s\n", m.Failure)
 	}
-	if c.Verbose && len(b.Events) > 0 {
-		fmt.Fprintf(c.Stdout, "  worker 0 schedule tail: %s\n", b.Events[0])
+	var stop func() error
+	if c.Trace != "" {
+		if stop, err = startTrace(c.Trace); err != nil {
+			fmt.Fprintln(c.Stderr, "nowa-torture:", err)
+			return 2
+		}
 	}
-	f, _ := rerun(m, failureClass(m.Failure), 0)
+	f := rerun(m, failureClass(m.Failure))
+	if stop != nil {
+		if err := stop(); err != nil {
+			fmt.Fprintln(c.Stderr, "nowa-torture: writing trace:", err)
+			return 2
+		}
+	}
 	switch {
 	case f == "" && m.Failure == "":
 		fmt.Fprintln(c.Stdout, "rerun passed (bundle recorded no failure)")
@@ -290,7 +301,7 @@ func SelfTest(c Config) int {
 	}
 	const class = "vessel-leak"
 	fmt.Fprintf(c.Stdout, "selftest trial: %s (planted leak-vessel bug armed)\n", label(m, nil))
-	f, _ := run(m, nil, c.RingCap)
+	f := run(m, nil)
 	if failureClass(f) != class {
 		fmt.Fprintf(c.Stdout, "selftest FAILED: planted bug gave %q, want a vessel-leak\n", f)
 		return 1
@@ -310,4 +321,21 @@ func SelfTest(c Config) int {
 		return 0
 	}
 	return 1
+}
+
+// startTrace starts runtime/trace into a new file at path; stop ends the
+// trace and closes the file.
+func startTrace(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := rtrace.Start(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		rtrace.Stop()
+		return f.Close()
+	}, nil
 }

@@ -19,8 +19,8 @@ func soakConfig(t *testing.T, chaos ...string) Config {
 	return Config{
 		Seed: 1, Out: t.TempDir(),
 		Kernels: []string{"fib"}, Variants: []string{"nowa"}, Chaos: chaos,
-		RingCap: 1 << 10, MaxWorkers: 4,
-		Stdout: io.Discard, Stderr: io.Discard,
+		MaxWorkers: 4,
+		Stdout:     io.Discard, Stderr: io.Discard,
 	}
 }
 
@@ -107,7 +107,7 @@ func TestAbortTrialRuns(t *testing.T) {
 				TimeoutMS:  timeoutMS,
 				Class:      "abort", Chaos: &chaos,
 			}
-			if f, _ := run(m, nil, 0); f != "" {
+			if f := run(m, nil); f != "" {
 				t.Fatalf("%s timeout=%dms: %s", kernel, timeoutMS, f)
 			}
 		}
@@ -118,8 +118,8 @@ func TestAbortTrialRuns(t *testing.T) {
 // the whole life of a failing trial's description: draw → label →
 // WriteBundle → ReadBundle → buildConfig must give the configuration the
 // drawn trial ran under. The admission-path rates must reach service
-// trials only, and a stall-armed trial's recorder must cover the
-// supplements' slots.
+// trials only, and stall recovery must be armed exactly for the classes
+// that ask for it.
 func TestClassRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, cl := range Classes {
@@ -133,7 +133,7 @@ func TestClassRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 				var buf bytes.Buffer
-				if err := replay.WriteBundle(&buf, replay.NewBundle(m, replay.NewRecorder(m.Workers, 8))); err != nil {
+				if err := replay.WriteBundle(&buf, replay.Bundle{Meta: m}); err != nil {
 					t.Fatal(err)
 				}
 				b, err := replay.ReadBundle(&buf)
@@ -148,10 +148,9 @@ func TestClassRoundTrip(t *testing.T) {
 				if m.Chaos != nil && (m.Chaos.SubmitFail != 0) != service {
 					t.Fatalf("%s service=%v: SubmitFail = %d", cl.Name, service, m.Chaos.SubmitFail)
 				}
-				slots, err := want.Slots()
 				armed := m.StallThresholdUS > 0
-				if err != nil || (slots > m.Workers) != armed || armed != (cl.RecoveryUS > 0) {
-					t.Fatalf("%s: %d slots for %d workers, recovery %dµs (err %v)", cl.Name, slots, m.Workers, m.StallThresholdUS, err)
+				if (want.StallThreshold > 0) != armed || armed != (cl.RecoveryUS > 0) {
+					t.Fatalf("%s: stall threshold %v for recovery %dµs", cl.Name, want.StallThreshold, m.StallThresholdUS)
 				}
 			}
 		}

@@ -49,22 +49,15 @@ func label(m replay.Meta, sc *serviceSpec) string {
 
 // run executes one trial — a batch run of m's kernel, or with sc a
 // service soak — and checks every invariant, returning "" on a clean
-// pass or a "class: detail" failure string. A positive ringCap attaches
-// (and returns) a recorder as wide as the filled configuration's slots:
-// supplements record on extended ones.
-func run(m replay.Meta, sc *serviceSpec, ringCap int) (failure string, rec *replay.Recorder) {
+// pass or a "class: detail" failure string.
+func run(m replay.Meta, sc *serviceSpec) (failure string) {
 	cfg, err := buildConfig(m)
-	slots, serr := cfg.Slots()
-	if err = errors.Join(err, serr); err != nil {
-		return "config: " + err.Error(), nil
+	if err != nil {
+		return "config: " + err.Error()
 	}
-	if ringCap > 0 {
-		rec = replay.NewRecorder(slots, ringCap)
-	}
-	cfg.Record = rec
 	rt, err := sched.New(cfg)
 	if err != nil {
-		return "config: " + err.Error(), nil
+		return "config: " + err.Error()
 	}
 	defer rt.Close()
 	if sc != nil {
@@ -75,7 +68,7 @@ func run(m replay.Meta, sc *serviceSpec, ringCap int) (failure string, rec *repl
 	if failure == "" {
 		failure = checkAfter(rt)
 	}
-	return failure, rec
+	return failure
 }
 
 // checkAfter is the one post-run check of both trial kinds: the idle

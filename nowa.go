@@ -37,7 +37,6 @@ import (
 
 	"nowa/internal/api"
 	"nowa/internal/childsteal"
-	"nowa/internal/replay"
 	"nowa/internal/resilience"
 	"nowa/internal/sched"
 )
@@ -206,46 +205,6 @@ func Resources(rt Runtime) (ResourceStats, bool) {
 		return r.ResourceStats(), true
 	}
 	return ResourceStats{}, false
-}
-
-// ScheduleRecorder captures every nondeterministic scheduling decision —
-// steal-victim draws, steal/popBottom outcomes, thief park/wake, chaos
-// rolls — into per-worker rings while a runtime it is attached to runs.
-// See internal/replay for the event format.
-type ScheduleRecorder = replay.Recorder
-
-// NewScheduleRecorder creates a recorder for an instrumented runtime with
-// the given worker count. perWorkerCap is the per-worker event capacity
-// (rounded up to a power of two; <= 0 selects the default, 65536 events —
-// 256 KiB per worker). Full rings overwrite their oldest events.
-func NewScheduleRecorder(workers, perWorkerCap int) *ScheduleRecorder {
-	return replay.NewRecorder(workers, perWorkerCap)
-}
-
-// Instrument configures schedule capture for NewInstrumented. A run is
-// reproduced from its seeds, not from its log: the log is for reading.
-type Instrument struct {
-	// Record, if non-nil, logs the runtime's scheduling decisions. Flush
-	// with Record.Snapshot() once the run of interest completed.
-	Record *ScheduleRecorder
-}
-
-// NewInstrumented creates a continuation-stealing runtime with schedule
-// recording attached. Only the vessel-model variants can be instrumented
-// (the same set NewLimited accepts); NewInstrumented panics for the
-// comparators, and on a worker-count mismatch between the runtime and
-// the recorder.
-func NewInstrumented(v Variant, workers int, ins Instrument) Runtime {
-	cfg, ok := schedConfig(v, workers)
-	if !ok {
-		panic("nowa: NewInstrumented requires a continuation-stealing variant (vessel model); got " + v.String())
-	}
-	cfg.Record = ins.Record
-	rt, err := sched.New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return rt
 }
 
 // Resilience re-exports: client-side retry over a serving runtime's

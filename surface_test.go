@@ -22,14 +22,14 @@ var exportedSurface = []string{
 	"ErrPoisoned", "ErrRunTimeout", "ErrServiceClosed", "ErrShed", "For",
 	"Future", "Future.Await", "Future.Complete", "Future.Done",
 	"Future.Fail", "Future.Poison", "Future.Resolve", "Future.TryGet",
-	"HasVesselModel", "Instrument", "Invoke", "IsSorted",
+	"HasVesselModel", "Invoke", "IsSorted",
 	"Limits", "Map", "New", "NewBarrier", "NewChannel", "NewFuture",
-	"NewInstrumented", "NewLimited", "NewResilient",
-	"NewScheduleRecorder", "OverloadBlock", "OverloadFailFast",
+	"NewLimited", "NewResilient",
+	"OverloadBlock", "OverloadFailFast",
 	"OverloadPolicy", "OverloadShed", "OverloadedError", "Reduce",
 	"ResilienceOutcome", "ResiliencePolicy", "Resilient", "ResourceStats",
 	"Resources", "RunTimeout", "RunTimeoutCtx", "Runtime",
-	"ScheduleRecorder", "Scope",
+	"Scope",
 	"Serial", "ServiceConfig", "ServiceInfo", "ServiceStats", "Sort",
 	"SortOrdered", "SpawnAdaptive", "SpawnEager", "SpawnPolicy",
 	"StartService", "StrandPanic", "Submission", "Submit", "SubmitCtx",
