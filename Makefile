@@ -78,7 +78,7 @@ race:
 	$(RACE_TEST)
 
 # bench re-measures the repository: the spawn/sync micro-benchmarks per
-# variant (with the recording-on rows), then the repo benchmark — every
+# variant, then the repo benchmark — every
 # workload of BENCHMARK.json in a process of its own, reports under
 # benchmark/out/ (see benchmark/README.md; `-workload layers` prints the
 # per-layer ledger). Nothing is compared against a committed snapshot:
@@ -89,9 +89,12 @@ bench:
 	$(GO) test -run '^$$' -bench 'SpawnOverhead|SyncOverhead' -benchtime 100000x .
 	bash benchmark/run.sh
 
-# bench-all runs the real-runtime paper benchmarks (BenchmarkFig*) and
-# the micro-ablations once through; the simulator's 256-thread figures
-# and Table III are cmd/nowa-sim's (-format csv for machine-readable).
+# bench-all runs the Go benchmarks once through: the real-runtime madvise
+# comparison (BenchmarkFig8_Madvise) and the micro-ablations. The other
+# real-runtime figure tables are `go run ./cmd/nowa-bench -bench <kernels>
+# -variants <runtimes>` (Figures 1, 7, 9, 10) and `go run ./cmd/nowa-rss`
+# (Table II); the simulator's 256-thread figures and Table III are
+# cmd/nowa-sim's (-format csv for machine-readable).
 bench-all:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 

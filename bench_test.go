@@ -1,7 +1,8 @@
-// Benchmark harness: the real-runtime benchmarks (BenchmarkFig*) run the
-// Table I kernels on the actual runtimes and report wall time, which at
-// low worker counts verifies the paper's orderings; then the
-// micro-ablations. The 256-thread figures and Table III come from the
+// Benchmark harness: the madvise comparison on the real runtime
+// (BenchmarkFig8_Madvise), then the micro-ablations. The other figures'
+// real-runtime tables are printed by cmd/nowa-bench (-bench <kernels>
+// -variants <runtimes>: Figures 1, 7, 9 and 10) and cmd/nowa-rss
+// (Table II); the 256-thread figures and Table III come from the
 // simulator alone, through cmd/nowa-sim (-format csv for the
 // machine-readable form).
 package nowa_test
@@ -32,48 +33,6 @@ func benchWorkers() int {
 		n = 4
 	}
 	return n
-}
-
-// benchReal runs one Table I kernel on one variant.
-func benchReal(b *testing.B, name string, v nowa.Variant) {
-	bm, err := apps.ByName(name, apps.Test)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt := nowa.New(v, benchWorkers())
-	defer nowa.Close(rt)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		bm.Prepare()
-		b.StartTimer()
-		rt.Run(bm.Run)
-	}
-	b.StopTimer()
-	if err := bm.Verify(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkFig1_NQueens is Figure 1's workload on the real runtimes.
-func BenchmarkFig1_NQueens(b *testing.B) {
-	for _, v := range []nowa.Variant{nowa.VariantNowa, nowa.VariantFibril, nowa.VariantCilkPlus, nowa.VariantTBB} {
-		v := v
-		b.Run(v.String(), func(b *testing.B) { benchReal(b, "nqueens", v) })
-	}
-}
-
-// BenchmarkFig7 runs the full Table I suite on the Figure 7 runtimes.
-func BenchmarkFig7(b *testing.B) {
-	for _, name := range apps.Names() {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			for _, v := range []nowa.Variant{nowa.VariantNowa, nowa.VariantFibril, nowa.VariantCilkPlus, nowa.VariantTBB} {
-				v := v
-				b.Run(v.String(), func(b *testing.B) { benchReal(b, name, v) })
-			}
-		})
-	}
 }
 
 // BenchmarkFig8_Madvise compares the real Nowa runtime with and without
@@ -113,65 +72,6 @@ func BenchmarkFig8_Madvise(b *testing.B) {
 					}
 				})
 			}
-		})
-	}
-}
-
-// BenchmarkFig9_Queue is the §V-C queue ablation on the real runtimes:
-// the same wait-free protocol over the CL and THE queues, plus Fibril.
-func BenchmarkFig9_Queue(b *testing.B) {
-	for _, name := range []string{"fib", "nqueens"} {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			for _, v := range []nowa.Variant{nowa.VariantNowa, nowa.VariantNowaTHE, nowa.VariantFibril} {
-				v := v
-				b.Run(v.String(), func(b *testing.B) { benchReal(b, name, v) })
-			}
-		})
-	}
-}
-
-// BenchmarkFig10_OpenMP compares against the OpenMP-like runtimes.
-func BenchmarkFig10_OpenMP(b *testing.B) {
-	for _, name := range []string{"fib", "matmul", "quicksort"} {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			for _, v := range []nowa.Variant{nowa.VariantNowa, nowa.VariantTBB, nowa.VariantLibGOMP, nowa.VariantLibOMPUntied, nowa.VariantLibOMPTied} {
-				v := v
-				b.Run(v.String(), func(b *testing.B) { benchReal(b, name, v) })
-			}
-		})
-	}
-}
-
-// BenchmarkTable2_RSS reports the peak resident stack-pool bytes with and
-// without madvise as custom metrics (peak_rss_bytes).
-func BenchmarkTable2_RSS(b *testing.B) {
-	for _, madvise := range []bool{false, true} {
-		madvise := madvise
-		label := "madvise-off"
-		if madvise {
-			label = "madvise-on"
-		}
-		b.Run(label, func(b *testing.B) {
-			bm, err := apps.ByName("integrate", apps.Test)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var peak int64
-			for i := 0; i < b.N; i++ {
-				rt := sched.MustNew(sched.Config{
-					Workers: benchWorkers(),
-					Stacks:  cactus.Config{Madvise: madvise, StackBytes: 64 << 10},
-				})
-				bm.Prepare()
-				rt.Run(bm.Run)
-				if p := rt.StackStats().PeakRSSBytes; p > peak {
-					peak = p
-				}
-				rt.Close()
-			}
-			b.ReportMetric(float64(peak), "peak_rss_bytes")
 		})
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"nowa/internal/chaos"
 	"nowa/internal/deque"
 	"nowa/internal/ring"
 	"nowa/internal/sched"
@@ -839,7 +840,7 @@ func TestReplayAbortRace(t *testing.T) {
 			Name: "nowa", Workers: 1, Deque: deque.CL, Join: sched.WaitFree,
 			Seed:  7,
 			Spawn: sched.SpawnEager,
-			Chaos: &sched.Chaos{Seed: 11, AbortWait: abortWait, WakeupDelay: 200, DelaySpins: 1},
+			Chaos: &chaos.Chaos{Seed: 11, AbortWait: abortWait, WakeupDelay: 200, DelaySpins: 1},
 		}
 		rt := sched.MustNew(cfg)
 		defer rt.Close()
@@ -871,7 +872,7 @@ func TestBlockingChaosSelfAbort(t *testing.T) {
 		Name: "nowa", Workers: 4, Deque: deque.CL, Join: sched.WaitFree,
 		Seed:  3,
 		Spawn: sched.SpawnEager,
-		Chaos: &sched.Chaos{Seed: 13, AbortWait: 400, WakeupDelay: 200, DelaySpins: 1},
+		Chaos: &chaos.Chaos{Seed: 13, AbortWait: 400, WakeupDelay: 200, DelaySpins: 1},
 	}
 	rt := sched.MustNew(cfg)
 	defer rt.Close()

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"nowa/internal/api"
-	"nowa/internal/replay"
+	"nowa/internal/chaos"
 )
 
 // TestChaosChildSteal stresses every row's steal path under seeded fault
@@ -18,7 +18,7 @@ func TestChaosChildSteal(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			for _, name := range Variants() {
 				t.Run(name, func(t *testing.T) {
-					rt, err := New(name, 4, &replay.Chaos{Seed: seed, StealFail: 64, StealDelay: 64, DelaySpins: 8})
+					rt, err := New(name, 4, &chaos.Chaos{Seed: seed, StealFail: 64, StealDelay: 64, DelaySpins: 8})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -46,9 +46,9 @@ import (
 	"sync/atomic"
 
 	"nowa/internal/api"
+	"nowa/internal/chaos"
 	"nowa/internal/cqs"
 	"nowa/internal/deque"
-	"nowa/internal/replay"
 	"nowa/internal/trace"
 )
 
@@ -100,8 +100,8 @@ type Runtime struct {
 	v      variant
 	deques []deque.Deque[task] // one per worker; a central row's share one
 	ctxs   []ctx
-	chaos  *replay.Chaos // nil: no fault injection
-	idle   *cqs.Queue    // parked workers' wake channels
+	chaos  *chaos.Chaos // nil: no fault injection
+	idle   *cqs.Queue   // parked workers' wake channels
 	rec    *trace.Recorder
 	done   atomic.Bool
 	run    atomic.Bool
@@ -112,10 +112,10 @@ type Runtime struct {
 }
 
 // New creates the named variant with the given worker count (at least
-// one). A non-nil chaos arms seeded fault injection on the steal path —
+// one). A non-nil inject arms seeded fault injection on the steal path —
 // the steal-fail and steal-delay rows of its table — drawn from a stream
 // per worker.
-func New(name string, workers int, chaos *replay.Chaos) (*Runtime, error) {
+func New(name string, workers int, inject *chaos.Chaos) (*Runtime, error) {
 	i := slices.IndexFunc(variants, func(v variant) bool { return v.name == name })
 	if i < 0 {
 		return nil, fmt.Errorf("unknown variant %q (want %s)", name, strings.Join(Variants(), ", "))
@@ -129,8 +129,8 @@ func New(name string, workers int, chaos *replay.Chaos) (*Runtime, error) {
 		idle:   cqs.NewQueue(),
 		rec:    trace.NewRecorder(workers),
 	}
-	if chaos != nil {
-		rt.chaos = chaos.WithDefaults(seed)
+	if inject != nil {
+		rt.chaos = inject.WithDefaults(seed)
 	}
 	for w := range rt.ctxs {
 		if w == 0 || !v.central {
@@ -290,7 +290,7 @@ func (rt *Runtime) take(c *ctx, steal bool) (*task, bool) {
 			return nil, false
 		}
 	}
-	if rt.chaos != nil && rt.chaosPreSteal(c) {
+	if rt.chaos != nil && c.chaos.PreSteal(rt.chaos) {
 		rec[trace.FailedSteals].Add(1)
 		return nil, false
 	}
@@ -307,25 +307,6 @@ func (rt *Runtime) take(c *ctx, steal bool) (*task, bool) {
 		rec[trace.FailedSteals].Add(1)
 	}
 	return t, ok
-}
-
-// chaosPreSteal rolls the steal-path injections on c's own chaos streams
-// (owner-only, like the victim stream); true abandons the attempt as a
-// failed steal.
-func (rt *Runtime) chaosPreSteal(c *ctx) bool {
-	roll := func(site uint8) bool {
-		rate := rt.chaos.Rate(site)
-		return rate > 0 && c.chaos.Roll(site, rate)
-	}
-	if roll(replay.SiteStealFail) {
-		return true
-	}
-	if roll(replay.SiteStealDelay) {
-		for i := 0; i < rt.chaos.DelaySpins; i++ {
-			runtime.Gosched()
-		}
-	}
-	return false
 }
 
 // xorshift advances one xorshift64 stream.
@@ -349,9 +330,9 @@ func (rt *Runtime) execute(t *task, c *ctx) {
 type ctx struct {
 	rt     *Runtime
 	worker int
-	rng    uint64         // victim stream
-	chaos  replay.Streams // chaos streams, one per site
-	wake   chan struct{}  // where a resumer delivers this worker's wakeup
+	rng    uint64        // victim stream
+	chaos  chaos.Streams // chaos streams, one per site, owner-only
+	wake   chan struct{} // where a resumer delivers this worker's wakeup
 }
 
 // Workers implements api.Ctx.

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"nowa/internal/chaos"
 	"nowa/internal/deque"
 	"nowa/internal/sched"
 )
@@ -158,7 +159,7 @@ func FaultSweep(cfg FaultSweepConfig) FaultReport {
 			Join:    sched.WaitFree,
 		}
 		if sc.stalls {
-			rcfg.Chaos = &sched.Chaos{StallWorker: cfg.StallEvery, StallForUS: stallFor.Microseconds()}
+			rcfg.Chaos = &chaos.Chaos{StallWorker: cfg.StallEvery, StallForUS: stallFor.Microseconds()}
 		}
 		if sc.recovery {
 			rcfg.StallThreshold = stallThreshold

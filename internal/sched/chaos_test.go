@@ -5,14 +5,14 @@ import (
 	"testing"
 
 	"nowa/internal/apps"
-	"nowa/internal/replay"
+	"nowa/internal/chaos"
 )
 
 // chaosVariants are the configurations the chaos suite stresses: the
 // flagship wait-free+CL pairing, the wait-free+THE ablation, and the
 // lock-based Fibril baseline.
 func chaosVariants(seed int64) []Config {
-	ch := &Chaos{
+	ch := &chaos.Chaos{
 		Seed:           seed,
 		StealDelay:     64,
 		StealFail:      64,
@@ -84,9 +84,9 @@ func TestChaosStressVariants(t *testing.T) {
 // for roll. With one stream per slot, every B roll would shift A's
 // draws; with one stream per runtime, every slot-0 roll would.
 func TestChaosStreamsPerSite(t *testing.T) {
-	const a, b = replay.SiteSyncDelay, replay.SitePopBottom
+	const a, b = chaos.SiteSyncDelay, chaos.SitePopBottom
 	mk := func() *Runtime {
-		rt := MustNew(Config{Workers: 2, Chaos: &Chaos{Seed: 5, SyncDelay: 512, PopBottomDelay: 512}})
+		rt := MustNew(Config{Workers: 2, Chaos: &chaos.Chaos{Seed: 5, SyncDelay: 512, PopBottomDelay: 512}})
 		t.Cleanup(rt.Close)
 		return rt
 	}
@@ -103,7 +103,7 @@ func TestChaosStreamsPerSite(t *testing.T) {
 		got, want := mixed.chaosRoll(1, a), alone.chaosRoll(1, a)
 		if got != want {
 			t.Fatalf("roll %d at %s: %v with %s rolls between, %v alone",
-				i, replay.SiteName(a), got, replay.SiteName(b), want)
+				i, chaos.SiteName(a), got, chaos.SiteName(b), want)
 		}
 		if want {
 			fired++

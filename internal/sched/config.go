@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"nowa/internal/cactus"
+	"nowa/internal/chaos"
 	"nowa/internal/deque"
 )
 
@@ -123,9 +124,9 @@ type Config struct {
 	// Seed seeds the per-worker steal RNGs (default 1).
 	Seed int64
 	// Chaos, if non-nil, enables seeded fault injection at the protocol's
-	// race windows (see Chaos). The only cost when nil is one pointer
-	// check per injection point.
-	Chaos *Chaos
+	// race windows (see chaos.Chaos). The only cost when nil is one
+	// predictable branch per injection point.
+	Chaos *chaos.Chaos
 	// StallThreshold, if positive, arms stall recovery: for the duration
 	// of each run, a stall ticker samples per-worker
 	// heartbeats (bumped on every steal-loop pass, park/wake and strand

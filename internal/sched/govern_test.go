@@ -7,6 +7,7 @@ import (
 
 	"nowa/internal/api"
 	"nowa/internal/apps"
+	"nowa/internal/chaos"
 	"nowa/internal/deque"
 )
 
@@ -160,7 +161,7 @@ func TestVesselPopulationBounded(t *testing.T) {
 		}
 	}
 	leaky := Config{Name: "nowa", Workers: 1, Deque: deque.CL, Join: WaitFree, Spawn: SpawnEager,
-		Chaos: &Chaos{LeakVessel: 24}}
+		Chaos: &chaos.Chaos{LeakVessel: 24}}
 	if hw, bound := vesselHighWater(t, leaky, 24), populationBound(1, 24); hw <= bound {
 		t.Errorf("leaking vessels: high water %d stayed within bound %d; the bound cannot catch a leak", hw, bound)
 	}

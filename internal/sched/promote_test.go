@@ -8,6 +8,7 @@ import (
 
 	"nowa/internal/api"
 	"nowa/internal/apps"
+	"nowa/internal/chaos"
 	"nowa/internal/deque"
 	"nowa/internal/trace"
 )
@@ -239,7 +240,7 @@ func promoteWorkloads() []apps.Benchmark {
 func TestPromoteChaosEverySpawn(t *testing.T) {
 	for _, cfg := range variantConfigs(4, "nowa", "fibril") {
 		cfg := cfg
-		cfg.Chaos = &Chaos{StealInterest: 1024}
+		cfg.Chaos = &chaos.Chaos{StealInterest: 1024}
 		t.Run(cfg.Name, func(t *testing.T) {
 			rt := MustNew(cfg)
 			defer rt.Close()

@@ -13,8 +13,8 @@ import (
 
 	"nowa/internal/api"
 	"nowa/internal/apps"
+	"nowa/internal/chaos"
 	"nowa/internal/deque"
-	"nowa/internal/replay"
 	"nowa/internal/trace"
 )
 
@@ -44,7 +44,7 @@ func TestReplayDeterministicCapture(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			cfg.Seed = 7
-			cfg.Chaos = &Chaos{
+			cfg.Chaos = &chaos.Chaos{
 				Seed:           11,
 				PopBottomDelay: 64,
 				SyncDelay:      64,
@@ -66,7 +66,7 @@ func TestReplaySeedSensitivity(t *testing.T) {
 	cfg.Seed = 7
 	promoted := func(chaosSeed int64) int64 {
 		c := cfg
-		c.Chaos = &Chaos{Seed: chaosSeed, StealInterest: 128, DelaySpins: 1}
+		c.Chaos = &chaos.Chaos{Seed: chaosSeed, StealInterest: 128, DelaySpins: 1}
 		return captureRun(t, c).PromotedSpawns
 	}
 	a, b := promoted(11), promoted(12)
@@ -88,9 +88,9 @@ func TestReplaySeedSensitivity(t *testing.T) {
 func TestReplayRecordedChaosDecisions(t *testing.T) {
 	cfg := variantConfigs(1)[0]
 	cfg.Seed = 3
-	cfg.Chaos = &Chaos{Seed: 5, StealInterest: 64, DelaySpins: 1}
+	cfg.Chaos = &chaos.Chaos{Seed: 5, StealInterest: 64, DelaySpins: 1}
 	alone := captureRun(t, cfg)
-	cfg.Chaos = &Chaos{Seed: 5, StealInterest: 64, PopBottomDelay: 64, SyncDelay: 64, DelaySpins: 1}
+	cfg.Chaos = &chaos.Chaos{Seed: 5, StealInterest: 64, PopBottomDelay: 64, SyncDelay: 64, DelaySpins: 1}
 	mixed := captureRun(t, cfg)
 	if alone.PromotedSpawns == 0 {
 		t.Fatal("no spawn was promoted at StealInterest 64/1024: the workload rolls too little")
@@ -109,12 +109,12 @@ func TestReplayRecordedChaosDecisions(t *testing.T) {
 // is drawn from its own source, standing in for two OS schedules.
 func TestReplayMultiWorkerBestEffort(t *testing.T) {
 	const workers = 4
-	armed := []uint8{replay.SiteStealFail, replay.SitePopBottom, replay.SiteSyncDelay}
-	run := func(order int64) [workers][replay.NumSites][]bool {
-		rt := MustNew(Config{Workers: workers, Chaos: &Chaos{Seed: 11, StealFail: 64, PopBottomDelay: 32, SyncDelay: 512, DelaySpins: 2}})
+	armed := []uint8{chaos.SiteStealFail, chaos.SitePopBottom, chaos.SiteSyncDelay}
+	run := func(order int64) [workers][chaos.NumSites][]bool {
+		rt := MustNew(Config{Workers: workers, Chaos: &chaos.Chaos{Seed: 11, StealFail: 64, PopBottomDelay: 32, SyncDelay: 512, DelaySpins: 2}})
 		defer rt.Close()
 		pick := rand.New(rand.NewSource(order))
-		var out [workers][replay.NumSites][]bool
+		var out [workers][chaos.NumSites][]bool
 		for n := 2000 + pick.Intn(2000); n > 0; n-- {
 			w, site := pick.Intn(workers), armed[pick.Intn(len(armed))]
 			out[w][site] = append(out[w][site], rt.chaosRoll(w, site))
@@ -128,7 +128,7 @@ func TestReplayMultiWorkerBestEffort(t *testing.T) {
 			ra, rb := a[w][site], b[w][site]
 			k := min(len(ra), len(rb))
 			if !slices.Equal(ra[:k], rb[:k]) {
-				t.Errorf("slot %d, %s: the runs' first %d rolls differ", w, replay.SiteName(site), k)
+				t.Errorf("slot %d, %s: the runs' first %d rolls differ", w, chaos.SiteName(site), k)
 			}
 			compared += k
 			for _, f := range ra[:k] {
@@ -154,7 +154,7 @@ func leakConfig(chaosSeed int64) Config {
 		// when a vessel finishes, and a single-worker lazy run dispatches
 		// almost none.
 		Spawn: SpawnEager,
-		Chaos: &Chaos{
+		Chaos: &chaos.Chaos{
 			Seed:       chaosSeed,
 			LeakVessel: 24,
 			DelaySpins: 1,
@@ -197,7 +197,7 @@ func TestReplayCountersStayCoherent(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		cfg := variantConfigs(4)[0]
 		cfg.Seed = seed
-		cfg.Chaos = &Chaos{Seed: seed, StealFail: 64, PopBottomDelay: 64, DelaySpins: 2}
+		cfg.Chaos = &chaos.Chaos{Seed: seed, StealFail: 64, PopBottomDelay: 64, DelaySpins: 2}
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rt := MustNew(cfg)
 			defer rt.Close()

@@ -11,10 +11,10 @@ import (
 
 	"nowa/internal/api"
 	"nowa/internal/cactus"
+	"nowa/internal/chaos"
 	"nowa/internal/core"
 	"nowa/internal/cqs"
 	"nowa/internal/deque"
-	"nowa/internal/replay"
 	"nowa/internal/trace"
 )
 
@@ -91,7 +91,7 @@ type Runtime struct {
 	blockedHW   atomic.Int64
 
 	// chaos holds each scheduling slot's chaos streams, one per site.
-	chaos []replay.Streams
+	chaos []chaos.Streams
 
 	// Stall recovery (all nil/zero unless stallOn; see stall.go). hb is
 	// indexed by scheduling slot: base workers 0..Workers-1, worker w's
@@ -185,7 +185,7 @@ func New(cfg Config) (*Runtime, error) {
 		rt.vlocal[w].free = make([]*vessel, 0, perWorkerVesselCap)
 	}
 	if cfg.Chaos != nil {
-		rt.chaos = make([]replay.Streams, slots)
+		rt.chaos = make([]chaos.Streams, slots)
 		for w := range rt.chaos {
 			rt.chaos[w].Seed(cfg.Chaos.Seed, w)
 		}

@@ -4,8 +4,8 @@ import (
 	rtrace "runtime/trace"
 
 	"nowa/internal/api"
+	"nowa/internal/chaos"
 	"nowa/internal/core"
-	"nowa/internal/replay"
 	"nowa/internal/trace"
 )
 
@@ -293,7 +293,7 @@ func (s *scope) Spawn(fn func(api.Ctx)) {
 		// so thieves get real continuations while demand (or blocking) is
 		// evidently present.
 		v.eagerBurst--
-	case rt.chaosOn && rt.chaosRoll(p.worker, replay.SiteStealInterest), rt.takeDemand(p.worker):
+	case rt.chaosOn && rt.chaosRoll(p.worker, chaos.SiteStealInterest), rt.takeDemand(p.worker):
 		// Steal demand on the token, injected by chaos (exactly a thief's
 		// post, minus the thief) or posted by a thief: promote.
 		v.eagerBurst = eagerBurstLen

@@ -11,8 +11,8 @@ import (
 	"time"
 
 	"nowa/internal/api"
+	"nowa/internal/chaos"
 	"nowa/internal/cqs"
-	"nowa/internal/replay"
 )
 
 // Service-mode errors. ErrShed wraps ErrOverloaded so a caller that
@@ -270,7 +270,7 @@ type service struct {
 	// external goroutines with no worker token, so unlike the per-slot
 	// streams these are mutex-guarded.
 	chaosMu sync.Mutex
-	chaos   replay.Streams
+	chaos   chaos.Streams
 }
 
 // StartService switches the runtime into service mode: a long-lived
@@ -389,12 +389,12 @@ func (rt *Runtime) submit(ctx context.Context, task func(api.Ctx), opts SubmitOp
 func (svc *service) admit(sub *Submission) error {
 	rt := svc.rt
 	q := &svc.adm
-	if rt.chaosOn && svc.chaosRoll(replay.SiteSubmitLatency) {
+	if rt.chaosOn && svc.chaosRoll(chaos.SiteSubmitLatency) {
 		// Widens the window between submit's closing check and
 		// tryAdmit, where Close's drain races this admission.
 		time.Sleep(time.Duration(rt.cfg.Chaos.SubmitLatencyForUS) * time.Microsecond)
 	}
-	if rt.chaosOn && svc.chaosRoll(replay.SiteSubmitFail) {
+	if rt.chaosOn && svc.chaosRoll(chaos.SiteSubmitFail) {
 		// Admission-time fault injection: behave exactly like a FailFast
 		// overload refusal. Sound — a refusal is one of Submit's
 		// documented outcomes whatever the policy.
@@ -443,14 +443,9 @@ func (svc *service) shedVictim(victim *Submission) {
 // the draw comes from the service's own mutex-guarded streams, seeded
 // from Chaos.Seed.
 func (svc *service) chaosRoll(site uint8) bool {
-	rate := svc.rt.cfg.Chaos.Rate(site)
-	if rate <= 0 {
-		return false
-	}
 	svc.chaosMu.Lock()
-	fired := svc.chaos.Roll(site, rate)
-	svc.chaosMu.Unlock()
-	return fired
+	defer svc.chaosMu.Unlock()
+	return svc.chaos.Fire(svc.rt.cfg.Chaos, site)
 }
 
 // retryHint estimates how long until a queue slot frees: the smoothed

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"nowa/internal/api"
+	"nowa/internal/chaos"
 	"nowa/internal/deque"
 	"nowa/internal/trace"
 )
@@ -370,7 +371,7 @@ func TestStallRetireFlagSeenAtPark(t *testing.T) {
 // conservation invariant must hold at the end of each run.
 func TestStallChaosConservation(t *testing.T) {
 	cfg := stallCfg(4)
-	cfg.Chaos = &Chaos{StallWorker: 48, StallForUS: 4000}
+	cfg.Chaos = &chaos.Chaos{StallWorker: 48, StallForUS: 4000}
 	rt := MustNew(cfg)
 	defer rt.Close()
 

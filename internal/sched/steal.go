@@ -79,7 +79,7 @@ func (rt *Runtime) stealLoop(p *Proc) {
 			return
 		}
 
-		if rt.chaosOn && rt.chaosPreSteal(w) {
+		if rt.chaosOn && rt.chaos[w].PreSteal(rt.cfg.Chaos) {
 			// Forced failed steal: abandon the attempt outright.
 			rec[trace.FailedSteals].Add(1)
 			rt.stealBackoff(p, &fails)

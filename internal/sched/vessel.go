@@ -10,7 +10,7 @@ import (
 
 	"nowa/internal/api"
 	"nowa/internal/cactus"
-	"nowa/internal/replay"
+	"nowa/internal/chaos"
 	"nowa/internal/trace"
 )
 
@@ -239,7 +239,7 @@ func (rt *Runtime) getVesselSlow() *vessel {
 //
 //nowa:hotpath
 func (rt *Runtime) freeVessel(v *vessel, w int) {
-	if rt.chaosOn && rt.chaosRoll(w, replay.SiteLeakVessel) {
+	if rt.chaosOn && rt.chaosRoll(w, chaos.SiteLeakVessel) {
 		// Planted bug (Chaos.LeakVessel): drop the vessel instead of
 		// pooling it. It stays counted live and registered in allVessels
 		// — Close still stops its goroutine — but never returns to a free

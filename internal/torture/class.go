@@ -2,12 +2,11 @@
 // soak driver: it cycles kernels × scheduler variants × worker counts ×
 // chaos classes × cancellation deadlines and checks the scheduler's
 // invariants after every trial. When one breaks, the trial is re-run
-// for a repro bundle (config and seeds, plus the failing run's last
-// events for the reader), the bundle's meta is confirmed to rerun to the
-// same failure, and the trial is shrunk to a minimal one that still
-// fails.
+// for a repro bundle (the trial's Meta: config and seeds), the bundle is
+// confirmed to rerun to the same failure, and the trial is shrunk to a
+// minimal one that still fails.
 //
-// The matrix is data. An injection site is a row of internal/replay's
+// The matrix is data. An injection site is a row of internal/chaos's
 // chaos table, a chaos class a row of Classes here; drawing a trial,
 // validating and documenting -chaos, labelling and shrinking all loop
 // over those two tables, so a new injection needs no edit in this
@@ -21,7 +20,7 @@ import (
 	"strings"
 
 	"nowa/internal/blockapps"
-	"nowa/internal/replay"
+	"nowa/internal/chaos"
 )
 
 // Class is one chaos class of the trial matrix: the injections it arms
@@ -29,10 +28,10 @@ import (
 type Class struct {
 	Name string
 	// Chaos holds the rates and durations; nil injects nothing. The seed
-	// is drawn per trial. Admission-path rates (replay.SiteExternal)
+	// is drawn per trial. Admission-path rates (chaos.SiteExternal)
 	// reach service trials only: in a batch trial they could never fire
 	// and would only give the shrinker something bogus to chew on.
-	Chaos *replay.Chaos
+	Chaos *chaos.Chaos
 	// Blocking draws the kernel from the blocking suite, not -kernels,
 	// and forces eager spawns: those kernels deadlock under lazy spawns —
 	// a parked stage's unblocker is a later-spawned sibling. It also
@@ -49,20 +48,20 @@ type Class struct {
 // selftest, and arming it in the soak would make every trial fail.
 var Classes = []Class{
 	{Name: "off"},
-	{Name: "light", Chaos: &replay.Chaos{
+	{Name: "light", Chaos: &chaos.Chaos{
 		StealFail: 16, PopBottomDelay: 16, SyncDelay: 16, StealInterest: 16, DelaySpins: 2,
 		SubmitFail: 16}},
-	{Name: "heavy", Chaos: &replay.Chaos{
+	{Name: "heavy", Chaos: &chaos.Chaos{
 		StealDelay: 64, StealFail: 128, PopBottomDelay: 128, SyncDelay: 128,
 		StealInterest: 128, DelaySpins: 4,
 		SubmitFail: 128}},
-	{Name: "promote", Chaos: &replay.Chaos{ // every lazy spawn promotes mid-inline-run
+	{Name: "promote", Chaos: &chaos.Chaos{ // every lazy spawn promotes mid-inline-run
 		StealInterest: 1024, StealFail: 16, PopBottomDelay: 16, DelaySpins: 2,
 		SubmitFail: 16}},
-	{Name: "stall", RecoveryUS: 500, Chaos: &replay.Chaos{ // armed well under the 2ms stall: each one is seizable
+	{Name: "stall", RecoveryUS: 500, Chaos: &chaos.Chaos{ // armed well under the 2ms stall: each one is seizable
 		StallWorker: 48, StallForUS: 2000, StealFail: 16, DelaySpins: 2,
 		SubmitFail: 16, SubmitLatency: 16, SubmitLatencyForUS: 500}},
-	{Name: "abort", Blocking: true, Chaos: &replay.Chaos{ // WakeAborted races Wake in the cqs cell CAS
+	{Name: "abort", Blocking: true, Chaos: &chaos.Chaos{ // WakeAborted races Wake in the cqs cell CAS
 		AbortWait: 96, WakeupDelay: 64, StealFail: 16, DelaySpins: 2,
 		SubmitFail: 16}},
 }
@@ -95,9 +94,9 @@ func classes(names []string) ([]Class, error) {
 // drawTrial picks one point in the trial matrix. Everything the drawn
 // class forces is written into the meta, so the bundle of a failing
 // trial rebuilds the run without consulting the class table.
-func drawTrial(c Config, from []Class, rng *rand.Rand, n int) replay.Meta {
+func drawTrial(c Config, from []Class, rng *rand.Rand, n int) Meta {
 	w := max(1, min([]int{1, 2, 4, c.MaxWorkers}[rng.Intn(4)], c.MaxWorkers))
-	m := replay.Meta{
+	m := Meta{
 		Tool:    "nowa-torture",
 		Kernel:  c.Kernels[rng.Intn(len(c.Kernels))],
 		Scale:   "test",
@@ -110,8 +109,8 @@ func drawTrial(c Config, from []Class, rng *rand.Rand, n int) replay.Meta {
 	if cl.Chaos != nil {
 		cc := *cl.Chaos
 		cc.Seed = rng.Int63n(1<<31) + 1
-		for s := uint8(1); s < replay.NumSites; s++ {
-			if replay.SiteExternal(s) && !c.Service {
+		for s := uint8(1); s < chaos.NumSites; s++ {
+			if chaos.SiteExternal(s) && !c.Service {
 				cc.SetRate(s, 0)
 			}
 		}

@@ -12,7 +12,7 @@ import (
 
 	"nowa/internal/apps"
 	"nowa/internal/blockapps"
-	"nowa/internal/replay"
+	"nowa/internal/chaos"
 	"nowa/internal/sched"
 )
 
@@ -112,7 +112,7 @@ func failureClass(f string) string {
 // given class or the attempts are spent: one attempt at one worker,
 // where the seeds decide everything, three otherwise, where the OS
 // interleaving still varies and one clean rerun proves nothing.
-func rerun(m replay.Meta, class string) (f string) {
+func rerun(m Meta, class string) (f string) {
 	attempts := 3
 	if m.Workers == 1 {
 		attempts = 1
@@ -131,11 +131,11 @@ func rerun(m replay.Meta, class string) (f string) {
 // failure that survives was never about it.
 var reductions = []struct {
 	what   string
-	reduce func(*replay.Meta)
+	reduce func(*Meta)
 }{
-	{"workers halved", func(m *replay.Meta) { m.Workers = max(1, m.Workers/2) }},
-	{"deadline dropped", func(m *replay.Meta) { m.TimeoutMS = 0 }},
-	{"stall recovery disarmed", func(m *replay.Meta) { m.StallThresholdUS = 0 }},
+	{"workers halved", func(m *Meta) { m.Workers = max(1, m.Workers/2) }},
+	{"deadline dropped", func(m *Meta) { m.TimeoutMS = 0 }},
+	{"stall recovery disarmed", func(m *Meta) { m.StallThresholdUS = 0 }},
 }
 
 // shrinkBudget bounds the candidate reruns of one shrink.
@@ -146,9 +146,9 @@ const shrinkBudget = 64
 // table dropped outright or else halved, each kept only if the failure
 // survives it, in a bounded fixed-point pass. log, if non-nil, is told
 // what was kept.
-func shrink(m replay.Meta, fails func(replay.Meta) bool, log io.Writer) replay.Meta {
+func shrink(m Meta, fails func(Meta) bool, log io.Writer) Meta {
 	budget := shrinkBudget
-	try := func(cand replay.Meta, what string) bool {
+	try := func(cand Meta, what string) bool {
 		if budget <= 0 {
 			return false
 		}
@@ -166,7 +166,7 @@ func shrink(m replay.Meta, fails func(replay.Meta) bool, log io.Writer) replay.M
 		cand, cc := m, *m.Chaos
 		cc.SetRate(s, rate) // a dropped rate takes its duration knob along
 		cand.Chaos = &cc
-		return try(cand, "chaos "+replay.SiteName(s)+" "+what)
+		return try(cand, "chaos "+chaos.SiteName(s)+" "+what)
 	}
 	for changed := true; changed && budget > 0; {
 		changed = false
@@ -179,7 +179,7 @@ func shrink(m replay.Meta, fails func(replay.Meta) bool, log io.Writer) replay.M
 		if m.Chaos == nil {
 			continue
 		}
-		for s := uint8(1); s < replay.NumSites; s++ {
+		for s := uint8(1); s < chaos.NumSites; s++ {
 			if r := m.Chaos.Rate(s); r > 0 && (tryRate(s, 0, "dropped") || r > 1 && tryRate(s, r/2, "halved")) {
 				changed = true
 			}
@@ -195,7 +195,7 @@ func shrink(m replay.Meta, fails func(replay.Meta) bool, log io.Writer) replay.M
 // with the failure it gave — and confirms that rerunning the meta
 // reproduces the same failure class. It returns the bundle's path, "" if
 // the failure evaporated.
-func (c Config) capture(m replay.Meta, class, suffix string) (string, error) {
+func (c Config) capture(m Meta, class, suffix string) (string, error) {
 	f := rerun(m, class)
 	if failureClass(f) != class {
 		return "", nil
@@ -205,7 +205,7 @@ func (c Config) capture(m replay.Meta, class, suffix string) (string, error) {
 		return "", err
 	}
 	path := filepath.Join(c.Out, fmt.Sprintf("%s-%s-w%d-s%d%s.bundle", m.Kernel, m.Variant, m.Workers, m.Seed, suffix))
-	if err := replay.SaveBundle(path, replay.Bundle{Meta: m}); err != nil {
+	if err := save(path, m); err != nil {
 		return "", err
 	}
 	if rf := rerun(m, class); failureClass(rf) == class {
@@ -220,7 +220,7 @@ func (c Config) capture(m replay.Meta, class, suffix string) (string, error) {
 // the minimal trial under the suffix plus "-min". It returns the bundles
 // written — none when the failure evaporated under recapture, one when
 // only the shrunk trial's did — and the minimal trial.
-func (c Config) pin(m replay.Meta, class, suffix string) (bundles []string, minimal replay.Meta) {
+func (c Config) pin(m Meta, class, suffix string) (bundles []string, minimal Meta) {
 	path, err := c.capture(m, class, suffix)
 	if err != nil {
 		fmt.Fprintln(c.Stderr, "nowa-torture: writing bundle:", err)
@@ -234,7 +234,7 @@ func (c Config) pin(m replay.Meta, class, suffix string) (bundles []string, mini
 	if c.Verbose {
 		log = c.Stdout
 	}
-	minimal = shrink(m, func(cand replay.Meta) bool {
+	minimal = shrink(m, func(cand Meta) bool {
 		return failureClass(rerun(cand, class)) == class
 	}, log)
 	fmt.Fprintf(c.Stdout, "  shrunk to: %s\n", label(minimal, nil))
@@ -250,12 +250,11 @@ func (c Config) pin(m replay.Meta, class, suffix string) (bundles []string, mini
 // rule, under runtime/trace into c.Trace when that names a file (read it
 // with go tool trace). Exit 0 iff the recorded failure class reproduces.
 func Replay(path string, c Config) int {
-	b, err := replay.LoadBundle(path)
+	m, err := load(path)
 	if err != nil {
 		fmt.Fprintln(c.Stderr, "nowa-torture:", err)
 		return 2
 	}
-	m := b.Meta
 	fmt.Fprintf(c.Stdout, "rerunning %s: %s\n", path, label(m, nil))
 	if m.Failure != "" {
 		fmt.Fprintf(c.Stdout, "  captured failure: %s\n", m.Failure)
@@ -294,10 +293,10 @@ func SelfTest(c Config) int {
 	// StealInterest 1024 promotes every lazy spawn: without it a
 	// single-worker trial runs everything inline under the default spawn
 	// policy and never churns a vessel, so the planted leak cannot fire.
-	m := replay.Meta{
+	m := Meta{
 		Tool: "nowa-torture", Kernel: "fib", Scale: "test", Variant: "nowa",
 		Workers: 1, Seed: 7, Class: "planted",
-		Chaos: &replay.Chaos{Seed: 11, LeakVessel: 24, StealInterest: 1024, DelaySpins: 1},
+		Chaos: &chaos.Chaos{Seed: 11, LeakVessel: 24, StealInterest: 1024, DelaySpins: 1},
 	}
 	const class = "vessel-leak"
 	fmt.Fprintf(c.Stdout, "selftest trial: %s (planted leak-vessel bug armed)\n", label(m, nil))

@@ -6,19 +6,20 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"nowa/internal/replay"
+	"nowa/internal/chaos"
 	"nowa/internal/sched"
 )
 
-func soakConfig(t *testing.T, chaos ...string) Config {
+func soakConfig(t *testing.T, names ...string) Config {
 	return Config{
 		Seed: 1, Out: t.TempDir(),
-		Kernels: []string{"fib"}, Variants: []string{"nowa"}, Chaos: chaos,
+		Kernels: []string{"fib"}, Variants: []string{"nowa"}, Chaos: names,
 		MaxWorkers: 4,
 		Stdout:     io.Discard, Stderr: io.Discard,
 	}
@@ -97,15 +98,15 @@ func TestAbortTrialRuns(t *testing.T) {
 	}
 	for _, kernel := range []string{"pipeline", "bfs"} {
 		for _, timeoutMS := range []int64{0, 1} {
-			chaos := *abort[0].Chaos
-			chaos.Seed = 11
-			m := replay.Meta{
+			cc := *abort[0].Chaos
+			cc.Seed = 11
+			m := Meta{
 				Tool: "nowa-torture", Scale: "test",
 				Kernel: kernel, Variant: "nowa",
 				Workers: 2, Seed: 11,
 				SpawnEager: true,
 				TimeoutMS:  timeoutMS,
-				Class:      "abort", Chaos: &chaos,
+				Class:      "abort", Chaos: &cc,
 			}
 			if f := run(m, nil); f != "" {
 				t.Fatalf("%s timeout=%dms: %s", kernel, timeoutMS, f)
@@ -116,7 +117,7 @@ func TestAbortTrialRuns(t *testing.T) {
 
 // TestClassRoundTrip takes every class row, batch and service, through
 // the whole life of a failing trial's description: draw → label →
-// WriteBundle → ReadBundle → buildConfig must give the configuration the
+// save → load → buildConfig must give the configuration the
 // drawn trial ran under. The admission-path rates must reach service
 // trials only, and stall recovery must be armed exactly for the classes
 // that ask for it.
@@ -132,15 +133,14 @@ func TestClassRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var buf bytes.Buffer
-				if err := replay.WriteBundle(&buf, replay.Bundle{Meta: m}); err != nil {
+				path := filepath.Join(c.Out, "x.bundle")
+				if err := save(path, m); err != nil {
 					t.Fatal(err)
 				}
-				b, err := replay.ReadBundle(&buf)
+				back, err := load(path)
 				if err != nil {
 					t.Fatal(err)
 				}
-				back := b.Meta
 				got, err := buildConfig(back)
 				if err != nil || !reflect.DeepEqual(got, want) || label(back, nil) != label(m, nil) {
 					t.Fatalf("%s service=%v: bundle rebuilds\n %+v (%v)\nwant\n %+v", cl.Name, service, got, err, want)
@@ -171,7 +171,7 @@ func TestGoldenMeta(t *testing.T) {
 			`"failure":"vessel-leak: 88 vessels never returned to a free list"}`,
 			func(c *sched.Config) {
 				c.Workers, c.Seed = 1, 7
-				c.Chaos = &sched.Chaos{Seed: 11, LeakVessel: 24, StealInterest: 1024, DelaySpins: 1}
+				c.Chaos = &chaos.Chaos{Seed: 11, LeakVessel: 24, StealInterest: 1024, DelaySpins: 1}
 			}},
 		{`{"tool":"nowa-torture","kernel":"pipeline","scale":"test","variant":"cilkplus","workers":4,"seed":9,` +
 			`"timeout_ms":5,"spawn_eager":true,` +
@@ -182,11 +182,11 @@ func TestGoldenMeta(t *testing.T) {
 				c.Spawn = sched.SpawnEager
 				c.Stacks.GlobalCap = 8 * 4 // the cilkplus bound at 4 workers
 				c.StallThreshold = 500 * time.Microsecond
-				c.Chaos = &sched.Chaos{Seed: 3, StealFail: 16, DelaySpins: 2, StallWorker: 48, StallForUS: 2000,
+				c.Chaos = &chaos.Chaos{Seed: 3, StealFail: 16, DelaySpins: 2, StallWorker: 48, StallForUS: 2000,
 					SubmitLatency: 16, SubmitLatencyForUS: 500}
 			}},
 	} {
-		var m replay.Meta
+		var m Meta
 		if err := json.Unmarshal([]byte(tc.golden), &m); err != nil {
 			t.Fatal(err)
 		}
@@ -207,9 +207,9 @@ func TestGoldenMeta(t *testing.T) {
 // it recorded.
 func TestReplayBundleWithParkAfter(t *testing.T) {
 	c := soakConfig(t)
-	m := replay.Meta{
+	m := Meta{
 		Tool: "nowa-torture", Kernel: "fib", Scale: "test", Variant: "nowa", Workers: 1, Seed: 7,
-		Chaos: &replay.Chaos{Seed: 11, LeakVessel: 24, StealInterest: 1024, DelaySpins: 1},
+		Chaos: &chaos.Chaos{Seed: 11, LeakVessel: 24, StealInterest: 1024, DelaySpins: 1},
 	}
 	path, err := c.capture(m, "vessel-leak", "")
 	if err != nil || path == "" {
@@ -241,22 +241,22 @@ func TestReplayBundleWithParkAfter(t *testing.T) {
 // keeping the knob that causes the failure, clearing the duration of the
 // injection it dropped — within its budget of reruns.
 func TestShrinkSynthetic(t *testing.T) {
-	start := replay.Meta{
+	start := Meta{
 		Tool: "nowa-torture", Kernel: "fib", Variant: "fibril", Workers: 8, Seed: 5, Class: "heavy",
 		TimeoutMS: 5, StallThresholdUS: 500,
-		Chaos: &replay.Chaos{Seed: 2, DelaySpins: 4, LeakVessel: 24, StealFail: 128,
+		Chaos: &chaos.Chaos{Seed: 2, DelaySpins: 4, LeakVessel: 24, StealFail: 128,
 			StallWorker: 48, StallForUS: 2000},
 	}
 	reruns := 0
-	fails := func(m replay.Meta) bool {
+	fails := func(m Meta) bool {
 		reruns++
 		return m.Workers >= 2 && m.Chaos != nil && m.Chaos.LeakVessel >= 3
 	}
 	var log bytes.Buffer
 	got := shrink(start, fails, &log)
-	want := replay.Meta{
+	want := Meta{
 		Tool: "nowa-torture", Kernel: "fib", Variant: "fibril", Workers: 2, Seed: 5, Class: "heavy",
-		Chaos: &replay.Chaos{Seed: 2, DelaySpins: 4, LeakVessel: 3},
+		Chaos: &chaos.Chaos{Seed: 2, DelaySpins: 4, LeakVessel: 3},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("shrunk to %+v chaos %+v\nwant      %+v chaos %+v", got, got.Chaos, want, want.Chaos)
@@ -277,17 +277,17 @@ func TestShrinkSynthetic(t *testing.T) {
 	// A failure nothing reduces costs one rerun per reduction and site,
 	// then stops; one that everything reduces ends with no chaos at all.
 	reruns = 0
-	if got := shrink(start, func(m replay.Meta) bool { reruns++; return reflect.DeepEqual(m, start) }, nil); !reflect.DeepEqual(got, start) || reruns > 16 {
+	if got := shrink(start, func(m Meta) bool { reruns++; return reflect.DeepEqual(m, start) }, nil); !reflect.DeepEqual(got, start) || reruns > 16 {
 		t.Errorf("irreducible trial: %d reruns, ended at %+v", reruns, got)
 	}
-	if got := shrink(start, func(replay.Meta) bool { return true }, nil); got.Chaos != nil || got.Workers != 1 {
+	if got := shrink(start, func(Meta) bool { return true }, nil); got.Chaos != nil || got.Workers != 1 {
 		t.Errorf("a trial that always fails shrinks to %+v", got)
 	}
 	// The budget is hard: a predicate that keeps accepting halvings of a
 	// huge rate cannot run the shrinker past it.
 	reruns = 0
-	big := replay.Meta{Workers: 1 << 40, Chaos: &replay.Chaos{StealFail: 1 << 40, SyncDelay: 1 << 40}}
-	shrink(big, func(m replay.Meta) bool {
+	big := Meta{Workers: 1 << 40, Chaos: &chaos.Chaos{StealFail: 1 << 40, SyncDelay: 1 << 40}}
+	shrink(big, func(m Meta) bool {
 		reruns++
 		return m.Chaos != nil && m.Chaos.StealFail > 0 && m.Chaos.SyncDelay > 0
 	}, nil)

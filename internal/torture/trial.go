@@ -12,13 +12,12 @@ import (
 	"nowa/internal/apps"
 	"nowa/internal/blockapps"
 	"nowa/internal/loadgen"
-	"nowa/internal/replay"
 	"nowa/internal/sched"
 )
 
 // buildConfig turns a trial description (which doubles as the bundle
 // metadata) into a runnable scheduler configuration.
-func buildConfig(m replay.Meta) (sched.Config, error) {
+func buildConfig(m Meta) (sched.Config, error) {
 	cfg, err := sched.VariantConfig(m.Variant, m.Workers)
 	if err != nil {
 		return sched.Config{}, err
@@ -33,7 +32,7 @@ func buildConfig(m replay.Meta) (sched.Config, error) {
 }
 
 // label describes a trial in one line; sc is nil for a batch trial.
-func label(m replay.Meta, sc *serviceSpec) string {
+func label(m Meta, sc *serviceSpec) string {
 	if sc != nil {
 		return fmt.Sprintf("service/%s w=%d seed=%d chaos=%s policy=%s depth=%d producers=%d×%d panic1/%d deadline1/%d stall1/%d burst=%d",
 			m.Variant, m.Workers, m.Seed, m.Class, sc.policy, sc.depth,
@@ -50,7 +49,7 @@ func label(m replay.Meta, sc *serviceSpec) string {
 // run executes one trial — a batch run of m's kernel, or with sc a
 // service soak — and checks every invariant, returning "" on a clean
 // pass or a "class: detail" failure string.
-func run(m replay.Meta, sc *serviceSpec) (failure string) {
+func run(m Meta, sc *serviceSpec) (failure string) {
 	cfg, err := buildConfig(m)
 	if err != nil {
 		return "config: " + err.Error()
@@ -95,7 +94,7 @@ func checkAfter(rt *sched.Runtime) string {
 // batch runs m's kernel once, under m's deadline if it has one. Serial
 // equivalence: a run that was not cancelled must compute the serial
 // answer, whatever the schedule and the (sound) chaos did.
-func batch(rt *sched.Runtime, m replay.Meta) (failure string) {
+func batch(rt *sched.Runtime, m Meta) (failure string) {
 	app, err := blockapps.ByName(m.Kernel, apps.Test)
 	if err != nil {
 		return "config: " + err.Error()

@@ -11,6 +11,7 @@ import (
 
 	"nowa"
 	"nowa/internal/api"
+	"nowa/internal/chaos"
 	"nowa/internal/sched"
 )
 
@@ -550,7 +551,7 @@ func TestCancelRunTimeoutCause(t *testing.T) {
 func TestChaosSubmitFail(t *testing.T) {
 	srt := sched.MustNew(sched.Config{
 		Name: "chaos-submit", Workers: 2,
-		Chaos: &sched.Chaos{Seed: 7, SubmitFail: 512},
+		Chaos: &chaos.Chaos{Seed: 7, SubmitFail: 512},
 	})
 	if err := srt.StartService(sched.ServiceConfig{QueueDepth: 16}); err != nil {
 		t.Fatalf("StartService: %v", err)
