@@ -23,13 +23,8 @@ import (
 //
 //	//nowa:hotpath-ok <reason>
 //	    Line-scoped. Permits one flagged construct inside hot code (the
-//	    parker's blocking-fallback channel ops, a never-growing append).
-//	    The reason is mandatory.
-//
-//	//nowa:plain-ok <reason>
-//	    Line-scoped. Permits a plain (non-atomic) access to a field that
-//	    is accessed atomically elsewhere; the justification must explain
-//	    the happens-before argument. The reason is mandatory.
+//	    parker's one-slot channel send and receive, a never-growing
+//	    append). The reason is mandatory.
 //
 //	//nowa:nopad <reason>
 //	    Declaration-scoped, on a struct type. Exempts an atomic-bearing
@@ -88,7 +83,6 @@ var noteVerbs = map[string]bool{
 	"hotpath":    false,
 	"coldpath":   true,
 	"hotpath-ok": true,
-	"plain-ok":   true,
 	"nopad":      true,
 	"join-state": false,
 	"lock":       true, // "reason" carries the key=value args

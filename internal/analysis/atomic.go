@@ -122,7 +122,7 @@ func (m *Module) rawAtomicFields() map[*types.Var][]token.Position {
 }
 
 // fieldOwnerName names the struct type that declares field fld, best
-// effort, for diagnostics ("parker.state").
+// effort, for diagnostics ("gate.state").
 func fieldOwnerName(m *Module, fld *types.Var) string {
 	p := m.pkgOf(fld.Pkg())
 	if p == nil {

@@ -12,10 +12,10 @@ import (
 // read or write of it must also be atomic. A single plain load or store
 // on such a field silently downgrades the protocol to a data race whose
 // window the race detector may never hit (the bug class of Castañeda &
-// Piña's fence-free work-stealing analysis). The parker's documented
-// consume-side reset — a plain store ordered by the surrounding
-// sequentially consistent operations — is the sanctioned exception shape:
-// such sites carry //nowa:plain-ok <reason> and are skipped.
+// Piña's fence-free work-stealing analysis). There is no suppression: a
+// field that one site needs plain and another atomic is a protocol whose
+// argument lives in a comment, so make every access atomic (or use a
+// sync/atomic wrapper type) instead.
 //
 // Fields of the sync/atomic wrapper types (atomic.Int64 &c.) are outside
 // this analyzer's scope: their only operations are methods, and illegal
@@ -62,15 +62,11 @@ func runAtomicmix(m *Module) []Finding {
 				if !policed {
 					return true
 				}
-				pos := m.position(sel.Sel.Pos())
-				if p.Notes.lineNote(pos, "plain-ok") {
-					return true
-				}
 				out = append(out, Finding{
 					Analyzer: "atomicmix",
-					Pos:      pos,
+					Pos:      m.position(sel.Sel.Pos()),
 					Message: fmt.Sprintf(
-						"plain access to field %s, which is accessed with sync/atomic at %s; make this access atomic or annotate it with //nowa:plain-ok <reason>",
+						"plain access to field %s, which is accessed with sync/atomic at %s; make this access atomic",
 						fieldOwnerName(m, fld), atomicUses[0]),
 				})
 				return true

@@ -48,6 +48,7 @@ func TestAtomicmixCorpus(t *testing.T) {
 	m := loadCorpus(t, "atomicmix")
 	wantFindings(t, RunAll(m, []*Analyzer{Atomicmix()}), []string{
 		"plain access to field gate.state",
+		"plain access to field gate.state",
 	})
 }
 

@@ -40,7 +40,7 @@ import (
 //
 // Both sync/atomic wrapper methods (x.f.CompareAndSwap) and package
 // functions (atomic.CompareAndSwapUint32(&x.f, ...)) are recognised, so
-// the parker's raw word and the wrapped state words get the same gate.
+// a raw word and a wrapped state word get the same gate.
 func Fsm() *Analyzer {
 	return &Analyzer{
 		Name: "fsm",

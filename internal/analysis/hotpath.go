@@ -25,11 +25,11 @@ import (
 // Documented slow paths reachable from hot code (pool refill, ring
 // growth, diagnostics) are cut out of the traversal with //nowa:coldpath
 // <reason>; a single intended construct inside hot code (the parker's
-// blocking fallback) is suppressed with //nowa:hotpath-ok <reason> on
-// its line. Calls through interfaces or stored function values cannot be
-// traversed statically and end the analysis at that boundary — keep hot
-// code devirtualised, as the scheduler's Chase–Lev path already is, and
-// the gate covers it.
+// one-slot channel send and receive) is suppressed with
+// //nowa:hotpath-ok <reason> on its line. Calls through interfaces or
+// stored function values cannot be traversed statically and end the
+// analysis at that boundary — keep hot code devirtualised, as the
+// scheduler's Chase–Lev path already is, and the gate covers it.
 //
 // The runtime AllocsPerRun tests (alloc_test.go) measure the same
 // property after the fact; this analyzer rejects the regression at build

@@ -1,7 +1,7 @@
 // Package atomicmix is the nowa-vet corpus for the atomicmix analyzer:
 // gate.state is atomically swapped in publish, so the plain read in
-// badPeek must be flagged, the annotated reset must be suppressed, and
-// the never-atomic field must stay out of scope.
+// badPeek and the plain reset in badReset must both be flagged (there
+// is no suppression), and the never-atomic field must stay out of scope.
 package atomicmix
 
 import "sync/atomic"
@@ -19,8 +19,8 @@ func (g *gate) badPeek() uint32 {
 	return g.state // BAD: plain read of an atomically accessed field
 }
 
-func (g *gate) okReset() {
-	g.state = 0 //nowa:plain-ok corpus: single-owner reset ordered by the surrounding protocol
+func (g *gate) badReset() {
+	g.state = 0 // BAD: plain store, however well ordered the protocol around it
 }
 
 func (g *gate) fine() int {

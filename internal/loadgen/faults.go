@@ -22,8 +22,8 @@ type FaultSweepConfig struct {
 	PointDur time.Duration
 	// TaskIters sizes the fork/join spin task (default 100000).
 	TaskIters int
-	// StallEvery injects one chaos stall per N finish-window rolls
-	// (default 300).
+	// StallEvery injects about one chaos stall per N finish-window rolls
+	// (default 300; see stallChaos).
 	StallEvery int
 	// Logf, if non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -54,6 +54,14 @@ func (c *FaultSweepConfig) fill() {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
+}
+
+// stallChaos arms the stall injection at about one stall per every
+// finish-window rolls. Chaos rates are in 1/1024, so the rate is
+// 1024/every, rounded down but never to zero (which would disarm the
+// site).
+func stallChaos(every int) *chaos.Chaos {
+	return &chaos.Chaos{StallWorker: max(1, 1024/every), StallForUS: stallFor.Microseconds()}
 }
 
 // calibrateRate times the spin task serially and offers ~60% of the
@@ -159,7 +167,7 @@ func FaultSweep(cfg FaultSweepConfig) FaultReport {
 			Join:    sched.WaitFree,
 		}
 		if sc.stalls {
-			rcfg.Chaos = &chaos.Chaos{StallWorker: cfg.StallEvery, StallForUS: stallFor.Microseconds()}
+			rcfg.Chaos = stallChaos(cfg.StallEvery)
 		}
 		if sc.recovery {
 			rcfg.StallThreshold = stallThreshold

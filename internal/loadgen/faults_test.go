@@ -4,7 +4,31 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nowa/internal/chaos"
 )
+
+// TestFaultStallRate: the campaign's default StallEvery of 300 stalls
+// about one finish-window roll in 300 (3/1024 after rounding), not the
+// 300/1024 a rate passed through unconverted would give.
+func TestFaultStallRate(t *testing.T) {
+	var cfg FaultSweepConfig
+	cfg.fill()
+	c := stallChaos(cfg.StallEvery).WithDefaults(1)
+	var st chaos.Streams
+	st.Seed(c.Seed, 0)
+	const rolls = 100_000
+	fired := 0
+	for i := 0; i < rolls; i++ {
+		if st.Fire(c, chaos.SiteStallWorker) {
+			fired++
+		}
+	}
+	if share := float64(fired) / rolls; share < 0.0015 || share > 0.005 {
+		t.Errorf("StallEvery %d fired %d of %d rolls (%.2f%%), want 0.15-0.5%%",
+			cfg.StallEvery, fired, rolls, 100*share)
+	}
+}
 
 // TestFaultSweepSmoke runs a miniature fault campaign and checks the
 // structural guarantees: three scenarios, clean leak accounting, armed

@@ -21,8 +21,8 @@ import "fmt"
 // resolved, closed stored but queues not drained. The two cqs.Queues are
 // abstracted to what the channel uses of them — the two ticket counters
 // and one state per ticket's cell — with the segment list left to the
-// cqs tests, and a wake is delivered in one step (the parker has a model
-// of its own, CheckParker).
+// cqs tests, and a wake is delivered in one step (the parker is a
+// one-slot Go channel, whose send and receive are atomic already).
 //
 // Checked properties:
 //

@@ -15,16 +15,16 @@ import (
 // half of scope.Sync: after registering in the primitive's waiter queue
 // the strand passes its worker token on (passToken: to its own
 // un-stolen parent continuation, else to the next wakeup, else to a
-// thief vessel) and parks on its vessel's parker — without the ladder's
-// spin phase, since nothing bounds the wait. The wakeup side is the new
-// piece: a resume or abort may fire on any goroutine — another strand, a
-// context.AfterFunc timer, an external completer — so the waker cannot
-// always hand a token directly. Instead it pushes the Waiter onto the
-// runtime's wake queue (a cqs.Queue: no lock) and rouses a thief; the
-// next token to come free — a strand blocking in its turn, or an idle
-// thief — pops it and hands itself over, and the blocked strand goes
-// on where it left off. The exception is WakeNext, the child-first rule
-// applied to wakeups: one woken waiter goes to its waker's token's slot.
+// thief vessel) and parks on its vessel's parker, the one way every
+// suspension parks. The wakeup side is the new piece: a resume or abort
+// may fire on any goroutine — another strand, a context.AfterFunc timer,
+// an external completer — so the waker cannot always hand a token
+// directly. Instead it pushes the Waiter onto the runtime's wake queue (a
+// cqs.Queue: no lock) and rouses a thief; the next token to come free — a
+// strand blocking in its turn, or an idle thief — pops it and hands
+// itself over, and the blocked strand goes on where it left off. The
+// exception is WakeNext, the child-first rule applied to wakeups: one
+// woken waiter goes to its waker's token's slot.
 //
 // Leak-freedom is the sum of three guarantees: the primitive's cell CAS
 // arbitration means exactly one of Wake/WakeAborted fires per
@@ -108,12 +108,9 @@ func (p *Proc) CommitWait(bw *Waiter) bool {
 		}
 	}
 	// The token goes away first; the strand parks unless its own wakeup
-	// was what the token went to. Parking is immediate (spin budget 0):
-	// the wait is unbounded and the strand holds no token, so the
-	// ladder's yields would only contend with the token holders for Go's
-	// run queue (see parker).
+	// was what the token went to.
 	if rt.passToken(v, w, bw) {
-		v.pk.await(0)
+		v.pk.await()
 		p.worker = v.resumeTok.worker
 		if rtrace.IsEnabled() {
 			p.traceToken()

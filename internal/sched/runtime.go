@@ -452,7 +452,7 @@ func (rt *Runtime) parkThief(p *Proc) {
 		if !t.TryAbort() {
 			// A resumer claimed the cell first: its delivery is in
 			// flight and must be consumed before the parker is reused.
-			p.v.pk.await(0)
+			p.v.pk.await()
 			if bw != nil {
 				// Meant for a thief that stays to look; this one is
 				// leaving with the slot's waiter, so pass it on.
@@ -474,7 +474,7 @@ func (rt *Runtime) parkThief(p *Proc) {
 			}
 		}
 	}
-	p.v.pk.await(0)
+	p.v.pk.await()
 	if rt.stallOn {
 		rt.beat(w)
 	}
@@ -515,7 +515,7 @@ func (rt *Runtime) Close() {
 	rt.closed = true
 	for _, v := range rt.allVessels {
 		v.disp = retire
-		v.pk.deliver() //nowa:lock-ok shutdown broadcast: every vessel is parked awaiting a dispatch and each parker's wake channel holds a one-slot buffer, so the send cannot block the closer
+		v.pk.deliver() //nowa:lock-ok shutdown broadcast: deliver never blocks (a send with a default into a one-slot buffer, empty here because every vessel is parked awaiting a dispatch)
 	}
 }
 

@@ -337,7 +337,7 @@ func (s *scope) spawnEager(fn func(api.Ctx)) {
 	cv.pk.deliver()
 
 	// Park until the continuation is resumed.
-	v.pk.await(parkerSpins)
+	v.pk.await()
 	p.worker = v.resumeTok.worker
 	if rtrace.IsEnabled() {
 		p.traceToken()
@@ -409,7 +409,7 @@ func (s *scope) Sync() {
 	}
 	tv.disp = dispatch{worker: w}
 	tv.pk.deliver()
-	v.pk.await(parkerSpins)
+	v.pk.await()
 	p.worker = v.resumeTok.worker
 	if rtrace.IsEnabled() {
 		p.traceToken()

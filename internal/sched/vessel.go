@@ -270,7 +270,7 @@ func (rt *Runtime) freeVesselGlobal(v *vessel) {
 // token away (see freeVessel).
 func (v *vessel) loop() {
 	for {
-		v.pk.await(parkerSpins)
+		v.pk.await()
 		d := v.disp
 		if d.worker < 0 {
 			return
