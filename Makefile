@@ -24,7 +24,7 @@ BLOCK_TESTS = TestCQS|TestWakeQueue|TestFuture|TestChannel|TestBarrier|TestBlock
 # package, then the whole benchmark harness (its test names match none
 # of the patterns, and its workloads drive the serving and resilience
 # layers from many goroutines at once).
-RACE_TEST = $(GO) test -race -run 'TestChaos|TestCancel|TestPanic|TestGovern|TestVesselPopulation|TestPromote|TestReplay|TestService|TestSubmit|TestStall|TestResilience|TestIdle|$(BLOCK_TESTS)' ./... \
+RACE_TEST = $(GO) test -race -run 'TestChaos|TestCancel|TestPanic|TestAccounting|TestVesselPopulation|TestPromote|TestReplay|TestService|TestSubmit|TestStall|TestResilience|TestIdle|$(BLOCK_TESTS)' ./... \
 	&& $(GO) test -race ./benchmark
 
 .PHONY: verify fmt build vet lint loc test race bench bench-all trace torture serve-smoke fault-smoke block-smoke

@@ -245,7 +245,7 @@ func TestSubmitAllocs(t *testing.T) {
 		{"background", context.Background(), 8},
 	} {
 		round := func() {
-			sub, err := nowa.SubmitOpt(rt, tc.ctx, func(nowa.Ctx) {}, nowa.SubmitOpts{})
+			sub, err := nowa.SubmitCtx(rt, tc.ctx, func(nowa.Ctx) {}, nowa.SubmitOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

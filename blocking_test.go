@@ -706,8 +706,8 @@ func TestBarrierAbortStorm(t *testing.T) {
 	}
 }
 
-// TestWaitStatsSurface: the wait counters appear in ResourceStats with a
-// sane high-water mark, and DumpState carries the waits budget line.
+// TestWaitStatsSurface: the wait counters appear in ResourceStats, and
+// DumpState carries the waits budget line.
 func TestWaitStatsSurface(t *testing.T) {
 	rt := NewLimited(VariantNowa, 4, Limits{Spawn: SpawnEager})
 	defer Close(rt)
@@ -723,9 +723,6 @@ func TestWaitStatsSurface(t *testing.T) {
 	st, _ := Resources(rt)
 	if st.BlockedWaits == 0 || st.ResumedWaits == 0 {
 		t.Fatalf("wait counters did not move: %+v", st)
-	}
-	if st.BlockedHighWater < 1 || st.BlockedHighWater > st.BlockedWaits {
-		t.Fatalf("blocked high-water %d out of range (blocked=%d)", st.BlockedHighWater, st.BlockedWaits)
 	}
 	var buf bytes.Buffer
 	rt.(*sched.Runtime).DumpState(&buf)
@@ -757,7 +754,7 @@ func TestSubmitCancelAbortsBlockedWait(t *testing.T) {
 	sub, err := SubmitCtx(rt, ctx, func(c Ctx) {
 		defer wg.Done()
 		_, got = ch.Recv(c) // blocks: channel empty
-	})
+	}, SubmitOpts{})
 	if err != nil {
 		t.Fatalf("SubmitCtx: %v", err)
 	}

@@ -111,19 +111,26 @@ func TestCancelMidFlightDrains(t *testing.T) {
 	}
 }
 
-// TestCancelDeadline: RunTimeout must surface context.DeadlineExceeded
-// once the root observes the deadline, and the runtime stays reusable.
+// TestCancelDeadline: a run under context.WithTimeoutCause must surface
+// context.DeadlineExceeded once the root observes the deadline, with
+// the timeout's cause as context.Cause, and the runtime stays reusable.
 func TestCancelDeadline(t *testing.T) {
 	for name, rt := range cancelRuntimes(t) {
 		t.Run(name, func(t *testing.T) {
 			defer Close(rt)
-			err := RunTimeout(rt, 20*time.Millisecond, func(c Ctx) {
+			errTooSlow := errors.New("run too slow")
+			ctx, cancel := context.WithTimeoutCause(context.Background(), 20*time.Millisecond, errTooSlow)
+			defer cancel()
+			err := rt.RunCtx(ctx, func(c Ctx) {
 				for c.Err() == nil {
 					time.Sleep(time.Millisecond)
 				}
 			})
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+			}
+			if cause := context.Cause(ctx); cause != errTooSlow {
+				t.Fatalf("context.Cause = %v, want the timeout's cause", cause)
 			}
 			var got int
 			rt.Run(func(c Ctx) { got = testFib(c, 12) })

@@ -93,6 +93,7 @@ func TestLockorderCorpus(t *testing.T) {
 		"call to (*state).lockInner re-acquires inner already held (double-lock)",
 		"channel send while holding outer (level 1)",
 		"call to sleeper (which may block on a channel or park) while holding outer (level 1)",
+		"call to (*state).await (which may block on a channel or park) while holding outer (level 1)",
 	})
 }
 

@@ -27,6 +27,8 @@ import (
 //     intra-module callee — while an enrolled lock is held. Parking a
 //     strand under a scheduler lock is how service-mode backpressure
 //     deadlocks are born; the runtime's rule is unlock first, then park.
+//     The send or receive a select case waits on counts only through
+//     its select, so a select with a default blocks nowhere.
 //
 // Callees are summarised by a fixpoint over the static call graph (the
 // same staticCallee resolution the hotpath analyzer uses): each function
@@ -43,9 +45,8 @@ import (
 // uses; deferred Unlock keeps the lock held to the end of the function,
 // matching its dynamic extent.
 //
-// A documented exception — Close's shutdown broadcast delivering parker
-// wakes while the vessel registry lock is held — is suppressed
-// line-scoped with //nowa:lock-ok <reason>.
+// A documented exception is suppressed line-scoped with
+// //nowa:lock-ok <reason>.
 func Lockorder() *Analyzer {
 	return &Analyzer{
 		Name: "lockorder",
@@ -235,20 +236,24 @@ func directLockFacts(info *types.Info, locks map[*types.Var]*lockDecl, body *ast
 	if body == nil {
 		return s
 	}
+	skip := make(map[ast.Node]bool) // select comm ops accounted at the select
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
 			return false
 		case *ast.SendStmt:
-			s.blocks = true
+			if !skip[n] {
+				s.blocks = true
+			}
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
+			if n.Op == token.ARROW && !skip[n] {
 				s.blocks = true
 			}
 		case *ast.SelectStmt:
 			if !selectHasDefault(n) {
 				s.blocks = true
 			}
+			skipCommOps(n, skip)
 		case *ast.RangeStmt:
 			if isChanExpr(info, n.X) {
 				s.blocks = true
@@ -278,6 +283,23 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 		}
 	}
 	return false
+}
+
+// skipCommOps marks the send or receive each case of sel waits on: the
+// select, not the operation, decides whether the statement can block.
+// The case bodies, and any operand a case evaluates first, are still
+// walked.
+func skipCommOps(sel *ast.SelectStmt, skip map[ast.Node]bool) {
+	for _, clause := range sel.Body.List {
+		switch c := clause.(*ast.CommClause).Comm.(type) {
+		case *ast.SendStmt:
+			skip[c] = true
+		case *ast.ExprStmt:
+			skip[ast.Unparen(c.X)] = true
+		case *ast.AssignStmt:
+			skip[ast.Unparen(c.Rhs[0])] = true
+		}
+	}
 }
 
 func isChanExpr(info *types.Info, e ast.Expr) bool {
@@ -339,23 +361,7 @@ func (w *lockWalker) check(p *Package, body *ast.BlockStmt) {
 			if !hasDefault && len(held) > 0 {
 				report(n.Pos(), "select without default while holding "+heldNames())
 			}
-			for _, clause := range n.Body.List {
-				cc, ok := clause.(*ast.CommClause)
-				if !ok || cc.Comm == nil {
-					continue
-				}
-				ast.Inspect(cc.Comm, func(c ast.Node) bool {
-					switch c := c.(type) {
-					case *ast.SendStmt:
-						skip[c] = true
-					case *ast.UnaryExpr:
-						if c.Op == token.ARROW {
-							skip[c] = true
-						}
-					}
-					return true
-				})
-			}
+			skipCommOps(n, skip)
 		case *ast.SendStmt:
 			if !skip[n] && len(held) > 0 {
 				report(n.Pos(), "channel send while holding "+heldNames())

@@ -89,6 +89,38 @@ func (s *state) signal() {
 	s.outer.Unlock()
 }
 
+// poll's select has a default, so its summary does not block.
+func (s *state) poll() int {
+	select {
+	case v := <-s.ch:
+		return v
+	default:
+		return 0
+	}
+}
+
+// pollHeld calls poll while holding outer: clean.
+func (s *state) pollHeld() int {
+	s.outer.Lock()
+	defer s.outer.Unlock()
+	return s.poll()
+}
+
+// await's select has no default, so its summary blocks.
+func (s *state) await() int {
+	select {
+	case v := <-s.ch:
+		return v
+	}
+}
+
+// awaitHeld calls await while holding outer.
+func (s *state) awaitHeld() int {
+	s.outer.Lock()
+	defer s.outer.Unlock()
+	return s.await() // want: blocking call while holding
+}
+
 // earlyRelease unlocks on an early-return branch and again on the
 // fall-through: the remove-if-present walk keeps this silent.
 func (s *state) earlyRelease(cond bool) {

@@ -33,17 +33,15 @@ type ResourceStats struct {
 	SupplementsRetired  int64
 	// Wait accounting (blocking primitives — futures, channels,
 	// barriers): BlockedWaits counts strand suspensions on an external
-	// wait, BlockedHighWater the maximum simultaneously blocked,
-	// ResumedWaits and AbortedWaits how each wait ended. The
+	// wait, ResumedWaits and AbortedWaits how each wait ended. The
 	// conservation invariant at quiescence is
 	// BlockedWaits == ResumedWaits + AbortedWaits (no waiter leaked
 	// asleep, none woken twice). WakeupsLost counts thief parks declined
 	// because a wakeup was pending — a liveness tally, not a leak.
-	BlockedWaits     int64
-	BlockedHighWater int64
-	ResumedWaits     int64
-	AbortedWaits     int64
-	WakeupsLost      int64
+	BlockedWaits int64
+	ResumedWaits int64
+	AbortedWaits int64
+	WakeupsLost  int64
 }
 
 // ResourceReporter is implemented by runtimes that keep resource

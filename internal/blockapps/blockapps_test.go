@@ -1,6 +1,7 @@
 package blockapps
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -95,7 +96,9 @@ func TestKernelAborted(t *testing.T) {
 			b.Prepare()
 			// A timeout short enough to land mid-run on most executions;
 			// a run that finishes first is still a valid (clean) pass.
-			_ = nowa.RunTimeout(rt, 200*time.Microsecond, b.Run)
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Microsecond)
+			defer cancel()
+			_ = rt.RunCtx(ctx, b.Run)
 			st, ok := nowa.Resources(rt)
 			if !ok {
 				t.Fatal("runtime reports no resources")

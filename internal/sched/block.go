@@ -100,13 +100,7 @@ func (p *Proc) CommitWait(bw *Waiter) bool {
 		// thieves are about to need real continuations.
 		v.eagerBurst = eagerBurstLen
 	}
-	live := rt.blockedLive.Add(1)
-	for {
-		hw := rt.blockedHW.Load()
-		if live <= hw || rt.blockedHW.CompareAndSwap(hw, live) {
-			break
-		}
-	}
+	rt.blockedLive.Add(1)
 	// The token goes away first; the strand parks unless its own wakeup
 	// was what the token went to.
 	if rt.passToken(v, w, bw) {

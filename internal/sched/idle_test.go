@@ -42,7 +42,7 @@ func TestIdleServiceStopsCounting(t *testing.T) {
 	}
 	var subs []*Submission
 	for i := 0; i < 32; i++ {
-		sub, err := rt.Submit(func(c api.Ctx) { fib(c, 10) }, SubmitOpts{})
+		sub, err := rt.SubmitCtxOpts(nil, func(c api.Ctx) { fib(c, 10) }, SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -118,7 +118,7 @@ func TestPromoteDemandDroppedAtStrandStart(t *testing.T) {
 		}
 		return true
 	})
-	sub, err := rt.Submit(func(c api.Ctx) {
+	sub, err := rt.SubmitCtxOpts(nil, func(c api.Ctx) {
 		s := c.Scope()
 		s.Spawn(func(api.Ctx) {})
 		s.Sync()
@@ -159,7 +159,7 @@ func TestPromoteBurstDroppedAtTake(t *testing.T) {
 			s.Sync()
 		},
 	} {
-		sub, err := rt.Submit(task, SubmitOpts{})
+		sub, err := rt.SubmitCtxOpts(nil, task, SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,11 +84,10 @@ type Runtime struct {
 	// External-wait state (block.go): wakeq routes wakeups fired off any
 	// worker token to idle thieves, next holds each scheduling slot's
 	// next wakeup, blockedLive gauges strands parked on an external wait
-	// (gating token retirement), blockedHW its maximum.
+	// (gating token retirement).
 	wakeq       core.WakeQueue[*Waiter]
 	next        []nextSlot
 	blockedLive atomic.Int64
-	blockedHW   atomic.Int64
 
 	// chaos holds each scheduling slot's chaos streams, one per site.
 	chaos []chaos.Streams
@@ -515,7 +514,7 @@ func (rt *Runtime) Close() {
 	rt.closed = true
 	for _, v := range rt.allVessels {
 		v.disp = retire
-		v.pk.deliver() //nowa:lock-ok shutdown broadcast: deliver never blocks (a send with a default into a one-slot buffer, empty here because every vessel is parked awaiting a dispatch)
+		v.pk.deliver()
 	}
 }
 
@@ -563,9 +562,9 @@ func (rt *Runtime) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "  accounting: live=%d highWater=%d scopesLeaked=%d\n",
 		rt.vLive.Load(), rt.vHighWater.Load(), rt.scopesLeaked.Load())
 	agg := rt.rec.Aggregate()
-	fmt.Fprintf(w, "  waits: blocked=%d resumed=%d aborted=%d live=%d highWater=%d pendingWakes=%v wakeupsLost=%d\n",
+	fmt.Fprintf(w, "  waits: blocked=%d resumed=%d aborted=%d live=%d pendingWakes=%v wakeupsLost=%d\n",
 		agg.BlockedWaits, agg.ResumedWaits, agg.AbortedWaits,
-		rt.blockedLive.Load(), rt.blockedHW.Load(), rt.wakeq.Pending(), agg.WakeupsLost)
+		rt.blockedLive.Load(), rt.wakeq.Pending(), agg.WakeupsLost)
 	fmt.Fprintf(w, "  thieves parked: %v\n", rt.idle.Waiting())
 	fmt.Fprintf(w, "  counters: %+v\n", agg)
 	fmt.Fprintf(w, "  stacks: %+v\n", rt.pool.Stats())

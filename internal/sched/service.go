@@ -276,7 +276,7 @@ type service struct {
 // StartService switches the runtime into service mode: a long-lived
 // internal run in which every worker token with no deque work takes the
 // next admitted submission and runs it as a top-level strand. From then
-// on external goroutines feed work through Submit/SubmitCtx; Run/RunCtx
+// on external goroutines feed work through SubmitCtxOpts; Run/RunCtx
 // panic (the service occupies the runtime); Close gains graceful-drain
 // semantics.
 func (rt *Runtime) StartService(cfg ServiceConfig) error {
@@ -314,22 +314,13 @@ func (rt *Runtime) StartService(cfg ServiceConfig) error {
 	return nil
 }
 
-// Submit hands one task to a serving runtime and returns its future.
-// Callable from any goroutine, concurrently. The overload behaviour at
-// a full admission queue follows ServiceConfig.Policy; see SubmitOpts
-// for deadlines.
-func (rt *Runtime) Submit(task func(api.Ctx), opts SubmitOpts) (*Submission, error) {
-	return rt.submit(nil, task, opts)
-}
-
-// SubmitCtxOpts is Submit bound to a caller context: cancelling ctx
-// cancels the submission (queued: resolved without running; mid-flight:
-// cooperative cancellation like RunCtx). A nil ctx is Submit.
+// SubmitCtxOpts hands one task to a serving runtime and returns its
+// future. Callable from any goroutine, concurrently. The overload
+// behaviour at a full admission queue follows ServiceConfig.Policy; see
+// SubmitOpts for deadlines. Cancelling ctx cancels the submission
+// (queued: resolved without running; mid-flight: cooperative
+// cancellation like RunCtx); a nil ctx binds none.
 func (rt *Runtime) SubmitCtxOpts(ctx context.Context, task func(api.Ctx), opts SubmitOpts) (*Submission, error) {
-	return rt.submit(ctx, task, opts)
-}
-
-func (rt *Runtime) submit(ctx context.Context, task func(api.Ctx), opts SubmitOpts) (*Submission, error) {
 	svc := rt.svc.Load()
 	if svc == nil {
 		return nil, ErrNotServing

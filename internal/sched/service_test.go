@@ -78,7 +78,7 @@ func TestServiceSubmissionRunsWide(t *testing.T) {
 			if wide {
 				wideRuns++
 			}
-			sub, err := srt.Submit(func(c api.Ctx) { subs[i], wide = fork(c) }, SubmitOpts{})
+			sub, err := srt.SubmitCtxOpts(nil, func(c api.Ctx) { subs[i], wide = fork(c) }, SubmitOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +146,7 @@ func TestServiceAdmissionStress(t *testing.T) {
 							if i%5 == 0 {
 								opts.Deadline = time.Now().Add(100 * time.Microsecond)
 							}
-							sub, err := rt.Submit(task, opts)
+							sub, err := rt.SubmitCtxOpts(nil, task, opts)
 							switch {
 							case err == nil:
 								mu.Lock()

@@ -103,7 +103,7 @@ func TestStallTickerPerRun(t *testing.T) {
 	if err := svc.StartService(ServiceConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	sub, err := svc.Submit(func(api.Ctx) {}, SubmitOpts{})
+	sub, err := svc.SubmitCtxOpts(nil, func(api.Ctx) {}, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,14 +254,14 @@ func TestStallServiceRecovery(t *testing.T) {
 		t.Fatalf("StartService: %v", err)
 	}
 
-	stalled, err := rt.Submit(func(api.Ctx) { time.Sleep(150 * time.Millisecond) }, SubmitOpts{})
+	stalled, err := rt.SubmitCtxOpts(nil, func(api.Ctx) { time.Sleep(150 * time.Millisecond) }, SubmitOpts{})
 	if err != nil {
 		t.Fatalf("Submit stall task: %v", err)
 	}
 	const quick = 10
 	subs := make([]*Submission, quick)
 	for i := range subs {
-		s, err := rt.Submit(func(api.Ctx) {}, SubmitOpts{})
+		s, err := rt.SubmitCtxOpts(nil, func(api.Ctx) {}, SubmitOpts{})
 		if err != nil {
 			t.Fatalf("Submit quick task %d: %v", i, err)
 		}
@@ -401,7 +401,7 @@ func TestStallCompletedEWMAExported(t *testing.T) {
 		t.Fatalf("StartService: %v", err)
 	}
 	for i := 0; i < 8; i++ {
-		sub, err := rt.Submit(func(api.Ctx) { time.Sleep(time.Millisecond) }, SubmitOpts{})
+		sub, err := rt.SubmitCtxOpts(nil, func(api.Ctx) { time.Sleep(time.Millisecond) }, SubmitOpts{})
 		if err != nil {
 			t.Fatalf("Submit: %v", err)
 		}

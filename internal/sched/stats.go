@@ -42,7 +42,6 @@ func (rt *Runtime) Stats() Stats {
 		WorkersSupplemented: rt.supplemented.Load(),
 		SupplementsRetired:  rt.supRetired.Load(),
 		BlockedWaits:        agg.BlockedWaits,
-		BlockedHighWater:    rt.blockedHW.Load(),
 		ResumedWaits:        agg.ResumedWaits,
 		AbortedWaits:        agg.AbortedWaits,
 		WakeupsLost:         agg.WakeupsLost,

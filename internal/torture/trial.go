@@ -195,7 +195,7 @@ func serve(rt *sched.Runtime, sc *serviceSpec) string {
 					// 0–3ms: some expire in the queue, some mid-flight.
 					opts.Deadline = time.Now().Add(time.Duration(n%4) * time.Millisecond)
 				}
-				sub, err := rt.Submit(t, opts)
+				sub, err := rt.SubmitCtxOpts(nil, t, opts)
 				switch {
 				case err == nil:
 					admitted[p] = append(admitted[p], sub)
@@ -219,7 +219,7 @@ func serve(rt *sched.Runtime, sc *serviceSpec) string {
 	// Leave a burst in flight and drain through Close: every future must
 	// still resolve (completed, shed, or force-cancelled — never lost).
 	for i := 0; i < sc.burst; i++ {
-		if sub, err := rt.Submit(task, sched.SubmitOpts{}); err == nil {
+		if sub, err := rt.SubmitCtxOpts(nil, task, sched.SubmitOpts{}); err == nil {
 			admitted[sc.producers] = append(admitted[sc.producers], sub)
 		}
 	}

@@ -20,12 +20,34 @@ func checkKernels(t *testing.T, rt Runtime) {
 	}
 	want := append([]int(nil), data...)
 	sort.Ints(want)
-	rt.Run(func(c Ctx) { SortOrdered(c, data) })
+	rt.Run(func(c Ctx) { quicksort(c, data) })
 	for i := range data {
 		if data[i] != want[i] {
 			t.Fatalf("quicksort wrong at %d: %d != %d", i, data[i], want[i])
 		}
 	}
+}
+
+// quicksort sorts data in place with fork/join: the left partition is
+// spawned, the right one recursed on, and short ranges go to sort.Ints.
+func quicksort(c Ctx, data []int) {
+	if len(data) <= 32 {
+		sort.Ints(data)
+		return
+	}
+	last := len(data) - 1
+	m := 0
+	for i := range data[:last] {
+		if data[i] < data[last] {
+			data[i], data[m] = data[m], data[i]
+			m++
+		}
+	}
+	data[m], data[last] = data[last], data[m]
+	s := c.Scope()
+	s.Spawn(func(c Ctx) { quicksort(c, data[:m]) })
+	quicksort(c, data[m+1:])
+	s.Sync()
 }
 
 // TestAllVariantsStillCorrect: the spawn path touches every variant, so

@@ -31,7 +31,6 @@ package nowa
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -172,14 +171,6 @@ type Limits struct {
 // Resources.
 type ResourceStats = api.ResourceStats
 
-// HasVesselModel reports whether v is a continuation-stealing variant
-// with a vessel model — i.e. whether NewLimited accepts it and its
-// runtimes implement resource reporting.
-func HasVesselModel(v Variant) bool {
-	_, ok := schedConfig(v, 1)
-	return ok
-}
-
 // NewLimited creates a continuation-stealing runtime of the given
 // variant configured by lim. Only the vessel-model variants
 // (VariantNowa, VariantNowaTHE, VariantFibril, VariantCilkPlus) take
@@ -234,39 +225,6 @@ func NewResilient(rt Runtime, pol ResiliencePolicy) *Resilient {
 // Serial returns the serial elision: Spawn calls inline, Sync is a no-op.
 // It defines the T_s baseline of every speedup measurement.
 func Serial() Runtime { return api.Serial{} }
-
-// ErrRunTimeout marks a RunTimeout (or RunTimeoutCtx) error as caused by
-// the call's own deadline rather than external cancellation:
-// errors.Is(err, ErrRunTimeout) distinguishes the two paths while
-// errors.Is(err, context.DeadlineExceeded) still holds.
-var ErrRunTimeout = errors.New("nowa: run timeout elapsed")
-
-// RunTimeout runs root with a deadline: a convenience wrapper around
-// Runtime.RunCtx and context.WithTimeoutCause. Cancellation is
-// cooperative — strands observe it through Ctx.Err/Ctx.Done and Spawn
-// degrading to inline execution — so the call returns once the
-// already-started work has drained. If the deadline fired, the error
-// matches both ErrRunTimeout and context.DeadlineExceeded.
-func RunTimeout(rt Runtime, timeout time.Duration, root func(Ctx)) error {
-	return RunTimeoutCtx(rt, context.Background(), timeout, root)
-}
-
-// RunTimeoutCtx is RunTimeout under a parent context, and the reason the
-// cause matters: when parent is cancelled externally the error is plain
-// context.Canceled (not ErrRunTimeout), so callers can tell "this run
-// was too slow" from "the caller gave up".
-func RunTimeoutCtx(rt Runtime, parent context.Context, timeout time.Duration, root func(Ctx)) error {
-	if parent == nil {
-		parent = context.Background()
-	}
-	ctx, cancel := context.WithTimeoutCause(parent, timeout, ErrRunTimeout)
-	defer cancel()
-	err := rt.RunCtx(ctx, root)
-	if err != nil && context.Cause(ctx) == ErrRunTimeout {
-		return fmt.Errorf("%w: %w", ErrRunTimeout, err)
-	}
-	return err
-}
 
 // Close releases a runtime's resources when it has one of those to
 // release (the continuation-stealing runtimes pool goroutine vessels).
@@ -357,18 +315,13 @@ func StartService(rt Runtime, cfg ServiceConfig) error {
 // Submit hands one task to a serving runtime and returns its future.
 // Callable from any goroutine, concurrently.
 func Submit(rt Runtime, task func(Ctx), opts SubmitOpts) (*Submission, error) {
-	return SubmitOpt(rt, nil, task, opts)
+	return SubmitCtx(rt, nil, task, opts)
 }
 
 // SubmitCtx is Submit bound to a caller context: cancelling ctx cancels
 // the submission (queued: resolved without running; mid-flight:
-// cooperatively, like RunCtx).
-func SubmitCtx(rt Runtime, ctx context.Context, task func(Ctx)) (*Submission, error) {
-	return SubmitOpt(rt, ctx, task, SubmitOpts{})
-}
-
-// SubmitOpt is SubmitCtx with options — context and deadline together. A nil ctx is Submit.
-func SubmitOpt(rt Runtime, ctx context.Context, task func(Ctx), opts SubmitOpts) (*Submission, error) {
+// cooperatively, like RunCtx). A nil ctx is Submit.
+func SubmitCtx(rt Runtime, ctx context.Context, task func(Ctx), opts SubmitOpts) (*Submission, error) {
 	s, ok := rt.(*sched.Runtime)
 	if !ok {
 		return nil, ErrNotServing

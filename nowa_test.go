@@ -156,40 +156,6 @@ func TestReduceEmpty(t *testing.T) {
 	})
 }
 
-func TestMap(t *testing.T) {
-	rt := New(VariantNowa, 4)
-	defer Close(rt)
-	in := make([]int, 5000)
-	for i := range in {
-		in[i] = i
-	}
-	out := make([]string, len(in))
-	rt.Run(func(c Ctx) {
-		Map(c, in, out, 64, func(x int) string {
-			if x%2 == 0 {
-				return "even"
-			}
-			return "odd"
-		})
-	})
-	if out[0] != "even" || out[1] != "odd" || out[4999] != "odd" {
-		t.Error("Map produced wrong values")
-	}
-}
-
-func TestMapLengthMismatchPanics(t *testing.T) {
-	rt := New(VariantNowa, 2)
-	defer Close(rt)
-	rt.Run(func(c Ctx) {
-		defer func() {
-			if recover() == nil {
-				t.Error("mismatched Map did not panic")
-			}
-		}()
-		Map(c, make([]int, 3), make([]int, 4), 1, func(x int) int { return x })
-	})
-}
-
 // Property: For covers every index exactly once for any (lo, hi, grain).
 func TestQuickForCoverage(t *testing.T) {
 	rt := New(VariantNowa, 4)

@@ -4,7 +4,7 @@ package nowa
 // the convenience layer a downstream user reaches for first.
 //
 // Under a cancelled RunCtx every combinator exits early: subranges not
-// yet started are skipped (For/Map) or fold to the identity (Reduce), so
+// yet started are skipped (For) or fold to the identity (Reduce), so
 // a cancelled run winds down in O(started work) rather than finishing
 // the whole iteration space inline.
 
@@ -99,15 +99,4 @@ func reduceRange[T any](c Ctx, lo, hi, grain int, identity T, mapf func(c Ctx, i
 	right := reduceRange(c, mid, hi, grain, identity, mapf, combine)
 	s.Sync()
 	return combine(left, right)
-}
-
-// Map applies f in parallel, writing f(in[i]) to out[i]. in and out must
-// have the same length.
-func Map[A, B any](c Ctx, in []A, out []B, grain int, f func(A) B) {
-	if len(in) != len(out) {
-		panic("nowa.Map: input and output lengths differ")
-	}
-	For(c, 0, len(in), grain, func(_ Ctx, i int) {
-		out[i] = f(in[i])
-	})
 }

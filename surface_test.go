@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -19,21 +20,17 @@ var exportedSurface = []string{
 	"Channel", "Channel.Cap", "Channel.Close", "Channel.Closed",
 	"Channel.Len", "Channel.Recv", "Channel.Send", "Close", "Ctx",
 	"ErrClosed", "ErrDrainForced", "ErrNotServing", "ErrOverloaded",
-	"ErrPoisoned", "ErrRunTimeout", "ErrServiceClosed", "ErrShed", "For",
-	"Future", "Future.Await", "Future.Complete", "Future.Done",
-	"Future.Fail", "Future.Poison", "Future.Resolve", "Future.TryGet",
-	"HasVesselModel", "Invoke", "IsSorted",
-	"Limits", "Map", "New", "NewBarrier", "NewChannel", "NewFuture",
-	"NewLimited", "NewResilient",
-	"OverloadBlock", "OverloadFailFast",
+	"ErrPoisoned", "ErrServiceClosed", "ErrShed", "For", "Future",
+	"Future.Await", "Future.Complete", "Future.Done", "Future.Fail",
+	"Future.Poison", "Future.Resolve", "Future.TryGet", "Invoke",
+	"Limits", "New", "NewBarrier", "NewChannel", "NewFuture",
+	"NewLimited", "NewResilient", "OverloadBlock", "OverloadFailFast",
 	"OverloadPolicy", "OverloadShed", "OverloadedError", "Reduce",
 	"ResilienceOutcome", "ResiliencePolicy", "Resilient", "ResourceStats",
-	"Resources", "RunTimeout", "RunTimeoutCtx", "Runtime",
-	"Scope",
-	"Serial", "ServiceConfig", "ServiceInfo", "ServiceStats", "Sort",
-	"SortOrdered", "SpawnAdaptive", "SpawnEager", "SpawnPolicy",
-	"StartService", "StrandPanic", "Submission", "Submit", "SubmitCtx",
-	"SubmitOpt", "SubmitOpts", "Variant", "Variant.String",
+	"Resources", "Runtime", "Scope", "Serial", "ServiceConfig",
+	"ServiceInfo", "ServiceStats", "SpawnAdaptive", "SpawnEager",
+	"SpawnPolicy", "StartService", "StrandPanic", "Submission", "Submit",
+	"SubmitCtx", "SubmitOpts", "Variant", "Variant.String",
 	"VariantCilkPlus", "VariantFibril", "VariantLibGOMP",
 	"VariantLibOMPTied", "VariantLibOMPUntied", "VariantNowa",
 	"VariantNowaTHE", "VariantTBB", "Variants",
@@ -103,6 +100,29 @@ func TestExportedSurface(t *testing.T) {
 	for _, n := range exportedSurface {
 		if !slices.Contains(got, n) {
 			t.Errorf("in exportedSurface but not exported: %s", n)
+		}
+	}
+}
+
+// docName matches a root-package name as prose and examples spell it:
+// nowa.Name, or nowa.Type.Method.
+var docName = regexp.MustCompile(`\bnowa\.([A-Z]\w*(?:\.[A-Z]\w*)?)`)
+
+// TestDocNamesExported: every nowa.<Name> in README.md and DESIGN.md is
+// in exportedSurface, so deleting an export cannot leave the docs
+// teaching it.
+func TestDocNamesExported(t *testing.T) {
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range docName.FindAllStringSubmatch(line, -1) {
+				if !slices.Contains(exportedSurface, m[1]) {
+					t.Errorf("%s:%d: %s is not exported by the root package", doc, i+1, m[0])
+				}
+			}
 		}
 	}
 }
