@@ -144,8 +144,8 @@ serve-smoke:
 # stall-classed torture soak (injected worker stalls with stall recovery
 # armed, batch and service, conservation checked every trial) and the
 # nowa-serve fault campaign (baseline vs stall vs stall+supplement),
-# which fails on any leak, unretired supplement, never-seized recovery
-# run, or goodput dropping below 80% of the clean baseline while
+# which fails on any leak, unretired supplement, never-supplemented
+# recovery run, or goodput dropping below 80% of the clean baseline while
 # supplemented. The campaign's report goes
 # to torture-out/serve-faults.json (git-ignored, like the repro bundles).
 fault-smoke:

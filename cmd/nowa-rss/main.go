@@ -67,7 +67,7 @@ func main() {
 					fmt.Fprintln(os.Stderr, "nowa-rss:", err)
 					os.Exit(1)
 				}
-				st := rt.StackStats()
+				st := rt.Stats().Stacks
 				if st.PeakRSSBytes > peaks[i] {
 					peaks[i] = st.PeakRSSBytes
 				}

@@ -6,7 +6,7 @@
 //	nowa-serve -workers 4 -dur 1s
 //
 // It exits non-zero on any leak, unretired supplement, recovery run
-// that never seized, or supplemented goodput below 80% of the baseline.
+// that never supplemented, or supplemented goodput below 80% of the baseline.
 // Serving latency and overload behaviour are measured by the serve-*
 // workloads of `bash benchmark/run.sh`, not here.
 package main

@@ -10,13 +10,13 @@ import (
 
 // Future resolution states. A future starts pending; the first resolver
 // claims it (claimed is the publication window for the value and error
-// fields) and finishes it as resolved or poisoned. Terminal states never
-// change, which is what lets Await's recheck trust a single load.
+// fields) and finishes it as resolved — a poisoned future is one resolved
+// with an error wrapping ErrPoisoned. The terminal state never changes,
+// which is what lets Await's recheck trust a single load.
 const (
 	futPending uint32 = iota
 	futClaimed
 	futResolved
-	futPoisoned
 )
 
 // futCore is the non-generic heart of Future[T]: the resolution state
@@ -26,7 +26,7 @@ const (
 //
 //nowa:nopad futures are individually heap-allocated and the state word is written twice in a lifetime
 type futCore struct {
-	//nowa:fsm phases=futPending,futClaimed,futResolved,futPoisoned transitions=futPending>futClaimed,futClaimed>futResolved,futClaimed>futPoisoned
+	//nowa:fsm phases=futPending,futClaimed,futResolved transitions=futPending>futClaimed,futClaimed>futResolved
 	state atomic.Uint32
 	q     *cqs.Queue
 	err   error
@@ -37,17 +37,12 @@ func (f *futCore) claim() bool {
 	return f.state.CompareAndSwap(futPending, futClaimed)
 }
 
-// resolve and poison move claimed to a terminal state and release every
-// registered waiter. The claimed→terminal CAS cannot fail — claim gave
-// this resolver exclusive ownership of the window — but stating it as a
-// CAS keeps the transition statically checkable.
+// resolve moves claimed to resolved and releases every registered
+// waiter. The CAS cannot fail — claim gave this resolver exclusive
+// ownership of the window — but stating it as a CAS keeps the transition
+// statically checkable.
 func (f *futCore) resolve() {
 	f.state.CompareAndSwap(futClaimed, futResolved)
-	f.q.Drain(wakeHandle)
-}
-
-func (f *futCore) poison() {
-	f.state.CompareAndSwap(futClaimed, futPoisoned)
 	f.q.Drain(wakeHandle)
 }
 
@@ -93,12 +88,7 @@ func (f *Future[T]) Fail(err error) bool {
 // given cause — the panic path: a producer that cannot deliver releases
 // its awaiters instead of stranding them. First-writer-wins.
 func (f *Future[T]) Poison(cause any) bool {
-	if !f.core.claim() {
-		return false
-	}
-	f.core.err = errors.Join(ErrPoisoned, fmt.Errorf("%v", cause))
-	f.core.poison()
-	return true
+	return f.Fail(errors.Join(ErrPoisoned, fmt.Errorf("%v", cause)))
 }
 
 // Resolve completes the future from fn, poisoning it when fn panics.
@@ -122,8 +112,7 @@ func (f *Future[T]) Resolve(fn func() (T, error)) {
 // TryGet returns the resolution without blocking; ok is false while the
 // future is unresolved.
 func (f *Future[T]) TryGet() (v T, err error, ok bool) {
-	s := f.core.state.Load()
-	if s == futResolved || s == futPoisoned {
+	if f.core.state.Load() == futResolved {
 		return f.val, f.core.err, true
 	}
 	return v, nil, false
@@ -131,8 +120,7 @@ func (f *Future[T]) TryGet() (v T, err error, ok bool) {
 
 // Done reports whether the future has resolved (including poisoned).
 func (f *Future[T]) Done() bool {
-	s := f.core.state.Load()
-	return s == futResolved || s == futPoisoned
+	return f.core.state.Load() == futResolved
 }
 
 // Await blocks the calling strand until the future resolves, the strand's

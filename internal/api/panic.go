@@ -2,7 +2,9 @@ package api
 
 import (
 	"fmt"
+	"runtime/debug"
 	"strings"
+	"sync"
 )
 
 // MaxSuppressedValues bounds how many suppressed panic values a
@@ -16,9 +18,9 @@ const MaxSuppressedValues = 4
 // goroutine. The original stack trace is preserved for diagnosis.
 //
 // When several strands panic during the same Run, the first panic is the
-// one re-raised; the rest are tallied on it via Suppress so a
-// multi-strand failure is visible as such — Suppressed counts them and
-// SuppressedValues keeps the first MaxSuppressedValues of their values.
+// one re-raised; the rest are tallied on it by the PanicSink that kept it,
+// so a multi-strand failure is visible as such — Suppressed counts them
+// and SuppressedValues keeps the first MaxSuppressedValues of their values.
 type StrandPanic struct {
 	// Value is the original panic value.
 	Value any
@@ -32,14 +34,39 @@ type StrandPanic struct {
 	SuppressedValues []any
 }
 
-// Suppress tallies one additional panic from the same Run, keeping its
-// value while fewer than MaxSuppressedValues are retained. The caller
-// must serialise Suppress calls (runtimes do, under their panic mutex).
-func (p *StrandPanic) Suppress(v any) {
-	p.Suppressed++
-	if len(p.SuppressedValues) < MaxSuppressedValues {
-		p.SuppressedValues = append(p.SuppressedValues, v)
+// PanicSink keeps the first strand panic of one Run or one submission:
+// the first Note is the panic reported, every later one is tallied on it
+// (Suppressed, and its value while fewer than MaxSuppressedValues are
+// kept). The zero value is empty and ready; Note and Take are safe for
+// concurrent use.
+type PanicSink struct {
+	mu sync.Mutex
+	p  *StrandPanic
+}
+
+// Note records one strand panic. Call it from the panicking goroutine's
+// deferred recover: the first panic keeps that goroutine's stack.
+func (s *PanicSink) Note(v any) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.p == nil {
+		s.p = &StrandPanic{Value: v, Stack: debug.Stack()}
+		return
 	}
+	s.p.Suppressed++
+	if len(s.p.SuppressedValues) < MaxSuppressedValues {
+		s.p.SuppressedValues = append(s.p.SuppressedValues, v)
+	}
+}
+
+// Take returns the recorded panic, nil if there was none, and empties
+// the sink for the next Run.
+func (s *PanicSink) Take() *StrandPanic {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.p
+	s.p = nil
+	return p
 }
 
 // Error makes StrandPanic usable with recover-and-inspect error handling.

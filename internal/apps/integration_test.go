@@ -79,7 +79,7 @@ func TestMadviseVariantRunsSuite(t *testing.T) {
 			}
 		})
 	}
-	if rt.StackStats().MadviseCalls == 0 {
+	if rt.Stats().Stacks.MadviseCalls == 0 {
 		t.Error("madvise variant recorded no page releases")
 	}
 }

@@ -25,6 +25,9 @@ import (
 	"sync/atomic"
 )
 
+// pageBytes is the page-residency accounting granularity.
+const pageBytes = 4096
+
 // Stack is the payload of a strand vessel: a byte arena standing in for a
 // linear stack, with page-residency accounting.
 type Stack struct {
@@ -54,8 +57,6 @@ type Config struct {
 	// used 1 MiB stacks — scaled down to keep test memory modest while
 	// preserving the cost *ratios*).
 	StackBytes int
-	// PageBytes is the accounting granularity (default 4096).
-	PageBytes int
 	// Madvise enables the practical cactus-stack solution: Put releases
 	// physical pages, Get faults them back.
 	Madvise bool
@@ -70,9 +71,6 @@ func (c *Config) fill() {
 	}
 	if c.StackBytes <= 0 {
 		c.StackBytes = 64 << 10
-	}
-	if c.PageBytes <= 0 {
-		c.PageBytes = 4096
 	}
 }
 
@@ -255,7 +253,7 @@ func (p *Pool) makeResident(s *Stack) {
 	}
 	s.resident = true
 	pages := int64(0)
-	for i := 0; i < len(s.data); i += p.cfg.PageBytes {
+	for i := 0; i < len(s.data); i += pageBytes {
 		s.data[i] = 1 // fault the page back in
 		pages++
 	}

@@ -82,7 +82,7 @@ func TestGlobalCapCilkPlusMode(t *testing.T) {
 
 func TestMadviseAccounting(t *testing.T) {
 	const sb = 8192
-	p := NewPool(Config{Workers: 1, StackBytes: sb, PageBytes: 4096, Madvise: true})
+	p := NewPool(Config{Workers: 1, StackBytes: sb, Madvise: true})
 	s, _ := p.Get(0)
 	if got := p.Stats().ResidentBytes; got != sb {
 		t.Fatalf("resident = %d, want %d", got, sb)
@@ -155,7 +155,7 @@ func TestPutNilIsNoop(t *testing.T) {
 func TestDefaultsFilled(t *testing.T) {
 	p := NewPool(Config{})
 	c := p.Config()
-	if c.Workers != 1 || c.PerWorkerCap != 4 || c.StackBytes != 64<<10 || c.PageBytes != 4096 {
+	if c.Workers != 1 || c.PerWorkerCap != 4 || c.StackBytes != 64<<10 {
 		t.Errorf("defaults = %+v", c)
 	}
 }

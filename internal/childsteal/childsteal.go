@@ -39,7 +39,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -106,9 +105,7 @@ type Runtime struct {
 	done   atomic.Bool
 	run    atomic.Bool
 	cancel api.CancelState
-
-	panicMu  sync.Mutex
-	panicked *api.StrandPanic
+	panics api.PanicSink
 }
 
 // New creates the named variant with the given worker count (at least
@@ -203,11 +200,7 @@ func (rt *Runtime) runCtx(ctx context.Context, root func(api.Ctx)) error {
 	rt.idle.Drain(wake)
 	wg.Wait()
 
-	rt.panicMu.Lock()
-	p := rt.panicked
-	rt.panicked = nil
-	rt.panicMu.Unlock()
-	if p != nil {
+	if p := rt.panics.Take(); p != nil {
 		panic(p)
 	}
 	if ctx != nil {
@@ -216,18 +209,11 @@ func (rt *Runtime) runCtx(ctx context.Context, root func(api.Ctx)) error {
 	return nil
 }
 
-// containPanic records the first panic of the current Run, tallying
-// later ones on it via StrandPanic.Suppress; deferred around every task
-// execution and the root.
+// containPanic notes a panic on the current Run's sink; deferred around
+// every task execution and the root.
 func (rt *Runtime) containPanic() {
 	if r := recover(); r != nil {
-		rt.panicMu.Lock()
-		if rt.panicked == nil {
-			rt.panicked = &api.StrandPanic{Value: r, Stack: debug.Stack()}
-		} else {
-			rt.panicked.Suppress(r)
-		}
-		rt.panicMu.Unlock()
+		rt.panics.Note(r)
 	}
 }
 

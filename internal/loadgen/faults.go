@@ -111,7 +111,6 @@ type FaultPoint struct {
 	P99Ratio     float64 `json:"p99_ratio"`
 
 	// Server-side stall-recovery tallies.
-	WorkersSeized       int64 `json:"workers_seized"`
 	WorkersSupplemented int64 `json:"workers_supplemented"`
 	SupplementsRetired  int64 `json:"supplements_retired"`
 
@@ -198,7 +197,6 @@ func FaultSweep(cfg FaultSweepConfig) FaultReport {
 		// All accounting reads after Close: mid-run snapshots would show
 		// supplements still live and mis-report the retirement identity.
 		final := rt.Stats()
-		pt.WorkersSeized = final.WorkersSeized
 		pt.WorkersSupplemented = final.WorkersSupplemented
 		pt.SupplementsRetired = final.SupplementsRetired
 		if err := rt.CheckIdle(); err != nil {
@@ -216,9 +214,8 @@ func FaultSweep(cfg FaultSweepConfig) FaultReport {
 				pt.P99Ratio = res.P99us / base.P99us
 			}
 		}
-		cfg.Logf("  fault %-24s goodput=%8.0f/s (%.2fx) p99=%.0fµs (%.2fx) seized=%d supplemented=%d",
-			sc.name, res.GoodputRPS, pt.GoodputRatio, res.P99us, pt.P99Ratio,
-			pt.WorkersSeized, pt.WorkersSupplemented)
+		cfg.Logf("  fault %-24s goodput=%8.0f/s (%.2fx) p99=%.0fµs (%.2fx) supplemented=%d",
+			sc.name, res.GoodputRPS, pt.GoodputRatio, res.P99us, pt.P99Ratio, pt.WorkersSupplemented)
 		rep.Points = append(rep.Points, pt)
 	}
 	return rep
@@ -227,7 +224,7 @@ func FaultSweep(cfg FaultSweepConfig) FaultReport {
 // CheckFaultReport enforces the fault-campaign bars. leaks (always
 // fatal): every scenario's runtime must be idle after Close — nothing
 // leaked, every supplement retired — and the recovery scenarios must
-// actually seize (a sweep that never exercised the machinery proves
+// actually supplement (a sweep that never exercised the machinery proves
 // nothing).
 // degraded (host-noise sensitive; callers decide severity): the
 // supplemented scenario must keep goodput within 80% of the clean
@@ -239,8 +236,8 @@ func CheckFaultReport(rep FaultReport) (leaks, degraded []string) {
 		if pt.NotIdle != "" {
 			leaks = append(leaks, fmt.Sprintf("fault/%s: %s", pt.Scenario, pt.NotIdle))
 		}
-		if pt.Recovery && pt.WorkersSeized == 0 {
-			leaks = append(leaks, fmt.Sprintf("fault/%s: recovery armed but no worker was ever seized",
+		if pt.Recovery && pt.WorkersSupplemented == 0 {
+			leaks = append(leaks, fmt.Sprintf("fault/%s: recovery armed but no worker was ever supplemented",
 				pt.Scenario))
 		}
 		if pt.Scenario == "stall+supplement" {

@@ -61,7 +61,7 @@ func TestFaultSweepSmoke(t *testing.T) {
 		}
 	}
 	for _, pt := range rep.Points {
-		if !pt.Recovery && (pt.WorkersSeized != 0 || pt.WorkersSupplemented != 0) {
+		if !pt.Recovery && pt.WorkersSupplemented != 0 {
 			t.Fatalf("fault/%s: stall stats nonzero without recovery: %+v", pt.Scenario, pt)
 		}
 	}
@@ -76,7 +76,7 @@ func TestCheckFaultReportBars(t *testing.T) {
 			{Scenario: "baseline", GoodputRatio: 1, Result: Result{P99us: 1000}},
 			{Scenario: "stall", Stalls: true, GoodputRatio: 0.5, Result: Result{P99us: 30000}},
 			{Scenario: "stall+supplement", Stalls: true, Recovery: true, GoodputRatio: 0.95,
-				WorkersSeized: 9, WorkersSupplemented: 9, SupplementsRetired: 9, Result: Result{P99us: 4000}},
+				WorkersSupplemented: 9, SupplementsRetired: 9, Result: Result{P99us: 4000}},
 		}}
 	}
 	const supplemented = 2
@@ -93,9 +93,9 @@ func TestCheckFaultReportBars(t *testing.T) {
 		{name: "unretired supplement", edit: func(r *FaultReport) {
 			r.Points[supplemented].NotIdle = "supplement-leak: 9 supplements dispatched, 8 retired"
 		}, wantLeak: "fault/stall+supplement: supplement-leak: 9 supplements dispatched, 8 retired"},
-		{name: "recovery armed, never seized", edit: func(r *FaultReport) { r.Points[supplemented].WorkersSeized = 0 },
-			wantLeak: "fault/stall+supplement: recovery armed but no worker was ever seized"},
-		{name: "unarmed run need not seize", edit: func(r *FaultReport) { r.Points[1].WorkersSeized = 0 }},
+		{name: "recovery armed, never supplemented", edit: func(r *FaultReport) { r.Points[supplemented].WorkersSupplemented = 0 },
+			wantLeak: "fault/stall+supplement: recovery armed but no worker was ever supplemented"},
+		{name: "unarmed run need not supplement", edit: func(r *FaultReport) { r.Points[1].WorkersSupplemented = 0 }},
 		{name: "leaked vessel", edit: func(r *FaultReport) { r.Points[0].NotIdle = "vessel-leak: 1 vessels never returned to a free list" },
 			wantLeak: "fault/baseline: vessel-leak: 1 vessels"},
 		{name: "leaked stack", edit: func(r *FaultReport) { r.Points[1].NotIdle = "stack-leak: 2 stacks unaccounted" },

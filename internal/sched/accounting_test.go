@@ -43,6 +43,24 @@ func TestAccountingStatsReconcile(t *testing.T) {
 	}
 }
 
+// TestAccountingStackGetsCounted: the trace counters' stack-get tallies
+// are the pool's own, so after steal runs they agree with the pool
+// snapshot and are not zero (every Run after the first draws the root's
+// stack from a free list, and every steal draws one).
+func TestAccountingStackGetsCounted(t *testing.T) {
+	rt := NewNowa(2)
+	defer rt.Close()
+	for range 3 {
+		rt.Run(func(c api.Ctx) { _ = fib(c, 20) })
+	}
+	c, st := rt.Counters(), rt.Stats().Stacks
+	got, want := c.StackLocalGets+c.StackGlobalGets, st.LocalGets+st.GlobalGets
+	if got != want || got == 0 {
+		t.Fatalf("Counters stack gets = %d (local %d, global %d), pool served %d; want equal and > 0",
+			got, c.StackLocalGets, c.StackGlobalGets, want)
+	}
+}
+
 // TestAccountingStatsMidRun checks that mid-run snapshots refuse to read the
 // owner-local caches: pooled reports -1 and no leak is computed.
 func TestAccountingStatsMidRun(t *testing.T) {
@@ -98,7 +116,7 @@ func TestStacksReturnAtSync(t *testing.T) {
 					spinFor(20 * time.Microsecond)
 					s.Sync()
 				}
-				live = rt.StackStats().Allocated
+				live = rt.Stats().Stacks.Allocated
 			})
 			steals := rt.Counters().Steals
 			if steals < 100 {

@@ -217,6 +217,13 @@ func TestChaosCountersStayCoherent(t *testing.T) {
 	}
 }
 
+// eagerSpawns counts rt's vessel dispatches for children: the spawns
+// that did not commit inline.
+func eagerSpawns(rt *Runtime) int64 {
+	c := rt.Counters()
+	return c.Spawns - c.InlineRuns
+}
+
 // TestTraceRegions: under runtime/trace every strand is one "strand"
 // region, ended on the normal and the panic path alike; every admitted
 // submission is one "submission" task; the token a strand holds is
@@ -246,7 +253,7 @@ func TestTraceRegions(t *testing.T) {
 		rt := MustNew(Config{Workers: 2})
 		defer rt.Close()
 		rt.Run(func(c api.Ctx) { _ = fib(c, 16) })
-		strands += rt.Counters().VesselDispatch + 1
+		strands += eagerSpawns(rt) + 1
 
 		prt := MustNew(Config{Workers: 2, Spawn: SpawnEager})
 		defer prt.Close()
@@ -262,7 +269,7 @@ func TestTraceRegions(t *testing.T) {
 				s.Sync()
 			})
 		}()
-		strands += prt.Counters().VesselDispatch + 1
+		strands += eagerSpawns(prt) + 1
 
 		srt := MustNew(Config{Workers: 2})
 		if err := srt.StartService(ServiceConfig{}); err != nil {
@@ -281,7 +288,7 @@ func TestTraceRegions(t *testing.T) {
 		st, _ := srt.ServiceStats()
 		admitted = st.Admitted
 		// The service root, one top strand per submission, one per eager spawn.
-		strands += srt.Counters().VesselDispatch + 1 + admitted
+		strands += eagerSpawns(srt) + 1 + admitted
 	}()
 
 	out, err := exec.Command(goBin, "tool", "trace", "-d=parsed", path).Output()

@@ -364,8 +364,8 @@ func TestPromoteSuspendSignal(t *testing.T) {
 	// Two dispatches: the explicit eager child and the spawn after the
 	// suspension. The burst decided it before any demand was read, so no
 	// spawn counts as promoted.
-	if c.VesselDispatch != 2 || c.PromotedSpawns != 0 {
-		t.Fatalf("VesselDispatch = %d, PromotedSpawns = %d; want 2 and 0 (the burst, not demand, made the spawn eager)",
-			c.VesselDispatch, c.PromotedSpawns)
+	if d := c.Spawns - c.InlineRuns; d != 2 || c.PromotedSpawns != 0 {
+		t.Fatalf("eager spawns = %d, PromotedSpawns = %d; want 2 and 0 (the burst, not demand, made the spawn eager)",
+			d, c.PromotedSpawns)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime/debug"
 	rtrace "runtime/trace"
 	"sync"
 	"sync/atomic"
@@ -98,7 +97,6 @@ type Runtime struct {
 	// slots, raised when a supplement arms, reset to Workers each Run.
 	hb           []hbSlot
 	victimHi     atomic.Int32
-	seized       atomic.Int64
 	supplemented atomic.Int64
 	supRetired   atomic.Int64
 
@@ -112,8 +110,8 @@ type Runtime struct {
 	// outside a submission open their regions under it (Proc.traceCtx).
 	traceCtx context.Context
 
-	panicMu  sync.Mutex
-	panicked *api.StrandPanic
+	// panics keeps the current Run's first strand panic.
+	panics api.PanicSink
 
 	// svc is non-nil while the runtime is in service mode (StartService):
 	// a long-lived internal run dispatches Submit traffic, Run/RunCtx are
@@ -215,11 +213,14 @@ func (rt *Runtime) Workers() int { return rt.cfg.Workers }
 func (rt *Runtime) Config() Config { return rt.cfg }
 
 // Counters aggregates the scheduler event counters. Exact when no Run is
-// in progress; a race-free approximate snapshot otherwise.
-func (rt *Runtime) Counters() trace.Counters { return rt.rec.Aggregate() }
-
-// StackStats returns the cactus stack pool accounting.
-func (rt *Runtime) StackStats() cactus.Stats { return rt.pool.Stats() }
+// in progress; a race-free approximate snapshot otherwise. The stack-get
+// tallies are the pool's own (cactus.Stats), counted once, in Pool.Get.
+func (rt *Runtime) Counters() trace.Counters {
+	c := rt.rec.Aggregate()
+	st := rt.pool.Stats()
+	c.StackLocalGets, c.StackGlobalGets = st.LocalGets, st.GlobalGets
+	return c
+}
 
 // Run implements api.Runtime: it executes root and all transitively
 // spawned strands to completion.
@@ -317,11 +318,7 @@ func (rt *Runtime) runInternal(ctx context.Context, root func(api.Ctx)) error {
 	// A strand panic is re-raised here, on the caller's goroutine, after
 	// the computation drained (every join completed, the runtime stays
 	// consistent and reusable).
-	rt.panicMu.Lock()
-	p := rt.panicked
-	rt.panicked = nil
-	rt.panicMu.Unlock()
-	if p != nil {
+	if p := rt.panics.Take(); p != nil {
 		panic(p)
 	}
 	if ctx != nil {
@@ -330,26 +327,18 @@ func (rt *Runtime) runInternal(ctx context.Context, root func(api.Ctx)) error {
 	return nil
 }
 
-// recordPanic keeps the first strand panic of the current Run; later
-// panics are tallied (and their first few values kept) on the survivor
-// via StrandPanic.Suppress, so a multi-strand failure is not silently
-// reported as a single one. A strand belonging to a service submission
-// (sub non-nil) records against that submission instead: the panic
-// resolves only its future, and the batch-Run re-raise never fires.
+// recordPanic notes a strand panic on the current Run's sink, or — for a
+// strand of a service submission (sub non-nil) — on that submission's:
+// the panic resolves only its future, and the batch-Run re-raise never
+// fires.
 //
 //nowa:coldpath runs only while a strand panic unwinds; allocation is irrelevant on the failure path
 func (rt *Runtime) recordPanic(sub *Submission, v any) {
 	if sub != nil {
-		sub.notePanic(v, debug.Stack())
+		sub.panics.Note(v)
 		return
 	}
-	rt.panicMu.Lock()
-	if rt.panicked == nil {
-		rt.panicked = &api.StrandPanic{Value: v, Stack: debug.Stack()}
-	} else {
-		rt.panicked.Suppress(v)
-	}
-	rt.panicMu.Unlock()
+	rt.panics.Note(v)
 }
 
 // retireToken surrenders one worker token at shutdown; the last retirement
@@ -544,8 +533,8 @@ func (rt *Runtime) DumpState(w io.Writer) {
 		}
 	}
 	if rt.stallOn {
-		fmt.Fprintf(w, "  stall recovery: seized=%d supplemented=%d retired=%d victimSlots=%d\n",
-			rt.seized.Load(), rt.supplemented.Load(), rt.supRetired.Load(), rt.victimHi.Load())
+		fmt.Fprintf(w, "  stall recovery: supplemented=%d retired=%d victimSlots=%d\n",
+			rt.supplemented.Load(), rt.supRetired.Load(), rt.victimHi.Load())
 		for i := 0; i < rt.cfg.Workers; i++ {
 			if st := rt.hb[i].state.Load(); st != wsHealthy {
 				fmt.Fprintf(w, "  worker %d stall word: %d (1=supplemented 2=retiring) heartbeat=%d\n", i, st, rt.hb[i].n.Load())
@@ -561,7 +550,7 @@ func (rt *Runtime) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "  vessels: %d registered, %d pooled globally (owner-local caches not shown)\n", total, pooled)
 	fmt.Fprintf(w, "  accounting: live=%d highWater=%d scopesLeaked=%d\n",
 		rt.vLive.Load(), rt.vHighWater.Load(), rt.scopesLeaked.Load())
-	agg := rt.rec.Aggregate()
+	agg := rt.Counters()
 	fmt.Fprintf(w, "  waits: blocked=%d resumed=%d aborted=%d live=%d pendingWakes=%v wakeupsLost=%d\n",
 		agg.BlockedWaits, agg.ResumedWaits, agg.AbortedWaits,
 		rt.blockedLive.Load(), rt.wakeq.Pending(), agg.WakeupsLost)

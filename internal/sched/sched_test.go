@@ -348,7 +348,7 @@ func TestMadviseModeCompletes(t *testing.T) {
 	if want := fibSerial(15); got != want {
 		t.Fatalf("fib(15) = %d, want %d", got, want)
 	}
-	st := rt.StackStats()
+	st := rt.Stats().Stacks
 	if st.MadviseCalls == 0 {
 		t.Error("madvise mode ran but recorded no MadviseCalls")
 	}
@@ -393,7 +393,7 @@ func TestStackPoolRecirculates(t *testing.T) {
 	rt := NewNowa(4)
 	defer rt.Close()
 	rt.Run(func(c api.Ctx) { _ = fib(c, 16) })
-	st := rt.StackStats()
+	st := rt.Stats().Stacks
 	// All stacks must come home after the run.
 	if st.ResidentBytes != st.Allocated*int64(rt.Config().Stacks.StackBytes) {
 		t.Errorf("resident %d != allocated %d stacks × %d B",

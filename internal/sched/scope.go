@@ -323,7 +323,6 @@ func (s *scope) spawnEager(fn func(api.Ctx)) {
 	// Batched: folded into the worker blocks at strand end (see
 	// vessel.pend), keeping the per-spawn cost to plain increments.
 	v.pend[trace.Spawns]++
-	v.pend[trace.VesselDispatch]++
 
 	// Publish the continuation: this vessel, parked below, resumable by a
 	// thief (popTop) or by the child's return (popBottom hit).

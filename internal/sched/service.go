@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	rtrace "runtime/trace"
 	"sync"
 	"sync/atomic"
@@ -136,11 +135,9 @@ type Submission struct {
 	done chan struct{}
 	err  error // written before done closes
 
-	// pan collects this submission's strand panics: the first is kept,
-	// later ones are tallied on it via StrandPanic.Suppress — the same
-	// first-wins protocol as a batch Run, but per submission.
-	panMu sync.Mutex
-	pan   *api.StrandPanic
+	// panics keeps this submission's first strand panic — a batch Run's
+	// protocol, per submission.
+	panics api.PanicSink
 }
 
 // Done returns a channel closed when the submission resolves.
@@ -161,25 +158,6 @@ func (s *Submission) Err() error {
 	default:
 		return nil
 	}
-}
-
-// notePanic records one strand panic against this submission.
-func (s *Submission) notePanic(v any, stack []byte) {
-	s.panMu.Lock()
-	if s.pan == nil {
-		s.pan = &api.StrandPanic{Value: v, Stack: stack}
-	} else {
-		s.pan.Suppress(v)
-	}
-	s.panMu.Unlock()
-}
-
-// takePanic returns the submission's collected panic, if any.
-func (s *Submission) takePanic() *api.StrandPanic {
-	s.panMu.Lock()
-	p := s.pan
-	s.panMu.Unlock()
-	return p
 }
 
 // outcomeErr reads the submission's cancellation outcome, preferring
@@ -224,7 +202,7 @@ func runSubmission(c api.Ctx) {
 	rt, s := p.rt, p.sub
 	defer func() {
 		if r := recover(); r != nil {
-			s.notePanic(r, debug.Stack())
+			s.panics.Note(r)
 		}
 		rt.svc.Load().complete(s)
 	}()
@@ -559,7 +537,7 @@ func (svc *service) leave() {
 // beats context error beats success, mirroring RunCtx's reporting.
 func (svc *service) complete(sub *Submission) {
 	var err error
-	if p := sub.takePanic(); p != nil {
+	if p := sub.panics.Take(); p != nil {
 		err = p
 	} else {
 		err = sub.outcomeErr()

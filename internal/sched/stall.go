@@ -147,7 +147,6 @@ func (rt *Runtime) retireSupplement(ws int) {
 // may join the run. The word moves last, before the dispatch the
 // supplement starts from.
 func (rt *Runtime) seizeWorker(w int) {
-	rt.seized.Add(1)
 	ws := rt.cfg.Workers + w
 	for {
 		n := rt.tokensLeft.Load()

@@ -3,14 +3,10 @@ package sched
 import (
 	"fmt"
 
-	"nowa/internal/api"
 	"nowa/internal/cactus"
 )
 
-// Stats is a snapshot of the runtime's resource accounting: the
-// runtime-agnostic api.ResourceStats (vessel and stack population,
-// stall-recovery and wait tallies — see the field
-// docs there) plus the gauges only this runtime can report. The leak
+// Stats is a snapshot of the runtime's resource accounting. The leak
 // reconciliations (VesselsLeaked, StacksLeaked) and VesselsPooled need
 // the owner-local caches, so they are computed only while the runtime
 // is idle; mid-run they read 0 and -1. When idle every dispatched
@@ -19,12 +15,42 @@ import (
 // ResumedWaits + AbortedWaits) — the same reconciliation that proves
 // VesselsLeaked == 0.
 type Stats struct {
-	api.ResourceStats
-	// VesselsPooled counts the vessels sitting in free lists.
+	// VesselsLive is the number of pooled execution goroutines in
+	// existence; VesselHighWater is the maximum ever reached. No budget
+	// bounds it: the computation does — a suspension gives its worker
+	// token away, so the population stays within the busy-leaves bound
+	// (per worker, about the spawn depth plus the free-list cache).
+	VesselsLive     int64
+	VesselHighWater int64
+	// VesselsPooled counts the vessels sitting in free lists;
+	// VesselsLeaked is VesselsLive minus it (nonzero indicates a
+	// runtime bug).
 	VesselsPooled int64
-	// BlockedLive gauges the strands currently parked on an external
-	// wait (block.go).
-	BlockedLive int64
+	VesselsLeaked int64
+	// StacksLive and StacksLeaked are the same two for the cactus stack
+	// pool.
+	StacksLive   int64
+	StacksLeaked int64
+	// ScopesLeaked counts join scopes abandoned on panic paths.
+	ScopesLeaked int64
+	// Stall-recovery tallies (all zero unless the runtime was built
+	// with a stall threshold): WorkersSupplemented counts supplemental
+	// workers dispatched, SupplementsRetired those that returned their
+	// token — equal at quiescence.
+	WorkersSupplemented int64
+	SupplementsRetired  int64
+	// Wait accounting (blocking primitives — futures, channels,
+	// barriers), read from the trace counters: BlockedWaits counts
+	// strand suspensions on an external wait, ResumedWaits and
+	// AbortedWaits how each wait ended; BlockedLive gauges the strands
+	// parked on one now (block.go). WakeupsLost counts thief parks
+	// declined because a wakeup was pending — a liveness tally, not a
+	// leak.
+	BlockedWaits int64
+	ResumedWaits int64
+	AbortedWaits int64
+	BlockedLive  int64
+	WakeupsLost  int64
 	// Stacks is the cactus pool's own snapshot.
 	Stacks cactus.Stats
 }
@@ -33,19 +59,20 @@ type Stats struct {
 // time.
 func (rt *Runtime) Stats() Stats {
 	agg := rt.rec.Aggregate()
-	st := Stats{VesselsPooled: -1, BlockedLive: rt.blockedLive.Load(), Stacks: rt.pool.Stats()}
-	st.ResourceStats = api.ResourceStats{
+	st := Stats{
 		VesselHighWater:     rt.vHighWater.Load(),
-		StacksLive:          st.Stacks.Allocated,
+		VesselsPooled:       -1,
 		ScopesLeaked:        rt.scopesLeaked.Load(),
-		WorkersSeized:       rt.seized.Load(),
 		WorkersSupplemented: rt.supplemented.Load(),
 		SupplementsRetired:  rt.supRetired.Load(),
 		BlockedWaits:        agg.BlockedWaits,
 		ResumedWaits:        agg.ResumedWaits,
 		AbortedWaits:        agg.AbortedWaits,
+		BlockedLive:         rt.blockedLive.Load(),
 		WakeupsLost:         agg.WakeupsLost,
+		Stacks:              rt.pool.Stats(),
 	}
+	st.StacksLive = st.Stacks.Allocated
 	rt.govMu.Lock()
 	st.VesselsLive = rt.vLive.Load()
 	if !rt.running.Load() {
@@ -105,9 +132,6 @@ func (rt *Runtime) CheckIdle() error {
 	}
 	return nil
 }
-
-// ResourceStats implements api.ResourceReporter.
-func (rt *Runtime) ResourceStats() api.ResourceStats { return rt.Stats().ResourceStats }
 
 // countPooledLocked sums the vessel free lists. Caller holds govMu and
 // the runtime is idle, which is what makes reading the owner-local

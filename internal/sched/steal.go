@@ -38,6 +38,16 @@ func (rt *Runtime) stealLoop(p *Proc) {
 			return
 		}
 
+		if rt.stallOn && rt.stallStealCheck(w) {
+			// This supplement's duty ended: the worker it stood in for
+			// re-entered the scheduler, and this slot's deque is empty.
+			// Checked before the submission take, or a standing backlog
+			// would keep the supplement taking submissions forever.
+			rt.freeVessel(p.v, w)
+			rt.retireSupplement(w)
+			return
+		}
+
 		if rt.submissionsQueued() {
 			// Taken before the wind-down check, so a forced drain still
 			// settles everything queued. The yield is the only point where
@@ -68,14 +78,6 @@ func (rt *Runtime) stealLoop(p *Proc) {
 			// tokens route through their stall word (stall.go).
 			rt.freeVessel(p.v, w)
 			rt.retireTokenFrom(w)
-			return
-		}
-
-		if rt.stallOn && rt.stallStealCheck(w) {
-			// This supplement's duty ended: the worker it stood in for
-			// re-entered the scheduler, and this slot's deque is empty.
-			rt.freeVessel(p.v, w)
-			rt.retireSupplement(w)
 			return
 		}
 

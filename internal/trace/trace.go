@@ -9,7 +9,9 @@
 // Every counter is declared once: an ID constant and its row of table.
 // Blocks, pending batches, aggregation and the Counters snapshot are all
 // loops over that table, so adding a counter is one ID, one row and one
-// Counters field.
+// Counters field. The two stack-get fields are the exception: the stack
+// pool already counts them, so they have no ID and the runtime's
+// Counters copies the pool's tallies in.
 package trace
 
 import (
@@ -33,9 +35,6 @@ const (
 	ImplicitSyncs
 	ExplicitSyncs
 	Suspensions
-	VesselDispatch
-	StackLocalGets
-	StackGlobalGets
 	ThiefParks
 	ThiefWakeups
 	InterestSignals
@@ -63,9 +62,6 @@ var table = [NumCounters]struct {
 	ImplicitSyncs:   {"ImplicitSyncs", unsafe.Offsetof(Counters{}.ImplicitSyncs)},
 	ExplicitSyncs:   {"ExplicitSyncs", unsafe.Offsetof(Counters{}.ExplicitSyncs)},
 	Suspensions:     {"Suspensions", unsafe.Offsetof(Counters{}.Suspensions)},
-	VesselDispatch:  {"VesselDispatch", unsafe.Offsetof(Counters{}.VesselDispatch)},
-	StackLocalGets:  {"StackLocalGets", unsafe.Offsetof(Counters{}.StackLocalGets)},
-	StackGlobalGets: {"StackGlobalGets", unsafe.Offsetof(Counters{}.StackGlobalGets)},
 	ThiefParks:      {"ThiefParks", unsafe.Offsetof(Counters{}.ThiefParks)},
 	ThiefWakeups:    {"ThiefWakeups", unsafe.Offsetof(Counters{}.ThiefWakeups)},
 	InterestSignals: {"InterestSignals", unsafe.Offsetof(Counters{}.InterestSignals)},
@@ -92,9 +88,8 @@ type Counters struct {
 	ImplicitSyncs   int64 // popBottom misses: continuation was stolen
 	ExplicitSyncs   int64 // Sync calls
 	Suspensions     int64 // parent parked at an explicit sync point
-	VesselDispatch  int64 // strand vessels activated for children
-	StackLocalGets  int64 // stacks served from the per-worker buffer
-	StackGlobalGets int64 // stacks served from the global pool
+	StackLocalGets  int64 // stacks served from a per-worker buffer: no ID, the runtime copies cactus.Stats.LocalGets in
+	StackGlobalGets int64 // stacks served from the global pool: likewise, cactus.Stats.GlobalGets
 	ThiefParks      int64 // idle thieves parked after the fail threshold
 	ThiefWakeups    int64 // parked thieves woken by a spawn, finish or cancel
 	InterestSignals int64 // thief-side steal-demand posts that landed on a token's demand word
@@ -198,8 +193,8 @@ func (r *Recorder) Aggregate() Counters {
 // CheckQuiescent states the conservation identities that hold whenever
 // no Run is in flight, and names the first one the snapshot violates.
 // Every eagerly published continuation was popped back or stolen (an
-// inline commit publishes none), and every external wait ended exactly
-// once.
+// inline commit publishes none), every external wait ended exactly
+// once, and every parked thief was woken.
 func (c Counters) CheckQuiescent() error {
 	if c.LocalResumes+c.Steals != c.Spawns-c.InlineRuns {
 		return fmt.Errorf("LocalResumes(%d)+Steals(%d) != Spawns(%d)-InlineRuns(%d)",
@@ -208,6 +203,9 @@ func (c Counters) CheckQuiescent() error {
 	if c.BlockedWaits != c.ResumedWaits+c.AbortedWaits {
 		return fmt.Errorf("BlockedWaits(%d) != ResumedWaits(%d)+AbortedWaits(%d)",
 			c.BlockedWaits, c.ResumedWaits, c.AbortedWaits)
+	}
+	if c.ThiefParks != c.ThiefWakeups {
+		return fmt.Errorf("ThiefParks(%d) != ThiefWakeups(%d)", c.ThiefParks, c.ThiefWakeups)
 	}
 	return nil
 }

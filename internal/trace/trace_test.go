@@ -13,8 +13,10 @@ import (
 // Counters struct (the one conversion) and through Get — and nowhere
 // else.
 func TestEveryCounterRow(t *testing.T) {
-	if n := reflect.TypeOf(Counters{}).NumField(); n != int(NumCounters) {
-		t.Fatalf("Counters has %d fields, the table %d rows", n, NumCounters)
+	// StackLocalGets and StackGlobalGets have no row: the stack pool
+	// counts them, and the runtime copies its tallies in.
+	if n := reflect.TypeOf(Counters{}).NumField(); n != int(NumCounters)+2 {
+		t.Fatalf("Counters has %d fields, the table %d rows plus the 2 pool-fed ones", n, NumCounters)
 	}
 	for id := ID(0); id < NumCounters; id++ {
 		r := NewRecorder(3)
@@ -49,14 +51,15 @@ func TestEveryCounterRow(t *testing.T) {
 
 func TestCheckQuiescent(t *testing.T) {
 	ok := Counters{Spawns: 10, InlineRuns: 4, LocalResumes: 5, Steals: 1,
-		BlockedWaits: 3, ResumedWaits: 2, AbortedWaits: 1}
+		BlockedWaits: 3, ResumedWaits: 2, AbortedWaits: 1, ThiefParks: 7, ThiefWakeups: 7}
 	if err := ok.CheckQuiescent(); err != nil {
 		t.Errorf("balanced snapshot rejected: %v", err)
 	}
-	lostSpawn, lostWait := ok, ok
+	lostSpawn, lostWait, lostWake := ok, ok, ok
 	lostSpawn.Steals = 0
 	lostWait.ResumedWaits = 1
-	for _, c := range []Counters{lostSpawn, lostWait} {
+	lostWake.ThiefWakeups = 6
+	for _, c := range []Counters{lostSpawn, lostWait, lostWake} {
 		if c.CheckQuiescent() == nil {
 			t.Errorf("unbalanced snapshot accepted: %+v", c)
 		}

@@ -76,35 +76,25 @@ const (
 	VariantLibOMPTied
 )
 
+// variantNames holds the report names in Variant order: the
+// continuation-stealing runtimes' table, then the comparators'.
+var variantNames = append(sched.Variants(), childsteal.Variants()...)
+
 // String returns the variant's report name.
 func (v Variant) String() string {
-	switch v {
-	case VariantNowa:
-		return "nowa"
-	case VariantNowaTHE:
-		return "nowa-the"
-	case VariantFibril:
-		return "fibril"
-	case VariantCilkPlus:
-		return "cilkplus"
-	case VariantTBB:
-		return "tbb"
-	case VariantLibGOMP:
-		return "libgomp"
-	case VariantLibOMPUntied:
-		return "libomp-untied"
-	case VariantLibOMPTied:
-		return "libomp-tied"
+	if v >= 0 && int(v) < len(variantNames) {
+		return variantNames[v]
 	}
 	return fmt.Sprintf("Variant(%d)", int(v))
 }
 
 // Variants lists every runtime variant in evaluation order.
 func Variants() []Variant {
-	return []Variant{
-		VariantNowa, VariantNowaTHE, VariantFibril, VariantCilkPlus,
-		VariantTBB, VariantLibGOMP, VariantLibOMPUntied, VariantLibOMPTied,
+	vs := make([]Variant, len(variantNames))
+	for i := range vs {
+		vs[i] = Variant(i)
 	}
+	return vs
 }
 
 // New creates a runtime of the given variant with the given worker count.
@@ -169,7 +159,7 @@ type Limits struct {
 
 // ResourceStats is a snapshot of a runtime's resource accounting; see
 // Resources.
-type ResourceStats = api.ResourceStats
+type ResourceStats = sched.Stats
 
 // NewLimited creates a continuation-stealing runtime of the given
 // variant configured by lim. Only the vessel-model variants
@@ -192,8 +182,8 @@ func NewLimited(v Variant, workers int, lim Limits) Runtime {
 // Resources reports a runtime's resource accounting when it keeps one
 // (the continuation-stealing runtimes do; the comparators report false).
 func Resources(rt Runtime) (ResourceStats, bool) {
-	if r, ok := rt.(api.ResourceReporter); ok {
-		return r.ResourceStats(), true
+	if s, ok := rt.(*sched.Runtime); ok {
+		return s.Stats(), true
 	}
 	return ResourceStats{}, false
 }
