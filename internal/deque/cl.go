@@ -75,6 +75,9 @@ func (d *CLDeque[T]) grow(r *clRing[T], t, b int64) *clRing[T] {
 //nowa:hotpath
 func (d *CLDeque[T]) PopBottom() (*T, bool) {
 	b := d.bottom.Load() - 1
+	if d.top.Load() > b {
+		return nil, false // empty, and no store: only the owner writes bottom, thieves only raise top
+	}
 	r := d.ring.Load()
 	d.bottom.Store(b)
 	t := d.top.Load()

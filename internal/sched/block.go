@@ -27,14 +27,10 @@ import (
 // woken waiter goes to its waker's token's slot.
 //
 // Leak-freedom is the sum of three guarantees: the primitive's cell CAS
-// arbitration means exactly one of Wake/WakeAborted fires per
-// CommitWait (no lost or double wakeup); the blockedLive gauge plus the
-// wake queue's Pending flag gate token retirement (a thief never retires
-// the last token while a waiter is parked — a slot's occupant included —
-// or a wakeup is queued); and the park guard declines to park while a
-// wakeup is pending (counted as WakeupsLost) or a slot is filled, closing
-// the sleep race the same way Spawn's publish-then-load-Waiting order
-// does.
+// arbitration fires exactly one of Wake/WakeAborted per CommitWait; the
+// blocked gauge and the wake queue's Pending flag gate token retirement;
+// and the park guard declines to park while a wakeup is pending
+// (WakeupsLost) or a slot is filled.
 
 // nextSlot is a scheduling slot's next wakeup (Runtime.next), like Go's
 // runnext: filled only by the slot's token holder (WakeNext), emptied by
@@ -92,15 +88,14 @@ func (p *Proc) CommitWait(bw *Waiter) bool {
 	v := p.v
 	w := p.worker
 	v.pend[trace.BlockedWaits]++
-	// Flush before the token leaves: the aggregate stays monotonic for
-	// mid-run readers.
+	// Flush before the token leaves: the wait is in the gauge before the
+	// strand parks, and the aggregate stays monotonic for mid-run readers.
 	v.flushCounters(w)
 	if rt.lazyOn {
 		// A blocking strand is a promotion signal like a suspension:
 		// thieves are about to need real continuations.
 		v.eagerBurst = eagerBurstLen
 	}
-	rt.blockedLive.Add(1)
 	// The token goes away first; the strand parks unless its own wakeup
 	// was what the token went to.
 	if rt.passToken(v, w, bw) {
@@ -110,23 +105,27 @@ func (p *Proc) CommitWait(bw *Waiter) bool {
 			p.traceToken()
 		}
 	}
-	// The gauge drops only after the strand holds a token again, so the
-	// retirement gate covers the whole parked window.
-	rt.blockedLive.Add(-1)
+	// The end is pended: the gauge drops at the strand's next flush.
+	if bw.aborted {
+		v.pend[trace.AbortedWaits]++
+	} else {
+		v.pend[trace.ResumedWaits]++
+	}
 	if rt.done.Load() || rt.cancel.Cancelled() {
-		// Thieves park through the wind-down while blocked waits hold
-		// the retirement gate shut (parkThief); this drop may have opened
-		// it, so rouse them all to re-check. The decrement precedes the
-		// drain's ticket bound, their ticket precedes their load of the
-		// gauge: one side sees the other.
+		// Publishing the end may open the retirement gate thieves sleep
+		// on (parkThief): rouse them all. The flush precedes the drain,
+		// their ticket their read of the gauge: one side sees the other.
+		v.flushCounters(p.worker)
 		rt.wakeThieves()
 	}
-	if bw.aborted {
-		p.v.pend[trace.AbortedWaits]++
-	} else {
-		p.v.pend[trace.ResumedWaits]++
-	}
 	return bw.aborted
+}
+
+// blockedLive gauges the strands parked on an external wait, the gate of
+// token retirement in wind-down (DESIGN.md §16.2). CommitWait flushes a
+// wait's start before it parks and pends its end after the resume.
+func (rt *Runtime) blockedLive() int64 {
+	return rt.rec.Live(trace.BlockedWaits, trace.ResumedWaits, trace.AbortedWaits)
 }
 
 // WaitContext is the context an external wait aborts under: the one the
@@ -174,16 +173,13 @@ func (bw *Waiter) WakeAborted() { bw.deliver(true) }
 //     this strand's push at the bottom of deque[w].
 //  2. The waiter in token w's own next-wakeup slot: the strand this one
 //     woke last (WakeNext) resumes on the token it was woken from.
-//  3. The oldest wakeup queued in rt.wakeq, directly. A thief vessel
-//     dispatched instead would do nothing but pop that same entry and
-//     pass the token on; skipping it saves a vessel dispatch and two
-//     goroutine switches per block. The popped waiter can be this very
-//     strand (its waker ran between the registration and here): then the
-//     wait is already over and the strand keeps the token without
-//     parking. The pop needs no more care than a thief's: the popped
-//     waiter stays counted in blockedLive until it runs on the token, so
-//     the retirement gate holds across the handoff, and a thief that
-//     declined to park for this entry merely finds the queue empty.
+//  3. The oldest wakeup queued in rt.wakeq, directly: a thief vessel
+//     would only pop that entry and pass the token on, at the cost of a
+//     dispatch and two goroutine switches. The popped waiter can be this
+//     very strand (its waker ran after the registration): then the wait
+//     is over and the strand keeps the token without parking. The popped
+//     waiter stays in the blocked gauge until it runs, so the retirement
+//     gate holds across the handoff.
 //  4. A thief vessel, as the fallback.
 func (rt *Runtime) passToken(v *vessel, w int, bw *Waiter) bool {
 	if pc, ok := rt.popOwn(w, v.disp.parent); ok {
@@ -212,7 +208,7 @@ func (rt *Runtime) passToken(v *vessel, w int, bw *Waiter) bool {
 		next, _ = rt.wakeq.Pop()
 	}
 	if next != nil {
-		rt.rec.Worker(w)[trace.DirectHandoffs].Add(1)
+		v.pend[trace.DirectHandoffs]++
 		if next == bw {
 			return false
 		}

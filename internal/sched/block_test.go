@@ -13,7 +13,7 @@ import (
 // The suspension half of the external-wait protocol (block.go), driven
 // through the raw PrepareWait/CommitWait/Wake surface so the tests can
 // see what the public primitives hide: which way the token went, the
-// blockedLive gauge, the parker's pending delivery.
+// blocked gauge, the parker's pending delivery.
 
 // blockRuntime is a one-worker eager-spawn runtime: with a single token
 // every handoff in these tests is forced, not a matter of timing.
@@ -31,7 +31,7 @@ func assertWaitsSettled(t *testing.T, rt *Runtime) {
 	if err := rt.Counters().CheckQuiescent(); err != nil {
 		t.Errorf("conservation: %v", err)
 	}
-	if live, pending := rt.blockedLive.Load(), rt.wakeq.Pending(); live != 0 || pending {
+	if live, pending := rt.blockedLive(), rt.wakeq.Pending(); live != 0 || pending {
 		t.Errorf("blockedLive = %d, wakeup queued = %v; want 0, false", live, pending)
 	}
 	if st := rt.Stats(); st.VesselsLeaked != 0 || st.StacksLeaked != 0 || st.ScopesLeaked != 0 {

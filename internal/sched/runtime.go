@@ -22,7 +22,7 @@ import (
 // RunCtx, and Close it when done to stop the vessel goroutines. A Runtime
 // is reusable across Run calls but supports only one Run at a time.
 //
-//nowa:nopad the Runtime is a per-instance singleton; its atomic flags are control-path words (run start/stop, cancellation), not per-worker contended state
+//nowa:nopad the Runtime is a per-instance singleton; its atomic flags are control-path words (run start/stop, cancellation), not per-worker contended state; no per-operation path writes a field here (the wake and idle queues live behind pointers, the blocked-wait gauge is derived from the per-token counter blocks)
 type Runtime struct {
 	cfg Config
 
@@ -82,11 +82,9 @@ type Runtime struct {
 
 	// External-wait state (block.go): wakeq routes wakeups fired off any
 	// worker token to idle thieves, next holds each scheduling slot's
-	// next wakeup, blockedLive gauges strands parked on an external wait
-	// (gating token retirement).
-	wakeq       core.WakeQueue[*Waiter]
-	next        []nextSlot
-	blockedLive atomic.Int64
+	// next wakeup.
+	wakeq core.WakeQueue[*Waiter]
+	next  []nextSlot
 
 	// chaos holds each scheduling slot's chaos streams, one per site.
 	chaos []chaos.Streams
@@ -379,7 +377,7 @@ func (rt *Runtime) resumeThief() {
 
 // wakeThieves rouses every parked thief, for conditions each must
 // re-check for itself: the root strand finished, the run was cancelled,
-// the blocked gauge dropped during wind-down, a stalled worker returned
+// a wait's end was published during wind-down, a stalled worker returned
 // (its supplement may retire).
 //
 //nowa:coldpath run end, cancellation, wind-down and supplement retirement only
@@ -416,11 +414,9 @@ func (rt *Runtime) parkThief(p *Proc) {
 	} else if rt.done.Load() || rt.cancel.Cancelled() {
 		// Winding down, thieves steal nothing: the only reason to be
 		// awake is an open retirement gate. While blocked waits hold it
-		// shut, sleeping is exactly right — under a plain Run a wait on a
-		// never-resolved future is unbounded — and the events that can
-		// end it all come here: deliver's push wakes one, CommitWait's
-		// gauge drop wakes all.
-		look = rt.blockedLive.Load() == 0
+		// shut, sleep: deliver's push wakes one, and publishing a wait's
+		// end (CommitWait, finishStrand) wakes all.
+		look = rt.blockedLive() == 0
 	} else {
 		// The stall hook doubles as the park-time heartbeat — a parked
 		// thief is idle, not stalled, and beats again at wake — and tells
@@ -553,7 +549,7 @@ func (rt *Runtime) DumpState(w io.Writer) {
 	agg := rt.Counters()
 	fmt.Fprintf(w, "  waits: blocked=%d resumed=%d aborted=%d live=%d pendingWakes=%v wakeupsLost=%d\n",
 		agg.BlockedWaits, agg.ResumedWaits, agg.AbortedWaits,
-		rt.blockedLive.Load(), rt.wakeq.Pending(), agg.WakeupsLost)
+		rt.blockedLive(), rt.wakeq.Pending(), agg.WakeupsLost)
 	fmt.Fprintf(w, "  thieves parked: %v\n", rt.idle.Waiting())
 	fmt.Fprintf(w, "  counters: %+v\n", agg)
 	fmt.Fprintf(w, "  stacks: %+v\n", rt.pool.Stats())

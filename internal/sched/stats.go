@@ -42,10 +42,11 @@ type Stats struct {
 	// Wait accounting (blocking primitives — futures, channels,
 	// barriers), read from the trace counters: BlockedWaits counts
 	// strand suspensions on an external wait, ResumedWaits and
-	// AbortedWaits how each wait ended; BlockedLive gauges the strands
-	// parked on one now (block.go). WakeupsLost counts thief parks
-	// declined because a wakeup was pending — a liveness tally, not a
-	// leak.
+	// AbortedWaits how each wait ended; BlockedLive, derived from the
+	// three, gauges the strands parked on one now: exact at quiescence,
+	// it may read high by waits resumed but not yet flushed. WakeupsLost
+	// counts thief parks declined because a wakeup was pending — a
+	// liveness tally, not a leak.
 	BlockedWaits int64
 	ResumedWaits int64
 	AbortedWaits int64
@@ -68,7 +69,7 @@ func (rt *Runtime) Stats() Stats {
 		BlockedWaits:        agg.BlockedWaits,
 		ResumedWaits:        agg.ResumedWaits,
 		AbortedWaits:        agg.AbortedWaits,
-		BlockedLive:         rt.blockedLive.Load(),
+		BlockedLive:         rt.blockedLive(),
 		WakeupsLost:         agg.WakeupsLost,
 		Stacks:              rt.pool.Stats(),
 	}
@@ -121,11 +122,9 @@ func (rt *Runtime) CheckIdle() error {
 		return fmt.Errorf("stack-leak: %d stacks unaccounted", st.StacksLeaked)
 	case st.ScopesLeaked != 0:
 		return fmt.Errorf("scope-leak: %d scopes abandoned", st.ScopesLeaked)
-	case st.BlockedWaits != st.ResumedWaits+st.AbortedWaits:
-		return fmt.Errorf("wait-leak: BlockedWaits(%d) != ResumedWaits(%d)+AbortedWaits(%d)",
-			st.BlockedWaits, st.ResumedWaits, st.AbortedWaits)
 	case st.BlockedLive != 0:
-		return fmt.Errorf("wait-leak: %d waiters still parked", st.BlockedLive)
+		return fmt.Errorf("wait-leak: BlockedWaits(%d) != ResumedWaits(%d)+AbortedWaits(%d): %d waiters still parked",
+			st.BlockedWaits, st.ResumedWaits, st.AbortedWaits, st.BlockedLive)
 	}
 	if err := rt.Counters().CheckQuiescent(); err != nil {
 		return fmt.Errorf("counters: %v", err)

@@ -60,16 +60,12 @@ func (rt *Runtime) stealLoop(p *Proc) {
 		}
 
 		if rt.done.Load() || rt.cancel.Cancelled() {
-			if rt.blockedLive.Load() > 0 || rt.wakeq.Pending() {
+			if rt.blockedLive() > 0 || rt.wakeq.Pending() {
 				// Strands are still parked on external waits (or their
-				// wakeups wait for a token): retiring now could strand a woken
-				// waiter with no token to resume on. Keep this token in
-				// the loop until the waits drain — and since under a
-				// plain Run (nil WaitContext) a wait on a never-resolved
-				// future is not abortable, that window can be unbounded,
-				// so the token parks like any idle thief: deliver's push
-				// wakes one to claim the wakeup, CommitWait's gauge drop
-				// wakes all to re-check this gate.
+				// wakeups wait for a token): retiring now could leave a
+				// woken waiter no token to resume on. The wait may be
+				// unbounded (a plain Run cannot abort it), so the token
+				// parks like any idle thief; parkThief names who wakes it.
 				rt.stealBackoff(p, &fails)
 				continue
 			}

@@ -373,6 +373,15 @@ func (rt *Runtime) finishStrand(v *vessel, parent *scope) {
 	p := &v.proc
 	w := p.worker
 	rt.releaseStacks(v, w)
+	if v.pend[trace.ResumedWaits]|v.pend[trace.AbortedWaits] != 0 {
+		// Publish a wait's end, then rouse the thieves it may have kept
+		// parked in wind-down (DESIGN.md §16.2). Flush before the load:
+		// a wind-down the load misses begins after the end is visible.
+		v.flushCounters(w)
+		if rt.done.Load() || rt.cancel.Cancelled() {
+			rt.wakeThieves()
+		}
+	}
 	if rt.stallOn {
 		// Strand finish is a heartbeat site: a token pinned by a long
 		// user function goes stale between two of these, which is what

@@ -121,7 +121,7 @@ func TestWakeSlotTakenBeforeSleep(t *testing.T) {
 		var parks int64
 		for {
 			c := rt.Counters()
-			if rt.blockedLive.Load() == 1 && c.ThiefParks == c.ThiefWakeups+1 {
+			if rt.blockedLive() == 1 && c.ThiefParks == c.ThiefWakeups+1 {
 				parks = c.ThiefParks
 				break
 			}

@@ -76,7 +76,7 @@ var table = [NumCounters]struct {
 func (id ID) String() string { return table[id].name }
 
 // Counters is a plain snapshot of event tallies, as returned by
-// Aggregate or WorkerCounters.Snapshot.
+// Aggregate.
 type Counters struct {
 	Spawns          int64 // Spawn calls executed on this worker
 	InlineSpawns    int64 // Spawns degraded to inline execution (cancelled run)
@@ -138,22 +138,6 @@ func (w *WorkerCounters) Flush(p *Pending) {
 	}
 }
 
-// addTo adds the block's cells into p, cell by atomic cell.
-func (w *WorkerCounters) addTo(p *Pending) {
-	for id := range w {
-		p[id] += w[id].Load()
-	}
-}
-
-// Snapshot reads the block atomically cell by cell. The result is a
-// consistent tally only when the worker is quiescent; mid-run it is a
-// best-effort monotonic sample.
-func (w *WorkerCounters) Snapshot() Counters {
-	var p Pending
-	w.addTo(&p)
-	return p.Counters()
-}
-
 // paddedCounters rounds a block up to the next multiple of 128 bytes —
 // two cache lines, covering the adjacent-line prefetcher — whatever
 // NumCounters is, so adjacent workers' blocks never share such a unit.
@@ -180,12 +164,29 @@ func (r *Recorder) Worker(w int) *WorkerCounters {
 	return &r.blocks[w].WorkerCounters
 }
 
+// Live is the gauge Σin − Σout1 − Σout2 over all blocks, every out cell
+// read before any in cell: when each out is published after its in, the
+// result never reads below the events begun and not ended across the
+// read. It reads high by unpublished outs and is exact at quiescence.
+func (r *Recorder) Live(in, out1, out2 ID) int64 {
+	var n int64
+	for i := range r.blocks {
+		n -= r.blocks[i].WorkerCounters[out1].Load() + r.blocks[i].WorkerCounters[out2].Load()
+	}
+	for i := range r.blocks {
+		n += r.blocks[i].WorkerCounters[in].Load()
+	}
+	return n
+}
+
 // Aggregate sums all worker blocks. The sum is exact when workers are
 // quiescent and a race-free approximate snapshot otherwise.
 func (r *Recorder) Aggregate() Counters {
 	var p Pending
 	for i := range r.blocks {
-		r.blocks[i].addTo(&p)
+		for id := range p {
+			p[id] += r.blocks[i].WorkerCounters[id].Load()
+		}
 	}
 	return p.Counters()
 }
