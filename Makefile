@@ -113,10 +113,11 @@ trace:
 # planted Chaos.LeakVessel bug,
 # soaks the scheduler for 30 seconds across kernels x variants x chaos x
 # deadlines, then 15 seconds each of the abort, promote and
-# stall classes — the last one the stall-recovery gate, since
-# fault-smoke's campaign step is red on small hosts. Repro bundles (the
-# trial's seeds and configuration as JSON) go to torture-out/ on any
-# invariant violation (see DESIGN.md §12 and
+# stall classes — the last one the stall-recovery invariant gate;
+# fault-smoke's campaign step adds the goodput bar (stall+supplement
+# reads 0.96-1.00x of the clean baseline on 2 vCPUs, against 0.80).
+# Repro bundles (the trial's seeds and configuration as JSON) go to
+# torture-out/ on any invariant violation (see DESIGN.md §12 and
 # `go run ./cmd/nowa-torture -h`).
 torture:
 	$(GO) run ./cmd/nowa-torture -selftest -out torture-out

@@ -17,10 +17,10 @@ import (
 // contended words — 128 bytes covers adjacent-cache-line prefetching)
 // AND a compile-time guard that
 // keeps the arithmetic honest: a constant expression applying
-// unsafe.Sizeof (exact-size guards, as on vesselFreeList/rngState) or
-// unsafe.Offsetof (end-separation guards, as on the deque headers) to
-// the type. The guard is what turns a silently decayed pad into a build
-// break when fields are added or removed.
+// unsafe.Sizeof (size guards, as on chaos.Streams and sched's slot) or
+// unsafe.Offsetof (line-group guards, as on sched's slot and the deque
+// headers) to the type. The guard is what turns a silently decayed pad
+// into a build break when fields are added or removed.
 //
 // Structs that are singletons or only ever individually heap-allocated
 // have no adjacent instances to false-share with; they are exempted at

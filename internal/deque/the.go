@@ -49,6 +49,8 @@ func (d *THEDeque[T]) PushBottom(x *T) {
 // growLocked doubles the array under the lock. Head never moves backwards,
 // so copying the [head, tail) window into the enlarged array (at the same
 // absolute indices) is safe: thieves index the array absolutely.
+//
+//nowa:coldpath array doubling allocates and locks by design and amortises to O(1) pushes; it runs O(log n) times over a deque's life
 func (d *THEDeque[T]) growLocked(t int64) []atomic.Pointer[T] {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -5,7 +5,7 @@ import (
 	"slices"
 )
 
-// Steal-demand and idle-queue handshake model: the Runtime.demand word one
+// Steal-demand and idle-queue handshake model: the slot.demand word one
 // owner polls at each lazy spawn, two thieves posting on it, and the
 // cqs.Queue they sleep on — internal/sched's lazy Spawn, postDemand,
 // takeDemand, parkThief, wakeThief. A step is one shared-memory access,

@@ -2,55 +2,32 @@ package sched
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
-	"nowa/internal/api"
 	"nowa/internal/deque"
 )
 
-// TestABPDequeVariant runs the wait-free protocol on the bounded ABP
-// deque: legal as long as the spawn depth stays under the fixed capacity
-// (the §II-D limitation).
-func TestABPDequeVariant(t *testing.T) {
-	rt, err := New(Config{
-		Name:    "nowa-abp",
-		Workers: 4,
-		Deque:   deque.ABP,
-		Join:    WaitFree,
-	})
-	if err != nil {
-		t.Fatal(err)
+// The scheduler runs on the CL and THE deques only; the bounded ABP and
+// the fully locked deque stay in internal/deque for its own benchmarks
+// and for internal/childsteal. New must refuse them with an error.
+func requireDequeRejected(t *testing.T, alg deque.Algorithm) {
+	t.Helper()
+	rt, err := New(Config{Workers: 2, Deque: alg, Join: WaitFree})
+	if err == nil {
+		rt.Close()
+		t.Fatalf("New accepted the %v deque", alg)
 	}
-	defer rt.Close()
-	var got int
-	rt.Run(func(c api.Ctx) { got = fib(c, 16) })
-	if want := fibSerial(16); got != want {
-		t.Fatalf("fib(16) = %d, want %d", got, want)
-	}
-	cnt := rt.Counters()
-	if err := cnt.CheckQuiescent(); err != nil {
-		t.Errorf("conservation violated on ABP: %v", err)
+	if !strings.Contains(err.Error(), "CL or THE") {
+		t.Errorf("error %q does not name the supported deques", err)
 	}
 }
 
-func TestLockedDequeVariant(t *testing.T) {
-	// The fully locked strawman deque with the wait-free protocol.
-	rt, err := New(Config{
-		Name:    "nowa-lockedq",
-		Workers: 4,
-		Deque:   deque.Locked,
-		Join:    WaitFree,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	var got int
-	rt.Run(func(c api.Ctx) { got = fib(c, 14) })
-	if want := fibSerial(14); got != want {
-		t.Fatalf("fib(14) = %d, want %d", got, want)
-	}
-}
+// TestABPDequeVariant: the bounded ABP deque is no scheduler variant.
+func TestABPDequeVariant(t *testing.T) { requireDequeRejected(t, deque.ABP) }
+
+// TestLockedDequeVariant: the fully locked deque is no scheduler variant.
+func TestLockedDequeVariant(t *testing.T) { requireDequeRejected(t, deque.Locked) }
 
 // TestSeedsChangeStealPattern: the seed is the only key a run is
 // reproduced by, so it must decide victim selection — slot 1's first 256
@@ -61,7 +38,7 @@ func TestSeedsChangeStealPattern(t *testing.T) {
 		defer rt.Close()
 		out := make([]int, 256)
 		for i := range out {
-			out[i] = rt.stealVictim(1, &rt.rngs[1])
+			out[i] = rt.stealVictim(1)
 		}
 		return out
 	}

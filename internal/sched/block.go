@@ -3,8 +3,6 @@ package sched
 import (
 	"context"
 	rtrace "runtime/trace"
-	"sync/atomic"
-	"unsafe"
 
 	"nowa/internal/trace"
 )
@@ -32,24 +30,10 @@ import (
 // and the park guard declines to park while a wakeup is pending
 // (WakeupsLost) or a slot is filled.
 
-// nextSlot is a scheduling slot's next wakeup (Runtime.next), like Go's
-// runnext: filled only by the slot's token holder (WakeNext), emptied by
-// its passToken and stealLoop or by a parking thief. Padded like the
-// other per-slot words.
-type nextSlot struct {
-	w atomic.Pointer[Waiter]
-	_ [128 - 8]byte
-}
-
-const (
-	_ uintptr = unsafe.Sizeof(nextSlot{}) - 128
-	_ uintptr = 128 - unsafe.Sizeof(nextSlot{})
-)
-
 // takeNext empties slot i and returns its occupant; nil when it was
 // empty or another token took it first.
 func (rt *Runtime) takeNext(i int) *Waiter {
-	s := &rt.next[i].w
+	s := &rt.slots[i].next
 	if s.Load() == nil {
 		return nil
 	}
@@ -149,7 +133,7 @@ func (bw *Waiter) Wake() { bw.deliver(false) }
 // wakeup, so slot wakeups never starve queued ones.
 func (p *Proc) WakeNext(bw *Waiter) {
 	rt := p.rt
-	s := &rt.next[p.worker].w
+	s := &rt.slots[p.worker].next
 	bw.aborted = false
 	if bw.v.rt != rt || rt.wakeq.Pending() || s.Load() != nil || !s.CompareAndSwap(nil, bw) {
 		bw.deliver(false)

@@ -13,7 +13,7 @@ import (
 //
 //nowa:hotpath
 func (rt *Runtime) chaosRoll(w int, site uint8) bool {
-	return rt.chaos[w].Fire(rt.cfg.Chaos, site)
+	return rt.slots[w].chaos.Fire(rt.cfg.Chaos, site)
 }
 
 // chaosPrePopBottom runs the finish-path injections before popBottom.

@@ -110,7 +110,8 @@ type Config struct {
 	Name string
 	// Workers is the number of worker tokens (default 1).
 	Workers int
-	// Deque selects the work-stealing queue algorithm (default CL).
+	// Deque selects the work-stealing queue algorithm: CL (the default)
+	// or THE.
 	Deque deque.Algorithm
 	// Join selects the coordination protocol (default WaitFree).
 	Join JoinKind
@@ -141,9 +142,7 @@ type Config struct {
 	StallThreshold time.Duration
 }
 
-// dequeCap is every deque's initial capacity. For the bounded ABP deque
-// it is the FIXED capacity: it must exceed the deepest spawn chain, or
-// the runtime panics on overflow (the ABP drawback discussed in §II-D).
+// dequeCap is every deque's initial capacity.
 const dequeCap = 256
 
 func (c *Config) fill() error {
@@ -152,6 +151,9 @@ func (c *Config) fill() error {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
+	}
+	if c.Deque != deque.CL && c.Deque != deque.THE {
+		return fmt.Errorf("sched: unsupported deque %v (want CL or THE)", c.Deque)
 	}
 	if c.Join == LockedFibril && c.Deque != deque.THE {
 		return fmt.Errorf("sched: the Fibril protocol requires the THE deque (its lock couples with the frame lock); got %v", c.Deque)
@@ -162,9 +164,9 @@ func (c *Config) fill() error {
 	if c.StallThreshold < 0 {
 		c.StallThreshold = 0
 	}
-	// Per-slot structures (deques, stack caches, vessel free lists, RNG
-	// streams) are sized for base workers plus supplemental slots, so a
-	// supplement's owner-only accesses index real storage.
+	// The slots and the stack caches are sized for base workers plus
+	// supplemental slots, so a supplement's owner-only accesses index
+	// real storage.
 	c.Stacks.Workers = c.totalSlots()
 	if c.Stacks.StackBytes <= 0 {
 		c.Stacks.StackBytes = 16 << 10
@@ -179,10 +181,9 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// totalSlots is the number of scheduling slots the runtime sizes its
-// per-slot arrays for: the base worker tokens plus, when stall recovery
-// is armed, one supplement slot per worker — slot Workers+w belongs to
-// worker w's supplement.
+// totalSlots is the number of scheduling slots: the base worker tokens
+// plus, when stall recovery is armed, one supplement slot per worker —
+// slot Workers+w belongs to worker w's supplement.
 func (c *Config) totalSlots() int {
 	if c.StallThreshold > 0 {
 		return 2 * c.Workers

@@ -2,11 +2,8 @@ package sched_test
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"nowa/internal/apps"
@@ -14,8 +11,6 @@ import (
 	"nowa/internal/deque"
 	"nowa/internal/sched"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/schedule_counts.golden from this run")
 
 // TestScheduleCounts pins every trace counter of each kernel at one
 // worker to a golden table. With one token the schedule is a function
@@ -45,40 +40,5 @@ func TestScheduleCounts(t *testing.T) {
 		row(b, sched.SpawnEager)
 	}
 
-	golden := filepath.Join("testdata", "schedule_counts.golden")
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("schedule counts differ from %s (rerun with -update if the change is intended):\n%s",
-			golden, lineDiff(string(want), buf.String()))
-	}
-}
-
-// lineDiff lists the lines of want and got that differ, position by
-// position — the table has one row per kernel and mode, so a protocol
-// change reads as the rows it moved.
-func lineDiff(want, got string) string {
-	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
-	var out strings.Builder
-	for i := 0; i < len(w) || i < len(g); i++ {
-		var wl, gl string
-		if i < len(w) {
-			wl = w[i]
-		}
-		if i < len(g) {
-			gl = g[i]
-		}
-		if wl != gl {
-			fmt.Fprintf(&out, "- %s\n+ %s\n", wl, gl)
-		}
-	}
-	return out.String()
+	sched.CheckGolden(t, filepath.Join("testdata", "schedule_counts.golden"), buf.String())
 }

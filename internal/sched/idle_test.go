@@ -25,7 +25,9 @@ func idleRuntime(t *testing.T, workers int, victims [][]int) *Runtime {
 		Name: "nowa", Workers: workers, Deque: deque.CL, Join: WaitFree,
 		Spawn: SpawnEager,
 	})
-	rt.victimScript = victims
+	for w, vs := range victims {
+		rt.slots[w].script = vs
+	}
 	t.Cleanup(rt.Close)
 	return rt
 }
@@ -203,7 +205,7 @@ func TestIdleWindDownParks(t *testing.T) {
 			awaitCond(t, "the cancellation to latch", rt.cancel.Cancelled)
 			block.Store(true)
 			awaitCond(t, "both idle tokens to park beside the published continuation", func() bool { return parks() == base.Load()+2 })
-			if n := rt.deques[c.(*Proc).worker].Size(); n != 1 {
+			if n := rt.slots[c.(*Proc).worker].size(); n != 1 {
 				t.Errorf("deque holds %d continuations, want the root's", n)
 			}
 		})

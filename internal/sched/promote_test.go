@@ -46,10 +46,10 @@ func TestPromoteDemandPostRules(t *testing.T) {
 				awaitCond(t, "48 failed steals", func() bool {
 					return rt.rec.Worker(1)[trace.FailedSteals].Load() >= 48
 				})
-				if got := rt.demand[1].n.Load(); got != 0 {
+				if got := rt.slots[1].demand.Load(); got != 0 {
 					t.Errorf("thief posted demand on its own token (word = %d)", got)
 				}
-				if got := rt.demand[0].n.Load() == 1; got != lazy {
+				if got := rt.slots[0].demand.Load() == 1; got != lazy {
 					t.Errorf("demand posted on the polled token: %v, want %v", got, lazy)
 				}
 			})
@@ -85,7 +85,7 @@ func TestPromoteDemandHonouredOnce(t *testing.T) {
 		if p.v.eagerBurst != eagerBurstLen {
 			t.Errorf("eagerBurst = %d after the answered demand, want %d", p.v.eagerBurst, eagerBurstLen)
 		}
-		if got := rt.demand[0].n.Load(); got != 0 {
+		if got := rt.slots[0].demand.Load(); got != 0 {
 			t.Errorf("demand word = %d after it was answered, want 0", got)
 		}
 	})
@@ -112,7 +112,7 @@ func TestPromoteDemandDroppedAtStrandStart(t *testing.T) {
 	}
 	awaitCond(t, "both tokens to park with demand posted on each other", func() bool {
 		for w := 0; w < 2; w++ {
-			if rt.rec.Worker(w)[trace.ThiefParks].Load() != 1 || rt.demand[w].n.Load() != 1 {
+			if rt.rec.Worker(w)[trace.ThiefParks].Load() != 1 || rt.slots[w].demand.Load() != 1 {
 				return false
 			}
 		}
@@ -192,7 +192,9 @@ func TestPromoteParkedThievesWoken(t *testing.T) {
 		}
 	}
 	rt := MustNew(Config{Name: "nowa", Workers: workers, Deque: deque.CL, Join: WaitFree})
-	rt.victimScript = script
+	for w, vs := range script {
+		rt.slots[w].script = vs
+	}
 	defer rt.Close()
 	tally := func(id trace.ID) (n1, n2 int64) {
 		return rt.rec.Worker(1)[id].Load(), rt.rec.Worker(2)[id].Load()

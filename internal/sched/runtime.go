@@ -7,6 +7,7 @@ import (
 	rtrace "runtime/trace"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"nowa/internal/api"
 	"nowa/internal/cactus"
@@ -24,8 +25,6 @@ import (
 //
 //nowa:nopad the Runtime is a per-instance singleton; its atomic flags are control-path words (run start/stop, cancellation), not per-worker contended state; no per-operation path writes a field here (the wake and idle queues live behind pointers, the blocked-wait gauge is derived from the per-token counter blocks)
 type Runtime struct {
-	cfg Config
-
 	// Cached fast-path flags, derived from cfg once in New so the hot
 	// paths test a packed bool instead of chasing config pointers.
 	chaosOn  bool // cfg.Chaos != nil
@@ -33,18 +32,14 @@ type Runtime struct {
 	lazyOn   bool // cfg.Spawn != SpawnEager: Spawn runs children inline until a thief posts demand
 	stallOn  bool // cfg.StallThreshold > 0: heartbeats + a stall ticker started per run
 
-	deques    []deque.Deque[cont]
-	clDeques  []*deque.CLDeque[cont]  // non-nil iff cfg.Deque == CL: devirtualised hot path
-	theDeques []*deque.THEDeque[cont] // non-nil per worker iff cfg.Deque == THE
-	pool      *cactus.Pool
-	rec       *trace.Recorder
-	rngs      []rngState
+	// slots holds one record per scheduling slot: base workers
+	// 0..Workers-1, worker w's stall supplement Workers+w (see slot).
+	slots []slot
+	pool  *cactus.Pool
+	rec   *trace.Recorder
 
-	// demand holds one steal-demand word per scheduling slot: thieves
-	// write, the slot's token holder reads (see demandWord).
-	demand []demandWord
+	cfg Config
 
-	vlocal  []vesselFreeList
 	vglobal vesselGlobalList
 
 	//nowa:lock level=2 name=allMu
@@ -80,28 +75,16 @@ type Runtime struct {
 	// every sleeper must re-check drains it (wakeThieves).
 	idle *cqs.Queue
 
-	// External-wait state (block.go): wakeq routes wakeups fired off any
-	// worker token to idle thieves, next holds each scheduling slot's
-	// next wakeup.
+	// wakeq routes wakeups fired off any worker token to idle thieves
+	// (block.go).
 	wakeq core.WakeQueue[*Waiter]
-	next  []nextSlot
 
-	// chaos holds each scheduling slot's chaos streams, one per site.
-	chaos []chaos.Streams
-
-	// Stall recovery (all nil/zero unless stallOn; see stall.go). hb is
-	// indexed by scheduling slot: base workers 0..Workers-1, worker w's
-	// supplement Workers+w. victimHi is the number of victim-eligible
-	// slots, raised when a supplement arms, reset to Workers each Run.
-	hb           []hbSlot
+	// Stall recovery (all zero unless stallOn; see stall.go). victimHi is
+	// the number of victim-eligible slots, raised when a supplement arms,
+	// reset to Workers each Run.
 	victimHi     atomic.Int32
 	supplemented atomic.Int64
 	supRetired   atomic.Int64
-
-	// victimScript, when a test sets it before Run, dictates slot w's
-	// steal victims: its draws come from victimScript[w] while that
-	// lasts, from the slot's RNG after. Owner-only like the RNG.
-	victimScript [][]int
 
 	// traceCtx carries the current Run's runtime/trace task (a plain
 	// background context when tracing was off at Run start); strands
@@ -118,21 +101,76 @@ type Runtime struct {
 	svc atomic.Pointer[service]
 }
 
-// rngState is a per-worker xorshift64 generator for victim selection,
-// padded to 128 bytes against false sharing (two cache lines, covering
-// the adjacent-line prefetcher).
-type rngState struct {
-	s uint64
-	_ [120]byte
+// slot is one scheduling slot's state. Its fields are grouped by who
+// writes them, each group on a 128-byte line pair of its own (two cache
+// lines, covering the adjacent-line prefetcher), so that neither a
+// thief's nor the stall ticker's write bounces the owner's line.
+type slot struct {
+	// Owner group: only the strand holding the slot's token writes here,
+	// so nothing needs a lock or atomics: a vessel frees itself into free
+	// before it hands the token away, and the next holder is ordered
+	// behind that handoff. Diagnostic readers (DumpState) must not read
+	// free. The deque pointer is set in New, one of cl and the per
+	// Config.Deque; thieves only load it. script is a test's victims,
+	// drawn before rng (stealVictim).
+	cl     *deque.CLDeque[cont]
+	the    *deque.THEDeque[cont]
+	rng    uint64
+	free   []*vessel
+	script []int
+	chaos  chaos.Streams
+	_      [56]byte
+
+	// demand is the steal-demand flag: a thief that found the deque empty
+	// sets it, the token holder reads it at each lazy spawn and answers a
+	// set flag with an eager handoff. Thieves write, the owner only reads
+	// until it answers, so the no-steal spawn loads a line nobody else is
+	// writing.
+	demand atomic.Uint32
+	_      [124]byte
+
+	// next is the slot's next wakeup, like Go's runnext: filled only by
+	// the token holder (WakeNext), emptied by its passToken and stealLoop
+	// or by a parking thief.
+	next atomic.Pointer[Waiter]
+	_    [120]byte
+
+	// hb is the heartbeat the token holder bumps and the stall ticker
+	// samples; state, a base worker's stall word, moves one edge per
+	// party — ticker, returning worker, supplement (stall.go). A
+	// supplement slot's own state stays healthy.
+	hb atomic.Uint64
+	//nowa:fsm phases=wsHealthy,wsSupplemented,wsRetiring transitions=wsHealthy>wsSupplemented,wsSupplemented>wsRetiring,wsRetiring>wsHealthy
+	state atomic.Uint32
+	_     [116]byte
 }
 
-func (r *rngState) next() uint64 {
-	x := r.s
+// Compile-time guards: each group starts a line pair and slots abut on
+// pair boundaries, or the uintptr negation overflows and the build fails.
+const (
+	_ uintptr = -(unsafe.Offsetof(slot{}.cl) % 128)
+	_ uintptr = -(unsafe.Offsetof(slot{}.demand) % 128)
+	_ uintptr = -(unsafe.Offsetof(slot{}.next) % 128)
+	_ uintptr = -(unsafe.Offsetof(slot{}.hb) % 128)
+	_ uintptr = -(unsafe.Sizeof(slot{}) % 128)
+)
+
+// rand steps the slot's xorshift64 victim generator.
+func (s *slot) rand() uint64 {
+	x := s.rng
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17
-	r.s = x
+	s.rng = x
 	return x
+}
+
+// size is the slot's deque size (best effort while the run is live).
+func (s *slot) size() int {
+	if s.cl != nil {
+		return s.cl.Size()
+	}
+	return s.the.Size()
 }
 
 // New creates a runtime from cfg.
@@ -140,53 +178,34 @@ func New(cfg Config) (*Runtime, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	// slots counts the scheduling slots every per-slot array is sized
-	// for: base workers plus (when stall recovery is armed) the
-	// supplemental slots. See stall.go.
-	slots := cfg.totalSlots()
+	n := cfg.totalSlots()
 	rt := &Runtime{
-		cfg:      cfg,
 		chaosOn:  cfg.Chaos != nil,
 		waitFree: cfg.Join == WaitFree,
 		lazyOn:   cfg.Spawn != SpawnEager,
 		stallOn:  cfg.StallThreshold > 0,
-		deques:   make([]deque.Deque[cont], slots),
+		slots:    make([]slot, n),
 		pool:     cactus.NewPool(cfg.Stacks),
-		rec:      trace.NewRecorder(slots),
-		rngs:     make([]rngState, slots),
-		demand:   make([]demandWord, slots),
-		next:     make([]nextSlot, slots),
-		vlocal:   make([]vesselFreeList, slots),
+		rec:      trace.NewRecorder(n),
+		cfg:      cfg,
 		idle:     cqs.NewQueue(),
 	}
-	if cfg.Deque == deque.THE {
-		rt.theDeques = make([]*deque.THEDeque[cont], slots)
-	}
-	if cfg.Deque == deque.CL {
-		rt.clDeques = make([]*deque.CLDeque[cont], slots)
-	}
-	for w := 0; w < slots; w++ {
-		d := deque.New[cont](cfg.Deque, dequeCap)
-		rt.deques[w] = d
-		if rt.theDeques != nil {
-			rt.theDeques[w] = d.(*deque.THEDeque[cont])
+	for w := range rt.slots {
+		s := &rt.slots[w]
+		if cfg.Deque == deque.CL {
+			s.cl = deque.NewCL[cont](dequeCap)
+		} else {
+			s.the = deque.NewTHE[cont](dequeCap)
 		}
-		if rt.clDeques != nil {
-			rt.clDeques[w] = d.(*deque.CLDeque[cont])
-		}
-		rt.rngs[w].s = uint64(cfg.Seed) + uint64(w)*0x9e3779b97f4a7c15 + 1
-		// Pre-size the owner-local vessel caches so steady-state frees
-		// never grow the slice (keeps the spawn path allocation-free).
-		rt.vlocal[w].free = make([]*vessel, 0, perWorkerVesselCap)
-	}
-	if cfg.Chaos != nil {
-		rt.chaos = make([]chaos.Streams, slots)
-		for w := range rt.chaos {
-			rt.chaos[w].Seed(cfg.Chaos.Seed, w)
+		s.rng = uint64(cfg.Seed) + uint64(w)*0x9e3779b97f4a7c15 + 1
+		// Pre-size the vessel cache so steady-state frees never grow the
+		// slice (keeps the spawn path allocation-free).
+		s.free = make([]*vessel, 0, perWorkerVesselCap)
+		if cfg.Chaos != nil {
+			s.chaos.Seed(cfg.Chaos.Seed, w)
 		}
 	}
 	if rt.stallOn {
-		rt.hb = make([]hbSlot, slots)
 		rt.victimHi.Store(int32(cfg.Workers))
 	}
 	return rt, nil
@@ -267,7 +286,7 @@ func (rt *Runtime) runInternal(ctx context.Context, root func(api.Ctx)) error {
 	defer rt.running.Store(false)
 
 	rt.done.Store(false)
-	for w := range rt.demand {
+	for w := range rt.slots {
 		// No token exists yet: whatever the last run's thieves left posted
 		// is nobody's demand.
 		rt.takeDemand(w)
@@ -403,14 +422,14 @@ func (rt *Runtime) parkThief(p *Proc) {
 		return
 	}
 	var bw *Waiter
-	for i := 0; i < len(rt.next) && bw == nil; i++ {
+	for i := 0; i < len(rt.slots) && bw == nil; i++ {
 		bw = rt.takeNext(i)
 	}
 	look := bw != nil
 	if look {
 		// Only this token's holder fills its own slot, and the steal
 		// loop emptied it before coming here.
-		rt.next[w].w.Store(bw)
+		rt.slots[w].next.Store(bw)
 	} else if rt.done.Load() || rt.cancel.Cancelled() {
 		// Winding down, thieves steal nothing: the only reason to be
 		// awake is an open retirement gate. While blocked waits hold it
@@ -467,8 +486,8 @@ func (rt *Runtime) parkThief(p *Proc) {
 
 // anyDequeNonEmpty scans all worker deques (best-effort sizes).
 func (rt *Runtime) anyDequeNonEmpty() bool {
-	for _, d := range rt.deques {
-		if d.Size() > 0 {
+	for i := range rt.slots {
+		if rt.slots[i].size() > 0 {
 			return true
 		}
 	}
@@ -517,23 +536,24 @@ func (rt *Runtime) DebugTokensLeft() int64 { return rt.tokensLeft.Load() }
 func (rt *Runtime) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "sched runtime %q: workers=%d tokensLeft=%d running=%v cancelled=%v\n",
 		rt.cfg.Name, rt.cfg.Workers, rt.DebugTokensLeft(), rt.running.Load(), rt.cancel.Cancelled())
-	for i, d := range rt.deques {
+	for i := range rt.slots {
+		s := &rt.slots[i]
 		next := "none"
-		if bw := rt.next[i].w.Load(); bw != nil {
+		if bw := s.next.Load(); bw != nil {
 			next = fmt.Sprintf("waiter %p", bw)
 		}
 		if i < rt.cfg.Workers {
-			fmt.Fprintf(w, "  worker %d: deque size %d, next wakeup %s\n", i, d.Size(), next)
+			fmt.Fprintf(w, "  worker %d: deque size %d, next wakeup %s\n", i, s.size(), next)
 		} else {
-			fmt.Fprintf(w, "  supplement slot %d (worker %d): deque size %d, next wakeup %s\n", i-rt.cfg.Workers, i, d.Size(), next)
+			fmt.Fprintf(w, "  supplement slot %d (worker %d): deque size %d, next wakeup %s\n", i-rt.cfg.Workers, i, s.size(), next)
 		}
 	}
 	if rt.stallOn {
 		fmt.Fprintf(w, "  stall recovery: supplemented=%d retired=%d victimSlots=%d\n",
 			rt.supplemented.Load(), rt.supRetired.Load(), rt.victimHi.Load())
 		for i := 0; i < rt.cfg.Workers; i++ {
-			if st := rt.hb[i].state.Load(); st != wsHealthy {
-				fmt.Fprintf(w, "  worker %d stall word: %d (1=supplemented 2=retiring) heartbeat=%d\n", i, st, rt.hb[i].n.Load())
+			if st := rt.slots[i].state.Load(); st != wsHealthy {
+				fmt.Fprintf(w, "  worker %d stall word: %d (1=supplemented 2=retiring) heartbeat=%d\n", i, st, rt.slots[i].hb.Load())
 			}
 		}
 	}

@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"sync/atomic"
-	"time"
-	"unsafe"
-)
+import "time"
 
 // Stall recovery (DESIGN.md §15.1). A strand that seizes its OS thread
 // — a blocking syscall, a pathological user function, an injected
@@ -40,33 +36,13 @@ const (
 	wsRetiring
 )
 
-// hbSlot is one slot's heartbeat — a monotonic counter bumped at every
-// scheduler touch of the slot's token — and, for a base worker, its
-// stall word (see the ws* phases). The token holder bumps the counter
-// and the ticker samples it; the word moves one edge per party —
-// ticker, returning worker, supplement. Padded like the RNG streams
-// so the ticker's sampling never bounces a worker's line. A supplement
-// slot's own word stays healthy: its pair's word is hb[w].state.
-type hbSlot struct {
-	n atomic.Uint64
-	//nowa:fsm phases=wsHealthy,wsSupplemented,wsRetiring transitions=wsHealthy>wsSupplemented,wsSupplemented>wsRetiring,wsRetiring>wsHealthy
-	state atomic.Uint32
-	_     [116]byte
-}
-
-// Compile-time pad guards, same discipline as vesselFreeList/rngState.
-const (
-	_ uintptr = unsafe.Sizeof(hbSlot{}) - 128
-	_ uintptr = 128 - unsafe.Sizeof(hbSlot{})
-)
-
 // beat bumps slot w's heartbeat. Callers gate on rt.stallOn, so the
 // disabled configuration pays nothing. Supplemental slots bump too —
 // harmless, the ticker samples base workers only.
 //
 //nowa:hotpath
 func (rt *Runtime) beat(w int) {
-	rt.hb[w].n.Add(1)
+	rt.slots[w].hb.Add(1)
 }
 
 // stallFinishCheck is the strand-finish stall-recovery hook: heartbeat
@@ -77,7 +53,7 @@ func (rt *Runtime) beat(w int) {
 //nowa:hotpath
 func (rt *Runtime) stallFinishCheck(w int) {
 	rt.beat(w)
-	if rt.hb[w].state.Load() == wsSupplemented {
+	if rt.slots[w].state.Load() == wsSupplemented {
 		rt.stallReentry(w)
 	}
 }
@@ -96,7 +72,7 @@ func (rt *Runtime) stallStealCheck(w int) bool {
 	if w < rt.cfg.Workers {
 		return false
 	}
-	return rt.hb[w-rt.cfg.Workers].state.Load() == wsRetiring && rt.deques[w].Size() == 0
+	return rt.slots[w-rt.cfg.Workers].state.Load() == wsRetiring && rt.slots[w].size() == 0
 }
 
 // stallReentry is the returning worker's side of the cycle: the CAS
@@ -105,7 +81,7 @@ func (rt *Runtime) stallStealCheck(w int) bool {
 //
 //nowa:coldpath runs only while the stall word is off healthy — a detected stall returning, by definition rare
 func (rt *Runtime) stallReentry(w int) {
-	if rt.hb[w].state.CompareAndSwap(wsSupplemented, wsRetiring) {
+	if rt.slots[w].state.CompareAndSwap(wsSupplemented, wsRetiring) {
 		rt.wakeThieves()
 	}
 }
@@ -131,7 +107,7 @@ func (rt *Runtime) retireTokenFrom(w int) {
 //nowa:coldpath runs once per supplement retirement
 func (rt *Runtime) retireSupplement(ws int) {
 	w := ws - rt.cfg.Workers
-	s := &rt.hb[w].state
+	s := &rt.slots[w].state
 	s.CompareAndSwap(wsSupplemented, wsRetiring)
 	if s.CompareAndSwap(wsRetiring, wsHealthy) {
 		rt.supRetired.Add(1)
@@ -160,7 +136,7 @@ func (rt *Runtime) seizeWorker(w int) {
 		}
 	}
 	v := rt.getVessel(ws)
-	rt.hb[w].state.Store(wsSupplemented)
+	rt.slots[w].state.Store(wsSupplemented)
 	// Publish the slot as a steal victim before the supplement can
 	// publish continuations into it.
 	for {
@@ -186,7 +162,7 @@ func (rt *Runtime) startStallTicker() (stop func()) {
 	need := max(int(rt.cfg.StallThreshold/tick), 1)
 	last, stale := make([]uint64, rt.cfg.Workers), make([]int, rt.cfg.Workers)
 	for w := range last {
-		last[w] = rt.hb[w].n.Load()
+		last[w] = rt.slots[w].hb.Load()
 	}
 	quit, exited := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -207,8 +183,8 @@ func (rt *Runtime) startStallTicker() (stop func()) {
 			// stale heartbeat a stall rather than idleness.
 			work := rt.anyDequeNonEmpty() || rt.submissionsQueued()
 			for w := range last {
-				cur := rt.hb[w].n.Load()
-				if cur != last[w] || !work || rt.hb[w].state.Load() != wsHealthy {
+				cur := rt.slots[w].hb.Load()
+				if cur != last[w] || !work || rt.slots[w].state.Load() != wsHealthy {
 					last[w], stale[w] = cur, 0
 					continue
 				}

@@ -32,7 +32,7 @@ func stallCfg(workers int) Config {
 func TestStallSlotSizing(t *testing.T) {
 	plain := NewNowa(4)
 	defer plain.Close()
-	if got := len(plain.deques); got != 4 {
+	if got := len(plain.slots); got != 4 {
 		t.Fatalf("%d slots without stall recovery, want 4", got)
 	}
 	st := plain.Stats()
@@ -42,7 +42,7 @@ func TestStallSlotSizing(t *testing.T) {
 
 	armed := MustNew(stallCfg(4))
 	defer armed.Close()
-	if got := len(armed.deques); got != 8 {
+	if got := len(armed.slots); got != 8 {
 		t.Fatalf("%d slots with recovery armed, want 8 (2×Workers)", got)
 	}
 }
@@ -393,7 +393,7 @@ func TestStallRetireFlagSeenAtPark(t *testing.T) {
 	// stall word behind the test's back.
 	ws := rt.cfg.Workers
 	rt.tokensLeft.Add(1)
-	rt.hb[0].state.CompareAndSwap(wsHealthy, wsSupplemented)
+	rt.slots[0].state.CompareAndSwap(wsHealthy, wsSupplemented)
 	rt.victimHi.Store(int32(ws + 1))
 	rt.supplemented.Add(1)
 	v := &vessel{rt: rt}
@@ -404,7 +404,7 @@ func TestStallRetireFlagSeenAtPark(t *testing.T) {
 		t.Fatal("retire phase seen before the worker returned")
 	}
 	rt.stallReentry(0)
-	if st := rt.hb[0].state.Load(); st != wsRetiring {
+	if st := rt.slots[0].state.Load(); st != wsRetiring {
 		t.Fatalf("stall word %d after the worker's re-entry, want retiring", st)
 	}
 	retired := rt.supRetired.Load()

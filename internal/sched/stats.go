@@ -101,13 +101,13 @@ func (rt *Runtime) CheckIdle() error {
 	if left := rt.tokensLeft.Load(); left != 0 {
 		return fmt.Errorf("tokens: %d tokens unaccounted", left)
 	}
-	for w := range rt.deques {
-		if n := rt.deques[w].Size(); n != 0 {
+	for w := range rt.slots {
+		if n := rt.slots[w].size(); n != 0 {
 			return fmt.Errorf("quiescence: deque %d holds %d continuations", w, n)
 		}
 	}
-	for w := range rt.next {
-		if rt.next[w].w.Load() != nil {
+	for w := range rt.slots {
+		if rt.slots[w].next.Load() != nil {
 			return fmt.Errorf("wait-leak: slot %d holds a wakeup no token took", w)
 		}
 	}
@@ -139,8 +139,8 @@ func (rt *Runtime) countPooledLocked() int {
 	rt.vglobal.mu.Lock()
 	n := len(rt.vglobal.free)
 	rt.vglobal.mu.Unlock()
-	for w := range rt.vlocal {
-		n += len(rt.vlocal[w].free)
+	for w := range rt.slots {
+		n += len(rt.slots[w].free)
 	}
 	return n
 }

@@ -18,7 +18,6 @@ import (
 func (rt *Runtime) stealLoop(p *Proc) {
 	w := p.worker
 	rec := rt.rec.Worker(w)
-	rng := &rt.rngs[w]
 	bounded := rt.cfg.Stacks.GlobalCap > 0
 	fails := 0
 	for {
@@ -77,7 +76,7 @@ func (rt *Runtime) stealLoop(p *Proc) {
 			return
 		}
 
-		if rt.chaosOn && rt.chaos[w].PreSteal(rt.cfg.Chaos) {
+		if rt.chaosOn && rt.slots[w].chaos.PreSteal(rt.cfg.Chaos) {
 			// Forced failed steal: abandon the attempt outright.
 			rec[trace.FailedSteals].Add(1)
 			rt.stealBackoff(p, &fails)
@@ -96,7 +95,7 @@ func (rt *Runtime) stealLoop(p *Proc) {
 			preStack = s
 		}
 
-		victim := rt.stealVictim(w, rng)
+		victim := rt.stealVictim(w)
 		c, outcome := rt.popTopSteal(victim)
 		if outcome != deque.StealHit {
 			if outcome == deque.StealEmpty && rt.lazyOn && victim != w {
@@ -156,7 +155,7 @@ func (rt *Runtime) stealLoop(p *Proc) {
 //
 //nowa:hotpath
 func (rt *Runtime) postDemand(w, victim int) {
-	d := &rt.demand[victim].n
+	d := &rt.slots[victim].demand
 	if d.Load() == 0 && d.CompareAndSwap(0, 1) {
 		rt.rec.Worker(w)[trace.InterestSignals].Add(1)
 	}
@@ -175,7 +174,7 @@ func (rt *Runtime) postDemand(w, victim int) {
 //
 //nowa:hotpath
 func (rt *Runtime) takeDemand(w int) bool {
-	d := &rt.demand[w].n
+	d := &rt.slots[w].demand
 	if d.Load() == 0 {
 		return false
 	}
@@ -194,16 +193,17 @@ func (rt *Runtime) submissionsQueued() bool {
 	return svc != nil && svc.adm.depth.Load() > 0
 }
 
-// stealVictim draws the next steal victim from the per-worker RNG — the
+// stealVictim draws slot w's next steal victim from its RNG — the
 // paper's randomized work stealing — unless a test scripted the slot's
-// victims (victimScript).
-func (rt *Runtime) stealVictim(w int, rng *rngState) int {
-	if w < len(rt.victimScript) && len(rt.victimScript[w]) > 0 {
-		v := rt.victimScript[w][0]
-		rt.victimScript[w] = rt.victimScript[w][1:]
+// victims (slot.script).
+func (rt *Runtime) stealVictim(w int) int {
+	s := &rt.slots[w]
+	if len(s.script) > 0 {
+		v := s.script[0]
+		s.script = s.script[1:]
 		return v
 	}
-	return int(rng.next() % uint64(rt.victimSlots()))
+	return int(s.rand() % uint64(rt.victimSlots()))
 }
 
 // victimSlots is the number of victim-eligible scheduling slots: the base
@@ -228,8 +228,9 @@ func (rt *Runtime) victimSlots() int {
 // the empty deque is ordered after the thief's count increment — the
 // hazardous race of §III-C is excluded by blocking, not transformed.
 func (rt *Runtime) popTopSteal(victim int) (*cont, deque.StealOutcome) {
+	s := &rt.slots[victim]
 	if rt.cfg.Join == LockedFibril {
-		d := rt.theDeques[victim]
+		d := s.the
 		d.Lock()
 		c, o := d.PopTopLockedOutcome()
 		if o != deque.StealHit {
@@ -243,7 +244,13 @@ func (rt *Runtime) popTopSteal(victim int) (*cont, deque.StealOutcome) {
 		lj.Unlock()
 		return c, deque.StealHit
 	}
-	c, o := rt.deques[victim].PopTopOutcome()
+	var c *cont
+	var o deque.StealOutcome
+	if s.cl != nil {
+		c, o = s.cl.PopTopOutcome()
+	} else {
+		c, o = s.the.PopTopOutcome()
+	}
 	if o != deque.StealHit {
 		return nil, o
 	}

@@ -5,8 +5,6 @@ import (
 	rtrace "runtime/trace"
 	"strconv"
 	"sync"
-	"sync/atomic"
-	"unsafe"
 
 	"nowa/internal/api"
 	"nowa/internal/cactus"
@@ -43,17 +41,6 @@ var retire = dispatch{worker: -1}
 type cont struct {
 	v     *vessel
 	scope *scope // the spawning function's scope, for the thief's OnSteal
-}
-
-// demandWord is one scheduling slot's steal-demand flag (Runtime.demand):
-// a thief that found the slot's deque empty sets it, the strand holding
-// the slot's token reads it at each lazy spawn and answers a set flag
-// with an eager handoff. Thieves write, the owner only reads — until it
-// answers — so the no-steal spawn pays one load of a line nobody else is
-// writing. Padded like the other per-slot words.
-type demandWord struct {
-	n atomic.Uint32
-	_ [128 - 4]byte
 }
 
 // eagerBurstLen is how many consecutive spawns a vessel runs eagerly
@@ -112,21 +99,6 @@ func (v *vessel) flushCounters(w int) {
 	v.rt.rec.Worker(w).Flush(&v.pend)
 }
 
-// vesselFreeList is one worker's vessel cache. It is owner-local like the
-// victim RNG: only the strand currently holding the worker's token pushes
-// or pops, so the slice needs no lock or atomics — a vessel frees itself
-// into the list of the token it holds *before* handing that token away,
-// and the next holder's accesses are ordered behind that handoff.
-// Diagnostic readers (DumpState) must not touch the slice; they report
-// the global pool and total-created counts instead.
-//
-// The pad keeps adjacent workers' lists — mutated on every spawn — on
-// separate cache-line pairs (128 B covers the adjacent-line prefetcher).
-type vesselFreeList struct {
-	free []*vessel
-	_    [128 - 24]byte
-}
-
 // vesselGlobalList is the shared overflow list behind the owner-local
 // caches; the mutex is only taken when a local list misses or overflows.
 type vesselGlobalList struct {
@@ -135,39 +107,28 @@ type vesselGlobalList struct {
 	free []*vessel
 }
 
-// Compile-time guards: the per-worker hot structs must stay padded to a
-// multiple of 128 bytes, or adjacent workers false-share.
-const (
-	_ uintptr = unsafe.Sizeof(vesselFreeList{}) - 128
-	_ uintptr = 128 - unsafe.Sizeof(vesselFreeList{})
-	_ uintptr = unsafe.Sizeof(rngState{}) - 128
-	_ uintptr = 128 - unsafe.Sizeof(rngState{})
-	_ uintptr = unsafe.Sizeof(demandWord{}) - 128
-	_ uintptr = 128 - unsafe.Sizeof(demandWord{})
-)
-
 const perWorkerVesselCap = 8
 
-// pushBottom and popBottom route the owner-side deque operations through
-// the concrete Chase–Lev type when that is the configured algorithm, so
-// the compiler can inline the lock-free fast paths instead of emitting an
-// interface call per spawn. Other algorithms keep the interface path.
+// pushBottom and popBottom are the owner-side deque operations on slot
+// w, called on the concrete type so the compiler can inline the fast
+// paths instead of emitting an interface call per spawn.
 //
 //nowa:hotpath
 func (rt *Runtime) pushBottom(w int, c *cont) {
-	if rt.clDeques != nil {
-		rt.clDeques[w].PushBottom(c)
-		return
+	if s := &rt.slots[w]; s.cl != nil {
+		s.cl.PushBottom(c)
+	} else {
+		s.the.PushBottom(c)
 	}
-	rt.deques[w].PushBottom(c)
 }
 
 //nowa:hotpath
 func (rt *Runtime) popBottom(w int) (*cont, bool) {
-	if rt.clDeques != nil {
-		return rt.clDeques[w].PopBottom()
+	s := &rt.slots[w]
+	if s.cl != nil {
+		return s.cl.PopBottom()
 	}
-	return rt.deques[w].PopBottom()
+	return s.the.PopBottom()
 }
 
 // newVessel allocates and starts a fresh vessel goroutine, counting it
@@ -203,11 +164,11 @@ func (rt *Runtime) newVessel() *vessel {
 //
 //nowa:hotpath
 func (rt *Runtime) getVessel(w int) *vessel {
-	lf := &rt.vlocal[w]
-	if n := len(lf.free); n > 0 {
-		v := lf.free[n-1]
-		lf.free[n-1] = nil
-		lf.free = lf.free[:n-1]
+	s := &rt.slots[w]
+	if n := len(s.free); n > 0 {
+		v := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
 		return v
 	}
 	return rt.getVesselSlow()
@@ -246,9 +207,9 @@ func (rt *Runtime) freeVessel(v *vessel, w int) {
 		// list, so the idle reconciliation reports it leaked.
 		return
 	}
-	lf := &rt.vlocal[w]
-	if len(lf.free) < perWorkerVesselCap {
-		lf.free = append(lf.free, v) //nowa:hotpath-ok guarded by the cap check against the pre-sized backing array (New reserves perWorkerVesselCap); never reallocates
+	s := &rt.slots[w]
+	if len(s.free) < perWorkerVesselCap {
+		s.free = append(s.free, v) //nowa:hotpath-ok guarded by the cap check against the pre-sized backing array (New reserves perWorkerVesselCap); never reallocates
 		return
 	}
 	rt.freeVesselGlobal(v)

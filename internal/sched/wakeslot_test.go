@@ -159,7 +159,7 @@ func TestWakeSlotCheckIdle(t *testing.T) {
 	if err := rt.CheckIdle(); err != nil {
 		t.Fatalf("idle runtime: %v", err)
 	}
-	rt.next[1].w.Store(&Waiter{})
+	rt.slots[1].next.Store(&Waiter{})
 	err := rt.CheckIdle()
 	if err == nil || !strings.HasPrefix(err.Error(), "wait-leak: slot 1") {
 		t.Errorf("CheckIdle with slot 1 occupied = %v, want a wait-leak naming slot 1", err)
@@ -170,7 +170,7 @@ func TestWakeSlotCheckIdle(t *testing.T) {
 		!strings.Contains(b.String(), "worker 1: deque size 0, next wakeup waiter 0x") {
 		t.Errorf("DumpState does not show the slots:\n%s", b.String())
 	}
-	rt.next[1].w.Store(nil)
+	rt.slots[1].next.Store(nil)
 	if err := rt.CheckIdle(); err != nil {
 		t.Errorf("after clearing the slot: %v", err)
 	}
