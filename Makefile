@@ -3,7 +3,10 @@
 # repo's own invariant analyzer), model-checks (nowa-model exits non-zero
 # if a protocol is violated or a planted bug goes unfound) and tests
 # everything, including the race-enabled chaos/cancellation/misuse stress
-# subset, a smoke run
+# subset; then, built with -tags nowacheck, it vets and runs the real CL
+# and THE deques under internal/atomicx's interleaving controller (every
+# schedule up to a preemption bound, the planted mutants found, the
+# freeze checks); then a smoke run
 # of the spawn-overhead benchmark (catches fast-path breakage that only
 # -bench exercises) and the TestSpawnFloor latency gate (catches a
 # goroutine switch or shared-memory traffic sneaking back onto the lazy
@@ -42,6 +45,8 @@ verify:
 	$(GO) run ./cmd/nowa-model > /dev/null
 	$(GO) test ./...
 	$(RACE_TEST)
+	$(GO) vet -tags nowacheck ./internal/atomicx ./internal/deque
+	$(GO) test -tags nowacheck -timeout 5m ./internal/atomicx/... ./internal/deque/...
 	$(GO) test -run '^$$' -bench SpawnOverhead -benchtime 10x .
 	$(GO) test -run 'TestSpawnFloor' -count 1 .
 

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // Helpers shared by the analyzers: classifying sync/atomic usage and
@@ -16,18 +17,20 @@ var atomicMethodNames = map[string]bool{
 	"CompareAndSwap": true, "Or": true, "And": true,
 }
 
-// isAtomicType reports whether t (after pointer indirection) is a named
-// type declared in sync/atomic.
+// isAtomicType reports whether t (after pointer indirection and alias
+// resolution) is a named type declared in sync/atomic or in
+// internal/atomicx, whose Pointer wraps atomic.Pointer and whose other
+// names alias the sync/atomic types.
 func isAtomicType(t types.Type) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	n, ok := t.(*types.Named)
+	n, ok := types.Unalias(t).(*types.Named)
 	if !ok {
 		return false
 	}
 	pkg := n.Obj().Pkg()
-	return pkg != nil && pkg.Path() == "sync/atomic"
+	return pkg != nil && (pkg.Path() == "sync/atomic" || strings.HasSuffix("/"+pkg.Path(), "/internal/atomicx"))
 }
 
 // fieldOf resolves expr to the struct-field object it selects, or nil.

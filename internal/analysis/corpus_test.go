@@ -74,7 +74,20 @@ func TestPadguardCorpus(t *testing.T) {
 		"struct raw has atomic field word but no compile-time guard",
 		"struct bareBlock has atomic field cells but no 128-byte padding",
 		"struct bareBlock has atomic field cells but no compile-time guard",
+		"struct nakedX has atomic field n but no 128-byte padding",
+		"struct nakedX has atomic field n but no compile-time guard",
+		"struct nakedRing has atomic field ring but no 128-byte padding",
+		"struct nakedRing has atomic field ring but no compile-time guard",
 	})
+}
+
+// TestCorporaUnderTypeAliases reruns the corpora whose fields are
+// declared through internal/atomicx's aliases with go/types keeping
+// aliases as *types.Alias, its default once go.mod says go 1.23.
+func TestCorporaUnderTypeAliases(t *testing.T) {
+	t.Setenv("GODEBUG", "gotypesalias=1")
+	TestPadguardCorpus(t)
+	TestLockorderCorpus(t)
 }
 
 func TestJoinencCorpus(t *testing.T) {
@@ -89,6 +102,7 @@ func TestLockorderCorpus(t *testing.T) {
 	m := loadCorpus(t, "lockorder")
 	wantFindings(t, RunAll(m, []*Analyzer{Lockorder()}), []string{
 		"lock outer (level 1) acquired while holding inner (level 2)",
+		"lock outer (level 1) acquired while holding deq (level 3)",
 		"lock outer acquired while already held (double-lock)",
 		"call to (*state).lockInner re-acquires inner already held (double-lock)",
 		"channel send while holding outer (level 1)",

@@ -200,9 +200,10 @@ func collectLockDecls(m *Module, out *[]Finding) map[*types.Var]*lockDecl {
 	return locks
 }
 
-// isMutexType reports whether t is sync.Mutex.
+// isMutexType reports whether t is sync.Mutex, or an alias of it such
+// as internal/atomicx.Mutex.
 func isMutexType(t types.Type) bool {
-	n, ok := t.(*types.Named)
+	n, ok := types.Unalias(t).(*types.Named)
 	if !ok {
 		return false
 	}

@@ -13,7 +13,21 @@ type state struct {
 	outer sync.Mutex
 	//nowa:lock level=2 name=inner
 	inner sync.Mutex
-	ch    chan int
+	//nowa:lock level=3 name=deq
+	deq mutex
+	ch  chan int
+}
+
+// mutex is the deques' lock as internal/atomicx declares it in a normal
+// build: an alias of sync.Mutex.
+type mutex = sync.Mutex
+
+// deqBackwards takes outer under the deque lock, against the hierarchy.
+func (s *state) deqBackwards() {
+	s.deq.Lock()
+	s.outer.Lock() // want: out-of-order acquisition
+	s.outer.Unlock()
+	s.deq.Unlock()
 }
 
 // ordered acquires strictly by level: clean.

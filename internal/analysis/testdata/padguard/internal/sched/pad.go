@@ -5,6 +5,8 @@ package sched
 import (
 	"sync/atomic"
 	"unsafe"
+
+	"corpus/padguard/internal/atomicx"
 )
 
 // naked has an atomic field but neither pad nor guard: two findings.
@@ -62,3 +64,13 @@ type paddedBlock struct {
 }
 
 const _ uintptr = -(unsafe.Sizeof(paddedBlock{}) % 128)
+
+// The deques declare their words through internal/atomicx; a header of
+// those types is policed like its sync/atomic twin: two findings each.
+type nakedX struct {
+	n atomicx.Int64
+}
+
+type nakedRing struct {
+	ring atomicx.Pointer[int]
+}

@@ -1,6 +1,6 @@
 package deque
 
-import "sync/atomic"
+import "nowa/internal/atomicx"
 
 // CLDeque is the dynamic circular work-stealing deque of Chase and Lev
 // (SPAA'05), following the C11 formulation of Lê et al. (PPoPP'13). Both
@@ -14,20 +14,20 @@ import "sync/atomic"
 // ring replacement safe without hazard pointers: a thief holding a stale
 // ring can still read its slots; its subsequent CAS on top fails.
 type CLDeque[T any] struct {
-	top    atomic.Int64 // next index thieves steal from
-	_      [15]int64    // pad to 128 B: separate cache-line PAIRS (adjacent-line prefetcher)
-	bottom atomic.Int64 // next index the owner pushes at
+	top    atomicx.Int64 // next index thieves steal from
+	_      [15]int64     // pad to 128 B: separate cache-line PAIRS (adjacent-line prefetcher)
+	bottom atomicx.Int64 // next index the owner pushes at
 	_      [15]int64
-	ring   atomic.Pointer[clRing[T]]
+	ring   atomicx.Pointer[clRing[T]]
 }
 
 type clRing[T any] struct {
 	mask  int64
-	slots []atomic.Pointer[T]
+	slots []atomicx.Pointer[T]
 }
 
 func newCLRing[T any](size int) *clRing[T] {
-	return &clRing[T]{mask: int64(size - 1), slots: make([]atomic.Pointer[T], size)}
+	return &clRing[T]{mask: int64(size - 1), slots: make([]atomicx.Pointer[T], size)}
 }
 
 func (r *clRing[T]) get(i int64) *T    { return r.slots[i&r.mask].Load() }

@@ -25,6 +25,11 @@
 // empty posts steal demand on the owner's token, a word beside the deque,
 // and the owner answers by publishing its next continuation; no deque
 // algorithm needed changes for this.
+//
+// CL and THE declare their shared words through internal/atomicx, so
+// `go test -tags nowacheck ./internal/deque/...` runs this very code
+// under every schedule of an owner and a few thieves up to a preemption
+// bound (check_test.go).
 package deque
 
 import "fmt"

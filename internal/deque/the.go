@@ -1,9 +1,6 @@
 package deque
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "nowa/internal/atomicx"
 
 // THEDeque implements the Tail/Head/Exception protocol of Cilk-5
 // (Frigo, Leiserson, Randall — PLDI'98). The owner manipulates the tail
@@ -18,18 +15,18 @@ import (
 // the deque empty, reclaiming space. The array grows under the lock when
 // full, standing in for Cilk-5's fixed-size deque with overflow abort.
 type THEDeque[T any] struct {
-	head  atomic.Int64 // H: next index thieves steal from
-	_     [15]int64    // pad to 128 B: separate cache-line PAIRS (adjacent-line prefetcher)
-	tail  atomic.Int64 // T: next index the owner pushes at
+	head  atomicx.Int64 // H: next index thieves steal from
+	_     [15]int64     // pad to 128 B: separate cache-line PAIRS (adjacent-line prefetcher)
+	tail  atomicx.Int64 // T: next index the owner pushes at
 	_     [15]int64
-	mu    sync.Mutex
-	slots atomic.Pointer[[]atomic.Pointer[T]]
+	mu    atomicx.Mutex
+	slots atomicx.Pointer[[]atomicx.Pointer[T]]
 }
 
 // NewTHE returns an empty THE deque with the given initial capacity.
 func NewTHE[T any](capHint int) *THEDeque[T] {
 	d := &THEDeque[T]{}
-	s := make([]atomic.Pointer[T], roundUpPow2(capHint))
+	s := make([]atomicx.Pointer[T], roundUpPow2(capHint))
 	d.slots.Store(&s)
 	return d
 }
@@ -51,11 +48,11 @@ func (d *THEDeque[T]) PushBottom(x *T) {
 // absolute indices) is safe: thieves index the array absolutely.
 //
 //nowa:coldpath array doubling allocates and locks by design and amortises to O(1) pushes; it runs O(log n) times over a deque's life
-func (d *THEDeque[T]) growLocked(t int64) []atomic.Pointer[T] {
+func (d *THEDeque[T]) growLocked(t int64) []atomicx.Pointer[T] {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	old := *d.slots.Load()
-	ns := make([]atomic.Pointer[T], len(old)*2)
+	ns := make([]atomicx.Pointer[T], len(old)*2)
 	h := d.head.Load()
 	for i := h; i < t; i++ {
 		ns[i].Store(old[i].Load())

@@ -87,16 +87,12 @@ func explore[S any, K comparable](init S, m rules[S, K]) Result {
 // cloner is a state the step builders can copy before mutating.
 type cloner[S any] interface{ clone() S }
 
-// try builds the step that runs f on a copy of s; f returns the property
-// the step breaks, "" if none.
-func try[S cloner[S]](s S, name string, f func(S) string) step[S] {
-	ns := s.clone()
-	return step[S]{name: name, next: ns, bad: f(ns)}
-}
-
-// after is try for a step that cannot break a property by itself.
+// after builds the step that runs f on a copy of s, a step that cannot
+// break a property by itself.
 func after[S cloner[S]](s S, name string, f func(S)) step[S] {
-	return try(s, name, func(ns S) string { f(ns); return "" })
+	ns := s.clone()
+	f(ns)
+	return step[S]{name: name, next: ns}
 }
 
 // row is a candidate step of one thread: if on, the thread's pc moves to
