@@ -4,9 +4,10 @@
 # if a protocol is violated or a planted bug goes unfound) and tests
 # everything, including the race-enabled chaos/cancellation/misuse stress
 # subset; then, built with -tags nowacheck, it vets and runs the real CL
-# and THE deques under internal/atomicx's interleaving controller (every
-# schedule up to a preemption bound, the planted mutants found, the
-# freeze checks); then a smoke run
+# and THE deques, the CQS queue, the ring and the channel under
+# internal/atomicx's interleaving controller (every schedule up to a
+# preemption bound, the planted mutants found, the freeze checks); then a
+# smoke run
 # of the spawn-overhead benchmark (catches fast-path breakage that only
 # -bench exercises) and the TestSpawnFloor latency gate (catches a
 # goroutine switch or shared-memory traffic sneaking back onto the lazy
@@ -45,8 +46,9 @@ verify:
 	$(GO) run ./cmd/nowa-model > /dev/null
 	$(GO) test ./...
 	$(RACE_TEST)
-	$(GO) vet -tags nowacheck ./internal/atomicx ./internal/deque
-	$(GO) test -tags nowacheck -timeout 5m ./internal/atomicx/... ./internal/deque/...
+	$(GO) vet -tags nowacheck . ./internal/atomicx ./internal/deque ./internal/cqs ./internal/ring
+	$(GO) test -tags nowacheck -timeout 5m ./internal/atomicx/... ./internal/deque/... ./internal/cqs/... ./internal/ring/...
+	$(GO) test -tags nowacheck -timeout 5m -run Check .
 	$(GO) test -run '^$$' -bench SpawnOverhead -benchtime 10x .
 	$(GO) test -run 'TestSpawnFloor' -count 1 .
 

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"nowa/internal/cqs"
-	"nowa/internal/sched"
 )
 
 // Barrier is a reusable rendezvous for a fixed party count: Wait blocks
@@ -92,7 +91,7 @@ func (b *Barrier) Wait(c Ctx) error {
 // later in the queue, which is what keeps the resume count honest — and
 // an arrival that incremented but has not registered yet is paid with a
 // deposit it consumes at registration.
-func (b *Barrier) trip(p *sched.Proc, g *barrierGen) {
+func (b *Barrier) trip(p *proc, g *barrierGen) {
 	b.cur.Store(&barrierGen{q: cqs.NewQueue()})
 	b.gens.Add(1)
 	for need := b.parties - 1; need > 0; {
@@ -100,7 +99,7 @@ func (b *Barrier) trip(p *sched.Proc, g *barrierGen) {
 		switch oc {
 		case cqs.Woke:
 			p.ChaosWakeDelay()
-			h.(*sched.Waiter).Wake()
+			h.(*waiter).Wake()
 			need--
 		case cqs.Deposited:
 			need--
@@ -113,7 +112,7 @@ func (b *Barrier) trip(p *sched.Proc, g *barrierGen) {
 // await parks one non-final arrival. rearrive is true when a planted
 // chaos abort withdrew the arrival and the caller must arrive again; err
 // is the context's error when the wait was genuinely cancelled.
-func (b *Barrier) await(p *sched.Proc, g *barrierGen) (rearrive bool, err error) {
+func (b *Barrier) await(p *proc, g *barrierGen) (rearrive bool, err error) {
 	bw := p.PrepareWait()
 	t, registered := g.q.Enqueue(bw)
 	if !registered {
@@ -169,7 +168,7 @@ func (b *Barrier) abortArrival(g *barrierGen, t cqs.Ticket) bool {
 		h, oc := g.q.Resume()
 		switch oc {
 		case cqs.Woke:
-			h.(*sched.Waiter).Wake()
+			h.(*waiter).Wake()
 			return false
 		case cqs.Deposited:
 			return false

@@ -17,7 +17,6 @@ import (
 	"errors"
 
 	"nowa/internal/cqs"
-	"nowa/internal/sched"
 )
 
 // ErrClosed is returned by Channel operations on a closed channel: Send
@@ -33,17 +32,17 @@ var ErrPoisoned = errors.New("nowa: future poisoned")
 // primitives need the vessel machinery — a parked strand hands its
 // worker token away — so they run only on the continuation-stealing
 // variants (the same set NewLimited accepts).
-func procOf(c Ctx) *sched.Proc {
-	p, ok := c.(*sched.Proc)
+func procOf(c Ctx) *proc {
+	p, ok := c.(*proc)
 	if !ok {
 		panic("nowa: blocking primitives require a continuation-stealing (vessel model) runtime")
 	}
 	return p
 }
 
-// wakeHandle adapts sched.Waiter.Wake to the cqs drain/release handle
+// wakeHandle adapts waiter.Wake to the cqs drain/release handle
 // callbacks.
-func wakeHandle(h any) { h.(*sched.Waiter).Wake() }
+func wakeHandle(h any) { h.(*waiter).Wake() }
 
 // aborter is a wait's cell-arbitration attempt: TryAbort returns true
 // only when it won the waiter's cell, in which case the waiter will never
@@ -62,7 +61,7 @@ type aborter interface{ TryAbort() bool }
 // strand parks to consume. A woken strand owns nothing, so an abort
 // needs no compensation by the waker. ready is called, never kept: it
 // costs no allocation.
-func blockOn(p *sched.Proc, q *cqs.Queue, ready func() bool) error {
+func blockOn(p *proc, q *cqs.Queue, ready func() bool) error {
 	bw := p.PrepareWait()
 	t, registered := q.Enqueue(bw)
 	if !registered || ((ready() || p.ChaosAbortWait()) && t.TryAbort()) {
@@ -81,10 +80,10 @@ func blockOn(p *sched.Proc, q *cqs.Queue, ready func() bool) error {
 // wake-queue path.
 //
 //nowa:coldpath runs only when q.Waiting() said a strand is asleep
-func wakeOne(p *sched.Proc, q *cqs.Queue) {
+func wakeOne(p *proc, q *cqs.Queue) {
 	if h, ok := q.ResumeOne(); ok {
 		p.ChaosWakeDelay()
-		p.WakeNext(h.(*sched.Waiter))
+		p.WakeNext(h.(*waiter))
 	}
 }
 
@@ -96,7 +95,7 @@ func wakeOne(p *sched.Proc, q *cqs.Queue) {
 // nil when it was resumed. Generic over the aborter so that a plain Run —
 // where nothing can abort — boxes no value and builds no closure: a
 // blocked wait allocates nothing (TestBlockedWaitAllocs).
-func parkWait[A aborter](p *sched.Proc, bw *sched.Waiter, a A) error {
+func parkWait[A aborter](p *proc, bw *waiter, a A) error {
 	ctx := p.WaitContext()
 	if ctx == nil {
 		// Plain Run: nothing can cancel the wait; only the primitive's

@@ -1,12 +1,9 @@
 package nowa
 
 import (
-	"runtime"
-	"sync/atomic"
-
+	"nowa/internal/atomicx"
 	"nowa/internal/cqs"
 	"nowa/internal/ring"
-	"nowa/internal/sched"
 )
 
 // Channel is a bounded MPMC channel for strands: Send blocks while the
@@ -31,7 +28,7 @@ type Channel[T any] struct {
 	ring   ring.Ring[T]
 	sendQ  *cqs.Queue // senders asleep on a full ring
 	recvQ  *cqs.Queue // receivers asleep on an empty ring
-	closed atomic.Bool
+	closed atomicx.Bool
 }
 
 // NewChannel returns a channel of the given capacity (>= 1: a rendezvous
@@ -89,7 +86,7 @@ func (ch *Channel[T]) Recv(c Ctx) (v T, err error) {
 		case ch.ring.Settled():
 			err = ErrClosed
 		default:
-			runtime.Gosched() // a send holds a ticket it has yet to publish
+			atomicx.Gosched() // a send holds a ticket it has yet to publish
 		}
 	}
 	return v, err
@@ -116,7 +113,7 @@ func (ch *Channel[T]) recvReady() bool { return ch.ring.CanGet() || ch.closed.Lo
 // so whoever unblocks ticket t may find t+1 usable and its wake spent.
 //
 //nowa:hotpath
-func (ch *Channel[T]) wake(p *sched.Proc, sent bool) {
+func (ch *Channel[T]) wake(p *proc, sent bool) {
 	other, own := ch.recvQ, ch.sendQ
 	if !sent {
 		other, own = own, other

@@ -78,6 +78,8 @@ func TestPadguardCorpus(t *testing.T) {
 		"struct nakedX has atomic field n but no compile-time guard",
 		"struct nakedRing has atomic field ring but no 128-byte padding",
 		"struct nakedRing has atomic field ring but no compile-time guard",
+		"struct nakedTicket has atomic field t but no 128-byte padding",
+		"struct nakedTicket has atomic field t but no compile-time guard",
 	})
 }
 
@@ -88,6 +90,7 @@ func TestCorporaUnderTypeAliases(t *testing.T) {
 	t.Setenv("GODEBUG", "gotypesalias=1")
 	TestPadguardCorpus(t)
 	TestLockorderCorpus(t)
+	TestFsmCorpus(t)
 }
 
 func TestJoinencCorpus(t *testing.T) {
@@ -118,6 +121,7 @@ func TestFsmCorpus(t *testing.T) {
 		"Store on fsm field gate.word: cannot infer the stored phase statically",
 		"Add on fsm field gate.word",
 		"CompareAndSwap on fsm field rawGate.raw implements undeclared transition armed>idle",
+		"CompareAndSwap on fsm field cell.state implements undeclared transition armed>idle",
 	})
 }
 

@@ -19,6 +19,15 @@ type gate struct {
 	word atomic.Uint32
 }
 
+// cell declares its word through an alias of atomic.Uint32, as the CQS
+// cell does through internal/atomicx.
+type cell struct {
+	//nowa:fsm phases=idle,armed,firing transitions=idle>armed,armed>firing
+	state aliasUint32
+}
+
+type aliasUint32 = atomic.Uint32
+
 type rawGate struct {
 	//nowa:fsm phases=idle,armed,firing transitions=idle>armed,armed>firing,firing>idle
 	raw uint32
@@ -63,4 +72,9 @@ func (g *gate) guarded() {
 		return
 	}
 	g.word.CompareAndSwap(st, st&^phMask|firing) //nowa:fsm-ok corpus negative: the guard above restricts the loaded phase to armed, and armed>firing is declared
+}
+
+// reopen moves the alias-typed word back to idle.
+func (c *cell) reopen() {
+	c.state.CompareAndSwap(armed, idle) // want: undeclared transition
 }

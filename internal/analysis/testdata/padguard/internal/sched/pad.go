@@ -74,3 +74,8 @@ type nakedX struct {
 type nakedRing struct {
 	ring atomicx.Pointer[int]
 }
+
+// The CQS queue and the ring declare their tickets as atomicx.Uint64.
+type nakedTicket struct {
+	t atomicx.Uint64
+}

@@ -1,25 +1,38 @@
 //go:build !nowacheck
 
-// Package atomicx is the deques' one door to sync/atomic and sync.Mutex.
-// In a normal build its names are the standard types (Pointer is a
-// one-field wrapper only because go 1.22 has no generic alias), so they
-// cost nothing. Built with -tags nowacheck, every operation first yields
-// to an interleaving controller (check.go) that runs the real code one
-// goroutine at a time under every schedule up to a preemption bound.
+// Package atomicx is the one door of the deques, CQS, the ring and the
+// channel to sync/atomic, sync.Mutex and runtime.Gosched. In a normal
+// build its names are the standard types (Pointer is a one-field wrapper
+// only because go 1.22 has no generic alias) and Gosched is
+// runtime.Gosched, so they cost nothing, provided the package using them
+// imports sync/atomic too: the compiler reads the inline bodies of the
+// aliased methods only from a direct import. Built with -tags nowacheck,
+// every operation first yields to an interleaving controller (check.go)
+// that runs the real code one goroutine at a time under every schedule up
+// to a preemption bound.
 package atomicx
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
 type (
-	Int64 = atomic.Int64
-	Mutex = sync.Mutex
+	Bool   = atomic.Bool
+	Int64  = atomic.Int64
+	Uint32 = atomic.Uint32
+	Uint64 = atomic.Uint64
+	Mutex  = sync.Mutex
 )
 
 // Pointer is atomic.Pointer[T].
 type Pointer[T any] struct{ p atomic.Pointer[T] }
 
-func (x *Pointer[T]) Load() *T   { return x.p.Load() }
-func (x *Pointer[T]) Store(v *T) { x.p.Store(v) }
+func (x *Pointer[T]) Load() *T                        { return x.p.Load() }
+func (x *Pointer[T]) Store(v *T)                      { x.p.Store(v) }
+func (x *Pointer[T]) CompareAndSwap(old, new *T) bool { return x.p.CompareAndSwap(old, new) }
+
+// Gosched is runtime.Gosched: the yield of a loop that waits for another
+// goroutine to act.
+func Gosched() { runtime.Gosched() }

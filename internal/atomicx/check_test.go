@@ -110,3 +110,32 @@ func TestExploreEndsEveryThread(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestExploreSpinWait: a thread that spins in Gosched until another sets
+// a flag finishes under every schedule, and one whose flag nobody is
+// left to set is reported as a deadlock rather than run for ever.
+func TestExploreSpinWait(t *testing.T) {
+	spin := func(set bool) func() Scenario {
+		return func() Scenario {
+			var flag Int64
+			wait := func() {
+				for flag.Load() == 0 {
+					Gosched()
+				}
+			}
+			threads := []func(){wait}
+			if set {
+				threads = append(threads, func() { flag.Store(1) })
+			}
+			return Scenario{Threads: threads}
+		}
+	}
+	n, v := Explore(Options{Bound: 2}, spin(true))
+	if v != nil {
+		t.Fatalf("spin-wait on a flag that is set: %s", v)
+	}
+	t.Logf("%d executions", n)
+	if _, v := Explore(Options{Bound: 2}, spin(false)); v == nil || v.Kind != "deadlock" || len(v.Blocked) != 1 {
+		t.Fatalf("spin-wait on a flag nobody sets not reported: %v", v)
+	}
+}

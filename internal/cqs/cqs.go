@@ -39,13 +39,11 @@
 // spins — callers decide what winning or losing a cell means.
 package cqs
 
-import "sync/atomic"
+import (
+	_ "sync/atomic" // for the inline bodies of atomicx's aliases
 
-// segSize is the number of cells per segment. 64 state words plus
-// handles keeps a segment within a couple of cache lines per active
-// waiter while making whole-segment abort (the unlink trigger) common
-// under storms.
-const segSize = 64
+	"nowa/internal/atomicx"
+)
 
 // Cell states. A cell starts empty, is claimed by its enqueuer
 // (waiter), and is finished exactly once: by a resumer (resumed, from
@@ -64,7 +62,7 @@ const (
 // scheduler's dispatch/parker pair uses.
 type cell struct {
 	//nowa:fsm phases=cellEmpty,cellWaiter,cellResumed,cellAborted transitions=cellEmpty>cellWaiter,cellEmpty>cellResumed,cellWaiter>cellResumed,cellWaiter>cellAborted
-	state atomic.Uint32
+	state atomicx.Uint32
 	h     any
 }
 
@@ -76,9 +74,9 @@ type cell struct {
 type segment struct {
 	id      uint64
 	q       *Queue
-	next    atomic.Pointer[segment]
-	prev    atomic.Pointer[segment]
-	aborted atomic.Int64
+	next    atomicx.Pointer[segment]
+	prev    atomicx.Pointer[segment]
+	aborted atomicx.Int64
 	cells   [segSize]cell
 }
 
@@ -89,10 +87,10 @@ func (s *segment) removed() bool { return s.aborted.Load() >= segSize }
 // Queue is the abortable waiter queue. Use NewQueue; the zero value is
 // not ready (it has no initial segment).
 type Queue struct {
-	enqIdx atomic.Uint64
-	deqIdx atomic.Uint64
-	enqSeg atomic.Pointer[segment]
-	deqSeg atomic.Pointer[segment]
+	enqIdx atomicx.Uint64
+	deqIdx atomicx.Uint64
+	enqSeg atomicx.Pointer[segment]
+	deqSeg atomicx.Pointer[segment]
 }
 
 // NewQueue returns an empty queue.
@@ -336,7 +334,7 @@ func (s *segment) remove() {
 // at an older segment. Cursors only ever move to segments that are
 // still linked or whose predecessors were all removed, so skipping can
 // never pass an unclaimed live waiter.
-func advance(ptr *atomic.Pointer[segment], to *segment) {
+func advance(ptr *atomicx.Pointer[segment], to *segment) {
 	for {
 		cur := ptr.Load()
 		if cur.id >= to.id || ptr.CompareAndSwap(cur, to) {
@@ -365,7 +363,7 @@ func advance(ptr *atomic.Pointer[segment], to *segment) {
 // ahead — misclassifying a registered waiter as aborted (a lost wakeup)
 // on the resume side, or registering into another ticket's cell on the
 // enqueue side.
-func (q *Queue) findSegment(start *segment, ptr *atomic.Pointer[segment], id uint64) *segment {
+func (q *Queue) findSegment(start *segment, ptr *atomicx.Pointer[segment], id uint64) *segment {
 	s := start
 	for s.id < id {
 		next := s.next.Load()

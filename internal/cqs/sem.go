@@ -1,6 +1,6 @@
 package cqs
 
-import "sync/atomic"
+import "nowa/internal/atomicx"
 
 // Semaphore is an abortable counting semaphore: the permit counter
 // absorbs the fast path and the queue holds the slow path's waiters.
@@ -14,7 +14,7 @@ import "sync/atomic"
 // increments back would let a second acquire succeed while the first
 // permit is still out.)
 type Semaphore struct {
-	permits atomic.Int64
+	permits atomicx.Int64
 	q       *Queue
 }
 

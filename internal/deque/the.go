@@ -90,9 +90,9 @@ func (d *THEDeque[T]) PopBottom() (*T, bool) {
 // PopTop steals the oldest item. Thieves always take the lock.
 func (d *THEDeque[T]) PopTop() (*T, bool) {
 	d.mu.Lock()
-	x, ok := d.PopTopLocked()
+	x, o := d.PopTopLockedOutcome()
 	d.mu.Unlock()
-	return x, ok
+	return x, o == StealHit
 }
 
 // PopTopOutcome is PopTop distinguishing the failure modes.
@@ -105,21 +105,16 @@ func (d *THEDeque[T]) PopTopOutcome() (*T, StealOutcome) {
 
 // Lock acquires the deque lock. Exposed so a Fibril-style scheduler can
 // overlap it with the frame lock during a steal (Listing 2 of the paper);
-// pair with Unlock around PopTopLocked.
+// pair with Unlock around PopTopLockedOutcome.
 func (d *THEDeque[T]) Lock() { d.mu.Lock() }
 
 // Unlock releases the deque lock.
 func (d *THEDeque[T]) Unlock() { d.mu.Unlock() }
 
-// PopTopLocked is PopTop for callers already holding Lock.
-func (d *THEDeque[T]) PopTopLocked() (*T, bool) {
-	x, o := d.PopTopLockedOutcome()
-	return x, o == StealHit
-}
-
-// PopTopLockedOutcome is PopTopLocked distinguishing the failure modes:
-// an empty pre-check read from a head bump undone after conflicting with
-// the owner's concurrent PopBottom (the protocol's exception case).
+// PopTopLockedOutcome is PopTopOutcome for callers already holding Lock.
+// It tells an empty pre-check read from a head bump undone after
+// conflicting with the owner's concurrent PopBottom (the protocol's
+// exception case).
 func (d *THEDeque[T]) PopTopLockedOutcome() (*T, StealOutcome) {
 	h := d.head.Load()
 	if h >= d.tail.Load() {

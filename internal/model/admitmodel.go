@@ -73,7 +73,7 @@ func (s *amstate) clone() *amstate { ns := *s; return &ns }
 
 // CheckAdmit exhaustively explores the scenario.
 func CheckAdmit(cfg AdmitConfig) Result {
-	s := &amstate{mring: newMring(cfg.Cap), tpc: atLook, rpc: arClosed, ppc: [2]int8{apGate, apGate}}
+	s := &amstate{tpc: atLook, rpc: arClosed, ppc: [2]int8{apGate, apGate}}
 	if cfg.BuggyCheckFirst {
 		s.ppc = [2]int8{apCheck, apCheck}
 	}
@@ -114,6 +114,37 @@ func checkAdmitEnd(s *amstate) string {
 		return fmt.Sprintf("stuck: producers at %v, taker at %d, root at %d", s.ppc, s.tpc, s.rpc)
 	}
 	return ""
+}
+
+// mring is internal/ring's ring as the model sees it: the two tickets,
+// and each cell's seq (stored less twice the cell's index, as the ring
+// stores it, so a fresh ring is the zero value) and value. Claiming a
+// ticket is one step: the probe's "no" is exact as of the seq load, and a
+// CAS that wins finds the ticket and its cell as the probe saw them.
+type mring struct {
+	tail, head int8
+	seq, val   [2]int8
+}
+
+// admits is claim's cell test at ticket t: free for a put, full for a get.
+func (r *mring) admits(capa int, put bool, t int8) bool {
+	want := 2 * (t - t%int8(capa))
+	if !put {
+		want++
+	}
+	return r.seq[int(t)%capa] == want
+}
+
+// publish stores value v in the cell of put ticket t; empty takes the
+// value out of the cell of get ticket t, freeing it for put t+capa.
+func (r *mring) publish(capa int, t, v int8) {
+	r.val[int(t)%capa], r.seq[int(t)%capa] = v, 2*(t-t%int8(capa))+1
+}
+
+func (r *mring) empty(capa int, t int8) (v int8) {
+	i := int(t) % capa
+	v, r.val[i], r.seq[i] = r.val[i], 0, 2*(t-int8(i)+int8(capa))
+	return v
 }
 
 // resolve settles the submission whose id an emptied cell held.

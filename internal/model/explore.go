@@ -7,28 +7,24 @@ import "fmt"
 // and four rules; explore walks the reachable states depth first, each
 // distinct key once, and stops at the first property that breaks.
 
-// step is one enabled atomic step: its name in a counterexample, the
-// state it leads to and, if taking it breaks a property the step itself
-// watches, that property.
+// step is one enabled atomic step: its name in a counterexample and the
+// state it leads to.
 type step[S any] struct {
 	name string
 	next S
-	bad  string
 }
 
 // rules is what explore needs of a model. steps lists the steps enabled
 // in a state, threads in index order, which makes the first violation
 // found deterministic; a state with none ends a maximal execution.
-// inState (optional) and atEnd name the property a reachable state, or
+// inState and atEnd name the property a reachable state, or
 // the last state of a maximal execution, violates — "" when it violates
-// none. maxStates, if positive, bounds the exploration: reaching it is
-// reported as a violation of the model's own bound.
+// none.
 type rules[S any, K comparable] struct {
-	key       func(S) K
-	steps     func(S) []step[S]
-	inState   func(S) string
-	atEnd     func(S) string
-	maxStates int
+	key     func(S) K
+	steps   func(S) []step[S]
+	inState func(S) string
+	atEnd   func(S) string
 }
 
 // explore exhaustively interleaves the model from init.
@@ -47,16 +43,10 @@ func explore[S any, K comparable](init S, m rules[S, K]) Result {
 		if visited[k] {
 			return
 		}
-		if m.maxStates > 0 && len(visited) == m.maxStates {
-			fail(fmt.Sprintf("model bound: more than %d states", m.maxStates))
-			return
-		}
 		visited[k] = true
-		if m.inState != nil {
-			if kind := m.inState(s); kind != "" {
-				fail(kind)
-				return
-			}
+		if kind := m.inState(s); kind != "" {
+			fail(kind)
+			return
 		}
 		steps := m.steps(s)
 		if len(steps) == 0 {
@@ -68,11 +58,7 @@ func explore[S any, K comparable](init S, m rules[S, K]) Result {
 		}
 		for _, st := range steps {
 			trace = append(trace, st.name)
-			if st.bad != "" {
-				fail(st.bad)
-			} else {
-				dfs(st.next)
-			}
+			dfs(st.next)
 			trace = trace[:len(trace)-1]
 			if res.Violation != nil {
 				return
@@ -121,18 +107,11 @@ func Check(cfg Config) Result {
 	if cfg.Spawns < 1 {
 		cfg.Spawns = 1
 	}
-	s := &state{
-		pc:         make([]int8, 1+2*cfg.Spawns),
-		cont:       -1,
-		consumedBy: make([]int8, cfg.Spawns),
-	}
-	switch cfg.Proto {
-	case ProtoWaitFree:
+	// Locked/naive count active parallel strands: the main strand is
+	// active from the start (§III-A: N_c starts at one).
+	s := &state{pc: make([]int8, 1+2*cfg.Spawns), cont: -1, consumedBy: make([]int8, cfg.Spawns), counter: 1}
+	if cfg.Proto == ProtoWaitFree {
 		s.counter = iMax
-	default:
-		// Locked/naive count active parallel strands: the main strand is
-		// active from the start (§III-A: N_c starts at one).
-		s.counter = 1
 	}
 	return explore(s, rules[*state, string]{
 		key: (*state).key, steps: cfg.enabled, inState: cfg.checkState, atEnd: cfg.checkTerminal,

@@ -51,13 +51,8 @@ const (
 
 // String names the protocol.
 func (p Proto) String() string {
-	switch p {
-	case ProtoWaitFree:
-		return "wait-free"
-	case ProtoLocked:
-		return "locked"
-	case ProtoNaive:
-		return "naive"
+	if names := [...]string{"wait-free", "locked", "naive"}; p >= 0 && int(p) < len(names) {
+		return names[p]
 	}
 	return fmt.Sprintf("Proto(%d)", int(p))
 }
@@ -122,19 +117,7 @@ func (s *state) clone() *state {
 }
 
 // key encodes the state for the visited set.
-func (s *state) key() string {
-	var b strings.Builder
-	b.Grow(len(s.pc) + len(s.consumedBy) + 24)
-	for _, p := range s.pc {
-		b.WriteByte(byte(p))
-	}
-	b.WriteByte('|')
-	for _, c := range s.consumedBy {
-		b.WriteByte(byte(c))
-	}
-	fmt.Fprintf(&b, "|%d|%d|%d|%v|%v|%d", s.cont, s.counter, s.alpha, s.syncing, s.resume, s.released)
-	return b.String()
-}
+func (s *state) key() string { return fmt.Sprint(*s) }
 
 // Main-path program counters. For spawn i the main path is at 2i (push)
 // then 2i+1 (wait for resume). After all spawns: publish, restore/check,
