@@ -166,9 +166,10 @@ fault-smoke:
 # (BLOCK_TESTS above; TestPipelineKernel and TestBFSKernel run both
 # kernels on the four vessel-model variants and check wait conservation,
 # TestScheduleCounts pins their one-worker counts), one iteration of
-# BenchmarkBlockingKernels and of BenchmarkChannel (so the blocks/op and
-# ns/block re-read and the four channel shapes cannot rot; their output
-# is kept in torture-out/ for CI to upload), and an
+# BenchmarkBlockingKernels at GOMAXPROCS 1 and 2 (so the artifact shows
+# what the second token costs each kernel) and of BenchmarkChannel (so
+# the blocks/op and ns/block re-read and the four channel shapes cannot
+# rot; their output is kept in torture-out/ for CI to upload), and an
 # abort-classed torture soak — blocking kernels under
 # forced wait-aborts and delayed wakeups, with the
 # BlockedWaits == ResumedWaits + AbortedWaits conservation bar and the
@@ -176,7 +177,7 @@ fault-smoke:
 block-smoke:
 	$(GO) test -race -run '$(BLOCK_TESTS)' . ./internal/cqs/ ./internal/core/ ./internal/blockapps/ ./internal/sched/
 	@mkdir -p torture-out
-	{ $(GO) test -run '^$$' -bench BlockingKernels -benchtime 1x ./internal/blockapps \
+	{ $(GO) test -run '^$$' -bench BlockingKernels -benchtime 1x -cpu 1,2 ./internal/blockapps \
 		&& $(GO) test -run '^$$' -bench 'Channel$$' -benchtime 1x . ; } > torture-out/blocking-kernels.bench.txt \
 		|| { cat torture-out/blocking-kernels.bench.txt; exit 1; }
 	@cat torture-out/blocking-kernels.bench.txt

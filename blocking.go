@@ -6,14 +6,13 @@ package nowa
 // rendezvous — without holding its worker token hostage and without any
 // way to leak the wait: a blocked strand hands its token to a thief
 // vessel (sched.Proc.PrepareWait/CommitWait), and a cancelled one aborts
-// its waiter cell through the cqs arbitration, restores a token through
-// the wake queue, and returns its context's error. Exactly one of
+// its waiter cell through the cell's CAS arbitration, restores a token
+// through the wake queue, and returns its context's error. Exactly one of
 // resume/abort wins each cell, so no vessel, stack or wakeup is ever
 // lost — the abort-storm tests assert the conservation invariant
 // BlockedWaits == ResumedWaits + AbortedWaits at quiescence.
 
 import (
-	"context"
 	"errors"
 
 	"nowa/internal/cqs"
@@ -50,8 +49,7 @@ func wakeHandle(h any) { h.(*waiter).Wake() }
 // to withdraw the arrival too.
 type aborter interface{ TryAbort() bool }
 
-// blockOn is the one slow path of the primitives whose waiters retry
-// (Future.Await, Channel.Send/Recv), called once the caller found its
+// blockOn is Future.Await's slow path, called once the caller found its
 // condition false: register in q, then re-check through ready — the
 // waker changes the condition and then looks for waiters, so one side
 // always sees the other. A nil return means "look again": the wake ran
@@ -70,23 +68,6 @@ func blockOn(p *proc, q *cqs.Queue, ready func() bool) error {
 	return parkWait(p, bw, t)
 }
 
-// wakeOne is blockOn's other half where the condition changed for one
-// waiter only: it resumes the oldest waiter of q, stepping over aborted
-// cells. Of two wakers racing for one waiter the loser deposits its wake
-// in a cell yet to be taken, whose strand then looks again unparked.
-// It is the one strand-to-strand, single-waiter wake, so the waiter goes
-// to the next-wakeup slot of p's own token (sched.Proc.WakeNext) and
-// resumes where its waker runs; every other wake takes wakeHandle's
-// wake-queue path.
-//
-//nowa:coldpath runs only when q.Waiting() said a strand is asleep
-func wakeOne(p *proc, q *cqs.Queue) {
-	if h, ok := q.ResumeOne(); ok {
-		p.ChaosWakeDelay()
-		p.WakeNext(h.(*waiter))
-	}
-}
-
 // parkWait commits a prepared wait and, when the strand runs under a
 // cancellable context (RunCtx, or a submission's effective context in
 // service mode), arms the abort: a context.AfterFunc racing a.TryAbort
@@ -103,7 +84,7 @@ func parkWait[A aborter](p *proc, bw *waiter, a A) error {
 		p.CommitWait(bw)
 		return nil
 	}
-	stop := context.AfterFunc(ctx, func() {
+	stop := afterFunc(ctx, func() {
 		if a.TryAbort() {
 			bw.WakeAborted()
 		}

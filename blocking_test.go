@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"nowa/internal/chaos"
+	"nowa/internal/cqs"
 	"nowa/internal/deque"
-	"nowa/internal/ring"
 	"nowa/internal/sched"
 	"nowa/internal/trace"
 )
@@ -367,9 +367,11 @@ func TestChannelAbortStorm(t *testing.T) {
 }
 
 // TestChannelMPMCStress: every mix of 1, 2 and 4 senders and receivers
-// over rings of 1, 2 and 8 cells. Each item arrives exactly once, and a
-// receiver sees any one sender's items in the order they were sent (the
-// ring hands items out in ticket order).
+// over buffers of 1, 2 and 8 items and of one more than all items sent
+// (the BFS kernel's shape, where no send waits). Each item arrives
+// exactly once, and a receiver sees any one sender's items in the order
+// they were sent (items leave in ticket order). Run under -race, it also
+// checks that each item is written before the CAS that publishes it.
 func TestChannelMPMCStress(t *testing.T) {
 	const perSender = 150
 	for name, rt := range blockingRuntimes(t) {
@@ -377,7 +379,7 @@ func TestChannelMPMCStress(t *testing.T) {
 			defer Close(rt)
 			for _, senders := range []int{1, 2, 4} {
 				for _, receivers := range []int{1, 2, 4} {
-					for _, capacity := range []int{1, 2, 8} {
+					for _, capacity := range []int{1, 2, 8, senders*perSender + 1} {
 						ch := NewChannel[int](capacity)
 						seen := make([]atomic.Int32, senders*perSender)
 						var sending atomic.Int32
@@ -427,11 +429,10 @@ func TestChannelMPMCStress(t *testing.T) {
 
 // TestChannelCloseUnderTraffic has one sender close the channel while it,
 // three more senders and two receivers are busy on it. Every sender ends
-// with ErrClosed; an item whose Send returned before Close was called
-// reaches a receiver; one whose Send overlapped Close either does or
-// stays buffered (it may land behind the last receiver) but is never
-// lost or doubled; and no waiter is left behind, in the wait ledger or
-// in the queues' segment lists.
+// with ErrClosed; every item whose Send returned nil — before Close or
+// overlapping it — reaches a receiver exactly once, and nothing is left
+// behind the last receiver; and no waiter is left behind, in the wait
+// ledger or in the channel's segment list.
 func TestChannelCloseUnderTraffic(t *testing.T) {
 	const senders, receivers, limit = 4, 2, 1 << 14
 	for name, rt := range blockingRuntimes(t) {
@@ -480,9 +481,9 @@ func TestChannelCloseUnderTraffic(t *testing.T) {
 						}
 					}
 				}
-				rt.Run(func(c Ctx) { // what landed behind the last receiver
-					for v, err := ch.Recv(c); err == nil; v, err = ch.Recv(c) {
-						seen[v].Add(1)
+				rt.Run(func(c Ctx) { // nothing lands behind the last receiver
+					if v, err := ch.Recv(c); !errors.Is(err, ErrClosed) {
+						t.Errorf("round %d: recv after the last receiver = (%d, %v), want ErrClosed", round, v, err)
 					}
 				})
 				for i := range acked {
@@ -496,8 +497,8 @@ func TestChannelCloseUnderTraffic(t *testing.T) {
 						}
 					}
 				}
-				if a, b := ch.sendQ.Segments(), ch.recvQ.Segments(); a > 2 || b > 2 {
-					t.Fatalf("round %d: %d and %d waiter segments reachable after the close", round, a, b)
+				if n := chanSegments(ch); n > 2 {
+					t.Fatalf("round %d: %d segments reachable after the close", round, n)
 				}
 			}
 			assertWaitConservation(t, rt)
@@ -508,58 +509,110 @@ func TestChannelCloseUnderTraffic(t *testing.T) {
 	}
 }
 
-// TestChannelHeadOfLine publishes send ticket 1 before ticket 0 while two
-// receivers sleep, by hand. The first publication wakes a receiver that
-// finds the head cell unpublished and goes back to sleep; the second
-// wakes one receiver, and it is that receiver's own-side wake that gets
-// the other one to the item published first.
-func TestChannelHeadOfLine(t *testing.T) {
+// chanSegments counts the segments of ch's cell array that its three
+// cursors keep reachable, back through prev links and on through next.
+func chanSegments[T any](ch *Channel[T]) int {
+	n := 0
+	for _, h := range ch.heads {
+		n = max(n, cqs.Reach(h.Load()))
+	}
+	return n
+}
+
+// TestChannelRecvAbortStormBounded cancels receive after receive on an
+// empty channel: each parks in a fresh cell and is aborted there, so the
+// receive counter runs segments ahead of the send counter. Segments whose
+// cells were all cancelled unlink, and a later send still reaches a
+// receiver.
+func TestChannelRecvAbortStormBounded(t *testing.T) {
+	rt := NewLimited(VariantNowa, 1, Limits{Spawn: SpawnEager})
+	defer Close(rt)
+	ch := NewChannel[int](1)
+	ctx, cancel := context.WithCancel(context.Background())
+	err := rt.RunCtx(ctx, func(c Ctx) {
+		cancel()
+		for i := 0; i < 20*cqs.SegSize; i++ {
+			if _, err := ch.Recv(c); !errors.Is(err, context.Canceled) {
+				t.Errorf("receive %d on a cancelled strand: %v, want context.Canceled", i, err)
+				return
+			}
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run: %v, want context.Canceled", err)
+	}
+	if n := chanSegments(ch); n > 3 {
+		t.Fatalf("%d segments reachable after %d cancelled receives", n, 20*cqs.SegSize)
+	}
+	rt.Run(func(c Ctx) {
+		s := c.Scope()
+		s.Spawn(func(c Ctx) {
+			if v, err := ch.Recv(c); err != nil || v != 7 {
+				t.Errorf("recv after the storm = (%d, %v), want (7, nil)", v, err)
+			}
+		})
+		if err := ch.Send(c, 7); err != nil {
+			t.Errorf("send after the storm: %v", err)
+		}
+		s.Sync()
+	})
+	assertWaitConservation(t, rt)
+}
+
+// TestChannelPoisonedCell stalls a send between its ticket FAA and its
+// cell, by hand, while a receiver takes the same ticket. The receiver
+// poisons the unwritten cell rather than wait for it, spends it (one
+// more cell may buffer) and parks on the next ticket; the stalled send
+// then finds its cell spent and, retrying, hands its item to the parked
+// receiver.
+func TestChannelPoisonedCell(t *testing.T) {
 	rt := NewLimited(VariantNowa, 4, Limits{Spawn: SpawnEager})
 	defer Close(rt)
-	ch := NewChannel[int](2)
-	var sum atomic.Int64
+	const capacity = 2
+	ch := NewChannel[int](capacity)
+	var got atomic.Int64
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	err := rt.RunCtx(ctx, func(c Ctx) {
+		start := ch.sendSeg.Load()
+		st := ch.senders.Add(1) - 1 // the stalled send's ticket
+		seg := cqs.Find(start, &ch.sendSeg, st/cqs.SegSize)
 		s := c.Scope()
-		for i := 0; i < 2; i++ {
-			s.Spawn(func(c Ctx) {
-				v, err := ch.Recv(c)
-				if err != nil {
-					t.Errorf("recv: %v", err)
-				}
-				sum.Add(int64(v))
-			})
-		}
-		blocked := func() int64 { st, _ := Resources(rt); return st.BlockedWaits }
-		for blocked() < 2 {
+		s.Spawn(func(c Ctx) {
+			v, err := ch.Recv(c)
+			if err != nil {
+				t.Errorf("recv: %v", err)
+			}
+			got.Store(int64(v))
+		})
+		for st, _ := Resources(rt); st.BlockedWaits < 1; st, _ = Resources(rt) {
 			runtime.Gosched()
 		}
-		s0, ok0 := ch.ring.Claim()
-		s1, ok1 := ch.ring.Claim()
-		if !ok0 || !ok1 {
-			t.Error("ring full under a test that sends by hand")
+		if state := seg.Cells[slot(st)].state.v.Load(); state != cellPoisoned {
+			t.Errorf("stalled send's cell in state %d, want poisoned", state)
 		}
-		for i, slot := range []ring.Slot[int]{s1, s0} {
-			slot.Publish(11 - i)
-			ch.wake(procOf(c), true)
-			for i == 0 && blocked() < 3 {
-				runtime.Gosched() // the receiver woken too early parks again
-			}
+		if done, err := ch.put(procOf(c), &seg.Cells[slot(st)], st, 7); done || err != nil {
+			t.Errorf("put into the poisoned cell = (%v, %v), want a retry", done, err)
+		}
+		if err := ch.Send(c, 7); err != nil {
+			t.Errorf("retried send: %v", err)
 		}
 		s.Sync()
 	})
 	if err != nil {
-		t.Fatalf("a receiver slept beside its item: %v", err)
+		t.Fatalf("the receiver slept beside its item: %v", err)
 	}
-	if sum.Load() != 21 {
-		t.Fatalf("received sum %d, want 10+11", sum.Load())
+	if got.Load() != 7 {
+		t.Fatalf("received %d, want 7", got.Load())
+	}
+	// Two receive visits spent a cell each: the poisoned one and the one
+	// the receiver parked in.
+	if s, r, b := ch.senders.Load(), ch.receivers.Load(), ch.bufferEnd.Load(); s != 2 || r != 2 || b != capacity+2 {
+		t.Fatalf("senders %d, receivers %d, bufferEnd %d; want 2, 2, %d", s, r, b, capacity+2)
 	}
 	assertWaitConservation(t, rt)
 }
 
-// TestBarrierGenerations: parties strands cross the barrier repeatedly;
-// every generation requires all of them, and the generation counter
 // advances exactly once per trip.
 func TestBarrierGenerations(t *testing.T) {
 	const parties, gens = 4, 25
@@ -795,8 +848,8 @@ func TestSubmitCancelAbortsBlockedWait(t *testing.T) {
 // block/wake/abort arbitration makes the same registrations, leaves the
 // same counters and produces the same result.
 func TestReplayAbortRace(t *testing.T) {
-	// workload returns its sum and how many waits registered in the
-	// primitives' queues.
+	// workload returns its sum and how many tickets its primitives gave
+	// out: waits registered in the future's queue, channel cells taken.
 	workload := func(c Ctx) (sum int64, registered uint64) {
 		f := NewFuture[int]()
 		ch := NewChannel[int](2)
@@ -825,7 +878,8 @@ func TestReplayAbortRace(t *testing.T) {
 		}
 		ch.Close()
 		s.Sync()
-		return sum, f.core.q.Enqueued() + ch.sendQ.Enqueued() + ch.recvQ.Enqueued()
+		// A retry after a planted abort takes another ticket.
+		return sum, f.core.q.Enqueued() + ch.senders.Load()&^closedBit + ch.receivers.Load()
 	}
 	type result struct {
 		sum        int64

@@ -30,6 +30,7 @@ func (x *Int64) CompareAndSwap(old, new int64) bool {
 	return x.v.CompareAndSwap(old, new)
 }
 
+func (x *Uint32) Load() uint32 { yield("Uint32.Load", nil); return x.v.Load() }
 func (x *Uint32) CompareAndSwap(old, new uint32) bool {
 	yield("Uint32.CompareAndSwap", nil)
 	return x.v.CompareAndSwap(old, new)

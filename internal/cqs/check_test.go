@@ -192,11 +192,11 @@ func TestCQSCheckDrainBound(t *testing.T) {
 
 func enqueueCursorAfterFAA(q *Queue, h any) (Ticket, bool) {
 	id := q.enqIdx.Add(1) - 1
-	s := q.findSegment(q.enqSeg.Load(), &q.enqSeg, id/segSize)
+	s := Find(q.enqSeg.Load(), &q.enqSeg, id/segSize)
 	if s.id != id/segSize {
 		panic("cqs: enqueue segment unlinked before registration")
 	}
-	c := &s.cells[id%segSize]
+	c := &s.Cells[id%segSize]
 	c.h = h
 	if c.state.CompareAndSwap(cellEmpty, cellWaiter) {
 		return Ticket{seg: s, idx: int32(id % segSize)}, true

@@ -66,23 +66,8 @@ type cell struct {
 	h     any
 }
 
-// segment is a fixed block of cells. Segments form a doubly linked list
-// ordered by id; prev/next are maintained best-effort under concurrent
-// removal (a removed segment stays traversable through its own next
-// pointer, so a racing unlink can at worst leave a bounded tail of
-// removed-but-reachable segments, never lose a live one).
-type segment struct {
-	id      uint64
-	q       *Queue
-	next    atomicx.Pointer[segment]
-	prev    atomicx.Pointer[segment]
-	aborted atomicx.Int64
-	cells   [segSize]cell
-}
-
-// removed reports whether every cell in s was aborted, which is the
-// (latched) condition under which s unlinks itself.
-func (s *segment) removed() bool { return s.aborted.Load() >= segSize }
+// segment is a block of waiter cells (list.go).
+type segment = Segment[cell]
 
 // Queue is the abortable waiter queue. Use NewQueue; the zero value is
 // not ready (it has no initial segment).
@@ -91,14 +76,14 @@ type Queue struct {
 	deqIdx atomicx.Uint64
 	enqSeg atomicx.Pointer[segment]
 	deqSeg atomicx.Pointer[segment]
+	heads  [1]*atomicx.Pointer[segment] // what a dead head segment advances: deqSeg
 }
 
 // NewQueue returns an empty queue.
 func NewQueue() *Queue {
 	q := &Queue{}
-	s := &segment{q: q}
-	q.enqSeg.Store(s)
-	q.deqSeg.Store(s)
+	q.heads[0] = &q.deqSeg
+	q.enqSeg.Store(First(q.heads[:]))
 	return q
 }
 
@@ -135,14 +120,14 @@ type Ticket struct {
 // to park for has already happened, so the caller proceeds without
 // parking.
 func (q *Queue) Enqueue(h any) (Ticket, bool) {
-	// The cursor snapshot MUST precede the ticket FAA (see findSegment):
+	// The cursor snapshot MUST precede the ticket FAA (see Find):
 	// loading it afterwards re-opens the stalled-claimant race, where
 	// tickets >= segSize ahead advance the cursor past this segment
 	// while we sit between the FAA and the load, and we would register
 	// in (or deposit-fail against) another ticket's cell.
 	start := q.enqSeg.Load()
 	id := q.enqIdx.Add(1) - 1
-	s := q.findSegment(start, &q.enqSeg, id/segSize)
+	s := Find(start, &q.enqSeg, id/segSize)
 	if s.id != id/segSize {
 		// Impossible by construction: a segment unlinks only after all
 		// segSize of its cells were aborted, and this ticket's cell
@@ -151,7 +136,7 @@ func (q *Queue) Enqueue(h any) (Ticket, bool) {
 		// later segment — that would corrupt another ticket's cell.
 		panic("cqs: enqueue segment unlinked before registration")
 	}
-	c := &s.cells[id%segSize]
+	c := &s.Cells[id%segSize]
 	c.h = h
 	if c.state.CompareAndSwap(cellEmpty, cellWaiter) {
 		return Ticket{seg: s, idx: int32(id % segSize)}, true
@@ -172,7 +157,7 @@ func (q *Queue) Enqueued() uint64 { return q.enqIdx.Load() }
 // its fast path before paying for a Resume. deqIdx is loaded first, so
 // the answer is exact as of the enqIdx load: a waiter whose ticket FAA
 // precedes that load is seen, which is the waker's half of the
-// store-then-check / enqueue-then-recheck pairing (DESIGN.md §16.6).
+// store-then-check / enqueue-then-recheck pairing (DESIGN.md §14).
 func (q *Queue) Waiting() bool { return q.deqIdx.Load() < q.enqIdx.Load() }
 
 // Resume claims the next dequeue ticket and resolves it: Woke with the
@@ -180,7 +165,7 @@ func (q *Queue) Waiting() bool { return q.deqIdx.Load() < q.enqIdx.Load() }
 func (q *Queue) Resume() (any, Outcome) {
 	// Snapshot the cursor before the ticket FAA — the order is what
 	// makes resumeTicket's segment-id mismatch check sound (see
-	// findSegment).
+	// Find).
 	start := q.deqSeg.Load()
 	return q.resumeTicket(start, q.deqIdx.Add(1)-1)
 }
@@ -225,8 +210,8 @@ func (q *Queue) ResumeBounded(bound uint64) (any, Outcome) {
 // Drain resumes every waiter registered before the call, invoking wake
 // for each handle claimed. Deposits left in tickets whose enqueuers had
 // not registered yet are consumed by those enqueuers as elimination;
-// callers layering close semantics on top (the channel) have their
-// waiters recheck the closed flag after any wakeup.
+// callers whose waiters retry (the future) have them look again after
+// any wakeup.
 func (q *Queue) Drain(wake func(any)) {
 	bound := q.enqIdx.Load()
 	for {
@@ -243,7 +228,7 @@ func (q *Queue) Drain(wake func(any)) {
 // resumeTicket resolves one claimed dequeue ticket against its cell.
 // start is the caller's deqSeg snapshot taken before the ticket claim.
 func (q *Queue) resumeTicket(start *segment, id uint64) (any, Outcome) {
-	s := q.findSegment(start, &q.deqSeg, id/segSize)
+	s := Find(start, &q.deqSeg, id/segSize)
 	if s.id != id/segSize {
 		// The walk started below the ticket's segment (pre-claim
 		// snapshot) and follows next pointers that only ever bypass
@@ -252,14 +237,11 @@ func (q *Queue) resumeTicket(start *segment, id uint64) (any, Outcome) {
 		// it was aborted, ours included.
 		return nil, Aborted
 	}
-	if s.prev.Load() != nil {
-		// A dequeue ticket in s is claimed, so every ticket of every
-		// earlier segment is: nothing will look left of s again except
-		// remove(), for which a nil prev means "head". Cutting the link
-		// is what lets a long-lived queue's spent segments be collected.
-		s.prev.Store(nil)
-	}
-	c := &s.cells[id%segSize]
+	// A dequeue ticket in s is claimed, so every ticket of every earlier
+	// segment is: nothing will look left of s again but Kill, and the
+	// dequeue cursor, the queue's one head, has reached s.
+	s.Settle()
+	c := &s.Cells[id%segSize]
 	if c.state.CompareAndSwap(cellEmpty, cellResumed) {
 		return nil, Deposited
 	}
@@ -284,102 +266,13 @@ func (t Ticket) TryAbort() bool {
 	if s == nil {
 		return false
 	}
-	c := &s.cells[t.idx]
+	c := &s.Cells[t.idx]
 	if !c.state.CompareAndSwap(cellWaiter, cellAborted) {
 		return false
 	}
 	c.h = nil
-	if s.aborted.Add(1) == segSize {
-		s.remove()
-	}
+	s.Kill()
 	return true
-}
-
-// remove unlinks the fully aborted segment s. Best-effort under races:
-// the tail segment is never removed (it is the append point), and a
-// concurrent neighbour removal can transiently relink a removed
-// segment, which traversal skips by id. When every predecessor is gone
-// the dequeue cursor is advanced instead, so a pure abort storm cannot
-// grow an unbounded head chain.
-func (s *segment) remove() {
-	for {
-		next := s.next.Load()
-		if next == nil {
-			return
-		}
-		prev := s.prev.Load()
-		for prev != nil && prev.removed() {
-			prev = prev.prev.Load()
-		}
-		if prev == nil {
-			next.prev.Store(nil)
-			advance(&s.q.deqSeg, next)
-		} else {
-			prev.next.Store(next)
-			if old := next.prev.Load(); old != nil {
-				// Not a link the dequeue side already cut (resumeTicket):
-				// restoring it would pin the spent segments again.
-				next.prev.CompareAndSwap(old, prev)
-			}
-		}
-		if next.removed() && next.next.Load() != nil {
-			// next unlinked concurrently; restitch around it too.
-			continue
-		}
-		return
-	}
-}
-
-// advance moves a segment cursor forward to `to` if it currently points
-// at an older segment. Cursors only ever move to segments that are
-// still linked or whose predecessors were all removed, so skipping can
-// never pass an unclaimed live waiter.
-func advance(ptr *atomicx.Pointer[segment], to *segment) {
-	for {
-		cur := ptr.Load()
-		if cur.id >= to.id || ptr.CompareAndSwap(cur, to) {
-			return
-		}
-	}
-}
-
-// findSegment walks (and extends) the segment list from start — the
-// caller's cursor snapshot — to the segment with the given id,
-// advancing the cursor as a side effect. If that segment was unlinked,
-// the first live segment with a greater id is returned; the caller
-// detects the mismatch and treats the ticket as fully aborted.
-//
-// The snapshot MUST be taken before the caller's ticket FAA/CAS, and
-// that order carries the whole mismatch argument. At snapshot time
-// every ticket yet claimed is below ours, so the cursor — advanced only
-// by those claimants' walks and by remove(), which skips nothing but
-// fully aborted segments — cannot have passed our segment while our
-// cell is live. Walking forward from the snapshot can then overshoot
-// only by following a next pointer restitched around a removed (fully
-// aborted) segment, so id mismatch genuinely implies "every cell in the
-// ticket's segment aborted". Loading the cursor after the claim instead
-// would let a claimant that stalls between its FAA and the load observe
-// a cursor pushed past its still-live segment by claimants >= segSize
-// ahead — misclassifying a registered waiter as aborted (a lost wakeup)
-// on the resume side, or registering into another ticket's cell on the
-// enqueue side.
-func (q *Queue) findSegment(start *segment, ptr *atomicx.Pointer[segment], id uint64) *segment {
-	s := start
-	for s.id < id {
-		next := s.next.Load()
-		if next == nil {
-			fresh := &segment{id: s.id + 1, q: q}
-			fresh.prev.Store(s)
-			if s.next.CompareAndSwap(nil, fresh) {
-				next = fresh
-			} else {
-				next = s.next.Load()
-			}
-		}
-		s = next
-	}
-	advance(ptr, s)
-	return s
 }
 
 // Segments reports the number of segments reachable from the dequeue

@@ -191,11 +191,11 @@ func TestCQSStalledEnqueuerRightCell(t *testing.T) {
 	}
 	// The stalled enqueuer finishes registration (the body of Enqueue
 	// after the FAA).
-	s := q.findSegment(start, &q.enqSeg, id/segSize)
+	s := Find(start, &q.enqSeg, id/segSize)
 	if s.id != id/segSize {
 		t.Fatalf("walk from pre-claim snapshot landed on segment %d, want %d", s.id, id/segSize)
 	}
-	c := &s.cells[id%segSize]
+	c := &s.Cells[id%segSize]
 	c.h = "stalled"
 	if !c.state.CompareAndSwap(cellEmpty, cellWaiter) {
 		t.Fatal("registration CAS failed with no resumer in flight")

@@ -1,7 +1,6 @@
-// Package ring is the bounded MPMC ticketed ring under nowa.Channel and
-// the serving runtime's admission queue (DESIGN.md §16.6, §13). It holds
-// items only: who sleeps beside a full or empty ring is the caller's
-// protocol.
+// Package ring is the bounded MPMC ticketed ring under the serving
+// runtime's admission queue (DESIGN.md §13). It holds items only: who
+// waits beside a full or empty ring is the caller's protocol.
 package ring
 
 import (
@@ -53,15 +52,6 @@ func (r *Ring[T]) Init(capacity int) { r.cells = make([]cell[T], capacity) }
 // Cap returns the number of cells.
 func (r *Ring[T]) Cap() int { return len(r.cells) }
 
-// Len returns the number of items, claimed but unpublished puts included.
-func (r *Ring[T]) Len() int {
-	return max(0, min(int(r.tail.Load()-r.head.Load()), len(r.cells)))
-}
-
-// Settled reports every put ticket taken matched by a get ticket: nothing
-// buffered and no put between its Claim and its Publish.
-func (r *Ring[T]) Settled() bool { return r.tail.Load() == r.head.Load() }
-
 // Slot is a claimed put ticket, by the seq its cell read: the cell is the
 // claimer's until Publish.
 type Slot[T any] struct {
@@ -75,7 +65,7 @@ type Slot[T any] struct {
 //
 //nowa:hotpath
 func (r *Ring[T]) Claim() (Slot[T], bool) {
-	seq, c := r.claim(&r.tail, free, true)
+	seq, c := r.claim(&r.tail, free)
 	return Slot[T]{seq, c}, c != nil
 }
 
@@ -92,7 +82,7 @@ func (s Slot[T]) Publish(v T) {
 //
 //nowa:hotpath
 func (r *Ring[T]) Get() (v T, ok bool) {
-	seq, c := r.claim(&r.head, full, true)
+	seq, c := r.claim(&r.head, full)
 	if c == nil {
 		return v, false
 	}
@@ -102,31 +92,21 @@ func (r *Ring[T]) Get() (v T, ok bool) {
 	return v, true
 }
 
-// CanPut and CanGet report, taking no ticket, whether Claim (Get) would
-// succeed now: a sleeper's re-check.
+// claim takes the ticket in word (tail or head) once its cell's seq says
+// free (full), returning the cell and the seq it read, and a nil cell when
+// it does not yet. A seq behind the wanted one is exact, not stale: the
+// ticket cannot have been taken while its cell never read so. A seq
+// ahead, or a lost CAS, means another operation of this side won.
 //
 //nowa:hotpath
-func (r *Ring[T]) CanPut() bool { _, c := r.claim(&r.tail, free, false); return c != nil }
-
-//nowa:hotpath
-func (r *Ring[T]) CanGet() bool { _, c := r.claim(&r.head, full, false); return c != nil }
-
-// claim returns the cell of the ticket in word (tail or head) and the seq
-// it read once that says free (full), taking the ticket if take is set,
-// and a nil cell when it does not yet. A seq behind the wanted one is
-// exact, not stale: the ticket cannot have been taken while its cell never
-// read so. A seq ahead, or a lost CAS, means another operation of this
-// side won.
-//
-//nowa:hotpath
-func (r *Ring[T]) claim(word *atomicx.Uint64, want uint64, take bool) (uint64, *cell[T]) {
+func (r *Ring[T]) claim(word *atomicx.Uint64, want uint64) (uint64, *cell[T]) {
 	for {
 		t := word.Load()
 		i := t % uint64(len(r.cells))
 		c, w := &r.cells[i], 2*(t-i)+want
 		if seq := c.seq.Load(); seq < w {
 			return 0, nil
-		} else if seq == w && (!take || word.CompareAndSwap(t, t+1)) {
+		} else if seq == w && word.CompareAndSwap(t, t+1) {
 			return w, c
 		}
 	}
