@@ -1,13 +1,15 @@
 # Developer entry points. `make verify` is the full pre-merge gate: it
 # fails on unformatted files, then builds, vets, lints (nowa-vet, the
-# repo's own invariant analyzer), model-checks (nowa-model exits non-zero
-# if a protocol is violated or a planted bug goes unfound) and tests
+# repo's own invariant analyzer), model-checks the steal-demand handshake
+# and the admission gate (nowa-model exits non-zero if a protocol is
+# violated or a planted bug goes unfound) and tests
 # everything, including the race-enabled chaos/cancellation/misuse stress
 # subset; then, built with -tags nowacheck, it vets and runs the real CL
-# and THE deques, the CQS queue, the ring and the channel under
-# internal/atomicx's interleaving controller (every schedule up to a
-# preemption bound, the planted mutants found, the freeze checks); then a
-# smoke run
+# and THE deques, the CQS queue, the ring, the channel, the wait-free and
+# locked joins on those deques (the §III-C race, Fibril's coupled steal)
+# and the wake queue under internal/atomicx's interleaving controller
+# (every schedule up to a preemption bound, the planted mutants found,
+# the freeze checks); then a smoke run
 # of the spawn-overhead benchmark (catches fast-path breakage that only
 # -bench exercises) and the TestSpawnFloor latency gate (catches a
 # goroutine switch or shared-memory traffic sneaking back onto the lazy
@@ -46,8 +48,8 @@ verify:
 	$(GO) run ./cmd/nowa-model > /dev/null
 	$(GO) test ./...
 	$(RACE_TEST)
-	$(GO) vet -tags nowacheck . ./internal/atomicx ./internal/deque ./internal/cqs ./internal/ring
-	$(GO) test -tags nowacheck -timeout 5m ./internal/atomicx/... ./internal/deque/... ./internal/cqs/... ./internal/ring/...
+	$(GO) vet -tags nowacheck . ./internal/atomicx ./internal/deque ./internal/cqs ./internal/ring ./internal/core
+	$(GO) test -tags nowacheck -timeout 5m ./internal/atomicx/... ./internal/deque/... ./internal/cqs/... ./internal/ring/... ./internal/core/...
 	$(GO) test -tags nowacheck -timeout 5m -run Check .
 	$(GO) test -run '^$$' -bench SpawnOverhead -benchtime 10x .
 	$(GO) test -run 'TestSpawnFloor' -count 1 .

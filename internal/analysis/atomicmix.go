@@ -17,9 +17,11 @@ import (
 // argument lives in a comment, so make every access atomic (or use a
 // sync/atomic wrapper type) instead.
 //
-// Fields of the sync/atomic wrapper types (atomic.Int64 &c.) are outside
-// this analyzer's scope: their only operations are methods, and illegal
-// copies are already rejected by go vet's copylocks check.
+// A field of a sync/atomic wrapper type (atomic.Int64 &c., and their
+// internal/atomicx names) has only atomic methods, but a whole-value
+// assignment to or from it is a plain store or load all the same —
+// `j.counter = atomicx.Int64{}` resets a join counter behind every atomic
+// that orders it — and is flagged (go vet's copylocks sees only copies).
 func Atomicmix() *Analyzer {
 	return &Analyzer{
 		Name: "atomicmix",
@@ -30,12 +32,28 @@ func Atomicmix() *Analyzer {
 
 func runAtomicmix(m *Module) []Finding {
 	fields := m.rawAtomicFields()
-	if len(fields) == 0 {
-		return nil
-	}
 	var out []Finding
 	for _, p := range m.Packages {
 		for _, file := range p.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				as, ok := n.(*ast.AssignStmt)
+				if !ok {
+					return true
+				}
+				for i, side := range [][]ast.Expr{as.Lhs, as.Rhs} {
+					for _, e := range side {
+						if fld := fieldOf(p.Info, e); fld != nil && isAtomicType(fld.Type()) {
+							out = append(out, Finding{
+								Analyzer: "atomicmix",
+								Pos:      m.position(e.Pos()),
+								Message: fmt.Sprintf("plain %s of atomic field %s; use its methods",
+									[]string{"store", "load"}[i], fieldOwnerName(m, fld)),
+							})
+						}
+					}
+				}
+				return true
+			})
 			// Pass 1: mark the selector operands of atomic calls as
 			// sanctioned so pass 2 does not re-flag them.
 			sanctioned := make(map[ast.Expr]bool)

@@ -49,6 +49,8 @@ func TestAtomicmixCorpus(t *testing.T) {
 	wantFindings(t, RunAll(m, []*Analyzer{Atomicmix()}), []string{
 		"plain access to field gate.state",
 		"plain access to field gate.state",
+		"plain store of atomic field join.counter",
+		"plain load of atomic field join.counter",
 	})
 }
 
@@ -91,6 +93,8 @@ func TestCorporaUnderTypeAliases(t *testing.T) {
 	TestPadguardCorpus(t)
 	TestLockorderCorpus(t)
 	TestFsmCorpus(t)
+	TestJoinencCorpus(t)
+	TestAtomicmixCorpus(t)
 }
 
 func TestJoinencCorpus(t *testing.T) {
@@ -106,6 +110,7 @@ func TestLockorderCorpus(t *testing.T) {
 	wantFindings(t, RunAll(m, []*Analyzer{Lockorder()}), []string{
 		"lock outer (level 1) acquired while holding inner (level 2)",
 		"lock outer (level 1) acquired while holding deq (level 3)",
+		"lock deq (level 3) acquired while holding frame (level 4)",
 		"lock outer acquired while already held (double-lock)",
 		"call to (*state).lockInner re-acquires inner already held (double-lock)",
 		"channel send while holding outer (level 1)",

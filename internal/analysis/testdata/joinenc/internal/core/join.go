@@ -5,11 +5,12 @@ package core
 
 import "sync/atomic"
 
-// Join is the corpus join-protocol state.
+// Join is the corpus join-protocol state, its counter declared through
+// an alias as core.WaitFreeJoin's is through internal/atomicx.
 //
 //nowa:join-state
 type Join struct {
-	Counter atomic.Int64
+	Counter aliasInt64
 	Alpha   int64
 }
 
@@ -17,3 +18,5 @@ type Join struct {
 func (j *Join) OnChildJoin() bool {
 	return j.Counter.Add(-1) == 0
 }
+
+type aliasInt64 = atomic.Int64

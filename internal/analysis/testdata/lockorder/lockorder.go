@@ -1,5 +1,5 @@
-// Package lockorder is the lockorder analyzer's corpus: two enrolled
-// mutexes at levels 1 and 2, one function per violation class, and
+// Package lockorder is the lockorder analyzer's corpus: enrolled mutexes
+// at levels 1 to 4, one function per violation class, and
 // annotated/structured negatives that must stay silent.
 package lockorder
 
@@ -16,6 +16,21 @@ type state struct {
 	//nowa:lock level=3 name=deq
 	deq mutex
 	ch  chan int
+}
+
+// frame is a join frame, its lock declared like core.LockedJoin's: a
+// steal takes it under the deque lock, never the other way round.
+type frame struct {
+	//nowa:lock level=4 name=frame
+	mu mutex
+}
+
+// frameFirst takes the deque lock under the frame lock.
+func (s *state) frameFirst(f *frame) {
+	f.mu.Lock()
+	s.deq.Lock() // want: out-of-order acquisition
+	s.deq.Unlock()
+	f.mu.Unlock()
 }
 
 // mutex is the deques' lock as internal/atomicx declares it in a normal

@@ -73,6 +73,11 @@ func (m *Mutex) Lock()         { yield("Mutex.Lock", m); m.mu.Lock() }
 func (m *Mutex) Unlock()       { yield("Mutex.Unlock", nil); m.mu.Unlock() }
 func (m *Mutex) TryLock() bool { yield("Mutex.TryLock", nil); return m.mu.TryLock() }
 
+// Hold locks m with no scheduling point, for a mutex no other thread can
+// reach yet: the lock cannot block, so a choice before it would only
+// multiply the schedules.
+func (m *Mutex) Hold() { m.mu.Lock() }
+
 // held probes m for the controller, while every thread waits.
 func (m *Mutex) held() bool {
 	if !m.mu.TryLock() {
@@ -80,6 +85,17 @@ func (m *Mutex) held() bool {
 	}
 	m.mu.Unlock()
 	return false
+}
+
+// Steps is the number of scheduling points the calling thread has
+// reached in this execution, 0 outside a scenario thread. The difference
+// across a call is the number of shared-memory operations it took: a
+// bound on it that holds in every schedule is wait-freedom.
+func Steps() int {
+	if t := running.Load(); t != nil {
+		return t.steps
+	}
+	return 0
 }
 
 // Scenario is one execution: threads over state built afresh for it,
@@ -125,6 +141,7 @@ type thread struct {
 	r        *run
 	id       int
 	op       string // the operation it waits to perform
+	steps    int    // scheduling points reached so far
 	want     *Mutex // the lock that operation takes, if any
 	spins    bool   // waits in Gosched for another thread's write
 	quiet    bool   // no other thread has written since its last Gosched
@@ -158,6 +175,7 @@ func yield(op string, want *Mutex) {
 	if t == nil || t.aborting {
 		return
 	}
+	t.steps++
 	t.op, t.want = op, want
 	var next *thread
 	if !t.r.starting {

@@ -139,3 +139,28 @@ func TestExploreSpinWait(t *testing.T) {
 		t.Fatalf("spin-wait on a flag nobody sets not reported: %v", v)
 	}
 }
+
+// TestStepsAndHold: Steps counts the calling thread's scheduling points
+// and is 0 outside a thread; Hold is none.
+func TestStepsAndHold(t *testing.T) {
+	if n := Steps(); n != 0 {
+		t.Fatalf("Steps outside a scenario thread: %d", n)
+	}
+	var got []int
+	_, v := Explore(Options{}, func() Scenario {
+		got = got[:0]
+		var x Int64
+		var mu Mutex
+		return Scenario{Threads: []func(){func() {
+			x.Load()
+			mu.Hold()
+			mu.Unlock()
+			got = append(got, Steps())
+			x.Add(1)
+			got = append(got, Steps())
+		}}}
+	})
+	if v != nil || len(got) != 2 || got[0] != 2 || got[1] != 3 {
+		t.Fatalf("Steps read %v, want [2 3] (violation %v)", got, v)
+	}
+}

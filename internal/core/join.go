@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
-	"sync/atomic"
+	_ "sync/atomic" // for the inline bodies of atomicx's aliases
+
+	"nowa/internal/atomicx"
 )
 
 // IMax is the initial value of the wait-free sync-condition counter: the
@@ -72,7 +74,7 @@ type WaitFreeJoin struct {
 	alpha int64
 	// counter holds N_r' = I_max − ω during phase 1 and N_r = α − ω after
 	// the explicit sync point restores it.
-	counter atomic.Int64
+	counter atomicx.Int64
 }
 
 // NewWaitFreeJoin returns an armed wait-free join.
@@ -123,10 +125,3 @@ func (j *WaitFreeJoin) Outstanding() int64 { return j.alpha - (IMax - j.counter.
 // only move the counter toward the quiescent value, so a true result is
 // stable.
 func (j *WaitFreeJoin) Quiescent() bool { return j.counter.Load() == IMax-j.alpha }
-
-// Phase1Value exposes the raw counter for tests: I_max − ω before restore.
-func (j *WaitFreeJoin) Phase1Value() int64 { return j.counter.Load() }
-
-// RestoreDelta is the amount SyncBegin subtracts for a given α; exposed so
-// tests can verify the Eq. 3–5 algebra independently.
-func RestoreDelta(alpha int64) int64 { return IMax - alpha }

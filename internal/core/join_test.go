@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"nowa/internal/deque"
 )
 
 func TestWaitFreeSequentialRound(t *testing.T) {
@@ -25,8 +27,8 @@ func TestWaitFreeSequentialRound(t *testing.T) {
 		t.Fatal("last join did not observe the sync condition")
 	}
 	j.Rearm()
-	if j.Forked() != 0 || j.Phase1Value() != IMax {
-		t.Fatalf("Rearm left alpha=%d counter=%d", j.Forked(), j.Phase1Value())
+	if j.Forked() != 0 || j.counter.Load() != IMax {
+		t.Fatalf("Rearm left alpha=%d counter=%d", j.Forked(), j.counter.Load())
 	}
 }
 
@@ -105,7 +107,7 @@ func TestWaitFreeRestoreAlgebra(t *testing.T) {
 			}
 		}
 		// Phase 1 counter is I_max − ω (Eq. 2).
-		if j.Phase1Value() != IMax-pre {
+		if j.counter.Load() != IMax-pre {
 			return false
 		}
 		ready := j.SyncBegin()
@@ -129,10 +131,16 @@ func TestWaitFreeRestoreAlgebra(t *testing.T) {
 	}
 }
 
+// TestRestoreDelta: SyncBegin subtracts I_max − α from the phase-1
+// counter (Eq. 5), leaving N_r = α − ω.
 func TestRestoreDelta(t *testing.T) {
-	for _, alpha := range []int64{0, 1, 7, 1 << 40} {
-		if got := RestoreDelta(alpha); got != IMax-alpha {
-			t.Errorf("RestoreDelta(%d) = %d, want %d", alpha, got, IMax-alpha)
+	for _, alpha := range []int64{0, 1, 7, 1 << 20} {
+		j := NewWaitFreeJoin()
+		j.alpha = alpha
+		j.OnChildJoin()
+		j.SyncBegin()
+		if got := j.counter.Load(); got != alpha-1 {
+			t.Errorf("α = %d, ω = 1: counter %d after the restore, want %d", alpha, got, alpha-1)
 		}
 	}
 }
@@ -231,11 +239,19 @@ func TestLockedNegativeCountPanics(t *testing.T) {
 	j.OnChildJoin()
 }
 
+// TestLockedOnStealLocked: the count increment StealCoupled makes under
+// the overlapping locks is OnSteal's.
 func TestLockedOnStealLocked(t *testing.T) {
 	j := NewLockedJoin()
-	j.Lock()
-	j.OnStealLocked()
-	j.Unlock()
+	d := deque.NewTHE[int](2)
+	if _, o := StealCoupled(d, func(*int) *LockedJoin { return j }); o != deque.StealEmpty {
+		t.Fatalf("steal from an empty deque: %v", o)
+	}
+	x := 1
+	d.PushBottom(&x)
+	if c, o := StealCoupled(d, func(*int) *LockedJoin { return j }); o != deque.StealHit || c != &x {
+		t.Fatalf("steal: %v, %v", c, o)
+	}
 	if j.Forked() != 1 {
 		t.Fatalf("Forked = %d, want 1", j.Forked())
 	}

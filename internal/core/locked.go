@@ -1,13 +1,18 @@
 package core
 
-import "sync"
+import (
+	_ "sync" // for the inline bodies of atomicx's aliases
+
+	"nowa/internal/atomicx"
+	"nowa/internal/deque"
+)
 
 // LockedJoin is the Fibril-style lock-based baseline (§III-C, Listing 2).
 // A mutex guards the count of outstanding stolen children and the syncing
-// flag. The scheduler layer additionally couples this lock with the victim
-// deque's lock during steals — the overlapping acquisition that Listing 2
-// shows — so that a joiner that observed an empty deque cannot decrement
-// before the thief's increment lands.
+// flag. A steal couples this lock with the victim deque's lock
+// (StealCoupled) — the overlapping acquisition that Listing 2 shows — so
+// that a joiner that observed an empty deque cannot decrement before the
+// thief's increment lands.
 //
 // Every operation acquires the mutex, so under contention callers queue:
 // the protocol is blocking, which is precisely the scalability limit the
@@ -15,7 +20,8 @@ import "sync"
 //
 //nowa:join-state
 type LockedJoin struct {
-	mu      sync.Mutex
+	//nowa:lock level=5 name=frame
+	mu      atomicx.Mutex
 	count   int64 // N_r: outstanding stolen children
 	syncing bool  // parent suspended at the explicit sync point
 	forked  int64 // total steals this round, for symmetry with Forked()
@@ -32,18 +38,25 @@ func (j *LockedJoin) OnSteal() {
 	j.mu.Unlock()
 }
 
-// Lock exposes the frame mutex so the scheduler can reproduce Listing 2's
-// overlapping deque-lock/frame-lock acquisition; pair with Unlock and call
-// OnStealLocked in between.
-func (j *LockedJoin) Lock() { j.mu.Lock() }
-
-// Unlock releases the frame mutex.
-func (j *LockedJoin) Unlock() { j.mu.Unlock() }
-
-// OnStealLocked is OnSteal for callers already holding Lock.
-func (j *LockedJoin) OnStealLocked() {
+// StealCoupled is Fibril's steal (Listing 2): d's lock is held across the
+// pop and overlaps the lock of the stolen frame (frame's result for the
+// popped item), under which the fork is counted. A joiner that then finds
+// d empty is ordered after the increment: the §III-C race is excluded by
+// blocking, not transformed.
+func StealCoupled[T any](d *deque.THEDeque[T], frame func(*T) *LockedJoin) (*T, deque.StealOutcome) {
+	d.Lock()
+	c, o := d.PopTopLockedOutcome()
+	if o != deque.StealHit {
+		d.Unlock()
+		return nil, o
+	}
+	j := frame(c)
+	j.mu.Lock()
+	d.Unlock()
 	j.count++
 	j.forked++
+	j.mu.Unlock()
+	return c, deque.StealHit
 }
 
 // OnChildJoin decrements the count and reports whether the caller must

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"sync/atomic"
+	_ "sync/atomic" // for the inline bodies of atomicx's aliases
 
+	"nowa/internal/atomicx"
 	"nowa/internal/cqs"
 )
 
@@ -12,7 +13,7 @@ import (
 // whose cells are never aborted, so both ends are lock-free. The zero
 // value is ready: first use links the queue.
 type WakeQueue[H any] struct {
-	q atomic.Pointer[cqs.Queue]
+	q atomicx.Pointer[cqs.Queue]
 }
 
 // Push appends h. A pop that reached h's cell first left a deposit

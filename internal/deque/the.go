@@ -15,10 +15,11 @@ import "nowa/internal/atomicx"
 // the deque empty, reclaiming space. The array grows under the lock when
 // full, standing in for Cilk-5's fixed-size deque with overflow abort.
 type THEDeque[T any] struct {
-	head  atomicx.Int64 // H: next index thieves steal from
-	_     [15]int64     // pad to 128 B: separate cache-line PAIRS (adjacent-line prefetcher)
-	tail  atomicx.Int64 // T: next index the owner pushes at
-	_     [15]int64
+	head atomicx.Int64 // H: next index thieves steal from
+	_    [15]int64     // pad to 128 B: separate cache-line PAIRS (adjacent-line prefetcher)
+	tail atomicx.Int64 // T: next index the owner pushes at
+	_    [15]int64
+	//nowa:lock level=4 name=deque
 	mu    atomicx.Mutex
 	slots atomicx.Pointer[[]atomicx.Pointer[T]]
 }

@@ -5,90 +5,6 @@ import (
 	"testing"
 )
 
-func TestWaitFreeSafe(t *testing.T) {
-	for spawns := 1; spawns <= 3; spawns++ {
-		r := Check(Config{Spawns: spawns, Proto: ProtoWaitFree})
-		if r.Violation != nil {
-			t.Fatalf("spawns=%d: wait-free protocol violated:\n%s", spawns, r.Violation)
-		}
-		if r.States == 0 || r.Executions == 0 {
-			t.Fatalf("spawns=%d: nothing explored (%d states, %d executions)", spawns, r.States, r.Executions)
-		}
-		t.Logf("wait-free spawns=%d: %d states, %d maximal executions, safe", spawns, r.States, r.Executions)
-	}
-}
-
-func TestLockedSafe(t *testing.T) {
-	for spawns := 1; spawns <= 3; spawns++ {
-		r := Check(Config{Spawns: spawns, Proto: ProtoLocked})
-		if r.Violation != nil {
-			t.Fatalf("spawns=%d: locked protocol violated:\n%s", spawns, r.Violation)
-		}
-		t.Logf("locked spawns=%d: %d states, %d maximal executions, safe", spawns, r.States, r.Executions)
-	}
-}
-
-func TestNaiveFindsTheRace(t *testing.T) {
-	// The §III-C data race: the checker must find a violation in the
-	// naive protocol with separate queue and counter operations.
-	r := Check(Config{Spawns: 1, Proto: ProtoNaive})
-	if r.Violation == nil {
-		t.Fatal("the naive protocol was reported safe — the §III-C race went undetected")
-	}
-	t.Logf("naive spawns=1 counterexample (%d states explored):\n%s", r.States, r.Violation)
-	if !strings.Contains(r.Violation.Kind, "release") {
-		t.Errorf("unexpected violation kind: %s", r.Violation.Kind)
-	}
-	// The counterexample must actually exercise the race window: a steal
-	// must appear in the trace before the violation.
-	var sawSteal bool
-	for _, step := range r.Violation.Trace {
-		if strings.Contains(step, "popTop") {
-			sawSteal = true
-		}
-	}
-	if !sawSteal {
-		t.Errorf("counterexample does not involve a steal:\n%s", r.Violation)
-	}
-}
-
-func TestNaiveRaceAtEveryWidth(t *testing.T) {
-	for spawns := 1; spawns <= 3; spawns++ {
-		r := Check(Config{Spawns: spawns, Proto: ProtoNaive})
-		if r.Violation == nil {
-			t.Errorf("spawns=%d: naive protocol reported safe", spawns)
-		}
-	}
-}
-
-func TestStateSpaceGrowth(t *testing.T) {
-	// More spawns explore strictly more states (sanity of the explorer).
-	prev := 0
-	for spawns := 1; spawns <= 3; spawns++ {
-		r := Check(Config{Spawns: spawns, Proto: ProtoWaitFree})
-		if r.States <= prev {
-			t.Errorf("spawns=%d explored %d states, not more than %d", spawns, r.States, prev)
-		}
-		prev = r.States
-	}
-}
-
-func TestZeroSpawnsClamped(t *testing.T) {
-	r := Check(Config{Spawns: 0, Proto: ProtoWaitFree})
-	if r.Violation != nil {
-		t.Fatalf("clamped config violated: %s", r.Violation)
-	}
-}
-
-func TestProtoString(t *testing.T) {
-	if ProtoWaitFree.String() != "wait-free" || ProtoLocked.String() != "locked" || ProtoNaive.String() != "naive" {
-		t.Error("proto names")
-	}
-	if !strings.HasPrefix(Proto(9).String(), "Proto(") {
-		t.Error("unknown proto stringer")
-	}
-}
-
 func TestViolationString(t *testing.T) {
 	v := &Violation{Kind: "k", Trace: []string{"a", "b"}}
 	if got := v.String(); !strings.Contains(got, "k") || !strings.Contains(got, "a") {

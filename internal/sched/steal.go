@@ -4,6 +4,7 @@ import (
 	"runtime"
 
 	"nowa/internal/cactus"
+	"nowa/internal/core"
 	"nowa/internal/deque"
 	"nowa/internal/trace"
 )
@@ -223,26 +224,12 @@ func (rt *Runtime) victimSlots() int {
 // sole main path of the stolen scope, increments α without further
 // synchronisation (Invariant II).
 //
-// Fibril mode (Listing 2): the victim's THE deque lock is held across the
-// pop and overlaps the frame lock, so a joiner that subsequently observes
-// the empty deque is ordered after the thief's count increment — the
-// hazardous race of §III-C is excluded by blocking, not transformed.
+// Fibril mode: core.StealCoupled, Listing 2's overlapping deque and
+// frame locks.
 func (rt *Runtime) popTopSteal(victim int) (*cont, deque.StealOutcome) {
 	s := &rt.slots[victim]
 	if rt.cfg.Join == LockedFibril {
-		d := s.the
-		d.Lock()
-		c, o := d.PopTopLockedOutcome()
-		if o != deque.StealHit {
-			d.Unlock()
-			return nil, o
-		}
-		lj := &c.scope.lj
-		lj.Lock()
-		d.Unlock()
-		lj.OnStealLocked()
-		lj.Unlock()
-		return c, deque.StealHit
+		return core.StealCoupled(s.the, func(c *cont) *core.LockedJoin { return &c.scope.lj })
 	}
 	var c *cont
 	var o deque.StealOutcome

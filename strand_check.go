@@ -26,9 +26,11 @@ type waiter struct {
 	aborted bool
 }
 
+// PrepareWait holds the fresh waiter's lock with no scheduling point:
+// no other thread can see the waiter yet.
 func (p *proc) PrepareWait() *waiter {
 	w := new(waiter)
-	w.parked.Lock()
+	w.parked.Hold()
 	return w
 }
 
